@@ -172,17 +172,17 @@ class ProofOutline:
 # --- state-level primitives -------------------------------------------------
 
 def last_write(state: ComponentState, x: str):
-    ws = [op for op in state.ops
-          if op.action.var == x and is_modifying(op.action)]
-    if not ws:
-        return None
-    return max(ws, key=lambda op: op.ts)
+    for op in reversed(state.ops_on(x)):
+        if is_modifying(op.action):
+            return op
+    return None
 
 
 def dview(view: dict, state: ComponentState, x: str, n) -> bool:
-    """view pins x to the last write in state and that write wrote n."""
+    """view (variable -> rank) pins x to the last write in state and that
+    write wrote n."""
     lw = last_write(state, x)
-    return lw is not None and view.get(x) == lw and wrval(lw.action) == n
+    return lw is not None and view.get(x) == lw.ts and wrval(lw.action) == n
 
 
 def eval_possible(state: ComponentState, t, x: str, u) -> bool:
@@ -193,19 +193,15 @@ def eval_possible(state: ComponentState, t, x: str, u) -> bool:
 
 
 def eval_possible_meth(state: ComponentState, t, m: MethodInstance) -> bool:
-    tv = state.tview.get(t, {})
-    if m.obj not in tv:
-        return False
-    lo = tv[m.obj].ts
-    return any(m.matches(op.action) and op.ts >= lo for op in state.ops)
+    lo = state.front(t, m.obj)
+    return lo is not None and any(m.matches(op.action)
+                                  for op in state.ops_on(m.obj) if op.ts >= lo)
 
 
 def eval_definite(state: ComponentState, t, x: str, u) -> bool:
     lw = last_write(state, x)
-    if lw is None:
-        return False
-    tv = state.tview.get(t, {})
-    return tv.get(x) == lw and wrval(lw.action) == u
+    return (lw is not None and state.front(t, x) == lw.ts
+            and wrval(lw.action) == u)
 
 
 def eval_definite_meth(state: ComponentState, t, m: MethodInstance) -> bool:
@@ -213,10 +209,7 @@ def eval_definite_meth(state: ComponentState, t, m: MethodInstance) -> bool:
         top = state.max_op(m.obj)
     except StateError:
         return False
-    tv = state.tview.get(t, {})
-    if m.obj not in tv:
-        return False
-    return tv[m.obj].ts == top.ts and m.matches(top.action)
+    return state.front(t, m.obj) == top.ts and m.matches(top.action)
 
 
 def eval_conditional(state: ComponentState, t, x: str, u, y: str, v) -> bool:
@@ -229,7 +222,7 @@ def eval_conditional(state: ComponentState, t, x: str, u, y: str, v) -> bool:
             continue
         if not is_releasing_write(w.action):
             return False
-        if not dview(state.mview[w], state, y, v):
+        if not dview(state.recorded(w), state, y, v):
             return False
     return True
 
@@ -238,15 +231,12 @@ def eval_cond_cross(lib: ComponentState, cli: ComponentState, t,
                     m: MethodInstance, y: str, v, spec) -> bool:
     if spec is None or not _kind_in_sync(spec, m):
         return False
-    tv = lib.tview.get(t, {})
-    if m.obj not in tv:
+    lo = lib.front(t, m.obj)
+    if lo is None:
         return False
-    lo = tv[m.obj].ts
-    for op in lib.ops:
-        if m.matches(op.action) and op.ts >= lo:
-            if not dview(lib.mview[op], cli, y, v):
-                return False
-    return True
+    return all(dview(lib.recorded(op), cli, y, v)
+               for op in lib.ops_on(m.obj)
+               if op.ts >= lo and m.matches(op.action))
 
 
 def _kind_in_sync(spec, m: MethodInstance) -> bool:
@@ -259,18 +249,14 @@ def eval_covered(state: ComponentState, m: MethodInstance) -> bool:
     ops_o = state.ops_on(m.obj)
     if not ops_o:
         return False
-    top_ts = max(op.ts for op in ops_o)
-    for op in ops_o:
-        if op in state.cvd:
-            continue
-        if not (m.matches(op.action) and op.ts == top_ts):
-            return False
-    return True
+    top_ts = ops_o[-1].ts
+    return all(state.covers(op) or (m.matches(op.action) and op.ts == top_ts)
+               for op in ops_o)
 
 
 def eval_hidden(state: ComponentState, m: MethodInstance) -> bool:
-    hits = [op for op in state.ops if m.matches(op.action)]
-    return bool(hits) and all(op in state.cvd for op in hits)
+    hits = [op for op in state.ops_on(m.obj) if m.matches(op.action)]
+    return bool(hits) and all(state.covers(op) for op in hits)
 
 
 # --- configuration-level evaluation -----------------------------------------

@@ -25,36 +25,48 @@ class _Argparser(argparse.ArgumentParser):
         raise LitmusError(message)
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}")
+        return n
+    return parse
+
+
 def _build_parser():
     p = _Argparser(prog="rarcheck", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ex = sub.add_parser("explore", help="enumerate terminal outcomes")
     ex.add_argument("file")
-    ex.add_argument("--max-steps", type=int, default=64)
+    ex.add_argument("--max-steps", type=_int_at_least(1), default=64)
     ex.add_argument("--json", action="store_true")
-    ex.add_argument("--jobs", type=int, default=1)
 
     ol = sub.add_parser("outline", help="check a proof outline")
     ol.add_argument("file")
-    ol.add_argument("--max-steps", type=int, default=64)
+    ol.add_argument("--max-steps", type=_int_at_least(1), default=64)
     ol.add_argument("--json", action="store_true")
 
     ho = sub.add_parser("hoare", help="check {pre} program {final}")
     ho.add_argument("file")
-    ho.add_argument("--max-steps", type=int, default=64)
+    ho.add_argument("--max-steps", type=_int_at_least(1), default=64)
     ho.add_argument("--json", action="store_true")
 
     rf = sub.add_parser("refine", help="check forward simulation")
     rf.add_argument("--impl", required=True, choices=sorted(builtin_impls()))
     rf.add_argument("--client", required=True)
-    rf.add_argument("--max-steps", type=int, default=64)
+    rf.add_argument("--max-steps", type=_int_at_least(1), default=64)
     rf.add_argument("--json", action="store_true")
     rf.add_argument("--skip-trace-check", action="store_true")
 
     orc = sub.add_parser("oracle", help="brute-force cross checks")
     orc.add_argument("what", choices=["fifo"])
-    orc.add_argument("--enqs", type=int, default=3)
+    orc.add_argument("--enqs", type=_int_at_least(0), default=3)
     orc.add_argument("--json", action="store_true")
     return p
 
@@ -96,12 +108,12 @@ def _load(path: str):
 
 def _cmd_explore(args) -> int:
     system = _load(args.file)
-    res = explore(system.cfg0, system.ctx, args.max_steps, jobs=args.jobs)
+    res = explore(system.cfg0, system.ctx, args.max_steps)
     outcomes = [{k: _jval(v) for k, v in oc.items()} for oc in res.outcomes]
     verdict, code, witness = "pass", OK, None
     if system.outline.final is not None:
         rep = check_hoare(system.cfg0, system.ctx, system.outline.pre,
-                          system.outline.final, args.max_steps)
+                          system.outline.final, args.max_steps, res)
         if rep.verdict == "invalid":
             verdict, code, witness = "violation", VIOLATION, rep.witness
         elif rep.verdict == "unknown-beyond-bound":

@@ -1,37 +1,71 @@
 """Exhaustive interleaving exploration of the composed semantics.
 
 Configurations pair per-thread programs and local states with the client and
-library component states.  Exploration is a breadth-first search memoized on
-canonical keys (timestamp-order-isomorphic states collapse), bounded by a
-scheduler-step budget with explicit truncation reporting.
+library component states.  Component states are in normal form, so a
+configuration is its own canonical key: timestamp-order-isomorphic states
+are equal.  Exploration is a breadth-first search memoized on configurations,
+bounded by a scheduler-step budget with explicit truncation reporting.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import memory, objects, program
 from .assertions import EvalCtx, eval_assertion
-from .state import BOT, canonical_key, ComponentState
+from .state import BOT, ComponentState
 
 
-@dataclass(frozen=True, eq=False)
 class Configuration:
-    prog: dict  # t -> command
-    rho: dict  # t -> locals
-    gamma: ComponentState
-    beta: ComponentState
+    """Programs and local states per thread, plus the client (gamma) and
+    library (beta) component states.  Equal configurations are the same
+    state; the hash is computed once."""
 
-    _key: list = field(default_factory=list, repr=False, compare=False)
+    __slots__ = ("prog", "rho", "gamma", "beta", "_hash")
+
+    def __init__(self, prog: dict, rho: dict, gamma: ComponentState,
+                 beta: ComponentState):
+        self.prog = prog  # t -> command
+        self.rho = rho  # t -> locals
+        self.gamma = gamma
+        self.beta = beta
+        self._hash = None
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((
+                frozenset(self.prog.items()),
+                frozenset((t, frozenset(ls.items()))
+                          for t, ls in self.rho.items()),
+                self.gamma, self.beta))
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return (hash(self) == hash(other) and self.gamma == other.gamma
+                and self.beta == other.beta and self.rho == other.rho
+                and self.prog == other.prog)
+
+    def __repr__(self):
+        return (f"Configuration({self.prog!r}, {self.rho!r}, {self.gamma!r}, "
+                f"{self.beta!r})")
 
     def key(self):
-        if not self._key:
-            self._key.append(canonical_key(self))
-        return self._key[0]
+        return canonical_key(self)
 
     def terminated(self) -> bool:
         return all(program.is_done(p) for p in self.prog.values())
+
+
+def canonical_key(cfg: Configuration) -> Configuration:
+    """The key a configuration is memoized under: the configuration itself,
+    whose hash this computes once."""
+    hash(cfg)
+    return cfg
 
 
 class SystemContext:
@@ -74,8 +108,8 @@ class StepLabel:
 
 
 def _rank_on(state: ComponentState, op) -> int:
-    times = sorted(o.ts for o in state.ops_on(op.action.var))
-    return times.index(op.ts)
+    """Position of op on its variable's timeline (labels name it so)."""
+    return sum(o.ts < op.ts for o in state.ops_on(op.action.var))
 
 
 def _with_thread(cfg: Configuration, t, p, ls, gamma=None, beta=None):
@@ -195,7 +229,7 @@ class ExploreResult:
     states_explored: int
     outcomes: list  # sorted list of dicts register -> value
     truncated: bool
-    configs: dict  # canonical key -> Configuration
+    configs: dict  # key (the configuration itself) -> Configuration
     parents: dict  # key -> (parent key, thread, label str)
     terminal_keys: list
     initial_key: object
@@ -213,12 +247,12 @@ class ExploreResult:
         return path
 
 
-def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
-            jobs: int = 1) -> ExploreResult:
-    """Bounded exhaustive exploration with canonical-key memoization."""
+def explore(cfg0: Configuration, ctx: SystemContext,
+            max_steps: int = 64) -> ExploreResult:
+    """Bounded exhaustive exploration memoized on configurations."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    k0 = cfg0.key()
+    k0 = canonical_key(cfg0)
     visited = {k0: cfg0}
     parents = {}
     depth = {k0: 0}
@@ -226,36 +260,27 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     truncated = False
     terminal_keys = []
     outcomes = set()
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        while frontier:
-            if pool is not None:
-                succ_lists = list(pool.map(
-                    lambda c: successors(c, ctx), frontier))
-            else:
-                succ_lists = [successors(c, ctx) for c in frontier]
-            nxt_frontier = []
-            for cfg, succs in zip(frontier, succ_lists):
-                k = cfg.key()
-                if not succs:
-                    terminal_keys.append(k)
-                    outcomes.add(_outcome_of(cfg, ctx))
+    while frontier:
+        nxt_frontier = []
+        for cfg in frontier:
+            succs = successors(cfg, ctx)
+            if not succs:
+                terminal_keys.append(cfg)
+                outcomes.add(_outcome_of(cfg, ctx))
+                continue
+            d = depth[cfg]
+            if d >= max_steps:
+                truncated = True
+                continue
+            for t, label, nxt in succs:
+                nk = canonical_key(nxt)
+                if nk in visited:
                     continue
-                if depth[k] >= max_steps:
-                    truncated = True
-                    continue
-                for t, label, nxt in succs:
-                    nk = nxt.key()
-                    if nk in visited:
-                        continue
-                    visited[nk] = nxt
-                    parents[nk] = (k, t, label.render())
-                    depth[nk] = depth[k] + 1
-                    nxt_frontier.append(nxt)
-            frontier = nxt_frontier
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                visited[nk] = nxt
+                parents[nk] = (cfg, t, label.render())
+                depth[nk] = d + 1
+                nxt_frontier.append(nxt)
+        frontier = nxt_frontier
     out_list = sorted(
         ({r: v for r, v in oc} for oc in outcomes),
         key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
@@ -282,12 +307,14 @@ class CheckReport:
     detail: str = ""
 
 
-def check_hoare(cfg0, ctx, pre, post, max_steps: int = 64) -> CheckReport:
-    """Partial-correctness check of {pre} program {post}."""
+def check_hoare(cfg0, ctx, pre, post, max_steps: int = 64,
+                explored: ExploreResult = None) -> CheckReport:
+    """Partial-correctness check of {pre} program {post}.  `explored`, if
+    given, is the exploration of cfg0 under the same bound, reused."""
     ectx = ctx.eval_ctx()
     if pre is not None and not eval_assertion(pre, cfg0, ectx):
         return CheckReport("valid", detail="precondition unsatisfied")
-    res = explore(cfg0, ctx, max_steps)
+    res = explore(cfg0, ctx, max_steps) if explored is None else explored
     if post is not None:
         for k in res.terminal_keys:
             cfg = res.configs[k]

@@ -8,9 +8,9 @@ state, which is how program-level read candidates get filtered.
 
 from __future__ import annotations
 
-from .state import (ComponentState, TOp, insert_fresh_timestamp,
-                    is_acquiring_read, is_releasing_write, merge_views,
-                    view_set, view_union, wrval, READ, UPDATE, WRITE)
+from .state import (ComponentState, insert_fresh_timestamp, is_acquiring_read,
+                    is_releasing_write, merge_views, wrval, READ, UPDATE,
+                    WRITE)
 
 
 def mem_read(gamma: ComponentState, beta: ComponentState, t, a):
@@ -21,13 +21,14 @@ def mem_read(gamma: ComponentState, beta: ComponentState, t, a):
         if wrval(w.action) != a.val:
             continue
         if is_releasing_write(w.action) and is_acquiring_read(a):
-            tv = merge_views(gamma.tview[t], gamma.mview[w])
-            ctv = merge_views(beta.tview[t], gamma.mview[w])
-            g2 = gamma.updated(tview=_tv(gamma, t, tv))
-            b2 = beta.updated(tview=_tv(beta, t, ctv))
+            src = gamma.mview_of(w)
+            g2 = gamma.with_view(t, merge_views(gamma.view(t), src))
+            b2 = beta.with_view(t, merge_views(beta.view(t),
+                                               src[len(gamma.lay.own):]))
         else:
-            tv = view_set(gamma.tview[t], a.var, w)
-            g2 = gamma.updated(tview=_tv(gamma, t, tv))
+            tv = list(gamma.view(t))
+            tv[gamma.lay.vix[a.var]] = w.ts
+            g2 = gamma.with_view(t, tuple(tv))
             b2 = beta
         out.append((g2, b2, w))
     return out
@@ -36,54 +37,15 @@ def mem_read(gamma: ComponentState, beta: ComponentState, t, a):
 def mem_write(gamma: ComponentState, beta: ComponentState, t, a):
     """Successors of a write: one per observable, non-covered predecessor."""
     assert a.kind == WRITE
-    out = []
-    for w in gamma.obs(t, a.var):
-        if w in gamma.cvd:
-            continue
-        q2 = insert_fresh_timestamp(gamma, w)
-        new = TOp(a, q2)
-        tv = view_set(gamma.tview[t], a.var, new)
-        mv = view_union(tv, beta.tview[t])
-        g2 = gamma.updated(ops=gamma.ops | {new},
-                           tview=_tv(gamma, t, tv),
-                           mview=_mv(gamma, new, mv))
-        out.append((g2, beta, new))
-    return out
+    return [insert_fresh_timestamp(gamma, beta, t, w.ts, a)
+            for w in gamma.obs(t, a.var) if not gamma.covers(w)]
 
 
 def mem_update(gamma: ComponentState, beta: ComponentState, t, a):
     """Successors of an atomic update: read-modify-write with covering."""
     assert a.kind == UPDATE
-    out = []
-    for w in gamma.obs(t, a.var):
-        if w in gamma.cvd or wrval(w.action) != a.aux:
-            continue
-        q2 = insert_fresh_timestamp(gamma, w)
-        new = TOp(a, q2)
-        base = view_set(gamma.tview[t], a.var, new)
-        if is_releasing_write(w.action):
-            tv = merge_views(base, gamma.mview[w])
-            ctv = merge_views(beta.tview[t], gamma.mview[w])
-        else:
-            tv = base
-            ctv = beta.tview[t]
-        mv = view_union(tv, ctv)
-        g2 = gamma.updated(ops=gamma.ops | {new},
-                           tview=_tv(gamma, t, tv),
-                           mview=_mv(gamma, new, mv),
-                           cvd=gamma.cvd | {w})
-        b2 = beta.updated(tview=_tv(beta, t, ctv))
-        out.append((g2, b2, new))
-    return out
-
-
-def _tv(state: ComponentState, t, view: dict) -> dict:
-    out = dict(state.tview)
-    out[t] = view
-    return out
-
-
-def _mv(state: ComponentState, op: TOp, view: dict) -> dict:
-    out = dict(state.mview)
-    out[op] = view
-    return out
+    return [insert_fresh_timestamp(
+                gamma, beta, t, w.ts, a, cover=True,
+                sync_from=w.ts if is_releasing_write(w.action) else None)
+            for w in gamma.obs(t, a.var)
+            if not gamma.covers(w) and wrval(w.action) == a.aux]

@@ -9,12 +9,10 @@ inserted mid-timeline, subject to FIFO guards over the matched pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .state import (Action, ComponentState, EMPTY, OBJ, TOp,
-                    insert_fresh_timestamp, merge_views, view_set, view_union,
-                    DEQUEUE, ENQUEUE, LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
-                    QUEUE_INIT)
+                    insert_fresh_timestamp, DEQUEUE, ENQUEUE, LOCK_ACQUIRE,
+                    LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
 
 
 @dataclass(frozen=True)
@@ -42,21 +40,11 @@ def queue_spec(name: str) -> ObjectSpec:
 def lock_acquire(beta: ComponentState, gamma: ComponentState, t, lock: str):
     """Acquire steps; empty when the lock is held (models blocking)."""
     w = beta.max_op(lock)
-    if w.action.kind not in (LOCK_INIT, LOCK_RELEASE) or w in beta.cvd:
+    if w.action.kind not in (LOCK_INIT, LOCK_RELEASE) or beta.covers(w):
         return []
-    n = w.action.index + 1
-    b = Action(LOCK_ACQUIRE, lock, sync=OBJ, owner=t, index=n)
-    q2 = insert_fresh_timestamp(beta, w)
-    new = TOp(b, q2)
-    tv = merge_views(view_set(beta.tview[t], lock, new), beta.mview[w])
-    ctv = merge_views(gamma.tview[t], beta.mview[w])
-    mv = view_union(tv, ctv)
-    b2 = beta.updated(ops=beta.ops | {new},
-                      tview=_tv(beta, t, tv),
-                      mview=_mv(beta, new, mv),
-                      cvd=beta.cvd | {w})
-    g2 = gamma.updated(tview=_tv(gamma, t, ctv))
-    return [(b2, g2, new)]
+    b = Action(LOCK_ACQUIRE, lock, sync=OBJ, owner=t, index=w.action.index + 1)
+    return [insert_fresh_timestamp(beta, gamma, t, w.ts, b, sync_from=w.ts,
+                                   cover=True)]
 
 
 def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
@@ -64,52 +52,30 @@ def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
     w = beta.max_op(lock)
     if w.action.kind != LOCK_ACQUIRE or w.action.owner != t:
         return []
-    n = w.action.index + 1
-    a = Action(LOCK_RELEASE, lock, sync=OBJ, index=n)
-    q2 = insert_fresh_timestamp(beta, w)
-    new = TOp(a, q2)
-    tv = view_set(beta.tview[t], lock, new)
-    mv = view_union(tv, gamma.tview[t])
-    b2 = beta.updated(ops=beta.ops | {new},
-                      tview=_tv(beta, t, tv),
-                      mview=_mv(beta, new, mv))
-    return [(b2, gamma, new)]
+    a = Action(LOCK_RELEASE, lock, sync=OBJ, index=w.action.index + 1)
+    return [insert_fresh_timestamp(beta, gamma, t, w.ts, a)]
 
 
-def _gaps(beta: ComponentState, q: str, lo: Fraction):
-    """Candidate insertion timestamps on q's timeline, one per open gap
-    whose upper end lies strictly above lo (the end gap included)."""
-    times = sorted(op.ts for op in beta.ops_on(q))
-    out = []
-    for a, b in zip(times, times[1:]):
-        if b > lo:
-            left = max(a, lo)
-            out.append((left + b) / 2)
-    out.append(max(times[-1], lo) + 1)
-    return out
+# A queue component holds the queue variable only, so inserting right after
+# an operation on the queue's timeline fills the open gap above it.
+
+def _gaps(beta: ComponentState, q: str, lo: int):
+    """Ranks to insert after on q's timeline, one per gap whose upper end
+    lies strictly above lo (the end gap included)."""
+    return [op.ts for op in beta.ops_on(q) if op.ts >= lo]
 
 
 def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
     """Enqueue steps, one per admissible insertion gap."""
-    matched_enqs = {ts for ts, _ in beta.matched}
-    lo = beta.tview[t][q].ts
+    matched_enqs = {e for e, _ in beta.matched}
+    ops = beta.ops_on(q)
+    a = Action(ENQUEUE, q, val=u, sync=OBJ)
     out = []
-    for ts2 in _gaps(beta, q, lo):
-        ok = all(not (op.action.kind == ENQUEUE and op.ts > ts2
-                      and op.ts in matched_enqs)
-                 for op in beta.ops) and \
-             all(not (op.ts > ts2 and _is_deq_empty(op))
-                 for op in beta.ops)
-        if not ok:
+    for pred in _gaps(beta, q, beta.front(t, q)):
+        if any(op.ts > pred and (op.ts in matched_enqs or _is_deq_empty(op))
+               for op in ops):
             continue
-        a = Action(ENQUEUE, q, val=u, sync=OBJ)
-        new = TOp(a, ts2)
-        tv = view_set(beta.tview[t], q, new)
-        mv = view_union(tv, gamma.tview[t])
-        b2 = beta.updated(ops=beta.ops | {new},
-                          tview=_tv(beta, t, tv),
-                          mview=_mv(beta, new, mv))
-        out.append((b2, gamma, new))
+        out.append(insert_fresh_timestamp(beta, gamma, t, pred, a))
     return out
 
 
@@ -118,61 +84,34 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
 
     Returns (beta', gamma', new-op, rval) tuples.
     """
-    matched_enqs = {ts for ts, _ in beta.matched}
-    matched_deqs = {ts for _, ts in beta.matched}
-    lo = beta.tview[t][q].ts
+    matched_enqs = {e for e, _ in beta.matched}
+    matched_deqs = {d for _, d in beta.matched}
+    lo = beta.front(t, q)
+    ops = beta.ops_on(q)
     out = []
 
     # Non-empty branch: take the earliest unmatched enqueue.
-    enqs = sorted((op for op in beta.ops_on(q) if op.action.kind == ENQUEUE),
-                  key=lambda op: op.ts)
-    head = next((op for op in enqs if op.ts not in matched_enqs), None)
+    head = next((op for op in ops if op.action.kind == ENQUEUE
+                 and op.ts not in matched_enqs), None)
     if head is not None:
         floor = max([head.ts, lo] + list(matched_deqs))
-        for ts2 in _gaps(beta, q, floor):
-            a = Action(DEQUEUE, q, val=head.action.val, sync=OBJ)
-            new = TOp(a, ts2)
-            tv = merge_views(view_set(beta.tview[t], q, new),
-                             beta.mview[head])
-            ctv = merge_views(gamma.tview[t], beta.mview[head])
-            mv = view_union(tv, ctv)
-            b2 = beta.updated(ops=beta.ops | {new},
-                              tview=_tv(beta, t, tv),
-                              mview=_mv(beta, new, mv),
-                              matched=beta.matched | {(head.ts, ts2)})
-            g2 = gamma.updated(tview=_tv(gamma, t, ctv))
+        a = Action(DEQUEUE, q, val=head.action.val, sync=OBJ)
+        for pred in _gaps(beta, q, floor):
+            b2, g2, new = insert_fresh_timestamp(
+                beta, gamma, t, pred, a, sync_from=head.ts, match=True)
             out.append((b2, g2, new, head.action.val))
 
     # Empty branch: everything earlier is matched (either side) or empty.
-    for ts2 in _gaps(beta, q, lo):
-        ok = all(op.ts in matched_enqs or op.ts in matched_deqs
-                 or _is_deq_empty(op)
-                 for op in beta.ops
-                 if op.ts < ts2 and op.action.kind != QUEUE_INIT)
-        if not ok:
-            continue
-        a = Action(DEQUEUE, q, val=EMPTY, sync=OBJ)
-        new = TOp(a, ts2)
-        tv = view_set(beta.tview[t], q, new)
-        mv = view_union(tv, gamma.tview[t])
-        b2 = beta.updated(ops=beta.ops | {new},
-                          tview=_tv(beta, t, tv),
-                          mview=_mv(beta, new, mv))
-        out.append((b2, gamma, new, EMPTY))
+    a = Action(DEQUEUE, q, val=EMPTY, sync=OBJ)
+    for pred in _gaps(beta, q, lo):
+        if all(op.ts in matched_enqs or op.ts in matched_deqs
+               or _is_deq_empty(op)
+               for op in ops
+               if op.ts <= pred and op.action.kind != QUEUE_INIT):
+            b2, g2, new = insert_fresh_timestamp(beta, gamma, t, pred, a)
+            out.append((b2, g2, new, EMPTY))
     return out
 
 
 def _is_deq_empty(op: TOp) -> bool:
     return op.action.kind == DEQUEUE and op.action.val is EMPTY
-
-
-def _tv(state: ComponentState, t, view: dict) -> dict:
-    out = dict(state.tview)
-    out[t] = view
-    return out
-
-
-def _mv(state: ComponentState, op: TOp, view: dict) -> dict:
-    out = dict(state.mview)
-    out[op] = view
-    return out

@@ -395,7 +395,7 @@ def _steps(cmd, ls, domain, lib=False):
                 return [Step("eps", None, Bot(), ls, lib, at_hole=True)]
             return [Step(s.kind, s.action, Assign(cmd.reg, Hole(s.cmd)), s.ls,
                          True, s.at_hole)
-                    for s in _hole_steps(inner, ls, domain)]
+                    for s in _steps(inner, ls, domain, lib=True)]
         return [Step("eps", None, Bot(),
                      _ls_set(ls, cmd.reg, eval_expr(cmd.src, ls)), lib)]
 
@@ -446,7 +446,7 @@ def _steps(cmd, ls, domain, lib=False):
         if isinstance(inner, (Bot, Value)):
             return []  # consumed by the enclosing sequence
         return [Step(s.kind, s.action, Hole(s.cmd), s.ls, True, s.at_hole)
-                for s in _hole_steps(inner, ls, domain)]
+                for s in _steps(inner, ls, domain, lib=True)]
 
     if isinstance(cmd, Seq):
         if is_done(cmd.a):
@@ -468,11 +468,6 @@ def _steps(cmd, ls, domain, lib=False):
         raise ProgramError("do-until must be desugared before execution")
 
     raise ProgramError(f"cannot step {cmd!r}")
-
-
-def _hole_steps(inner, ls, domain):
-    steps = _steps(inner, ls, domain, lib=True)
-    return steps
 
 
 def _ends_in_hole(cmd) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from . import program as P
 from .explore import explore, successors
 from .litmus import LitmusError, build_system
-from .state import BOT, _act_key
+from .state import BOT
 
 
 @dataclass(frozen=True)
@@ -77,41 +77,34 @@ def _client_regs(system):
 
 
 def _locals_part(cfg, client_regs):
-    return tuple(
-        (t, tuple(sorted((r, _vk(cfg.rho[t].get(r))) for r in client_regs[t])))
-        for t in sorted(cfg.rho))
+    return tuple((t, tuple((r, cfg.rho[t].get(r))
+                           for r in sorted(client_regs[t])))
+                 for t in sorted(cfg.rho))
 
 
-def _vk(v):
-    from .state import Sym
-    if v is None:
-        return ("n",)
-    if isinstance(v, Sym):
-        return ("s", v.name)
-    return ("v", v)
-
-
-def _gamma_sig(cfg, threads):
-    """Observability content of the client state with canonical op keys."""
-    gamma = cfg.gamma
-    ranks = {}
-    for x in {op.action.var for op in gamma.ops}:
-        for i, op in enumerate(sorted(gamma.ops_on(x), key=lambda o: o.ts)):
-            ranks[op] = (x, i, _act_key(op.action))
-    ops_k = frozenset(ranks.values())
-    cvd_k = frozenset(ranks[op] for op in gamma.cvd)
-    obs_k = {}
-    for t in threads:
-        for x in gamma.tview.get(t, {}):
-            obs_k[(t, x)] = frozenset(ranks[op] for op in gamma.obs(t, x))
-    return ops_k, cvd_k, obs_k
+def _client_sig(gamma, threads):
+    """What the client can observe of its component: its operations, the
+    covered ones and, per (thread, variable), the observable ones.  A client
+    sees each variable's timeline on its own, so an operation is named by
+    (variable, position on that variable, action)."""
+    names, cvd, obs = {}, set(), []
+    for x in gamma.lay.own:
+        ops = gamma.ops_on(x)
+        for i, op in enumerate(ops):
+            names[op] = (x, i, op.action)
+            if gamma.covers(op):
+                cvd.add(names[op])
+        for t in threads:
+            lo = gamma.front(t, x)
+            obs.append(((t, x), frozenset(names[op] for op in ops
+                                          if op.ts >= lo)))
+    return frozenset(names.values()), frozenset(cvd), tuple(sorted(obs))
 
 
 def project(cfg, client_regs, threads):
-    """The client-visible part of a configuration."""
-    ops_k, cvd_k, obs_k = _gamma_sig(cfg, threads)
-    return (_locals_part(cfg, client_regs), ops_k, cvd_k,
-            tuple(sorted(obs_k.items())))
+    """The client-visible part of a configuration: client locals, then the
+    client signature."""
+    return (_locals_part(cfg, client_regs),) + _client_sig(cfg.gamma, threads)
 
 
 def project_and_destutter(execution, client_regs, threads):
@@ -124,55 +117,26 @@ def project_and_destutter(execution, client_regs, threads):
     return trace
 
 
-def state_refines(abs_pair, conc_pair, threads) -> bool:
-    """Def of state refinement: equal client locals and covered set, and
-    concrete observations contained in the abstract ones."""
-    (als, agamma), (cls, cgamma) = abs_pair, conc_pair
-    if als != cls:
-        return False
-
-    class _Holder:
-        pass
-
-    a, c = _Holder(), _Holder()
-    a.gamma, c.gamma = agamma, cgamma
-    _, acvd, aobs = _gamma_sig(a, threads)
-    _, ccvd, cobs = _gamma_sig(c, threads)
-    if acvd != ccvd:
-        return False
-    for key, cset in cobs.items():
-        if not cset <= aobs.get(key, frozenset()):
-            return False
-    return True
-
-
-def _letter_refines(aproj, cproj) -> bool:
-    """Pointwise trace-element refinement on projections."""
-    als, aops, acvd, aobs = aproj
-    cls, cops, ccvd, cobs = cproj
+def _refines(aproj, cproj) -> bool:
+    """State refinement on projections: equal client locals and covered
+    sets, and every concrete observation set inside the abstract one."""
+    als, _, acvd, aobs = aproj
+    cls, _, ccvd, cobs = cproj
     if als != cls or acvd != ccvd:
         return False
-    aobs_d = dict(aobs)
-    return all(cset <= aobs_d.get(key, frozenset()) for key, cset in cobs)
+    aobs = dict(aobs)
+    return all(cset <= aobs.get(key, frozenset()) for key, cset in cobs)
+
+
+def state_refines(abs_pair, conc_pair, threads) -> bool:
+    """State refinement of (locals, client component) pairs."""
+    (als, agamma), (cls, cgamma) = abs_pair, conc_pair
+    return _refines((als,) + _client_sig(agamma, threads),
+                    (cls,) + _client_sig(cgamma, threads))
 
 
 def _rvals(cfg):
-    return tuple((t, _vk(ls.get("rval"))) for t, ls in sorted(cfg.rho.items()))
-
-
-def _condition1(acfg, ccfg, client_regs, threads) -> bool:
-    if _locals_part(acfg, client_regs) != _locals_part(ccfg, client_regs):
-        return False
-    if _rvals(acfg) != _rvals(ccfg):
-        return False
-    _, acvd, aobs = _gamma_sig(acfg, threads)
-    _, ccvd, cobs = _gamma_sig(ccfg, threads)
-    if acvd != ccvd:
-        return False
-    for key, cset in cobs.items():
-        if not cset <= aobs.get(key, frozenset()):
-            return False
-    return True
+    return tuple((t, ls.get("rval")) for t, ls in sorted(cfg.rho.items()))
 
 
 # --- the simulation game ------------------------------------------------------
@@ -203,7 +167,7 @@ def _walk_client(cmd, t):
         _walk_client(cmd.then, t)
         _walk_client(cmd.other, t)
     elif isinstance(cmd, (P.While, P.DoUntil)):
-        _walk_client(cmd.body if isinstance(cmd, P.While) else cmd.body, t)
+        _walk_client(cmd.body, t)
     elif isinstance(cmd, P.GWrite) and cmd.releasing:
         raise LitmusError(f"client thread {t} uses a releasing write")
     elif isinstance(cmd, P.GRead) and cmd.acquiring:
@@ -262,9 +226,17 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
             asuccs[ak] = out
         return asuccs[ak]
 
+    projections = {}
+
+    def proj(cfg):
+        if cfg not in projections:
+            projections[cfg] = (_rvals(cfg),
+                                project(cfg, client_regs, threads))
+        return projections[cfg]
+
     def cond1(ak, ck):
-        return _condition1(aconfigs[ak], conc.configs[ck], client_regs,
-                           threads)
+        (arv, ap), (crv, cp) = proj(aconfigs[ak]), proj(conc.configs[ck])
+        return arv == crv and _refines(ap, cp)
 
     init_pair = (abs_sys.cfg0.key(), conc_sys.cfg0.key())
     if not cond1(*init_pair):
@@ -404,7 +376,7 @@ def check_trace_refinement(impl: LockImpl, client_lf,
 
     ck0 = conc_sys.cfg0.key()
     ak0 = abs_sys.cfg0.key()
-    if not _letter_refines(aproj[ak0], cproj[ck0]):
+    if not _refines(aproj[ak0], cproj[ck0]):
         return TraceCheckResult("violation", [],
                                 detail="initial client states unrelated")
     start = (ck0, closure({ak0}))
@@ -422,7 +394,7 @@ def check_trace_refinement(impl: LockImpl, client_lf,
                 visible += 1
                 step = {k2 for k in aset for k2 in aedges[k]
                         if aproj[k2] != aproj[k]
-                        and _letter_refines(aproj[k2], cproj[ck2])}
+                        and _refines(aproj[k2], cproj[ck2])}
                 if not step:
                     path = _trace_path(parents, node)
                     path.append({"thread": t, "label": label})

@@ -1,17 +1,26 @@
-"""Weak-memory component state: timestamped operations, views, freshness.
+"""Weak-memory component state in normal form: ranked operations and views.
 
-A component (client or library) keeps a set of timestamped operations, a
-per-thread view function mapping each variable to the earliest operation the
-thread may still observe, a per-operation view recording the writer's
-viewfront, the set of covered operations, and (for queues) the matched
-enqueue/dequeue timestamp pairs.  Timestamps are exact rationals; the
-semantics only ever observes their order.
+A component (client or library) keeps its operations, a per-thread view
+naming for each variable the earliest operation the thread may still
+observe, a per-operation view recording the writer's viewfront over both
+components, the set of covered operations, and (for queues) the matched
+enqueue/dequeue pairs.
+
+The semantics only ever compares timestamps by their order, so timestamps
+are dense per-component integer ranks: every initial operation has rank 0
+and the others have ranks 1..n-1, one each.  An operation is named by its
+variable and rank.  Inserting an operation right after a predecessor gives
+it the predecessor's rank plus one and moves every later rank of the
+component up by one, also where the other component's recorded views refer
+to it.  Two states that differ only by an order-preserving renaming of
+timestamps are therefore stored identically: a state is its own canonical
+form, held in tuples of ints and interned actions, and it caches its hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Sym:
@@ -31,8 +40,6 @@ class Sym:
 
 BOT = Sym("bot")
 EMPTY = Sym("empty")
-
-TS0 = Fraction(0)
 
 # Sync modes
 RLX = "rlx"
@@ -62,6 +69,14 @@ class Action:
     sync: str = RLX
     owner: object = None  # lock acquire only: owning thread
     index: object = None  # lock ops only: operation counter
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(
+                (self.kind, self.var, self.val, self.aux, self.sync,
+                 self.owner, self.index))
+        return h
 
     def __repr__(self):
         if self.kind == WRITE:
@@ -117,114 +132,245 @@ def is_modifying(a: Action) -> bool:
     return a.kind in (WRITE, UPDATE)
 
 
-@dataclass(frozen=True)
-class TOp:
-    """An action paired with its timestamp."""
+class TOp(NamedTuple):
+    """An operation of one state: its action and its rank (timestamp)."""
 
     action: Action
-    ts: Fraction
+    ts: int
 
     def __repr__(self):
         return f"({self.action}@{self.ts})"
-
-
-# Views are plain dicts var -> TOp, treated as immutable.
-
-
-def merge_views(v1: dict, v2: dict) -> dict:
-    """Pointwise-later combination; the result domain is dom(v1)."""
-    out = {}
-    for x, op in v1.items():
-        other = v2.get(x)
-        if other is not None and other.ts > op.ts:
-            out[x] = other
-        else:
-            out[x] = op
-    return out
-
-
-def view_set(v: dict, x: str, op: TOp) -> dict:
-    out = dict(v)
-    out[x] = op
-    return out
-
-
-def view_union(v1: dict, v2: dict) -> dict:
-    """Union of views over disjoint variable domains; v1 wins on overlap."""
-    out = dict(v2)
-    out.update(v1)
-    return out
 
 
 class StateError(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
+class Layout:
+    """What every state of one component shares: its own variables (whose
+    initial operations come first, in this order), the other component's
+    variables, and the threads."""
+
+    def __init__(self, own, other, threads):
+        self.own = tuple(own)
+        self.other = tuple(other)
+        self.threads = tuple(threads)
+        self.vix = {x: i for i, x in enumerate(self.own)}
+        self.tix = {t: i for i, t in enumerate(self.threads)}
+        self._actions = {}
+
+    def intern(self, a: Action) -> Action:
+        """One shared object per action; the value's type is part of the
+        key, so a write of True keeps printing as True."""
+        return self._actions.setdefault((a, type(a.val), type(a.aux)), a)
+
+
+def merge_views(v1: tuple, v2: tuple) -> tuple:
+    """Pointwise-later combination; the result has v1's variables (v2 may be
+    a recorded view, which continues with the other component's)."""
+    return tuple(map(max, v1, v2))
+
+
+def _up(ranks: tuple, nr: int) -> tuple:
+    """ranks with every rank at or above nr moved up by one."""
+    return tuple([r + 1 if r >= nr else r for r in ranks])
+
+
 class ComponentState:
-    """One side's weak-memory state (client or library)."""
+    """One side's weak-memory state (client or library), in normal form.
 
-    ops: frozenset  # of TOp
-    tview: dict  # tid -> (var -> TOp)
-    mview: dict  # TOp -> (var -> TOp); ranges may span both components
-    cvd: frozenset = frozenset()  # of TOp
-    matched: frozenset = frozenset()  # of (ts, ts') pairs, queue only
+    Operations sit in slots: the initial operation of the i-th own variable
+    in slot i, then the others in rank order (rank r in slot m + r - 1,
+    for m own variables).
+      acts     the action in each slot;
+      views    per thread (layout order), the rank viewed on each own
+               variable;
+      mviews   per slot, the recorded view: ranks on the own variables,
+               then on the other component's;
+      covered  bit mask over slots;
+      matched  sorted (enqueue rank, dequeue rank) pairs, queues only.
+    """
 
-    def ops_on(self, x: str):
-        return [op for op in self.ops if op.action.var == x]
+    __slots__ = ("lay", "acts", "views", "mviews", "covered", "matched",
+                 "_hash")
 
-    def obs(self, t, x: str):
-        """Operations on x at or after thread t's viewfront of x."""
-        tv = self.tview.get(t)
-        if tv is None or x not in tv:
-            raise StateError(f"no view for thread {t} at {x!r}")
-        lo = tv[x].ts
-        return {op for op in self.ops if op.action.var == x and op.ts >= lo}
+    def __init__(self, lay, acts, views, mviews, covered=0, matched=()):
+        self.lay = lay
+        self.acts = acts
+        self.views = views
+        self.mviews = mviews
+        self.covered = covered
+        self.matched = matched
+        self._hash = None
+
+    def _parts(self):
+        return (self.acts, self.views, self.mviews, self.covered,
+                self.matched)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._parts())
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, ComponentState):
+            return NotImplemented
+        return hash(self) == hash(other) and self._parts() == other._parts()
+
+    def __repr__(self):
+        return f"ComponentState({sorted(self.ops, key=lambda o: o.ts)})"
+
+    def updated(self, **fields) -> "ComponentState":
+        parts = dict(zip(("acts", "views", "mviews", "covered", "matched"),
+                         self._parts()))
+        parts.update(fields)
+        return ComponentState(self.lay, **parts)
+
+    # --- operations --------------------------------------------------------
+
+    def _slot(self, x: str, r: int) -> int:
+        return self.lay.vix[x] if r == 0 else len(self.lay.own) + r - 1
+
+    def _op(self, s: int) -> TOp:
+        m = len(self.lay.own)
+        return TOp(self.acts[s], 0 if s < m else s - m + 1)
+
+    def ops_on(self, x: str) -> list:
+        """Operations on x in timestamp order."""
+        xi = self.lay.vix.get(x)
+        if xi is None:
+            return []
+        acts, m = self.acts, len(self.lay.own)
+        return [TOp(acts[xi], 0)] + [TOp(acts[s], s - m + 1)
+                                     for s in range(m, len(acts))
+                                     if acts[s].var == x]
 
     def max_op(self, x: str) -> TOp:
-        candidates = self.ops_on(x)
-        if not candidates:
+        ops = self.ops_on(x)
+        if not ops:
             raise StateError(f"no operation on {x!r}")
-        return max(candidates, key=lambda op: op.ts)
+        return ops[-1]
 
-    def max_ts(self, x: str) -> Fraction:
-        return self.max_op(x).ts
+    # --- views -------------------------------------------------------------
 
-    def updated(self, **kw) -> "ComponentState":
-        return replace(self, **kw)
+    def view(self, t) -> tuple:
+        return self.views[self.lay.tix[t]]
+
+    def with_view(self, t, view: tuple) -> "ComponentState":
+        views = list(self.views)
+        views[self.lay.tix[t]] = view
+        return self.updated(views=tuple(views))
+
+    def front(self, t, x: str):
+        """Rank of thread t's view of x, or None if either is unknown."""
+        ti, xi = self.lay.tix.get(t), self.lay.vix.get(x)
+        return None if ti is None or xi is None else self.views[ti][xi]
+
+    def obs(self, t, x: str) -> list:
+        """Operations on x at or after thread t's viewfront of x."""
+        lo = self.front(t, x)
+        if lo is None:
+            raise StateError(f"no view for thread {t} at {x!r}")
+        return [op for op in self.ops_on(x) if op.ts >= lo]
+
+    def mview_of(self, op: TOp) -> tuple:
+        """op's recorded view: own variables, then the other component's."""
+        return self.mviews[self._slot(op.action.var, op.ts)]
+
+    def recorded(self, op: TOp) -> dict:
+        """op's recorded view as variable (of either component) -> rank."""
+        return dict(zip(self.lay.own + self.lay.other, self.mview_of(op)))
+
+    def covers(self, op: TOp) -> bool:
+        return bool(self.covered >> self._slot(op.action.var, op.ts) & 1)
+
+    # --- whole-state forms, for inspection and tests -----------------------
 
     def variables(self):
-        tv = next(iter(self.tview.values()), {})
-        return set(tv)
+        return set(self.lay.own)
+
+    @property
+    def ops(self) -> frozenset:
+        return frozenset(map(self._op, range(len(self.acts))))
+
+    @property
+    def cvd(self) -> frozenset:
+        return frozenset(op for op in self.ops if self.covers(op))
+
+    @property
+    def tview(self) -> dict:
+        """thread -> variable -> the operation the thread views."""
+        return {t: {x: self._op(self._slot(x, r))
+                    for x, r in zip(self.lay.own, view)}
+                for t, view in zip(self.lay.threads, self.views)}
+
+    @property
+    def mview(self) -> dict:
+        """operation -> its recorded view (see recorded)."""
+        return {op: self.recorded(op) for op in self.ops}
 
 
-def observable_ops(state: ComponentState, t, x: str):
-    return state.obs(t, x)
+def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
+                           pred: int, action: Action, sync_from=None,
+                           cover=False, match=False):
+    """Thread t adds `action` right after the operation of rank `pred` on
+    the action's variable.
 
+    The new operation takes rank pred + 1; every later rank of this
+    component moves up by one, in this state and in `other`'s recorded
+    views.  Thread t's view of the variable moves to the new operation.
+    With sync_from (a rank on the same variable), t's views in both
+    components first take in that operation's recorded view.  cover marks
+    the predecessor covered; match pairs sync_from (an enqueue) with the
+    new operation.  The new operation records t's resulting views.
 
-def max_ts(state: ComponentState, x: str) -> Fraction:
-    return state.max_ts(x)
-
-
-def fresh_ok(state: ComponentState, q: Fraction, q2: Fraction) -> bool:
-    """q2 is strictly after q and before every existing timestamp above q."""
-    if not q < q2:
-        return False
-    return all(q2 < op.ts for op in state.ops if op.ts > q)
-
-
-def insert_fresh_timestamp(state: ComponentState, pred: TOp) -> Fraction:
-    """Deterministic fresh timestamp immediately after pred.
-
-    Midpoint of the forced open interval, or pred.ts + 1 when unbounded.
+    Returns (state', other', new operation).
     """
-    if pred not in state.ops:
-        raise StateError(f"predecessor {pred} not in ops")
-    q = pred.ts
-    later = [op.ts for op in state.ops if op.ts > q]
-    q2 = (q + min(later)) / 2 if later else q + 1
-    assert fresh_ok(state, q, q2), (q, q2)
-    return q2
+    lay = state.lay
+    m = len(lay.own)
+    x = action.var
+    xi = lay.vix.get(x)
+    if xi is None or not 0 <= pred < len(state.acts) - m + 1 or \
+            state.acts[state._slot(x, pred)].var != x:
+        raise StateError(f"no operation of rank {pred} on {x!r}")
+    ti = lay.tix[t]
+    nr = pred + 1
+    ns = m + pred  # slot of rank nr
+    action = lay.intern(action)
+
+    tv, ctv = state.views[ti], other.views[ti]
+    if sync_from is not None:
+        src = state.mviews[state._slot(x, sync_from)]
+        tv = merge_views(tv, src)
+        ctv = merge_views(ctv, src[m:])
+    tv = _up(tv, nr)
+    tv = tv[:xi] + (nr,) + tv[xi + 1:]
+
+    views = [_up(v, nr) for v in state.views]
+    views[ti] = tv
+    mviews = [_up(v[:m], nr) + v[m:] for v in state.mviews]
+    mviews.insert(ns, tv + ctv)
+    covered = state.covered
+    covered = covered & ((1 << ns) - 1) | (covered >> ns) << (ns + 1)
+    if cover:
+        covered |= 1 << state._slot(x, pred)
+    matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in state.matched)
+    if match:
+        matched = tuple(sorted(matched + ((sync_from, nr),)))
+    state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
+                            tuple(views), tuple(mviews), covered, matched)
+
+    om = len(other.lay.own)
+    omviews = tuple(v[:om] + _up(v[om:], nr) for v in other.mviews)
+    other2 = other
+    if omviews != other.mviews:
+        other2 = other2.updated(mviews=omviews)
+    if ctv != other.views[ti]:
+        other2 = other2.with_view(t, ctv)
+    return state2, other2, TOp(action, nr)
 
 
 def make_init_states(init_assigns, client_vars, library, threads,
@@ -244,105 +390,36 @@ def make_init_states(init_assigns, client_vars, library, threads,
     if set(client_vars) != seen:
         raise StateError("every client variable must be initialised exactly once")
 
-    gops = {x: TOp(write(x, v), TS0) for x, v in init_assigns}
-    gview = dict(gops)
-
+    gacts = [write(x, v) for x, v in init_assigns]
     if library is None:
-        bops, bview = {}, {}
+        bacts = []
     elif library[0] == "lock":
-        op = TOp(Action(LOCK_INIT, library[1], sync=OBJ, index=0), TS0)
-        bops, bview = {library[1]: op}, {library[1]: op}
+        bacts = [Action(LOCK_INIT, library[1], sync=OBJ, index=0)]
     elif library[0] == "queue":
-        op = TOp(Action(QUEUE_INIT, library[1], sync=OBJ, index=0), TS0)
-        bops, bview = {library[1]: op}, {library[1]: op}
+        bacts = [Action(QUEUE_INIT, library[1], sync=OBJ, index=0)]
     elif library[0] == "impl":
         lseen = set()
         for x, _ in library[1]:
             if x in lseen:
                 raise StateError(f"duplicate initialisation of {x!r}")
             lseen.add(x)
-        bops = {x: TOp(write(x, v), TS0) for x, v in library[1]}
-        bview = dict(bops)
+        bacts = [write(x, v) for x, v in library[1]]
     else:
         raise StateError(f"unknown library spec {library!r}")
 
-    init_view = view_union(gview, bview)
-    gamma = ComponentState(
-        ops=frozenset(gops.values()),
-        tview={t: dict(gview) for t in threads},
-        mview={op: dict(init_view) for op in gops.values()},
-    )
-    beta = ComponentState(
-        ops=frozenset(bops.values()),
-        tview={t: dict(bview) for t in threads},
-        mview={op: dict(init_view) for op in bops.values()},
-    )
+    def component(acts, other_acts):
+        lay = Layout((a.var for a in acts), (a.var for a in other_acts),
+                     threads)
+        zeros = (0,) * len(acts)
+        everything = (0,) * (len(acts) + len(other_acts))
+        return ComponentState(lay, tuple(map(lay.intern, acts)),
+                              (zeros,) * len(threads),
+                              (everything,) * len(acts))
+
+    gamma = component(gacts, bacts)
+    beta = component(bacts, gacts)
     rho = {t: {"rval": BOT} for t in threads}
     if local_inits:
         for t, assigns in local_inits.items():
             rho[t].update(assigns)
     return rho, gamma, beta
-
-
-# ---------------------------------------------------------------------------
-# Canonicalization: order-isomorphic timestamp renaming per component.
-
-def _val_key(v):
-    if v is None:
-        return ("n",)
-    if isinstance(v, Sym):
-        return ("s", v.name)
-    return ("v", v)
-
-
-def _act_key(a: Action):
-    return (a.kind, a.var, _val_key(a.val), _val_key(a.aux), a.sync,
-            -1 if a.owner is None else a.owner,
-            -1 if a.index is None else a.index)
-
-
-def _rank_map(state: ComponentState) -> dict:
-    return {ts: i for i, ts in enumerate(sorted({op.ts for op in state.ops}))}
-
-
-def _canon_component(state: ComponentState, side_of, ranks: dict):
-    """ranks: side -> (ts -> rank); side_of: var -> side tag."""
-
-    def op_ref(op: TOp):
-        side = side_of(op.action.var)
-        return (side, ranks[side][op.ts], _act_key(op.action))
-
-    def view_key(v: dict):
-        return tuple(sorted((x, op_ref(op)) for x, op in v.items()))
-
-    ops_k = tuple(sorted(op_ref(op) for op in state.ops))
-    tview_k = tuple(sorted((t, view_key(v)) for t, v in state.tview.items()))
-    mview_k = tuple(sorted((op_ref(op), view_key(v))
-                           for op, v in state.mview.items()))
-    cvd_k = tuple(sorted(op_ref(op) for op in state.cvd))
-    if state.ops:
-        own_side = side_of(next(iter(state.ops)).action.var)
-        rk = ranks[own_side]
-        matched_k = tuple(sorted((rk[a], rk[b]) for a, b in state.matched))
-    else:
-        matched_k = ()
-    return (ops_k, tview_k, mview_k, cvd_k, matched_k)
-
-
-def canonical_key(cfg):
-    """Structural key equal for configurations identical up to an
-    order-preserving timestamp renaming applied per component."""
-    gamma, beta = cfg.gamma, cfg.beta
-    gvars = gamma.variables() | {op.action.var for op in gamma.ops}
-
-    def side_of(x):
-        return "C" if x in gvars else "L"
-
-    ranks = {"C": _rank_map(gamma), "L": _rank_map(beta)}
-    prog_k = tuple(sorted((t, p) for t, p in cfg.prog.items()))
-    rho_k = tuple(sorted(
-        (t, tuple(sorted((r, _val_key(v)) for r, v in ls.items())))
-        for t, ls in cfg.rho.items()))
-    return (prog_k, rho_k,
-            _canon_component(gamma, side_of, ranks),
-            _canon_component(beta, side_of, ranks))

@@ -1,0 +1,128 @@
+"""A reference key for configurations, independent of rarcheck's normal form.
+
+It reads a configuration through the public accessors only (operations with
+their timestamps, thread views, recorded views, covered set and matched
+pairs) into plain data, ranks each component's distinct timestamps by
+sorting them, as a canonical key over arbitrary ordered timestamps must,
+and builds sorted tuples.  So it works for any timestamps, not only dense
+ranks, and two configurations get the same key exactly when they are equal
+up to an order-preserving renaming of each component's timestamps.
+"""
+
+from rarcheck.state import Sym
+
+SIDES = ("C", "L")
+
+
+def describe(cfg) -> dict:
+    """Plain data for a configuration; operations are named (var, ts)."""
+    out = {"prog": dict(cfg.prog),
+           "rho": {t: dict(ls) for t, ls in cfg.rho.items()}}
+    for side, comp in zip(SIDES, (cfg.gamma, cfg.beta)):
+        out[side] = {
+            "vars": comp.variables(),
+            "ops": {(op.action.var, op.ts): op.action for op in comp.ops},
+            "tview": {t: {x: op.ts for x, op in v.items()}
+                      for t, v in comp.tview.items()},
+            "mview": {(op.action.var, op.ts): dict(v)
+                      for op, v in comp.mview.items()},
+            "cvd": {(op.action.var, op.ts) for op in comp.cvd},
+            "matched": set(comp.matched),
+        }
+    return out
+
+
+def remap(desc: dict, f, sides=SIDES) -> dict:
+    """desc with f applied to every timestamp of the given components,
+    including the other component's references to them."""
+    mapped = set().union(*(desc[s]["vars"] for s in sides))
+
+    def ts(x, q):
+        return f(q) if x in mapped else q
+
+    def view(v):
+        return {x: ts(x, q) for x, q in v.items()}
+
+    out = {"prog": desc["prog"], "rho": desc["rho"]}
+    for side in SIDES:
+        d = desc[side]
+        own = f if side in sides else (lambda q: q)
+        out[side] = {
+            "vars": d["vars"],
+            "ops": {(x, ts(x, q)): a for (x, q), a in d["ops"].items()},
+            "tview": {t: view(v) for t, v in d["tview"].items()},
+            "mview": {(x, ts(x, q)): view(v)
+                      for (x, q), v in d["mview"].items()},
+            "cvd": {(x, ts(x, q)) for x, q in d["cvd"]},
+            "matched": {(own(e), own(q)) for e, q in d["matched"]},
+        }
+    return out
+
+
+def _val_key(v):
+    if v is None:
+        return ("n",)
+    if isinstance(v, Sym):
+        return ("s", v.name)
+    return ("v", v)
+
+
+def _act_key(a):
+    return (a.kind, a.var, _val_key(a.val), _val_key(a.aux), a.sync,
+            -1 if a.owner is None else a.owner,
+            -1 if a.index is None else a.index)
+
+
+def reference_key(desc: dict):
+    side_of = {x: s for s in SIDES for x in desc[s]["vars"]}
+    ranks = {s: {q: i for i, q in enumerate(sorted({q for _, q
+                                                    in desc[s]["ops"]}))}
+             for s in SIDES}
+
+    def ref(x, q):
+        return (x, ranks[side_of[x]][q])
+
+    def view(v):
+        return tuple(sorted((x, ref(x, q)) for x, q in v.items()))
+
+    parts = []
+    for s in SIDES:
+        d = desc[s]
+        parts.append((
+            tuple(sorted(ref(x, q) + (_act_key(a),)
+                         for (x, q), a in d["ops"].items())),
+            tuple(sorted((t, view(v)) for t, v in d["tview"].items())),
+            tuple(sorted((ref(x, q), view(v))
+                         for (x, q), v in d["mview"].items())),
+            tuple(sorted(ref(x, q) for x, q in d["cvd"])),
+            tuple(sorted((ranks[s][e], ranks[s][q])
+                         for e, q in d["matched"])),
+        ))
+    prog = tuple(sorted(desc["prog"].items()))
+    rho = tuple(sorted((t, tuple(sorted((r, _val_key(v))
+                                        for r, v in ls.items())))
+                       for t, ls in desc["rho"].items()))
+    return (prog, rho) + tuple(parts)
+
+
+def ref_key(cfg):
+    return reference_key(describe(cfg))
+
+
+def inserted_op(before, after):
+    """The operation `after` adds to component state `before`, where
+    `after` is `before` with one operation inserted and every later rank
+    moved up by one; None when both hold the same operations."""
+    if after.ops == before.ops:
+        return None
+    for new in after.ops:
+        rest = {op._replace(ts=op.ts - 1) if op.ts > new.ts else op
+                for op in after.ops if op != new}
+        if new.ts > 0 and rest == before.ops:
+            return new
+    raise AssertionError(f"{after} is not {before} plus one operation")
+
+
+def moved(op, new):
+    """op's name after `new` was inserted (see inserted_op)."""
+    return op if new is None or op.ts < new.ts else op._replace(ts=op.ts + 1)

@@ -15,7 +15,9 @@ from rarcheck.oracle import fifo_check, matched_order_ok
 from rarcheck.refine import (builtin_impls, check_simulation,
                              check_trace_refinement)
 from rarcheck.state import (LOCK_ACQUIRE, LOCK_RELEASE, UPDATE, WRITE,
-                            fresh_ok, merge_views, wrval)
+                            merge_views, wrval)
+from reference_key import (describe, inserted_op, ref_key, reference_key,
+                           remap)
 
 PASSED = []
 
@@ -158,20 +160,20 @@ class TestCriterion9:
         n_states = len(state_corpus)
         n_steps = len(step_corpus)
 
-        # freshness of every inserted write/update timestamp
+        # freshness of every inserted write/update timestamp: it lands
+        # right after its predecessor, and every later rank moves up by one
         fresh_checked = 0
         for system, cfg, t, lab, nxt in step_corpus:
             for before, after in ((cfg.gamma, nxt.gamma),
                                   (cfg.beta, nxt.beta)):
-                new = after.ops - before.ops
-                for op in new:
-                    if op.action.kind not in (WRITE, UPDATE):
-                        continue
-                    same = sorted(after.ops_on(op.action.var),
-                                  key=lambda o: o.ts)
-                    pred = same[same.index(op) - 1]
-                    assert fresh_ok(before, pred.ts, op.ts)
-                    fresh_checked += 1
+                op = inserted_op(before, after)
+                if op is None or op.action.kind not in (WRITE, UPDATE):
+                    continue
+                same = after.ops_on(op.action.var)
+                pred = same[same.index(op) - 1]
+                assert pred.ts == op.ts - 1
+                assert pred in before.ops
+                fresh_checked += 1
 
         # update atomicity everywhere
         for _, cfg in state_corpus:
@@ -201,30 +203,29 @@ class TestCriterion9:
                         if eval_definite(cfg.gamma, t, x, v):
                             assert eval_possible(cfg.gamma, t, x, v)
 
-        # pointwise-max view merge on real views
+        # pointwise-max view merge on real views: each thread's view with
+        # each recorded view of its component
         merges = 0
         for (_, cfg) in state_corpus[:500]:
-            views = [v for comp in (cfg.gamma, cfg.beta)
-                     for v in comp.tview.values() if v]
-            for v1, v2 in zip(views, views[1:]):
-                got = merge_views(v1, v2)
-                for x in v1:
-                    expect = v1[x] if x not in v2 or \
-                        v2[x].ts <= v1[x].ts else v2[x]
-                    assert got[x] == expect
-                merges += 1
+            for comp in (cfg.gamma, cfg.beta):
+                for t in comp.tview:
+                    tv = comp.view(t)
+                    for op in comp.ops:
+                        mv = comp.mview_of(op)
+                        got = merge_views(tv, mv)
+                        assert got == tuple(max(a, b) for a, b
+                                            in zip(tv, mv[:len(tv)]))
+                        merges += 1
 
         # canonical-key invariance under monotone remaps
-        from test_properties import _remap_config
-        from rarcheck.state import canonical_key
         import random
         from fractions import Fraction
         rng = random.Random(11)
         for system, cfg in rng.sample(state_corpus, 300):
             a = Fraction(rng.randint(1, 6))
             b = Fraction(rng.randint(0, 9), rng.randint(1, 5))
-            assert canonical_key(_remap_config(cfg, lambda q: a * q + b)) \
-                == canonical_key(cfg)
+            assert reference_key(remap(describe(cfg), lambda q: a * q + b)) \
+                == ref_key(cfg)
 
         # queue matched-pairs order preservation + brute-force FIFO oracle
         for _, cfg in state_corpus:

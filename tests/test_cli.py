@@ -43,13 +43,22 @@ class TestExplore:
                          str(corpus_dir / "lockmp.lit"))
         assert out1 == out2
 
-    def test_jobs_flag(self, corpus_dir, capsys):
-        code1, out1, _ = run(capsys, "explore", "--json", "--jobs", "3",
-                             str(corpus_dir / "lockmp.lit"))
-        code2, out2, _ = run(capsys, "explore", "--json",
-                             str(corpus_dir / "lockmp.lit"))
-        assert code1 == code2 == 0
-        assert out1 == out2
+    def test_final_clause_explores_once(self, corpus_dir, capsys,
+                                        monkeypatch):
+        import rarcheck.explore as ex
+        calls = []
+        original = ex.explore
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "explore", counting)
+        monkeypatch.setattr("rarcheck.cli.explore", counting)
+        code, out, _ = run(capsys, "explore", "--json",
+                           str(corpus_dir / "lockmp.lit"))
+        assert code == 0 and len(calls) == 1
+        assert json.loads(out)["verdict"] == "pass"
 
     def test_queue_mp_bound_exhausted(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "explore", "--json",
@@ -117,6 +126,25 @@ class TestErrors:
         code, _, err = run(capsys, "explore", "does-not-exist.lit")
         assert code == 3
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["explore", "{dir}/mp-relacq.lit"],
+        ["outline", "{dir}/lockmp.lit"],
+        ["hoare", "{dir}/lockmp.lit"],
+        ["refine", "--impl", "seqlock", "--client",
+         "{dir}/seqlock-refine.lit"],
+    ])
+    def test_zero_step_bound(self, corpus_dir, capsys, argv):
+        argv = [a.format(dir=corpus_dir) for a in argv] + ["--max-steps", "0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "--max-steps" in err
+
+    def test_negative_enqueue_count(self, capsys):
+        code, out, err = run(capsys, "oracle", "fifo", "--enqs", "-1")
+        assert code == 3
+        assert err.count("\n") == 1 and "--enqs" in err
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.lit"

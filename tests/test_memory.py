@@ -46,14 +46,15 @@ class TestWrite:
         out = mem_write(g, b, 1, write("d", 5))
         assert len(out) == 1
         g2, _, new = out[0]
-        assert g2.obs(1, "d") == {new}
+        assert g2.obs(1, "d") == [new]
         # the other thread still sees both writes
         assert len(g2.obs(2, "d")) == 2
 
     def test_covered_predecessor_is_skipped(self):
         _, g, b = mp_init()
         (init_d,) = g.ops_on("d")
-        g = g.updated(cvd=frozenset({init_d}))
+        g = g.updated(covered=1 << g.lay.vix["d"])
+        assert g.covers(init_d)
         assert mem_write(g, b, 1, write("d", 5)) == []
 
     def test_two_observable_predecessors_two_successors(self):

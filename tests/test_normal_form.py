@@ -1,0 +1,106 @@
+"""States in normal form: dense ranks after every transition, state equality
+against an independent reference key, and pinned exploration results."""
+
+import pytest
+
+from rarcheck.explore import canonical_key, explore, successors
+from rarcheck.litmus import build_system, load_corpus, parse_litmus
+from rarcheck.oracle import fifo_litmus
+from rarcheck.state import EMPTY
+from reference_key import ref_key
+
+# states_explored, truncated and outcome set of every corpus file (bound 64)
+# and of the FIFO oracle systems (bound 96).  FIFO outcomes list r1..rk, with
+# e for empty.
+PINNED = [
+    ('lock-two-rounds', 48, False, ['r1=0', 'r1=1', 'r1=2']),
+    ('lockmp', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
+    ('lockmp-mutant', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
+    ('mp-relacq', 21, False, ['r1=1 r2=5']),
+    ('mp-relaxed', 23, False, ['r2=0', 'r2=5']),
+    ('queue-mp', 344, True, ['r1=1 r2=5']),
+    ('seqlock-refine', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
+    ('ticketlock-refine', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
+    ("fifo-3", 236, False, [
+        '123', '12e', '1e2', '1ee', 'e12', 'e1e', 'ee1', 'eee']),
+    ("fifo-4", 916, False, [
+        '1234', '123e', '12e3', '12ee', '1e23', '1e2e', '1ee2', '1eee',
+        'e123', 'e12e', 'e1e2', 'e1ee', 'ee12', 'ee1e', 'eee1', 'eeee']),
+    ("fifo-5", 3443, False, [
+        '12345', '1234e', '123e4', '123ee', '12e34', '12e3e', '12ee3',
+        '12eee', '1e234', '1e23e', '1e2e3', '1e2ee', '1ee23', '1ee2e',
+        '1eee2', '1eeee', 'e1234', 'e123e', 'e12e3', 'e12ee', 'e1e23',
+        'e1e2e', 'e1ee2', 'e1eee', 'ee123', 'ee12e', 'ee1e2', 'ee1ee',
+        'eee12', 'eee1e', 'eeee1', 'eeeee']),
+]
+
+
+def _explored(name):
+    if name.startswith("fifo-"):
+        system = build_system(parse_litmus(fifo_litmus(int(name[5:]))))
+        return system, explore(system.cfg0, system.ctx, 96)
+    system = build_system(load_corpus(name))
+    return system, explore(system.cfg0, system.ctx, 64)
+
+
+def _outcome(name, oc):
+    if name.startswith("fifo-"):
+        return "".join("e" if oc[f"r{i}"] is EMPTY else str(oc[f"r{i}"])
+                       for i in range(1, len(oc) + 1))
+    return " ".join(f"{r}={v}" for r, v in sorted(oc.items()))
+
+
+@pytest.fixture(scope="module")
+def explored():
+    return {name: _explored(name) for name, *_ in PINNED}
+
+
+@pytest.mark.parametrize("name,states,truncated,outcomes", PINNED)
+def test_pinned_counts_and_outcomes(explored, name, states, truncated,
+                                    outcomes):
+    _, res = explored[name]
+    assert res.states_explored == states
+    assert res.truncated is truncated
+    assert sorted(_outcome(name, oc) for oc in res.outcomes) == outcomes
+
+
+def _dense(comp, other) -> bool:
+    """Ranks are exactly 0..n-1 (initial operations share 0), and every
+    view and recorded view names an existing operation."""
+    ranks = sorted({op.ts for op in comp.ops})
+    inits = sorted(op.action.var for op in comp.ops if op.ts == 0)
+    names = {(op.action.var, op.ts) for op in comp.ops}
+    other_names = {(op.action.var, op.ts) for op in other.ops}
+    return (ranks == list(range(len(ranks)))
+            and inits == sorted(comp.variables())
+            and all((x, op.ts) in names and op.action.var == x
+                    for view in comp.tview.values()
+                    for x, op in view.items())
+            and all((x, r) in names or (x, r) in other_names
+                    for mv in comp.mview.values() for x, r in mv.items()))
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in PINNED])
+def test_ranks_dense_after_every_transition(explored, name):
+    system, res = explored[name]
+    for cfg in res.configs:
+        for _, _, nxt in successors(cfg, system.ctx):
+            assert _dense(nxt.gamma, nxt.beta)
+            assert _dense(nxt.beta, nxt.gamma)
+
+
+@pytest.mark.parametrize("name", [name for name, *_ in PINNED])
+def test_equality_coincides_with_reference_key(explored, name):
+    # distinct explored states have distinct reference keys, and every
+    # successor that deduplicates onto a stored state has its key
+    system, res = explored[name]
+    keys = {ref_key(cfg) for cfg in res.configs}
+    assert len(keys) == res.states_explored
+    for cfg in res.configs:
+        for _, _, nxt in successors(cfg, system.ctx):
+            stored = res.configs.get(canonical_key(nxt))
+            if stored is not None:
+                assert ref_key(nxt) == ref_key(stored)
+                assert hash(nxt) == hash(stored)
+            else:
+                assert res.truncated and ref_key(nxt) not in keys

@@ -1,6 +1,6 @@
 from rarcheck.objects import (lock_acquire, lock_release, lock_spec,
                               queue_deq, queue_enq, queue_spec)
-from rarcheck.state import EMPTY, make_init_states, wrval, write
+from rarcheck.state import ENQUEUE, EMPTY, make_init_states, wrval, write
 from rarcheck.memory import mem_write
 
 
@@ -11,6 +11,13 @@ def lock_system():
 
 def queue_system():
     return make_init_states([("d", 0)], {"d"}, ("queue", "q"), {1, 2})
+
+
+def enq_rank(b, u):
+    """Rank in b of the enqueue of u (ranks move up as ops are inserted)."""
+    (rank,) = [op.ts for op in b.ops_on("q")
+               if op.action.kind == ENQUEUE and op.action.val == u]
+    return rank
 
 
 class TestLockAcquire:
@@ -65,7 +72,7 @@ class TestLockRelease:
         (b, g, _), = lock_acquire(b, g, 1, "l")
         (g, b, w1), = mem_write(g, b, 1, write("d1", 5))
         (b2, _, rel), = lock_release(b, g, 1, "l")
-        assert b2.mview[rel]["d1"] == w1
+        assert b2.mview[rel]["d1"] == w1.ts
 
 
 class TestQueueEnq:
@@ -82,7 +89,8 @@ class TestQueueEnq:
         out = queue_enq(b, g, 1, "q", 1)
         # two gaps: before and after t2's enqueue
         assert len(out) == 2
-        assert sorted(new.ts < e2.ts for _, _, new in out) == [False, True]
+        assert sorted(new.ts < enq_rank(b2, 2)
+                      for b2, _, new in out) == [False, True]
 
     def test_no_gap_behind_matched_enqueue(self):
         _, g, b = queue_system()
@@ -99,7 +107,7 @@ class TestQueueDeq:
         _, g, b = queue_system()
         (b, g, e2), = queue_enq(b, g, 2, "q", 2)
         early = [s for s in queue_enq(b, g, 1, "q", 1)
-                 if s[2].ts < e2.ts]
+                 if s[2].ts < enq_rank(s[0], 2)]
         b, g, e1 = early[0]
         values = {s[3] for s in queue_deq(b, g, 2, "q")}
         assert values == {1}
@@ -158,7 +166,7 @@ class TestQueueDeq:
         # t2 with a stale view may still miss it (empty slot before enq)
         out2 = queue_deq(b, g, 2, "q")
         empties = [s for s in out2 if s[3] is EMPTY]
-        assert empties and all(s[2].ts < enq.ts for s in empties)
+        assert empties and all(s[2].ts < enq_rank(s[0], 1) for s in empties)
 
 
 class TestSpecs:

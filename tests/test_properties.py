@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 from rarcheck.assertions import eval_definite, eval_possible
-from rarcheck.explore import Configuration
 from rarcheck.oracle import matched_order_ok
-from rarcheck.state import TOp, canonical_key, wrval, UPDATE
+from rarcheck.state import wrval, UPDATE
+from reference_key import (describe, inserted_op, moved, ref_key,
+                           reference_key, remap)
 
 RNG = random.Random(20240817)
 
@@ -62,14 +63,19 @@ class TestUpdateAtomicity:
 
 class TestViewMonotonicity:
     def test_step_never_moves_views_backwards(self, step_corpus):
+        # ranks at or above an inserted operation move up by one, so views
+        # are compared by the operations they name
         for system, cfg, t, lab, nxt in step_corpus:
             for before, after in ((cfg.gamma, nxt.gamma),
                                   (cfg.beta, nxt.beta)):
+                new = inserted_op(before, after)
                 for x, op in before.tview[t].items():
-                    assert after.tview[t][x].ts >= op.ts
+                    assert after.tview[t][x].ts >= moved(op, new).ts
                 for t2 in before.tview:
                     if t2 != t:
-                        assert after.tview[t2] == before.tview[t2]
+                        assert after.tview[t2] == {
+                            x: moved(op, new)
+                            for x, op in before.tview[t2].items()}
 
 
 class TestObservationLogic:
@@ -92,8 +98,8 @@ class TestCanonicalKeyInvariance:
         for system, cfg in sample:
             a = Fraction(RNG.randint(1, 9))
             b = Fraction(RNG.randint(0, 20), RNG.randint(1, 7))
-            remapped = _remap_config(cfg, lambda q: a * q + b)
-            assert canonical_key(remapped) == canonical_key(cfg)
+            remapped = remap(describe(cfg), lambda q: a * q + b)
+            assert reference_key(remapped) == ref_key(cfg)
 
     def test_order_change_changes_key(self, state_corpus):
         found = 0
@@ -103,39 +109,12 @@ class TestCanonicalKeyInvariance:
                 continue
             lo, hi = times[1], times[2]
             swap = {lo: hi, hi: lo}
-            swapped = _remap_config(cfg, lambda q: swap.get(q, q))
-            assert canonical_key(swapped) != canonical_key(cfg)
+            swapped = remap(describe(cfg), lambda q: swap.get(q, q))
+            assert reference_key(swapped) != ref_key(cfg)
             found += 1
             if found >= 50:
                 break
         assert found >= 50
-
-
-def _remap_config(cfg, f):
-    """Apply a timestamp remapping consistently across both components."""
-    from rarcheck.state import ComponentState
-
-    def side_vars(comp):
-        return {op.action.var for op in comp.ops}
-
-    gvars = side_vars(cfg.gamma)
-
-    def op2(op):
-        return TOp(op.action, f(op.ts))
-
-    def view(v):
-        return {x: op2(op) for x, op in v.items()}
-
-    def comp2(comp):
-        return ComponentState(
-            ops=frozenset(op2(op) for op in comp.ops),
-            tview={t: view(v) for t, v in comp.tview.items()},
-            mview={op2(op): view(v) for op, v in comp.mview.items()},
-            cvd=frozenset(op2(op) for op in comp.cvd),
-            matched=frozenset((f(x), f(y)) for x, y in comp.matched),
-        )
-
-    return Configuration(cfg.prog, cfg.rho, comp2(cfg.gamma), comp2(cfg.beta))
 
 
 class TestQueueInvariants:
@@ -246,10 +225,9 @@ class TestRefinementOrder:
         assert state_refines((ls, g0), (ls, g0), system.ctx.threads)
         # chain: advance one thread's viewfront twice
         (g1, _, w1), = mem_write(g0, cfg.beta, 1, write("d1", 5))
-        tv = dict(g1.tview)
-        tv[2] = dict(tv[2])
-        tv[2]["d1"] = w1
-        g2 = g1.updated(tview=tv)
+        view = list(g1.view(2))
+        view[g1.lay.vix["d1"]] = w1.ts
+        g2 = g1.with_view(2, tuple(view))
         threads = system.ctx.threads
         assert state_refines((ls, g1), (ls, g2), threads)
         assert state_refines((ls, g2), (ls, g2), threads)

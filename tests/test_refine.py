@@ -122,10 +122,9 @@ class TestStateRefines:
         g, b = system.cfg0.gamma, system.cfg0.beta
         (g2, _, new), = mem_write(g, b, 1, write("d1", 5))
         # advance thread 2's view past the init write: strictly fewer obs
-        tview = dict(g2.tview)
-        tview[2] = dict(tview[2])
-        tview[2]["d1"] = new
-        g3 = g2.updated(tview=tview)
+        view = list(g2.view(2))
+        view[g2.lay.vix["d1"]] = new.ts
+        g3 = g2.with_view(2, tuple(view))
         ls = {1: {}, 2: {}}
         assert state_refines((ls, g2), (ls, g3), system.ctx.threads)
         assert not state_refines((ls, g3), (ls, g2), system.ctx.threads)

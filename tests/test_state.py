@@ -1,30 +1,30 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from rarcheck.state import (BOT, ComponentState, StateError, TOp, TS0,
-                            fresh_ok, insert_fresh_timestamp, make_init_states,
-                            max_ts, merge_views, observable_ops, write)
+from rarcheck.state import (BOT, StateError, insert_fresh_timestamp,
+                            make_init_states, merge_views, write)
 
 
-def F(a, b=1):
-    return Fraction(a, b)
-
-
-def mk_state(ts_list, var="d", threads=(1, 2)):
-    ops = [TOp(write(var, i), F(t) if not isinstance(t, Fraction) else t)
-           for i, t in enumerate(ts_list)]
-    first = min(ops, key=lambda o: o.ts)
-    return ComponentState(
-        ops=frozenset(ops),
-        tview={t: {var: first} for t in threads},
-        mview={op: {var: op} for op in ops},
-    ), ops
+def mk_state(n_writes, var="d", threads=(1, 2)):
+    """A client with n_writes writes on var after its initial write, each
+    appended by thread 1, so ranks 0..n_writes; thread 2 views the init."""
+    _, g, b = make_init_states([(var, 0)], {var}, None, set(threads))
+    for i in range(1, n_writes + 1):
+        g, b, _ = insert_fresh_timestamp(g, b, 1, i - 1, write(var, i))
+    return g, b, g.ops_on(var)
 
 
 def init_lock_system():
     return make_init_states([("d", 0)], {"d"}, ("lock", "l"), {1, 2})
+
+
+def ranks_dense(comp) -> bool:
+    """Initial operations at rank 0, the others at 1..n-1, one each."""
+    ranks = sorted(op.ts for op in comp.ops if op.ts > 0)
+    inits = [op for op in comp.ops if op.ts == 0]
+    return (ranks == list(range(1, len(ranks) + 1))
+            and sorted(op.action.var for op in inits)
+            == sorted(comp.variables()))
 
 
 class TestMakeInit:
@@ -32,14 +32,14 @@ class TestMakeInit:
         rho, gamma, beta = init_lock_system()
         assert {op.action.kind for op in beta.ops} == {"lock_init"}
         (lock_op,) = beta.ops
-        assert lock_op.ts == TS0 and lock_op.action.index == 0
+        assert lock_op.ts == 0 and lock_op.action.index == 0
         (d_op,) = gamma.ops
-        assert d_op.action.val == 0 and d_op.ts == TS0
+        assert d_op.action.val == 0 and d_op.ts == 0
         assert gamma.cvd == frozenset() and beta.cvd == frozenset()
         assert rho[1]["rval"] is BOT
         # init mviews span both components
-        assert beta.mview[lock_op]["d"] == d_op
-        assert gamma.mview[d_op]["l"] == lock_op
+        assert beta.mview[lock_op]["d"] == d_op.ts
+        assert gamma.mview[d_op]["l"] == lock_op.ts
 
     def test_empty_init(self):
         rho, gamma, beta = make_init_states([], set(), None, {1})
@@ -64,98 +64,123 @@ class TestObservable:
     def test_init_only(self):
         _, gamma, _ = init_lock_system()
         (d_op,) = gamma.ops
-        assert observable_ops(gamma, 1, "d") == {d_op}
+        assert gamma.obs(1, "d") == [d_op]
 
     def test_filter_by_view(self):
-        state, ops = mk_state([0, 1, 2])
-        state = state.updated(tview={1: {"d": ops[1]}, 2: {"d": ops[0]}})
-        assert observable_ops(state, 1, "d") == {ops[1], ops[2]}
-        assert observable_ops(state, 2, "d") == set(ops)
+        state, _, ops = mk_state(2)
+        assert state.obs(1, "d") == [ops[2]]
+        assert state.obs(2, "d") == ops
+        view = list(state.view(1))
+        view[state.lay.vix["d"]] = 1
+        state = state.with_view(1, tuple(view))
+        assert state.obs(1, "d") == [ops[1], ops[2]]
 
     def test_unknown_variable(self):
         _, gamma, _ = init_lock_system()
         with pytest.raises(StateError):
-            observable_ops(gamma, 1, "nope")
+            gamma.obs(1, "nope")
 
 
 class TestMaxTs:
     def test_lock_init_zero(self):
         _, _, beta = init_lock_system()
-        assert max_ts(beta, "l") == 0
+        assert beta.max_op("l").ts == 0
 
     def test_plain_max(self):
-        state, _ = mk_state([0, 3, 7])
-        assert max_ts(state, "d") == 7
+        state, _, ops = mk_state(3)
+        assert state.max_op("d") == ops[-1] and ops[-1].ts == 3
 
     def test_no_ops(self):
         _, gamma, _ = init_lock_system()
         with pytest.raises(StateError):
-            max_ts(gamma, "zz")
+            gamma.max_op("zz")
 
 
 class TestMergeViews:
     def test_idempotent(self):
-        state, ops = mk_state([0, 1])
-        v = {"d": ops[1]}
+        v = (0, 3, 1)
         assert merge_views(v, v) == v
 
     def test_later_wins(self):
-        _, ops = mk_state([1, 2])[0], mk_state([1, 2])[1]
-        v1 = {"x": TOp(write("x", 0), F(1))}
-        v2 = {"x": TOp(write("x", 1), F(2))}
-        assert merge_views(v1, v2) == v2
+        assert merge_views((1,), (2,)) == (2,)
+        assert merge_views((2,), (1,)) == (2,)
 
     def test_pointwise(self):
-        x1, x2 = TOp(write("x", 0), F(1)), TOp(write("x", 1), F(2))
-        y0, y3 = TOp(write("y", 0), F(0)), TOp(write("y", 1), F(3))
-        got = merge_views({"x": x2, "y": y0}, {"x": x1, "y": y3})
-        assert got == {"x": x2, "y": y3}
+        assert merge_views((2, 0), (1, 3)) == (2, 3)
 
     def test_domain_is_first_argument(self):
-        x1 = TOp(write("x", 0), F(1))
-        y1 = TOp(write("y", 0), F(1))
-        assert merge_views({"x": x1}, {"x": x1, "y": y1}) == {"x": x1}
+        # a recorded view continues with the other component's variables
+        assert merge_views((1,), (0, 5)) == (1,)
 
-    @given(st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True),
-           st.lists(st.integers(0, 40), min_size=1, max_size=6, unique=True))
-    def test_pointwise_max_property(self, ts1, ts2):
-        vars_ = [f"v{i}" for i in range(max(len(ts1), len(ts2)))]
-        v1 = {x: TOp(write(x, 0), F(q)) for x, q in zip(vars_, ts1)}
-        v2 = {x: TOp(write(x, 1), F(q)) for x, q in zip(vars_, ts2)}
-        got = merge_views(v1, v2)
-        assert set(got) == set(v1)
-        for x in got:
-            if x in v2:
-                assert got[x].ts == max(v1[x].ts, v2[x].ts)
-            else:
-                assert got[x] == v1[x]
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=6),
+           st.lists(st.integers(0, 40), min_size=6, max_size=8))
+    def test_pointwise_max_property(self, v1, v2):
+        got = merge_views(tuple(v1), tuple(v2))
+        assert len(got) == len(v1)
+        assert all(g == max(a, b) for g, a, b in zip(got, v1, v2))
 
 
 class TestFreshTimestamp:
     def test_no_successor(self):
-        state, ops = mk_state([0])
-        assert insert_fresh_timestamp(state, ops[0]) == 1
+        state, other, ops = mk_state(0)
+        s2, _, new = insert_fresh_timestamp(state, other, 1, 0, write("d", 9))
+        assert new.ts == 1 and s2.ops_on("d") == [ops[0], new]
 
     def test_forced_interval(self):
-        state, ops = mk_state([0, 1])
-        assert insert_fresh_timestamp(state, ops[0]) == F(1, 2)
+        # inserting right after the init pushes the later write up by one
+        state, other, ops = mk_state(1)
+        s2, _, new = insert_fresh_timestamp(state, other, 2, 0, write("d", 9))
+        assert new.ts == 1
+        assert [op.action.val for op in s2.ops_on("d")] == [0, 9, 1]
+        assert [op.ts for op in s2.ops_on("d")] == [0, 1, 2]
 
     def test_midpoint(self):
-        state, ops = mk_state([F(0), F(1, 2), F(1)])
-        assert insert_fresh_timestamp(state, ops[1]) == F(3, 4)
+        state, other, ops = mk_state(2)
+        s2, _, new = insert_fresh_timestamp(state, other, 2, 1, write("d", 9))
+        assert new.ts == 2
+        assert [op.action.val for op in s2.ops_on("d")] == [0, 1, 9, 2]
+        # thread 1 viewed the last write; its view moved up with it
+        assert s2.tview[1]["d"].action.val == 2
+        assert s2.tview[2]["d"] == new
 
     def test_pred_not_in_ops(self):
-        state, _ = mk_state([0])
+        state, other, _ = mk_state(0)
         with pytest.raises(StateError):
-            insert_fresh_timestamp(state, TOp(write("d", 9), F(9)))
+            insert_fresh_timestamp(state, other, 1, 9, write("d", 9))
+        with pytest.raises(StateError):
+            insert_fresh_timestamp(state, other, 1, 0, write("zz", 9))
 
-    @given(st.sets(st.fractions(0, 50), min_size=1, max_size=8),
-           st.integers(0, 7))
-    def test_fresh_predicate_always_holds(self, times, idx):
-        times = sorted(times)
-        state, ops = mk_state(times)
-        ops = sorted(ops, key=lambda o: o.ts)
-        pred = ops[idx % len(ops)]
-        q2 = insert_fresh_timestamp(state, pred)
-        assert fresh_ok(state, pred.ts, q2)
-        assert all(q2 != op.ts for op in state.ops)
+    @given(st.lists(st.tuples(st.sampled_from(["d", "e", "g"]),
+                              st.integers(0, 20), st.sampled_from([1, 2])),
+                    min_size=1, max_size=10))
+    def test_fresh_predicate_always_holds(self, inserts):
+        # random insertions into a client (d, e) and a library (g) whose
+        # recorded views refer to each other: each new op lands right after
+        # its predecessor, every later rank of its component moves up by one
+        # and every reference to that component follows
+        _, g, b = make_init_states([("d", 0), ("e", 0)], {"d", "e"},
+                                   ("impl", [("g", 0)]), {1, 2})
+        for i, (x, k, t) in enumerate(inserts, start=1):
+            (c, other) = (b, g) if x == "g" else (g, b)
+            pred = c.ops_on(x)[k % len(c.ops_on(x))]
+            c2, other2, new = insert_fresh_timestamp(c, other, t, pred.ts,
+                                                     write(x, 100 + i))
+
+            def moved(r, y):
+                return r + 1 if y in c.variables() and r >= new.ts else r
+
+            assert new.ts == pred.ts + 1 and ranks_dense(c2)
+            assert c2.ops == {op._replace(ts=moved(op.ts, op.action.var))
+                              for op in c.ops} | {new}
+            for t2, view in c.tview.items():
+                for y, op in view.items():
+                    expect = new if (t2, y) == (t, x) else \
+                        op._replace(ts=moved(op.ts, y))
+                    assert c2.tview[t2][y] == expect
+            for comp, comp2 in ((c, c2), (other, other2)):
+                for op, mv in comp.mview.items():
+                    op2 = op._replace(ts=moved(op.ts, op.action.var))
+                    assert comp2.mview[op2] == {y: moved(r, y)
+                                                for y, r in mv.items()}
+            assert other2.tview == other.tview
+            g, b = (other2, c2) if x == "g" else (c2, other2)
