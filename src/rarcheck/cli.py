@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: explore, outline, hoare, refine, oracle.  Exit codes: 0 all
-checks pass, 1 violation found, 2 step bound exhausted, 3 input error.
+checks pass, 1 violation found, 2 step bound exhausted, 3 input error,
+4 internal error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .program import ProgramError
 from .refine import builtin_impls, check_simulation, check_trace_refinement
 from .state import StateError, Sym
 
-OK, VIOLATION, BOUND, INPUT_ERROR = 0, 1, 2, 3
+OK, VIOLATION, BOUND, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
 
 class _Argparser(argparse.ArgumentParser):
@@ -167,7 +168,8 @@ def _cmd_refine(args) -> int:
               "pairs_explored": sim.pairs_explored,
               "witness": sim.counterexample or [], "detail": sim.detail}
     if sim.ok and not args.skip_trace_check:
-        tr = check_trace_refinement(impl, lf, args.max_steps)
+        tr = check_trace_refinement(impl, lf, args.max_steps,
+                                    explored=sim.explored)
         report["trace_check"] = tr.verdict
         if not tr.ok:
             report["verdict"] = "trace-check-failed"
@@ -206,6 +208,10 @@ def run_cli(argv) -> int:
     except (LitmusError, ProgramError, StateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
+    except Exception as e:  # a fault of rarcheck, never a verdict
+        print(f"error: internal: {type(e).__name__}: "
+              f"{' '.join(str(e).split())}", file=sys.stderr)
+        return INTERNAL_ERROR
     return INPUT_ERROR
 
 

@@ -4,11 +4,14 @@ Configurations pair per-thread programs and local states with the client and
 library component states.  Component states are in normal form, so a
 configuration is its own canonical key: timestamp-order-isomorphic states
 are equal.  Exploration is a breadth-first search memoized on configurations,
-bounded by a scheduler-step budget with explicit truncation reporting.
+bounded by a scheduler-step budget with explicit truncation reporting.  It
+returns the reachable state graph, which every checker reads instead of
+stepping states again.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from . import memory, objects, program
@@ -91,7 +94,7 @@ class SystemContext:
         return EvalCtx(self.side_of, specs, self.n_labels)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepLabel:
     component: str  # 'client' | 'library'
     action: object  # Action or None for silent steps
@@ -230,19 +233,31 @@ class ExploreResult:
     outcomes: list  # sorted list of dicts register -> value
     truncated: bool
     configs: dict  # key (the configuration itself) -> Configuration
-    parents: dict  # key -> (parent key, thread, label str)
+    # key -> ((thread, StepLabel, successor), ...) in successors() order, for
+    # every explored state: () when terminal, and the computed successors of
+    # states stopped at the step bound too.  A successor that was explored is
+    # the stored configuration itself.
+    edges: dict
     terminal_keys: list
     initial_key: object
 
     def witness_path(self, key):
+        """The steps from the initial state to the reachable `key` along the
+        path that exploration discovered it by: a breadth-first search over
+        `edges` in stored order retraces exploration's own first-discovery
+        order, so this is a shortest path."""
+        parent = {self.initial_key: None}
+        queue = deque([self.initial_key])
+        while key not in parent:
+            k = queue.popleft()
+            for t, label, nxt in self.edges[k]:
+                if nxt not in parent:
+                    parent[nxt] = (k, t, label)
+                    queue.append(nxt)
         path = []
-        while True:
-            parent = self.parents.get(key)
-            if parent is None:
-                break
-            pkey, t, label = parent
-            path.append({"thread": t, "label": label})
-            key = pkey
+        while parent[key] is not None:
+            key, t, label = parent[key]
+            path.append({"thread": t, "label": label.render()})
         path.reverse()
         return path
 
@@ -254,37 +269,41 @@ def explore(cfg0: Configuration, ctx: SystemContext,
         raise ValueError("max_steps must be positive")
     k0 = canonical_key(cfg0)
     visited = {k0: cfg0}
-    parents = {}
-    depth = {k0: 0}
+    edges = {}
+    labels = {}  # interned: equal labels share one object
     frontier = [cfg0]
+    level = 0  # of every configuration in the frontier
     truncated = False
     terminal_keys = []
     outcomes = set()
     while frontier:
         nxt_frontier = []
+        expand = level < max_steps
         for cfg in frontier:
             succs = successors(cfg, ctx)
             if not succs:
+                edges[cfg] = ()
                 terminal_keys.append(cfg)
                 outcomes.add(_outcome_of(cfg, ctx))
                 continue
-            d = depth[cfg]
-            if d >= max_steps:
-                truncated = True
-                continue
+            truncated |= not expand
+            out = []
             for t, label, nxt in succs:
                 nk = canonical_key(nxt)
-                if nk in visited:
-                    continue
-                visited[nk] = nxt
-                parents[nk] = (cfg, t, label.render())
-                depth[nk] = d + 1
-                nxt_frontier.append(nxt)
+                known = visited.get(nk)
+                if known is None:
+                    known = nxt
+                    if expand:
+                        visited[nk] = nxt
+                        nxt_frontier.append(nxt)
+                out.append((t, labels.setdefault(label, label), known))
+            edges[cfg] = tuple(out)
         frontier = nxt_frontier
+        level += 1
     out_list = sorted(
         ({r: v for r, v in oc} for oc in outcomes),
         key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
-    return ExploreResult(len(visited), out_list, truncated, visited, parents,
+    return ExploreResult(len(visited), out_list, truncated, visited, edges,
                          terminal_keys, k0)
 
 
@@ -389,13 +408,12 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
                 active[t] = ann
         if not active:
             continue
-        for t2, label, nxt in successors(cfg, ctx):
+        for t2, label, nxt in res.edges[key]:
             for t, ann in active.items():
                 if t == t2:
                     continue
                 if not eval_assertion(ann, nxt, ectx):
-                    nk = nxt.key()
-                    wkey = nk if nk in res.configs else key
+                    wkey = nxt if nxt in res.configs else key
                     fail(name_of(t, pcs[t]), wkey,
                          f"interference by thread {t2} step {label.render()}")
 

@@ -15,10 +15,10 @@ some abstract trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import program as P
-from .explore import explore, successors
+from .explore import ExploreResult, explore, successors
 from .litmus import LitmusError, build_system
 from .state import BOT
 
@@ -184,6 +184,9 @@ class SimulationResult:
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
+    # the concrete exploration the game was played over, for
+    # check_trace_refinement(..., explored=...)
+    explored: ExploreResult = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -192,7 +195,8 @@ class SimulationResult:
 
 def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
                      require_sync_free: bool = True) -> SimulationResult:
-    """Play the forward-simulation game over the explored concrete space."""
+    """Play the forward-simulation game over the explored concrete state
+    graph, expanding abstract states on demand."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     if require_sync_free:
@@ -204,13 +208,8 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
     conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     if conc.truncated:
         return SimulationResult("unknown-beyond-bound",
-                                detail="concrete exploration truncated")
-
-    # concrete edges over canonical keys
-    cedges = {}
-    for ck, ccfg in conc.configs.items():
-        cedges[ck] = [(t, lab, nxt.key(), nxt)
-                      for t, lab, nxt in successors(ccfg, conc_sys.ctx)]
+                                detail="concrete exploration truncated",
+                                explored=conc)
 
     aconfigs = {abs_sys.cfg0.key(): abs_sys.cfg0}
     asuccs = {}
@@ -238,10 +237,11 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
         (arv, ap), (crv, cp) = proj(aconfigs[ak]), proj(conc.configs[ck])
         return arv == crv and _refines(ap, cp)
 
-    init_pair = (abs_sys.cfg0.key(), conc_sys.cfg0.key())
+    init_pair = (abs_sys.cfg0.key(), conc.initial_key)
     if not cond1(*init_pair):
         return SimulationResult("no-simulation", counterexample=[],
-                                detail="initial states unrelated")
+                                detail="initial states unrelated",
+                                explored=conc)
 
     # forward reachability over candidate pairs
     moves = {}  # pair -> list per concrete step: (step-info, [candidate pairs])
@@ -252,7 +252,7 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
         ak, ck = order[qi]
         qi += 1
         step_moves = []
-        for t, lab, ck2, _ in cedges[ck]:
+        for t, lab, ck2 in conc.edges[ck]:
             cands = []
             if _is_impl_step(lab):
                 if cond1(ak, ck2):
@@ -267,7 +267,7 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
                             and _client_core(alab) == core
                             and cond1(ak2, ck2)):
                         cands.append((ak2, ck2))
-            step_moves.append(((t, lab.render(), ck2), cands))
+            step_moves.append(((t, lab), cands))
             for p in cands:
                 if p not in seen:
                     seen.add(p)
@@ -295,10 +295,11 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
     if init_pair in losing:
         path = _extract_counterexample(init_pair, moves, losing)
         return SimulationResult("no-simulation", 0, len(seen), path,
-                                "a concrete step cannot be matched")
+                                "a concrete step cannot be matched", conc)
 
     winning = {p for p in seen if p not in losing}
-    return SimulationResult("simulation-found", len(winning), len(seen))
+    return SimulationResult("simulation-found", len(winning), len(seen),
+                            explored=conc)
 
 
 def _extract_counterexample(pair, moves, losing):
@@ -307,7 +308,7 @@ def _extract_counterexample(pair, moves, losing):
     path = []
     while pair in losing:
         best = None
-        for (t, label, ck2), cands in moves[pair]:
+        for (t, label), cands in moves[pair]:
             if not all(p in losing for p in cands):
                 continue
             rank = max((losing[p] for p in cands), default=-1)
@@ -318,7 +319,7 @@ def _extract_counterexample(pair, moves, losing):
         if best is None:
             break
         (t, label), cands, rank = best
-        path.append({"thread": t, "label": label})
+        path.append({"thread": t, "label": label.render()})
         if not cands:
             break
         pair = max(cands, key=lambda p: losing[p])
@@ -339,16 +340,20 @@ class TraceCheckResult:
         return self.verdict == "trace-refinement"
 
 
-def check_trace_refinement(impl: LockImpl, client_lf,
-                           max_steps: int = 64) -> TraceCheckResult:
+def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
+                           explored: ExploreResult = None) -> TraceCheckResult:
     """Determinized matching of every stutter-free concrete client trace
-    against the abstract trace graph under pointwise refinement."""
+    against the abstract trace graph under pointwise refinement.
+    `explored`, if given, is the exploration of the concrete system under
+    the same bound (as kept in `SimulationResult.explored`), reused."""
     abs_sys = build_system(client_lf)
-    conc_sys = build_system(client_lf, impl)
     threads = abs_sys.ctx.threads
     client_regs = _client_regs(abs_sys)
 
-    conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
+    conc = explored
+    if conc is None:
+        conc_sys = build_system(client_lf, impl)
+        conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
     if conc.truncated or ab.truncated:
         return TraceCheckResult("unknown-beyond-bound",
@@ -357,25 +362,19 @@ def check_trace_refinement(impl: LockImpl, client_lf,
     aproj = {k: project(c, client_regs, threads) for k, c in ab.configs.items()}
     cproj = {k: project(c, client_regs, threads)
              for k, c in conc.configs.items()}
-    aedges = {k: [nxt.key() for _, _, nxt in successors(c, abs_sys.ctx)]
-              for k, c in ab.configs.items()}
-    cedges = {k: [(t, lab.render(), nxt.key())
-                  for t, lab, nxt in successors(c, conc_sys.ctx)]
-              for k, c in conc.configs.items()}
 
     def closure(akeys):
         out = set(akeys)
         work = list(akeys)
         while work:
             k = work.pop()
-            for k2 in aedges[k]:
+            for _, _, k2 in ab.edges[k]:
                 if k2 not in out and aproj[k2] == aproj[k]:
                     out.add(k2)
                     work.append(k2)
         return frozenset(out)
 
-    ck0 = conc_sys.cfg0.key()
-    ak0 = abs_sys.cfg0.key()
+    ck0, ak0 = conc.initial_key, ab.initial_key
     if not _refines(aproj[ak0], cproj[ck0]):
         return TraceCheckResult("violation", [],
                                 detail="initial client states unrelated")
@@ -387,17 +386,17 @@ def check_trace_refinement(impl: LockImpl, client_lf,
     while work:
         node = work.pop()
         ck, aset = node
-        for t, label, ck2 in cedges[ck]:
+        for t, label, ck2 in conc.edges[ck]:
             if cproj[ck2] == cproj[ck]:
                 aset2 = aset
             else:
                 visible += 1
-                step = {k2 for k in aset for k2 in aedges[k]
+                step = {k2 for k in aset for _, _, k2 in ab.edges[k]
                         if aproj[k2] != aproj[k]
                         and _refines(aproj[k2], cproj[ck2])}
                 if not step:
                     path = _trace_path(parents, node)
-                    path.append({"thread": t, "label": label})
+                    path.append({"thread": t, "label": label.render()})
                     return TraceCheckResult(
                         "violation", path, visible,
                         "concrete client trace has no abstract match")
@@ -414,6 +413,6 @@ def _trace_path(parents, node):
     path = []
     while parents.get(node) is not None:
         node, t, label = parents[node]
-        path.append({"thread": t, "label": label})
+        path.append({"thread": t, "label": label.render()})
     path.reverse()
     return path

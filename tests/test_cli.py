@@ -3,7 +3,8 @@ import json
 import pytest
 
 from rarcheck.cli import run_cli
-from rarcheck.litmus import corpus_text
+from rarcheck.litmus import build_system, corpus_text, load_corpus
+from rarcheck.refine import builtin_impls
 
 
 @pytest.fixture()
@@ -109,6 +110,28 @@ class TestRefine:
         assert doc["verdict"] == "no-simulation"
         assert doc["witness"]
 
+    def test_concrete_system_explored_once(self, corpus_dir, capsys,
+                                           monkeypatch):
+        import rarcheck.refine as rf
+        client = load_corpus("seqlock-refine")
+        concrete = build_system(client, builtin_impls()["seqlock"]).cfg0
+        abstract = build_system(client).cfg0
+        starts = []
+        original = rf.explore
+
+        def counting(cfg0, *args, **kwargs):
+            starts.append(cfg0)
+            return original(cfg0, *args, **kwargs)
+
+        monkeypatch.setattr(rf, "explore", counting)
+        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
+                           "--client", str(corpus_dir / "seqlock-refine.lit"))
+        assert code == 0
+        assert json.loads(out)["trace_check"] == "trace-refinement"
+        assert starts.count(concrete) == 1
+        assert starts.count(abstract) == 1
+        assert len(starts) == 2
+
 
 class TestOracle:
     def test_fifo(self, capsys):
@@ -151,3 +174,15 @@ class TestErrors:
         bad.write_text("name t\nthread 1 { x := }\n")
         code, _, err = run(capsys, "explore", str(bad))
         assert code == 3
+
+    def test_internal_error_is_not_a_verdict(self, tmp_path, capsys):
+        # a 1,500-statement thread still exceeds the recursion limit; that is
+        # a fault of the tool, so it must not exit 1 ("violation found")
+        deep = tmp_path / "deep.lit"
+        deep.write_text("name deep\ninit x := 0\nthread 1 {\n"
+                        + "  x := 1;\n" * 1500 + "}\n")
+        code, out, err = run(capsys, "explore", str(deep))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: internal: ") and err.count("\n") == 1
+        assert "Traceback" not in err

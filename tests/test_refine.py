@@ -177,6 +177,14 @@ class TestTraceRefinement:
         labels = [s["label"] for s in res.counterexample]
         assert any(lab.startswith("rd(d") for lab in labels[-1:])
 
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_reuses_the_simulation_exploration(self, impl):
+        impl = builtin_impls()[impl]
+        sim = check_simulation(impl, client(), 64)
+        shared = check_trace_refinement(impl, client(), 64,
+                                        explored=sim.explored)
+        assert shared == check_trace_refinement(impl, client(), 64)
+
 
 class TestCounterexampleReplay:
     def test_game_counterexample_replays_on_concrete_system(self):
