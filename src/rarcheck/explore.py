@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import memory, objects, program
 from .assertions import EvalCtx, eval_assertion
-from .state import BOT, ComponentState
+from .state import BOT, ComponentState, same_types
 
 
 class Configuration:
@@ -84,6 +84,11 @@ class SystemContext:
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
         self.observed = tuple(observed or ())
+        # (command, registers, their types) -> (command, its local steps):
+        # a thread's local step reads nothing else, so each distinct thread
+        # state of the system is stepped once.  The Step lists and their
+        # register dicts are shared, and nothing mutates them.
+        self.thread_steps = {}
 
     def side_of(self, x):
         return "C" if x in self.client_vars else "L"
@@ -128,8 +133,16 @@ def successors(cfg: Configuration, ctx: SystemContext):
     """All (thread, label, configuration) successors, deterministically
     ordered."""
     out = []
+    memo = ctx.thread_steps
     for t in ctx.threads:
-        for step in program.local_step(cfg.prog, cfg.rho, t, ctx.domain):
+        p, ls = cfg.prog.get(t), cfg.rho.get(t, {})
+        key = (p, tuple(ls.items()), tuple(map(type, ls.values())))
+        known = memo.get(key)
+        if known is None or not same_types(known[0], p):
+            # an equal command may hold 1 where this one holds True
+            known = (p, program.local_step(cfg.prog, cfg.rho, t, ctx.domain))
+            memo.setdefault(key, known)
+        for step in known[1]:
             comp = "library" if step.lib else "client"
             if step.kind == "eps":
                 nxt = _with_thread(cfg, t, step.cmd, step.ls)

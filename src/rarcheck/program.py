@@ -1,6 +1,7 @@
 """Program syntax with holes and the thread-local transition rules.
 
-Thread programs are immutable command trees.  A local step either is silent
+Thread programs are immutable command trees whose nodes hash at
+construction (`state.Hashed`).  A local step either is silent
 (assignments, control flow, hole dissolution) or proposes a candidate action
 that the memory/object semantics must validate; reads are proposed for every
 value in the finite value domain and filtered later.
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .state import Sym, read, update, write
+from .state import Hashed, Sym, hashed, read, update, write
 
 
 class ProgramError(Exception):
@@ -19,24 +20,24 @@ class ProgramError(Exception):
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Lit:
+@hashed
+class Lit(Hashed):
     val: object
 
     def __repr__(self):
         return repr(self.val)
 
 
-@dataclass(frozen=True)
-class Var:
+@hashed
+class Var(Hashed):
     name: str
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Un:
+@hashed
+class Un(Hashed):
     op: str
     e: object
 
@@ -44,8 +45,8 @@ class Un:
         return f"{self.op}({self.e!r})"
 
 
-@dataclass(frozen=True)
-class Bin:
+@hashed
+class Bin(Hashed):
     op: str
     a: object
     b: object
@@ -101,22 +102,22 @@ def expr_locals(e) -> set:
 
 # --- commands ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bot:
+@hashed
+class Bot(Hashed):
     def __repr__(self):
         return "_|_"
 
 
-@dataclass(frozen=True)
-class Value:
+@hashed
+class Value(Hashed):
     val: object
 
     def __repr__(self):
         return f"val({self.val!r})"
 
 
-@dataclass(frozen=True)
-class Assign:
+@hashed
+class Assign(Hashed):
     reg: str
     src: object  # Expr or Hole
 
@@ -124,8 +125,8 @@ class Assign:
         return f"{self.reg} := {self.src!r}"
 
 
-@dataclass(frozen=True)
-class GWrite:
+@hashed
+class GWrite(Hashed):
     var: str
     expr: object
     releasing: bool = False
@@ -134,8 +135,8 @@ class GWrite:
         return f"{self.var} :={'R' if self.releasing else ''} {self.expr!r}"
 
 
-@dataclass(frozen=True)
-class GRead:
+@hashed
+class GRead(Hashed):
     reg: str
     var: str
     acquiring: bool = False
@@ -144,8 +145,8 @@ class GRead:
         return f"{self.reg} <-{'A' if self.acquiring else ''} {self.var}"
 
 
-@dataclass(frozen=True)
-class Cas:
+@hashed
+class Cas(Hashed):
     reg: str
     var: str
     expect: object
@@ -155,8 +156,8 @@ class Cas:
         return f"{self.reg} <- CAS({self.var},{self.expect!r},{self.new!r})"
 
 
-@dataclass(frozen=True)
-class Fai:
+@hashed
+class Fai(Hashed):
     reg: str
     var: str
 
@@ -164,8 +165,8 @@ class Fai:
         return f"{self.reg} <- FAI({self.var})"
 
 
-@dataclass(frozen=True)
-class MethodCall:
+@hashed
+class MethodCall(Hashed):
     obj: str
     meth: str
     args: tuple = ()
@@ -178,8 +179,8 @@ class MethodCall:
         return f"{self.obj}.{self.meth}({inner})"
 
 
-@dataclass(frozen=True)
-class Body:
+@hashed
+class Body(Hashed):
     """A concrete method body running inside a hole.
 
     Reduces to bottom when the wrapped command terminates; that same step
@@ -194,16 +195,16 @@ class Body:
         return f"<{self.meth}: {self.cmd!r}>"
 
 
-@dataclass(frozen=True)
-class Hole:
+@hashed
+class Hole(Hashed):
     content: object = None  # None (pristine), Value, Bot, MethodCall, command
 
     def __repr__(self):
         return f"[{self.content!r}]" if self.content is not None else "[.]"
 
 
-@dataclass(frozen=True)
-class Seq:
+@hashed
+class Seq(Hashed):
     a: object
     b: object
 
@@ -211,8 +212,8 @@ class Seq:
         return f"{self.a!r}; {self.b!r}"
 
 
-@dataclass(frozen=True)
-class If:
+@hashed
+class If(Hashed):
     cond: object
     then: object
     other: object
@@ -221,8 +222,8 @@ class If:
         return f"if {self.cond!r} then {{{self.then!r}}} else {{{self.other!r}}}"
 
 
-@dataclass(frozen=True)
-class While:
+@hashed
+class While(Hashed):
     cond: object
     body: object
 
@@ -230,8 +231,8 @@ class While:
         return f"while {self.cond!r} do {{{self.body!r}}}"
 
 
-@dataclass(frozen=True)
-class DoUntil:
+@hashed
+class DoUntil(Hashed):
     body: object
     cond: object
 
@@ -239,8 +240,8 @@ class DoUntil:
         return f"do {{{self.body!r}}} until {self.cond!r}"
 
 
-@dataclass(frozen=True)
-class Labeled:
+@hashed
+class Labeled(Hashed):
     label: int
     cmd: object
 
@@ -355,7 +356,7 @@ def _leading_label(cmd):
 
 # --- thread-local steps -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One candidate step of a single thread.
 

@@ -19,7 +19,7 @@ form, held in tuples of ints and interned actions, and it caches its hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 
@@ -60,8 +60,54 @@ ENQUEUE = "enqueue"
 DEQUEUE = "dequeue"
 
 
-@dataclass(frozen=True)
-class Action:
+class Hashed:
+    """Base of the immutable values used as dictionary keys: actions,
+    commands and expressions.  Subclasses are declared with `hashed`.
+
+    The hash is computed once, at construction, from the fields' own
+    (already stored) hashes and kept in a slot, so hashing a tree costs the
+    same at any depth.  Equality stays plain field equality.
+    """
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (type(self), *map(self.__getattribute__, self._fields))))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor, which hashes
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+
+def hashed(cls):
+    """Declare a subclass of Hashed: a frozen dataclass with slots (no
+    per-instance `__dict__`) whose hash is the one stored at construction."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._fields = tuple(f.name for f in fields(cls))
+    cls.__hash__ = Hashed.__hash__
+    return cls
+
+
+def same_types(a, b):
+    """For equal values a and b: whether every value inside them also has
+    the same type.  Equality says 1 == True, but the two print and step
+    differently."""
+    if a is b:
+        return True
+    if isinstance(a, Hashed):
+        return all(same_types(getattr(a, f), getattr(b, f)) for f in a._fields)
+    if type(a) is tuple:
+        return all(map(same_types, a, b))
+    return type(a) is type(b)
+
+
+@hashed
+class Action(Hashed):
     kind: str
     var: str
     val: object = None  # written / read / enqueued / dequeued value
@@ -69,14 +115,6 @@ class Action:
     sync: str = RLX
     owner: object = None  # lock acquire only: owning thread
     index: object = None  # lock ops only: operation counter
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(
-                (self.kind, self.var, self.val, self.aux, self.sync,
-                 self.owner, self.index))
-        return h
 
     def __repr__(self):
         if self.kind == WRITE:

@@ -175,9 +175,21 @@ class TestErrors:
         code, _, err = run(capsys, "explore", str(bad))
         assert code == 3
 
+    def test_deep_thread_is_hashed_without_recursion(self, tmp_path, capsys):
+        # command nodes hash at construction, so configuration keys over a
+        # 600-statement thread no longer recurse once per statement
+        deep = tmp_path / "deep.lit"
+        deep.write_text("name deep\ninit x := 0\nthread 1 {\n"
+                        + "  x := 1;\n" * 600 + "}\n")
+        code, out, err = run(capsys, "explore", str(deep), "--max-steps",
+                             "2000")
+        assert code == 0 and err == ""
+        assert "verdict: pass" in out and "states_explored: 1200" in out
+
     def test_internal_error_is_not_a_verdict(self, tmp_path, capsys):
-        # a 1,500-statement thread still exceeds the recursion limit; that is
-        # a fault of the tool, so it must not exit 1 ("violation found")
+        # a 1,500-statement thread still exceeds the recursion limit (in the
+        # parser's desugaring); that is a fault of the tool, so it must not
+        # exit 1 ("violation found")
         deep = tmp_path / "deep.lit"
         deep.write_text("name deep\ninit x := 0\nthread 1 {\n"
                         + "  x := 1;\n" * 1500 + "}\n")

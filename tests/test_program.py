@@ -1,10 +1,16 @@
+import copy
+import pickle
+
 import pytest
 
+from rarcheck.explore import explore
+from rarcheck.litmus import build_system, load_corpus
 from rarcheck.program import (Assign, Bin, Bot, Cas, DoUntil, Fai, GRead,
                               GWrite, Hole, If, Lit, Labeled, MethodCall,
                               ProgramError, Seq, Un, Value, Var, While,
                               desugar, eval_expr, fill_hole, is_done,
                               local_step, pc_of, seq_all)
+from rarcheck.state import Action, Hashed, same_types
 
 DOM = (0, 1, 5, True, False)
 
@@ -178,3 +184,69 @@ class TestPc:
     def test_done(self):
         assert is_done(Labeled(3, Value(1)))
         assert not is_done(Labeled(3, GWrite("d", Lit(1))))
+
+
+CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
+          "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
+
+
+def _nodes(cmd):
+    """Every command and expression node of a tree, root first."""
+    out, todo = [], [cmd]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, tuple):
+            todo.extend(v)
+        elif isinstance(v, Hashed):
+            out.append(v)
+            todo.extend(getattr(v, f) for f in v._fields)
+    return out
+
+
+class TestHashedValues:
+    """Commands, expressions and actions keep their hash in a slot."""
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_no_instance_dict(self, name):
+        system = build_system(load_corpus(name))
+        res = explore(system.cfg0, system.ctx, 64)
+        nodes = [n for cfg in res.configs.values()
+                 for p in cfg.prog.values() for n in _nodes(p)]
+        actions = [a for cfg in res.configs.values()
+                   for comp in (cfg.gamma, cfg.beta) for a in comp.acts]
+        assert nodes and actions
+        assert {type(n).__name__ for n in nodes} >= {"Seq", "Lit"}
+        assert all(isinstance(a, Action) for a in actions)
+        for v in nodes + actions:
+            assert not hasattr(v, "__dict__"), type(v)
+
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_equal_trees_built_apart_hash_equal(self, name):
+        progs = [build_system(load_corpus(name)).cfg0.prog for _ in (0, 1)]
+        assert progs[0] == progs[1]
+        for t, p in progs[0].items():
+            q = progs[1][t]
+            assert p is not q
+            for a, b in zip(_nodes(p), _nodes(q)):
+                assert a == b and hash(a) == hash(b)
+
+    def test_hash_is_stored_at_construction(self):
+        deep = seq_all([GWrite("x", Lit(1))] * 5000)
+        assert hash(deep) == deep._hash
+        assert hash(Lit(1)) == hash(Lit(True)) and Lit(1) == Lit(True)
+
+    def test_copies_and_pickles_keep_the_hash(self):
+        tree = build_system(load_corpus("seqlock-refine")).cfg0.prog[1]
+        act = Action("write", "x", val=True)
+        for v in (tree, act):
+            for c in (copy.copy(v), copy.deepcopy(v),
+                      pickle.loads(pickle.dumps(v))):
+                assert c == v and hash(c) == hash(v)
+                assert same_types(c, v)
+
+    def test_same_types_tells_one_from_true(self):
+        def enq(v):
+            return Seq(MethodCall("q", "enq", (Lit(v),)), Bot())
+        assert enq(1) == enq(True)
+        assert not same_types(enq(1), enq(True))
+        assert same_types(enq(1), enq(1)) and same_types(enq(True), enq(True))
