@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import memory, objects, program
 from .assertions import EvalCtx, eval_assertion
-from .state import BOT, ComponentState, same_types
+from .state import BOT, READ, Action, ComponentState, same_types, wrval
 
 
 class Configuration:
@@ -72,13 +72,12 @@ def canonical_key(cfg: Configuration) -> Configuration:
 
 
 class SystemContext:
-    """Static facts about one litmus system: threads, value domain, the
-    library object (if any), variable components and labelling."""
+    """Static facts about one litmus system: threads, the library object (if
+    any), variable components and labelling."""
 
-    def __init__(self, threads, domain, client_vars, library_vars,
-                 object_spec=None, n_labels=None, observed=None):
+    def __init__(self, threads, client_vars, library_vars, object_spec=None,
+                 n_labels=None, observed=None):
         self.threads = tuple(sorted(threads))
-        self.domain = tuple(domain)
         self.client_vars = frozenset(client_vars)
         self.library_vars = frozenset(library_vars)
         self.object_spec = object_spec
@@ -140,7 +139,7 @@ def successors(cfg: Configuration, ctx: SystemContext):
         known = memo.get(key)
         if known is None or not same_types(known[0], p):
             # an equal command may hold 1 where this one holds True
-            known = (p, program.local_step(cfg.prog, cfg.rho, t, ctx.domain))
+            known = (p, program.local_step(cfg.prog, cfg.rho, t))
             memo.setdefault(key, known)
         for step in known[1]:
             comp = "library" if step.lib else "client"
@@ -150,18 +149,22 @@ def successors(cfg: Configuration, ctx: SystemContext):
                             nxt))
             elif step.kind == "act":
                 a = step.action
-                if step.lib:
-                    results = _mem_dispatch(cfg.beta, cfg.gamma, t, a)
-                    for b2, g2, op in results:
-                        nxt = _with_thread(cfg, t, step.cmd, step.ls, g2, b2)
-                        out.append((t, StepLabel(comp, a, _rank_on(b2, op)),
-                                    nxt))
-                else:
-                    results = _mem_dispatch(cfg.gamma, cfg.beta, t, a)
-                    for g2, b2, op in results:
-                        nxt = _with_thread(cfg, t, step.cmd, step.ls, g2, b2)
-                        out.append((t, StepLabel(comp, a, _rank_on(g2, op)),
-                                    nxt))
+                own, other = (cfg.beta, cfg.gamma) if step.lib else \
+                    (cfg.gamma, cfg.beta)
+                for own2, other2, op in _mem_dispatch(own, other, t, a):
+                    if a.kind == READ:  # op is the write read from
+                        v = wrval(op.action)
+                        done = Action(READ, a.var, v, sync=a.sync)
+                    else:  # op is the inserted write or update
+                        v, done = op.action.aux, op.action
+                    ls = step.ls
+                    if step.reg is not None:
+                        ls = dict(ls)
+                        ls[step.reg] = v
+                    g2, b2 = (other2, own2) if step.lib else (own2, other2)
+                    nxt = _with_thread(cfg, t, step.cmd, ls, g2, b2)
+                    out.append((t, StepLabel(comp, done, _rank_on(own2, op)),
+                                nxt))
             elif step.kind == "call":
                 out.extend(_object_steps(cfg, t, step, ctx))
     out.sort(key=lambda s: (s[0], s[1].render()))

@@ -775,10 +775,9 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     rho, gamma, beta = make_init_states(init_globals, client_vars, library,
                                         set(tids), local_inits)
 
-    domain = _value_domain(progs, lf, library)
     observed = _observed_registers(lf, local_evidence)
-    ctx = SystemContext(tids, domain, client_vars, library_vars, spec,
-                        n_labels, observed)
+    ctx = SystemContext(tids, client_vars, library_vars, spec, n_labels,
+                        observed)
     cfg0 = Configuration(progs, rho, gamma, beta)
     outline = A.ProofOutline(annotations, lf.invariant, lf.final, lf.pre)
     client_locals = {t: frozenset(thread_locals[t]) for t in tids}
@@ -788,10 +787,11 @@ def build_system(lf: LitmusFile, impl=None) -> System:
 def _fill_impl(prog_t, impl):
     """Replace abstract method calls with implementation bodies."""
     def walk(c):
+        return P.seq_map(fill, c)
+
+    def fill(c):
         if isinstance(c, P.Labeled):
             return P.Labeled(c.label, walk(c.cmd))
-        if isinstance(c, P.Seq):
-            return P.Seq(walk(c.a), walk(c.b))
         if isinstance(c, P.Hole) and isinstance(c.content, P.MethodCall):
             call = c.content
             body, retval = impl.method(call.meth)
@@ -802,25 +802,6 @@ def _fill_impl(prog_t, impl):
             return P.While(c.cond, walk(c.body))
         return c
     return walk(prog_t)
-
-
-def _value_domain(progs, lf: LitmusFile, library):
-    lits = set()
-    for p in progs.values():
-        lits |= {v for v in P.program_literals(p)
-                 if isinstance(v, int) and not isinstance(v, bool)}
-    for _, v in lf.init:
-        if isinstance(v, int) and not isinstance(v, bool):
-            lits.add(v)
-    if library and library[0] == "impl":
-        for _, v in library[1]:
-            if isinstance(v, int) and not isinstance(v, bool):
-                lits.add(v)
-    domain = sorted(lits)
-    for extra in (True, False, BOT, EMPTY):
-        if extra not in domain:  # True/False collapse into 1/0 if present
-            domain.append(extra)
-    return tuple(domain)
 
 
 def _observed_registers(lf: LitmusFile, local_evidence):

@@ -2,23 +2,29 @@
 
 Each transition takes the state of the component being executed first and the
 context second; a library step calls these with the arguments swapped.  An
-empty successor list means the candidate action is impossible in the current
-state, which is how program-level read candidates get filtered.
+empty successor list means the action is impossible in the current state.
+
+A thread proposes a read or a fetch-and-increment with the value read open
+(`state.open_read`, `state.fai`); these rules bind it, one successor per
+observable write read from, and return that write (for a read) or the
+inserted update (whose `aux` is the value read).
 """
 
 from __future__ import annotations
 
 from .state import (ComponentState, insert_fresh_timestamp, is_acquiring_read,
-                    is_releasing_write, merge_views, wrval, READ, UPDATE,
-                    WRITE)
+                    is_releasing_write, merge_views, update, wrval, READ,
+                    UPDATE, WRITE)
 
 
 def mem_read(gamma: ComponentState, beta: ComponentState, t, a):
-    """Successors of a relaxed or acquiring read candidate."""
+    """Successors of a relaxed or acquiring open read: one per observable
+    write it reads from, skipping writes of `a.aux` if set (a failed CAS).
+    The value read is wrval of the returned write's action."""
     assert a.kind == READ
     out = []
     for w in gamma.obs(t, a.var):
-        if wrval(w.action) != a.val:
+        if a.aux is not None and wrval(w.action) == a.aux:
             continue
         if is_releasing_write(w.action) and is_acquiring_read(a):
             src = gamma.mview_of(w)
@@ -42,10 +48,24 @@ def mem_write(gamma: ComponentState, beta: ComponentState, t, a):
 
 
 def mem_update(gamma: ComponentState, beta: ComponentState, t, a):
-    """Successors of an atomic update: read-modify-write with covering."""
+    """Successors of an atomic update: read-modify-write with covering.  A
+    CAS reads exactly its expected value `a.aux`; a fetch-and-increment
+    (`a.aux` open) reads any integer v and writes v + 1."""
     assert a.kind == UPDATE
-    return [insert_fresh_timestamp(
-                gamma, beta, t, w.ts, a, cover=True,
-                sync_from=w.ts if is_releasing_write(w.action) else None)
-            for w in gamma.obs(t, a.var)
-            if not gamma.covers(w) and wrval(w.action) == a.aux]
+    out = []
+    for w in gamma.obs(t, a.var):
+        if gamma.covers(w):
+            continue
+        v = wrval(w.action)
+        if a.aux is None:
+            if not isinstance(v, int) or isinstance(v, bool):
+                continue
+            u = update(a.var, v, v + 1)
+        elif v == a.aux:
+            u = a
+        else:
+            continue
+        out.append(insert_fresh_timestamp(
+            gamma, beta, t, w.ts, u, cover=True,
+            sync_from=w.ts if is_releasing_write(w.action) else None))
+    return out

@@ -3,15 +3,17 @@
 Thread programs are immutable command trees whose nodes hash at
 construction (`state.Hashed`).  A local step either is silent
 (assignments, control flow, hole dissolution) or proposes a candidate action
-that the memory/object semantics must validate; reads are proposed for every
-value in the finite value domain and filtered later.
+that the memory/object semantics must validate.  A read, the failure branch
+of a CAS and a fetch-and-increment are proposed once, with the value read
+left open: the memory rules bind it from each write the thread can observe,
+and the step's `reg` names the register that receives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .state import Hashed, Sym, hashed, read, update, write
+from .state import Hashed, fai, hashed, open_read, update, write
 
 
 class ProgramError(Exception):
@@ -258,13 +260,29 @@ def seq_all(cmds):
     return out
 
 
+def seq_map(f, cmd):
+    """cmd with f applied to each command of its Seq chain.  The chain is
+    walked along its right spine by a loop, so its length costs no
+    recursion; f is never given a Seq."""
+    firsts = []
+    while isinstance(cmd, Seq):
+        firsts.append(seq_map(f, cmd.a))
+        cmd = cmd.b
+    out = f(cmd)
+    for a in reversed(firsts):
+        out = Seq(a, out)
+    return out
+
+
 def desugar(cmd):
     """Rewrite do-until loops: do C until B == C; while not B do C."""
+    return seq_map(_desugar, cmd)
+
+
+def _desugar(cmd):
     if isinstance(cmd, DoUntil):
         body = desugar(cmd.body)
         return Seq(body, While(Un("not", cmd.cond), body))
-    if isinstance(cmd, Seq):
-        return Seq(desugar(cmd.a), desugar(cmd.b))
     if isinstance(cmd, If):
         return If(cmd.cond, desugar(cmd.then), desugar(cmd.other))
     if isinstance(cmd, While):
@@ -279,48 +297,6 @@ def desugar(cmd):
     if isinstance(cmd, Assign) and isinstance(cmd.src, Hole):
         return Assign(cmd.reg, desugar(cmd.src))
     return cmd
-
-
-def fill_hole(cmd, d):
-    """Fill the leftmost innermost pristine hole of cmd with d."""
-    done, out = _fill(cmd, d)
-    if not done:
-        raise ProgramError("no hole to fill")
-    return out
-
-
-def _fill(cmd, d):
-    if isinstance(cmd, Hole):
-        if cmd.content is None:
-            return True, Hole(d)
-        filled, c = _fill(cmd.content, d)
-        return filled, (Hole(c) if filled else cmd)
-    if isinstance(cmd, Seq):
-        filled, a = _fill(cmd.a, d)
-        if filled:
-            return True, Seq(a, cmd.b)
-        filled, b = _fill(cmd.b, d)
-        return filled, (Seq(cmd.a, b) if filled else cmd)
-    if isinstance(cmd, Assign) and isinstance(cmd.src, Hole):
-        filled, h = _fill(cmd.src, d)
-        return filled, (Assign(cmd.reg, h) if filled else cmd)
-    if isinstance(cmd, If):
-        filled, c = _fill(cmd.then, d)
-        if filled:
-            return True, If(cmd.cond, c, cmd.other)
-        filled, c = _fill(cmd.other, d)
-        return filled, (If(cmd.cond, cmd.then, c) if filled else cmd)
-    if isinstance(cmd, (While, DoUntil)):
-        filled, c = _fill(cmd.body, d)
-        if not filled:
-            return False, cmd
-        if isinstance(cmd, While):
-            return True, While(cmd.cond, c)
-        return True, DoUntil(c, cmd.cond)
-    if isinstance(cmd, Labeled):
-        filled, c = _fill(cmd.cmd, d)
-        return filled, (Labeled(cmd.label, c) if filled else cmd)
-    return False, cmd
 
 
 def is_done(cmd) -> bool:
@@ -370,6 +346,7 @@ class Step:
     ls: dict
     lib: bool = False  # inside a filled hole
     at_hole: bool = False  # step dissolves/consumes a hole
+    reg: str = None  # register receiving the value the memory binds
 
 
 def _ls_set(ls, r, v):
@@ -378,10 +355,10 @@ def _ls_set(ls, r, v):
     return out
 
 
-def _steps(cmd, ls, domain, lib=False):
+def _steps(cmd, ls, lib=False):
     if isinstance(cmd, Labeled):
-        return [Step(s.kind, s.action, Labeled(cmd.label, s.cmd), s.ls, s.lib,
-                     s.at_hole) for s in _steps(cmd.cmd, ls, domain, lib)]
+        return [replace(s, cmd=Labeled(cmd.label, s.cmd))
+                for s in _steps(cmd.cmd, ls, lib)]
 
     if isinstance(cmd, (Bot, Value)):
         return []
@@ -394,9 +371,8 @@ def _steps(cmd, ls, domain, lib=False):
                              lib, at_hole=True)]
             if isinstance(inner, Bot):
                 return [Step("eps", None, Bot(), ls, lib, at_hole=True)]
-            return [Step(s.kind, s.action, Assign(cmd.reg, Hole(s.cmd)), s.ls,
-                         True, s.at_hole)
-                    for s in _steps(inner, ls, domain, lib=True)]
+            return [replace(s, cmd=Assign(cmd.reg, Hole(s.cmd)))
+                    for s in _steps(inner, ls, lib=True)]
         return [Step("eps", None, Bot(),
                      _ls_set(ls, cmd.reg, eval_expr(cmd.src, ls)), lib)]
 
@@ -405,39 +381,31 @@ def _steps(cmd, ls, domain, lib=False):
         return [Step("act", a, Bot(), ls, lib)]
 
     if isinstance(cmd, GRead):
-        return [Step("act", read(cmd.var, v, cmd.acquiring), Bot(),
-                     _ls_set(ls, cmd.reg, v), lib) for v in domain]
+        return [Step("act", open_read(cmd.var, cmd.acquiring), Bot(), ls, lib,
+                     reg=cmd.reg)]
 
     if isinstance(cmd, Cas):
         u = eval_expr(cmd.expect, ls)
         v = eval_expr(cmd.new, ls)
-        out = [Step("act", update(cmd.var, u, v), Bot(),
-                    _ls_set(ls, cmd.reg, True), lib)]
-        for w in domain:
-            if w != u:
-                out.append(Step("act", read(cmd.var, w), Bot(),
-                                _ls_set(ls, cmd.reg, False), lib))
-        return out
+        return [Step("act", update(cmd.var, u, v), Bot(),
+                     _ls_set(ls, cmd.reg, True), lib),
+                Step("act", open_read(cmd.var, skip=u), Bot(),
+                     _ls_set(ls, cmd.reg, False), lib)]
 
     if isinstance(cmd, Fai):
-        return [Step("act", update(cmd.var, u, u + 1), Bot(),
-                     _ls_set(ls, cmd.reg, u), lib)
-                for u in domain if isinstance(u, int) and not isinstance(u, bool)]
+        return [Step("act", fai(cmd.var), Bot(), ls, lib, reg=cmd.reg)]
 
     if isinstance(cmd, MethodCall):
         return [Step("call", cmd, None, ls, lib)]
 
     if isinstance(cmd, Body):
         out = []
-        for s in _steps(cmd.cmd, ls, domain, lib=True):
+        for s in _steps(cmd.cmd, ls, lib=True):
             if is_done(s.cmd):
-                out.append(Step(s.kind, s.action, Bot(),
-                                _ls_set(s.ls, "rval", cmd.retval), True,
-                                s.at_hole))
+                out.append(replace(s, cmd=Bot(),
+                                   ls=_ls_set(s.ls, "rval", cmd.retval)))
             else:
-                out.append(Step(s.kind, s.action, Body(cmd.meth, cmd.retval,
-                                                       s.cmd), s.ls, True,
-                                s.at_hole))
+                out.append(replace(s, cmd=Body(cmd.meth, cmd.retval, s.cmd)))
         return out
 
     if isinstance(cmd, Hole):
@@ -446,15 +414,14 @@ def _steps(cmd, ls, domain, lib=False):
             raise ProgramError("cannot execute a pristine hole")
         if isinstance(inner, (Bot, Value)):
             return []  # consumed by the enclosing sequence
-        return [Step(s.kind, s.action, Hole(s.cmd), s.ls, True, s.at_hole)
-                for s in _steps(inner, ls, domain, lib=True)]
+        return [replace(s, cmd=Hole(s.cmd)) for s in _steps(inner, ls, lib=True)]
 
     if isinstance(cmd, Seq):
         if is_done(cmd.a):
             return [Step("eps", None, cmd.b, ls, lib,
                          at_hole=_ends_in_hole(cmd.a))]
-        return [Step(s.kind, s.action, Seq(s.cmd, cmd.b), s.ls, s.lib,
-                     s.at_hole) for s in _steps(cmd.a, ls, domain, lib)]
+        return [replace(s, cmd=Seq(s.cmd, cmd.b))
+                for s in _steps(cmd.a, ls, lib)]
 
     if isinstance(cmd, If):
         branch = cmd.then if eval_expr(cmd.cond, ls) else cmd.other
@@ -477,115 +444,9 @@ def _ends_in_hole(cmd) -> bool:
     return isinstance(cmd, Hole)
 
 
-def local_step(prog: dict, rho: dict, t, domain):
+def local_step(prog: dict, rho: dict, t):
     """All program-level successors of thread t; empty when blocked/done."""
     p = prog.get(t)
     if p is None or is_done(p):
         return []
-    return _steps(p, rho[t], domain)
-
-
-def command_locals(cmd) -> set:
-    """Local registers read or written by a command tree."""
-    if isinstance(cmd, Labeled):
-        return command_locals(cmd.cmd)
-    if isinstance(cmd, Assign):
-        inner = (command_locals(cmd.src.content) if isinstance(cmd.src, Hole)
-                 and cmd.src.content is not None else
-                 expr_locals(cmd.src) if not isinstance(cmd.src, Hole) else set())
-        return {cmd.reg} | inner
-    if isinstance(cmd, GWrite):
-        return expr_locals(cmd.expr)
-    if isinstance(cmd, GRead):
-        return {cmd.reg}
-    if isinstance(cmd, Cas):
-        return {cmd.reg} | expr_locals(cmd.expect) | expr_locals(cmd.new)
-    if isinstance(cmd, Fai):
-        return {cmd.reg}
-    if isinstance(cmd, MethodCall):
-        out = set()
-        for a in cmd.args:
-            out |= expr_locals(a)
-        if cmd.binder:
-            out.add(cmd.binder)
-        return out
-    if isinstance(cmd, Hole):
-        return command_locals(cmd.content) if cmd.content is not None else set()
-    if isinstance(cmd, Body):
-        return command_locals(cmd.cmd)
-    if isinstance(cmd, Seq):
-        return command_locals(cmd.a) | command_locals(cmd.b)
-    if isinstance(cmd, If):
-        return (expr_locals(cmd.cond) | command_locals(cmd.then)
-                | command_locals(cmd.other))
-    if isinstance(cmd, While):
-        return expr_locals(cmd.cond) | command_locals(cmd.body)
-    if isinstance(cmd, DoUntil):
-        return expr_locals(cmd.cond) | command_locals(cmd.body)
-    return set()
-
-
-def command_globals(cmd) -> set:
-    """Global variables accessed by a command tree (holes excluded)."""
-    if isinstance(cmd, Labeled):
-        return command_globals(cmd.cmd)
-    if isinstance(cmd, Body):
-        return command_globals(cmd.cmd)
-    if isinstance(cmd, (GWrite, GRead, Cas, Fai)):
-        return {cmd.var}
-    if isinstance(cmd, Seq):
-        return command_globals(cmd.a) | command_globals(cmd.b)
-    if isinstance(cmd, If):
-        return command_globals(cmd.then) | command_globals(cmd.other)
-    if isinstance(cmd, (While, DoUntil)):
-        return command_globals(cmd.body)
-    return set()
-
-
-def program_literals(cmd) -> set:
-    out = set()
-
-    def walk_expr(e):
-        if isinstance(e, Lit) and not isinstance(e.val, Sym):
-            out.add(e.val)
-        elif isinstance(e, Un):
-            walk_expr(e.e)
-        elif isinstance(e, Bin):
-            walk_expr(e.a)
-            walk_expr(e.b)
-
-    def walk(c):
-        if isinstance(c, Labeled):
-            walk(c.cmd)
-        elif isinstance(c, Assign):
-            if isinstance(c.src, Hole):
-                if c.src.content is not None:
-                    walk(c.src.content)
-            else:
-                walk_expr(c.src)
-        elif isinstance(c, GWrite):
-            walk_expr(c.expr)
-        elif isinstance(c, Cas):
-            walk_expr(c.expect)
-            walk_expr(c.new)
-        elif isinstance(c, MethodCall):
-            for a in c.args:
-                walk_expr(a)
-        elif isinstance(c, Hole):
-            if c.content is not None and not isinstance(c.content, (Bot, Value)):
-                walk(c.content)
-        elif isinstance(c, Body):
-            walk(c.cmd)
-        elif isinstance(c, Seq):
-            walk(c.a)
-            walk(c.b)
-        elif isinstance(c, If):
-            walk_expr(c.cond)
-            walk(c.then)
-            walk(c.other)
-        elif isinstance(c, (While, DoUntil)):
-            walk_expr(c.cond)
-            walk(c.body)
-
-    walk(cmd)
-    return out
+    return _steps(p, rho[t])

@@ -158,11 +158,11 @@ def check_sync_free(system):
 
 
 def _walk_client(cmd, t):
-    if isinstance(cmd, (P.Labeled,)):
-        _walk_client(cmd.cmd, t)
-    elif isinstance(cmd, P.Seq):
+    while isinstance(cmd, P.Seq):  # the right spine by a loop
         _walk_client(cmd.a, t)
-        _walk_client(cmd.b, t)
+        cmd = cmd.b
+    if isinstance(cmd, P.Labeled):
+        _walk_client(cmd.cmd, t)
     elif isinstance(cmd, P.If):
         _walk_client(cmd.then, t)
         _walk_client(cmd.other, t)
@@ -226,12 +226,14 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
         return asuccs[ak]
 
     projections = {}
+    shared = {}  # one object per distinct projection: many are equal
 
     def proj(cfg):
-        if cfg not in projections:
-            projections[cfg] = (_rvals(cfg),
-                                project(cfg, client_regs, threads))
-        return projections[cfg]
+        p = projections.get(cfg)
+        if p is None:
+            p = (_rvals(cfg), project(cfg, client_regs, threads))
+            p = projections[cfg] = shared.setdefault(p, p)
+        return p
 
     def cond1(ak, ck):
         (arv, ap), (crv, cp) = proj(aconfigs[ak]), proj(conc.configs[ck])
@@ -243,14 +245,12 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
                                 detail="initial states unrelated",
                                 explored=conc)
 
-    # forward reachability over candidate pairs
-    moves = {}  # pair -> list per concrete step: (step-info, [candidate pairs])
+    # forward reachability over candidate pairs, numbered in discovery order
     order = [init_pair]
-    seen = {init_pair}
-    qi = 0
-    while qi < len(order):
-        ak, ck = order[qi]
-        qi += 1
+    seen = {init_pair: 0}
+    # per pair number, per concrete step: (step-info, [candidate numbers])
+    moves = []
+    for ak, ck in order:  # grows while it is walked
         step_moves = []
         for t, lab, ck2 in conc.edges[ck]:
             cands = []
@@ -267,44 +267,44 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
                             and _client_core(alab) == core
                             and cond1(ak2, ck2)):
                         cands.append((ak2, ck2))
-            step_moves.append(((t, lab), cands))
+            nums = []
             for p in cands:
-                if p not in seen:
-                    seen.add(p)
+                n = seen.get(p)
+                if n is None:
+                    n = seen[p] = len(order)
                     order.append(p)
-        moves[(ak, ck)] = step_moves
+                nums.append(n)
+            step_moves.append(((t, lab), nums))
+        moves.append(step_moves)
 
     # greatest fixpoint: prune pairs with an unanswerable concrete step;
     # the round a pair is pruned in measures how long it can resist
-    losing = {}
+    losing = {}  # pair number -> round
     round_no = 0
     while True:
-        fresh = []
-        for pair, step_moves in moves.items():
-            if pair in losing:
-                continue
-            if any(all(p in losing for p in cands)
-                   for _, cands in step_moves):
-                fresh.append(pair)
+        fresh = [n for n, step_moves in enumerate(moves)
+                 if n not in losing
+                 and any(all(p in losing for p in cands)
+                         for _, cands in step_moves)]
         if not fresh:
             break
-        for pair in fresh:
-            losing[pair] = round_no
+        for n in fresh:
+            losing[n] = round_no
         round_no += 1
 
-    if init_pair in losing:
-        path = _extract_counterexample(init_pair, moves, losing)
-        return SimulationResult("no-simulation", 0, len(seen), path,
+    if 0 in losing:  # the initial pair
+        path = _extract_counterexample(0, moves, losing)
+        return SimulationResult("no-simulation", 0, len(order), path,
                                 "a concrete step cannot be matched", conc)
 
-    winning = {p for p in seen if p not in losing}
-    return SimulationResult("simulation-found", len(winning), len(seen),
-                            explored=conc)
+    return SimulationResult("simulation-found", len(order) - len(losing),
+                            len(order), explored=conc)
 
 
 def _extract_counterexample(pair, moves, losing):
     """Concrete steps that defeat every abstract reply, following the
-    longest-resisting replies so the path ends at a genuine mismatch."""
+    longest-resisting replies so the path ends at a genuine mismatch.
+    Pairs are numbers, indexing `moves`."""
     path = []
     while pair in losing:
         best = None
@@ -359,9 +359,14 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
         return TraceCheckResult("unknown-beyond-bound",
                                 detail="exploration truncated")
 
-    aproj = {k: project(c, client_regs, threads) for k, c in ab.configs.items()}
-    cproj = {k: project(c, client_regs, threads)
-             for k, c in conc.configs.items()}
+    shared = {}  # one object per distinct projection: many are equal
+
+    def proj(cfg):
+        p = project(cfg, client_regs, threads)
+        return shared.setdefault(p, p)
+
+    aproj = {k: proj(c) for k, c in ab.configs.items()}
+    cproj = {k: proj(c) for k, c in conc.configs.items()}
 
     def closure(akeys):
         out = set(akeys)

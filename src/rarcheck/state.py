@@ -111,7 +111,7 @@ class Action(Hashed):
     kind: str
     var: str
     val: object = None  # written / read / enqueued / dequeued value
-    aux: object = None  # update only: the value read
+    aux: object = None  # update: the value read; open read: a value skipped
     sync: str = RLX
     owner: object = None  # lock acquire only: owning thread
     index: object = None  # lock ops only: operation counter
@@ -142,12 +142,24 @@ def write(x, v, releasing=False):
     return Action(WRITE, x, val=v, sync=REL if releasing else RLX)
 
 
-def read(x, v, acquiring=False):
-    return Action(READ, x, val=v, sync=ACQ if acquiring else RLX)
-
-
 def update(x, old, new):
     return Action(UPDATE, x, val=new, aux=old, sync=RA)
+
+
+# A thread proposes these with the value read open (None); the memory rules
+# bind it from each write the thread can observe (`memory.mem_read`,
+# `memory.mem_update`).
+
+def open_read(x, acquiring=False, skip=None):
+    """A read of any observable write; with `skip`, of any write of another
+    value (the failure branch of a CAS expecting `skip`)."""
+    return Action(READ, x, aux=skip, sync=ACQ if acquiring else RLX)
+
+
+def fai(x):
+    """A fetch-and-increment: an update that reads an integer v and writes
+    v + 1."""
+    return Action(UPDATE, x, sync=RA)
 
 
 def wrval(a: Action):

@@ -106,16 +106,15 @@ def _lock_steps(name):
 
 class TestCriterion6:
     def test_lock_rules_hold_and_mutants_falsified(self):
-        from test_lock_rules import mutated_rules, rules_for
+        from test_lock_rules import mutated_rules, occurring_ints, rules_for
         ok_parts = []
         for name in ("lockmp", "lock-two-rounds"):
             system, steps = _lock_steps(name)
             ok_parts.append(check_lock_rules(steps, rules_for(system)) == [])
         system, steps = _lock_steps("lock-two-rounds")
-        ints = [v for v in system.ctx.domain
-                if isinstance(v, int) and not isinstance(v, bool)]
         mutants = mutated_rules(system, range(0, 9),
-                                sorted(system.ctx.client_vars), ints,
+                                sorted(system.ctx.client_vars),
+                                occurring_ints(system),
                                 system.ctx.threads)
         falsified = {rid for rid, *_ in check_lock_rules(steps, mutants)}
         ok = all(ok_parts) and falsified == {1, 2, 3, 4, 5, 6}

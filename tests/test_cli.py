@@ -186,14 +186,29 @@ class TestErrors:
         assert code == 0 and err == ""
         assert "verdict: pass" in out and "states_explored: 1200" in out
 
-    def test_internal_error_is_not_a_verdict(self, tmp_path, capsys):
-        # a 1,500-statement thread still exceeds the recursion limit (in the
-        # parser's desugaring); that is a fault of the tool, so it must not
-        # exit 1 ("violation found")
+    def test_deep_thread_builds_without_recursion(self, tmp_path, capsys):
+        # building walks a Seq chain along its right spine by a loop, and
+        # reads no literals, so a 1,500-statement thread explores
         deep = tmp_path / "deep.lit"
         deep.write_text("name deep\ninit x := 0\nthread 1 {\n"
                         + "  x := 1;\n" * 1500 + "}\n")
-        code, out, err = run(capsys, "explore", str(deep))
+        code, out, err = run(capsys, "explore", str(deep), "--max-steps",
+                             "5000")
+        assert code == 0 and err == ""
+        assert "verdict: pass" in out and "states_explored: 3000" in out
+
+    def test_internal_error_is_not_a_verdict(self, corpus_dir, capsys,
+                                             monkeypatch):
+        # a fault inside the engine (here injected into the memory rules)
+        # is a fault of the tool, so it must not exit 1 ("violation found")
+        import rarcheck.memory as memory
+
+        def boom(*args):
+            raise RuntimeError("injected\nfault")
+
+        monkeypatch.setattr(memory, "mem_write", boom)
+        code, out, err = run(capsys, "explore",
+                             str(corpus_dir / "mp-relacq.lit"))
         assert code == 4
         assert out == ""
         assert err.startswith("error: internal: ") and err.count("\n") == 1

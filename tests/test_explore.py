@@ -3,7 +3,7 @@ import pytest
 from rarcheck.assertions import (AndA, BoolA, DefVar, LocalPred, ProofOutline)
 from rarcheck.explore import (Configuration, SystemContext, canonical_key,
                               check_hoare, check_outline, explore, successors)
-from rarcheck.litmus import build_system, load_corpus
+from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.program import Bin, Bot, Labeled, Lit, Var
 from rarcheck.state import make_init_states
 from reference_key import describe, ref_key, reference_key, remap
@@ -16,7 +16,7 @@ def mp_system(name="mp-relacq"):
 class TestSuccessors:
     def test_terminal_has_none(self):
         rho, g, b = make_init_states([("d", 0)], {"d"}, None, {1})
-        ctx = SystemContext([1], (0,), {"d"}, set())
+        ctx = SystemContext([1], {"d"}, set())
         cfg = Configuration({1: Bot()}, rho, g, b)
         assert successors(cfg, ctx) == []
 
@@ -91,6 +91,31 @@ class TestExplore:
         assert cfg.key() == key
 
 
+def outcomes_of(text):
+    system = build_system(parse_litmus(text))
+    res = explore(system.cfg0, system.ctx, 64)
+    assert not res.truncated
+    return [{r: repr(v) for r, v in oc.items()} for oc in res.outcomes]
+
+
+class TestReadsFromMemory:
+    """A read takes its value from a write it observes, also a value
+    computed at run time that the program text never mentions."""
+
+    def test_computed_value_is_read(self):
+        got = outcomes_of("name t\ninit x := 0; y := 0\n"
+                          "thread 1 { r0 <- y; x := r0 + 7; }\n"
+                          "thread 2 { y := 3; }\n"
+                          "thread 3 { r1 <- x; }\n")
+        assert {"r0": "3", "r1": "10"} in got
+        assert len(got) == 4
+
+    def test_fai_result_is_read_by_a_failing_cas(self):
+        got = outcomes_of("name t\ninit u := 2\n"
+                          "thread 1 { r1 <- FAI(u); r2 <- CAS(u, 0, 1); }\n")
+        assert got == [{"r1": "2", "r2": "False"}]
+
+
 class TestCanonicalKey:
     def test_reflexive(self):
         system = mp_system()
@@ -117,7 +142,7 @@ class TestCanonicalKey:
 class TestCheckHoare:
     def test_trivial(self):
         rho, g, b = make_init_states([], set(), None, {1})
-        ctx = SystemContext([1], (0,), set(), set())
+        ctx = SystemContext([1], set(), set())
         cfg = Configuration({1: Labeled(1, Bot())}, rho, g, b)
         rep = check_hoare(cfg, ctx, BoolA(True), BoolA(True), 8)
         assert rep.verdict == "valid"

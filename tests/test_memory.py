@@ -1,5 +1,6 @@
 from rarcheck.memory import mem_read, mem_update, mem_write
-from rarcheck.state import (make_init_states, read, update, write, wrval)
+from rarcheck.state import (fai, make_init_states, open_read, update, write,
+                            wrval)
 
 
 def mp_init():
@@ -7,17 +8,30 @@ def mp_init():
     return make_init_states([("d", 0), ("f", 0)], {"d", "f"}, None, {1, 2})
 
 
+def values_read(g, b, t, x, **kw):
+    """The value each successor of t's open read of x reads."""
+    return [wrval(w.action) for _, _, w in mem_read(g, b, t, open_read(x, **kw))]
+
+
+def reading(g, b, t, x, v, **kw):
+    """The one successor of t's open read of x that reads v."""
+    (succ,) = [s for s in mem_read(g, b, t, open_read(x, **kw))
+               if wrval(s[2].action) == v]
+    return succ
+
+
 class TestRead:
     def test_init_read_zero(self):
         _, g, b = mp_init()
-        out = mem_read(g, b, 1, read("d", 0))
+        out = mem_read(g, b, 1, open_read("d"))
         assert len(out) == 1
         g2, b2, w = out[0]
         assert b2 is b and wrval(w.action) == 0
 
     def test_init_read_absent_value(self):
+        # only the initial 0 can be read, so no successor reads 5
         _, g, b = mp_init()
-        assert mem_read(g, b, 1, read("d", 5)) == []
+        assert values_read(g, b, 1, "d") == [0]
 
     def test_message_passing_sync_blocks_stale_read(self):
         # t1: d := 5; f :=R 1.  t2: rA f reading 1, then rd(d, 0) must fail.
@@ -25,19 +39,25 @@ class TestRead:
         (g, b, _), = mem_write(g, b, 1, write("d", 5))
         # choose the insertion after the later write on f's timeline
         (g, b, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
-        succ = mem_read(g, b, 2, read("f", 1, acquiring=True))
-        assert len(succ) == 1
-        g, b, _ = succ[0]
-        assert mem_read(g, b, 2, read("d", 0)) == []
-        assert len(mem_read(g, b, 2, read("d", 5))) == 1
+        assert values_read(g, b, 2, "f", acquiring=True) == [0, 1]
+        g, b, _ = reading(g, b, 2, "f", 1, acquiring=True)
+        assert values_read(g, b, 2, "d") == [5]
 
     def test_relaxed_write_gives_no_sync(self):
         _, g, b = mp_init()
         (g, b, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _), = mem_write(g, b, 1, write("f", 1))  # relaxed flag
-        (g, b, _), = mem_read(g, b, 2, read("f", 1, acquiring=True))
+        g, b, _ = reading(g, b, 2, "f", 1, acquiring=True)
         # stale read of d is still possible
-        assert len(mem_read(g, b, 2, read("d", 0))) == 1
+        assert values_read(g, b, 2, "d") == [0, 5]
+
+    def test_failed_cas_read_skips_expected_value(self):
+        _, g, b = mp_init()
+        for v in (5, 0, 7):
+            (g, b, _), = mem_write(g, b, 1, write("d", v))
+        assert values_read(g, b, 2, "d") == [0, 5, 0, 7]
+        assert values_read(g, b, 2, "d", skip=0) == [5, 7]
+        assert values_read(g, b, 2, "d", skip=7) == [0, 5, 0]
 
 
 class TestWrite:
@@ -112,7 +132,19 @@ class TestUpdate:
         (g, b, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
         (g2, b2, _), = mem_update(g, b, 2, update("f", 1, 2))
-        assert mem_read(g2, b2, 2, read("d", 0)) == []
+        assert values_read(g2, b2, 2, "d") == [5]
+
+    def test_fai_reads_each_integer_and_writes_its_successor(self):
+        rho, g, b = make_init_states([], set(), ("impl", [("nt", 0)]), {1, 2})
+        for v in (4, True, 9):
+            (b, g, _), = mem_write(b, g, 2, write("nt", v))
+        out = mem_update(b, g, 1, fai("nt"))
+        # booleans are not fetch-and-increment bases
+        assert [(op.action.aux, op.action.val) for _, _, op in out] == \
+            [(0, 1), (4, 5), (9, 10)]
+        for b2, _, op in out:
+            pred = b2.ops_on("nt")[op.ts - 1]
+            assert pred in b2.cvd and wrval(pred.action) == op.action.aux
 
 
 class TestViewMonotonicity:

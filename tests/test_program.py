@@ -3,16 +3,27 @@ import pickle
 
 import pytest
 
-from rarcheck.explore import explore
+from rarcheck.explore import Configuration, SystemContext, explore, successors
 from rarcheck.litmus import build_system, load_corpus
+from rarcheck.memory import mem_write
 from rarcheck.program import (Assign, Bin, Bot, Cas, DoUntil, Fai, GRead,
                               GWrite, Hole, If, Lit, Labeled, MethodCall,
                               ProgramError, Seq, Un, Value, Var, While,
-                              desugar, eval_expr, fill_hole, is_done,
-                              local_step, pc_of, seq_all)
-from rarcheck.state import Action, Hashed, same_types
+                              desugar, eval_expr, is_done, local_step, pc_of,
+                              seq_all)
+from rarcheck.state import Action, Hashed, make_init_states, same_types, write
 
-DOM = (0, 1, 5, True, False)
+WRITTEN = (1, 5, True, False)
+
+
+def steps_after_writes(cmd, values=WRITTEN):
+    """Successors of thread 1 running cmd once thread 2 has written each of
+    values to x (initially 0), in turn: thread 1 observes every write."""
+    rho, g, b = make_init_states([("x", 0)], {"x"}, None, {1, 2})
+    for v in values:
+        (g, b, _), = mem_write(g, b, 2, write("x", v))
+    cfg = Configuration({1: cmd, 2: Bot()}, rho, g, b)
+    return successors(cfg, SystemContext([1, 2], {"x"}, set()))
 
 
 class TestEval:
@@ -38,97 +49,124 @@ class TestEval:
 class TestLocalStep:
     def test_local_assign_is_silent(self):
         prog = {1: Seq(Assign("r", Lit(5)), GWrite("x", Var("r")))}
-        steps = local_step(prog, {1: {}}, 1, DOM)
+        steps = local_step(prog, {1: {}}, 1)
         assert len(steps) == 1
         (s,) = steps
         assert s.kind == "eps" and s.ls == {"r": 5}
         # value-sequencing afterwards dissolves the bottom
         prog2 = {1: s.cmd}
-        (s2,) = local_step(prog2, {1: s.ls}, 1, DOM)
+        (s2,) = local_step(prog2, {1: s.ls}, 1)
         assert s2.kind == "eps" and s2.cmd == GWrite("x", Var("r"))
 
     def test_write_candidate(self):
         prog = {1: GWrite("x", Bin("+", Var("r"), Lit(1)), releasing=True)}
-        (s,) = local_step(prog, {1: {"r": 4}}, 1, DOM)
+        (s,) = local_step(prog, {1: {"r": 4}}, 1)
         assert s.kind == "act"
         assert (s.action.kind, s.action.var, s.action.val, s.action.sync) == \
             ("write", "x", 5, "rel")
 
     def test_read_candidates_cover_domain(self):
+        # one proposal whose value is open; the memory binds it to the value
+        # of every observable write, and the register receives it
         prog = {1: GRead("r", "x", acquiring=True)}
-        steps = local_step(prog, {1: {}}, 1, DOM)
-        assert {s.action.val for s in steps} == set(DOM)
-        assert all(s.action.sync == "acq" for s in steps)
-        for s in steps:
-            assert s.ls["r"] == s.action.val
+        (s,) = local_step(prog, {1: {}}, 1)
+        assert (s.kind, s.action.kind, s.action.val, s.action.aux,
+                s.action.sync, s.reg) == ("act", "read", None, None, "acq",
+                                          "r")
+        succ = steps_after_writes(prog[1])
+        assert sorted(repr(lab.action.val) for _, lab, _ in succ) == \
+            ["0", "1", "5", "False", "True"]
+        assert all(lab.action.sync == "acq" for _, lab, _ in succ)
+        for _, lab, nxt in succ:
+            assert nxt.rho[1]["r"] is lab.action.val
 
     def test_cas_candidates_partition(self):
         prog = {1: Cas("r", "x", Lit(0), Lit(1))}
-        steps = local_step(prog, {1: {}}, 1, DOM)
-        wins = [s for s in steps if s.action.kind == "update"]
-        fails = [s for s in steps if s.action.kind == "read"]
-        assert len(wins) == 1
-        assert wins[0].action.aux == 0 and wins[0].action.val == 1
-        assert wins[0].ls["r"] is True
-        assert {s.action.val for s in fails} == {v for v in DOM if v != 0}
-        assert all(s.action.sync == "rlx" for s in fails)
-        assert all(s.ls["r"] is False for s in fails)
+        win, fail = local_step(prog, {1: {}}, 1)
+        assert (win.action.kind, win.action.aux, win.action.val) == \
+            ("update", 0, 1)
+        assert win.ls["r"] is True and win.reg is None
+        # the failure branch: one open read skipping the expected value
+        assert (fail.action.kind, fail.action.aux, fail.action.sync) == \
+            ("read", 0, "rlx")
+        assert fail.ls["r"] is False and fail.reg is None
+        succ = steps_after_writes(prog[1])
+        wins = [lab for _, lab, _ in succ if lab.action.kind == "update"]
+        fails = [(lab, nxt) for _, lab, nxt in succ
+                 if lab.action.kind == "read"]
+        # 0 == False: both the initial write and the write of false succeed
+        assert [lab.action.aux for lab in wins] == [0, False]
+        assert all(lab.action.val == 1 for lab in wins)
+        assert [repr(lab.action.val) for lab, _ in fails] == \
+            ["1", "5", "True"]
+        assert all(lab.action.sync == "rlx" for lab, _ in fails)
+        assert all(nxt.rho[1]["r"] is False for _, nxt in fails)
 
     def test_fai_candidates(self):
         prog = {1: Fai("r", "x")}
-        steps = local_step(prog, {1: {}}, 1, DOM)
+        (s,) = local_step(prog, {1: {}}, 1)
+        assert (s.action.kind, s.action.aux, s.action.val, s.reg) == \
+            ("update", None, None, "r")
+        succ = steps_after_writes(prog[1])
         # booleans are not fetch-and-increment bases
-        assert {(s.action.aux, s.action.val) for s in steps} == \
-            {(0, 1), (1, 2), (5, 6)}
-        assert all(s.ls["r"] == s.action.aux for s in steps)
+        assert [(lab.action.aux, lab.action.val) for _, lab, _ in succ] == \
+            [(0, 1), (1, 2), (5, 6)]
+        assert all(type(lab.action.aux) is int for _, lab, _ in succ)
+        assert all(nxt.rho[1]["r"] == lab.action.aux for _, lab, nxt in succ)
+
+    def test_one_proposal_per_read_cas_failure_and_fai(self):
+        # values are bound by the memory, so no value is enumerated here,
+        # also under labels, sequencing and library bodies
+        from rarcheck.program import Body, _steps
+        for cmd in (GRead("r", "x"), Cas("r", "x", Lit(0), Lit(1)),
+                    Fai("r", "x")):
+            for wrapped in (cmd, Labeled(1, Seq(cmd, Bot())),
+                            Hole(Body("acquire", True, cmd))):
+                steps = _steps(wrapped, {"r": 0})
+                kinds = [s.action.kind for s in steps]
+                assert kinds == {GRead: ["read"], Cas: ["update", "read"],
+                                 Fai: ["update"]}[type(cmd)]
+                assert all(s.action.val is None for s in steps
+                           if s.action.kind == "read")
 
     def test_if_and_while_unfold(self):
         prog = {1: If(Bin("=", Var("r"), Lit(1)), GWrite("x", Lit(1)),
                       Bot())}
-        (s,) = local_step(prog, {1: {"r": 1}}, 1, DOM)
+        (s,) = local_step(prog, {1: {"r": 1}}, 1)
         assert s.cmd == GWrite("x", Lit(1))
         loop = While(Bin("<", Var("r"), Lit(1)), Assign("r", Lit(1)))
-        (s,) = local_step({1: loop}, {1: {"r": 0}}, 1, DOM)
+        (s,) = local_step({1: loop}, {1: {"r": 0}}, 1)
         assert s.cmd == Seq(Assign("r", Lit(1)), loop)
-        (s,) = local_step({1: loop}, {1: {"r": 1}}, 1, DOM)
+        (s,) = local_step({1: loop}, {1: {"r": 1}}, 1)
         assert isinstance(s.cmd, Bot)
 
     def test_terminated_thread_has_no_steps(self):
-        assert local_step({1: Bot()}, {1: {}}, 1, DOM) == []
+        assert local_step({1: Bot()}, {1: {}}, 1) == []
 
 
 class TestHoles:
     def test_hole_with_bottom_dissolves(self):
         prog = {1: Seq(Hole(Bot()), GWrite("x", Lit(1)))}
-        (s,) = local_step(prog, {1: {}}, 1, DOM)
+        (s,) = local_step(prog, {1: {}}, 1)
         assert s.kind == "eps" and s.at_hole
         assert s.cmd == GWrite("x", Lit(1))
 
     def test_value_in_assign_hole(self):
         prog = {1: Assign("r", Hole(Value(7)))}
-        (s,) = local_step(prog, {1: {}}, 1, DOM)
+        (s,) = local_step(prog, {1: {}}, 1)
         assert s.kind == "eps" and s.ls["r"] == 7 and s.at_hole
 
     def test_hole_body_steps_carry_library_tag(self):
         body = Seq(Assign("r", Lit(1)), GWrite("x", Var("r")))
         prog = {1: Hole(body)}
-        (s,) = local_step(prog, {1: {}}, 1, DOM)
+        (s,) = local_step(prog, {1: {}}, 1)
         assert s.lib is True
         assert s.kind == "eps" and s.ls == {"r": 1}
 
     def test_method_call_becomes_call_candidate(self):
         prog = {1: Hole(MethodCall("l", "acquire", (), "rl"))}
-        (s,) = local_step(prog, {1: {}}, 1, DOM)
+        (s,) = local_step(prog, {1: {}}, 1)
         assert s.kind == "call" and s.action.meth == "acquire"
-
-    def test_fill_hole_leftmost(self):
-        c = Seq(Hole(), Hole())
-        filled = fill_hole(c, MethodCall("l", "acquire"))
-        assert filled.a.content is not None and filled.b.content is None
-
-    def test_fill_hole_without_hole(self):
-        with pytest.raises(ProgramError):
-            fill_hole(GWrite("x", Lit(1)), Bot())
 
 
 class TestDesugar:

@@ -80,9 +80,20 @@ class TestViewMonotonicity:
 
 class TestObservationLogic:
     def test_definite_implies_possible(self, state_corpus):
+        # over the values (booleans included) that occur in each system's
+        # explored states: in operations of either component and registers
+        occurring = {}
+        for system, cfg in state_corpus:
+            # typed, so that True and 1 are both kept
+            vals = occurring.setdefault(id(system), set())
+            for comp in (cfg.gamma, cfg.beta):
+                vals |= {(type(op.action.val), op.action.val)
+                         for op in comp.ops}
+            for ls in cfg.rho.values():
+                vals |= {(type(v), v) for v in ls.values()}
         checked = 0
         for system, cfg in state_corpus:
-            ints = [v for v in system.ctx.domain if isinstance(v, int)]
+            ints = [v for _, v in occurring[id(system)] if isinstance(v, int)]
             for t in system.ctx.threads:
                 for x in system.ctx.client_vars:
                     for v in ints:

@@ -89,9 +89,9 @@ def test_each_thread_state_is_stepped_once(monkeypatch):
     calls = []
     original = program.local_step
 
-    def counting(prog, rho, t, domain):
+    def counting(prog, rho, t):
         calls.append(t)
-        return original(prog, rho, t, domain)
+        return original(prog, rho, t)
 
     monkeypatch.setattr(program, "local_step", counting)
     system = build_system(load_corpus("lockmp"))
