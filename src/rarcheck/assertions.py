@@ -179,7 +179,7 @@ def last_write(state: ComponentState, x: str):
 
 
 def dview(view: dict, state: ComponentState, x: str, n) -> bool:
-    """view (variable -> rank) pins x to the last write in state and that
+    """view (variable -> position) pins x to the last write in state and that
     write wrote n."""
     lw = last_write(state, x)
     return lw is not None and view.get(x) == lw.ts and wrval(lw.action) == n

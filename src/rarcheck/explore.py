@@ -2,11 +2,11 @@
 
 Configurations pair per-thread programs and local states with the client and
 library component states.  Component states are in normal form, so a
-configuration is its own canonical key: timestamp-order-isomorphic states
-are equal.  Exploration is a breadth-first search memoized on configurations,
-bounded by a scheduler-step budget with explicit truncation reporting.  It
-returns the reachable state graph, which every checker reads instead of
-stepping states again.
+configuration is its own canonical key: states whose operations stand in
+the same order on every variable are equal.  Exploration is a breadth-first
+search memoized on configurations, bounded by a scheduler-step budget with
+explicit truncation reporting.  It returns the reachable state graph, which
+every checker reads instead of stepping states again.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class SystemContext:
 class StepLabel:
     component: str  # 'client' | 'library'
     action: object  # Action or None for silent steps
-    rank: object = None  # timeline position disambiguating the choice
+    rank: object = None  # position on its variable, disambiguating the choice
     at_hole: bool = False
 
     def render(self) -> str:
@@ -112,11 +112,6 @@ class StepLabel:
         if self.rank is not None:
             core += f"@{self.rank}"
         return core
-
-
-def _rank_on(state: ComponentState, op) -> int:
-    """Position of op on its variable's timeline (labels name it so)."""
-    return sum(o.ts < op.ts for o in state.ops_on(op.action.var))
 
 
 def _with_thread(cfg: Configuration, t, p, ls, gamma=None, beta=None):
@@ -163,8 +158,7 @@ def successors(cfg: Configuration, ctx: SystemContext):
                         ls[step.reg] = v
                     g2, b2 = (other2, own2) if step.lib else (own2, other2)
                     nxt = _with_thread(cfg, t, step.cmd, ls, g2, b2)
-                    out.append((t, StepLabel(comp, done, _rank_on(own2, op)),
-                                nxt))
+                    out.append((t, StepLabel(comp, done, op.ts), nxt))
             elif step.kind == "call":
                 out.extend(_object_steps(cfg, t, step, ctx))
     out.sort(key=lambda s: (s[0], s[1].render()))
@@ -186,45 +180,33 @@ def _object_steps(cfg, t, step, ctx):
     call = step.action
     if spec is None or call.obj != spec.name:
         raise program.ProgramError(f"no object named {call.obj!r}")
-    ls = cfg.rho[t]
-    args = [program.eval_expr(a, ls) for a in call.args]
-    out = []
+    args = [program.eval_expr(a, cfg.rho[t]) for a in call.args]
+    beta, gamma, obj = cfg.beta, cfg.gamma, spec.name
+    # (beta', gamma', new operation, the call's return value) per step
     if spec.kind == "lock" and call.meth == "acquire":
-        for b2, g2, op in objects.lock_acquire(cfg.beta, cfg.gamma, t,
-                                               spec.name):
-            ls2 = dict(step.ls)
-            ls2["rval"] = True
-            if call.binder:
-                ls2[call.binder] = op.action.index
-            out.append((t, op, program.Value(True), g2, b2, ls2))
+        found = [s + (True,)
+                 for s in objects.lock_acquire(beta, gamma, t, obj)]
     elif spec.kind == "lock" and call.meth == "release":
-        for b2, g2, op in objects.lock_release(cfg.beta, cfg.gamma, t,
-                                               spec.name):
-            ls2 = dict(step.ls)
-            ls2["rval"] = BOT
-            out.append((t, op, program.Bot(), g2, b2, ls2))
+        found = [s + (BOT,) for s in objects.lock_release(beta, gamma, t, obj)]
     elif spec.kind == "queue" and call.meth == "enq":
-        for b2, g2, op in objects.queue_enq(cfg.beta, cfg.gamma, t, spec.name,
-                                            args[0]):
-            ls2 = dict(step.ls)
-            ls2["rval"] = BOT
-            out.append((t, op, program.Bot(), g2, b2, ls2))
+        found = [s + (BOT,)
+                 for s in objects.queue_enq(beta, gamma, t, obj, args[0])]
     elif spec.kind == "queue" and call.meth == "deq":
-        for b2, g2, op, rv in objects.queue_deq(cfg.beta, cfg.gamma, t,
-                                                spec.name):
-            ls2 = dict(step.ls)
-            ls2["rval"] = rv
-            out.append((t, op, program.Value(rv), g2, b2, ls2))
+        found = objects.queue_deq(beta, gamma, t, obj)
     else:
         raise program.ProgramError(
             f"object {spec.name!r} has no method {call.meth!r}")
 
     results = []
-    for t_, op, content, g2, b2, ls2 in out:
-        p2 = _replace_call(cfg.prog[t_], content)
-        nxt = _with_thread(cfg, t_, p2, ls2, g2, b2)
-        results.append((t_, StepLabel("library", op.action, _rank_on(b2, op)),
-                        nxt))
+    for b2, g2, op, rv in found:
+        ls2 = dict(step.ls)
+        ls2["rval"] = rv
+        if call.binder:  # an acquire binds the lock's operation counter
+            ls2[call.binder] = op.action.index
+        content = program.Bot() if rv is BOT else program.Value(rv)
+        p2 = _replace_call(cfg.prog[t], content)
+        nxt = _with_thread(cfg, t, p2, ls2, g2, b2)
+        results.append((t, StepLabel("library", op.action, op.ts), nxt))
     return results
 
 

@@ -56,14 +56,9 @@ def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
     return [insert_fresh_timestamp(beta, gamma, t, w.ts, a)]
 
 
-# A queue component holds the queue variable only, so inserting right after
-# an operation on the queue's timeline fills the open gap above it.
-
-def _gaps(beta: ComponentState, q: str, lo: int):
-    """Ranks to insert after on q's timeline, one per gap whose upper end
-    lies strictly above lo (the end gap included)."""
-    return [op.ts for op in beta.ops_on(q) if op.ts >= lo]
-
+# Inserting right after the operation at position p of the queue's timeline
+# fills the gap above it, so range(lo, len(ops)) lists the gaps whose upper
+# end lies strictly above lo, the end gap included.
 
 def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
     """Enqueue steps, one per admissible insertion gap."""
@@ -71,7 +66,7 @@ def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
     ops = beta.ops_on(q)
     a = Action(ENQUEUE, q, val=u, sync=OBJ)
     out = []
-    for pred in _gaps(beta, q, beta.front(t, q)):
+    for pred in range(beta.front(t, q), len(ops)):
         if any(op.ts > pred and (op.ts in matched_enqs or _is_deq_empty(op))
                for op in ops):
             continue
@@ -96,14 +91,14 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
     if head is not None:
         floor = max([head.ts, lo] + list(matched_deqs))
         a = Action(DEQUEUE, q, val=head.action.val, sync=OBJ)
-        for pred in _gaps(beta, q, floor):
+        for pred in range(floor, len(ops)):
             b2, g2, new = insert_fresh_timestamp(
                 beta, gamma, t, pred, a, sync_from=head.ts, match=True)
             out.append((b2, g2, new, head.action.val))
 
     # Empty branch: everything earlier is matched (either side) or empty.
     a = Action(DEQUEUE, q, val=EMPTY, sync=OBJ)
-    for pred in _gaps(beta, q, lo):
+    for pred in range(lo, len(ops)):
         if all(op.ts in matched_enqs or op.ts in matched_deqs
                or _is_deq_empty(op)
                for op in ops

@@ -85,10 +85,14 @@ def eval_expr(e, ls: dict):
         if e.name not in ls:
             raise ProgramError(f"unbound local {e.name!r}")
         return ls[e.name]
-    if isinstance(e, Un):
-        return _UNOPS[e.op](eval_expr(e.e, ls))
-    if isinstance(e, Bin):
-        return _BINOPS[e.op](eval_expr(e.a, ls), eval_expr(e.b, ls))
+    try:
+        if isinstance(e, Un):
+            return _UNOPS[e.op](eval_expr(e.e, ls))
+        if isinstance(e, Bin):
+            return _BINOPS[e.op](eval_expr(e.a, ls), eval_expr(e.b, ls))
+    except (TypeError, ArithmeticError) as exc:
+        # the input's fault (5 % 0, bot + 1), named by its innermost Un/Bin
+        raise ProgramError(f"cannot evaluate {e!r}: {exc}") from None
     raise ProgramError(f"not an expression: {e!r}")
 
 

@@ -84,21 +84,17 @@ def _locals_part(cfg, client_regs):
 
 def _client_sig(gamma, threads):
     """What the client can observe of its component: its operations, the
-    covered ones and, per (thread, variable), the observable ones.  A client
-    sees each variable's timeline on its own, so an operation is named by
-    (variable, position on that variable, action)."""
-    names, cvd, obs = {}, set(), []
+    covered ones and, per (thread, variable), the observable ones.  An
+    operation is named as in the state: by its action (and so its variable)
+    and its position on that variable."""
+    ops, cvd, obs = [], [], []
     for x in gamma.lay.own:
-        ops = gamma.ops_on(x)
-        for i, op in enumerate(ops):
-            names[op] = (x, i, op.action)
-            if gamma.covers(op):
-                cvd.add(names[op])
+        ops_x = gamma.ops_on(x)
+        ops += ops_x
+        cvd += filter(gamma.covers, ops_x)
         for t in threads:
-            lo = gamma.front(t, x)
-            obs.append(((t, x), frozenset(names[op] for op in ops
-                                          if op.ts >= lo)))
-    return frozenset(names.values()), frozenset(cvd), tuple(sorted(obs))
+            obs.append(((t, x), frozenset(ops_x[gamma.front(t, x):])))
+    return frozenset(ops), frozenset(cvd), tuple(sorted(obs))
 
 
 def project(cfg, client_regs, threads):

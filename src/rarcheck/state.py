@@ -1,4 +1,5 @@
-"""Weak-memory component state in normal form: ranked operations and views.
+"""Weak-memory component state in normal form: operations named by their
+position on their own variable.
 
 A component (client or library) keeps its operations, a per-thread view
 naming for each variable the earliest operation the thread may still
@@ -6,19 +7,32 @@ observe, a per-operation view recording the writer's viewfront over both
 components, the set of covered operations, and (for queues) the matched
 enqueue/dequeue pairs.
 
-The semantics only ever compares timestamps by their order, so timestamps
-are dense per-component integer ranks: every initial operation has rank 0
-and the others have ranks 1..n-1, one each.  An operation is named by its
-variable and rank.  Inserting an operation right after a predecessor gives
-it the predecessor's rank plus one and moves every later rank of the
-component up by one, also where the other component's recorded views refer
-to it.  Two states that differ only by an order-preserving renaming of
-timestamps are therefore stored identically: a state is its own canonical
-form, held in tuples of ints and interned actions, and it caches its hash.
+The semantics only ever compares timestamps by their order, and only of
+operations on the same variable, so an operation's timestamp is its dense
+position on its variable: 0 for the initial operation, 1..n-1 for the
+others.  That one name is used by views, recorded views, the covered set,
+matched pairs and step labels.  Inserting an operation right after a
+predecessor gives it the predecessor's position plus one and moves every
+later position on that variable up by one, also where the other
+component's recorded views refer to it; no other position changes.  A state
+is held in tuples of ints and interned actions, caches its hash, and is its
+own canonical form.
+
+So states that differ only in how operations on different variables
+interleaved in time are one state.  No rule tells them apart, because none
+compares operations on different variables: memory rules read and insert
+on one variable after the thread's view of it, and recorded views join
+views column by column; object rules order one object's timeline, whose
+matched pairs relate operations of one queue; assertion atoms compare a
+view of x with operations on x; refinement projects the client variable by
+variable.  Every transition, assertion and projection of one such state has
+an equal counterpart in the other, so the outcomes and verdicts are those
+of the unmerged state space.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -183,7 +197,7 @@ def is_modifying(a: Action) -> bool:
 
 
 class TOp(NamedTuple):
-    """An operation of one state: its action and its rank (timestamp)."""
+    """An operation: its action and its position on its variable (ts)."""
 
     action: Action
     ts: int
@@ -209,6 +223,10 @@ class Layout:
         self.tix = {t: i for i, t in enumerate(self.threads)}
         self._actions = {}
 
+    def var_index(self, a: Action) -> int:
+        """Layout index of a's variable: a state's actions ascend by it."""
+        return self.vix[a.var]
+
     def intern(self, a: Action) -> Action:
         """One shared object per action; the value's type is part of the
         key, so a write of True keeps printing as True."""
@@ -221,24 +239,25 @@ def merge_views(v1: tuple, v2: tuple) -> tuple:
     return tuple(map(max, v1, v2))
 
 
-def _up(ranks: tuple, nr: int) -> tuple:
-    """ranks with every rank at or above nr moved up by one."""
-    return tuple([r + 1 if r >= nr else r for r in ranks])
+def _up(view: tuple, i: int, nr: int) -> tuple:
+    """view with its column i moved up by one if at or above nr."""
+    r = view[i]
+    return view if r < nr else view[:i] + (r + 1,) + view[i + 1:]
 
 
 class ComponentState:
     """One side's weak-memory state (client or library), in normal form.
 
-    Operations sit in slots: the initial operation of the i-th own variable
-    in slot i, then the others in rank order (rank r in slot m + r - 1,
-    for m own variables).
+    Operations sit in slots, variable by variable in layout order, each
+    variable's in position order: position r on x is slot r after x's
+    first slot.
       acts     the action in each slot;
-      views    per thread (layout order), the rank viewed on each own
+      views    per thread (layout order), the position viewed on each own
                variable;
-      mviews   per slot, the recorded view: ranks on the own variables,
+      mviews   per slot, the recorded view: positions on the own variables,
                then on the other component's;
       covered  bit mask over slots;
-      matched  sorted (enqueue rank, dequeue rank) pairs, queues only.
+      matched  sorted (enqueue, dequeue) pairs of queue positions.
     """
 
     __slots__ = ("lay", "acts", "views", "mviews", "covered", "matched",
@@ -271,7 +290,7 @@ class ComponentState:
         return hash(self) == hash(other) and self._parts() == other._parts()
 
     def __repr__(self):
-        return f"ComponentState({sorted(self.ops, key=lambda o: o.ts)})"
+        return f"ComponentState({sorted(self.ops, key=self._slot)})"
 
     def updated(self, **fields) -> "ComponentState":
         parts = dict(zip(("acts", "views", "mviews", "covered", "matched"),
@@ -281,22 +300,25 @@ class ComponentState:
 
     # --- operations --------------------------------------------------------
 
-    def _slot(self, x: str, r: int) -> int:
-        return self.lay.vix[x] if r == 0 else len(self.lay.own) + r - 1
+    def _span(self, xi: int):
+        """First and end slot of the xi-th own variable's operations."""
+        acts, lay = self.acts, self.lay
+        lo = 0 if xi == 0 else bisect_left(acts, xi, key=lay.var_index)
+        hi = len(acts) if xi == len(lay.own) - 1 else \
+            bisect_left(acts, xi + 1, lo + 1, key=lay.var_index)
+        return lo, hi
 
-    def _op(self, s: int) -> TOp:
-        m = len(self.lay.own)
-        return TOp(self.acts[s], 0 if s < m else s - m + 1)
+    def _slot(self, op: TOp) -> int:
+        return self._span(self.lay.vix[op.action.var])[0] + op.ts
 
-    def ops_on(self, x: str) -> list:
-        """Operations on x in timestamp order."""
+    def ops_on(self, x: str, lo: int = 0) -> list:
+        """Operations on x in timestamp order, from position lo on."""
         xi = self.lay.vix.get(x)
         if xi is None:
             return []
-        acts, m = self.acts, len(self.lay.own)
-        return [TOp(acts[xi], 0)] + [TOp(acts[s], s - m + 1)
-                                     for s in range(m, len(acts))
-                                     if acts[s].var == x]
+        first, end = self._span(xi)
+        acts = self.acts
+        return [TOp(acts[s], s - first) for s in range(first + lo, end)]
 
     def max_op(self, x: str) -> TOp:
         ops = self.ops_on(x)
@@ -315,7 +337,7 @@ class ComponentState:
         return self.updated(views=tuple(views))
 
     def front(self, t, x: str):
-        """Rank of thread t's view of x, or None if either is unknown."""
+        """Position of thread t's view of x, or None if either is unknown."""
         ti, xi = self.lay.tix.get(t), self.lay.vix.get(x)
         return None if ti is None or xi is None else self.views[ti][xi]
 
@@ -324,18 +346,19 @@ class ComponentState:
         lo = self.front(t, x)
         if lo is None:
             raise StateError(f"no view for thread {t} at {x!r}")
-        return [op for op in self.ops_on(x) if op.ts >= lo]
+        return self.ops_on(x, lo)
 
     def mview_of(self, op: TOp) -> tuple:
         """op's recorded view: own variables, then the other component's."""
-        return self.mviews[self._slot(op.action.var, op.ts)]
+        return self.mviews[self._slot(op)]
 
     def recorded(self, op: TOp) -> dict:
-        """op's recorded view as variable (of either component) -> rank."""
+        """op's recorded view as variable (of either component) ->
+        position."""
         return dict(zip(self.lay.own + self.lay.other, self.mview_of(op)))
 
     def covers(self, op: TOp) -> bool:
-        return bool(self.covered >> self._slot(op.action.var, op.ts) & 1)
+        return bool(self.covered >> self._slot(op) & 1)
 
     # --- whole-state forms, for inspection and tests -----------------------
 
@@ -344,7 +367,7 @@ class ComponentState:
 
     @property
     def ops(self) -> frozenset:
-        return frozenset(map(self._op, range(len(self.acts))))
+        return frozenset(op for x in self.lay.own for op in self.ops_on(x))
 
     @property
     def cvd(self) -> frozenset:
@@ -353,8 +376,7 @@ class ComponentState:
     @property
     def tview(self) -> dict:
         """thread -> variable -> the operation the thread views."""
-        return {t: {x: self._op(self._slot(x, r))
-                    for x, r in zip(self.lay.own, view)}
+        return {t: {x: self.ops_on(x)[r] for x, r in zip(self.lay.own, view)}
                 for t, view in zip(self.lay.threads, self.views)}
 
     @property
@@ -366,16 +388,17 @@ class ComponentState:
 def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
                            pred: int, action: Action, sync_from=None,
                            cover=False, match=False):
-    """Thread t adds `action` right after the operation of rank `pred` on
-    the action's variable.
+    """Thread t adds `action` right after the operation at position `pred`
+    on the action's variable.
 
-    The new operation takes rank pred + 1; every later rank of this
-    component moves up by one, in this state and in `other`'s recorded
-    views.  Thread t's view of the variable moves to the new operation.
-    With sync_from (a rank on the same variable), t's views in both
-    components first take in that operation's recorded view.  cover marks
-    the predecessor covered; match pairs sync_from (an enqueue) with the
-    new operation.  The new operation records t's resulting views.
+    The new operation takes position pred + 1; every later position on that
+    variable moves up by one, in this state and in `other`'s recorded
+    views, and no other position changes.  Thread t's view of the variable
+    moves to the new operation.  With sync_from (a position on the same
+    variable), t's views in both components first take in that operation's
+    recorded view.  cover marks the predecessor covered; match pairs
+    sync_from (an enqueue) with the new operation.  The new operation
+    records t's resulting views.
 
     Returns (state', other', new operation).
     """
@@ -383,44 +406,54 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
     m = len(lay.own)
     x = action.var
     xi = lay.vix.get(x)
-    if xi is None or not 0 <= pred < len(state.acts) - m + 1 or \
-            state.acts[state._slot(x, pred)].var != x:
-        raise StateError(f"no operation of rank {pred} on {x!r}")
+    first, end = (0, 0) if xi is None else state._span(xi)
+    if not 0 <= pred < end - first:
+        raise StateError(f"no operation at position {pred} on {x!r}")
     ti = lay.tix[t]
     nr = pred + 1
-    ns = m + pred  # slot of rank nr
+    ns = first + nr  # slot of the new operation
     action = lay.intern(action)
 
     tv, ctv = state.views[ti], other.views[ti]
     if sync_from is not None:
-        src = state.mviews[state._slot(x, sync_from)]
+        src = state.mviews[first + sync_from]
         tv = merge_views(tv, src)
         ctv = merge_views(ctv, src[m:])
-    tv = _up(tv, nr)
     tv = tv[:xi] + (nr,) + tv[xi + 1:]
 
-    views = [_up(v, nr) for v in state.views]
+    views = [_up(v, xi, nr) for v in state.views]
     views[ti] = tv
-    mviews = [_up(v[:m], nr) + v[m:] for v in state.mviews]
+    mviews = [_up(v, xi, nr) for v in state.mviews]
     mviews.insert(ns, tv + ctv)
     covered = state.covered
     covered = covered & ((1 << ns) - 1) | (covered >> ns) << (ns + 1)
     if cover:
-        covered |= 1 << state._slot(x, pred)
+        covered |= 1 << (first + pred)
     matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in state.matched)
     if match:
         matched = tuple(sorted(matched + ((sync_from, nr),)))
     state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
                             tuple(views), tuple(mviews), covered, matched)
 
-    om = len(other.lay.own)
-    omviews = tuple(v[:om] + _up(v[om:], nr) for v in other.mviews)
+    oxi = len(other.lay.own) + xi  # x's column in other's recorded views
+    omviews = tuple(_up(v, oxi, nr) for v in other.mviews)
     other2 = other
     if omviews != other.mviews:
         other2 = other2.updated(mviews=omviews)
     if ctv != other.views[ti]:
         other2 = other2.with_view(t, ctv)
     return state2, other2, TOp(action, nr)
+
+
+def _init_writes(assigns) -> list:
+    """The initial write of each (variable, value) pair, in order; each
+    variable is initialised once."""
+    seen = set()
+    for x, _ in assigns:
+        if x in seen:
+            raise StateError(f"duplicate initialisation of {x!r}")
+        seen.add(x)
+    return [write(x, v) for x, v in assigns]
 
 
 def make_init_states(init_assigns, client_vars, library, threads,
@@ -432,15 +465,10 @@ def make_init_states(init_assigns, client_vars, library, threads,
              ('impl', [(variable, value), ...]) for a concrete implementation.
     """
     threads = sorted(threads)
-    seen = set()
-    for x, _ in init_assigns:
-        if x in seen:
-            raise StateError(f"duplicate initialisation of {x!r}")
-        seen.add(x)
-    if set(client_vars) != seen:
+    gacts = _init_writes(init_assigns)
+    if set(client_vars) != {a.var for a in gacts}:
         raise StateError("every client variable must be initialised exactly once")
 
-    gacts = [write(x, v) for x, v in init_assigns]
     if library is None:
         bacts = []
     elif library[0] == "lock":
@@ -448,12 +476,7 @@ def make_init_states(init_assigns, client_vars, library, threads,
     elif library[0] == "queue":
         bacts = [Action(QUEUE_INIT, library[1], sync=OBJ, index=0)]
     elif library[0] == "impl":
-        lseen = set()
-        for x, _ in library[1]:
-            if x in lseen:
-                raise StateError(f"duplicate initialisation of {x!r}")
-            lseen.add(x)
-        bacts = [write(x, v) for x, v in library[1]]
+        bacts = _init_writes(library[1])
     else:
         raise StateError(f"unknown library spec {library!r}")
 

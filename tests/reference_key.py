@@ -2,16 +2,25 @@
 
 It reads a configuration through the public accessors only (operations with
 their timestamps, thread views, recorded views, covered set and matched
-pairs) into plain data, ranks each component's distinct timestamps by
-sorting them, as a canonical key over arbitrary ordered timestamps must,
-and builds sorted tuples.  So it works for any timestamps, not only dense
-ranks, and two configurations get the same key exactly when they are equal
-up to an order-preserving renaming of each component's timestamps.
+pairs) into plain data, ranks each variable's distinct timestamps on their
+own by sorting them, as a canonical key over arbitrary ordered timestamps
+must, and builds sorted tuples.  So it works for any timestamps, not only
+dense positions, and two configurations get the same key exactly when they
+are equal up to an order-preserving renaming of each variable's timestamps.
 """
 
 from rarcheck.state import Sym
 
 SIDES = ("C", "L")
+
+
+def _matched(comp) -> set:
+    """Matched pairs as operation names: they are positions on the queue,
+    the only variable of a queue component."""
+    if not comp.matched:
+        return set()
+    (q,) = comp.variables()
+    return {((q, e), (q, d)) for e, d in comp.matched}
 
 
 def describe(cfg) -> dict:
@@ -27,18 +36,17 @@ def describe(cfg) -> dict:
             "mview": {(op.action.var, op.ts): dict(v)
                       for op, v in comp.mview.items()},
             "cvd": {(op.action.var, op.ts) for op in comp.cvd},
-            "matched": set(comp.matched),
+            "matched": _matched(comp),
         }
     return out
 
 
-def remap(desc: dict, f, sides=SIDES) -> dict:
-    """desc with f applied to every timestamp of the given components,
-    including the other component's references to them."""
-    mapped = set().union(*(desc[s]["vars"] for s in sides))
+def remap(desc: dict, f, variables=None) -> dict:
+    """desc with f applied to every timestamp of the given variables (all
+    by default), including the other component's references to them."""
 
     def ts(x, q):
-        return f(q) if x in mapped else q
+        return f(q) if variables is None or x in variables else q
 
     def view(v):
         return {x: ts(x, q) for x, q in v.items()}
@@ -46,7 +54,6 @@ def remap(desc: dict, f, sides=SIDES) -> dict:
     out = {"prog": desc["prog"], "rho": desc["rho"]}
     for side in SIDES:
         d = desc[side]
-        own = f if side in sides else (lambda q: q)
         out[side] = {
             "vars": d["vars"],
             "ops": {(x, ts(x, q)): a for (x, q), a in d["ops"].items()},
@@ -54,7 +61,8 @@ def remap(desc: dict, f, sides=SIDES) -> dict:
             "mview": {(x, ts(x, q)): view(v)
                       for (x, q), v in d["mview"].items()},
             "cvd": {(x, ts(x, q)) for x, q in d["cvd"]},
-            "matched": {(own(e), own(q)) for e, q in d["matched"]},
+            "matched": {((x, ts(x, e)), (y, ts(y, q)))
+                        for (x, e), (y, q) in d["matched"]},
         }
     return out
 
@@ -74,13 +82,15 @@ def _act_key(a):
 
 
 def reference_key(desc: dict):
-    side_of = {x: s for s in SIDES for x in desc[s]["vars"]}
-    ranks = {s: {q: i for i, q in enumerate(sorted({q for _, q
-                                                    in desc[s]["ops"]}))}
-             for s in SIDES}
+    times = {}
+    for s in SIDES:
+        for x, q in desc[s]["ops"]:
+            times.setdefault(x, []).append(q)
+    ranks = {x: {q: i for i, q in enumerate(sorted(qs))}
+             for x, qs in times.items()}
 
     def ref(x, q):
-        return (x, ranks[side_of[x]][q])
+        return (x, ranks[x][q])
 
     def view(v):
         return tuple(sorted((x, ref(x, q)) for x, q in v.items()))
@@ -95,8 +105,7 @@ def reference_key(desc: dict):
             tuple(sorted((ref(x, q), view(v))
                          for (x, q), v in d["mview"].items())),
             tuple(sorted(ref(x, q) for x, q in d["cvd"])),
-            tuple(sorted((ranks[s][e], ranks[s][q])
-                         for e, q in d["matched"])),
+            tuple(sorted((ref(*e), ref(*q)) for e, q in d["matched"])),
         ))
     prog = tuple(sorted(desc["prog"].items()))
     rho = tuple(sorted((t, tuple(sorted((r, _val_key(v))
@@ -111,18 +120,21 @@ def ref_key(cfg):
 
 def inserted_op(before, after):
     """The operation `after` adds to component state `before`, where
-    `after` is `before` with one operation inserted and every later rank
-    moved up by one; None when both hold the same operations."""
+    `after` is `before` with one operation inserted and every later
+    position on its variable moved up by one; None when both hold the same
+    operations."""
     if after.ops == before.ops:
         return None
     for new in after.ops:
-        rest = {op._replace(ts=op.ts - 1) if op.ts > new.ts else op
-                for op in after.ops if op != new}
+        rest = {moved(op, new, -1) for op in after.ops if op != new}
         if new.ts > 0 and rest == before.ops:
             return new
     raise AssertionError(f"{after} is not {before} plus one operation")
 
 
-def moved(op, new):
-    """op's name after `new` was inserted (see inserted_op)."""
-    return op if new is None or op.ts < new.ts else op._replace(ts=op.ts + 1)
+def moved(op, new, by=1):
+    """op's name after `new` was inserted (see inserted_op); with by=-1,
+    its name before."""
+    if new is None or op.action.var != new.action.var or op.ts < new.ts:
+        return op
+    return op._replace(ts=op.ts + by)

@@ -160,7 +160,8 @@ class TestCriterion9:
         n_steps = len(step_corpus)
 
         # freshness of every inserted write/update timestamp: it lands
-        # right after its predecessor, and every later rank moves up by one
+        # right after its predecessor, and every later position on its
+        # variable moves up by one
         fresh_checked = 0
         for system, cfg, t, lab, nxt in step_corpus:
             for before, after in ((cfg.gamma, nxt.gamma),

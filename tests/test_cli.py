@@ -175,6 +175,25 @@ class TestErrors:
         code, _, err = run(capsys, "explore", str(bad))
         assert code == 3
 
+    @pytest.mark.parametrize("stmt,final", [
+        ("r1 := 5 % 0;", ""),
+        ("r1 := bot + 1;", ""),
+        ("if r1 < empty then { r2 := 1; } else { r2 := 2; }", ""),
+        ("r1 := 1;", "final { r1 + bot = 1 }\n"),
+    ])
+    def test_expression_fault_is_an_input_error(self, tmp_path, capsys, stmt,
+                                                final):
+        # an operator that rejects its operands' values is a fault of the
+        # input: exit 3 with one error line naming the expression
+        bad = tmp_path / "bad.lit"
+        bad.write_text(f"name t\ninit x := 0\nthread 1 {{ r1 := 0; {stmt} }}\n"
+                       + final)
+        code, out, err = run(capsys, "explore", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot evaluate (")
+        assert err.count("\n") == 1
+
     def test_deep_thread_is_hashed_without_recursion(self, tmp_path, capsys):
         # command nodes hash at construction, so configuration keys over a
         # 600-statement thread no longer recurse once per statement

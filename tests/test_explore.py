@@ -132,10 +132,12 @@ class TestCanonicalKey:
     def test_order_swap_changes_key(self):
         system = build_system(load_corpus("lockmp"))
         res = explore(system.cfg0, system.ctx, 64)
-        cfg = next(c for c in res.configs.values()
-                   if len({op.ts for op in c.gamma.ops}) >= 3)
-        swap = {1: 2, 2: 1}
-        swapped = remap(describe(cfg), lambda q: swap.get(q, q), ("C",))
+        # the last two positions on one client variable trade places
+        cfg, x = next((c, x) for c in res.configs.values()
+                      for x in c.gamma.lay.own if len(c.gamma.ops_on(x)) >= 2)
+        n = len(cfg.gamma.ops_on(x))
+        swap = {n - 2: n - 1, n - 1: n - 2}
+        swapped = remap(describe(cfg), lambda q: swap.get(q, q), {x})
         assert reference_key(swapped) != ref_key(cfg)
 
 

@@ -1,5 +1,6 @@
-"""States in normal form: dense ranks after every transition, state equality
-against an independent reference key, and pinned exploration results."""
+"""States in normal form: dense positions on every variable after every
+transition, state equality against an independent reference key, and pinned
+exploration results."""
 
 import pytest
 
@@ -35,7 +36,21 @@ PINNED = [
 ]
 
 
+# Threads writing different variables: the order in time of their writes is
+# not part of any state.
+CROSS = {
+    "two-writes": "name two-writes\ninit x := 0; y := 0\n"
+                  "thread 1 { x := 1; }\nthread 2 { y := 1; }\n",
+    "sb": "name sb\ninit x := 0; y := 0\n"
+          "thread 1 { x := 1; r1 <- y; }\nthread 2 { y := 1; r2 <- x; }\n",
+}
+NAMES = [name for name, *_ in PINNED] + list(CROSS)
+
+
 def _explored(name):
+    if name in CROSS:
+        system = build_system(parse_litmus(CROSS[name]))
+        return system, explore(system.cfg0, system.ctx, 64)
     if name.startswith("fifo-"):
         system = build_system(parse_litmus(fifo_litmus(int(name[5:]))))
         return system, explore(system.cfg0, system.ctx, 96)
@@ -52,7 +67,7 @@ def _outcome(name, oc):
 
 @pytest.fixture(scope="module")
 def explored():
-    return {name: _explored(name) for name, *_ in PINNED}
+    return {name: _explored(name) for name in NAMES}
 
 
 @pytest.mark.parametrize("name,states,truncated,outcomes", PINNED)
@@ -65,14 +80,13 @@ def test_pinned_counts_and_outcomes(explored, name, states, truncated,
 
 
 def _dense(comp, other) -> bool:
-    """Ranks are exactly 0..n-1 (initial operations share 0), and every
-    view and recorded view names an existing operation."""
-    ranks = sorted({op.ts for op in comp.ops})
-    inits = sorted(op.action.var for op in comp.ops if op.ts == 0)
+    """The n operations on each variable sit at positions 0..n-1, one each,
+    and every view and recorded view names an existing operation."""
     names = {(op.action.var, op.ts) for op in comp.ops}
     other_names = {(op.action.var, op.ts) for op in other.ops}
-    return (ranks == list(range(len(ranks)))
-            and inits == sorted(comp.variables())
+    return (len(names) == len(comp.ops)
+            and names == {(x, r) for x in comp.variables()
+                          for r in range(len(comp.ops_on(x)))}
             and all((x, op.ts) in names and op.action.var == x
                     for view in comp.tview.values()
                     for x, op in view.items())
@@ -80,7 +94,7 @@ def _dense(comp, other) -> bool:
                     for mv in comp.mview.values() for x, r in mv.items()))
 
 
-@pytest.mark.parametrize("name", [name for name, *_ in PINNED])
+@pytest.mark.parametrize("name", NAMES)
 def test_ranks_dense_after_every_transition(explored, name):
     system, res = explored[name]
     for cfg in res.configs:
@@ -89,7 +103,7 @@ def test_ranks_dense_after_every_transition(explored, name):
             assert _dense(nxt.beta, nxt.gamma)
 
 
-@pytest.mark.parametrize("name", [name for name, *_ in PINNED])
+@pytest.mark.parametrize("name", NAMES)
 def test_equality_coincides_with_reference_key(explored, name):
     # distinct explored states have distinct reference keys, and every
     # successor that deduplicates onto a stored state has its key
@@ -104,3 +118,22 @@ def test_equality_coincides_with_reference_key(explored, name):
                 assert hash(nxt) == hash(stored)
             else:
                 assert res.truncated and ref_key(nxt) not in keys
+
+
+def _write_step(cfg, ctx, t):
+    """The configuration after thread t's (only) write step from cfg."""
+    (nxt,) = [n for t2, lab, n in successors(cfg, ctx)
+              if t2 == t and lab.render().startswith("wr")]
+    return nxt
+
+
+@pytest.mark.parametrize("name", list(CROSS))
+def test_cross_variable_order_is_one_state(explored, name):
+    # thread 1 writes x and thread 2 writes y, in either order: one state
+    system, res = explored[name]
+    ctx, cfg0 = system.ctx, system.cfg0
+    one_two = _write_step(_write_step(cfg0, ctx, 1), ctx, 2)
+    two_one = _write_step(_write_step(cfg0, ctx, 2), ctx, 1)
+    assert one_two == two_one
+    assert res.configs[one_two] is res.configs[two_one]
+    assert ref_key(one_two) == ref_key(two_one)

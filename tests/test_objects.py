@@ -14,7 +14,8 @@ def queue_system():
 
 
 def enq_rank(b, u):
-    """Rank in b of the enqueue of u (ranks move up as ops are inserted)."""
+    """Position in b of the enqueue of u (positions move up as operations
+    are inserted on the queue)."""
     (rank,) = [op.ts for op in b.ops_on("q")
                if op.action.kind == ENQUEUE and op.action.val == u]
     return rank

@@ -18,15 +18,17 @@ def _components(cfg):
 
 class TestTimestampDiscipline:
     def test_distinct_timestamps_per_component(self, state_corpus):
-        # distinct except the shared initial instant of distinct variables
+        # timestamps are positions on each variable: distinct there, and
+        # 0..n-1 for its n operations
         for _, cfg in state_corpus:
             for comp in _components(cfg):
                 seen = {}
                 for op in comp.ops:
-                    if op.ts in seen:
-                        assert op.ts == 0
-                        assert seen[op.ts] != op.action.var
-                    seen.setdefault(op.ts, op.action.var)
+                    assert op.ts not in seen.setdefault(op.action.var, set())
+                    seen[op.action.var].add(op.ts)
+                assert seen.keys() == comp.variables()
+                for times in seen.values():
+                    assert times == set(range(len(times)))
 
     def test_views_point_into_ops(self, state_corpus):
         for _, cfg in state_corpus:
@@ -63,8 +65,8 @@ class TestUpdateAtomicity:
 
 class TestViewMonotonicity:
     def test_step_never_moves_views_backwards(self, step_corpus):
-        # ranks at or above an inserted operation move up by one, so views
-        # are compared by the operations they name
+        # positions at or above an inserted operation on its variable move
+        # up by one, so views are compared by the operations they name
         for system, cfg, t, lab, nxt in step_corpus:
             for before, after in ((cfg.gamma, nxt.gamma),
                                   (cfg.beta, nxt.beta)):
@@ -114,13 +116,15 @@ class TestCanonicalKeyInvariance:
 
     def test_order_change_changes_key(self, state_corpus):
         found = 0
+        # the last two positions on one client variable trade places
         for system, cfg in state_corpus:
-            times = sorted({op.ts for op in cfg.gamma.ops})
-            if len(times) < 3:
+            x = next((x for x in cfg.gamma.lay.own
+                      if len(cfg.gamma.ops_on(x)) >= 2), None)
+            if x is None:
                 continue
-            lo, hi = times[1], times[2]
-            swap = {lo: hi, hi: lo}
-            swapped = remap(describe(cfg), lambda q: swap.get(q, q))
+            n = len(cfg.gamma.ops_on(x))
+            swap = {n - 2: n - 1, n - 1: n - 2}
+            swapped = remap(describe(cfg), lambda q: swap.get(q, q), {x})
             assert reference_key(swapped) != ref_key(cfg)
             found += 1
             if found >= 50:

@@ -7,7 +7,7 @@ from rarcheck.state import (BOT, StateError, insert_fresh_timestamp,
 
 def mk_state(n_writes, var="d", threads=(1, 2)):
     """A client with n_writes writes on var after its initial write, each
-    appended by thread 1, so ranks 0..n_writes; thread 2 views the init."""
+    appended by thread 1, so positions 0..n_writes; thread 2 views the init."""
     _, g, b = make_init_states([(var, 0)], {var}, None, set(threads))
     for i in range(1, n_writes + 1):
         g, b, _ = insert_fresh_timestamp(g, b, 1, i - 1, write(var, i))
@@ -18,13 +18,10 @@ def init_lock_system():
     return make_init_states([("d", 0)], {"d"}, ("lock", "l"), {1, 2})
 
 
-def ranks_dense(comp) -> bool:
-    """Initial operations at rank 0, the others at 1..n-1, one each."""
-    ranks = sorted(op.ts for op in comp.ops if op.ts > 0)
-    inits = [op for op in comp.ops if op.ts == 0]
-    return (ranks == list(range(1, len(ranks) + 1))
-            and sorted(op.action.var for op in inits)
-            == sorted(comp.variables()))
+def positions_dense(comp) -> bool:
+    """Each variable's n operations at positions 0..n-1, one each."""
+    return sorted((op.action.var, op.ts) for op in comp.ops) == sorted(
+        (x, r) for x in comp.variables() for r in range(len(comp.ops_on(x))))
 
 
 class TestMakeInit:
@@ -156,8 +153,9 @@ class TestFreshTimestamp:
     def test_fresh_predicate_always_holds(self, inserts):
         # random insertions into a client (d, e) and a library (g) whose
         # recorded views refer to each other: each new op lands right after
-        # its predecessor, every later rank of its component moves up by one
-        # and every reference to that component follows
+        # its predecessor, every later position on its variable moves up by
+        # one, every reference to that variable follows, and no position on
+        # any other variable changes
         _, g, b = make_init_states([("d", 0), ("e", 0)], {"d", "e"},
                                    ("impl", [("g", 0)]), {1, 2})
         for i, (x, k, t) in enumerate(inserts, start=1):
@@ -167,9 +165,9 @@ class TestFreshTimestamp:
                                                      write(x, 100 + i))
 
             def moved(r, y):
-                return r + 1 if y in c.variables() and r >= new.ts else r
+                return r + 1 if y == x and r >= new.ts else r
 
-            assert new.ts == pred.ts + 1 and ranks_dense(c2)
+            assert new.ts == pred.ts + 1 and positions_dense(c2)
             assert c2.ops == {op._replace(ts=moved(op.ts, op.action.var))
                               for op in c.ops} | {new}
             for t2, view in c.tview.items():
