@@ -203,7 +203,8 @@ def _object_steps(cfg, t, step, ctx):
         ls2["rval"] = rv
         if call.binder:  # an acquire binds the lock's operation counter
             ls2[call.binder] = op.action.index
-        content = program.Bot() if rv is BOT else program.Value(rv)
+        content = (program.Bot() if call.meth in ("release", "enq")
+                   else program.Value(rv))  # a deq may return an enqueued bot
         p2 = _replace_call(cfg.prog[t], content)
         nxt = _with_thread(cfg, t, p2, ls2, g2, b2)
         results.append((t, StepLabel("library", op.action, op.ts), nxt))

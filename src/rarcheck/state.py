@@ -300,16 +300,17 @@ class ComponentState:
 
     # --- operations --------------------------------------------------------
 
+    def _first(self, xi: int) -> int:
+        """First slot of the xi-th own variable's operations (the end of
+        acts when xi is one past the last variable)."""
+        return bisect_left(self.acts, xi, key=self.lay.var_index) if xi else 0
+
     def _span(self, xi: int):
         """First and end slot of the xi-th own variable's operations."""
-        acts, lay = self.acts, self.lay
-        lo = 0 if xi == 0 else bisect_left(acts, xi, key=lay.var_index)
-        hi = len(acts) if xi == len(lay.own) - 1 else \
-            bisect_left(acts, xi + 1, lo + 1, key=lay.var_index)
-        return lo, hi
+        return self._first(xi), self._first(xi + 1)
 
     def _slot(self, op: TOp) -> int:
-        return self._span(self.lay.vix[op.action.var])[0] + op.ts
+        return self._first(self.lay.vix[op.action.var]) + op.ts
 
     def ops_on(self, x: str, lo: int = 0) -> list:
         """Operations on x in timestamp order, from position lo on."""

@@ -116,6 +116,15 @@ class TestReadsFromMemory:
         assert got == [{"r1": "2", "r2": "False"}]
 
 
+class TestObjectResults:
+    def test_dequeued_bot_is_bound(self):
+        # the call's result comes from its method: a deq that returns an
+        # enqueued bot binds it, as an enq's lack of a result binds nothing
+        got = outcomes_of("name t\nobject queue q\n"
+                          "thread 1 { q.enq(bot); r1 := 5; r1 := q.deq(); }\n")
+        assert got == [{"r1": "bot"}]
+
+
 class TestCanonicalKey:
     def test_reflexive(self):
         system = mp_system()
