@@ -6,7 +6,9 @@ object.  A related pair must agree on client registers and return values,
 have equal client covered sets, and give every thread at most the abstract
 observations.  Concrete implementation steps are matched by stuttering or by
 one abstract step of the same thread; client steps are matched one-to-one by
-the identical client step.
+the identical client step.  A client whose abstract acquire binds the lock's
+operation counter (`l.acquire(rl)`) is rejected as input: no implementation
+sets that local.
 
 Trace inclusion is checked independently by determinizing the abstract trace
 graph: every stutter-free concrete client trace must be matched pointwise by
@@ -76,12 +78,6 @@ def _client_regs(system):
             for t, regs in system.client_locals.items()}
 
 
-def _locals_part(cfg, client_regs):
-    return tuple((t, tuple((r, cfg.rho[t].get(r))
-                           for r in sorted(client_regs[t])))
-                 for t in sorted(cfg.rho))
-
-
 def _client_sig(gamma, threads):
     """What the client can observe of its component: its operations, the
     covered ones and, per (thread, variable), the observable ones.  An
@@ -97,17 +93,30 @@ def _client_sig(gamma, threads):
     return frozenset(ops), frozenset(cvd), tuple(sorted(obs))
 
 
-def project(cfg, client_regs, threads):
-    """The client-visible part of a configuration: client locals, then the
-    client signature."""
-    return (_locals_part(cfg, client_regs),) + _client_sig(cfg.gamma, threads)
+def _projector(client_regs, threads):
+    """The client-visible part of a configuration, as a function: client
+    locals, then the client signature.  The signature is computed once per
+    distinct client component, and equal projections are one object.  Use
+    one projector per system: component equality ignores the layout."""
+    regs = {t: sorted(rs) for t, rs in client_regs.items()}
+    sigs, shared = {}, {}
+
+    def project(cfg):
+        sig = sigs.get(cfg.gamma)
+        if sig is None:
+            sig = sigs[cfg.gamma] = _client_sig(cfg.gamma, threads)
+        p = (tuple([(t, tuple([(r, ls.get(r)) for r in regs[t]]))
+                    for t, ls in sorted(cfg.rho.items())]),) + sig
+        return shared.setdefault(p, p)
+    return project
 
 
 def project_and_destutter(execution, client_regs, threads):
     """Pointwise projection with consecutive duplicates collapsed."""
+    project = _projector(client_regs, threads)
     trace = []
     for cfg in execution:
-        p = project(cfg, client_regs, threads)
+        p = project(cfg)
         if not trace or trace[-1] != p:
             trace.append(p)
     return trace
@@ -137,40 +146,60 @@ def _rvals(cfg):
 
 # --- the simulation game ------------------------------------------------------
 
-def _is_impl_step(label) -> bool:
-    return label.component == "library" or label.at_hole
+def _reply_core(label):
+    """What an abstract reply to a step must repeat: None for an
+    implementation step (any implementation step of its thread answers
+    it), else the client step itself."""
+    if label.component == "library" or label.at_hole:
+        return None
+    return ((repr(label.action), label.rank) if label.action is not None
+            else ("eps",))
 
 
-def _client_core(label):
-    return (repr(label.action), label.rank) if label.action is not None \
-        else ("eps",)
+def _leaves(cmd):
+    """A program's primitive commands (holes included), in program order."""
+    while isinstance(cmd, P.Seq):  # the right spine by a loop
+        yield from _leaves(cmd.a)
+        cmd = cmd.b
+    if isinstance(cmd, P.Labeled):
+        yield from _leaves(cmd.cmd)
+    elif isinstance(cmd, P.If):
+        yield from _leaves(cmd.then)
+        yield from _leaves(cmd.other)
+    elif isinstance(cmd, (P.While, P.DoUntil)):
+        yield from _leaves(cmd.body)
+    else:
+        yield cmd
 
 
 def check_sync_free(system):
     """Synchronisation-free clients: no release/acquire annotations and no
     read-modify-writes outside the library."""
     for t, prog in system.cfg0.prog.items():
-        _walk_client(prog, t)
+        for cmd in _leaves(prog):
+            if isinstance(cmd, P.GWrite) and cmd.releasing:
+                raise LitmusError(f"client thread {t} uses a releasing write")
+            if isinstance(cmd, P.GRead) and cmd.acquiring:
+                raise LitmusError(f"client thread {t} uses an acquiring read")
+            if isinstance(cmd, (P.Cas, P.Fai)):
+                raise LitmusError(f"client thread {t} uses an update")
+            # holes are the library's business
 
 
-def _walk_client(cmd, t):
-    while isinstance(cmd, P.Seq):  # the right spine by a loop
-        _walk_client(cmd.a, t)
-        cmd = cmd.b
-    if isinstance(cmd, P.Labeled):
-        _walk_client(cmd.cmd, t)
-    elif isinstance(cmd, P.If):
-        _walk_client(cmd.then, t)
-        _walk_client(cmd.other, t)
-    elif isinstance(cmd, (P.While, P.DoUntil)):
-        _walk_client(cmd.body, t)
-    elif isinstance(cmd, P.GWrite) and cmd.releasing:
-        raise LitmusError(f"client thread {t} uses a releasing write")
-    elif isinstance(cmd, P.GRead) and cmd.acquiring:
-        raise LitmusError(f"client thread {t} uses an acquiring read")
-    elif isinstance(cmd, (P.Cas, P.Fai)):
-        raise LitmusError(f"client thread {t} uses an update")
-    # holes are the library's business
+def _check_no_version_binder(system):
+    """An abstract acquire may bind the lock's operation counter to a client
+    local (`l.acquire(rl)`).  No implementation sets that local, so it would
+    differ between the abstract and the concrete client after the acquire."""
+    for t, prog in system.cfg0.prog.items():
+        for cmd in _leaves(prog):
+            call = cmd.src if isinstance(cmd, P.Assign) else cmd
+            if (isinstance(call, P.Hole)
+                    and isinstance(call.content, P.MethodCall)
+                    and call.content.binder):
+                raise LitmusError(
+                    f"client thread {t} binds {call.content.binder} to the "
+                    f"lock's operation counter in {call.content!r}; no lock "
+                    "implementation sets it")
 
 
 @dataclass
@@ -195,106 +224,149 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
     graph, expanding abstract states on demand."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
+    _check_no_version_binder(abs_sys)
     if require_sync_free:
         check_sync_free(abs_sys)
-
-    threads = abs_sys.ctx.threads
-    client_regs = _client_regs(abs_sys)
 
     conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     if conc.truncated:
         return SimulationResult("unknown-beyond-bound",
                                 detail="concrete exploration truncated",
                                 explored=conc)
-
-    aconfigs = {abs_sys.cfg0.key(): abs_sys.cfg0}
-    asuccs = {}
-
-    def abs_successors(ak):
-        if ak not in asuccs:
-            lst = successors(aconfigs[ak], abs_sys.ctx)
-            out = []
-            for t, lab, nxt in lst:
-                nk = nxt.key()
-                aconfigs.setdefault(nk, nxt)
-                out.append((t, lab, nk))
-            asuccs[ak] = out
-        return asuccs[ak]
-
-    projections = {}
-    shared = {}  # one object per distinct projection: many are equal
-
-    def proj(cfg):
-        p = projections.get(cfg)
-        if p is None:
-            p = (_rvals(cfg), project(cfg, client_regs, threads))
-            p = projections[cfg] = shared.setdefault(p, p)
-        return p
-
-    def cond1(ak, ck):
-        (arv, ap), (crv, cp) = proj(aconfigs[ak]), proj(conc.configs[ck])
-        return arv == crv and _refines(ap, cp)
-
-    init_pair = (abs_sys.cfg0.key(), conc.initial_key)
-    if not cond1(*init_pair):
+    moves = _game(abs_sys, conc)
+    if not moves:
         return SimulationResult("no-simulation", counterexample=[],
                                 detail="initial states unrelated",
                                 explored=conc)
 
-    # forward reachability over candidate pairs, numbered in discovery order
+    losing = _attractor(moves)
+    if 0 in losing:  # the initial pair
+        path = _extract_counterexample(0, moves, losing)
+        return SimulationResult("no-simulation", 0, len(moves), path,
+                                "a concrete step cannot be matched", conc)
+
+    return SimulationResult("simulation-found", len(moves) - len(losing),
+                            len(moves), explored=conc)
+
+
+def _game(abs_sys, conc):
+    """The pairs (abstract state, concrete state) reachable from the initial
+    pair, numbered in discovery order, as `moves`: per pair number, per
+    concrete step, ((thread, label), [candidate pair numbers]).  Empty when
+    the initial states are unrelated."""
+    threads = abs_sys.ctx.threads
+    client_regs = _client_regs(abs_sys)
+    # states are numbered: concrete ones in exploration order, abstract ones
+    # as they are reached; a state's view is (return values, projection),
+    # and a concrete step is ((thread, label), successor, reply core)
+    aproject = _projector(client_regs, threads)
+    cproject = _projector(client_regs, threads)
+    cnum = {k: i for i, k in enumerate(conc.configs)}
+    cviews = [(_rvals(cfg), cproject(cfg)) for cfg in conc.configs.values()]
+    csteps = [[((t, lab), cnum[k2], _reply_core(lab))
+               for t, lab, k2 in conc.edges[k]] for k in conc.configs]
+    acfgs, anum, aviews = [], {}, []
+    # per abstract state, once expanded: (thread, reply core) -> successors
+    areplies = []
+    # _refines per pair of projections, by identity: equal projections are
+    # one object, and far fewer pairs of them occur than pairs of states
+    refines = {}
+
+    def anumber(cfg):
+        n = anum.get(cfg)
+        if n is None:
+            n = anum[cfg] = len(acfgs)
+            acfgs.append(cfg)
+            aviews.append((_rvals(cfg), aproject(cfg)))
+            areplies.append(None)
+        return n
+
+    def replies(a):
+        out = areplies[a]
+        if out is None:
+            out = areplies[a] = {}
+            for t, lab, nxt in successors(acfgs[a], abs_sys.ctx):
+                out.setdefault((t, _reply_core(lab)), []).append(
+                    anumber(nxt.key()))
+        return out
+
+    def related(a, c):
+        (arv, ap), (crv, cp) = aviews[a], cviews[c]
+        if arv != crv:
+            return False
+        r = refines.get((id(ap), id(cp)))
+        if r is None:
+            r = refines[id(ap), id(cp)] = _refines(ap, cp)
+        return r
+
+    init_pair = (anumber(abs_sys.cfg0.key()), cnum[conc.initial_key])
+    if not related(*init_pair):
+        return []
+
+    # forward reachability over candidate pairs
     order = [init_pair]
     seen = {init_pair: 0}
-    # per pair number, per concrete step: (step-info, [candidate numbers])
     moves = []
-    for ak, ck in order:  # grows while it is walked
+    for a, c in order:  # grows while it is walked
         step_moves = []
-        for t, lab, ck2 in conc.edges[ck]:
-            cands = []
-            if _is_impl_step(lab):
-                if cond1(ak, ck2):
-                    cands.append((ak, ck2))
-                for t2, alab, ak2 in abs_successors(ak):
-                    if t2 == t and _is_impl_step(alab) and cond1(ak2, ck2):
-                        cands.append((ak2, ck2))
-            else:
-                core = _client_core(lab)
-                for t2, alab, ak2 in abs_successors(ak):
-                    if (t2 == t and not _is_impl_step(alab)
-                            and _client_core(alab) == core
-                            and cond1(ak2, ck2)):
-                        cands.append((ak2, ck2))
+        for step, c2, core in csteps[c]:
+            # an implementation step may also be answered by stuttering
+            cands = [a] if core is None and related(a, c2) else []
+            cands += [a2 for a2 in replies(a).get((step[0], core), ())
+                      if related(a2, c2)]
             nums = []
-            for p in cands:
+            for a2 in cands:
+                p = (a2, c2)
                 n = seen.get(p)
                 if n is None:
                     n = seen[p] = len(order)
                     order.append(p)
                 nums.append(n)
-            step_moves.append(((t, lab), nums))
+            step_moves.append((step, nums))
         moves.append(step_moves)
+    return moves
 
-    # greatest fixpoint: prune pairs with an unanswerable concrete step;
-    # the round a pair is pruned in measures how long it can resist
-    losing = {}  # pair number -> round
-    round_no = 0
-    while True:
-        fresh = [n for n, step_moves in enumerate(moves)
-                 if n not in losing
-                 and any(all(p in losing for p in cands)
-                         for _, cands in step_moves)]
-        if not fresh:
-            break
-        for n in fresh:
-            losing[n] = round_no
-        round_no += 1
 
-    if 0 in losing:  # the initial pair
-        path = _extract_counterexample(0, moves, losing)
-        return SimulationResult("no-simulation", 0, len(order), path,
-                                "a concrete step cannot be matched", conc)
+def _attractor(moves):
+    """The pairs from which the concrete side wins the safety game, each
+    with its layer: a pair with a concrete step that has no candidate reply
+    is in layer 0, and a pair in no earlier layer is in layer i + 1 when
+    one of its steps has only candidates in layers up to i.  A pair's layer
+    measures how long it can resist.  `moves[n]` lists pair n's concrete
+    steps as (step, candidate pair numbers); a candidate may repeat.
 
-    return SimulationResult("simulation-found", len(order) - len(losing),
-                            len(order), explored=conc)
+    Linear in the size of the game: each (pair, step) slot counts its
+    candidates not yet losing, and each losing pair decrements the slots it
+    occurs in, once per occurrence (Henzinger, Henzinger and Kopke,
+    "Computing simulations on finite and infinite graphs", FOCS 1995)."""
+    waiting = []  # per slot: candidate occurrences not yet losing
+    owner = []  # per slot: its pair
+    occurs = [[] for _ in moves]  # per pair: the slots it is a candidate in
+    losing = {}
+    layer = []
+    for n, step_moves in enumerate(moves):
+        for _, cands in step_moves:
+            for p in cands:
+                occurs[p].append(len(waiting))
+            waiting.append(len(cands))
+            owner.append(n)
+            if not cands and n not in losing:
+                losing[n] = 0
+                layer.append(n)
+    depth = 0
+    while layer:
+        depth += 1
+        nxt = []
+        for p in layer:
+            for slot in occurs[p]:
+                waiting[slot] -= 1
+                if not waiting[slot]:
+                    n = owner[slot]
+                    if n not in losing:
+                        losing[n] = depth
+                        nxt.append(n)
+        layer = nxt
+    return losing
 
 
 def _extract_counterexample(pair, moves, losing):
@@ -355,14 +427,10 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
         return TraceCheckResult("unknown-beyond-bound",
                                 detail="exploration truncated")
 
-    shared = {}  # one object per distinct projection: many are equal
-
-    def proj(cfg):
-        p = project(cfg, client_regs, threads)
-        return shared.setdefault(p, p)
-
-    aproj = {k: proj(c) for k, c in ab.configs.items()}
-    cproj = {k: proj(c) for k, c in conc.configs.items()}
+    aproject = _projector(client_regs, threads)
+    cproject = _projector(client_regs, threads)
+    aproj = {k: aproject(c) for k, c in ab.configs.items()}
+    cproj = {k: cproject(c) for k, c in conc.configs.items()}
 
     def closure(akeys):
         out = set(akeys)

@@ -132,6 +132,35 @@ class TestRefine:
         assert starts.count(abstract) == 1
         assert len(starts) == 2
 
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_version_binder_is_an_input_error(self, corpus_dir, capsys,
+                                              impl):
+        # lockmp's `l.acquire(rl)` binds the abstract lock's operation
+        # counter, which no implementation sets
+        code, out, err = run(capsys, "refine", "--impl", impl, "--client",
+                             str(corpus_dir / "lockmp.lit"))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "binds rl" in err
+
+    @pytest.mark.parametrize("impl, verdict, code", [
+        ("seqlock", "simulation-found", 0),
+        ("ticketlock", "simulation-found", 0),
+        ("seqlock-relaxed", "no-simulation", 1),
+        ("ticketlock-relaxed", "no-simulation", 1),
+    ])
+    def test_lockmp_without_binder(self, tmp_path, capsys, impl, verdict,
+                                   code):
+        text = corpus_text("lockmp")
+        assert "l.acquire(rl)" in text
+        client = tmp_path / "lockmp-unbound.lit"
+        client.write_text(text.replace("l.acquire(rl)", "l.acquire()"))
+        got, out, err = run(capsys, "refine", "--json", "--impl", impl,
+                            "--client", str(client))
+        assert (got, err) == (code, "")
+        assert json.loads(out)["verdict"] == verdict
+
 
 class TestOracle:
     def test_fifo(self, capsys):

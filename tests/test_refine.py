@@ -1,12 +1,20 @@
-import pytest
+import json
+from pathlib import Path
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import rarcheck.refine as rf
 from rarcheck import program as P
+from rarcheck.cli import run_cli
 from rarcheck.explore import explore, successors
-from rarcheck.litmus import LitmusError, build_system, load_corpus, parse_litmus
+from rarcheck.litmus import (LitmusError, build_system, corpus_text,
+                             load_corpus, parse_litmus)
 from rarcheck.refine import (builtin_impls, check_simulation,
                              check_trace_refinement,
                              project_and_destutter, state_refines,
                              _client_regs)
+from reference_game import rounds
 
 
 def client():
@@ -161,6 +169,19 @@ class TestSimulation:
             check_simulation(builtin_impls()["seqlock"], parse_litmus(text),
                              64)
 
+    @pytest.mark.parametrize("sync_free", [True, False])
+    def test_version_binder_rejected(self, sync_free):
+        with pytest.raises(LitmusError, match="binds rl"):
+            check_simulation(builtin_impls()["seqlock"], load_corpus("lockmp"),
+                             64, require_sync_free=sync_free)
+        text = ("name bound\ninit d := 0; v := 0\nobject lock l\n"
+                "mode refine\n"
+                "thread 1 { r1 := l.acquire(v); d := 1; l.release(); }\n"
+                "thread 2 { l.acquire(); r2 <- d; l.release(); }\n")
+        with pytest.raises(LitmusError, match="binds v"):
+            check_simulation(builtin_impls()["seqlock"], parse_litmus(text),
+                             64, require_sync_free=sync_free)
+
 
 class TestTraceRefinement:
     def test_both_locks_pass(self):
@@ -199,3 +220,89 @@ class TestCounterexampleReplay:
                        and lab.render() == step["label"]]
             assert len(matches) == 1, step
             cfg = matches[0]
+
+
+# lockmp and lockmp-mutant play the game once their acquires' version binder
+# is dropped (refine rejects it)
+GAME_CLIENTS = ("seqlock-refine", "ticketlock-refine", "lock-two-rounds",
+                "lockmp", "lockmp-mutant")
+
+
+class TestAttractor:
+    @pytest.mark.parametrize("client", GAME_CLIENTS)
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_layers_match_reference_on_corpus_games(self, monkeypatch, impl,
+                                                    client):
+        games = []
+        attractor = rf._attractor
+
+        def recording(moves):
+            games.append(moves)
+            return attractor(moves)
+
+        monkeypatch.setattr(rf, "_attractor", recording)
+        lf = parse_litmus(corpus_text(client).replace("l.acquire(rl)",
+                                                      "l.acquire()"))
+        for bound in (25, 64):
+            check_simulation(builtin_impls()[impl], lf, bound)
+        assert games  # every client is explored in full at 64 steps
+        for moves in games:
+            assert attractor(moves) == rounds(moves)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.lists(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=4), max_size=3),
+        min_size=n, max_size=n)))
+    @example([[[]]])  # a step with no reply
+    @example([[[0]]])  # a self-loop resists forever
+    @example([[[1, 1]], [[]]])  # a repeated candidate
+    @example([[[1, 2]], [[0]], [[]]])  # a cycle with one escape
+    @example([[[1], [2, 2]], [[0]], [[2], []]])
+    def test_layers_match_reference_on_generated_games(self, steps):
+        moves = [[(None, cands) for cands in pair] for pair in steps]
+        assert rf._attractor(moves) == rounds(moves)
+
+
+PINNED = json.loads((Path(__file__).parent / "golden" /
+                     "refine_json.json").read_text(encoding="utf-8"))
+
+
+class TestPinnedOutputs:
+    """`refine --json` output and exit code for 4 impls x 3 lock clients at
+    three bounds, recorded before the game took its counter-based form:
+    verdicts, relation and pair counts and witnesses must not move."""
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_refine_json(self, case, tmp_path, capsys):
+        impl, client, bound = case.split()
+        path = tmp_path / f"{client}.lit"
+        path.write_text(corpus_text(client), encoding="utf-8")
+        code = run_cli(["refine", "--json", "--impl", impl, "--client",
+                        str(path), "--max-steps", bound])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (PINNED[case]["exit"],
+                                            PINNED[case]["stdout"], "")
+
+
+class TestProjectionMemo:
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_client_sig_once_per_component(self, monkeypatch, impl):
+        signed = []
+        client_sig = rf._client_sig
+
+        def counting(gamma, threads):
+            signed.append((id(gamma.lay), gamma))  # one layout per system
+            return client_sig(gamma, threads)
+
+        monkeypatch.setattr(rf, "_client_sig", counting)
+        impl = builtin_impls()[impl]
+        sim = check_simulation(impl, client(), 64)
+        assert signed and len(signed) == len(set(signed))
+
+        signed.clear()
+        check_trace_refinement(impl, client(), 64, explored=sim.explored)
+        system = build_system(client())
+        ab = explore(system.cfg0, system.ctx, 64)
+        components = ({c.gamma for c in ab.configs.values()},
+                      {c.gamma for c in sim.explored.configs.values()})
+        assert len(signed) == len(set(signed)) == sum(map(len, components))
