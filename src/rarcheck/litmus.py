@@ -1,8 +1,9 @@
 """Textual litmus/outline format: parser, pretty-printer, system builder.
 
 One format serves every mode: plain litmus tests need no annotations, proof
-outlines attach an assertion in braces before each statement, refinement
-inputs name the implementation to check.  Example::
+outlines attach an assertion in braces before each top-level statement,
+refinement inputs name the implementation to check.  The parser builds the
+`program` command trees the engine steps.  Example::
 
     name mp-relacq
     init d := 0; f := 0
@@ -19,7 +20,7 @@ inputs name the implementation to check.  Example::
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from . import assertions as A
@@ -86,19 +87,14 @@ def tokenize(text: str):
 # --- surface syntax ----------------------------------------------------------
 
 @dataclass(frozen=True)
-class RawStmt:
-    kind: str  # assign|write|read|cas|fai|call|callassign|if|while|dountil
-    data: tuple
-    annotation: object = None
-
-
-@dataclass(frozen=True)
 class LitmusFile:
     name: str
     init: tuple  # ordered (name, value) pairs
     object_decl: object  # None or (kind, name, impl-or-None)
     mode: str
-    threads: tuple  # ordered (tid, tuple of RawStmt)
+    # ordered (tid, ((annotation or None, command), ...)); a plain `x := e`
+    # is an Assign until build_system knows whether x is a global
+    threads: tuple
     invariant: object = None
     final: object = None
     pre: object = None
@@ -243,58 +239,55 @@ class Parser:
 
     # -- statements --------------------------------------------------------
 
-    def parse_stmt(self) -> RawStmt:
+    def parse_stmt(self):
+        """A top-level statement: (its annotation or None, its command)."""
         ann = None
-        if self.peek().kind == "punct" and self.peek().text == "{":
-            self.next()
+        if self.accept("punct", "{"):
             ann = self.parse_assertion()
             self.expect("punct", "}")
-        s = self.parse_simple()
-        self.accept("punct", ";")
-        return replace(s, annotation=ann)
+        return ann, self.parse_cmd()
 
-    def parse_simple(self) -> RawStmt:
+    def parse_cmd(self):
+        c = self.parse_simple()
+        self.accept("punct", ";")
+        return c
+
+    def parse_simple(self):
         t = self.peek()
         if t.kind == "name" and t.text == "if":
             self.next()
             cond = self.parse_expr()
             self.expect("name", "then")
             then = self.parse_block()
-            other = ()
-            if self.kw("else"):
-                other = self.parse_block()
-            return RawStmt("if", (cond, then, other))
+            other = self.parse_block() if self.kw("else") else P.Bot()
+            return P.If(cond, then, other)
         if t.kind == "name" and t.text == "while":
             self.next()
             cond = self.parse_expr()
             self.expect("name", "do")
-            body = self.parse_block()
-            return RawStmt("while", (cond, body))
+            return P.While(cond, self.parse_block())
         if t.kind == "name" and t.text == "do":
             self.next()
             body = self.parse_block()
             self.expect("name", "until")
-            cond = self.parse_expr()
-            return RawStmt("dountil", (body, cond))
+            return P.DoUntil(body, self.parse_expr())
         if t.kind != "name":
             self.fail(f"expected a statement, found {t.text!r}")
         name = self.next().text
         if self.accept("punct", "."):
             return self.parse_call(name)
         if self.accept("assignr"):
-            return RawStmt("write", (name, self.parse_expr(), True))
+            return P.GWrite(name, self.parse_expr(), True)
         if self.accept("assign"):
             if (self.peek().kind == "name"
                     and self.peek(1).kind == "punct"
                     and self.peek(1).text == "."):
                 obj = self.next().text
                 self.next()
-                call = self.parse_call(obj)
-                return RawStmt("callassign", (name,) + call.data)
-            return RawStmt("assign", (name, self.parse_expr()))
+                return P.Assign(name, self.parse_call(obj))
+            return P.Assign(name, self.parse_expr())
         if self.accept("reada"):
-            src = self.expect("name").text
-            return RawStmt("read", (name, src, True))
+            return P.GRead(name, self.expect("name").text, True)
         if self.accept("read"):
             if self.peek().text == "CAS":
                 self.next()
@@ -305,18 +298,17 @@ class Parser:
                 self.expect("punct", ",")
                 v = self.parse_expr()
                 self.expect("punct", ")")
-                return RawStmt("cas", (name, var, u, v))
+                return P.Cas(name, var, u, v)
             if self.peek().text == "FAI":
                 self.next()
                 self.expect("punct", "(")
                 var = self.expect("name").text
                 self.expect("punct", ")")
-                return RawStmt("fai", (name, var))
-            src = self.expect("name").text
-            return RawStmt("read", (name, src, False))
+                return P.Fai(name, var)
+            return P.GRead(name, self.expect("name").text)
         self.fail(f"expected ':=', '<-' or a call after {name!r}")
 
-    def parse_call(self, obj) -> RawStmt:
+    def parse_call(self, obj):
         meth = self.expect("name").text
         self.expect("punct", "(")
         args, binder = [], None
@@ -330,17 +322,19 @@ class Parser:
                 if not self.accept("punct", ","):
                     break
             self.expect("punct", ")")
-        return RawStmt("call", (obj, meth, tuple(args), binder))
+        return P.Hole(P.MethodCall(obj, meth, tuple(args), binder))
 
     def parse_block(self):
-        if self.accept("punct", "{"):
-            out = []
-            while not self.accept("punct", "}"):
-                out.append(self.parse_stmt())
-            return tuple(out)
-        s = self.parse_simple()
-        self.accept("punct", ";")
-        return (s,)
+        """One statement, or a braced sequence of them, as one command.
+        Only top-level statements carry annotations."""
+        if not self.accept("punct", "{"):
+            return self.parse_cmd()
+        out = []
+        while not self.accept("punct", "}"):
+            if self.peek().kind == "punct" and self.peek().text == "{":
+                self.fail("annotations go on top-level statements only")
+            out.append(self.parse_cmd())
+        return P.seq_all(out)
 
     # -- expressions -------------------------------------------------------
 
@@ -396,8 +390,9 @@ class Parser:
 
     def parse_factor(self):
         t = self.peek()
-        if t.kind == "int":
-            return P.Lit(int(self.next().text))
+        if t.kind == "int" or (t.kind == "op" and t.text == "-"
+                               and self.peek(1).kind == "int"):
+            return P.Lit(self.parse_value())
         if t.kind == "op" and t.text == "-":
             self.next()
             return P.Un("-", self.parse_factor())
@@ -453,13 +448,26 @@ class Parser:
             return A.NotA(self.parse_a_not())
         return self.parse_a_atom()
 
+    def at_operator(self, ahead=0):
+        t = self.peek(ahead)
+        return t.kind == "op" or (t.kind == "name" and t.text == "in")
+
     def parse_a_atom(self):
+        # a group or a truth value followed by an operator is the first
+        # operand of a local-state predicate
         t = self.peek()
         if t.kind == "punct" and t.text == "(":
+            start = self.pos
             self.next()
             a = self.parse_assertion()
             self.expect("punct", ")")
-            return a
+            if not self.at_operator():
+                return a
+            self.pos = start
+        if (t.kind == "name" and t.text in ("true", "false")
+                and not self.at_operator(1)):
+            self.next()
+            return A.BoolA(t.text == "true")
         if t.kind == "name" and t.text in ("forall", "exists"):
             self.next()
             name = self.expect("name").text
@@ -469,12 +477,6 @@ class Parser:
             body = self.parse_assertion()
             cls = A.ForallA if t.text == "forall" else A.ExistsA
             return cls(name, tuple(vals), body)
-        if t.kind == "name" and t.text == "true":
-            self.next()
-            return A.BoolA(True)
-        if t.kind == "name" and t.text == "false":
-            self.next()
-            return A.BoolA(False)
         if t.kind == "name" and t.text in ("pobs", "dobs"):
             self.next()
             self.expect("punct", "(")
@@ -617,102 +619,38 @@ class System:
     client_locals: dict  # tid -> frozenset of client-side registers
 
 
-def _stmt_locals(stmts, assign_targets=True):
-    regs = set()
-    for s in stmts:
-        k, d = s.kind, s.data
-        if k == "assign":
-            regs |= ({d[0]} if assign_targets else set()) | \
-                P.expr_locals(d[1])
-        elif k == "write":
-            regs |= P.expr_locals(d[1])
-        elif k == "read":
-            regs.add(d[0])
-        elif k == "cas":
-            regs |= {d[0]} | P.expr_locals(d[2]) | P.expr_locals(d[3])
-        elif k == "fai":
-            regs.add(d[0])
-        elif k == "call":
-            for a in d[2]:
-                regs |= P.expr_locals(a)
-            if d[3]:
-                regs.add(d[3])
-        elif k == "callassign":
-            regs.add(d[0])
-            for a in d[3]:
-                regs |= P.expr_locals(a)
-            if d[4]:
-                regs.add(d[4])
-        elif k == "if":
-            regs |= P.expr_locals(d[0]) | _stmt_locals(d[1], assign_targets) \
-                | _stmt_locals(d[2], assign_targets)
-        elif k == "while":
-            regs |= P.expr_locals(d[0]) | _stmt_locals(d[1], assign_targets)
-        elif k == "dountil":
-            regs |= P.expr_locals(d[1]) | _stmt_locals(d[0], assign_targets)
-    return regs
-
-
-def _stmt_globals(stmts):
-    """(read-or-updated, written) global names used by statements."""
-    used = set()
-    for s in stmts:
-        k, d = s.kind, s.data
-        if k == "write":
-            used.add(d[0])
-        elif k == "read":
-            used.add(d[1])
-        elif k in ("cas", "fai"):
-            used.add(d[1])
-        elif k == "if":
-            used |= _stmt_globals(d[1]) | _stmt_globals(d[2])
-        elif k == "while":
-            used |= _stmt_globals(d[1])
-        elif k == "dountil":
-            used |= _stmt_globals(d[0])
-    return used
-
-
-def _build_cmd(s: RawStmt, locals_, globals_):
-    k, d = s.kind, s.data
-    if k == "assign":
-        if d[0] in globals_:
-            return P.GWrite(d[0], d[1], False)
-        return P.Assign(d[0], d[1])
-    if k == "write":
-        return P.GWrite(d[0], d[1], d[2])
-    if k == "read":
-        return P.GRead(d[0], d[1], d[2])
-    if k == "cas":
-        return P.Cas(d[0], d[1], d[2], d[3])
-    if k == "fai":
-        return P.Fai(d[0], d[1])
-    if k == "call":
-        return P.Hole(P.MethodCall(d[0], d[1], d[2], d[3]))
-    if k == "callassign":
-        return P.Assign(d[0], P.Hole(P.MethodCall(d[1], d[2], d[3], d[4])))
-    if k == "if":
-        return P.If(d[0], _seq_block(d[1], locals_, globals_),
-                    _seq_block(d[2], locals_, globals_) if d[2] else P.Bot())
-    if k == "while":
-        return P.While(d[0], _seq_block(d[1], locals_, globals_))
-    if k == "dountil":
-        return P.DoUntil(_seq_block(d[0], locals_, globals_), d[1])
-    raise LitmusError(f"unknown statement kind {k!r}")
-
-
-def _seq_block(stmts, locals_, globals_):
-    return P.seq_all([_build_cmd(s, locals_, globals_) for s in stmts])
+def _names(cmd):
+    """(registers, globals, plain assignment targets) a command uses.  A
+    register is read into, bound or named in an expression; a global is
+    read, updated or written releasing; a plain `x := e` writes a register
+    unless x is declared as a global."""
+    regs, globs, plain = set(), set(), set()
+    for n in P.nodes(cmd):
+        if isinstance(n, P.Var):
+            regs.add(n.name)
+        elif isinstance(n, (P.GRead, P.Cas, P.Fai)):
+            regs.add(n.reg)
+            globs.add(n.var)
+        elif isinstance(n, P.GWrite):
+            globs.add(n.var)
+        elif isinstance(n, P.MethodCall) and n.binder:
+            regs.add(n.binder)
+        elif isinstance(n, P.Assign) and isinstance(n.src, P.Hole):
+            regs.add(n.reg)  # r := o.m()
+        elif isinstance(n, P.Assign):
+            plain.add(n.reg)
+    return regs, globs, plain
 
 
 def build_system(lf: LitmusFile, impl=None) -> System:
     """Elaborate a parsed litmus file; impl (a LockImpl) fills the holes."""
     tids = [t for t, _ in lf.threads]
-    local_evidence = set()
-    global_evidence = set()
-    for _, stmts in lf.threads:
-        local_evidence |= _stmt_locals(stmts, assign_targets=False)
-        global_evidence |= _stmt_globals(stmts)
+    progs = {t: P.seq_all([P.Labeled(i, cmd) for i, (_, cmd)
+                           in enumerate(stmts, start=1)])
+             for t, stmts in lf.threads}
+    names = {t: _names(progs[t]) for t in tids}
+    local_evidence = set().union(*(regs for regs, _, _ in names.values()))
+    global_evidence = set().union(*(globs for _, globs, _ in names.values()))
     clash = local_evidence & global_evidence
     if clash:
         raise LitmusError(
@@ -726,21 +664,8 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     if undeclared:
         raise LitmusError(f"undeclared variable {sorted(undeclared)[0]!r}")
 
-    # thread programs, labelled per top-level statement
-    progs, annotations, n_labels = {}, {}, {}
-    thread_locals = {}
-    for t, stmts in lf.threads:
-        cmds, anns = [], {}
-        for i, s in enumerate(stmts, start=1):
-            cmds.append(P.Labeled(i, _build_cmd(s, local_evidence,
-                                                client_vars)))
-            if s.annotation is not None:
-                anns[i] = s.annotation
-        progs[t] = P.desugar(P.seq_all(cmds))
-        annotations[t] = anns
-        n_labels[t] = len(stmts)
-        thread_locals[t] = _stmt_locals(stmts) - client_vars
-
+    thread_locals = {t: (regs | plain) - client_vars
+                     for t, (regs, _, plain) in names.items()}
     for i, t in enumerate(tids):
         for t2 in tids[i + 1:]:
             shared = thread_locals[t] & thread_locals[t2]
@@ -770,38 +695,31 @@ def build_system(lf: LitmusFile, impl=None) -> System:
             raise LitmusError("an implementation needs a lock object")
         library = ("impl", impl.init)
         library_vars = {x for x, _ in impl.init}
-        progs = {t: _fill_impl(progs[t], impl) for t in progs}
+
+    def resolve(c):
+        """Plain writes to globals become global writes, do-until loops
+        are desugared, and impl's bodies fill the method-call holes."""
+        if isinstance(c, P.Assign) and c.reg in client_vars:
+            return P.GWrite(c.reg, c.src)
+        if impl is not None and isinstance(c, P.Hole):
+            body, retval = impl.method(c.content.meth)
+            return P.Hole(P.Body(c.content.meth, retval, body))
+        return P.desugar_stmt(c)
+    progs = {t: P.map_stmts(resolve, progs[t]) for t in tids}
 
     rho, gamma, beta = make_init_states(init_globals, client_vars, library,
                                         set(tids), local_inits)
 
     observed = _observed_registers(lf, local_evidence)
+    n_labels = {t: len(stmts) for t, stmts in lf.threads}
     ctx = SystemContext(tids, client_vars, library_vars, spec, n_labels,
                         observed)
     cfg0 = Configuration(progs, rho, gamma, beta)
+    annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
+                       if ann is not None} for t, stmts in lf.threads}
     outline = A.ProofOutline(annotations, lf.invariant, lf.final, lf.pre)
     client_locals = {t: frozenset(thread_locals[t]) for t in tids}
     return System(lf, cfg0, ctx, outline, client_locals)
-
-
-def _fill_impl(prog_t, impl):
-    """Replace abstract method calls with implementation bodies."""
-    def walk(c):
-        return P.seq_map(fill, c)
-
-    def fill(c):
-        if isinstance(c, P.Labeled):
-            return P.Labeled(c.label, walk(c.cmd))
-        if isinstance(c, P.Hole) and isinstance(c.content, P.MethodCall):
-            call = c.content
-            body, retval = impl.method(call.meth)
-            return P.Hole(P.Body(call.meth, retval, body))
-        if isinstance(c, P.If):
-            return P.If(c.cond, walk(c.then), walk(c.other))
-        if isinstance(c, P.While):
-            return P.While(c.cond, walk(c.body))
-        return c
-    return walk(prog_t)
 
 
 def _observed_registers(lf: LitmusFile, local_evidence):
@@ -821,7 +739,8 @@ def _observed_registers(lf: LitmusFile, local_evidence):
         elif isinstance(a, (A.ForallA, A.ExistsA)):
             walk(a.body)
         elif isinstance(a, A.LocalPred):
-            for r in sorted(P.expr_locals(a.expr)):
+            for r in sorted({n.name for n in P.nodes(a.expr)
+                             if isinstance(n, P.Var)}):
                 if r in local_evidence and r not in seen:
                     seen.append(r)
 
@@ -846,10 +765,10 @@ def pretty(lf: LitmusFile) -> str:
         out.append(f"mode {lf.mode}")
     for t, stmts in lf.threads:
         out.append(f"thread {t} {{")
-        for s in stmts:
-            if s.annotation is not None:
-                out.append(f"  {{ {_pa(s.annotation)} }}")
-            out.append(f"  {_pstmt(s)};")
+        for ann, cmd in stmts:
+            if ann is not None:
+                out.append(f"  {{ {_pa(ann)} }}")
+            out.append(f"  {_pcmd(cmd)};")
         out.append("}")
     if lf.invariant is not None:
         out.append(f"invariant {{ {_pa(lf.invariant)} }}")
@@ -878,48 +797,57 @@ def _pe(e) -> str:
     if isinstance(e, P.Var):
         return e.name
     if isinstance(e, P.Un):
-        return f"not ({_pe(e.e)})" if e.op == "not" else f"-{_pe(e.e)}"
+        if e.op == "not":  # parenthesised whole: `not` is also an assertion
+            return f"(not {_pe(e.e)})"
+        # -(5) is not the literal -5
+        return f"-({_pe(e.e)})" if isinstance(e.e, P.Lit) else f"-{_pe(e.e)}"
     if isinstance(e, P.Bin):
         return f"({_pe(e.a)} {e.op} {_pe(e.b)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _pstmt(s: RawStmt) -> str:
-    k, d = s.kind, s.data
-    if k == "assign":
-        return f"{d[0]} := {_pe(d[1])}"
-    if k == "write":
-        return f"{d[0]} :={'R' if d[2] else ''} {_pe(d[1])}"
-    if k == "read":
-        return f"{d[0]} <-{'A' if d[2] else ''} {d[1]}"
-    if k == "cas":
-        return f"{d[0]} <- CAS({d[1]},{_pe(d[2])},{_pe(d[3])})"
-    if k == "fai":
-        return f"{d[0]} <- FAI({d[1]})"
-    if k == "call":
-        return _pcall(d)
-    if k == "callassign":
-        return f"{d[0]} := {_pcall(d[1:])}"
-    if k == "if":
-        body = " ".join(_pstmt(x) + ";" for x in d[1])
-        alt = f" else {{ {' '.join(_pstmt(x) + ';' for x in d[2])} }}" \
-            if d[2] else ""
-        return f"if {_pe(d[0])} then {{ {body} }}{alt}"
-    if k == "while":
-        body = " ".join(_pstmt(x) + ";" for x in d[1])
-        return f"while {_pe(d[0])} do {{ {body} }}"
-    if k == "dountil":
-        body = " ".join(_pstmt(x) + ";" for x in d[0])
-        return f"do {{ {body} }} until {_pe(d[1])}"
-    raise TypeError(k)
+def _pcmd(c) -> str:
+    if isinstance(c, P.Assign):
+        src = _pcall(c.src) if isinstance(c.src, P.Hole) else _pe(c.src)
+        return f"{c.reg} := {src}"
+    if isinstance(c, P.GWrite):
+        return f"{c.var} :={'R' if c.releasing else ''} {_pe(c.expr)}"
+    if isinstance(c, P.GRead):
+        return f"{c.reg} <-{'A' if c.acquiring else ''} {c.var}"
+    if isinstance(c, P.Cas):
+        return f"{c.reg} <- CAS({c.var},{_pe(c.expect)},{_pe(c.new)})"
+    if isinstance(c, P.Fai):
+        return f"{c.reg} <- FAI({c.var})"
+    if isinstance(c, P.Hole):
+        return _pcall(c)
+    if isinstance(c, P.If):
+        alt = ("" if isinstance(c.other, P.Bot)
+               else f" else {{ {_pblock(c.other)} }}")
+        return f"if {_pe(c.cond)} then {{ {_pblock(c.then)} }}{alt}"
+    if isinstance(c, P.While):
+        return f"while {_pe(c.cond)} do {{ {_pblock(c.body)} }}"
+    if isinstance(c, P.DoUntil):
+        return f"do {{ {_pblock(c.body)} }} until {_pe(c.cond)}"
+    raise TypeError(f"not a statement: {c!r}")
 
 
-def _pcall(d) -> str:
-    obj, meth, args, binder = d
-    inner = ",".join(_pe(a) for a in args)
-    if binder:
-        inner = binder if not inner else f"{inner},{binder}"
-    return f"{obj}.{meth}({inner})"
+def _pblock(c) -> str:
+    """A block's statements: the commands of a Seq chain, none for Bot."""
+    out = []
+    while isinstance(c, P.Seq):
+        out.append(_pcmd(c.a) + ";")
+        c = c.b
+    if not isinstance(c, P.Bot):
+        out.append(_pcmd(c) + ";")
+    return " ".join(out)
+
+
+def _pcall(hole) -> str:
+    m = hole.content
+    inner = ",".join(_pe(a) for a in m.args)
+    if m.binder:
+        inner = m.binder if not inner else f"{inner},{m.binder}"
+    return f"{m.obj}.{m.meth}({inner})"
 
 
 def _pminst(m: A.MethodInstance) -> str:

@@ -96,16 +96,6 @@ def eval_expr(e, ls: dict):
     raise ProgramError(f"not an expression: {e!r}")
 
 
-def expr_locals(e) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Un):
-        return expr_locals(e.e)
-    if isinstance(e, Bin):
-        return expr_locals(e.a) | expr_locals(e.b)
-    return set()
-
-
 # --- commands ---------------------------------------------------------------
 
 @hashed
@@ -264,42 +254,55 @@ def seq_all(cmds):
     return out
 
 
-def seq_map(f, cmd):
-    """cmd with f applied to each command of its Seq chain.  The chain is
-    walked along its right spine by a loop, so its length costs no
-    recursion; f is never given a Seq."""
+def map_stmts(f, cmd):
+    """cmd with f applied to each of its statements, innermost first: the
+    blocks of an if, a loop or a label are mapped before f is given the
+    statement that holds them.  A Seq chain is walked along its right spine
+    by a loop, so its length costs no recursion; f is never given a Seq."""
     firsts = []
     while isinstance(cmd, Seq):
-        firsts.append(seq_map(f, cmd.a))
+        firsts.append(map_stmts(f, cmd.a))
         cmd = cmd.b
+    if isinstance(cmd, If):
+        cmd = If(cmd.cond, map_stmts(f, cmd.then), map_stmts(f, cmd.other))
+    elif isinstance(cmd, While):
+        cmd = While(cmd.cond, map_stmts(f, cmd.body))
+    elif isinstance(cmd, DoUntil):
+        cmd = DoUntil(map_stmts(f, cmd.body), cmd.cond)
+    elif isinstance(cmd, Labeled):
+        cmd = Labeled(cmd.label, map_stmts(f, cmd.cmd))
     out = f(cmd)
     for a in reversed(firsts):
         out = Seq(a, out)
     return out
 
 
+def nodes(cmd):
+    """The command and expression nodes of a tree, pre-order.  The walk
+    keeps its own stack, so no depth costs recursion."""
+    stack = [cmd]
+    while stack:
+        node = stack.pop()
+        yield node
+        kids = []
+        for f in node._fields:
+            v = getattr(node, f)
+            if isinstance(v, Hashed):
+                kids.append(v)
+            elif type(v) is tuple:  # a method call's arguments
+                kids += v
+        stack += reversed(kids)
+
+
 def desugar(cmd):
     """Rewrite do-until loops: do C until B == C; while not B do C."""
-    return seq_map(_desugar, cmd)
+    return map_stmts(desugar_stmt, cmd)
 
 
-def _desugar(cmd):
+def desugar_stmt(cmd):
+    """One statement of `desugar`, its blocks already rewritten."""
     if isinstance(cmd, DoUntil):
-        body = desugar(cmd.body)
-        return Seq(body, While(Un("not", cmd.cond), body))
-    if isinstance(cmd, If):
-        return If(cmd.cond, desugar(cmd.then), desugar(cmd.other))
-    if isinstance(cmd, While):
-        return While(cmd.cond, desugar(cmd.body))
-    if isinstance(cmd, Labeled):
-        return Labeled(cmd.label, desugar(cmd.cmd))
-    if isinstance(cmd, Body):
-        return Body(cmd.meth, cmd.retval, desugar(cmd.cmd))
-    if isinstance(cmd, Hole) and cmd.content is not None and not isinstance(
-            cmd.content, (Value, Bot, MethodCall)):
-        return Hole(desugar(cmd.content))
-    if isinstance(cmd, Assign) and isinstance(cmd.src, Hole):
-        return Assign(cmd.reg, desugar(cmd.src))
+        return Seq(cmd.body, While(Un("not", cmd.cond), cmd.body))
     return cmd
 
 

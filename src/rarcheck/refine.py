@@ -12,7 +12,8 @@ sets that local.
 
 Trace inclusion is checked independently by determinizing the abstract trace
 graph: every stutter-free concrete client trace must be matched pointwise by
-some abstract trace.
+some abstract trace, the abstract side staying put where the concrete one
+changes the client's projection more often.
 """
 
 from __future__ import annotations
@@ -133,6 +134,20 @@ def _refines(aproj, cproj) -> bool:
     return all(cset <= aobs.get(key, frozenset()) for key, cset in cobs)
 
 
+def _refines_memo():
+    """`_refines` remembered by identity of its arguments: a projector
+    interns equal projections, and far fewer pairs of them occur than
+    pairs of states."""
+    memo = {}
+
+    def refines(aproj, cproj):
+        r = memo.get((id(aproj), id(cproj)))
+        if r is None:
+            r = memo[id(aproj), id(cproj)] = _refines(aproj, cproj)
+        return r
+    return refines
+
+
 def state_refines(abs_pair, conc_pair, threads) -> bool:
     """State refinement of (locals, client component) pairs."""
     (als, agamma), (cls, cgamma) = abs_pair, conc_pair
@@ -156,34 +171,18 @@ def _reply_core(label):
             else ("eps",))
 
 
-def _leaves(cmd):
-    """A program's primitive commands (holes included), in program order."""
-    while isinstance(cmd, P.Seq):  # the right spine by a loop
-        yield from _leaves(cmd.a)
-        cmd = cmd.b
-    if isinstance(cmd, P.Labeled):
-        yield from _leaves(cmd.cmd)
-    elif isinstance(cmd, P.If):
-        yield from _leaves(cmd.then)
-        yield from _leaves(cmd.other)
-    elif isinstance(cmd, (P.While, P.DoUntil)):
-        yield from _leaves(cmd.body)
-    else:
-        yield cmd
-
-
 def check_sync_free(system):
     """Synchronisation-free clients: no release/acquire annotations and no
-    read-modify-writes outside the library."""
+    read-modify-writes outside the library (in the abstract system a hole
+    holds only its method call)."""
     for t, prog in system.cfg0.prog.items():
-        for cmd in _leaves(prog):
+        for cmd in P.nodes(prog):
             if isinstance(cmd, P.GWrite) and cmd.releasing:
                 raise LitmusError(f"client thread {t} uses a releasing write")
             if isinstance(cmd, P.GRead) and cmd.acquiring:
                 raise LitmusError(f"client thread {t} uses an acquiring read")
             if isinstance(cmd, (P.Cas, P.Fai)):
                 raise LitmusError(f"client thread {t} uses an update")
-            # holes are the library's business
 
 
 def _check_no_version_binder(system):
@@ -191,15 +190,12 @@ def _check_no_version_binder(system):
     local (`l.acquire(rl)`).  No implementation sets that local, so it would
     differ between the abstract and the concrete client after the acquire."""
     for t, prog in system.cfg0.prog.items():
-        for cmd in _leaves(prog):
-            call = cmd.src if isinstance(cmd, P.Assign) else cmd
-            if (isinstance(call, P.Hole)
-                    and isinstance(call.content, P.MethodCall)
-                    and call.content.binder):
+        for call in P.nodes(prog):
+            if isinstance(call, P.MethodCall) and call.binder:
                 raise LitmusError(
-                    f"client thread {t} binds {call.content.binder} to the "
-                    f"lock's operation counter in {call.content!r}; no lock "
-                    "implementation sets it")
+                    f"client thread {t} binds {call.binder} to the lock's "
+                    f"operation counter in {call!r}; no lock implementation "
+                    "sets it")
 
 
 @dataclass
@@ -268,9 +264,7 @@ def _game(abs_sys, conc):
     acfgs, anum, aviews = [], {}, []
     # per abstract state, once expanded: (thread, reply core) -> successors
     areplies = []
-    # _refines per pair of projections, by identity: equal projections are
-    # one object, and far fewer pairs of them occur than pairs of states
-    refines = {}
+    refines = _refines_memo()
 
     def anumber(cfg):
         n = anum.get(cfg)
@@ -292,12 +286,7 @@ def _game(abs_sys, conc):
 
     def related(a, c):
         (arv, ap), (crv, cp) = aviews[a], cviews[c]
-        if arv != crv:
-            return False
-        r = refines.get((id(ap), id(cp)))
-        if r is None:
-            r = refines[id(ap), id(cp)] = _refines(ap, cp)
-        return r
+        return arv == crv and refines(ap, cp)
 
     init_pair = (anumber(abs_sys.cfg0.key()), cnum[conc.initial_key])
     if not related(*init_pair):
@@ -413,7 +402,21 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
     """Determinized matching of every stutter-free concrete client trace
     against the abstract trace graph under pointwise refinement.
     `explored`, if given, is the exploration of the concrete system under
-    the same bound (as kept in `SimulationResult.explored`), reused."""
+    the same bound (as kept in `SimulationResult.explored`), reused.
+
+    A visible concrete step is matched by a visible abstract step or by the
+    abstract side staying put, when the state it is in already refines the
+    concrete successor.  This is sound for the paper's refinement, which
+    compares stutter-free client traces: the projections p0 .. pn of a
+    concrete trace are refined pointwise by abstract projections q0 .. qn
+    with consecutive repeats, and q0 .. qn with its repeats collapsed is
+    the stutter-free client trace of an abstract execution, since each
+    abstract state we stay at is one the abstract system reached.  A
+    concrete acquire may change the client's projection several times (its
+    spin reads shrink what the thread observes) where the abstract acquire
+    changes it once; the simulation game's stay-put reply to an
+    implementation step is the same freedom, so a simulation implies trace
+    inclusion here as the paper's theorem says it must."""
     abs_sys = build_system(client_lf)
     threads = abs_sys.ctx.threads
     client_regs = _client_regs(abs_sys)
@@ -431,6 +434,7 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
     cproject = _projector(client_regs, threads)
     aproj = {k: aproject(c) for k, c in ab.configs.items()}
     cproj = {k: cproject(c) for k, c in conc.configs.items()}
+    refines = _refines_memo()
 
     def closure(akeys):
         out = set(akeys)
@@ -462,7 +466,9 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
                 visible += 1
                 step = {k2 for k in aset for _, _, k2 in ab.edges[k]
                         if aproj[k2] != aproj[k]
-                        and _refines(aproj[k2], cproj[ck2])}
+                        and refines(aproj[k2], cproj[ck2])}
+                # the abstract side may stutter
+                step |= {k for k in aset if refines(aproj[k], cproj[ck2])}
                 if not step:
                     path = _trace_path(parents, node)
                     path.append({"thread": t, "label": label.render()})

@@ -1,4 +1,4 @@
-"""Fuzz the command line over generated expressions.
+"""Fuzz the command line over generated expressions and whole files.
 
 One-thread programs evaluate a generated expression once in a thread
 statement and once in the final clause.  Whatever the operators make of
@@ -9,11 +9,13 @@ itself, so a wrong value put into a register by the engine stays visible.
 """
 
 import contextlib
+import functools
 import io
 
 from hypothesis import given, settings, strategies as st
 
 from rarcheck.cli import run_cli
+from rarcheck.litmus import parse_litmus, pretty
 
 BINOPS = ("+", "-", "*", "%", "=", "!=", "<", "<=", ">", ">=", "and", "or")
 UNOPS = ("-", "not")
@@ -48,3 +50,137 @@ def test_explore_never_exits_internal(tmp_path_factory, expr):
                                "error: unbound local")), (expr, msg)
         if msg.startswith("error: cannot evaluate"):
             assert any(w in expr for w in ("bot", "empty", "%")), (expr, msg)
+
+
+# --- whole files ---------------------------------------------------------------
+#
+# Generated litmus files: one or two threads over globals x and y, every
+# statement kind, if/while/do-until nested two deep, a lock or a queue object,
+# annotations on top-level statements, value sets, and invariant, pre and
+# final clauses.  Each file must parse, print back to itself, and give
+# `explore` and `outline` a verdict, a bound or an input error, never exit 4.
+
+GLOBALS = ("x", "y")
+CMPS = ("=", "!=", "<", "<=", ">", ">=")
+values = st.one_of(st.integers(-3, 9).map(str),
+                   st.sampled_from(["true", "false", "bot", "empty"]))
+value_sets = st.lists(values, min_size=1, max_size=3).map(", ".join)
+
+
+@functools.lru_cache(maxsize=None)  # strategies are built once
+def file_exprs(regs):
+    leaf = st.one_of(st.integers(-3, 9).map(str), st.sampled_from(regs),
+                     values)
+    return st.recursive(leaf, lambda sub: st.one_of(
+        st.builds("{} ({})".format, st.sampled_from(UNOPS), sub),
+        st.builds("({} {} {})".format, sub, st.sampled_from(BINOPS), sub),
+        st.builds("({} in {{{}}})".format, sub, value_sets)), max_leaves=4)
+
+
+@functools.lru_cache(maxsize=None)
+def statements(t, obj, depth):
+    regs = (f"a{t}", f"b{t}")
+    e, r, x = file_exprs(regs), st.sampled_from(regs), st.sampled_from(GLOBALS)
+    kinds = [st.builds("{} := {}".format, x, e),
+             st.builds("{} :=R {}".format, x, e),
+             st.builds("{} := {}".format, r, e),
+             st.builds("{} <- {}".format, r, x),
+             st.builds("{} <-A {}".format, r, x),
+             st.builds("{} <- CAS({}, {}, {})".format, r, x, e, e),
+             st.builds("{} <- FAI({})".format, r, x)]
+    if obj == "lock":
+        kinds += [st.just("l.acquire()"), st.just("l.release()"),
+                  st.builds("{} := l.acquire()".format, r),
+                  st.builds("l.acquire({})".format, r)]
+    elif obj == "queue":
+        kinds += [st.builds("q.enq({})".format, e),
+                  st.builds("{} := q.deq()".format, r)]
+    if depth:
+        inner = statements(t, obj, depth - 1)
+        block = st.one_of(
+            inner,
+            st.lists(inner, max_size=3).map(
+                lambda ss: "{ " + " ".join(s + ";" for s in ss) + " }"))
+        kinds += [st.builds("if {} then {}".format, e, block),
+                  st.builds("if {} then {} else {}".format, e, block, block),
+                  st.builds("while {} do {}".format, e, block),
+                  st.builds("do {} until {}".format, block, e)]
+    return st.one_of(kinds)
+
+
+@functools.lru_cache(maxsize=None)
+def assertions(tids, obj, regs):
+    t, x = st.sampled_from(tids).map(str), st.sampled_from(GLOBALS)
+    v = st.integers(-3, 9).map(str)
+    e = file_exprs(regs) if regs else st.integers(-3, 9).map(str)
+    atoms = [st.sampled_from(["true", "false"]),
+             st.builds("{} {} {}".format, e, st.sampled_from(CMPS), e),
+             st.builds("{} in {{{}}}".format, e, value_sets),
+             st.builds("pobs({}, {}={})".format, t, x, v),
+             st.builds("dobs({}, {}={})".format, t, x, v),
+             st.builds("cond({}, {}={}, {}={})".format, t, x, v, x, v),
+             st.builds("pc({}) = {}".format, t, st.integers(1, 5)),
+             st.builds("pc({}) in {{{}}}".format, t, st.lists(
+                 st.integers(1, 5).map(str), min_size=1,
+                 max_size=3).map(",".join)),
+             st.builds("forall v in {{{}}}: pobs({}, {}=v)".format,
+                       value_sets, t, x)]
+    if obj == "lock":
+        m = st.builds("l.{}_{}".format, st.sampled_from(
+            ["init", "acquire", "release"]), st.integers(0, 4))
+        atoms += [st.builds("cvd({})".format, m), st.builds("cvv({})".format, m),
+                  st.builds("pobs({}, {})".format, t, m),
+                  st.builds("cond({}, {}, {}={})".format, t, m, x, v)]
+    elif obj == "queue":
+        m = st.builds("q.{}_{}".format, st.sampled_from(["enq", "deq"]),
+                      st.sampled_from(["1", "2", "empty"]))
+        atoms += [st.builds("dobs({}, {})".format, t, m)]
+    return st.recursive(st.one_of(atoms), lambda sub: st.one_of(
+        st.builds("not {}".format, sub),
+        st.builds("({} {} {})".format, sub,
+                  st.sampled_from(["and", "or", "=>"]), sub),
+        st.builds("(exists v in {{{}}}: {})".format, value_sets, sub)),
+        max_leaves=3)
+
+
+@st.composite
+def litmus_files(draw):
+    obj = draw(st.sampled_from([None, "lock", "queue"]))
+    tids = tuple(range(1, draw(st.integers(1, 2)) + 1))
+    regs = tuple(f"{c}{t}" for t in tids for c in "ab")
+    lines = ["name fuzz", "init x := 0; y := " + draw(values)]
+    if obj:
+        lines.append(f"object {obj} {obj[0]}")
+    mode = draw(st.sampled_from([None, "explore", "outline", "hoare"]))
+    if mode:
+        lines.append(f"mode {mode}")
+    for t in tids:
+        body = [f"a{t} := 0;", f"b{t} := 0;"]
+        for s in draw(st.lists(statements(t, obj, 2), min_size=1,
+                               max_size=3)):
+            if draw(st.booleans()):
+                body.append("{ " + draw(assertions(tids, obj, (f"a{t}",
+                                                               f"b{t}")))
+                            + " }")
+            body.append(s + ";")
+        lines.append(f"thread {t} {{\n  " + "\n  ".join(body) + "\n}")
+    for clause, own in (("invariant", ()), ("pre", ()), ("final", regs)):
+        if draw(st.booleans()):
+            lines.append(f"{clause} {{ {draw(assertions(tids, obj, own))} }}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(litmus_files())
+def test_whole_files_round_trip_and_never_exit_internal(tmp_path_factory,
+                                                        text):
+    lf = parse_litmus(text)
+    assert parse_litmus(pretty(lf)) == lf, text
+    path = tmp_path_factory.mktemp("fuzz") / "f.lit"
+    path.write_text(text)
+    for command in ("explore", "outline"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli([command, str(path), "--max-steps", "12"])
+        assert code in (0, 1, 2, 3), (command, text, err.getvalue())

@@ -80,7 +80,49 @@ class TestAssertionRoundTrip:
         assert parsed == a
 
 
+class TestRoundTripShapes:
+    """Texts whose printed form once failed to parse back to the same file."""
+
+    @pytest.mark.parametrize("final", [
+        "r1 + 1 = 2", "(r1 + 1) = 2", "true = r1", "(not r1) = true",
+        "(r1 = 1 and r1 = 2) = true", "(r1 in {1, 2}) = false",
+        "r1 in {-1, 2}", "-5 = r1", "-(5) = r1"])
+    def test_final_round_trips(self, final):
+        lf = parse_litmus(f"name t\ninit x := 0\nthread 1 {{ r1 <- x; }}\n"
+                          f"final {{ {final} }}\n")
+        assert parse_litmus(pretty(lf)) == lf
+
+    def test_negative_literal_is_one_literal(self):
+        lf = parse_litmus("name t\nthread 1 { r1 := -1; r2 := -(1); "
+                          "r3 := 2 - -1; if r1 in {-1, 2} then r2 := 0 }\n")
+        (_, a), (_, b), (_, c), (_, d) = lf.threads[0][1]
+        assert a == P.Assign("r1", P.Lit(-1))
+        assert b == P.Assign("r2", P.Un("-", P.Lit(1)))
+        assert c == P.Assign("r3", P.Bin("-", P.Lit(2), P.Lit(-1)))
+        assert d.cond.a.b == P.Lit(-1)
+        assert parse_litmus(pretty(lf)) == lf
+
+
 class TestErrors:
+    @pytest.mark.parametrize("block", [
+        "if r1 = 0 then { { r1 = 5 } d := 1; }",
+        "while r1 = 0 do { d := 1; { true } r1 <- d; }",
+        "do { { true } r1 <- d; } until r1 = 1",
+        "if r1 = 0 then { d := 1; } else { { true } d := 2; }"])
+    def test_nested_annotation_rejected(self, block, tmp_path, capsys):
+        line = f"thread 1 {{ r1 <- d; {block}; }}"
+        text = f"name t\ninit d := 0\n{line}\n"
+        with pytest.raises(LitmusError, match="top-level") as exc:
+            parse_litmus(text)
+        brace = line.index("{ r1 = 5 }" if "r1 = 5" in line else "{ true }")
+        assert (exc.value.line, exc.value.col) == (3, brace + 1)
+        from rarcheck.cli import run_cli
+        path = tmp_path / "t.lit"
+        path.write_text(text)
+        assert run_cli(["explore", str(path)]) == 3
+        assert "top-level" in capsys.readouterr().err
+
+
     def test_missing_rhs_position(self):
         text = "name t\ninit d := 0\nthread 1 {\n  d := \n}\n"
         with pytest.raises(LitmusError) as exc:
@@ -175,8 +217,8 @@ class TestImplFill:
 
     def test_plain_litmus_needs_no_annotations(self):
         lf = load_corpus("mp-relaxed")
-        assert all(s.annotation is None
-                   for _, stmts in lf.threads for s in stmts)
+        assert all(ann is None
+                   for _, stmts in lf.threads for ann, _ in stmts)
 
     def test_impl_requires_lock_object(self):
         from rarcheck.refine import builtin_impls

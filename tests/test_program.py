@@ -9,9 +9,9 @@ from rarcheck.memory import mem_write
 from rarcheck.program import (Assign, Bin, Bot, Cas, DoUntil, Fai, GRead,
                               GWrite, Hole, If, Lit, Labeled, MethodCall,
                               ProgramError, Seq, Un, Value, Var, While,
-                              desugar, eval_expr, is_done, local_step, pc_of,
-                              seq_all)
-from rarcheck.state import Action, Hashed, make_init_states, same_types, write
+                              desugar, eval_expr, is_done, local_step,
+                              map_stmts, nodes, pc_of, seq_all)
+from rarcheck.state import Action, make_init_states, same_types, write
 
 WRITTEN = (1, 5, True, False)
 
@@ -190,6 +190,38 @@ class TestDesugar:
         assert got == Seq(body_d, While(Un("not", Var("s")), body_d))
 
 
+class TestWalks:
+    def test_nodes_pre_order(self):
+        call = Hole(MethodCall("l", "acquire", (Var("a"), Lit(2))))
+        tree = Seq(Labeled(1, GWrite("x", Bin("+", Var("r"), Lit(1)))),
+                   If(Var("c"), call, Bot()))
+        assert [repr(n) for n in nodes(tree)] == [
+            repr(tree), "1: x := (r + 1)", "x := (r + 1)", "(r + 1)", "r",
+            "1", repr(tree.b), "c", repr(call), "l.acquire(a,2)", "a", "2",
+            "_|_"]
+
+    def test_nodes_keep_their_own_stack(self):
+        deep = Assign("r", Lit(0))
+        for _ in range(5000):
+            deep = If(Var("c"), deep, Bot())
+        assert sum(1 for _ in nodes(deep)) == 3 * 5000 + 2
+
+    def test_map_stmts_innermost_first(self):
+        seen = []
+
+        def f(c):
+            seen.append(type(c).__name__)
+            assert not isinstance(c, Seq)
+            return Assign("s", Lit(0)) if isinstance(c, Assign) else c
+
+        tree = Labeled(1, While(Var("c"), seq_all([
+            Assign("r", Lit(1)), DoUntil(Assign("r", Lit(2)), Var("r"))])))
+        got = map_stmts(f, tree)
+        assert seen == ["Assign", "Assign", "DoUntil", "While", "Labeled"]
+        assert got == Labeled(1, While(Var("c"), seq_all([
+            Assign("s", Lit(0)), DoUntil(Assign("s", Lit(0)), Var("r"))])))
+
+
 class TestPc:
     def prog(self):
         return seq_all([
@@ -228,19 +260,6 @@ CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
           "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
 
 
-def _nodes(cmd):
-    """Every command and expression node of a tree, root first."""
-    out, todo = [], [cmd]
-    while todo:
-        v = todo.pop()
-        if isinstance(v, tuple):
-            todo.extend(v)
-        elif isinstance(v, Hashed):
-            out.append(v)
-            todo.extend(getattr(v, f) for f in v._fields)
-    return out
-
-
 class TestHashedValues:
     """Commands, expressions and actions keep their hash in a slot."""
 
@@ -248,14 +267,14 @@ class TestHashedValues:
     def test_no_instance_dict(self, name):
         system = build_system(load_corpus(name))
         res = explore(system.cfg0, system.ctx, 64)
-        nodes = [n for cfg in res.configs.values()
-                 for p in cfg.prog.values() for n in _nodes(p)]
+        found = [n for cfg in res.configs.values()
+                 for p in cfg.prog.values() for n in nodes(p)]
         actions = [a for cfg in res.configs.values()
                    for comp in (cfg.gamma, cfg.beta) for a in comp.acts]
-        assert nodes and actions
-        assert {type(n).__name__ for n in nodes} >= {"Seq", "Lit"}
+        assert found and actions
+        assert {type(n).__name__ for n in found} >= {"Seq", "Lit"}
         assert all(isinstance(a, Action) for a in actions)
-        for v in nodes + actions:
+        for v in found + actions:
             assert not hasattr(v, "__dict__"), type(v)
 
     @pytest.mark.parametrize("name", CORPUS)
@@ -265,7 +284,7 @@ class TestHashedValues:
         for t, p in progs[0].items():
             q = progs[1][t]
             assert p is not q
-            for a, b in zip(_nodes(p), _nodes(q)):
+            for a, b in zip(nodes(p), nodes(q)):
                 assert a == b and hash(a) == hash(b)
 
     def test_hash_is_stored_at_construction(self):
