@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import program
-from .state import (ComponentState, EMPTY, StateError, is_modifying,
-                    is_releasing_write, wrval, DEQUEUE, LOCK_ACQUIRE,
-                    LOCK_RELEASE)
+from .state import (ComponentState, StateError, is_modifying,
+                    is_releasing_write, wrval, LOCK_ACQUIRE, LOCK_RELEASE)
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,7 @@ def eval_conditional(state: ComponentState, t, x: str, u, y: str, v) -> bool:
 
 def eval_cond_cross(lib: ComponentState, cli: ComponentState, t,
                     m: MethodInstance, y: str, v, spec) -> bool:
-    if spec is None or not _kind_in_sync(spec, m):
+    if spec is None or not spec.is_sync(m):
         return False
     lo = lib.front(t, m.obj)
     if lo is None:
@@ -237,12 +236,6 @@ def eval_cond_cross(lib: ComponentState, cli: ComponentState, t,
     return all(dview(lib.recorded(op), cli, y, v)
                for op in lib.ops_on(m.obj)
                if op.ts >= lo and m.matches(op.action))
-
-
-def _kind_in_sync(spec, m: MethodInstance) -> bool:
-    if m.kind == DEQUEUE and m.val is EMPTY:
-        return False
-    return m.kind in spec.sync
 
 
 def eval_covered(state: ComponentState, m: MethodInstance) -> bool:

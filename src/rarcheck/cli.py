@@ -16,7 +16,7 @@ from .litmus import LitmusError, build_system, parse_litmus
 from .oracle import fifo_check
 from .program import ProgramError
 from .refine import builtin_impls, check_simulation, check_trace_refinement
-from .state import StateError, Sym
+from .state import FALSE, TRUE, StateError, Sym
 
 OK, VIOLATION, BOUND, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -73,8 +73,10 @@ def _build_parser():
 
 
 def _jval(v):
+    """A value for output: a boolean as Python's (JSON's true/false), bot
+    and empty by name."""
     if isinstance(v, Sym):
-        return v.name
+        return {TRUE: True, FALSE: False}.get(v, v.name)
     return v
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import memory, objects, program
 from .assertions import EvalCtx, eval_assertion
-from .state import BOT, READ, Action, ComponentState, same_types, wrval
+from .state import BOT, READ, TRUE, Action, ComponentState, wrval
 
 
 class Configuration:
@@ -83,10 +83,10 @@ class SystemContext:
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
         self.observed = tuple(observed or ())
-        # (command, registers, their types) -> (command, its local steps):
-        # a thread's local step reads nothing else, so each distinct thread
-        # state of the system is stepped once.  The Step lists and their
-        # register dicts are shared, and nothing mutates them.
+        # (command, registers) -> its local steps: a thread's local step
+        # reads nothing else, so each distinct thread state of the system
+        # is stepped once.  The Step lists and their register dicts are
+        # shared, and nothing mutates them.
         self.thread_steps = {}
 
     def side_of(self, x):
@@ -130,13 +130,11 @@ def successors(cfg: Configuration, ctx: SystemContext):
     memo = ctx.thread_steps
     for t in ctx.threads:
         p, ls = cfg.prog.get(t), cfg.rho.get(t, {})
-        key = (p, tuple(ls.items()), tuple(map(type, ls.values())))
+        key = (p, tuple(ls.items()))
         known = memo.get(key)
-        if known is None or not same_types(known[0], p):
-            # an equal command may hold 1 where this one holds True
-            known = (p, program.local_step(cfg.prog, cfg.rho, t))
-            memo.setdefault(key, known)
-        for step in known[1]:
+        if known is None:
+            known = memo[key] = program.local_step(cfg.prog, cfg.rho, t)
+        for step in known:
             comp = "library" if step.lib else "client"
             if step.kind == "eps":
                 nxt = _with_thread(cfg, t, step.cmd, step.ls)
@@ -184,7 +182,7 @@ def _object_steps(cfg, t, step, ctx):
     beta, gamma, obj = cfg.beta, cfg.gamma, spec.name
     # (beta', gamma', new operation, the call's return value) per step
     if spec.kind == "lock" and call.meth == "acquire":
-        found = [s + (True,)
+        found = [s + (TRUE,)
                  for s in objects.lock_acquire(beta, gamma, t, obj)]
     elif spec.kind == "lock" and call.meth == "release":
         found = [s + (BOT,) for s in objects.lock_release(beta, gamma, t, obj)]
@@ -203,27 +201,9 @@ def _object_steps(cfg, t, step, ctx):
         ls2["rval"] = rv
         if call.binder:  # an acquire binds the lock's operation counter
             ls2[call.binder] = op.action.index
-        content = (program.Bot() if call.meth in ("release", "enq")
-                   else program.Value(rv))  # a deq may return an enqueued bot
-        p2 = _replace_call(cfg.prog[t], content)
-        nxt = _with_thread(cfg, t, p2, ls2, g2, b2)
+        nxt = _with_thread(cfg, t, step.cmd, ls2, g2, b2)
         results.append((t, StepLabel("library", op.action, op.ts), nxt))
     return results
-
-
-def _replace_call(cmd, content):
-    """Replace the active method call (the next redex) with its result."""
-    if isinstance(cmd, program.Labeled):
-        return program.Labeled(cmd.label, _replace_call(cmd.cmd, content))
-    if isinstance(cmd, program.Seq):
-        return program.Seq(_replace_call(cmd.a, content), cmd.b)
-    if isinstance(cmd, program.Hole):
-        if isinstance(cmd.content, program.MethodCall):
-            return program.Hole(content)
-        return program.Hole(_replace_call(cmd.content, content))
-    if isinstance(cmd, program.Assign) and isinstance(cmd.src, program.Hole):
-        return program.Assign(cmd.reg, _replace_call(cmd.src, content))
-    raise program.ProgramError(f"no active method call in {cmd!r}")
 
 
 @dataclass

@@ -27,8 +27,8 @@ from . import assertions as A
 from . import program as P
 from .explore import Configuration, SystemContext
 from .objects import lock_spec, queue_spec
-from .state import (BOT, EMPTY, make_init_states, DEQUEUE, ENQUEUE,
-                    LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
+from .state import (BOT, EMPTY, FALSE, TRUE, make_init_states, DEQUEUE,
+                    ENQUEUE, LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
 
 
 class LitmusError(Exception):
@@ -104,6 +104,7 @@ _KEYWORDS = {"name", "init", "object", "mode", "thread", "invariant", "final",
              "pre", "if", "then", "else", "while", "do", "until", "and", "or",
              "not", "true", "false", "bot", "empty", "in", "forall", "exists",
              "CAS", "FAI", "pobs", "dobs", "cond", "cvd", "cvv", "pc", "impl"}
+_SYMBOLS = {v.name: v for v in (TRUE, FALSE, BOT, EMPTY)}
 
 
 class Parser:
@@ -231,10 +232,8 @@ class Parser:
         if t.kind == "op" and t.text == "-":
             self.next()
             return -int(self.expect("int").text)
-        if t.kind == "name" and t.text in ("true", "false", "bot", "empty"):
-            self.next()
-            return {"true": True, "false": False, "bot": BOT,
-                    "empty": EMPTY}[t.text]
+        if t.kind == "name" and t.text in _SYMBOLS:
+            return _SYMBOLS[self.next().text]
         self.fail("expected a value")
 
     # -- statements --------------------------------------------------------
@@ -399,10 +398,8 @@ class Parser:
         if t.kind == "name" and t.text == "not":
             self.next()
             return P.Un("not", self.parse_factor())
-        if t.kind == "name" and t.text in ("true", "false", "bot", "empty"):
-            self.next()
-            return P.Lit({"true": True, "false": False, "bot": BOT,
-                          "empty": EMPTY}[t.text])
+        if t.kind == "name" and t.text in _SYMBOLS:
+            return P.Lit(_SYMBOLS[self.next().text])
         if t.kind == "name" and t.text not in _KEYWORDS:
             return P.Var(self.next().text)
         if t.kind == "punct" and t.text == "(":
@@ -651,6 +648,15 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     names = {t: _names(progs[t]) for t in tids}
     local_evidence = set().union(*(regs for regs, _, _ in names.values()))
     global_evidence = set().union(*(globs for _, globs, _ in names.values()))
+    # an initialised name that a thread assigns plainly and a register
+    # predicate of a clause or an annotation reads is a register, unless a
+    # thread reads, updates or writes it releasing as a global
+    clauses = [lf.invariant, lf.final, lf.pre] + [
+        ann for _, stmts in lf.threads for ann, _ in stmts]
+    read_by_preds = {r for a in clauses for r in _pred_registers(a)}
+    assigned = set().union(*(plain for _, _, plain in names.values()))
+    local_evidence |= {x for x, _ in lf.init if x in assigned
+                       and x in read_by_preds and x not in global_evidence}
     clash = local_evidence & global_evidence
     if clash:
         raise LitmusError(
@@ -698,7 +704,10 @@ def build_system(lf: LitmusFile, impl=None) -> System:
 
     def resolve(c):
         """Plain writes to globals become global writes, do-until loops
-        are desugared, and impl's bodies fill the method-call holes."""
+        are desugared, and impl's bodies fill the method-call holes, also
+        those whose result is assigned."""
+        if isinstance(c, P.Assign) and isinstance(c.src, P.Hole):
+            return P.Assign(c.reg, resolve(c.src))
         if isinstance(c, P.Assign) and c.reg in client_vars:
             return P.GWrite(c.reg, c.src)
         if impl is not None and isinstance(c, P.Hole):
@@ -722,30 +731,28 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     return System(lf, cfg0, ctx, outline, client_locals)
 
 
+def _pred_registers(a):
+    """The names that the register predicates (LocalPred) of assertion a
+    read, each predicate's in sorted order, predicates left to right."""
+    if isinstance(a, (A.AndA, A.OrA)):
+        for x in a.items:
+            yield from _pred_registers(x)
+    elif isinstance(a, A.NotA):
+        yield from _pred_registers(a.a)
+    elif isinstance(a, A.ImpliesA):
+        yield from _pred_registers(a.a)
+        yield from _pred_registers(a.b)
+    elif isinstance(a, (A.ForallA, A.ExistsA)):
+        yield from _pred_registers(a.body)
+    elif isinstance(a, A.LocalPred):
+        yield from sorted({n.name for n in P.nodes(a.expr)
+                           if isinstance(n, P.Var)})
+
+
 def _observed_registers(lf: LitmusFile, local_evidence):
-    if lf.final is None:
-        return ()
-    seen = []
-
-    def walk(a):
-        if isinstance(a, (A.AndA, A.OrA)):
-            for x in a.items:
-                walk(x)
-        elif isinstance(a, A.NotA):
-            walk(a.a)
-        elif isinstance(a, A.ImpliesA):
-            walk(a.a)
-            walk(a.b)
-        elif isinstance(a, (A.ForallA, A.ExistsA)):
-            walk(a.body)
-        elif isinstance(a, A.LocalPred):
-            for r in sorted({n.name for n in P.nodes(a.expr)
-                             if isinstance(n, P.Var)}):
-                if r in local_evidence and r not in seen:
-                    seen.append(r)
-
-    walk(lf.final)
-    return tuple(seen)
+    """The registers the final clause reads, in order of first reading."""
+    regs = (r for r in _pred_registers(lf.final) if r in local_evidence)
+    return tuple(dict.fromkeys(regs))
 
 
 # --- pretty printing ----------------------------------------------------------
@@ -753,8 +760,7 @@ def _observed_registers(lf: LitmusFile, local_evidence):
 def pretty(lf: LitmusFile) -> str:
     out = [f"name {lf.name}"]
     if lf.init:
-        out.append("init " + "; ".join(f"{x} := {_pval(v)}"
-                                       for x, v in lf.init))
+        out.append("init " + "; ".join(f"{x} := {v}" for x, v in lf.init))
     if lf.object_decl:
         kind, name, impl = lf.object_decl
         line = f"object {kind} {name}"
@@ -779,21 +785,9 @@ def pretty(lf: LitmusFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def _pval(v):
-    if v is BOT:
-        return "bot"
-    if v is EMPTY:
-        return "empty"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    return str(v)
-
-
 def _pe(e) -> str:
     if isinstance(e, P.Lit):
-        return _pval(e.val)
+        return str(e.val)
     if isinstance(e, P.Var):
         return e.name
     if isinstance(e, P.Un):
@@ -858,7 +852,7 @@ def _pminst(m: A.MethodInstance) -> str:
     if m.index is not None:
         return f"{base}_{m.index}"
     if m.val is not None:
-        return f"{base}_{'empty' if m.val is EMPTY else m.val}"
+        return f"{base}_{m.val}"
     return base
 
 
@@ -875,10 +869,10 @@ def _pa(a) -> str:
     if isinstance(a, A.ImpliesA):
         return f"({_pa(a.a)} => {_pa(a.b)})"
     if isinstance(a, A.ForallA):
-        vals = ",".join(_pval(v) for v in a.values)
+        vals = ",".join(map(str, a.values))
         return f"(forall {a.name} in {{{vals}}}: {_pa(a.body)})"
     if isinstance(a, A.ExistsA):
-        vals = ",".join(_pval(v) for v in a.values)
+        vals = ",".join(map(str, a.values))
         return f"(exists {a.name} in {{{vals}}}: {_pa(a.body)})"
     if isinstance(a, A.PossVar):
         return f"pobs({a.t}, {a.var}={_pe(a.val)}){lift(a.comp)}"

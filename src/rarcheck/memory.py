@@ -58,7 +58,7 @@ def mem_update(gamma: ComponentState, beta: ComponentState, t, a):
             continue
         v = wrval(w.action)
         if a.aux is None:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if type(v) is not int:
                 continue
             u = update(a.var, v, v + 1)
         elif v == a.aux:

@@ -19,22 +19,22 @@ from .state import (Action, ComponentState, EMPTY, OBJ, TOp,
 class ObjectSpec:
     name: str
     kind: str  # 'lock' | 'queue'
-    methods: tuple
     sync: tuple  # synchronising abstract action kinds
 
-    def is_sync(self, action: Action) -> bool:
+    def is_sync(self, action) -> bool:
+        """Whether an action, or a method instance naming one, synchronises:
+        an empty dequeue does not."""
         if action.kind == DEQUEUE and action.val is EMPTY:
             return False
         return action.kind in self.sync
 
 
 def lock_spec(name: str) -> ObjectSpec:
-    return ObjectSpec(name, "lock", ("acquire", "release"),
-                      (LOCK_ACQUIRE, LOCK_RELEASE))
+    return ObjectSpec(name, "lock", (LOCK_ACQUIRE, LOCK_RELEASE))
 
 
 def queue_spec(name: str) -> ObjectSpec:
-    return ObjectSpec(name, "queue", ("enq", "deq"), (ENQUEUE, DEQUEUE))
+    return ObjectSpec(name, "queue", (ENQUEUE, DEQUEUE))
 
 
 def lock_acquire(beta: ComponentState, gamma: ComponentState, t, lock: str):

@@ -6,14 +6,16 @@ construction (`state.Hashed`).  A local step either is silent
 that the memory/object semantics must validate.  A read, the failure branch
 of a CAS and a fetch-and-increment are proposed once, with the value read
 left open: the memory rules bind it from each write the thread can observe,
-and the step's `reg` names the register that receives it.
+and the step's `reg` names the register that receives it.  An object call
+leaves bottom in its hole and its result in the register `rval`, which
+`r := o.m()` then binds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .state import Hashed, fai, hashed, open_read, update, write
+from .state import FALSE, TRUE, Hashed, fai, hashed, open_read, update, write
 
 
 class ProgramError(Exception):
@@ -87,13 +89,18 @@ def eval_expr(e, ls: dict):
         return ls[e.name]
     try:
         if isinstance(e, Un):
-            return _UNOPS[e.op](eval_expr(e.e, ls))
-        if isinstance(e, Bin):
-            return _BINOPS[e.op](eval_expr(e.a, ls), eval_expr(e.b, ls))
+            v = _UNOPS[e.op](eval_expr(e.e, ls))
+        elif isinstance(e, Bin):
+            v = _BINOPS[e.op](eval_expr(e.a, ls), eval_expr(e.b, ls))
+        else:
+            raise ProgramError(f"not an expression: {e!r}")
     except (TypeError, ArithmeticError) as exc:
-        # the input's fault (5 % 0, bot + 1), named by its innermost Un/Bin
+        # the input's fault (5 % 0, bot + 1, true < 1), named by its
+        # innermost Un/Bin
         raise ProgramError(f"cannot evaluate {e!r}: {exc}") from None
-    raise ProgramError(f"not an expression: {e!r}")
+    if type(v) is bool:  # a test's or a connective's Python result
+        return TRUE if v else FALSE
+    return v
 
 
 # --- commands ---------------------------------------------------------------
@@ -102,14 +109,6 @@ def eval_expr(e, ls: dict):
 class Bot(Hashed):
     def __repr__(self):
         return "_|_"
-
-
-@hashed
-class Value(Hashed):
-    val: object
-
-    def __repr__(self):
-        return f"val({self.val!r})"
 
 
 @hashed
@@ -193,7 +192,7 @@ class Body(Hashed):
 
 @hashed
 class Hole(Hashed):
-    content: object = None  # None (pristine), Value, Bot, MethodCall, command
+    content: object = None  # None (pristine), MethodCall, command or Bot
 
     def __repr__(self):
         return f"[{self.content!r}]" if self.content is not None else "[.]"
@@ -307,14 +306,12 @@ def desugar_stmt(cmd):
 
 
 def is_done(cmd) -> bool:
-    """Terminated commands: bottom, a value, or a hole holding either."""
-    if isinstance(cmd, (Bot, Value)):
-        return True
+    """Terminated commands: bottom, or a hole holding it."""
     if isinstance(cmd, Labeled):
         return is_done(cmd.cmd)
     if isinstance(cmd, Hole):
-        return isinstance(cmd.content, (Bot, Value))
-    return False
+        cmd = cmd.content
+    return isinstance(cmd, Bot)
 
 
 def pc_of(prog_t, n_labels: int) -> int:
@@ -367,19 +364,17 @@ def _steps(cmd, ls, lib=False):
         return [replace(s, cmd=Labeled(cmd.label, s.cmd))
                 for s in _steps(cmd.cmd, ls, lib)]
 
-    if isinstance(cmd, (Bot, Value)):
+    if isinstance(cmd, Bot):
         return []
 
     if isinstance(cmd, Assign):
         if isinstance(cmd.src, Hole):
-            inner = cmd.src.content
-            if isinstance(inner, Value):
-                return [Step("eps", None, Bot(), _ls_set(ls, cmd.reg, inner.val),
-                             lib, at_hole=True)]
-            if isinstance(inner, Bot):
-                return [Step("eps", None, Bot(), ls, lib, at_hole=True)]
-            return [replace(s, cmd=Assign(cmd.reg, Hole(s.cmd)))
-                    for s in _steps(inner, ls, lib=True)]
+            if is_done(cmd.src):  # the method's result is in rval
+                return [Step("eps", None, Bot(),
+                             _ls_set(ls, cmd.reg, ls["rval"]), lib,
+                             at_hole=True)]
+            return [replace(s, cmd=Assign(cmd.reg, s.cmd))
+                    for s in _steps(cmd.src, ls, lib)]
         return [Step("eps", None, Bot(),
                      _ls_set(ls, cmd.reg, eval_expr(cmd.src, ls)), lib)]
 
@@ -395,15 +390,17 @@ def _steps(cmd, ls, lib=False):
         u = eval_expr(cmd.expect, ls)
         v = eval_expr(cmd.new, ls)
         return [Step("act", update(cmd.var, u, v), Bot(),
-                     _ls_set(ls, cmd.reg, True), lib),
+                     _ls_set(ls, cmd.reg, TRUE), lib),
                 Step("act", open_read(cmd.var, skip=u), Bot(),
-                     _ls_set(ls, cmd.reg, False), lib)]
+                     _ls_set(ls, cmd.reg, FALSE), lib)]
 
     if isinstance(cmd, Fai):
         return [Step("act", fai(cmd.var), Bot(), ls, lib, reg=cmd.reg)]
 
     if isinstance(cmd, MethodCall):
-        return [Step("call", cmd, None, ls, lib)]
+        # the object rules give the successors; the call leaves bottom
+        # behind, and its result only in rval
+        return [Step("call", cmd, Bot(), ls, lib)]
 
     if isinstance(cmd, Body):
         out = []
@@ -419,8 +416,8 @@ def _steps(cmd, ls, lib=False):
         inner = cmd.content
         if inner is None:
             raise ProgramError("cannot execute a pristine hole")
-        if isinstance(inner, (Bot, Value)):
-            return []  # consumed by the enclosing sequence
+        if isinstance(inner, Bot):
+            return []  # consumed by the enclosing sequence or assignment
         return [replace(s, cmd=Hole(s.cmd)) for s in _steps(inner, ls, lib=True)]
 
     if isinstance(cmd, Seq):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import program as P
 from .explore import ExploreResult, explore, successors
 from .litmus import LitmusError, build_system
-from .state import BOT
+from .state import BOT, TRUE
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class LockImpl:
 
     def method(self, meth: str):
         if meth == "acquire":
-            return P.desugar(self.acquire_listing), True
+            return P.desugar(self.acquire_listing), TRUE
         if meth == "release":
             return P.desugar(self.release_listing), BOT
         raise LitmusError(f"lock has no method {meth!r}")
@@ -167,7 +167,7 @@ def _reply_core(label):
     it), else the client step itself."""
     if label.component == "library" or label.at_hole:
         return None
-    return ((repr(label.action), label.rank) if label.action is not None
+    return ((label.action, label.rank) if label.action is not None
             else ("eps",))
 
 

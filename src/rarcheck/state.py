@@ -38,7 +38,9 @@ from typing import NamedTuple
 
 
 class Sym:
-    """Interned sentinel value (bottom / empty), distinct from all literals."""
+    """A symbolic value: bottom, empty or a boolean.  Each is one object,
+    equal only to itself, so no symbol equals a number; only FALSE is
+    falsy."""
 
     __slots__ = ("name",)
 
@@ -48,12 +50,18 @@ class Sym:
     def __repr__(self):
         return self.name
 
-    def __deepcopy__(self, memo):
-        return self
+    def __bool__(self):
+        return self is not FALSE
+
+    def __reduce__(self):
+        # copies and pickles are the module-level object of that name
+        return self.name.upper()
 
 
 BOT = Sym("bot")
 EMPTY = Sym("empty")
+TRUE = Sym("true")
+FALSE = Sym("false")
 
 # Sync modes
 RLX = "rlx"
@@ -105,19 +113,6 @@ def hashed(cls):
     cls._fields = tuple(f.name for f in fields(cls))
     cls.__hash__ = Hashed.__hash__
     return cls
-
-
-def same_types(a, b):
-    """For equal values a and b: whether every value inside them also has
-    the same type.  Equality says 1 == True, but the two print and step
-    differently."""
-    if a is b:
-        return True
-    if isinstance(a, Hashed):
-        return all(same_types(getattr(a, f), getattr(b, f)) for f in a._fields)
-    if type(a) is tuple:
-        return all(map(same_types, a, b))
-    return type(a) is type(b)
 
 
 @hashed
@@ -228,9 +223,8 @@ class Layout:
         return self.vix[a.var]
 
     def intern(self, a: Action) -> Action:
-        """One shared object per action; the value's type is part of the
-        key, so a write of True keeps printing as True."""
-        return self._actions.setdefault((a, type(a.val), type(a.aux)), a)
+        """One shared object per action."""
+        return self._actions.setdefault(a, a)
 
 
 def merge_views(v1: tuple, v2: tuple) -> tuple:

@@ -161,6 +161,31 @@ class TestRefine:
         assert (got, err) == (code, "")
         assert json.loads(out)["verdict"] == verdict
 
+    @pytest.mark.parametrize("impl, verdict, code", [
+        ("seqlock", "simulation-found", 0),
+        ("ticketlock", "simulation-found", 0),
+        ("seqlock-relaxed", "no-simulation", 1),
+        ("ticketlock-relaxed", "no-simulation", 1),
+    ])
+    def test_assigned_acquire_is_filled(self, tmp_path, capsys, impl,
+                                        verdict, code):
+        # the implementation's body also fills a call whose result is
+        # assigned, and the register receives the acquire's true
+        client = tmp_path / "acq-result.lit"
+        client.write_text(ACQUIRE_RESULT_CLIENT)
+        got, out, err = run(capsys, "refine", "--json", "--impl", impl,
+                            "--client", str(client))
+        assert (got, err) == (code, "")
+        assert json.loads(out)["verdict"] == verdict
+
+
+ACQUIRE_RESULT_CLIENT = """name acq-result
+init x := 0
+object lock l
+thread 1 { r0 := l.acquire(); x := 1; l.release(); }
+thread 2 { l.acquire(); r1 <- x; l.release(); }
+"""
+
 
 class TestOracle:
     def test_fifo(self, capsys):

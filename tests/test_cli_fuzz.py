@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rarcheck.cli import run_cli
 from rarcheck.litmus import parse_litmus, pretty
+from rarcheck.refine import builtin_impls
 
 BINOPS = ("+", "-", "*", "%", "=", "!=", "<", "<=", ">", ">=", "and", "or")
 UNOPS = ("-", "not")
@@ -44,12 +45,17 @@ def test_explore_never_exits_internal(tmp_path_factory, expr):
     msg = err.getvalue()
     assert code in (0, 1, 3), (expr, msg)
     if code == 3:
-        # an operator fault needs an operand no number stands in for
-        # (bot, empty) or a modulus; anything else is the engine's fault
+        # an operator fault needs an operand no number stands in for (bot,
+        # empty, or a boolean: a literal or a test's or connective's result,
+        # which arithmetic and ordering refuse) or a modulus; anything else
+        # is the engine's fault.  The message names the faulty operation.
         assert msg.startswith(("error: cannot evaluate",
                                "error: unbound local")), (expr, msg)
         if msg.startswith("error: cannot evaluate"):
-            assert any(w in expr for w in ("bot", "empty", "%")), (expr, msg)
+            faulty = msg.removeprefix("error: cannot evaluate ").split(":")[0]
+            assert any(w in faulty for w in (
+                "bot", "empty", "true", "false", "not", "and", "or", "=",
+                "<", ">", "%")), (expr, msg)
 
 
 # --- whole files ---------------------------------------------------------------
@@ -58,7 +64,9 @@ def test_explore_never_exits_internal(tmp_path_factory, expr):
 # statement kind, if/while/do-until nested two deep, a lock or a queue object,
 # annotations on top-level statements, value sets, and invariant, pre and
 # final clauses.  Each file must parse, print back to itself, and give
-# `explore` and `outline` a verdict, a bound or an input error, never exit 4.
+# `explore`, `outline` and `hoare`, and `refine` with every built-in lock
+# implementation on a lock client, a verdict, a bound or an input error,
+# never exit 4.
 
 GLOBALS = ("x", "y")
 CMPS = ("=", "!=", "<", "<=", ">", ">=")
@@ -178,9 +186,13 @@ def test_whole_files_round_trip_and_never_exit_internal(tmp_path_factory,
     assert parse_litmus(pretty(lf)) == lf, text
     path = tmp_path_factory.mktemp("fuzz") / "f.lit"
     path.write_text(text)
-    for command in ("explore", "outline"):
+    runs = [[command, str(path)] for command in ("explore", "outline", "hoare")]
+    if "object lock" in text:
+        runs += [["refine", "--impl", impl, "--client", str(path)]
+                 for impl in sorted(builtin_impls())]
+    for argv in runs:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = run_cli([command, str(path), "--max-steps", "12"])
-        assert code in (0, 1, 2, 3), (command, text, err.getvalue())
+            code = run_cli(argv + ["--max-steps", "12"])
+        assert code in (0, 1, 2, 3), (argv, text, err.getvalue())

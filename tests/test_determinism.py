@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 
 import rarcheck
+from test_cli import ACQUIRE_RESULT_CLIENT
+from test_explore import ONE_AND_TRUE
 
 SCRIPT = r"""
 import contextlib, io, pathlib, sys
@@ -27,6 +29,11 @@ for impl in ("seqlock", "ticketlock", "seqlock-relaxed",
     for client in ("seqlock-refine", "ticketlock-refine", "lock-two-rounds"):
         runs.append(["refine", "--impl", impl, "--client",
                      str(corpus_dir / f"{client}.lit"), "--json"])
+# booleans and an assigned acquire's result, from the directory given
+extra = pathlib.Path(sys.argv[1])
+runs.append(["explore", str(extra / "bools.lit"), "--json"])
+runs.append(["refine", "--impl", "seqlock", "--client",
+             str(extra / "acq-result.lit"), "--json"])
 for argv in runs:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -36,15 +43,18 @@ for argv in runs:
 """
 
 
-def _run(seed: str) -> bytes:
+def _run(seed: str, extra: Path) -> bytes:
     env = dict(os.environ, PYTHONHASHSEED=seed,
                PYTHONPATH=str(Path(rarcheck.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-c", SCRIPT], env=env,
-                          capture_output=True, check=True,
+    return subprocess.run([sys.executable, "-c", SCRIPT, str(extra)],
+                          env=env, capture_output=True, check=True,
                           timeout=600).stdout
 
 
-def test_outputs_identical_across_hash_seeds():
-    first, second = _run("0"), _run("1")
-    assert first.count(b" exit ") == 8 * 3 + 4 * 3
+def test_outputs_identical_across_hash_seeds(tmp_path):
+    (tmp_path / "bools.lit").write_text(ONE_AND_TRUE)
+    (tmp_path / "acq-result.lit").write_text(ACQUIRE_RESULT_CLIENT)
+    first, second = _run("0", tmp_path), _run("1", tmp_path)
+    assert first.count(b" exit ") == 8 * 3 + 4 * 3 + 2
+    assert b"exit 3" not in first[first.index(b"bools.lit"):]
     assert first == second

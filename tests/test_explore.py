@@ -4,7 +4,7 @@ from rarcheck.assertions import (AndA, BoolA, DefVar, LocalPred, ProofOutline)
 from rarcheck.explore import (Configuration, SystemContext, canonical_key,
                               check_hoare, check_outline, explore, successors)
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
-from rarcheck.program import Bin, Bot, Labeled, Lit, Var
+from rarcheck.program import Bin, Bot, Labeled, Lit, ProgramError, Var, nodes
 from rarcheck.state import make_init_states
 from reference_key import describe, ref_key, reference_key, remap
 
@@ -113,16 +113,71 @@ class TestReadsFromMemory:
     def test_fai_result_is_read_by_a_failing_cas(self):
         got = outcomes_of("name t\ninit u := 2\n"
                           "thread 1 { r1 <- FAI(u); r2 <- CAS(u, 0, 1); }\n")
-        assert got == [{"r1": "2", "r2": "False"}]
+        assert got == [{"r1": "2", "r2": "false"}]
 
 
 class TestObjectResults:
     def test_dequeued_bot_is_bound(self):
         # the call's result comes from its method: a deq that returns an
-        # enqueued bot binds it, as an enq's lack of a result binds nothing
+        # enqueued bot binds it
         got = outcomes_of("name t\nobject queue q\n"
                           "thread 1 { q.enq(bot); r1 := 5; r1 := q.deq(); }\n")
         assert got == [{"r1": "bot"}]
+
+    def test_release_result_is_bot(self):
+        # a method without a result returns bot, and its caller binds it
+        assert outcomes_of("name t\nobject lock l\n"
+                           "thread 1 { l.acquire(); r := l.release(); }\n"
+                           ) == [{"r": "bot"}]
+        assert outcomes_of("name t\nobject queue q\n"
+                           "thread 1 { r := 5; r := q.enq(1); }\n"
+                           ) == [{"r": "bot"}]
+
+
+ONE_AND_TRUE = """name bools
+init x := 0
+thread 1 { x := 1; }
+thread 2 { x := true; }
+thread 3 { r1 <- x; r2 <- x; }
+"""
+
+
+class TestExactValues:
+    """A boolean never equals an integer, so configurations that differ
+    only by 1 against true are two states."""
+
+    def test_one_and_true_are_both_read(self):
+        got = outcomes_of(ONE_AND_TRUE)
+        pairs = {(oc["r1"], oc["r2"]) for oc in got}
+        assert {("1", "true"), ("true", "1"), ("true", "true")} <= pairs
+        assert len(got) == 7
+
+    def test_false_is_not_zero(self):
+        # a CAS expecting 0 does not take false, and a test compares exactly
+        got = outcomes_of("name t\ninit x := false\n"
+                          "thread 1 { r1 <- CAS(x, 0, 1); r2 := r1 = true; }\n")
+        assert got == [{"r1": "false", "r2": "false"}]
+
+    @pytest.mark.parametrize("expr", ["true + 1", "false < 1", "-(true)",
+                                      "(1 = 1) * 2"])
+    def test_arithmetic_on_a_boolean_is_an_input_error(self, expr):
+        with pytest.raises(ProgramError, match="cannot evaluate"):
+            outcomes_of(f"name t\nthread 1 {{ r := {expr}; }}\n")
+
+    def test_no_python_bool_in_the_state_corpus(self, state_corpus):
+        # registers, actions and command literals hold TRUE/FALSE, which
+        # equal no integer; a Python bool would equal 1 or 0 again
+        for _, cfg in state_corpus:
+            for ls in cfg.rho.values():
+                assert not any(type(v) is bool for v in ls.values()), ls
+            for comp in (cfg.gamma, cfg.beta):
+                for a in comp.acts:
+                    assert type(a.val) is not bool, a
+                    assert type(a.aux) is not bool, a
+            for p in cfg.prog.values():
+                for n in nodes(p):
+                    assert type(getattr(n, "val", None)) is not bool, n
+                    assert type(getattr(n, "retval", None)) is not bool, n
 
 
 class TestCanonicalKey:

@@ -5,7 +5,7 @@ from rarcheck import assertions as A
 from rarcheck import program as P
 from rarcheck.litmus import (LitmusError, Parser, build_system, load_corpus,
                              parse_litmus, pretty, _pa)
-from rarcheck.state import (LOCK_ACQUIRE, LOCK_RELEASE)
+from rarcheck.state import LOCK_ACQUIRE, LOCK_RELEASE, TRUE
 
 CORPUS = ["mp-relaxed", "mp-relacq", "lockmp", "lockmp-mutant", "queue-mp",
           "seqlock-refine", "ticketlock-refine", "lock-two-rounds"]
@@ -245,7 +245,25 @@ class TestOddButGrammatical:
         from rarcheck.explore import explore
         system = build_system(parse_litmus(text))
         res = explore(system.cfg0, system.ctx, 32)
-        assert res.outcomes == [{"r0": True}]
+        assert res.outcomes == [{"r0": TRUE}]
+
+    def test_register_named_only_by_an_assertion(self):
+        # r is initialised and assigned plainly; the final clause reads it
+        # as a register, so it is one, and the init is its initial value
+        text = ("name t\ninit r := 0\nthread 1 { r := 5; }\n"
+                "final { r = 5 }\n")
+        from rarcheck.explore import explore
+        system = build_system(parse_litmus(text))
+        assert system.ctx.client_vars == frozenset()
+        assert system.cfg0.rho[1]["r"] == 0
+        res = explore(system.cfg0, system.ctx, 8)
+        assert res.outcomes == [{"r": 5}]
+        # an annotation counts too, and a thread's global read wins
+        ann = ("name t\ninit r := 0\nthread 1 { { r = 0 } r := 5; }\n")
+        assert build_system(parse_litmus(ann)).ctx.client_vars == frozenset()
+        glob = ("name t\ninit r := 0\nthread 1 { r := 5; }\n"
+                "thread 2 { s <- r; }\nfinal { s = 5 }\n")
+        assert build_system(parse_litmus(glob)).ctx.client_vars == {"r"}
 
     def test_unknown_method_rejected(self):
         text = ("name t\nobject lock l\nthread 1 { l.steal(); }\n")

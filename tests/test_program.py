@@ -8,12 +8,12 @@ from rarcheck.litmus import build_system, load_corpus
 from rarcheck.memory import mem_write
 from rarcheck.program import (Assign, Bin, Bot, Cas, DoUntil, Fai, GRead,
                               GWrite, Hole, If, Lit, Labeled, MethodCall,
-                              ProgramError, Seq, Un, Value, Var, While,
+                              ProgramError, Seq, Un, Var, While,
                               desugar, eval_expr, is_done, local_step,
                               map_stmts, nodes, pc_of, seq_all)
-from rarcheck.state import Action, make_init_states, same_types, write
+from rarcheck.state import FALSE, TRUE, Action, make_init_states, write
 
-WRITTEN = (1, 5, True, False)
+WRITTEN = (1, 5, TRUE, FALSE)
 
 
 def steps_after_writes(cmd, values=WRITTEN):
@@ -34,7 +34,8 @@ class TestEval:
         assert eval_expr(Var("r"), {"r": 1}) == 1
 
     def test_comparison(self):
-        assert eval_expr(Bin("=", Var("r1"), Lit(1)), {"r1": 1}) is True
+        assert eval_expr(Bin("=", Var("r1"), Lit(1)), {"r1": 1}) is TRUE
+        assert eval_expr(Bin("=", Lit(TRUE), Lit(1)), {}) is FALSE
 
     def test_unbound(self):
         with pytest.raises(ProgramError):
@@ -43,7 +44,7 @@ class TestEval:
     def test_arith_and_bool(self):
         ls = {"r": 4}
         assert eval_expr(Bin("%", Var("r"), Lit(2)), ls) == 0
-        assert eval_expr(Un("not", Bin("<", Var("r"), Lit(2))), ls) is True
+        assert eval_expr(Un("not", Bin("<", Var("r"), Lit(2))), ls) is TRUE
 
 
 class TestLocalStep:
@@ -75,7 +76,7 @@ class TestLocalStep:
                                           "r")
         succ = steps_after_writes(prog[1])
         assert sorted(repr(lab.action.val) for _, lab, _ in succ) == \
-            ["0", "1", "5", "False", "True"]
+            ["0", "1", "5", "false", "true"]
         assert all(lab.action.sync == "acq" for _, lab, _ in succ)
         for _, lab, nxt in succ:
             assert nxt.rho[1]["r"] is lab.action.val
@@ -85,22 +86,22 @@ class TestLocalStep:
         win, fail = local_step(prog, {1: {}}, 1)
         assert (win.action.kind, win.action.aux, win.action.val) == \
             ("update", 0, 1)
-        assert win.ls["r"] is True and win.reg is None
+        assert win.ls["r"] is TRUE and win.reg is None
         # the failure branch: one open read skipping the expected value
         assert (fail.action.kind, fail.action.aux, fail.action.sync) == \
             ("read", 0, "rlx")
-        assert fail.ls["r"] is False and fail.reg is None
+        assert fail.ls["r"] is FALSE and fail.reg is None
         succ = steps_after_writes(prog[1])
         wins = [lab for _, lab, _ in succ if lab.action.kind == "update"]
         fails = [(lab, nxt) for _, lab, nxt in succ
                  if lab.action.kind == "read"]
-        # 0 == False: both the initial write and the write of false succeed
-        assert [lab.action.aux for lab in wins] == [0, False]
+        # false is not 0: only the initial write is the expected value
+        assert [lab.action.aux for lab in wins] == [0]
         assert all(lab.action.val == 1 for lab in wins)
-        assert [repr(lab.action.val) for lab, _ in fails] == \
-            ["1", "5", "True"]
+        assert sorted(repr(lab.action.val) for lab, _ in fails) == \
+            ["1", "5", "false", "true"]
         assert all(lab.action.sync == "rlx" for lab, _ in fails)
-        assert all(nxt.rho[1]["r"] is False for _, nxt in fails)
+        assert all(nxt.rho[1]["r"] is FALSE for _, nxt in fails)
 
     def test_fai_candidates(self):
         prog = {1: Fai("r", "x")}
@@ -121,7 +122,7 @@ class TestLocalStep:
         for cmd in (GRead("r", "x"), Cas("r", "x", Lit(0), Lit(1)),
                     Fai("r", "x")):
             for wrapped in (cmd, Labeled(1, Seq(cmd, Bot())),
-                            Hole(Body("acquire", True, cmd))):
+                            Hole(Body("acquire", TRUE, cmd))):
                 steps = _steps(wrapped, {"r": 0})
                 kinds = [s.action.kind for s in steps]
                 assert kinds == {GRead: ["read"], Cas: ["update", "read"],
@@ -152,8 +153,9 @@ class TestHoles:
         assert s.cmd == GWrite("x", Lit(1))
 
     def test_value_in_assign_hole(self):
-        prog = {1: Assign("r", Hole(Value(7)))}
-        (s,) = local_step(prog, {1: {}}, 1)
+        # a returned call leaves bottom in its hole and its result in rval
+        prog = {1: Assign("r", Hole(Bot()))}
+        (s,) = local_step(prog, {1: {"rval": 7}}, 1)
         assert s.kind == "eps" and s.ls["r"] == 7 and s.at_hole
 
     def test_hole_body_steps_carry_library_tag(self):
@@ -236,7 +238,7 @@ class TestPc:
 
     def test_hole_value_advances_pc(self):
         p = seq_all([
-            Labeled(1, Hole(Value(True))),
+            Labeled(1, Hole(Bot())),
             Labeled(2, GWrite("d1", Lit(5))),
         ])
         assert pc_of(p, 2) == 2
@@ -252,7 +254,8 @@ class TestPc:
         assert pc_of(p, 2) == 1
 
     def test_done(self):
-        assert is_done(Labeled(3, Value(1)))
+        assert is_done(Labeled(3, Hole(Bot()))) and is_done(Bot())
+        assert not is_done(Hole(MethodCall("l", "acquire")))
         assert not is_done(Labeled(3, GWrite("d", Lit(1))))
 
 
@@ -290,20 +293,20 @@ class TestHashedValues:
     def test_hash_is_stored_at_construction(self):
         deep = seq_all([GWrite("x", Lit(1))] * 5000)
         assert hash(deep) == deep._hash
-        assert hash(Lit(1)) == hash(Lit(True)) and Lit(1) == Lit(True)
+        assert Lit(1) != Lit(TRUE) and Lit(0) != Lit(FALSE)
 
     def test_copies_and_pickles_keep_the_hash(self):
         tree = build_system(load_corpus("seqlock-refine")).cfg0.prog[1]
-        act = Action("write", "x", val=True)
+        act = Action("write", "x", val=TRUE)
         for v in (tree, act):
             for c in (copy.copy(v), copy.deepcopy(v),
                       pickle.loads(pickle.dumps(v))):
                 assert c == v and hash(c) == hash(v)
-                assert same_types(c, v)
+        for c in (copy.deepcopy(act), pickle.loads(pickle.dumps(act))):
+            assert c.val is TRUE
 
     def test_same_types_tells_one_from_true(self):
         def enq(v):
             return Seq(MethodCall("q", "enq", (Lit(v),)), Bot())
-        assert enq(1) == enq(True)
-        assert not same_types(enq(1), enq(True))
-        assert same_types(enq(1), enq(1)) and same_types(enq(True), enq(True))
+        assert enq(1) != enq(TRUE) and enq(0) != enq(FALSE)
+        assert enq(1) == enq(1) and enq(TRUE) == enq(TRUE)

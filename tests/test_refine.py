@@ -14,6 +14,7 @@ from rarcheck.refine import (builtin_impls, check_simulation,
                              check_trace_refinement,
                              project_and_destutter, state_refines,
                              _client_regs)
+from rarcheck.state import TRUE
 from reference_game import rounds
 
 
@@ -57,7 +58,7 @@ class TestBuiltinImpls:
     def test_method_resolution(self):
         impl = builtin_impls()["seqlock"]
         body, ret = impl.method("acquire")
-        assert ret is True
+        assert ret is TRUE
         with pytest.raises(LitmusError):
             impl.method("steal")
 
