@@ -274,8 +274,8 @@ class EvalCtx:
 
 def _merged_locals(cfg) -> dict:
     out = {}
-    for ls in cfg.rho.values():
-        out.update(ls)
+    for ts in cfg.locs:
+        out.update(ts.ls)
     return out
 
 
@@ -286,7 +286,7 @@ def _resolve(valexpr, env):
 
 
 def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
-    env = dict(_merged_locals(cfg)) if env is None else env
+    env = _merged_locals(cfg) if env is None else env
 
     def ev(a, env):
         if isinstance(a, BoolA):
@@ -329,7 +329,7 @@ def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
             return eval_hidden(cfg.beta, a.m)
         if isinstance(a, PcIn):
             n = ctx.n_labels.get(a.t, 0)
-            return program.pc_of(cfg.prog[a.t], n) in a.labels
+            return program.pc_of(cfg.thread(a.t).cmd, n) in a.labels
         if isinstance(a, LocalPred):
             return bool(program.eval_expr(a.expr, env))
         raise TypeError(f"not an assertion: {a!r}")

@@ -171,7 +171,8 @@ def _cmd_refine(args) -> int:
               "witness": sim.counterexample or [], "detail": sim.detail}
     if sim.ok and not args.skip_trace_check:
         tr = check_trace_refinement(impl, lf, args.max_steps,
-                                    explored=sim.explored)
+                                    explored=sim.explored,
+                                    projector=sim.projector)
         report["trace_check"] = tr.verdict
         if not tr.ok:
             report["verdict"] = "trace-check-failed"

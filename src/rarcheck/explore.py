@@ -1,12 +1,21 @@
 """Exhaustive interleaving exploration of the composed semantics.
 
-Configurations pair per-thread programs and local states with the client and
-library component states.  Component states are in normal form, so a
-configuration is its own canonical key: states whose operations stand in
-the same order on every variable are equal.  Exploration is a breadth-first
-search memoized on configurations, bounded by a scheduler-step budget with
-explicit truncation reporting.  It returns the reachable state graph, which
-every checker reads instead of stepping states again.
+A configuration is a tuple of interned parts: one thread state (command and
+registers) per thread, the client component (gamma) and the library
+component (beta).  The parts are interned in tables on the system's context,
+so within one system equal parts are one object, a configuration's hash
+combines the parts' stored hashes and equality is identity of parts in the
+common case (as in SPIN's COLLAPSE mode).  Component states are in normal
+form, so a configuration is its own canonical key: states whose operations
+stand in the same order on every variable are equal.
+
+Each part's transitions are computed once per system: a thread state's local
+steps and the thread states they lead to, and a memory or object rule's
+successors from a (thread, action, components) key.  Exploration is a
+breadth-first search memoized on configurations, bounded by a
+scheduler-step budget with explicit truncation reporting.  It returns the
+reachable state graph, which every checker reads instead of stepping states
+again.
 """
 
 from __future__ import annotations
@@ -19,61 +28,103 @@ from .assertions import EvalCtx, eval_assertion
 from .state import BOT, READ, TRUE, Action, ComponentState, wrval
 
 
-class Configuration:
-    """Programs and local states per thread, plus the client (gamma) and
-    library (beta) component states.  Equal configurations are the same
-    state; the hash is computed once."""
+class ThreadState:
+    """One thread's command and registers.  The hash is computed once, at
+    construction; the register dict is shared and never mutated."""
 
-    __slots__ = ("prog", "rho", "gamma", "beta", "_hash")
+    __slots__ = ("t", "cmd", "ls", "_hash")
 
-    def __init__(self, prog: dict, rho: dict, gamma: ComponentState,
-                 beta: ComponentState):
-        self.prog = prog  # t -> command
-        self.rho = rho  # t -> locals
-        self.gamma = gamma
-        self.beta = beta
-        self._hash = None
+    def __init__(self, t, cmd, ls: dict):
+        self.t = t
+        self.cmd = cmd
+        self.ls = ls
+        self._hash = hash((t, cmd, frozenset(ls.items())))
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((
-                frozenset(self.prog.items()),
-                frozenset((t, frozenset(ls.items()))
-                          for t, ls in self.rho.items()),
-                self.gamma, self.beta))
-        return h
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, ThreadState):
+            return NotImplemented
+        return (self._hash == other._hash and self.t == other.t
+                and self.cmd == other.cmd and self.ls == other.ls)
+
+    def __repr__(self):
+        return f"ThreadState({self.t!r}, {self.cmd!r}, {self.ls!r})"
+
+
+class Configuration:
+    """One thread state per thread, in the context's thread order, plus the
+    client (gamma) and library (beta) component states.  Equal
+    configurations are the same state; the hash is computed once, at
+    construction."""
+
+    __slots__ = ("locs", "gamma", "beta", "_hash")
+
+    def __init__(self, locs: tuple, gamma: ComponentState,
+                 beta: ComponentState):
+        self.locs = locs
+        self.gamma = gamma
+        self.beta = beta
+        self._hash = hash((locs, gamma, beta))
+
+    def __hash__(self):
+        return self._hash
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Configuration):
             return NotImplemented
-        return (hash(self) == hash(other) and self.gamma == other.gamma
-                and self.beta == other.beta and self.rho == other.rho
-                and self.prog == other.prog)
+        # tuple comparison tries identity first, so interned parts compare
+        # without calling their __eq__
+        return self._hash == other._hash and \
+            (self.locs, self.gamma, self.beta) == \
+            (other.locs, other.gamma, other.beta)
 
     def __repr__(self):
         return (f"Configuration({self.prog!r}, {self.rho!r}, {self.gamma!r}, "
                 f"{self.beta!r})")
 
+    @property
+    def prog(self) -> dict:
+        """thread -> command."""
+        return {ts.t: ts.cmd for ts in self.locs}
+
+    @property
+    def rho(self) -> dict:
+        """thread -> registers."""
+        return {ts.t: ts.ls for ts in self.locs}
+
+    def thread(self, t) -> ThreadState:
+        """Thread t's state."""
+        for ts in self.locs:
+            if ts.t == t:
+                return ts
+        raise KeyError(t)
+
     def key(self):
         return canonical_key(self)
 
     def terminated(self) -> bool:
-        return all(program.is_done(p) for p in self.prog.values())
+        return all(program.is_done(ts.cmd) for ts in self.locs)
 
 
 def canonical_key(cfg: Configuration) -> Configuration:
     """The key a configuration is memoized under: the configuration itself,
-    whose hash this computes once."""
+    whose hash is stored."""
     hash(cfg)
     return cfg
 
 
 class SystemContext:
     """Static facts about one litmus system: threads, the library object (if
-    any), variable components and labelling."""
+    any), variable components and labelling; and the tables that intern the
+    system's thread states and components and memoize their transitions.
+    The tables belong to one system: component equality ignores the
+    layout, so components of two systems must never meet in one table."""
 
     def __init__(self, threads, client_vars, library_vars, object_spec=None,
                  n_labels=None, observed=None):
@@ -83,11 +134,18 @@ class SystemContext:
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
         self.observed = tuple(observed or ())
-        # (command, registers) -> its local steps: a thread's local step
-        # reads nothing else, so each distinct thread state of the system
-        # is stepped once.  The Step lists and their register dicts are
-        # shared, and nothing mutates them.
+        # interned thread states and components: equal ones are one object.
+        # A client and a library component are equal only when neither has
+        # a variable, and then their layouts agree too.
+        self.thread_states = {}
+        self.components = {}
+        # thread state -> its local steps (`_Move`s): a thread's local step
+        # reads nothing else, so each distinct thread state is stepped once
         self.thread_steps = {}
+        # (t, action, executing, context) -> the memory rule's successors,
+        # and (t, method, arguments, beta, gamma) -> the object rule's
+        self.component_steps = {}
+        self.labels = {}  # interned step labels, which those steps carry
 
     def side_of(self, x):
         return "C" if x in self.client_vars else "L"
@@ -96,6 +154,25 @@ class SystemContext:
         specs = {self.object_spec.name: self.object_spec} \
             if self.object_spec else {}
         return EvalCtx(self.side_of, specs, self.n_labels)
+
+    def thread_state(self, t, cmd, ls: dict) -> ThreadState:
+        ts = ThreadState(t, cmd, ls)
+        return self.thread_states.setdefault(ts, ts)
+
+    def component(self, comp: ComponentState) -> ComponentState:
+        return self.components.setdefault(comp, comp)
+
+    def label(self, label: StepLabel) -> StepLabel:
+        return self.labels.setdefault(label, label)
+
+    def configuration(self, prog: dict, rho: dict, gamma: ComponentState,
+                      beta: ComponentState) -> Configuration:
+        """The configuration of per-thread commands and registers and two
+        components, its parts interned."""
+        return Configuration(
+            tuple(self.thread_state(t, prog[t], rho[t])
+                  for t in self.threads),
+            self.component(gamma), self.component(beta))
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,53 +191,116 @@ class StepLabel:
         return core
 
 
-def _with_thread(cfg: Configuration, t, p, ls, gamma=None, beta=None):
-    prog = dict(cfg.prog)
-    prog[t] = p
-    rho = dict(cfg.rho)
-    rho[t] = ls
-    return Configuration(prog, rho, gamma if gamma is not None else cfg.gamma,
-                         beta if beta is not None else cfg.beta)
+class _Move:
+    """One local step of an interned thread state, with what follows from
+    the thread state alone: the component-transition key part (the action,
+    or the method and its evaluated arguments), the label of a silent step,
+    and the thread states it leads to, by the value bound (None when it
+    binds none)."""
+
+    __slots__ = ("step", "key", "label", "nexts")
+
+    def __init__(self, ctx, step, ls):
+        self.step = step
+        self.label = None
+        if step.kind == "eps":
+            self.key = None
+            self.label = ctx.label(StepLabel(
+                "library" if step.lib else "client", None,
+                at_hole=step.at_hole))
+        elif step.kind == "act":
+            self.key = step.action
+        else:  # a call: its arguments are evaluated once
+            call = step.action
+            self.key = (call.meth,
+                        tuple(program.eval_expr(a, ls) for a in call.args))
+        self.nexts = {}
+
+    def next_state(self, ctx, t, bound):
+        """The thread state after this step, binding `bound`: the value
+        read (a step with `reg`) or (return value, operation counter) for
+        a call."""
+        ts = self.nexts.get(bound)
+        if ts is None:
+            step = self.step
+            ls = step.ls
+            if step.kind == "call":
+                ls = dict(ls)
+                ls["rval"], index = bound
+                if step.action.binder:  # an acquire binds the counter
+                    ls[step.action.binder] = index
+            elif step.reg is not None:
+                ls = dict(ls)
+                ls[step.reg] = bound
+            ts = self.nexts[bound] = ctx.thread_state(t, step.cmd, ls)
+        return ts
+
+
+def _moves(ts: ThreadState, ctx: SystemContext):
+    moves = ctx.thread_steps.get(ts)
+    if moves is None:
+        moves = ctx.thread_steps[ts] = [
+            _Move(ctx, step, ts.ls)
+            for step in program.local_step({ts.t: ts.cmd}, {ts.t: ts.ls},
+                                           ts.t)]
+    return moves
 
 
 def successors(cfg: Configuration, ctx: SystemContext):
     """All (thread, label, configuration) successors, deterministically
     ordered."""
     out = []
-    memo = ctx.thread_steps
-    for t in ctx.threads:
-        p, ls = cfg.prog.get(t), cfg.rho.get(t, {})
-        key = (p, tuple(ls.items()))
-        known = memo.get(key)
-        if known is None:
-            known = memo[key] = program.local_step(cfg.prog, cfg.rho, t)
-        for step in known:
-            comp = "library" if step.lib else "client"
+    locs, gamma, beta = cfg.locs, cfg.gamma, cfg.beta
+    for i, ts in enumerate(locs):
+        t = ts.t
+        found = []  # (label, thread state, gamma, beta)
+        for move in _moves(ts, ctx):
+            step = move.step
             if step.kind == "eps":
-                nxt = _with_thread(cfg, t, step.cmd, step.ls)
-                out.append((t, StepLabel(comp, None, at_hole=step.at_hole),
-                            nxt))
+                found.append((move.label, move.next_state(ctx, t, None),
+                              gamma, beta))
             elif step.kind == "act":
-                a = step.action
-                own, other = (cfg.beta, cfg.gamma) if step.lib else \
-                    (cfg.gamma, cfg.beta)
-                for own2, other2, op in _mem_dispatch(own, other, t, a):
-                    if a.kind == READ:  # op is the write read from
-                        v = wrval(op.action)
-                        done = Action(READ, a.var, v, sync=a.sync)
-                    else:  # op is the inserted write or update
-                        v, done = op.action.aux, op.action
-                    ls = step.ls
-                    if step.reg is not None:
-                        ls = dict(ls)
-                        ls[step.reg] = v
-                    g2, b2 = (other2, own2) if step.lib else (own2, other2)
-                    nxt = _with_thread(cfg, t, step.cmd, ls, g2, b2)
-                    out.append((t, StepLabel(comp, done, op.ts), nxt))
-            elif step.kind == "call":
-                out.extend(_object_steps(cfg, t, step, ctx))
-    out.sort(key=lambda s: (s[0], s[1].render()))
+                for g2, b2, v, label in _mem_steps(ctx, t, move.key,
+                                                   step.lib, gamma, beta):
+                    bound = v if step.reg is not None else None
+                    found.append((label, move.next_state(ctx, t, bound),
+                                  g2, b2))
+            else:
+                binds = bool(step.action.binder)
+                for g2, b2, rv, label in _object_steps(ctx, t, step.action,
+                                                       move.key, gamma, beta):
+                    bound = (rv, label.action.index if binds else None)
+                    found.append((label, move.next_state(ctx, t, bound),
+                                  g2, b2))
+        found.sort(key=lambda s: s[0].render())
+        head, tail = locs[:i], locs[i + 1:]
+        for label, ts2, g2, b2 in found:
+            out.append((t, label, Configuration(head + (ts2,) + tail, g2,
+                                                b2)))
     return out
+
+
+def _mem_steps(ctx, t, a, lib, gamma, beta):
+    """The memory rule's successors of thread t's action `a` from the
+    components, as (gamma', beta', value read or written, label), each
+    component interned.  An action's variable fixes its side, so `lib`
+    follows from the key."""
+    own, other = (beta, gamma) if lib else (gamma, beta)
+    key = (t, a, own, other)
+    found = ctx.component_steps.get(key)
+    if found is None:
+        found = ctx.component_steps[key] = []
+        comp = "library" if lib else "client"
+        for own2, other2, op in _mem_dispatch(own, other, t, a):
+            if a.kind == READ:  # op is the write read from
+                v = wrval(op.action)
+                done = Action(READ, a.var, v, sync=a.sync)
+            else:  # op is the inserted write or update
+                v, done = op.action.aux, op.action
+            own2, other2 = ctx.component(own2), ctx.component(other2)
+            g2, b2 = (other2, own2) if lib else (own2, other2)
+            found.append((g2, b2, v, ctx.label(StepLabel(comp, done, op.ts))))
+    return found
 
 
 def _mem_dispatch(executing, context, t, a):
@@ -173,37 +313,39 @@ def _mem_dispatch(executing, context, t, a):
     raise program.ProgramError(f"not a memory action: {a!r}")
 
 
-def _object_steps(cfg, t, step, ctx):
+def _object_steps(ctx, t, call, key, gamma, beta):
+    """The object rule's successors of thread t's call from the components,
+    as (gamma', beta', return value, label), each component interned.
+    `key` is the method and its evaluated arguments, whose number
+    `build_system` has checked."""
     spec = ctx.object_spec
-    call = step.action
     if spec is None or call.obj != spec.name:
         raise program.ProgramError(f"no object named {call.obj!r}")
-    args = [program.eval_expr(a, cfg.rho[t]) for a in call.args]
-    beta, gamma, obj = cfg.beta, cfg.gamma, spec.name
+    memo_key = (t, *key, beta, gamma)
+    found = ctx.component_steps.get(memo_key)
+    if found is not None:
+        return found
+    meth, args = key
+    obj = spec.name
     # (beta', gamma', new operation, the call's return value) per step
-    if spec.kind == "lock" and call.meth == "acquire":
-        found = [s + (TRUE,)
+    if spec.kind == "lock" and meth == "acquire":
+        steps = [s + (TRUE,)
                  for s in objects.lock_acquire(beta, gamma, t, obj)]
-    elif spec.kind == "lock" and call.meth == "release":
-        found = [s + (BOT,) for s in objects.lock_release(beta, gamma, t, obj)]
-    elif spec.kind == "queue" and call.meth == "enq":
-        found = [s + (BOT,)
-                 for s in objects.queue_enq(beta, gamma, t, obj, args[0])]
-    elif spec.kind == "queue" and call.meth == "deq":
-        found = objects.queue_deq(beta, gamma, t, obj)
+    elif spec.kind == "lock" and meth == "release":
+        steps = [s + (BOT,) for s in objects.lock_release(beta, gamma, t, obj)]
+    elif spec.kind == "queue" and meth == "enq":
+        steps = [s + (BOT,)
+                 for s in objects.queue_enq(beta, gamma, t, obj, *args)]
+    elif spec.kind == "queue" and meth == "deq":
+        steps = objects.queue_deq(beta, gamma, t, obj)
     else:
         raise program.ProgramError(
-            f"object {spec.name!r} has no method {call.meth!r}")
-
-    results = []
-    for b2, g2, op, rv in found:
-        ls2 = dict(step.ls)
-        ls2["rval"] = rv
-        if call.binder:  # an acquire binds the lock's operation counter
-            ls2[call.binder] = op.action.index
-        nxt = _with_thread(cfg, t, step.cmd, ls2, g2, b2)
-        results.append((t, StepLabel("library", op.action, op.ts), nxt))
-    return results
+            f"object {spec.name!r} has no method {meth!r}")
+    found = ctx.component_steps[memo_key] = [
+        (ctx.component(g2), ctx.component(b2), rv,
+         ctx.label(StepLabel("library", op.action, op.ts)))
+        for b2, g2, op, rv in steps]
+    return found
 
 
 @dataclass
@@ -249,7 +391,6 @@ def explore(cfg0: Configuration, ctx: SystemContext,
     k0 = canonical_key(cfg0)
     visited = {k0: cfg0}
     edges = {}
-    labels = {}  # interned: equal labels share one object
     frontier = [cfg0]
     level = 0  # of every configuration in the frontier
     truncated = False
@@ -275,7 +416,7 @@ def explore(cfg0: Configuration, ctx: SystemContext,
                     if expand:
                         visited[nk] = nxt
                         nxt_frontier.append(nxt)
-                out.append((t, labels.setdefault(label, label), known))
+                out.append((t, label, known))
             edges[cfg] = tuple(out)
         frontier = nxt_frontier
         level += 1
@@ -288,8 +429,8 @@ def explore(cfg0: Configuration, ctx: SystemContext,
 
 def _outcome_of(cfg: Configuration, ctx: SystemContext):
     merged = {}
-    for ls in cfg.rho.values():
-        merged.update(ls)
+    for ts in cfg.locs:
+        merged.update(ts.ls)
     regs = ctx.observed or tuple(sorted(r for r in merged if r != "rval"))
     return tuple((r, merged.get(r)) for r in sorted(regs))
 
@@ -366,7 +507,7 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
                 outline.invariant, cfg, ectx):
             fail("Inv", key, "invariant fails at a reachable state")
         for t, anns in outline.annotations.items():
-            pc = program.pc_of(cfg.prog[t], ctx.n_labels[t])
+            pc = program.pc_of(cfg.thread(t).cmd, ctx.n_labels[t])
             ann = anns.get(pc)
             if ann is not None and not eval_assertion(ann, cfg, ectx):
                 fail(name_of(t, pc), key, "annotation fails while active")
@@ -378,8 +519,8 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
     # Interference freedom restricted to reachable states: a step of one
     # thread must preserve the annotation currently active in every other.
     for key, cfg in res.configs.items():
-        pcs = {t: program.pc_of(cfg.prog[t], ctx.n_labels[t])
-               for t in ctx.threads}
+        pcs = {ts.t: program.pc_of(ts.cmd, ctx.n_labels[ts.t])
+               for ts in cfg.locs}
         active = {}
         for t in ctx.threads:
             ann = outline.annotations.get(t, {}).get(pcs[t])

@@ -692,15 +692,18 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     spec = None
     library = None
     library_vars = set()
-    if obj is not None and impl is None:
+    if impl is not None and (obj is None or obj[0] != "lock"):
+        raise LitmusError("an implementation needs a lock object")
+    if obj is not None:
         spec = lock_spec(obj_name) if obj[0] == "lock" else queue_spec(obj_name)
-        library = (obj[0], obj_name)
-        library_vars = {obj_name}
-    elif impl is not None:
-        if obj is None or obj[0] != "lock":
-            raise LitmusError("an implementation needs a lock object")
+        _check_arities(progs, spec)
+    if impl is not None:
+        spec = None  # the implementation's variables replace the object
         library = ("impl", impl.init)
         library_vars = {x for x, _ in impl.init}
+    elif obj is not None:
+        library = (obj[0], obj_name)
+        library_vars = {obj_name}
 
     def resolve(c):
         """Plain writes to globals become global writes, do-until loops
@@ -723,12 +726,28 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
     ctx = SystemContext(tids, client_vars, library_vars, spec, n_labels,
                         observed)
-    cfg0 = Configuration(progs, rho, gamma, beta)
+    cfg0 = ctx.configuration(progs, rho, gamma, beta)
     annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
                        if ann is not None} for t, stmts in lf.threads}
     outline = A.ProofOutline(annotations, lf.invariant, lf.final, lf.pre)
     client_locals = {t: frozenset(thread_locals[t]) for t in tids}
     return System(lf, cfg0, ctx, outline, client_locals)
+
+
+def _check_arities(progs, spec):
+    """Every call of one of the object's methods passes as many arguments
+    as the method takes.  Calls of other objects or methods are left to
+    the object rules, which reject them when they run."""
+    for t, prog in progs.items():
+        for call in P.nodes(prog):
+            if not isinstance(call, P.MethodCall) or call.obj != spec.name:
+                continue
+            n = spec.arity(call.meth)
+            if n is not None and len(call.args) != n:
+                raise LitmusError(
+                    f"thread {t}: {call!r} passes {len(call.args)} "
+                    f"argument{'s' * (len(call.args) != 1)}; "
+                    f"{spec.name}.{call.meth} takes {n}")
 
 
 def _pred_registers(a):

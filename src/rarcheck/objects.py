@@ -20,6 +20,12 @@ class ObjectSpec:
     name: str
     kind: str  # 'lock' | 'queue'
     sync: tuple  # synchronising abstract action kinds
+    arities: tuple  # ((method, number of arguments), ...)
+
+    def arity(self, meth: str):
+        """How many arguments `meth` takes; None if there is no such
+        method."""
+        return dict(self.arities).get(meth)
 
     def is_sync(self, action) -> bool:
         """Whether an action, or a method instance naming one, synchronises:
@@ -30,11 +36,13 @@ class ObjectSpec:
 
 
 def lock_spec(name: str) -> ObjectSpec:
-    return ObjectSpec(name, "lock", (LOCK_ACQUIRE, LOCK_RELEASE))
+    return ObjectSpec(name, "lock", (LOCK_ACQUIRE, LOCK_RELEASE),
+                      (("acquire", 0), ("release", 0)))
 
 
 def queue_spec(name: str) -> ObjectSpec:
-    return ObjectSpec(name, "queue", (ENQUEUE, DEQUEUE))
+    return ObjectSpec(name, "queue", (ENQUEUE, DEQUEUE),
+                      (("enq", 1), ("deq", 0)))
 
 
 def lock_acquire(beta: ComponentState, gamma: ComponentState, t, lock: str):

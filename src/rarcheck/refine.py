@@ -96,19 +96,31 @@ def _client_sig(gamma, threads):
 
 def _projector(client_regs, threads):
     """The client-visible part of a configuration, as a function: client
-    locals, then the client signature.  The signature is computed once per
-    distinct client component, and equal projections are one object.  Use
-    one projector per system: component equality ignores the layout."""
+    locals, then the client signature.  Equal projections are one object,
+    and each configuration is projected once: its register part is
+    computed once per thread state, and its signature once per client
+    component.  Both depend only on the client's registers and variables,
+    so one projector serves the abstract and the concrete system of one
+    client."""
     regs = {t: sorted(rs) for t, rs in client_regs.items()}
-    sigs, shared = {}, {}
+    parts, sigs, shared, done = {}, {}, {}, {}
 
     def project(cfg):
-        sig = sigs.get(cfg.gamma)
-        if sig is None:
-            sig = sigs[cfg.gamma] = _client_sig(cfg.gamma, threads)
-        p = (tuple([(t, tuple([(r, ls.get(r)) for r in regs[t]]))
-                    for t, ls in sorted(cfg.rho.items())]),) + sig
-        return shared.setdefault(p, p)
+        p = done.get(cfg)
+        if p is None:
+            sig = sigs.get(cfg.gamma)
+            if sig is None:
+                sig = sigs[cfg.gamma] = _client_sig(cfg.gamma, threads)
+            own = []
+            for ts in cfg.locs:
+                part = parts.get(ts)
+                if part is None:
+                    part = parts[ts] = (ts.t, tuple([(r, ts.ls.get(r))
+                                                     for r in regs[ts.t]]))
+                own.append(part)
+            p = (tuple(own),) + sig
+            p = done[cfg] = shared.setdefault(p, p)
+        return p
     return project
 
 
@@ -156,7 +168,7 @@ def state_refines(abs_pair, conc_pair, threads) -> bool:
 
 
 def _rvals(cfg):
-    return tuple((t, ls.get("rval")) for t, ls in sorted(cfg.rho.items()))
+    return tuple((ts.t, ts.ls.get("rval")) for ts in cfg.locs)
 
 
 # --- the simulation game ------------------------------------------------------
@@ -205,9 +217,10 @@ class SimulationResult:
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
-    # the concrete exploration the game was played over, for
-    # check_trace_refinement(..., explored=...)
+    # the concrete exploration the game was played over and the projector
+    # it used, for check_trace_refinement(..., explored=..., projector=...)
     explored: ExploreResult = field(default=None, repr=False, compare=False)
+    projector: object = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -225,40 +238,38 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
         check_sync_free(abs_sys)
 
     conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
+    project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)
     if conc.truncated:
         return SimulationResult("unknown-beyond-bound",
                                 detail="concrete exploration truncated",
-                                explored=conc)
-    moves = _game(abs_sys, conc)
+                                explored=conc, projector=project)
+    moves = _game(abs_sys, conc, project)
     if not moves:
         return SimulationResult("no-simulation", counterexample=[],
                                 detail="initial states unrelated",
-                                explored=conc)
+                                explored=conc, projector=project)
 
     losing = _attractor(moves)
     if 0 in losing:  # the initial pair
         path = _extract_counterexample(0, moves, losing)
         return SimulationResult("no-simulation", 0, len(moves), path,
-                                "a concrete step cannot be matched", conc)
+                                "a concrete step cannot be matched", conc,
+                                project)
 
     return SimulationResult("simulation-found", len(moves) - len(losing),
-                            len(moves), explored=conc)
+                            len(moves), explored=conc, projector=project)
 
 
-def _game(abs_sys, conc):
+def _game(abs_sys, conc, project):
     """The pairs (abstract state, concrete state) reachable from the initial
     pair, numbered in discovery order, as `moves`: per pair number, per
     concrete step, ((thread, label), [candidate pair numbers]).  Empty when
     the initial states are unrelated."""
-    threads = abs_sys.ctx.threads
-    client_regs = _client_regs(abs_sys)
     # states are numbered: concrete ones in exploration order, abstract ones
     # as they are reached; a state's view is (return values, projection),
     # and a concrete step is ((thread, label), successor, reply core)
-    aproject = _projector(client_regs, threads)
-    cproject = _projector(client_regs, threads)
     cnum = {k: i for i, k in enumerate(conc.configs)}
-    cviews = [(_rvals(cfg), cproject(cfg)) for cfg in conc.configs.values()]
+    cviews = [(_rvals(cfg), project(cfg)) for cfg in conc.configs.values()]
     csteps = [[((t, lab), cnum[k2], _reply_core(lab))
                for t, lab, k2 in conc.edges[k]] for k in conc.configs]
     acfgs, anum, aviews = [], {}, []
@@ -271,7 +282,7 @@ def _game(abs_sys, conc):
         if n is None:
             n = anum[cfg] = len(acfgs)
             acfgs.append(cfg)
-            aviews.append((_rvals(cfg), aproject(cfg)))
+            aviews.append((_rvals(cfg), project(cfg)))
             areplies.append(None)
         return n
 
@@ -398,11 +409,14 @@ class TraceCheckResult:
 
 
 def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
-                           explored: ExploreResult = None) -> TraceCheckResult:
+                           explored: ExploreResult = None,
+                           projector=None) -> TraceCheckResult:
     """Determinized matching of every stutter-free concrete client trace
     against the abstract trace graph under pointwise refinement.
     `explored`, if given, is the exploration of the concrete system under
-    the same bound (as kept in `SimulationResult.explored`), reused.
+    the same bound (as kept in `SimulationResult.explored`), reused; so is
+    `projector`, a projector for the same client (as kept in
+    `SimulationResult.projector`), with the projections it has made.
 
     A visible concrete step is matched by a visible abstract step or by the
     abstract side staying put, when the state it is in already refines the
@@ -418,9 +432,6 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
     implementation step is the same freedom, so a simulation implies trace
     inclusion here as the paper's theorem says it must."""
     abs_sys = build_system(client_lf)
-    threads = abs_sys.ctx.threads
-    client_regs = _client_regs(abs_sys)
-
     conc = explored
     if conc is None:
         conc_sys = build_system(client_lf, impl)
@@ -430,10 +441,10 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
         return TraceCheckResult("unknown-beyond-bound",
                                 detail="exploration truncated")
 
-    aproject = _projector(client_regs, threads)
-    cproject = _projector(client_regs, threads)
-    aproj = {k: aproject(c) for k, c in ab.configs.items()}
-    cproj = {k: cproject(c) for k, c in conc.configs.items()}
+    project = projector or _projector(_client_regs(abs_sys),
+                                      abs_sys.ctx.threads)
+    aproj = {k: project(c) for k, c in ab.configs.items()}
+    cproj = {k: project(c) for k, c in conc.configs.items()}
     refines = _refines_memo()
 
     def closure(akeys):

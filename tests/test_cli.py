@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rarcheck
 from rarcheck.cli import run_cli
 from rarcheck.litmus import build_system, corpus_text, load_corpus
 from rarcheck.refine import builtin_impls
@@ -193,6 +198,20 @@ class TestOracle:
         assert code == 0
         assert "pass" in out
 
+    def test_module_runs_the_driver(self):
+        # `python -m rarcheck` is the command-line driver, exit code included
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(rarcheck.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "rarcheck", "oracle",
+                               "fifo", "--enqs", "2", "--json"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["states_explored"] == 54
+        bad = subprocess.run([sys.executable, "-m", "rarcheck", "oracle",
+                              "fifo", "--enqs", "-1"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert bad.returncode == 3 and bad.stderr.startswith("error: ")
+
 
 class TestErrors:
     def test_unknown_flag(self, capsys):
@@ -247,6 +266,28 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: cannot evaluate (")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("decl,body,call", [
+        ("queue q", "q.enq();", "q.enq()"),
+        ("lock l", "l.acquire(); l.release(5);", "l.release(5)"),
+        ("queue q", "r := q.deq(7);", "q.deq(7)"),
+    ])
+    def test_wrong_number_of_arguments_is_an_input_error(self, tmp_path,
+                                                         capsys, decl, body,
+                                                         call):
+        # a call's arity is checked against the object when the system is
+        # built: exit 3 with one error line naming the call, from every
+        # command that builds it
+        bad = tmp_path / "arity.lit"
+        bad.write_text(f"name t\nobject {decl}\nthread 1 {{ {body} }}\n")
+        commands = [["explore"], ["outline"], ["hoare"]]
+        if decl.startswith("lock"):
+            commands.append(["refine", "--impl", "seqlock", "--client"])
+        for argv in commands:
+            code, out, err = run(capsys, *argv, str(bad))
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: thread 1: {call} passes ")
+            assert err.count("\n") == 1
 
     def test_deep_thread_is_hashed_without_recursion(self, tmp_path, capsys):
         # command nodes hash at construction, so configuration keys over a

@@ -1,8 +1,8 @@
 import pytest
 
 from rarcheck.assertions import (AndA, BoolA, DefVar, LocalPred, ProofOutline)
-from rarcheck.explore import (Configuration, SystemContext, canonical_key,
-                              check_hoare, check_outline, explore, successors)
+from rarcheck.explore import (SystemContext, canonical_key, check_hoare,
+                              check_outline, explore, successors)
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.program import Bin, Bot, Labeled, Lit, ProgramError, Var, nodes
 from rarcheck.state import make_init_states
@@ -17,7 +17,7 @@ class TestSuccessors:
     def test_terminal_has_none(self):
         rho, g, b = make_init_states([("d", 0)], {"d"}, None, {1})
         ctx = SystemContext([1], {"d"}, set())
-        cfg = Configuration({1: Bot()}, rho, g, b)
+        cfg = ctx.configuration({1: Bot()}, rho, g, b)
         assert successors(cfg, ctx) == []
 
     def test_lock_client_init_has_two(self):
@@ -209,7 +209,7 @@ class TestCheckHoare:
     def test_trivial(self):
         rho, g, b = make_init_states([], set(), None, {1})
         ctx = SystemContext([1], set(), set())
-        cfg = Configuration({1: Labeled(1, Bot())}, rho, g, b)
+        cfg = ctx.configuration({1: Labeled(1, Bot())}, rho, g, b)
         rep = check_hoare(cfg, ctx, BoolA(True), BoolA(True), 8)
         assert rep.verdict == "valid"
 

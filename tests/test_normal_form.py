@@ -10,30 +10,34 @@ from rarcheck.oracle import fifo_litmus
 from rarcheck.state import EMPTY
 from reference_key import ref_key
 
-# states_explored, truncated and outcome set of every corpus file (bound 64)
-# and of the FIFO oracle systems (bound 96).  FIFO outcomes list r1..rk, with
-# e for empty.
+# states_explored, truncated, outcome set and transitions (successors of
+# every explored state, as stored in the edges) of every corpus file (bound
+# 64) and of the FIFO oracle systems (bound 96).  FIFO outcomes list r1..rk,
+# with e for empty.
 PINNED = [
-    ('lock-two-rounds', 48, False, ['r1=0', 'r1=1', 'r1=2']),
-    ('lockmp', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
-    ('lockmp-mutant', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
-    ('mp-relacq', 21, False, ['r1=1 r2=5']),
-    ('mp-relaxed', 23, False, ['r2=0', 'r2=5']),
-    ('queue-mp', 344, True, ['r1=1 r2=5']),
-    ('seqlock-refine', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
-    ('ticketlock-refine', 29, False, ['r1=0 r2=0', 'r1=5 r2=5']),
+    ('lock-two-rounds', 48, False, ['r1=0', 'r1=1', 'r1=2'], 52),
+    ('lockmp', 29, False, ['r1=0 r2=0', 'r1=5 r2=5'], 28),
+    ('lockmp-mutant', 29, False, ['r1=0 r2=0', 'r1=5 r2=5'], 28),
+    ('mp-relacq', 21, False, ['r1=1 r2=5'], 34),
+    ('mp-relaxed', 23, False, ['r2=0', 'r2=5'], 33),
+    ('queue-mp', 344, True, ['r1=1 r2=5'], 538),
+    ('seqlock-refine', 29, False, ['r1=0 r2=0', 'r1=5 r2=5'], 28),
+    ('ticketlock-refine', 29, False, ['r1=0 r2=0', 'r1=5 r2=5'], 28),
     ("fifo-3", 236, False, [
-        '123', '12e', '1e2', '1ee', 'e12', 'e1e', 'ee1', 'eee']),
+        '123', '12e', '1e2', '1ee', 'e12', 'e1e', 'ee1', 'eee'], 416),
     ("fifo-4", 916, False, [
         '1234', '123e', '12e3', '12ee', '1e23', '1e2e', '1ee2', '1eee',
-        'e123', 'e12e', 'e1e2', 'e1ee', 'ee12', 'ee1e', 'eee1', 'eeee']),
+        'e123', 'e12e', 'e1e2', 'e1ee', 'ee12', 'ee1e', 'eee1', 'eeee'], 1676),
     ("fifo-5", 3443, False, [
         '12345', '1234e', '123e4', '123ee', '12e34', '12e3e', '12ee3',
         '12eee', '1e234', '1e23e', '1e2e3', '1e2ee', '1ee23', '1ee2e',
         '1eee2', '1eeee', 'e1234', 'e123e', 'e12e3', 'e12ee', 'e1e23',
         'e1e2e', 'e1ee2', 'e1eee', 'ee123', 'ee12e', 'ee1e2', 'ee1ee',
-        'eee12', 'eee1e', 'eeee1', 'eeeee']),
+        'eee12', 'eee1e', 'eeee1', 'eeeee'], 6422),
 ]
+# the transitions column is looked up by name, so that each case keeps the
+# test id it had before the column was added
+TRANSITIONS = {name: row[-1] for name, *row in PINNED}
 
 
 # Threads writing different variables: the order in time of their writes is
@@ -70,11 +74,13 @@ def explored():
     return {name: _explored(name) for name in NAMES}
 
 
-@pytest.mark.parametrize("name,states,truncated,outcomes", PINNED)
+@pytest.mark.parametrize("name,states,truncated,outcomes",
+                         [row[:4] for row in PINNED])
 def test_pinned_counts_and_outcomes(explored, name, states, truncated,
                                     outcomes):
     _, res = explored[name]
     assert res.states_explored == states
+    assert sum(map(len, res.edges.values())) == TRANSITIONS[name]
     assert res.truncated is truncated
     assert sorted(_outcome(name, oc) for oc in res.outcomes) == outcomes
 

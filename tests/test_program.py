@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from rarcheck.explore import Configuration, SystemContext, explore, successors
+from rarcheck.explore import SystemContext, explore, successors
 from rarcheck.litmus import build_system, load_corpus
 from rarcheck.memory import mem_write
 from rarcheck.program import (Assign, Bin, Bot, Cas, DoUntil, Fai, GRead,
@@ -22,8 +22,8 @@ def steps_after_writes(cmd, values=WRITTEN):
     rho, g, b = make_init_states([("x", 0)], {"x"}, None, {1, 2})
     for v in values:
         (g, b, _), = mem_write(g, b, 2, write("x", v))
-    cfg = Configuration({1: cmd, 2: Bot()}, rho, g, b)
-    return successors(cfg, SystemContext([1, 2], {"x"}, set()))
+    ctx = SystemContext([1, 2], {"x"}, set())
+    return successors(ctx.configuration({1: cmd, 2: Bot()}, rho, g, b), ctx)
 
 
 class TestEval:

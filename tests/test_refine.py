@@ -330,13 +330,16 @@ class TestChecksAgree:
 
 
 class TestProjectionMemo:
+    # one projector serves the abstract and the concrete system of a
+    # client: its signatures read only the client's own variables, so a
+    # component equal in both systems is signed once
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     def test_client_sig_once_per_component(self, monkeypatch, impl):
         signed = []
         client_sig = rf._client_sig
 
         def counting(gamma, threads):
-            signed.append((id(gamma.lay), gamma))  # one layout per system
+            signed.append(gamma)
             return client_sig(gamma, threads)
 
         monkeypatch.setattr(rf, "_client_sig", counting)
@@ -348,6 +351,30 @@ class TestProjectionMemo:
         check_trace_refinement(impl, client(), 64, explored=sim.explored)
         system = build_system(client())
         ab = explore(system.cfg0, system.ctx, 64)
-        components = ({c.gamma for c in ab.configs.values()},
+        components = ({c.gamma for c in ab.configs.values()} |
                       {c.gamma for c in sim.explored.configs.values()})
-        assert len(signed) == len(set(signed)) == sum(map(len, components))
+        assert len(signed) == len(set(signed)) == len(components)
+
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_trace_check_reuses_the_simulation_projector(self, monkeypatch,
+                                                         impl):
+        # the trace check signs only client components the game did not
+        # reach, and answers as with a projector of its own
+        signed = []
+        client_sig = rf._client_sig
+
+        def counting(gamma, threads):
+            signed.append(gamma)
+            return client_sig(gamma, threads)
+
+        monkeypatch.setattr(rf, "_client_sig", counting)
+        impl = builtin_impls()[impl]
+        sim = check_simulation(impl, client(), 64)
+        in_game = set(signed)
+        signed.clear()
+        shared = check_trace_refinement(impl, client(), 64,
+                                        explored=sim.explored,
+                                        projector=sim.projector)
+        assert in_game.isdisjoint(signed)
+        assert len(signed) == len(set(signed))
+        assert shared == check_trace_refinement(impl, client(), 64)

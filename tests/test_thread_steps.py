@@ -1,10 +1,13 @@
-"""The per-system memo of thread-local steps is transparent.
+"""The per-system tables of interned parts and memoized transitions are
+transparent.
 
 `successors` takes each thread's local steps from `SystemContext.thread_steps`,
-keyed by command and type-tagged registers.  For every explored
-configuration, the successors computed with the warm memo must equal those of
-a fresh context whose memo is empty, down to the type of every value: 1 and
-True are equal in Python, but print differently."""
+keyed by the interned thread state, and each memory or object rule's
+successors from `SystemContext.component_steps`, keyed by thread, action (or
+method and arguments) and components.  For every explored configuration, the
+successors computed with warm tables must equal those of a fresh context
+whose tables are empty, down to the type of every value: `true` is no
+integer, and prints differently."""
 
 import copy
 
@@ -14,6 +17,7 @@ from rarcheck.explore import explore, successors
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.oracle import fifo_litmus
 from rarcheck.refine import builtin_impls
+from rarcheck.state import TRUE
 
 CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
           "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
@@ -69,7 +73,8 @@ def _view(succs):
 
 def _fresh(ctx):
     out = copy.copy(ctx)
-    out.thread_steps = {}
+    out.thread_states, out.components, out.labels = {}, {}, {}
+    out.thread_steps, out.component_steps = {}, {}
     return out
 
 
@@ -98,3 +103,60 @@ def test_each_thread_state_is_stepped_once(monkeypatch):
     res = explore(system.cfg0, system.ctx, 64)
     assert len(calls) == len(system.ctx.thread_steps)
     assert len(calls) < len(res.configs) * len(system.ctx.threads)
+
+
+def _parts(res):
+    for cfg in res.configs:
+        yield from cfg.locs
+        yield cfg.gamma
+        yield cfg.beta
+
+
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_equal_parts_are_one_object(name):
+    # within one exploration, equal thread states and equal components are
+    # the same object, also in successors computed again afterwards
+    system = _build(name)
+    res = explore(system.cfg0, system.ctx, 64)
+    seen = {}
+    for part in _parts(res):
+        assert seen.setdefault(part, part) is part
+    for cfg in res.configs:
+        for _, _, nxt in successors(cfg, system.ctx):
+            for part in nxt.locs + (nxt.gamma, nxt.beta):
+                assert seen.get(part, part) is part
+
+
+def test_systems_share_no_table():
+    # two systems built from the same text intern and memoize apart
+    a, b = (_build("lockmp") for _ in "ab")
+    tables = ("thread_states", "components", "labels", "thread_steps",
+              "component_steps")
+    for system in (a, b):
+        explore(system.cfg0, system.ctx, 64)
+    for name in tables:
+        ta, tb = getattr(a.ctx, name), getattr(b.ctx, name)
+        assert ta and tb and ta is not tb
+    for name in ("thread_states", "components"):
+        ids = [{id(x) for x in getattr(s.ctx, name)} for s in (a, b)]
+        assert ids[0].isdisjoint(ids[1])
+
+
+def test_enq_of_one_and_of_true_are_two_steps():
+    # thread 2 reaches `q.enq(1)` or `q.enq(1 = 1)` with the library state
+    # unchanged; the object rule's memo must not take one call for the other
+    system = build_system(parse_litmus(
+        "name enq-one-or-true\ninit x := 0\nobject queue q\n"
+        "thread 1 { x := 1; }\n"
+        "thread 2 { r1 <- x; if r1 = 0 then { q.enq(1); } "
+        "else { q.enq(1 = 1); } }\n"))
+    res = explore(system.cfg0, system.ctx, 64)
+    enqueued = {}  # library state -> {value enqueued: library state after}
+    for cfg, edges in res.edges.items():
+        for _, label, nxt in edges:
+            if label.action is not None and label.action.kind == "enqueue":
+                enqueued.setdefault(cfg.beta, {})[label.action.val] = \
+                    nxt.beta
+    (after,) = enqueued.values()
+    assert set(after) == {1, TRUE}
+    assert after[1] != after[TRUE]
