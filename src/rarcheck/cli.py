@@ -2,7 +2,9 @@
 
 Subcommands: explore, outline, hoare, refine, oracle.  Exit codes: 0 all
 checks pass, 1 violation found, 2 step bound exhausted, 3 input error,
-4 internal error.
+4 internal error.  Text output spells a value as the input language does
+(`true`, `false`, `bot`, `empty`), so an outcome line can be pasted into a
+`final` clause; --json gives booleans as JSON's and bot and empty by name.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def _build_parser():
     ho.add_argument("--json", action="store_true")
 
     rf = sub.add_parser("refine", help="check forward simulation")
-    rf.add_argument("--impl", required=True, choices=sorted(builtin_impls()))
+    rf.add_argument("--impl", required=True, choices=sorted(_IMPLS))
     rf.add_argument("--client", required=True)
     rf.add_argument("--max-steps", type=_int_at_least(1), default=64)
     rf.add_argument("--json", action="store_true")
@@ -72,9 +74,15 @@ def _build_parser():
     return p
 
 
+# Built once per process, at import: a parse only reads the parser and fills
+# a new Namespace, so one `run_cli` call costs no more than its check.
+_IMPLS = builtin_impls()
+_PARSER = _build_parser()
+
+
 def _jval(v):
-    """A value for output: a boolean as Python's (JSON's true/false), bot
-    and empty by name."""
+    """A symbolic value for JSON: a boolean as JSON's true/false, bot and
+    empty by name."""
     if isinstance(v, Sym):
         return {TRUE: True, FALSE: False}.get(v, v.name)
     return v
@@ -89,7 +97,9 @@ def _emit(report: dict, as_json: bool):
         if key in report:
             print(f"{key}: {report[key]}")
     for oc in report.get("outcomes", []):
-        print("outcome:", " ".join(f"{k}={_jval(v)}" for k, v in oc.items()))
+        # a value as the input language spells it, so an outcome line can
+        # be pasted into a `final` clause
+        print("outcome:", " ".join(f"{k}={v!r}" for k, v in oc.items()))
     for name, verdict in report.get("assertions", {}).items():
         print(f"{name}: {verdict}")
     if report.get("witness"):
@@ -112,7 +122,6 @@ def _load(path: str):
 def _cmd_explore(args) -> int:
     system = _load(args.file)
     res = explore(system.cfg0, system.ctx, args.max_steps)
-    outcomes = [{k: _jval(v) for k, v in oc.items()} for oc in res.outcomes]
     verdict, code, witness = "pass", OK, None
     if system.outline.final is not None:
         rep = check_hoare(system.cfg0, system.ctx, system.outline.pre,
@@ -124,7 +133,7 @@ def _cmd_explore(args) -> int:
     elif res.truncated:
         verdict, code = "unknown-beyond-bound", BOUND
     _emit({"verdict": verdict, "states_explored": res.states_explored,
-           "outcomes": outcomes, "witness": witness or [],
+           "outcomes": res.outcomes, "witness": witness or [],
            "truncated": res.truncated}, args.json)
     return code
 
@@ -159,7 +168,7 @@ def _cmd_hoare(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    impl = builtin_impls()[args.impl]
+    impl = _IMPLS[args.impl]
     try:
         with open(args.client, encoding="utf-8") as fh:
             lf = parse_litmus(fh.read())
@@ -193,7 +202,7 @@ def _cmd_oracle(args) -> int:
 
 def run_cli(argv) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except LitmusError as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR

@@ -21,7 +21,7 @@ again.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import memory, objects, program
 from .assertions import EvalCtx, eval_assertion
@@ -181,14 +181,21 @@ class StepLabel:
     action: object  # Action or None for silent steps
     rank: object = None  # position on its variable, disambiguating the choice
     at_hole: bool = False
+    # the label's text, which also orders a thread's successors: rendered
+    # once, when the label is made
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.action is None:
+            text = "eps[L]" if self.component == "library" else "eps"
+        else:
+            text = repr(self.action)
+            if self.rank is not None:
+                text += f"@{self.rank}"
+        object.__setattr__(self, "text", text)
 
     def render(self) -> str:
-        if self.action is None:
-            return "eps[L]" if self.component == "library" else "eps"
-        core = repr(self.action)
-        if self.rank is not None:
-            core += f"@{self.rank}"
-        return core
+        return self.text
 
 
 class _Move:
@@ -267,12 +274,12 @@ def successors(cfg: Configuration, ctx: SystemContext):
                                   g2, b2))
             else:
                 binds = bool(step.action.binder)
-                for g2, b2, rv, label in _object_steps(ctx, t, step.action,
-                                                       move.key, gamma, beta):
+                for g2, b2, rv, label in _object_steps(ctx, t, move.key,
+                                                       gamma, beta):
                     bound = (rv, label.action.index if binds else None)
                     found.append((label, move.next_state(ctx, t, bound),
                                   g2, b2))
-        found.sort(key=lambda s: s[0].render())
+        found.sort(key=lambda s: s[0].text)
         head, tail = locs[:i], locs[i + 1:]
         for label, ts2, g2, b2 in found:
             out.append((t, label, Configuration(head + (ts2,) + tail, g2,
@@ -313,34 +320,28 @@ def _mem_dispatch(executing, context, t, a):
     raise program.ProgramError(f"not a memory action: {a!r}")
 
 
-def _object_steps(ctx, t, call, key, gamma, beta):
+def _object_steps(ctx, t, key, gamma, beta):
     """The object rule's successors of thread t's call from the components,
     as (gamma', beta', return value, label), each component interned.
-    `key` is the method and its evaluated arguments, whose number
-    `build_system` has checked."""
-    spec = ctx.object_spec
-    if spec is None or call.obj != spec.name:
-        raise program.ProgramError(f"no object named {call.obj!r}")
+    `key` is the method and its evaluated arguments; `build_system` has
+    checked the call's object, method and number of arguments."""
     memo_key = (t, *key, beta, gamma)
     found = ctx.component_steps.get(memo_key)
     if found is not None:
         return found
     meth, args = key
-    obj = spec.name
+    obj = ctx.object_spec.name
     # (beta', gamma', new operation, the call's return value) per step
-    if spec.kind == "lock" and meth == "acquire":
+    if meth == "acquire":
         steps = [s + (TRUE,)
                  for s in objects.lock_acquire(beta, gamma, t, obj)]
-    elif spec.kind == "lock" and meth == "release":
+    elif meth == "release":
         steps = [s + (BOT,) for s in objects.lock_release(beta, gamma, t, obj)]
-    elif spec.kind == "queue" and meth == "enq":
+    elif meth == "enq":
         steps = [s + (BOT,)
                  for s in objects.queue_enq(beta, gamma, t, obj, *args)]
-    elif spec.kind == "queue" and meth == "deq":
+    else:  # deq
         steps = objects.queue_deq(beta, gamma, t, obj)
-    else:
-        raise program.ProgramError(
-            f"object {spec.name!r} has no method {meth!r}")
     found = ctx.component_steps[memo_key] = [
         (ctx.component(g2), ctx.component(b2), rv,
          ctx.label(StepLabel("library", op.action, op.ts)))

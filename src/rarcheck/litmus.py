@@ -696,7 +696,7 @@ def build_system(lf: LitmusFile, impl=None) -> System:
         raise LitmusError("an implementation needs a lock object")
     if obj is not None:
         spec = lock_spec(obj_name) if obj[0] == "lock" else queue_spec(obj_name)
-        _check_arities(progs, spec)
+    _check_calls(progs, spec)
     if impl is not None:
         spec = None  # the implementation's variables replace the object
         library = ("impl", impl.init)
@@ -734,16 +734,23 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     return System(lf, cfg0, ctx, outline, client_locals)
 
 
-def _check_arities(progs, spec):
-    """Every call of one of the object's methods passes as many arguments
-    as the method takes.  Calls of other objects or methods are left to
-    the object rules, which reject them when they run."""
+def _check_calls(progs, spec):
+    """Every method call, reachable or not, names the declared object and
+    one of its methods, and passes as many arguments as the method takes;
+    spec is None when no object is declared."""
     for t, prog in progs.items():
         for call in P.nodes(prog):
-            if not isinstance(call, P.MethodCall) or call.obj != spec.name:
+            if not isinstance(call, P.MethodCall):
                 continue
+            if spec is None or call.obj != spec.name:
+                raise LitmusError(
+                    f"thread {t}: {call!r}: no object named {call.obj!r}")
             n = spec.arity(call.meth)
-            if n is not None and len(call.args) != n:
+            if n is None:
+                raise LitmusError(
+                    f"thread {t}: {call!r}: object {spec.name!r} has no "
+                    f"method {call.meth!r}")
+            if len(call.args) != n:
                 raise LitmusError(
                     f"thread {t}: {call!r} passes {len(call.args)} "
                     f"argument{'s' * (len(call.args) != 1)}; "

@@ -74,6 +74,24 @@ class TestExplore:
         assert doc["truncated"] is True
         assert doc["outcomes"] == [{"r1": 1, "r2": 5}]
 
+    def test_boolean_outcome_pastes_into_a_final_clause(self, tmp_path,
+                                                        capsys):
+        # text output spells a boolean as the input language does, so the
+        # outcome line, pasted into a final clause, is a valid triple
+        prog = "name t\ninit x := 0\nthread 1 { r := x = 0; }\n"
+        path = tmp_path / "bool.lit"
+        path.write_text(prog)
+        code, out, err = run(capsys, "explore", str(path))
+        assert (code, err) == (0, "")
+        assert "outcome: r=true x=0\n" in out
+        line = next(ln for ln in out.splitlines() if ln.startswith("outcome:"))
+        final = " and ".join(a.replace("=", " = ")
+                             for a in line.split()[1:])
+        path.write_text(prog + f"final {{ {final} }}\n")
+        code, out, err = run(capsys, "hoare", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("verdict: valid\n")
+
 
 class TestOutline:
     def test_lockmp_valid(self, corpus_dir, capsys):
@@ -192,6 +210,72 @@ thread 2 { l.acquire(); r1 <- x; l.release(); }
 """
 
 
+class TestSharedParser:
+    def test_nothing_is_built_per_call(self, corpus_dir, capsys,
+                                       monkeypatch):
+        # the parser and the implementation table are built at import
+        import argparse
+        built, codes = [], []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        monkeypatch.setattr("rarcheck.cli.builtin_impls",
+                            lambda: built.append("impls"))
+        for argv in (["explore", str(corpus_dir / "mp-relacq.lit")],
+                     ["outline", "--json", str(corpus_dir / "lockmp.lit")],
+                     ["hoare", str(corpus_dir / "lockmp.lit")],
+                     ["refine", "--impl", "seqlock", "--client",
+                      str(corpus_dir / "seqlock-refine.lit")],
+                     ["oracle", "fifo", "--enqs", "1"],
+                     ["explore", "--nope", "x"]):
+            codes.append(run(capsys, *argv)[0])
+        assert codes == [0, 0, 0, 0, 0, 3]
+        assert built == []
+
+    def test_argv_error_leaves_no_state(self, corpus_dir, capsys):
+        argv = ["explore", "--json", str(corpus_dir / "mp-relacq.lit")]
+        before = run(capsys, *argv)
+        code, out, err = run(capsys, "explore", "--max-steps", "x",
+                             "--json", "--nope")
+        assert (code, out) == (3, "") and err.startswith("error: ")
+        assert run(capsys, *argv) == before
+        assert before[0] == 0 and before[2] == ""
+
+    def test_help_exits_zero_and_leaves_no_state(self, corpus_dir, capsys):
+        argv = ["explore", str(corpus_dir / "mp-relacq.lit")]
+        before = run(capsys, *argv)
+        for help_argv in (["--help"], ["explore", "--help"]):
+            with pytest.raises(SystemExit) as done:
+                run_cli(help_argv)
+            assert done.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: rarcheck ")
+        assert run(capsys, *argv) == before
+
+    def test_skipped_trace_check_is_not_remembered(self, corpus_dir, capsys):
+        client = str(corpus_dir / "seqlock-refine.lit")
+        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
+                           "--client", client, "--skip-trace-check")
+        assert code == 0 and "trace_check" not in json.loads(out)
+        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
+                           "--client", client)
+        assert code == 0
+        assert json.loads(out)["trace_check"] == "trace-refinement"
+
+    def test_step_bound_is_not_remembered(self, corpus_dir, capsys):
+        path = str(corpus_dir / "mp-relacq.lit")
+        code, out, _ = run(capsys, "explore", "--json", "--max-steps", "1",
+                           path)
+        assert code == 2 and json.loads(out)["truncated"] is True
+        default = run(capsys, "explore", "--json", path)
+        assert default == run(capsys, "explore", "--json", "--max-steps",
+                              "64", path)
+        assert default[0] == 0 and json.loads(default[1])["truncated"] is False
+
+
 class TestOracle:
     def test_fifo(self, capsys):
         code, out, _ = run(capsys, "oracle", "fifo", "--enqs", "2")
@@ -288,6 +372,23 @@ class TestErrors:
             assert (code, out) == (3, "")
             assert err.startswith(f"error: thread 1: {call} passes ")
             assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("call,message", [
+        ("l.steal();", "object 'l' has no method 'steal'"),
+        ("q.enq(1);", "no object named 'q'"),
+    ])
+    def test_unreachable_bad_call_is_an_input_error(self, tmp_path, capsys,
+                                                    call, message):
+        # every call is checked against the declared object when the system
+        # is built, also one in a branch that no run takes
+        bad = tmp_path / "bad-call.lit"
+        bad.write_text("name t\nobject lock l\nthread 1 { r := 0; "
+                       f"if r = 1 then {{ {call} }} else {{ r := 2; }} }}\n")
+        for argv in (["explore"], ["outline"], ["hoare"],
+                     ["refine", "--impl", "seqlock", "--client"]):
+            code, out, err = run(capsys, *argv, str(bad))
+            assert (code, out) == (3, "")
+            assert err == f"error: thread 1: {call[:-1]}: {message}\n"
 
     def test_deep_thread_is_hashed_without_recursion(self, tmp_path, capsys):
         # command nodes hash at construction, so configuration keys over a
