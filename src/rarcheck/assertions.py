@@ -286,55 +286,57 @@ def _resolve(valexpr, env):
 
 
 def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
+    """Assertion a at cfg, with cfg's registers or env.  It recurses as a
+    module-level function: a recursive closure would hold itself, and so
+    keep every checked system in a reference cycle."""
     env = _merged_locals(cfg) if env is None else env
-
-    def ev(a, env):
-        if isinstance(a, BoolA):
-            return a.val
-        if isinstance(a, NotA):
-            return not ev(a.a, env)
-        if isinstance(a, AndA):
-            return all(ev(x, env) for x in a.items)
-        if isinstance(a, OrA):
-            return any(ev(x, env) for x in a.items)
-        if isinstance(a, ImpliesA):
-            return (not ev(a.a, env)) or ev(a.b, env)
-        if isinstance(a, ForallA):
-            return all(ev(a.body, {**env, a.name: v}) for v in a.values)
-        if isinstance(a, ExistsA):
-            return any(ev(a.body, {**env, a.name: v}) for v in a.values)
-        if isinstance(a, PossVar):
-            sigma = ctx.component(cfg, a.comp, a.var)
-            return eval_possible(sigma, a.t, a.var, _resolve(a.val, env))
-        if isinstance(a, PossMeth):
-            sigma = ctx.component(cfg, a.comp, default="L")
-            return eval_possible_meth(sigma, a.t, a.m)
-        if isinstance(a, DefVar):
-            sigma = ctx.component(cfg, a.comp, a.var)
-            return eval_definite(sigma, a.t, a.var, _resolve(a.val, env))
-        if isinstance(a, DefMeth):
-            sigma = ctx.component(cfg, a.comp, default="L")
-            return eval_definite_meth(sigma, a.t, a.m)
-        if isinstance(a, CondVar):
-            sigma = ctx.component(cfg, a.comp, a.var)
-            return eval_conditional(sigma, a.t, a.var, _resolve(a.val, env),
-                                    a.tgt, _resolve(a.tgtval, env))
-        if isinstance(a, CondCross):
-            spec = ctx.objects.get(a.m.obj)
-            return eval_cond_cross(cfg.beta, cfg.gamma, a.t, a.m, a.tgt,
-                                   _resolve(a.tgtval, env), spec)
-        if isinstance(a, CoveredA):
-            return eval_covered(cfg.beta, a.m)
-        if isinstance(a, HiddenA):
-            return eval_hidden(cfg.beta, a.m)
-        if isinstance(a, PcIn):
-            n = ctx.n_labels.get(a.t, 0)
-            return program.pc_of(cfg.thread(a.t).cmd, n) in a.labels
-        if isinstance(a, LocalPred):
-            return bool(program.eval_expr(a.expr, env))
-        raise TypeError(f"not an assertion: {a!r}")
-
-    return ev(a, env)
+    if isinstance(a, BoolA):
+        return a.val
+    if isinstance(a, NotA):
+        return not eval_assertion(a.a, cfg, ctx, env)
+    if isinstance(a, AndA):
+        return all(eval_assertion(x, cfg, ctx, env) for x in a.items)
+    if isinstance(a, OrA):
+        return any(eval_assertion(x, cfg, ctx, env) for x in a.items)
+    if isinstance(a, ImpliesA):
+        return (not eval_assertion(a.a, cfg, ctx, env)
+                or eval_assertion(a.b, cfg, ctx, env))
+    if isinstance(a, ForallA):
+        return all(eval_assertion(a.body, cfg, ctx, {**env, a.name: v})
+                   for v in a.values)
+    if isinstance(a, ExistsA):
+        return any(eval_assertion(a.body, cfg, ctx, {**env, a.name: v})
+                   for v in a.values)
+    if isinstance(a, PossVar):
+        sigma = ctx.component(cfg, a.comp, a.var)
+        return eval_possible(sigma, a.t, a.var, _resolve(a.val, env))
+    if isinstance(a, PossMeth):
+        sigma = ctx.component(cfg, a.comp, default="L")
+        return eval_possible_meth(sigma, a.t, a.m)
+    if isinstance(a, DefVar):
+        sigma = ctx.component(cfg, a.comp, a.var)
+        return eval_definite(sigma, a.t, a.var, _resolve(a.val, env))
+    if isinstance(a, DefMeth):
+        sigma = ctx.component(cfg, a.comp, default="L")
+        return eval_definite_meth(sigma, a.t, a.m)
+    if isinstance(a, CondVar):
+        sigma = ctx.component(cfg, a.comp, a.var)
+        return eval_conditional(sigma, a.t, a.var, _resolve(a.val, env),
+                                a.tgt, _resolve(a.tgtval, env))
+    if isinstance(a, CondCross):
+        spec = ctx.objects.get(a.m.obj)
+        return eval_cond_cross(cfg.beta, cfg.gamma, a.t, a.m, a.tgt,
+                               _resolve(a.tgtval, env), spec)
+    if isinstance(a, CoveredA):
+        return eval_covered(cfg.beta, a.m)
+    if isinstance(a, HiddenA):
+        return eval_hidden(cfg.beta, a.m)
+    if isinstance(a, PcIn):
+        n = ctx.n_labels.get(a.t, 0)
+        return program.pc_of(cfg.thread(a.t).cmd, n) in a.labels
+    if isinstance(a, LocalPred):
+        return bool(program.eval_expr(a.expr, env))
+    raise TypeError(f"not an assertion: {a!r}")
 
 
 # --- executable lock-step reasoning rules ------------------------------------

@@ -1,13 +1,15 @@
 """Exhaustive interleaving exploration of the composed semantics.
 
-A configuration is a tuple of interned parts: one thread state (command and
-registers) per thread, the client component (gamma) and the library
-component (beta).  The parts are interned in tables on the system's context,
-so within one system equal parts are one object, a configuration's hash
-combines the parts' stored hashes and equality is identity of parts in the
-common case (as in SPIN's COLLAPSE mode).  Component states are in normal
-form, so a configuration is its own canonical key: states whose operations
-stand in the same order on every variable are equal.
+A configuration is a tuple of hash-consed parts: one thread state (command
+and registers) per thread, the client component (gamma) and the library
+component (beta).  The parts are made only through tables on the system's
+context, keyed by their content, so within one system equal parts are one
+object (SPIN's COLLAPSE mode taken one step further, as in Filliatre and
+Conchon's hash-consing): equality of parts is identity, and a
+configuration's hash and equality are tuple operations over identities.
+Component states are in normal form, so a configuration is its own
+canonical key: states whose operations stand in the same order on every
+variable are equal.
 
 Each part's transitions are computed once per system: a thread state's local
 steps and the thread states they lead to, and a memory or object rule's
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import memory, objects, program
 from .assertions import EvalCtx, eval_assertion
@@ -29,60 +32,33 @@ from .state import BOT, READ, TRUE, Action, ComponentState, wrval
 
 
 class ThreadState:
-    """One thread's command and registers.  The hash is computed once, at
-    construction; the register dict is shared and never mutated."""
+    """One thread's command and registers, made only by
+    `SystemContext.thread_state`: it hashes and compares by identity.  The
+    register dict is shared and never mutated."""
 
-    __slots__ = ("t", "cmd", "ls", "_hash")
+    __slots__ = ("t", "cmd", "ls")
 
     def __init__(self, t, cmd, ls: dict):
         self.t = t
         self.cmd = cmd
         self.ls = ls
-        self._hash = hash((t, cmd, frozenset(ls.items())))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ThreadState):
-            return NotImplemented
-        return (self._hash == other._hash and self.t == other.t
-                and self.cmd == other.cmd and self.ls == other.ls)
 
     def __repr__(self):
         return f"ThreadState({self.t!r}, {self.cmd!r}, {self.ls!r})"
 
 
-class Configuration:
-    """One thread state per thread, in the context's thread order, plus the
-    client (gamma) and library (beta) component states.  Equal
-    configurations are the same state; the hash is computed once, at
-    construction."""
+class Configuration(tuple):
+    """The tuple (locs, gamma, beta): one thread state per thread, in the
+    context's thread order, plus the client (gamma) and library (beta)
+    component states.  Its parts are hash-consed, so equal configurations
+    are the same state, and hashing or comparing one is a tuple operation
+    over the parts' identities, in C."""
 
-    __slots__ = ("locs", "gamma", "beta", "_hash")
+    __slots__ = ()
 
-    def __init__(self, locs: tuple, gamma: ComponentState,
-                 beta: ComponentState):
-        self.locs = locs
-        self.gamma = gamma
-        self.beta = beta
-        self._hash = hash((locs, gamma, beta))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        # tuple comparison tries identity first, so interned parts compare
-        # without calling their __eq__
-        return self._hash == other._hash and \
-            (self.locs, self.gamma, self.beta) == \
-            (other.locs, other.gamma, other.beta)
+    locs = property(itemgetter(0))
+    gamma = property(itemgetter(1))
+    beta = property(itemgetter(2))
 
     def __repr__(self):
         return (f"Configuration({self.prog!r}, {self.rho!r}, {self.gamma!r}, "
@@ -113,18 +89,18 @@ class Configuration:
 
 
 def canonical_key(cfg: Configuration) -> Configuration:
-    """The key a configuration is memoized under: the configuration itself,
-    whose hash is stored."""
-    hash(cfg)
+    """The key a configuration is memoized under: the configuration
+    itself."""
     return cfg
 
 
 class SystemContext:
     """Static facts about one litmus system: threads, the library object (if
-    any), variable components and labelling; and the tables that intern the
-    system's thread states and components and memoize their transitions.
-    The tables belong to one system: component equality ignores the
-    layout, so components of two systems must never meet in one table."""
+    any), variable components and labelling; and the tables that hash-cons
+    the system's thread states, components and step labels, so that equal
+    parts are one object, and memoize their transitions.  The tables belong
+    to one system: a component's key leaves out its layout, so components
+    of two systems must never meet in one table."""
 
     def __init__(self, threads, client_vars, library_vars, object_spec=None,
                  n_labels=None, observed=None):
@@ -134,9 +110,9 @@ class SystemContext:
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
         self.observed = tuple(observed or ())
-        # interned thread states and components: equal ones are one object.
-        # A client and a library component are equal only when neither has
-        # a variable, and then their layouts agree too.
+        # content -> the thread state or component.  A client and a library
+        # component share a key only when neither has a variable, and then
+        # their layouts agree too.
         self.thread_states = {}
         self.components = {}
         # thread state -> its local steps (`_Move`s): a thread's local step
@@ -145,7 +121,7 @@ class SystemContext:
         # (t, action, executing, context) -> the memory rule's successors,
         # and (t, method, arguments, beta, gamma) -> the object rule's
         self.component_steps = {}
-        self.labels = {}  # interned step labels, which those steps carry
+        self.labels = {}  # (component, action, rank, at_hole) -> step label
 
     def side_of(self, x):
         return "C" if x in self.client_vars else "L"
@@ -156,23 +132,30 @@ class SystemContext:
         return EvalCtx(self.side_of, specs, self.n_labels)
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
-        ts = ThreadState(t, cmd, ls)
-        return self.thread_states.setdefault(ts, ts)
+        return self.thread_states.setdefault((t, cmd, frozenset(ls.items())),
+                                             ThreadState(t, cmd, ls))
 
     def component(self, comp: ComponentState) -> ComponentState:
-        return self.components.setdefault(comp, comp)
+        return self.components.setdefault(comp._parts(), comp)
 
-    def label(self, label: StepLabel) -> StepLabel:
-        return self.labels.setdefault(label, label)
+    def label(self, component: str, action=None, rank=None,
+              at_hole=False) -> StepLabel:
+        """The step label with these fields, made on first request."""
+        key = (component, action, rank, at_hole)
+        label = self.labels.get(key)
+        if label is None:
+            label = self.labels[key] = StepLabel(component, action, rank,
+                                                 at_hole)
+        return label
 
     def configuration(self, prog: dict, rho: dict, gamma: ComponentState,
                       beta: ComponentState) -> Configuration:
         """The configuration of per-thread commands and registers and two
         components, its parts interned."""
-        return Configuration(
+        return Configuration((
             tuple(self.thread_state(t, prog[t], rho[t])
                   for t in self.threads),
-            self.component(gamma), self.component(beta))
+            self.component(gamma), self.component(beta)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,9 +195,8 @@ class _Move:
         self.label = None
         if step.kind == "eps":
             self.key = None
-            self.label = ctx.label(StepLabel(
-                "library" if step.lib else "client", None,
-                at_hole=step.at_hole))
+            self.label = ctx.label("library" if step.lib else "client",
+                                   at_hole=step.at_hole)
         elif step.kind == "act":
             self.key = step.action
         else:  # a call: its arguments are evaluated once
@@ -282,8 +264,8 @@ def successors(cfg: Configuration, ctx: SystemContext):
         found.sort(key=lambda s: s[0].text)
         head, tail = locs[:i], locs[i + 1:]
         for label, ts2, g2, b2 in found:
-            out.append((t, label, Configuration(head + (ts2,) + tail, g2,
-                                                b2)))
+            out.append((t, label, Configuration((head + (ts2,) + tail, g2,
+                                                 b2))))
     return out
 
 
@@ -306,7 +288,7 @@ def _mem_steps(ctx, t, a, lib, gamma, beta):
                 v, done = op.action.aux, op.action
             own2, other2 = ctx.component(own2), ctx.component(other2)
             g2, b2 = (other2, own2) if lib else (own2, other2)
-            found.append((g2, b2, v, ctx.label(StepLabel(comp, done, op.ts))))
+            found.append((g2, b2, v, ctx.label(comp, done, op.ts)))
     return found
 
 
@@ -344,7 +326,7 @@ def _object_steps(ctx, t, key, gamma, beta):
         steps = objects.queue_deq(beta, gamma, t, obj)
     found = ctx.component_steps[memo_key] = [
         (ctx.component(g2), ctx.component(b2), rv,
-         ctx.label(StepLabel("library", op.action, op.ts)))
+         ctx.label("library", op.action, op.ts))
         for b2, g2, op, rv in steps]
     return found
 

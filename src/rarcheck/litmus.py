@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 from . import assertions as A
@@ -705,18 +706,7 @@ def build_system(lf: LitmusFile, impl=None) -> System:
         library = (obj[0], obj_name)
         library_vars = {obj_name}
 
-    def resolve(c):
-        """Plain writes to globals become global writes, do-until loops
-        are desugared, and impl's bodies fill the method-call holes, also
-        those whose result is assigned."""
-        if isinstance(c, P.Assign) and isinstance(c.src, P.Hole):
-            return P.Assign(c.reg, resolve(c.src))
-        if isinstance(c, P.Assign) and c.reg in client_vars:
-            return P.GWrite(c.reg, c.src)
-        if impl is not None and isinstance(c, P.Hole):
-            body, retval = impl.method(c.content.meth)
-            return P.Hole(P.Body(c.content.meth, retval, body))
-        return P.desugar_stmt(c)
+    resolve = partial(_resolve, client_vars, impl)
     progs = {t: P.map_stmts(resolve, progs[t]) for t in tids}
 
     rho, gamma, beta = make_init_states(init_globals, client_vars, library,
@@ -732,6 +722,20 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     outline = A.ProofOutline(annotations, lf.invariant, lf.final, lf.pre)
     client_locals = {t: frozenset(thread_locals[t]) for t in tids}
     return System(lf, cfg0, ctx, outline, client_locals)
+
+
+def _resolve(client_vars, impl, c):
+    """Plain writes to globals become global writes, do-until loops are
+    desugared, and impl's bodies fill the method-call holes, also those
+    whose result is assigned.  Not a closure, which would hold itself."""
+    if isinstance(c, P.Assign) and isinstance(c.src, P.Hole):
+        return P.Assign(c.reg, _resolve(client_vars, impl, c.src))
+    if isinstance(c, P.Assign) and c.reg in client_vars:
+        return P.GWrite(c.reg, c.src)
+    if impl is not None and isinstance(c, P.Hole):
+        body, retval = impl.method(c.content.meth)
+        return P.Hole(P.Body(c.content.meth, retval, body))
+    return P.desugar_stmt(c)
 
 
 def _check_calls(progs, spec):

@@ -69,17 +69,15 @@ def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
 # end lies strictly above lo, the end gap included.
 
 def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
-    """Enqueue steps, one per admissible insertion gap."""
+    """Enqueue steps, one per admissible insertion gap: none below the
+    thread's view, the last matched enqueue or the last empty dequeue."""
     matched_enqs = {e for e, _ in beta.matched}
     ops = beta.ops_on(q)
+    lo = max([beta.front(t, q)] + [
+        op.ts for op in ops if op.ts in matched_enqs or _is_deq_empty(op)])
     a = Action(ENQUEUE, q, val=u, sync=OBJ)
-    out = []
-    for pred in range(beta.front(t, q), len(ops)):
-        if any(op.ts > pred and (op.ts in matched_enqs or _is_deq_empty(op))
-               for op in ops):
-            continue
-        out.append(insert_fresh_timestamp(beta, gamma, t, pred, a))
-    return out
+    return [insert_fresh_timestamp(beta, gamma, t, pred, a)
+            for pred in range(lo, len(ops))]
 
 
 def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
@@ -104,15 +102,16 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
                 beta, gamma, t, pred, a, sync_from=head.ts, match=True)
             out.append((b2, g2, new, head.action.val))
 
-    # Empty branch: everything earlier is matched (either side) or empty.
+    # Empty branch: everything earlier is matched (either side) or empty,
+    # so the gaps lie below the first operation that is neither.
+    end = next((op.ts for op in ops
+                if op.action.kind != QUEUE_INIT and op.ts not in matched_enqs
+                and op.ts not in matched_deqs and not _is_deq_empty(op)),
+               len(ops))
     a = Action(DEQUEUE, q, val=EMPTY, sync=OBJ)
-    for pred in range(lo, len(ops)):
-        if all(op.ts in matched_enqs or op.ts in matched_deqs
-               or _is_deq_empty(op)
-               for op in ops
-               if op.ts <= pred and op.action.kind != QUEUE_INIT):
-            b2, g2, new = insert_fresh_timestamp(beta, gamma, t, pred, a)
-            out.append((b2, g2, new, EMPTY))
+    for pred in range(lo, end):
+        b2, g2, new = insert_fresh_timestamp(beta, gamma, t, pred, a)
+        out.append((b2, g2, new, EMPTY))
     return out
 
 

@@ -53,8 +53,8 @@ def fifo_check(n_enqs: int = 3, max_steps: int = 96) -> dict:
     regs = [f"r{i}" for i in range(1, n_enqs + 1)]
     model = {tuple(oc[r] for r in regs) for oc in res.outcomes}
     oracle = sequential_fifo_outcomes(list(range(1, n_enqs + 1)), n_enqs)
-    order_ok = all(matched_order_ok(cfg.beta)
-                   for cfg in res.configs.values())
+    order_ok = all(map(matched_order_ok,
+                       {cfg.beta for cfg in res.configs.values()}))
     ok = model == oracle and order_ok and not res.truncated
     return {
         "verdict": "pass" if ok else "fail",

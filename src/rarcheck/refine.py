@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from . import program as P
 from .explore import ExploreResult, explore, successors
 from .litmus import LitmusError, build_system
+from .objects import lock_release
 from .state import BOT, TRUE
 
 
@@ -99,18 +100,20 @@ def _projector(client_regs, threads):
     locals, then the client signature.  Equal projections are one object,
     and each configuration is projected once: its register part is
     computed once per thread state, and its signature once per client
-    component.  Both depend only on the client's registers and variables,
-    so one projector serves the abstract and the concrete system of one
-    client."""
+    component content.  Both depend only on the client's registers and
+    variables, so one projector serves the abstract and the concrete system
+    of one client, and a component of one equal to a component of the other
+    is signed once (each system hash-conses its own components)."""
     regs = {t: sorted(rs) for t, rs in client_regs.items()}
     parts, sigs, shared, done = {}, {}, {}, {}
 
     def project(cfg):
         p = done.get(cfg)
         if p is None:
-            sig = sigs.get(cfg.gamma)
+            key = cfg.gamma._parts()
+            sig = sigs.get(key)
             if sig is None:
-                sig = sigs[cfg.gamma] = _client_sig(cfg.gamma, threads)
+                sig = sigs[key] = _client_sig(cfg.gamma, threads)
             own = []
             for ts in cfg.locs:
                 part = parts.get(ts)
@@ -210,6 +213,26 @@ def _check_no_version_binder(system):
                     "sets it")
 
 
+def _explore_concrete(conc_sys, abs_sys, max_steps):
+    """The concrete system's exploration.  A client release by a thread not
+    holding the lock (an abstract release that blocks) reads an unset
+    implementation register; that failure is reported as the client's."""
+    try:
+        return explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
+    except P.ProgramError:
+        for cfg in explore(abs_sys.cfg0, abs_sys.ctx, max_steps).configs:
+            for ts in cfg.locs:
+                for step in P.local_step({ts.t: ts.cmd}, {ts.t: ts.ls}, ts.t):
+                    call = step.action
+                    if step.kind == "call" and call.meth == "release" and \
+                            not lock_release(cfg.beta, cfg.gamma, ts.t,
+                                             call.obj):
+                        raise LitmusError(
+                            f"thread {ts.t}: {call!r} can run while thread "
+                            f"{ts.t} does not hold the lock {call.obj!r}")
+        raise
+
+
 @dataclass
 class SimulationResult:
     verdict: str  # 'simulation-found' | 'no-simulation' | 'unknown-beyond-bound'
@@ -237,7 +260,7 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
     if require_sync_free:
         check_sync_free(abs_sys)
 
-    conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
+    conc = _explore_concrete(conc_sys, abs_sys, max_steps)
     project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)
     if conc.truncated:
         return SimulationResult("unknown-beyond-bound",
@@ -434,8 +457,8 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
     abs_sys = build_system(client_lf)
     conc = explored
     if conc is None:
-        conc_sys = build_system(client_lf, impl)
-        conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
+        conc = _explore_concrete(build_system(client_lf, impl), abs_sys,
+                                 max_steps)
     ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
     if conc.truncated or ab.truncated:
         return TraceCheckResult("unknown-beyond-bound",

@@ -15,8 +15,9 @@ matched pairs and step labels.  Inserting an operation right after a
 predecessor gives it the predecessor's position plus one and moves every
 later position on that variable up by one, also where the other
 component's recorded views refer to it; no other position changes.  A state
-is held in tuples of ints and interned actions, caches its hash, and is its
-own canonical form.
+is held in tuples of ints and interned actions and is its own canonical
+form: equal states have equal tuples, which is what a system hash-conses
+them on, so within one system equality of states is identity.
 
 So states that differ only in how operations on different variables
 interleaved in time are one state.  No rule tells them apart, because none
@@ -254,8 +255,7 @@ class ComponentState:
       matched  sorted (enqueue, dequeue) pairs of queue positions.
     """
 
-    __slots__ = ("lay", "acts", "views", "mviews", "covered", "matched",
-                 "_hash")
+    __slots__ = ("lay", "acts", "views", "mviews", "covered", "matched")
 
     def __init__(self, lay, acts, views, mviews, covered=0, matched=()):
         self.lay = lay
@@ -264,24 +264,11 @@ class ComponentState:
         self.mviews = mviews
         self.covered = covered
         self.matched = matched
-        self._hash = None
 
     def _parts(self):
+        """The content: what two equal states share (the layout aside)."""
         return (self.acts, self.views, self.mviews, self.covered,
                 self.matched)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._parts())
-        return h
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, ComponentState):
-            return NotImplemented
-        return hash(self) == hash(other) and self._parts() == other._parts()
 
     def __repr__(self):
         return f"ComponentState({sorted(self.ops, key=self._slot)})"
@@ -416,25 +403,26 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
         ctv = merge_views(ctv, src[m:])
     tv = tv[:xi] + (nr,) + tv[xi + 1:]
 
-    views = [_up(v, xi, nr) for v in state.views]
+    views, mviews = list(state.views), list(state.mviews)
+    matched, other2 = state.matched, other
+    if ns < end:  # later positions on x move up; a new top moves none
+        views = [_up(v, xi, nr) for v in views]
+        mviews = [_up(v, xi, nr) for v in mviews]
+        matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in matched)
+        oxi = len(other.lay.own) + xi  # x's column in other's recorded views
+        omviews = tuple(_up(v, oxi, nr) for v in other.mviews)
+        if omviews != other.mviews:
+            other2 = other.updated(mviews=omviews)
     views[ti] = tv
-    mviews = [_up(v, xi, nr) for v in state.mviews]
     mviews.insert(ns, tv + ctv)
     covered = state.covered
     covered = covered & ((1 << ns) - 1) | (covered >> ns) << (ns + 1)
     if cover:
         covered |= 1 << (first + pred)
-    matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in state.matched)
     if match:
         matched = tuple(sorted(matched + ((sync_from, nr),)))
     state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
                             tuple(views), tuple(mviews), covered, matched)
-
-    oxi = len(other.lay.own) + xi  # x's column in other's recorded views
-    omviews = tuple(_up(v, oxi, nr) for v in other.mviews)
-    other2 = other
-    if omviews != other.mviews:
-        other2 = other2.updated(mviews=omviews)
     if ctv != other.views[ti]:
         other2 = other2.with_view(t, ctv)
     return state2, other2, TOp(action, nr)

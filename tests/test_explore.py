@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from rarcheck.assertions import (AndA, BoolA, DefVar, LocalPred, ProofOutline)
@@ -286,3 +289,36 @@ class TestCheckOutline:
         rep2 = check_outline(system.cfg0, system.ctx,
                              ProofOutline({}, invariant=bogus), 64)
         assert rep2.verdicts["Inv"].verdict == "invalid"
+
+
+CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
+          "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
+
+
+@pytest.fixture()
+def no_cyclic_collector():
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestFreedByReferenceCounting:
+    # a checked system holds no reference cycle, so it is freed as soon as
+    # it is dropped, with the cyclic collector off, and leaves it nothing
+    @pytest.mark.parametrize("check", ["outline", "hoare"])
+    @pytest.mark.parametrize("name", CORPUS)
+    def test_checked_system_is_freed(self, no_cyclic_collector, name,
+                                     check):
+        system = build_system(load_corpus(name))
+        ctx = weakref.ref(system.ctx)
+        if check == "outline":
+            check_outline(system.cfg0, system.ctx, system.outline, 64)
+        else:
+            check_hoare(system.cfg0, system.ctx, system.outline.pre,
+                        system.outline.final, 64)
+        del system
+        assert ctx() is None
+        assert gc.collect() == 0

@@ -1,6 +1,12 @@
+import pytest
+
+from rarcheck.explore import explore
+from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.objects import (lock_acquire, lock_release, lock_spec,
                               queue_deq, queue_enq, queue_spec)
-from rarcheck.state import ENQUEUE, EMPTY, make_init_states, wrval, write
+from rarcheck.oracle import fifo_litmus
+from rarcheck.state import (DEQUEUE, ENQUEUE, EMPTY, QUEUE_INIT,
+                            make_init_states, wrval, write)
 from rarcheck.memory import mem_write
 
 
@@ -178,3 +184,61 @@ class TestSpecs:
         from rarcheck.state import Action, DEQUEUE
         assert qs.is_sync(Action(DEQUEUE, "q", val=1))
         assert not qs.is_sync(Action(DEQUEUE, "q", val=EMPTY))
+
+
+# The queue guards as first written: each gap re-runs its condition over the
+# whole timeline.  queue_enq and queue_deq find the same gaps in one scan.
+
+def _is_deq_empty(op):
+    return op.action.kind == DEQUEUE and op.action.val is EMPTY
+
+
+def reference_enq_gaps(beta, t, q):
+    matched_enqs = {e for e, _ in beta.matched}
+    ops = beta.ops_on(q)
+    return [pred for pred in range(beta.front(t, q), len(ops))
+            if not any(op.ts > pred and (op.ts in matched_enqs
+                                         or _is_deq_empty(op))
+                       for op in ops)]
+
+
+def reference_empty_deq_gaps(beta, t, q):
+    matched_enqs = {e for e, _ in beta.matched}
+    matched_deqs = {d for _, d in beta.matched}
+    ops = beta.ops_on(q)
+    return [pred for pred in range(beta.front(t, q), len(ops))
+            if all(op.ts in matched_enqs or op.ts in matched_deqs
+                   or _is_deq_empty(op)
+                   for op in ops
+                   if op.ts <= pred and op.action.kind != QUEUE_INIT)]
+
+
+QUEUE_SYSTEMS = {
+    "fifo-4": (fifo_litmus(4), 96),
+    "queue-mp": (None, 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUEUE_SYSTEMS))
+def test_guards_admit_the_reference_gaps(name):
+    # every library component reached, with each thread's view of it: the
+    # new operation sits right above the gap it fills
+    text, bound = QUEUE_SYSTEMS[name]
+    system = build_system(parse_litmus(text) if text else load_corpus(name))
+    res = explore(system.cfg0, system.ctx, bound)
+    pairs = {(cfg.beta, cfg.gamma) for cfg in res.configs}
+    seen = set()
+    for beta, gamma in pairs:
+        for t in system.ctx.threads:
+            enq = [new.ts - 1 for _, _, new in queue_enq(beta, gamma, t, "q",
+                                                         1)]
+            assert enq == reference_enq_gaps(beta, t, "q")
+            empty = [new.ts - 1 for _, _, new, rv in queue_deq(beta, gamma,
+                                                                t, "q")
+                     if rv is EMPTY]
+            assert empty == reference_empty_deq_gaps(beta, t, "q")
+            seen.add((len(enq), len(empty)))
+    # an enqueue always has the end gap, and sometimes more; an empty
+    # dequeue sometimes has none and sometimes several
+    assert min(n for n, _ in seen) == 1 and max(n for n, _ in seen) > 1
+    assert min(n for _, n in seen) == 0 and max(n for _, n in seen) > 1

@@ -339,7 +339,8 @@ class TestProjectionMemo:
         client_sig = rf._client_sig
 
         def counting(gamma, threads):
-            signed.append(gamma)
+            # by content: each system hash-conses its own components
+            signed.append(gamma._parts())
             return client_sig(gamma, threads)
 
         monkeypatch.setattr(rf, "_client_sig", counting)
@@ -351,8 +352,9 @@ class TestProjectionMemo:
         check_trace_refinement(impl, client(), 64, explored=sim.explored)
         system = build_system(client())
         ab = explore(system.cfg0, system.ctx, 64)
-        components = ({c.gamma for c in ab.configs.values()} |
-                      {c.gamma for c in sim.explored.configs.values()})
+        components = ({c.gamma._parts() for c in ab.configs.values()} |
+                      {c.gamma._parts()
+                       for c in sim.explored.configs.values()})
         assert len(signed) == len(set(signed)) == len(components)
 
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
@@ -364,7 +366,8 @@ class TestProjectionMemo:
         client_sig = rf._client_sig
 
         def counting(gamma, threads):
-            signed.append(gamma)
+            # by content: each system hash-conses its own components
+            signed.append(gamma._parts())
             return client_sig(gamma, threads)
 
         monkeypatch.setattr(rf, "_client_sig", counting)

@@ -1,8 +1,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from rarcheck.state import (BOT, StateError, insert_fresh_timestamp,
-                            make_init_states, merge_views, write)
+import rarcheck.memory
+import rarcheck.objects
+from rarcheck.explore import explore
+from rarcheck.litmus import build_system, load_corpus, parse_litmus
+from rarcheck.oracle import fifo_litmus
+from rarcheck.refine import builtin_impls
+from rarcheck.state import (BOT, ComponentState, StateError, TOp,
+                            insert_fresh_timestamp, make_init_states,
+                            merge_views, write)
 
 
 def mk_state(n_writes, var="d", threads=(1, 2)):
@@ -182,3 +189,85 @@ class TestFreshTimestamp:
                                                 for y, r in mv.items()}
             assert other2.tview == other.tview
             g, b = (other2, c2) if x == "g" else (c2, other2)
+
+
+def _up(view, i, nr):
+    r = view[i]
+    return view if r < nr else view[:i] + (r + 1,) + view[i + 1:]
+
+
+def reference_insert(state, other, t, pred, action, sync_from=None,
+                     cover=False, match=False):
+    """insert_fresh_timestamp as first written: every insertion renumbers
+    the variable's later positions in both components, also where there
+    are none, as when the new operation tops its variable."""
+    lay = state.lay
+    m = len(lay.own)
+    xi = lay.vix[action.var]
+    first, _ = state._span(xi)
+    ti = lay.tix[t]
+    nr = pred + 1
+    ns = first + nr
+    action = lay.intern(action)
+    tv, ctv = state.views[ti], other.views[ti]
+    if sync_from is not None:
+        src = state.mviews[first + sync_from]
+        tv = merge_views(tv, src)
+        ctv = merge_views(ctv, src[m:])
+    tv = tv[:xi] + (nr,) + tv[xi + 1:]
+    views = [_up(v, xi, nr) for v in state.views]
+    views[ti] = tv
+    mviews = [_up(v, xi, nr) for v in state.mviews]
+    mviews.insert(ns, tv + ctv)
+    covered = state.covered
+    covered = covered & ((1 << ns) - 1) | (covered >> ns) << (ns + 1)
+    if cover:
+        covered |= 1 << (first + pred)
+    matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in state.matched)
+    if match:
+        matched = tuple(sorted(matched + ((sync_from, nr),)))
+    state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
+                            tuple(views), tuple(mviews), covered, matched)
+    oxi = len(other.lay.own) + xi
+    omviews = tuple(_up(v, oxi, nr) for v in other.mviews)
+    other_views = list(other.views)
+    other_views[ti] = ctv
+    other2 = ComponentState(other.lay, other.acts, tuple(other_views),
+                            omviews, other.covered, other.matched)
+    return state2, other2, TOp(action, nr)
+
+
+def _corpus_systems():
+    impls = builtin_impls()
+    names = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
+             "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
+    systems = [build_system(load_corpus(name)) for name in names]
+    systems.append(build_system(parse_litmus(fifo_litmus(3))))
+    for client in ("seqlock-refine", "ticketlock-refine",
+                   "lock-two-rounds"):
+        for impl in impls.values():
+            systems.append(build_system(load_corpus(client), impl))
+    return systems
+
+
+def test_insertions_match_the_general_renumbering(monkeypatch):
+    # every insertion the corpus explorations make, top appends and
+    # insertions below the top alike, equals the general renumbering
+    calls = []
+
+    def recording(*args, **kwargs):
+        result = insert_fresh_timestamp(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
+
+    for module in (rarcheck.memory, rarcheck.objects):
+        monkeypatch.setattr(module, "insert_fresh_timestamp", recording)
+    for system in _corpus_systems():
+        explore(system.cfg0, system.ctx, 64)
+    tops = 0
+    for args, kwargs, (s2, o2, new) in calls:
+        r2, ro2, rnew = reference_insert(*args, **kwargs)
+        assert (s2._parts(), o2._parts(), new) == \
+            (r2._parts(), ro2._parts(), rnew)
+        tops += new == s2.max_op(new.action.var)
+    assert 0 < tops < len(calls)

@@ -13,11 +13,11 @@ import copy
 
 import pytest
 
-from rarcheck.explore import explore, successors
+from rarcheck.explore import StepLabel, ThreadState, explore, successors
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.oracle import fifo_litmus
 from rarcheck.refine import builtin_impls
-from rarcheck.state import TRUE
+from rarcheck.state import TRUE, ComponentState
 
 CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
           "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
@@ -105,26 +105,44 @@ def test_each_thread_state_is_stepped_once(monkeypatch):
     assert len(calls) < len(res.configs) * len(system.ctx.threads)
 
 
+def _content(part):
+    """What a part is made from: a thread state's thread, command and
+    registers, a component's `_parts()`, a label's fields.  Parts hash and
+    compare by identity, so only content can tell whether equal parts were
+    made twice."""
+    if isinstance(part, ThreadState):
+        return part.t, part.cmd, frozenset(part.ls.items())
+    if isinstance(part, StepLabel):
+        return part.component, part.action, part.rank, part.at_hole
+    return part._parts()
+
+
 def _parts(res):
-    for cfg in res.configs:
+    for cfg, edges in res.edges.items():
         yield from cfg.locs
         yield cfg.gamma
         yield cfg.beta
+        for _, label, _ in edges:
+            yield label
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_equal_parts_are_one_object(name):
-    # within one exploration, equal thread states and equal components are
-    # the same object, also in successors computed again afterwards
+    # within one exploration, thread states, components and step labels
+    # with equal content are the same object, also in successors computed
+    # again afterwards
     system = _build(name)
     res = explore(system.cfg0, system.ctx, 64)
     seen = {}
     for part in _parts(res):
-        assert seen.setdefault(part, part) is part
+        assert seen.setdefault((type(part), _content(part)), part) is part
+    assert {type(part) for part in seen.values()} == \
+        {ThreadState, ComponentState, StepLabel}
     for cfg in res.configs:
-        for _, _, nxt in successors(cfg, system.ctx):
-            for part in nxt.locs + (nxt.gamma, nxt.beta):
-                assert seen.get(part, part) is part
+        for _, label, nxt in successors(cfg, system.ctx):
+            for part in nxt.locs + (nxt.gamma, nxt.beta, label):
+                key = (type(part), _content(part))
+                assert seen.get(key, part) is part
 
 
 def test_systems_share_no_table():
@@ -137,8 +155,9 @@ def test_systems_share_no_table():
     for name in tables:
         ta, tb = getattr(a.ctx, name), getattr(b.ctx, name)
         assert ta and tb and ta is not tb
-    for name in ("thread_states", "components"):
-        ids = [{id(x) for x in getattr(s.ctx, name)} for s in (a, b)]
+    for name in ("thread_states", "components", "labels"):
+        ids = [{id(x) for x in getattr(s.ctx, name).values()}
+               for s in (a, b)]
         assert ids[0].isdisjoint(ids[1])
 
 
