@@ -332,8 +332,11 @@ def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
     if isinstance(a, HiddenA):
         return eval_hidden(cfg.beta, a.m)
     if isinstance(a, PcIn):
-        n = ctx.n_labels.get(a.t, 0)
-        return program.pc_of(cfg.thread(a.t).cmd, n) in a.labels
+        try:
+            ts = cfg.thread(a.t)
+        except KeyError:
+            raise StateError(f"pc({a.t}): no thread {a.t}") from None
+        return program.pc_of(ts.cmd, ctx.n_labels.get(a.t, 0)) in a.labels
     if isinstance(a, LocalPred):
         return bool(program.eval_expr(a.expr, env))
     raise TypeError(f"not an assertion: {a!r}")

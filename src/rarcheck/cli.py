@@ -10,6 +10,7 @@ checks pass, 1 violation found, 2 step bound exhausted, 3 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -201,6 +202,22 @@ def _cmd_oracle(args) -> int:
 
 
 def run_cli(argv) -> int:
+    """Run one command line and return its exit code.
+
+    The cyclic collector is paused while the command runs and restored to
+    its previous state on every exit.  A checked system holds no reference
+    cycle, so reference counting frees it, and the collector would only
+    rescan the growing heap of explored states."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
     try:
         args = _PARSER.parse_args(argv)
     except LitmusError as e:

@@ -235,11 +235,16 @@ def _moves(ts: ThreadState, ctx: SystemContext):
     return moves
 
 
+def _label_text(succ) -> str:
+    """Orders one thread's successors: by the text of their labels."""
+    return succ[0].text
+
+
 def successors(cfg: Configuration, ctx: SystemContext):
     """All (thread, label, configuration) successors, deterministically
     ordered."""
     out = []
-    locs, gamma, beta = cfg.locs, cfg.gamma, cfg.beta
+    locs, gamma, beta = cfg
     for i, ts in enumerate(locs):
         t = ts.t
         found = []  # (label, thread state, gamma, beta)
@@ -261,7 +266,8 @@ def successors(cfg: Configuration, ctx: SystemContext):
                     bound = (rv, label.action.index if binds else None)
                     found.append((label, move.next_state(ctx, t, bound),
                                   g2, b2))
-        found.sort(key=lambda s: s[0].text)
+        if len(found) > 1:
+            found.sort(key=_label_text)
         head, tail = locs[:i], locs[i + 1:]
         for label, ts2, g2, b2 in found:
             out.append((t, label, Configuration((head + (ts2,) + tail, g2,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .state import (Action, ComponentState, EMPTY, OBJ, TOp,
+from .state import (Action, ComponentState, EMPTY, OBJ,
                     insert_fresh_timestamp, DEQUEUE, ENQUEUE, LOCK_ACQUIRE,
                     LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
 
@@ -64,50 +64,59 @@ def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
     return [insert_fresh_timestamp(beta, gamma, t, w.ts, a)]
 
 
-# Inserting right after the operation at position p of the queue's timeline
-# fills the gap above it, so range(lo, len(ops)) lists the gaps whose upper
+# The queue rules read the queue's column of actions, where an action's
+# index is its position.  Inserting right after the operation at position p
+# fills the gap above it, so range(lo, len(acts)) lists the gaps whose upper
 # end lies strictly above lo, the end gap included.
+
+def _column(beta: ComponentState, q: str) -> tuple:
+    """The actions on q in position order: position r is index r."""
+    first, end = beta._span(beta.lay.vix[q])
+    return beta.acts[first:end]
+
 
 def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
     """Enqueue steps, one per admissible insertion gap: none below the
-    thread's view, the last matched enqueue or the last empty dequeue."""
+    thread's view, the last matched enqueue or the last empty dequeue.
+    Returns (beta', gamma', new operation) tuples."""
     matched_enqs = {e for e, _ in beta.matched}
-    ops = beta.ops_on(q)
-    lo = max([beta.front(t, q)] + [
-        op.ts for op in ops if op.ts in matched_enqs or _is_deq_empty(op)])
+    acts = _column(beta, q)
+    lo = beta.front(t, q)
+    lo = next((r for r in range(len(acts) - 1, lo, -1)
+               if r in matched_enqs or _is_deq_empty(acts[r])), lo)
     a = Action(ENQUEUE, q, val=u, sync=OBJ)
     return [insert_fresh_timestamp(beta, gamma, t, pred, a)
-            for pred in range(lo, len(ops))]
+            for pred in range(lo, len(acts))]
 
 
 def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
     """Dequeue steps: non-empty (synchronising, FIFO) and empty branches.
 
-    Returns (beta', gamma', new-op, rval) tuples.
+    Returns (beta', gamma', new operation, rval) tuples.
     """
     matched_enqs = {e for e, _ in beta.matched}
     matched_deqs = {d for _, d in beta.matched}
     lo = beta.front(t, q)
-    ops = beta.ops_on(q)
+    acts = _column(beta, q)
     out = []
 
     # Non-empty branch: take the earliest unmatched enqueue.
-    head = next((op for op in ops if op.action.kind == ENQUEUE
-                 and op.ts not in matched_enqs), None)
+    head = next((r for r, b in enumerate(acts)
+                 if b.kind == ENQUEUE and r not in matched_enqs), None)
     if head is not None:
-        floor = max([head.ts, lo] + list(matched_deqs))
-        a = Action(DEQUEUE, q, val=head.action.val, sync=OBJ)
-        for pred in range(floor, len(ops)):
+        val = acts[head].val
+        a = Action(DEQUEUE, q, val=val, sync=OBJ)
+        for pred in range(max(head, lo, *matched_deqs), len(acts)):
             b2, g2, new = insert_fresh_timestamp(
-                beta, gamma, t, pred, a, sync_from=head.ts, match=True)
-            out.append((b2, g2, new, head.action.val))
+                beta, gamma, t, pred, a, sync_from=head, match=True)
+            out.append((b2, g2, new, val))
 
     # Empty branch: everything earlier is matched (either side) or empty,
     # so the gaps lie below the first operation that is neither.
-    end = next((op.ts for op in ops
-                if op.action.kind != QUEUE_INIT and op.ts not in matched_enqs
-                and op.ts not in matched_deqs and not _is_deq_empty(op)),
-               len(ops))
+    end = next((r for r, b in enumerate(acts)
+                if b.kind != QUEUE_INIT and r not in matched_enqs
+                and r not in matched_deqs and not _is_deq_empty(b)),
+               len(acts))
     a = Action(DEQUEUE, q, val=EMPTY, sync=OBJ)
     for pred in range(lo, end):
         b2, g2, new = insert_fresh_timestamp(beta, gamma, t, pred, a)
@@ -115,5 +124,5 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
     return out
 
 
-def _is_deq_empty(op: TOp) -> bool:
-    return op.action.kind == DEQUEUE and op.action.val is EMPTY
+def _is_deq_empty(a: Action) -> bool:
+    return a.kind == DEQUEUE and a.val is EMPTY

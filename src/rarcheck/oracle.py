@@ -15,17 +15,19 @@ from .state import EMPTY
 def sequential_fifo_outcomes(enq_values, n_deqs: int):
     """Dequeue-result tuples over all interleavings, FIFO semantics."""
     results = set()
-
-    def go(qi, di, queue, acc):
-        if di == n_deqs:
-            results.add(tuple(acc))
-            return
+    # (enqueues done, queue contents, dequeue results so far)
+    stack = [(0, (), ())]
+    while stack:
+        qi, queue, acc = stack.pop()
+        if len(acc) == n_deqs:
+            results.add(acc)
+            continue
         if qi < len(enq_values):
-            go(qi + 1, di, queue + [enq_values[qi]], acc)
-        go(qi, di + 1, queue[1:], acc + [queue[0]]) if queue else \
-            go(qi, di + 1, queue, acc + [EMPTY])
-
-    go(0, 0, [], [])
+            stack.append((qi + 1, queue + (enq_values[qi],), acc))
+        if queue:
+            stack.append((qi, queue[1:], acc + (queue[0],)))
+        else:
+            stack.append((qi, queue, acc + (EMPTY,)))
     return results
 
 

@@ -284,7 +284,11 @@ class ComponentState:
     def _first(self, xi: int) -> int:
         """First slot of the xi-th own variable's operations (the end of
         acts when xi is one past the last variable)."""
-        return bisect_left(self.acts, xi, key=self.lay.var_index) if xi else 0
+        if not xi:
+            return 0
+        if xi == len(self.lay.own):
+            return len(self.acts)
+        return bisect_left(self.acts, xi, key=self.lay.var_index)
 
     def _span(self, xi: int):
         """First and end slot of the xi-th own variable's operations."""

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
@@ -456,3 +459,89 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: internal: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_pc_of_an_undeclared_thread_is_an_input_error(self, tmp_path,
+                                                          capsys):
+        # found by the mutated-corpus fuzz: `pc(22)` in an invariant exited
+        # 4 with a KeyError
+        bad = tmp_path / "pc.lit"
+        bad.write_text("name t\ninit x := 0\nthread 1 { x := 1; }\n"
+                       "invariant { pc(22) = 1 }\nfinal { pc(22) in {1,2} }\n")
+        for command in ("explore", "outline", "hoare"):
+            code, out, err = run(capsys, command, str(bad))
+            assert (code, out) == (3, "")
+            assert err == "error: pc(22): no thread 22\n"
+
+
+CORPUS = Path(rarcheck.__file__).parent / "corpus"
+
+
+@pytest.fixture()
+def collector():
+    """Leaves the cyclic collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollector:
+    # a command runs with the cyclic collector paused: a checked system
+    # holds no reference cycle, so the collector would only rescan the heap
+
+    def test_paused_while_a_command_runs(self, capsys, monkeypatch,
+                                         collector):
+        import rarcheck.cli as cli
+        seen = []
+        original = cli._cmd_explore
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return original(args)
+
+        monkeypatch.setattr(cli, "_cmd_explore", spy)
+        gc.enable()
+        code, _, _ = run(capsys, "explore", str(CORPUS / "mp-relacq.lit"))
+        assert code == 0 and seen == [False] and gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_previous_state_restored_on_every_exit(self, capsys, monkeypatch,
+                                                   collector, enabled):
+        import rarcheck.cli as cli
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in [
+                (["explore", str(CORPUS / "mp-relacq.lit")], 0),
+                (["outline", str(CORPUS / "lockmp-mutant.lit")], 1),
+                (["explore", str(CORPUS / "queue-mp.lit")], 2),
+                (["explore", str(CORPUS / "no-such-file.lit")], 3),
+                (["explore"], 3)]:  # an argument error
+            assert run(capsys, *argv)[0] == code, argv
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--help"])
+        assert exc.value.code == 0 and gc.isenabled() is enabled
+
+        def boom(args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "_cmd_explore", boom)
+        assert run(capsys, "explore", str(CORPUS / "mp-relacq.lit"))[0] == 4
+        assert gc.isenabled() is enabled
+
+    def test_text_commands_leave_no_cycle(self, collector):
+        # with the collector off, nothing a command leaves behind needs it:
+        # reference counting has freed every system and every result
+        files = sorted(CORPUS.glob("*.lit"))
+        assert len(files) == 8
+        runs = [[command, str(f)] for f in files
+                for command in ("explore", "outline", "hoare")]
+        runs += [["refine", "--impl", impl, "--client", str(f)]
+                 for f in files for impl in sorted(builtin_impls())]
+        runs.append(["oracle", "fifo", "--enqs", "3"])
+        for argv in runs:
+            gc.collect()
+            gc.disable()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                run_cli(argv)
+            assert gc.collect() == 0, argv

@@ -1,4 +1,5 @@
-"""Fuzz the command line over generated expressions and whole files.
+"""Fuzz the command line over generated expressions, whole files and
+mutated corpus files.
 
 One-thread programs evaluate a generated expression once in a thread
 statement and once in the final clause.  Whatever the operators make of
@@ -11,11 +12,12 @@ itself, so a wrong value put into a register by the engine stays visible.
 import contextlib
 import functools
 import io
+from importlib import resources
 
 from hypothesis import given, settings, strategies as st
 
 from rarcheck.cli import run_cli
-from rarcheck.litmus import parse_litmus, pretty
+from rarcheck.litmus import load_corpus, parse_litmus, pretty, tokenize
 from rarcheck.refine import builtin_impls
 
 BINOPS = ("+", "-", "*", "%", "=", "!=", "<", "<=", ">", ">=", "and", "or")
@@ -196,3 +198,74 @@ def test_whole_files_round_trip_and_never_exit_internal(tmp_path_factory,
                 contextlib.redirect_stderr(err):
             code = run_cli(argv + ["--max-steps", "12"])
         assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
+
+
+# --- mutated corpus files ------------------------------------------------------
+#
+# Each corpus file with one to three of its tokens deleted, duplicated or
+# swapped with another token of the file.  Whatever the edits make of it,
+# `explore`, `outline`, `hoare` and `refine` give a verdict, a bound or an
+# input error (exit 0-3), and an input error is one `error:` line.
+
+def spaced_tokens(text):
+    """The file's tokens, each with what separated it from the one before:
+    nothing, a space or a line break.  Joined, they read as the file."""
+    out, prev = [], None
+    for tok in tokenize(text)[:-1]:  # no eof
+        if prev is None:
+            gap = ""
+        elif tok.line != prev.line:
+            gap = "\n"
+        else:
+            gap = "" if tok.col == prev.col + len(prev.text) else " "
+        out.append(gap + tok.text)
+        prev = tok
+    return out
+
+
+CORPUS_TOKENS = {
+    path.name.removesuffix(".lit"): spaced_tokens(path.read_text())
+    for path in resources.files("rarcheck").joinpath("corpus").iterdir()
+    if path.name.endswith(".lit")}
+
+
+@st.composite
+def mutated_corpus_files(draw):
+    toks = list(CORPUS_TOKENS[draw(st.sampled_from(sorted(CORPUS_TOKENS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(toks) - 1))
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
+        if edit == "delete":
+            del toks[i]
+        elif edit == "duplicate":
+            toks.insert(i, toks[i])
+        else:
+            j = draw(st.integers(0, len(toks) - 1))
+            toks[i], toks[j] = toks[j], toks[i]
+    return "".join(toks) + "\n"
+
+
+def test_spaced_tokens_read_back_as_the_corpus_file():
+    assert len(CORPUS_TOKENS) == 8
+    for name, toks in CORPUS_TOKENS.items():
+        assert parse_litmus("".join(toks)) == load_corpus(name), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_corpus_files())
+def test_mutated_corpus_files_exit_0_to_3(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("mutant") / "m.lit"
+    path.write_text(text)
+    for argv in (["explore", str(path)], ["outline", str(path)],
+                 ["hoare", str(path)],
+                 ["refine", "--impl", "seqlock", "--client", str(path)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = run_cli(argv + ["--max-steps", "30"])
+        msg = err.getvalue()
+        assert code in (0, 1, 2, 3), (argv, text, msg)
+        if code == 3:
+            lines = msg.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (
+                argv, text, msg)
