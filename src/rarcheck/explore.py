@@ -12,12 +12,13 @@ canonical key: states whose operations stand in the same order on every
 variable are equal.
 
 Each part's transitions are computed once per system: a thread state's local
-steps and the thread states they lead to, and a memory or object rule's
-successors from a (thread, action, components) key.  Exploration is a
-breadth-first search memoized on configurations, bounded by a
-scheduler-step budget with explicit truncation reporting.  It returns the
-reachable state graph, which every checker reads instead of stepping states
-again.
+steps and the thread states they lead to, a command's split into context and
+redex and each residual plugged into it (shared by the thread states that
+run the command), and a memory or object rule's successors from a (thread,
+action, components) key.  Exploration is a breadth-first search memoized on
+configurations, bounded by a scheduler-step budget with explicit truncation
+reporting.  It returns the reachable state graph, which every checker reads
+instead of stepping states again.
 """
 
 from __future__ import annotations
@@ -118,6 +119,12 @@ class SystemContext:
         # thread state -> its local steps (`_Move`s): a thread's local step
         # reads nothing else, so each distinct thread state is stepped once
         self.thread_steps = {}
+        # command -> its split into evaluation context and redex, and
+        # (split, residual) -> the residual plugged back into the context
+        # (`program.local_step`): thread states that share a command share
+        # its split, and a new register map runs only the redex's rule
+        self.redexes = {}
+        self.plugs = {}
         # (t, action, executing, context) -> the memory rule's successors,
         # and (t, method, arguments, beta, gamma) -> the object rule's
         self.component_steps = {}
@@ -230,8 +237,8 @@ def _moves(ts: ThreadState, ctx: SystemContext):
     if moves is None:
         moves = ctx.thread_steps[ts] = [
             _Move(ctx, step, ts.ls)
-            for step in program.local_step({ts.t: ts.cmd}, {ts.t: ts.ls},
-                                           ts.t)]
+            for step in program.local_step(ts.cmd, ts.ls, ctx.redexes,
+                                           ctx.plugs)]
     return moves
 
 
@@ -507,7 +514,17 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
 
     # Interference freedom restricted to reachable states: a step of one
     # thread must preserve the annotation currently active in every other.
+    # Only steps to states beyond the step bound can fail it anew.  After a
+    # step of thread t2, every other thread t has the command, and so the
+    # pc and the annotation, it had before; if the successor was explored,
+    # the loop above has evaluated that annotation there and recorded its
+    # failure under the same name.  So only edges that leave `res.configs`
+    # are checked, and there are none when the run is not truncated.
     for key, cfg in res.configs.items():
+        beyond = [edge for edge in res.edges[key]
+                  if edge[2] not in res.configs]
+        if not beyond:
+            continue
         pcs = {ts.t: program.pc_of(ts.cmd, ctx.n_labels[ts.t])
                for ts in cfg.locs}
         active = {}
@@ -515,15 +532,10 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
             ann = outline.annotations.get(t, {}).get(pcs[t])
             if ann is not None and eval_assertion(ann, cfg, ectx):
                 active[t] = ann
-        if not active:
-            continue
-        for t2, label, nxt in res.edges[key]:
+        for t2, label, nxt in beyond:
             for t, ann in active.items():
-                if t == t2:
-                    continue
-                if not eval_assertion(ann, nxt, ectx):
-                    wkey = nxt if nxt in res.configs else key
-                    fail(name_of(t, pcs[t]), wkey,
+                if t != t2 and not eval_assertion(ann, nxt, ectx):
+                    fail(name_of(t, pcs[t]), key,
                          f"interference by thread {t2} step {label.render()}")
 
     return OutlineReport(verdicts, res.states_explored, res.truncated)

@@ -698,6 +698,7 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     if obj is not None:
         spec = lock_spec(obj_name) if obj[0] == "lock" else queue_spec(obj_name)
     _check_calls(progs, spec)
+    _check_view_atoms(clauses, tids, client_vars, obj_name)
     if impl is not None:
         spec = None  # the implementation's variables replace the object
         library = ("impl", impl.init)
@@ -761,22 +762,53 @@ def _check_calls(progs, spec):
                     f"{spec.name}.{call.meth} takes {n}")
 
 
+_VIEW_ATOMS = (A.PossVar, A.PossMeth, A.DefVar, A.DefMeth, A.CondVar,
+               A.CondCross, A.CoveredA, A.HiddenA)
+
+
+def _check_view_atoms(clauses, tids, variables, obj_name):
+    """Every pobs, dobs, cond, cvd and cvv atom of the clauses and
+    annotations names a declared thread, declared variables and, in its
+    method form, the declared object.  A view of anything else does not
+    exist: reading it as false or true would give a verdict for a typo."""
+    for a in clauses:
+        for atom in _atoms(a):
+            if not isinstance(atom, _VIEW_ATOMS):
+                continue
+            if hasattr(atom, "t") and atom.t not in tids:
+                raise LitmusError(f"{_pa(atom)}: no thread {atom.t}")
+            for x in (getattr(atom, "var", None), getattr(atom, "tgt", None)):
+                if x is not None and x not in variables:
+                    raise LitmusError(
+                        f"{_pa(atom)}: undeclared variable {x!r}")
+            m = getattr(atom, "m", None)
+            if m is not None and m.obj != obj_name:
+                raise LitmusError(f"{_pa(atom)}: no object named {m.obj!r}")
+
+
+def _atoms(a):
+    """The atoms of assertion a (None: no assertion), left to right."""
+    if isinstance(a, (A.AndA, A.OrA)):
+        for x in a.items:
+            yield from _atoms(x)
+    elif isinstance(a, A.NotA):
+        yield from _atoms(a.a)
+    elif isinstance(a, A.ImpliesA):
+        yield from _atoms(a.a)
+        yield from _atoms(a.b)
+    elif isinstance(a, (A.ForallA, A.ExistsA)):
+        yield from _atoms(a.body)
+    elif a is not None:
+        yield a
+
+
 def _pred_registers(a):
     """The names that the register predicates (LocalPred) of assertion a
     read, each predicate's in sorted order, predicates left to right."""
-    if isinstance(a, (A.AndA, A.OrA)):
-        for x in a.items:
-            yield from _pred_registers(x)
-    elif isinstance(a, A.NotA):
-        yield from _pred_registers(a.a)
-    elif isinstance(a, A.ImpliesA):
-        yield from _pred_registers(a.a)
-        yield from _pred_registers(a.b)
-    elif isinstance(a, (A.ForallA, A.ExistsA)):
-        yield from _pred_registers(a.body)
-    elif isinstance(a, A.LocalPred):
-        yield from sorted({n.name for n in P.nodes(a.expr)
-                           if isinstance(n, P.Var)})
+    for atom in _atoms(a):
+        if isinstance(atom, A.LocalPred):
+            yield from sorted({n.name for n in P.nodes(atom.expr)
+                               if isinstance(n, P.Var)})
 
 
 def _observed_registers(lf: LitmusFile, local_evidence):

@@ -9,11 +9,16 @@ left open: the memory rules bind it from each write the thread can observe,
 and the step's `reg` names the register that receives it.  An object call
 leaves bottom in its hole and its result in the register `rval`, which
 `r := o.m()` then binds.
+
+`local_step` splits a command once into an evaluation context and the
+redex that steps, and plugs each residual back into that context once,
+in tables that the caller keeps per system: a command reached with new
+registers runs only its redex's rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .state import FALSE, TRUE, Hashed, fai, hashed, open_read, update, write
 
@@ -359,87 +364,110 @@ def _ls_set(ls, r, v):
     return out
 
 
-def _steps(cmd, ls, lib=False):
-    if isinstance(cmd, Labeled):
-        return [replace(s, cmd=Labeled(cmd.label, s.cmd))
-                for s in _steps(cmd.cmd, ls, lib)]
+_BOT = Bot()
 
-    if isinstance(cmd, Bot):
-        return []
 
-    if isinstance(cmd, Assign):
-        if isinstance(cmd.src, Hole):
-            if is_done(cmd.src):  # the method's result is in rval
-                return [Step("eps", None, Bot(),
-                             _ls_set(ls, cmd.reg, ls["rval"]), lib,
-                             at_hole=True)]
-            return [replace(s, cmd=Assign(cmd.reg, s.cmd))
-                    for s in _steps(cmd.src, ls, lib)]
-        return [Step("eps", None, Bot(),
-                     _ls_set(ls, cmd.reg, eval_expr(cmd.src, ls)), lib)]
+class _Split:
+    """A command split into an evaluation context and its redex (Felleisen
+    and Hieb's reduction semantics): `frames` are the nodes around the
+    redex, outermost first, each standing for itself with a hole where the
+    node below it was: `Labeled`, `Seq(., b)` while its first part runs,
+    `Hole`, `Body(m, rv, .)` and `Assign(r, .)` around an unfinished hole.
+    `redex` is the node whose rule steps, bottom when the command has
+    terminated, and `lib` tells whether a hole or a body encloses it."""
 
-    if isinstance(cmd, GWrite):
-        a = write(cmd.var, eval_expr(cmd.expr, ls), cmd.releasing)
-        return [Step("act", a, Bot(), ls, lib)]
+    __slots__ = ("frames", "redex", "lib")
 
-    if isinstance(cmd, GRead):
-        return [Step("act", open_read(cmd.var, cmd.acquiring), Bot(), ls, lib,
-                     reg=cmd.reg)]
+    def __init__(self, cmd):
+        frames, lib = [], False
+        while True:
+            if isinstance(cmd, Labeled):
+                inner = cmd.cmd
+            elif isinstance(cmd, Seq) and not is_done(cmd.a):
+                inner = cmd.a
+            elif isinstance(cmd, Assign) and isinstance(cmd.src, Hole) \
+                    and not is_done(cmd.src):
+                inner = cmd.src
+            elif isinstance(cmd, Hole):
+                if cmd.content is None:
+                    raise ProgramError("cannot execute a pristine hole")
+                # a hole holding bottom has no step: the enclosing sequence
+                # or assignment consumes it
+                inner, lib = cmd.content, True
+            elif isinstance(cmd, Body):
+                inner, lib = cmd.cmd, True
+            else:
+                break
+            frames.append(cmd)
+            cmd = inner
+        self.frames = tuple(frames)
+        self.redex = cmd
+        self.lib = lib
 
-    if isinstance(cmd, Cas):
-        u = eval_expr(cmd.expect, ls)
-        v = eval_expr(cmd.new, ls)
-        return [Step("act", update(cmd.var, u, v), Bot(),
-                     _ls_set(ls, cmd.reg, TRUE), lib),
-                Step("act", open_read(cmd.var, skip=u), Bot(),
-                     _ls_set(ls, cmd.reg, FALSE), lib)]
 
-    if isinstance(cmd, Fai):
-        return [Step("act", fai(cmd.var), Bot(), ls, lib, reg=cmd.reg)]
-
-    if isinstance(cmd, MethodCall):
+def _fire(c, ls):
+    """The rule of redex c under registers ls: per step, in order,
+    (kind, action, residual, registers, at_hole, reg)."""
+    if isinstance(c, Seq):  # its first part is done
+        return [("eps", None, c.b, ls, _ends_in_hole(c.a), None)]
+    if isinstance(c, Assign):
+        if isinstance(c.src, Hole):  # the method's result is in rval
+            return [("eps", None, _BOT, _ls_set(ls, c.reg, ls["rval"]), True,
+                     None)]
+        return [("eps", None, _BOT, _ls_set(ls, c.reg, eval_expr(c.src, ls)),
+                 False, None)]
+    if isinstance(c, GWrite):
+        a = write(c.var, eval_expr(c.expr, ls), c.releasing)
+        return [("act", a, _BOT, ls, False, None)]
+    if isinstance(c, GRead):
+        return [("act", open_read(c.var, c.acquiring), _BOT, ls, False,
+                 c.reg)]
+    if isinstance(c, Cas):
+        u = eval_expr(c.expect, ls)
+        v = eval_expr(c.new, ls)
+        return [("act", update(c.var, u, v), _BOT, _ls_set(ls, c.reg, TRUE),
+                 False, None),
+                ("act", open_read(c.var, skip=u), _BOT,
+                 _ls_set(ls, c.reg, FALSE), False, None)]
+    if isinstance(c, Fai):
+        return [("act", fai(c.var), _BOT, ls, False, c.reg)]
+    if isinstance(c, MethodCall):
         # the object rules give the successors; the call leaves bottom
         # behind, and its result only in rval
-        return [Step("call", cmd, Bot(), ls, lib)]
-
-    if isinstance(cmd, Body):
-        out = []
-        for s in _steps(cmd.cmd, ls, lib=True):
-            if is_done(s.cmd):
-                out.append(replace(s, cmd=Bot(),
-                                   ls=_ls_set(s.ls, "rval", cmd.retval)))
-            else:
-                out.append(replace(s, cmd=Body(cmd.meth, cmd.retval, s.cmd)))
-        return out
-
-    if isinstance(cmd, Hole):
-        inner = cmd.content
-        if inner is None:
-            raise ProgramError("cannot execute a pristine hole")
-        if isinstance(inner, Bot):
-            return []  # consumed by the enclosing sequence or assignment
-        return [replace(s, cmd=Hole(s.cmd)) for s in _steps(inner, ls, lib=True)]
-
-    if isinstance(cmd, Seq):
-        if is_done(cmd.a):
-            return [Step("eps", None, cmd.b, ls, lib,
-                         at_hole=_ends_in_hole(cmd.a))]
-        return [replace(s, cmd=Seq(s.cmd, cmd.b))
-                for s in _steps(cmd.a, ls, lib)]
-
-    if isinstance(cmd, If):
-        branch = cmd.then if eval_expr(cmd.cond, ls) else cmd.other
-        return [Step("eps", None, branch, ls, lib)]
-
-    if isinstance(cmd, While):
-        if eval_expr(cmd.cond, ls):
-            return [Step("eps", None, Seq(cmd.body, cmd), ls, lib)]
-        return [Step("eps", None, Bot(), ls, lib)]
-
-    if isinstance(cmd, DoUntil):
+        return [("call", c, _BOT, ls, False, None)]
+    if isinstance(c, If):
+        return [("eps", None, c.then if eval_expr(c.cond, ls) else c.other,
+                 ls, False, None)]
+    if isinstance(c, While):
+        if eval_expr(c.cond, ls):
+            return [("eps", None, Seq(c.body, c), ls, False, None)]
+        return [("eps", None, _BOT, ls, False, None)]
+    if isinstance(c, Bot):
+        return []
+    if isinstance(c, DoUntil):
         raise ProgramError("do-until must be desugared before execution")
+    raise ProgramError(f"cannot step {c!r}")
 
-    raise ProgramError(f"cannot step {cmd!r}")
+
+def _plug(frames, c):
+    """Residual c put back into frames, innermost first, and the `Body`
+    frame that finished, or None.  A finished body collapses to bottom,
+    and its return value goes to rval."""
+    finished = None
+    for f in reversed(frames):
+        if isinstance(f, Labeled):
+            c = Labeled(f.label, c)
+        elif isinstance(f, Seq):
+            c = Seq(c, f.b)
+        elif isinstance(f, Hole):
+            c = Hole(c)
+        elif isinstance(f, Assign):
+            c = Assign(f.reg, c)
+        elif is_done(c):  # a Body
+            c, finished = _BOT, f
+        else:
+            c = Body(f.meth, f.retval, c)
+    return c, finished
 
 
 def _ends_in_hole(cmd) -> bool:
@@ -448,9 +476,24 @@ def _ends_in_hole(cmd) -> bool:
     return isinstance(cmd, Hole)
 
 
-def local_step(prog: dict, rho: dict, t):
-    """All program-level successors of thread t; empty when blocked/done."""
-    p = prog.get(t)
-    if p is None or is_done(p):
-        return []
-    return _steps(p, rho[t])
+def local_step(cmd, ls: dict, redexes: dict, plugs: dict):
+    """All thread-local steps of a thread running cmd with registers ls;
+    empty when it has terminated.  `redexes` (command -> its `_Split`) and
+    `plugs` ((split, residual) -> the plugged command and the finished
+    body) are one system's tables: a command is split once, and each of
+    its residuals plugged once, whatever registers it runs under (Danvy
+    and Nielsen's refocusing); only the redex's rule reads them."""
+    split = redexes.get(cmd)
+    if split is None:
+        split = redexes[cmd] = _Split(cmd)
+    out = []
+    for kind, action, residual, ls2, at_hole, reg in _fire(split.redex, ls):
+        key = (split, residual)
+        plugged = plugs.get(key)
+        if plugged is None:
+            plugged = plugs[key] = _plug(split.frames, residual)
+        cmd2, finished = plugged
+        if finished is not None:
+            ls2 = _ls_set(ls2, "rval", finished.retval)
+        out.append(Step(kind, action, cmd2, ls2, split.lib, at_hole, reg))
+    return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from . import program as P
 from .explore import ExploreResult, explore, successors
-from .litmus import LitmusError, build_system
+from .litmus import LitmusError, System, build_system
 from .objects import lock_release
 from .state import BOT, TRUE
 
@@ -222,7 +222,8 @@ def _explore_concrete(conc_sys, abs_sys, max_steps):
     except P.ProgramError:
         for cfg in explore(abs_sys.cfg0, abs_sys.ctx, max_steps).configs:
             for ts in cfg.locs:
-                for step in P.local_step({ts.t: ts.cmd}, {ts.t: ts.ls}, ts.t):
+                for step in P.local_step(ts.cmd, ts.ls, abs_sys.ctx.redexes,
+                                         abs_sys.ctx.plugs):
                     call = step.action
                     if step.kind == "call" and call.meth == "release" and \
                             not lock_release(cfg.beta, cfg.gamma, ts.t,
@@ -240,10 +241,12 @@ class SimulationResult:
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
-    # the concrete exploration the game was played over and the projector
-    # it used, for check_trace_refinement(..., explored=..., projector=...)
+    # the concrete exploration the game was played over, the projector it
+    # used and the abstract system it stepped, for
+    # check_trace_refinement(..., sim=...)
     explored: ExploreResult = field(default=None, repr=False, compare=False)
     projector: object = field(default=None, repr=False, compare=False)
+    abstract: System = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self):
@@ -262,25 +265,24 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
 
     conc = _explore_concrete(conc_sys, abs_sys, max_steps)
     project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)
+    kept = {"explored": conc, "projector": project, "abstract": abs_sys}
     if conc.truncated:
         return SimulationResult("unknown-beyond-bound",
                                 detail="concrete exploration truncated",
-                                explored=conc, projector=project)
+                                **kept)
     moves = _game(abs_sys, conc, project)
     if not moves:
         return SimulationResult("no-simulation", counterexample=[],
-                                detail="initial states unrelated",
-                                explored=conc, projector=project)
+                                detail="initial states unrelated", **kept)
 
     losing = _attractor(moves)
     if 0 in losing:  # the initial pair
         path = _extract_counterexample(0, moves, losing)
         return SimulationResult("no-simulation", 0, len(moves), path,
-                                "a concrete step cannot be matched", conc,
-                                project)
+                                "a concrete step cannot be matched", **kept)
 
     return SimulationResult("simulation-found", len(moves) - len(losing),
-                            len(moves), explored=conc, projector=project)
+                            len(moves), **kept)
 
 
 def _game(abs_sys, conc, project):
@@ -432,14 +434,14 @@ class TraceCheckResult:
 
 
 def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
-                           explored: ExploreResult = None,
-                           projector=None) -> TraceCheckResult:
+                           sim: SimulationResult = None) -> TraceCheckResult:
     """Determinized matching of every stutter-free concrete client trace
-    against the abstract trace graph under pointwise refinement.
-    `explored`, if given, is the exploration of the concrete system under
-    the same bound (as kept in `SimulationResult.explored`), reused; so is
-    `projector`, a projector for the same client (as kept in
-    `SimulationResult.projector`), with the projections it has made.
+    against the abstract trace graph under pointwise refinement.  `sim`,
+    if given, is `check_simulation`'s result for the same implementation,
+    client and bound; its concrete exploration, its projector with the
+    projections it has made, and its abstract system, whose tables hold the
+    abstract states and steps the game has reached, are reused, so no
+    system is built again.
 
     A visible concrete step is matched by a visible abstract step or by the
     abstract side staying put, when the state it is in already refines the
@@ -454,18 +456,18 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
     changes it once; the simulation game's stay-put reply to an
     implementation step is the same freedom, so a simulation implies trace
     inclusion here as the paper's theorem says it must."""
-    abs_sys = build_system(client_lf)
-    conc = explored
-    if conc is None:
+    if sim is None:
+        abs_sys = build_system(client_lf)
         conc = _explore_concrete(build_system(client_lf, impl), abs_sys,
                                  max_steps)
+        project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)
+    else:
+        abs_sys, conc, project = sim.abstract, sim.explored, sim.projector
     ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
     if conc.truncated or ab.truncated:
         return TraceCheckResult("unknown-beyond-bound",
                                 detail="exploration truncated")
 
-    project = projector or _projector(_client_regs(abs_sys),
-                                      abs_sys.ctx.threads)
     aproj = {k: project(c) for k, c in ab.configs.items()}
     cproj = {k: project(c) for k, c in conc.configs.items()}
     refines = _refines_memo()

@@ -472,6 +472,50 @@ class TestErrors:
             assert (code, out) == (3, "")
             assert err == "error: pc(22): no thread 22\n"
 
+    # a view atom that names an undeclared thread, variable or object read
+    # a missing view as false (pobs, dobs) or true (cond) and gave a verdict
+    @pytest.mark.parametrize("clause, error", [
+        ("pobs(22, x=0)", "pobs(22, x=0): no thread 22"),
+        ("cond(22, x=0, x=7)", "cond(22, x=0, x=7): no thread 22"),
+        ("dobs(22, x=1)", "dobs(22, x=1): no thread 22"),
+        ("pobs(1, y=0)", "pobs(1, y=0): undeclared variable 'y'"),
+        ("cond(1, y=0, x=7)", "cond(1, y=0, x=7): undeclared variable 'y'"),
+        ("cond(1, x=1, y=7)", "cond(1, x=1, y=7): undeclared variable 'y'"),
+        ("dobs(1, q.init)", "dobs(1, q.init): no object named 'q'"),
+        ("pobs(1, l.init_0)", "pobs(1, l.init_0): no object named 'l'"),
+        ("cvd(q.init)", "cvd(q.init): no object named 'q'"),
+        ("cvv(l.release_2)", "cvv(l.release_2): no object named 'l'"),
+        ("cond(1, l.release_2, x=1)",
+         "cond(1, l.release_2, x=1): no object named 'l'"),
+        ("forall v in {0, 1}: pobs(2, x=v)",
+         "pobs(2, x=v): no thread 2"),
+    ])
+    @pytest.mark.parametrize("where", ["final", "invariant", "annotation"])
+    def test_view_of_an_undeclared_name_is_an_input_error(self, tmp_path,
+                                                          capsys, clause,
+                                                          error, where):
+        body = "x := 1;"
+        if where == "annotation":
+            body = f"{{ {clause} }} x := 1;"
+        text = f"name t\ninit x := 0\nthread 1 {{ {body} }}\n"
+        if where != "annotation":
+            text += f"{where} {{ {clause} }}\n"
+        bad = tmp_path / "view.lit"
+        bad.write_text(text)
+        for command in ("explore", "outline", "hoare"):
+            code, out, err = run(capsys, command, str(bad))
+            assert (code, out, err) == (3, "", f"error: {error}\n"), command
+
+    def test_view_of_an_undeclared_name_in_a_refine_client(self, tmp_path,
+                                                           capsys):
+        bad = tmp_path / "client.lit"
+        bad.write_text(corpus_text("lock-two-rounds").replace(
+            "final {", "invariant { not pobs(3, d=2) }\nfinal {"))
+        code, out, err = run(capsys, "refine", "--impl", "seqlock",
+                             "--client", str(bad))
+        assert (code, out, err) == (3, "",
+                                    "error: pobs(3, d=2): no thread 3\n")
+
 
 CORPUS = Path(rarcheck.__file__).parent / "corpus"
 

@@ -200,12 +200,13 @@ def test_whole_files_round_trip_and_never_exit_internal(tmp_path_factory,
         assert code in (0, 1, 2, 3), (argv, text, err.getvalue())
 
 
-# --- mutated corpus files ------------------------------------------------------
+# --- mutated files ---------------------------------------------------------------
 #
-# Each corpus file with one to three of its tokens deleted, duplicated or
-# swapped with another token of the file.  Whatever the edits make of it,
-# `explore`, `outline`, `hoare` and `refine` give a verdict, a bound or an
-# input error (exit 0-3), and an input error is one `error:` line.
+# Each corpus file or generated file with one to three of its tokens deleted,
+# duplicated or swapped with another token of the file.  Whatever the edits
+# make of it, `explore`, `outline`, `hoare` and `refine` give a verdict, a
+# bound or an input error (exit 0-3), and an input error is one `error:`
+# line.
 
 def spaced_tokens(text):
     """The file's tokens, each with what separated it from the one before:
@@ -229,9 +230,9 @@ CORPUS_TOKENS = {
     if path.name.endswith(".lit")}
 
 
-@st.composite
-def mutated_corpus_files(draw):
-    toks = list(CORPUS_TOKENS[draw(st.sampled_from(sorted(CORPUS_TOKENS)))])
+def _mutated(draw, toks):
+    """The text of spaced tokens toks after one to three edits."""
+    toks = list(toks)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(toks) - 1))
         edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
@@ -245,15 +246,24 @@ def mutated_corpus_files(draw):
     return "".join(toks) + "\n"
 
 
+@st.composite
+def mutated_corpus_files(draw):
+    return _mutated(draw, CORPUS_TOKENS[draw(st.sampled_from(
+        sorted(CORPUS_TOKENS)))])
+
+
+@st.composite
+def mutated_generated_files(draw):
+    return _mutated(draw, spaced_tokens(draw(litmus_files())))
+
+
 def test_spaced_tokens_read_back_as_the_corpus_file():
     assert len(CORPUS_TOKENS) == 8
     for name, toks in CORPUS_TOKENS.items():
         assert parse_litmus("".join(toks)) == load_corpus(name), name
 
 
-@settings(max_examples=100, deadline=None)
-@given(mutated_corpus_files())
-def test_mutated_corpus_files_exit_0_to_3(tmp_path_factory, text):
+def _exit_0_to_3(tmp_path_factory, text, max_steps):
     path = tmp_path_factory.mktemp("mutant") / "m.lit"
     path.write_text(text)
     for argv in (["explore", str(path)], ["outline", str(path)],
@@ -262,10 +272,28 @@ def test_mutated_corpus_files_exit_0_to_3(tmp_path_factory, text):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = run_cli(argv + ["--max-steps", "30"])
+            code = run_cli(argv + ["--max-steps", max_steps])
         msg = err.getvalue()
         assert code in (0, 1, 2, 3), (argv, text, msg)
         if code == 3:
             lines = msg.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), (
                 argv, text, msg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_corpus_files())
+def test_mutated_corpus_files_exit_0_to_3(tmp_path_factory, text):
+    _exit_0_to_3(tmp_path_factory, text, "30")
+
+
+@settings(max_examples=50, deadline=None)
+@given(litmus_files())
+def test_spaced_tokens_read_back_as_generated_files(text):
+    assert parse_litmus("".join(spaced_tokens(text))) == parse_litmus(text)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_generated_files())
+def test_mutated_generated_files_exit_0_to_3(tmp_path_factory, text):
+    _exit_0_to_3(tmp_path_factory, text, "12")

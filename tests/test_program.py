@@ -16,6 +16,11 @@ from rarcheck.state import FALSE, TRUE, Action, make_init_states, write
 WRITTEN = (1, 5, TRUE, FALSE)
 
 
+def steps_of(prog, rho, t):
+    """Thread t's local steps, split and plugged in tables of their own."""
+    return local_step(prog[t], rho[t], {}, {})
+
+
 def steps_after_writes(cmd, values=WRITTEN):
     """Successors of thread 1 running cmd once thread 2 has written each of
     values to x (initially 0), in turn: thread 1 observes every write."""
@@ -50,18 +55,18 @@ class TestEval:
 class TestLocalStep:
     def test_local_assign_is_silent(self):
         prog = {1: Seq(Assign("r", Lit(5)), GWrite("x", Var("r")))}
-        steps = local_step(prog, {1: {}}, 1)
+        steps = steps_of(prog, {1: {}}, 1)
         assert len(steps) == 1
         (s,) = steps
         assert s.kind == "eps" and s.ls == {"r": 5}
         # value-sequencing afterwards dissolves the bottom
         prog2 = {1: s.cmd}
-        (s2,) = local_step(prog2, {1: s.ls}, 1)
+        (s2,) = steps_of(prog2, {1: s.ls}, 1)
         assert s2.kind == "eps" and s2.cmd == GWrite("x", Var("r"))
 
     def test_write_candidate(self):
         prog = {1: GWrite("x", Bin("+", Var("r"), Lit(1)), releasing=True)}
-        (s,) = local_step(prog, {1: {"r": 4}}, 1)
+        (s,) = steps_of(prog, {1: {"r": 4}}, 1)
         assert s.kind == "act"
         assert (s.action.kind, s.action.var, s.action.val, s.action.sync) == \
             ("write", "x", 5, "rel")
@@ -70,7 +75,7 @@ class TestLocalStep:
         # one proposal whose value is open; the memory binds it to the value
         # of every observable write, and the register receives it
         prog = {1: GRead("r", "x", acquiring=True)}
-        (s,) = local_step(prog, {1: {}}, 1)
+        (s,) = steps_of(prog, {1: {}}, 1)
         assert (s.kind, s.action.kind, s.action.val, s.action.aux,
                 s.action.sync, s.reg) == ("act", "read", None, None, "acq",
                                           "r")
@@ -83,7 +88,7 @@ class TestLocalStep:
 
     def test_cas_candidates_partition(self):
         prog = {1: Cas("r", "x", Lit(0), Lit(1))}
-        win, fail = local_step(prog, {1: {}}, 1)
+        win, fail = steps_of(prog, {1: {}}, 1)
         assert (win.action.kind, win.action.aux, win.action.val) == \
             ("update", 0, 1)
         assert win.ls["r"] is TRUE and win.reg is None
@@ -105,7 +110,7 @@ class TestLocalStep:
 
     def test_fai_candidates(self):
         prog = {1: Fai("r", "x")}
-        (s,) = local_step(prog, {1: {}}, 1)
+        (s,) = steps_of(prog, {1: {}}, 1)
         assert (s.action.kind, s.action.aux, s.action.val, s.reg) == \
             ("update", None, None, "r")
         succ = steps_after_writes(prog[1])
@@ -118,12 +123,12 @@ class TestLocalStep:
     def test_one_proposal_per_read_cas_failure_and_fai(self):
         # values are bound by the memory, so no value is enumerated here,
         # also under labels, sequencing and library bodies
-        from rarcheck.program import Body, _steps
+        from rarcheck.program import Body
         for cmd in (GRead("r", "x"), Cas("r", "x", Lit(0), Lit(1)),
                     Fai("r", "x")):
             for wrapped in (cmd, Labeled(1, Seq(cmd, Bot())),
                             Hole(Body("acquire", TRUE, cmd))):
-                steps = _steps(wrapped, {"r": 0})
+                steps = local_step(wrapped, {"r": 0}, {}, {})
                 kinds = [s.action.kind for s in steps]
                 assert kinds == {GRead: ["read"], Cas: ["update", "read"],
                                  Fai: ["update"]}[type(cmd)]
@@ -133,41 +138,41 @@ class TestLocalStep:
     def test_if_and_while_unfold(self):
         prog = {1: If(Bin("=", Var("r"), Lit(1)), GWrite("x", Lit(1)),
                       Bot())}
-        (s,) = local_step(prog, {1: {"r": 1}}, 1)
+        (s,) = steps_of(prog, {1: {"r": 1}}, 1)
         assert s.cmd == GWrite("x", Lit(1))
         loop = While(Bin("<", Var("r"), Lit(1)), Assign("r", Lit(1)))
-        (s,) = local_step({1: loop}, {1: {"r": 0}}, 1)
+        (s,) = steps_of({1: loop}, {1: {"r": 0}}, 1)
         assert s.cmd == Seq(Assign("r", Lit(1)), loop)
-        (s,) = local_step({1: loop}, {1: {"r": 1}}, 1)
+        (s,) = steps_of({1: loop}, {1: {"r": 1}}, 1)
         assert isinstance(s.cmd, Bot)
 
     def test_terminated_thread_has_no_steps(self):
-        assert local_step({1: Bot()}, {1: {}}, 1) == []
+        assert steps_of({1: Bot()}, {1: {}}, 1) == []
 
 
 class TestHoles:
     def test_hole_with_bottom_dissolves(self):
         prog = {1: Seq(Hole(Bot()), GWrite("x", Lit(1)))}
-        (s,) = local_step(prog, {1: {}}, 1)
+        (s,) = steps_of(prog, {1: {}}, 1)
         assert s.kind == "eps" and s.at_hole
         assert s.cmd == GWrite("x", Lit(1))
 
     def test_value_in_assign_hole(self):
         # a returned call leaves bottom in its hole and its result in rval
         prog = {1: Assign("r", Hole(Bot()))}
-        (s,) = local_step(prog, {1: {"rval": 7}}, 1)
+        (s,) = steps_of(prog, {1: {"rval": 7}}, 1)
         assert s.kind == "eps" and s.ls["r"] == 7 and s.at_hole
 
     def test_hole_body_steps_carry_library_tag(self):
         body = Seq(Assign("r", Lit(1)), GWrite("x", Var("r")))
         prog = {1: Hole(body)}
-        (s,) = local_step(prog, {1: {}}, 1)
+        (s,) = steps_of(prog, {1: {}}, 1)
         assert s.lib is True
         assert s.kind == "eps" and s.ls == {"r": 1}
 
     def test_method_call_becomes_call_candidate(self):
         prog = {1: Hole(MethodCall("l", "acquire", (), "rl"))}
-        (s,) = local_step(prog, {1: {}}, 1)
+        (s,) = steps_of(prog, {1: {}}, 1)
         assert s.kind == "call" and s.action.meth == "acquire"
 
 

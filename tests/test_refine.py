@@ -203,9 +203,31 @@ class TestTraceRefinement:
     def test_reuses_the_simulation_exploration(self, impl):
         impl = builtin_impls()[impl]
         sim = check_simulation(impl, client(), 64)
-        shared = check_trace_refinement(impl, client(), 64,
-                                        explored=sim.explored)
+        shared = check_trace_refinement(impl, client(), 64, sim=sim)
         assert shared == check_trace_refinement(impl, client(), 64)
+
+    @pytest.mark.parametrize("client_name", ["seqlock-refine",
+                                             "lock-two-rounds"])
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_reuses_the_games_abstract_system(self, monkeypatch, impl,
+                                              client_name):
+        # the trace check builds no system: it explores the abstract
+        # system the game stepped, whose tables already hold its steps
+        impl, lf = builtin_impls()[impl], load_corpus(client_name)
+        sim = check_simulation(impl, lf, 64)
+        ctx = sim.abstract.ctx
+        stepped = set(ctx.thread_steps)
+        built = []
+        monkeypatch.setattr(rf, "build_system",
+                            lambda *a: built.append(a) or build_system(*a))
+        shared = check_trace_refinement(impl, lf, 64, sim=sim)
+        assert built == []
+        assert stepped and stepped <= set(ctx.thread_steps)
+        ab = explore(sim.abstract.cfg0, ctx, 64)
+        assert len(ctx.thread_states) == len({ts for cfg in ab.configs
+                                              for ts in cfg.locs})
+        assert shared == check_trace_refinement(impl, lf, 64)
+        assert len(built) == 2  # without sim: both systems, again
 
 
 class TestCounterexampleReplay:
@@ -320,7 +342,7 @@ class TestChecksAgree:
         lf = parse_litmus(LOCK_CLIENTS[client])
         sim = check_simulation(builtin_impls()[impl], lf, 64)
         trace = check_trace_refinement(builtin_impls()[impl], lf, 64,
-                                       explored=sim.explored)
+                                       sim=sim)
         assert sim.verdict != "unknown-beyond-bound"
         if sim.ok:
             assert trace.ok, trace.counterexample
@@ -349,7 +371,7 @@ class TestProjectionMemo:
         assert signed and len(signed) == len(set(signed))
 
         signed.clear()
-        check_trace_refinement(impl, client(), 64, explored=sim.explored)
+        check_trace_refinement(impl, client(), 64)  # a projector of its own
         system = build_system(client())
         ab = explore(system.cfg0, system.ctx, 64)
         components = ({c.gamma._parts() for c in ab.configs.values()} |
@@ -375,9 +397,7 @@ class TestProjectionMemo:
         sim = check_simulation(impl, client(), 64)
         in_game = set(signed)
         signed.clear()
-        shared = check_trace_refinement(impl, client(), 64,
-                                        explored=sim.explored,
-                                        projector=sim.projector)
+        shared = check_trace_refinement(impl, client(), 64, sim=sim)
         assert in_game.isdisjoint(signed)
         assert len(signed) == len(set(signed))
         assert shared == check_trace_refinement(impl, client(), 64)

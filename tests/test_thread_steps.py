@@ -75,6 +75,7 @@ def _fresh(ctx):
     out = copy.copy(ctx)
     out.thread_states, out.components, out.labels = {}, {}, {}
     out.thread_steps, out.component_steps = {}, {}
+    out.redexes, out.plugs = {}, {}
     return out
 
 
@@ -94,9 +95,9 @@ def test_each_thread_state_is_stepped_once(monkeypatch):
     calls = []
     original = program.local_step
 
-    def counting(prog, rho, t):
-        calls.append(t)
-        return original(prog, rho, t)
+    def counting(cmd, ls, redexes, plugs):
+        calls.append(cmd)
+        return original(cmd, ls, redexes, plugs)
 
     monkeypatch.setattr(program, "local_step", counting)
     system = build_system(load_corpus("lockmp"))
@@ -149,13 +150,14 @@ def test_systems_share_no_table():
     # two systems built from the same text intern and memoize apart
     a, b = (_build("lockmp") for _ in "ab")
     tables = ("thread_states", "components", "labels", "thread_steps",
-              "component_steps")
+              "component_steps", "redexes", "plugs")
     for system in (a, b):
         explore(system.cfg0, system.ctx, 64)
     for name in tables:
         ta, tb = getattr(a.ctx, name), getattr(b.ctx, name)
         assert ta and tb and ta is not tb
-    for name in ("thread_states", "components", "labels"):
+    for name in ("thread_states", "components", "labels", "redexes",
+                 "plugs"):
         ids = [{id(x) for x in getattr(s.ctx, name).values()}
                for s in (a, b)]
         assert ids[0].isdisjoint(ids[1])
