@@ -185,10 +185,7 @@ def dview(view: dict, state: ComponentState, x: str, n) -> bool:
 
 
 def eval_possible(state: ComponentState, t, x: str, u) -> bool:
-    try:
-        return any(wrval(w.action) == u for w in state.obs(t, x))
-    except StateError:
-        return False
+    return any(wrval(w.action) == u for w in state.obs(t, x))
 
 
 def eval_possible_meth(state: ComponentState, t, m: MethodInstance) -> bool:
@@ -204,19 +201,12 @@ def eval_definite(state: ComponentState, t, x: str, u) -> bool:
 
 
 def eval_definite_meth(state: ComponentState, t, m: MethodInstance) -> bool:
-    try:
-        top = state.max_op(m.obj)
-    except StateError:
-        return False
+    top = state.max_op(m.obj)
     return state.front(t, m.obj) == top.ts and m.matches(top.action)
 
 
 def eval_conditional(state: ComponentState, t, x: str, u, y: str, v) -> bool:
-    try:
-        witnesses = state.obs(t, x)
-    except StateError:
-        return True
-    for w in witnesses:
+    for w in state.obs(t, x):
         if wrval(w.action) != u:
             continue
         if not is_releasing_write(w.action):

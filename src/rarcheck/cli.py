@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .explore import check_hoare, check_outline, explore
@@ -90,6 +91,25 @@ def _jval(v):
 
 
 def _emit(report: dict, as_json: bool):
+    """Print the report and flush it.  A reader that has left (a closed
+    pipe) is no fault of the check, whose exit code still stands: the rest
+    of the output is dropped, and when stdout is a real file its descriptor
+    is pointed at devnull, so that the interpreter's own flush at exit does
+    not fail again (the Python docs' "Note on SIGPIPE")."""
+    try:
+        _print_report(report, as_json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # not a real file
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
+def _print_report(report: dict, as_json: bool):
     if as_json:
         print(json.dumps(report, indent=2, default=_jval))
         return
@@ -122,7 +142,7 @@ def _load(path: str):
 
 def _cmd_explore(args) -> int:
     system = _load(args.file)
-    res = explore(system.cfg0, system.ctx, args.max_steps)
+    res = explore(system.cfg0, system.ctx, args.max_steps, reduce=True)
     verdict, code, witness = "pass", OK, None
     if system.outline.final is not None:
         rep = check_hoare(system.cfg0, system.ctx, system.outline.pre,

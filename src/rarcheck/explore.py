@@ -19,6 +19,16 @@ action, components) key.  Exploration is a breadth-first search memoized on
 configurations, bounded by a scheduler-step budget with explicit truncation
 reporting.  It returns the reachable state graph, which every checker reads
 instead of stepping states again.
+
+Checks that read only terminal states, and the reachable components, explore
+reduced: the `explore` command, `check_hoare` and the FIFO oracle.  At a
+configuration where some thread's only move is silent and its run of silent
+moves ends, only the first such thread steps (an ample set: Peled, CAV 1993;
+Godefroid, LNCS 1032, 1996).  A reduced run keeps the terminal states, so the
+outcomes and hoare verdicts, the truncation flag (as the tests compare it
+with full runs), and, when it is not truncated, every reachable (gamma, beta)
+pair; it does not keep every configuration or edge.  `check_outline` and
+refinement read every state, and explore in full.
 """
 
 from __future__ import annotations
@@ -129,6 +139,11 @@ class SystemContext:
         # and (t, method, arguments, beta, gamma) -> the object rule's
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
+        # for reduced exploration: thread state -> whether it is silent-only
+        # (`_silent_only`), and tuple of thread states -> its ample set
+        # (`_ample`)
+        self.silent_only = {}
+        self.ample = {}
 
     def side_of(self, x):
         return "C" if x in self.client_vars else "L"
@@ -247,11 +262,95 @@ def _label_text(succ) -> str:
     return succ[0].text
 
 
-def successors(cfg: Configuration, ctx: SystemContext):
+def _silent(ts: ThreadState, ctx: SystemContext):
+    """ts's only local move, if it is silent; else None.  A thread state
+    whose step is an input error has no such move here: the error is
+    raised when exploration steps it."""
+    try:
+        moves = _moves(ts, ctx)
+    except program.ProgramError:
+        return None
+    if len(moves) == 1 and moves[0].step.kind == "eps":
+        return moves[0]
+    return None
+
+
+def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
+    """Whether ts's only local move is silent and its run of silent moves
+    ends, at a thread state with another move or none.  A silent step
+    depends on nothing but its thread state, so the run is one chain,
+    followed once and recorded for every thread state on it.
+
+    A thread in a silent loop, whose run never ends, is never an ample set
+    alone.  That is the cycle proviso, made static.  A cycle of ample steps
+    alone would bring every thread that moved on it back to its state by
+    silent steps only, that is, round a silent loop; so every cycle of a
+    reduced run holds a fully expanded configuration (condition C3 of
+    Clarke, Grumberg and Peled), and no thread is put off for ever.  It
+    also keeps the step bound's meaning: taking a silent loop's steps first
+    would put off every other thread by a whole iteration, so a reduced run
+    would reach their states only at deeper levels, and stop at the bound
+    where a full run does not."""
+    table = ctx.silent_only
+    found = table.get(ts)
+    if found is None:
+        run, on_run, cur = [], set(), ts
+        while True:
+            found = table.get(cur)
+            if found is not None:
+                # decided before: the run ends where cur's run ends, or at
+                # cur itself when cur's move is not silent
+                ends = found or _silent(cur, ctx) is None
+                break
+            move = _silent(cur, ctx)
+            if move is None:
+                table[cur] = False
+                ends = True
+                break
+            if cur in on_run:
+                ends = False
+                break
+            run.append(cur)
+            on_run.add(cur)
+            cur = move.next_state(ctx, cur.t, None)
+        for x in run:
+            table[x] = ends
+        found = table[ts]
+    return found
+
+
+def _ample(locs: tuple, ctx: SystemContext):
+    """The ample set of the thread states `locs`: the move of the first
+    thread (in thread order) that is silent-only (`_silent_only`), as
+    [(thread, label, thread states after)], or None when there is no such
+    thread.  A silent step changes only its own thread's command and
+    registers, so it commutes with every other thread's step, stays enabled
+    until taken, and no component or other thread can see it."""
+    ample = ctx.ample.get(locs, False)
+    if ample is False:
+        ample = None
+        for i, ts in enumerate(locs):
+            if _silent_only(ts, ctx):
+                move = _moves(ts, ctx)[0]
+                ample = [(ts.t, move.label,
+                          locs[:i] + (move.next_state(ctx, ts.t, None),)
+                          + locs[i + 1:])]
+                break
+        ctx.ample[locs] = ample
+    return ample
+
+
+def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False):
     """All (thread, label, configuration) successors, deterministically
-    ordered."""
-    out = []
+    ordered; with `reduce`, only the ample set's when the configuration has
+    one (`_ample`)."""
     locs, gamma, beta = cfg
+    if reduce:
+        ample = _ample(locs, ctx)
+        if ample is not None:
+            return [(t, label, Configuration((locs2, gamma, beta)))
+                    for t, label, locs2 in ample]
+    out = []
     for i, ts in enumerate(locs):
         t = ts.t
         found = []  # (label, thread state, gamma, beta)
@@ -379,9 +478,17 @@ class ExploreResult:
         return path
 
 
-def explore(cfg0: Configuration, ctx: SystemContext,
-            max_steps: int = 64) -> ExploreResult:
-    """Bounded exhaustive exploration memoized on configurations."""
+def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
+            reduce: bool = False) -> ExploreResult:
+    """Bounded exhaustive exploration memoized on configurations.
+
+    With `reduce`, a configuration that has an ample set (`_ample`) takes
+    only its step.  The reduced run reaches the same terminal states, so it
+    gives the same outcomes, and, when it is not truncated, the same
+    (gamma, beta) pairs; it does not keep every configuration or edge.  So
+    only checks that read no more than that reduce: the `explore` command,
+    `check_hoare` and the FIFO oracle.  `check_outline` and refinement read
+    every state, and explore in full."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     k0 = canonical_key(cfg0)
@@ -396,7 +503,7 @@ def explore(cfg0: Configuration, ctx: SystemContext,
         nxt_frontier = []
         expand = level < max_steps
         for cfg in frontier:
-            succs = successors(cfg, ctx)
+            succs = successors(cfg, ctx, reduce)
             if not succs:
                 edges[cfg] = ()
                 terminal_keys.append(cfg)
@@ -449,7 +556,8 @@ def check_hoare(cfg0, ctx, pre, post, max_steps: int = 64,
     ectx = ctx.eval_ctx()
     if pre is not None and not eval_assertion(pre, cfg0, ectx):
         return CheckReport("valid", detail="precondition unsatisfied")
-    res = explore(cfg0, ctx, max_steps) if explored is None else explored
+    res = explore(cfg0, ctx, max_steps, reduce=True) if explored is None \
+        else explored
     if post is not None:
         for k in res.terminal_keys:
             cfg = res.configs[k]

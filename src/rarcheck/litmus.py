@@ -770,7 +770,11 @@ def _check_view_atoms(clauses, tids, variables, obj_name):
     """Every pobs, dobs, cond, cvd and cvv atom of the clauses and
     annotations names a declared thread, declared variables and, in its
     method form, the declared object.  A view of anything else does not
-    exist: reading it as false or true would give a verdict for a typo."""
+    exist: reading it as false or true would give a verdict for a typo.
+    The declared variables are the client's and the object is the
+    library's, so a variable atom lifted to the library component (`@L`)
+    or a method atom lifted to the client's (`@C`) reads a column that
+    component does not have, and is rejected too."""
     for a in clauses:
         for atom in _atoms(a):
             if not isinstance(atom, _VIEW_ATOMS):
@@ -784,6 +788,13 @@ def _check_view_atoms(clauses, tids, variables, obj_name):
             m = getattr(atom, "m", None)
             if m is not None and m.obj != obj_name:
                 raise LitmusError(f"{_pa(atom)}: no object named {m.obj!r}")
+            comp = getattr(atom, "comp", None)
+            if comp == "L" and hasattr(atom, "var"):
+                raise LitmusError(f"{_pa(atom)}: {atom.var!r} is a client "
+                                  f"variable, not in the library component")
+            if comp == "C" and m is not None:
+                raise LitmusError(f"{_pa(atom)}: {m.obj!r} is the library "
+                                  f"object, not in the client component")
 
 
 def _atoms(a):

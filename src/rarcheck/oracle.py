@@ -51,7 +51,7 @@ def fifo_litmus(n_enqs: int) -> str:
 def fifo_check(n_enqs: int = 3, max_steps: int = 96) -> dict:
     """Explore the view-based queue and compare against the oracle."""
     system = build_system(parse_litmus(fifo_litmus(n_enqs)))
-    res = explore(system.cfg0, system.ctx, max_steps)
+    res = explore(system.cfg0, system.ctx, max_steps, reduce=True)
     regs = [f"r{i}" for i in range(1, n_enqs + 1)]
     model = {tuple(oc[r] for r in regs) for oc in res.outcomes}
     oracle = sequential_fifo_outcomes(list(range(1, n_enqs + 1)), n_enqs)

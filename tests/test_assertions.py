@@ -1,3 +1,5 @@
+import pytest
+
 from rarcheck.assertions import (AndA, BoolA, CondCross,
                                  DefMeth, DefVar,
                                  LocalPred, MethodInstance, NotA, PcIn,
@@ -12,7 +14,7 @@ from rarcheck.memory import mem_write
 from rarcheck.objects import lock_acquire, lock_release, lock_spec
 from rarcheck.program import Bin, Lit, Var
 from rarcheck.state import (LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
-                            make_init_states, write)
+                            StateError, make_init_states, write)
 
 
 def lock_system():
@@ -33,9 +35,12 @@ class TestPossible:
         _, g, _ = lock_system()
         assert not eval_possible(g, 1, "d1", 5)
 
-    def test_unknown_variable_false(self):
+    def test_unknown_variable_is_a_state_error(self):
+        # no view of it exists; `build_system` rejects every atom that
+        # would read one, so reaching this is a fault, not false
         _, g, _ = lock_system()
-        assert not eval_possible(g, 1, "zz", 0)
+        with pytest.raises(StateError):
+            eval_possible(g, 1, "zz", 0)
 
     def test_release_possible_for_waiting_thread(self):
         _, g, b = lock_system()

@@ -300,7 +300,10 @@ class TestOracle:
                                "fifo", "--enqs", "2", "--json"], env=env,
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stderr) == (0, "")
-        assert json.loads(done.stdout)["states_explored"] == 54
+        # 54 states in full; the oracle reads only terminal states and
+        # reachable components, so it explores reduced
+        # (test_reduction.test_fifo_state_counts pins both)
+        assert json.loads(done.stdout)["states_explored"] == 44
         bad = subprocess.run([sys.executable, "-m", "rarcheck", "oracle",
                               "fifo", "--enqs", "-1"], env=env,
                              capture_output=True, text=True, timeout=120)
@@ -506,6 +509,48 @@ class TestErrors:
             code, out, err = run(capsys, command, str(bad))
             assert (code, out, err) == (3, "", f"error: {error}\n"), command
 
+    @pytest.mark.parametrize("clause,atom", [
+        ("pobs(1, x=1)@L", "pobs(1, x=1)@L"),
+        ("not pobs(1, x=1)@L", "pobs(1, x=1)@L"),
+        ("cond(1, x=1, x=1)@L", "cond(1, x=1, x=1)@L"),
+        ("dobs(1, x=1)@L", "dobs(1, x=1)@L"),
+        ("pobs(1, x=0)@C and cond(1, x=1, x=1)@L", "cond(1, x=1, x=1)@L"),
+    ])
+    @pytest.mark.parametrize("command", ["explore", "outline", "hoare"])
+    def test_variable_lifted_to_the_library_is_an_input_error(
+            self, tmp_path, capsys, clause, atom, command):
+        # x is a client variable: the library component has no column for
+        # it, so no view of it there can be read as false or true
+        bad = tmp_path / "lift.lit"
+        bad.write_text(f"name t\ninit x := 0\nthread 1 {{ x := 1; }}\n"
+                       f"final {{ {clause} }}\n")
+        assert run(capsys, command, str(bad)) == (
+            3, "", f"error: {atom}: 'x' is a client variable, not in the "
+            f"library component\n")
+
+    @pytest.mark.parametrize("clause,atom", [
+        ("pobs(1, l.acquire_1)@C", "pobs(1, l.acquire_1)@C"),
+        ("not dobs(1, l.init_0)@C", "dobs(1, l.init_0)@C"),
+    ])
+    @pytest.mark.parametrize("command", ["explore", "outline", "hoare"])
+    def test_method_lifted_to_the_client_is_an_input_error(
+            self, tmp_path, capsys, clause, atom, command):
+        bad = tmp_path / "lift.lit"
+        bad.write_text(f"name t\ninit x := 0\nobject lock l\n"
+                       f"thread 1 {{ l.acquire(); }}\nfinal {{ {clause} }}\n")
+        assert run(capsys, command, str(bad)) == (
+            3, "", f"error: {atom}: 'l' is the library object, not in the "
+            f"client component\n")
+
+    def test_variable_lifted_to_the_client_is_read_there(self, tmp_path,
+                                                          capsys):
+        good = tmp_path / "lift.lit"
+        for clause, code in (("pobs(1, x=1)@C", 0), ("dobs(1, x=0)@C", 1),
+                             ("cond(1, x=1, x=1)@C", 1)):
+            good.write_text(f"name t\ninit x := 0\nthread 1 {{ x := 1; }}\n"
+                            f"final {{ {clause} }}\n")
+            assert run(capsys, "hoare", str(good))[0] == code, clause
+
     def test_view_of_an_undeclared_name_in_a_refine_client(self, tmp_path,
                                                            capsys):
         bad = tmp_path / "client.lit"
@@ -518,6 +563,27 @@ class TestErrors:
 
 
 CORPUS = Path(rarcheck.__file__).parent / "corpus"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["explore", str(CORPUS / "mp-relacq.lit")], 0),
+    (["explore", str(CORPUS / "queue-mp.lit"), "--json"], 2),
+    (["refine", "--impl", "seqlock-relaxed", "--client",
+      str(CORPUS / "lock-two-rounds.lit"), "--json"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    # a reader that has gone (`| head -c 10`) is no fault of rarcheck: the
+    # exit code is the check's, and nothing is printed to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(rarcheck.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "rarcheck", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (code, "")
 
 
 @pytest.fixture()

@@ -230,20 +230,44 @@ CORPUS_TOKENS = {
     if path.name.endswith(".lit")}
 
 
-def _mutated(draw, toks):
-    """The text of spaced tokens toks after one to three edits."""
+def _mutated(draw, toks, inner=None):
+    """The text of spaced tokens toks after one to three edits; with
+    `inner`, one flag per token, only flagged tokens are edited (a
+    duplicate is flagged too)."""
     toks = list(toks)
+    flags = None if inner is None else list(inner)
     for _ in range(draw(st.integers(1, 3))):
-        i = draw(st.integers(0, len(toks) - 1))
+        where = range(len(toks)) if flags is None else \
+            [k for k, flag in enumerate(flags) if flag]
+        i = where[draw(st.integers(0, len(where) - 1))]
         edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
         if edit == "delete":
             del toks[i]
+            if flags is not None:
+                del flags[i]
         elif edit == "duplicate":
             toks.insert(i, toks[i])
+            if flags is not None:
+                flags.insert(i, True)
         else:
-            j = draw(st.integers(0, len(toks) - 1))
+            j = where[draw(st.integers(0, len(where) - 1))]
             toks[i], toks[j] = toks[j], toks[i]
     return "".join(toks) + "\n"
+
+
+def body_tokens(toks):
+    """One flag per spaced token: whether it lies inside the braces of a
+    thread body or a clause.  In a generated file every brace at the top
+    level opens one of these."""
+    flags, depth = [], 0
+    for tok in toks:
+        text = tok.strip()
+        if text == "}":
+            depth -= 1
+        flags.append(depth > 0)
+        if text == "{":
+            depth += 1
+    return flags
 
 
 @st.composite
@@ -255,6 +279,14 @@ def mutated_corpus_files(draw):
 @st.composite
 def mutated_generated_files(draw):
     return _mutated(draw, spaced_tokens(draw(litmus_files())))
+
+
+@st.composite
+def mutated_generated_bodies(draw):
+    """The same edits, only inside thread bodies and clauses: the header
+    stays whole, so most examples get past the parser to the engine."""
+    toks = spaced_tokens(draw(litmus_files()))
+    return _mutated(draw, toks, body_tokens(toks))
 
 
 def test_spaced_tokens_read_back_as_the_corpus_file():
@@ -296,4 +328,10 @@ def test_spaced_tokens_read_back_as_generated_files(text):
 @settings(max_examples=100, deadline=None)
 @given(mutated_generated_files())
 def test_mutated_generated_files_exit_0_to_3(tmp_path_factory, text):
+    _exit_0_to_3(tmp_path_factory, text, "12")
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_generated_bodies())
+def test_mutated_generated_bodies_exit_0_to_3(tmp_path_factory, text):
     _exit_0_to_3(tmp_path_factory, text, "12")

@@ -150,15 +150,22 @@ def test_systems_share_no_table():
     # two systems built from the same text intern and memoize apart
     a, b = (_build("lockmp") for _ in "ab")
     tables = ("thread_states", "components", "labels", "thread_steps",
-              "component_steps", "redexes", "plugs")
+              "component_steps", "redexes", "plugs", "silent_only", "ample")
     for system in (a, b):
         explore(system.cfg0, system.ctx, 64)
+        explore(system.cfg0, system.ctx, 64, reduce=True)
     for name in tables:
         ta, tb = getattr(a.ctx, name), getattr(b.ctx, name)
         assert ta and tb and ta is not tb
     for name in ("thread_states", "components", "labels", "redexes",
                  "plugs"):
         ids = [{id(x) for x in getattr(s.ctx, name).values()}
+               for s in (a, b)]
+        assert ids[0].isdisjoint(ids[1])
+    # the reduction's tables are keyed by one system's thread states
+    for name in ("silent_only", "ample"):
+        ids = [{id(ts) for key in getattr(s.ctx, name)
+                for ts in (key if name == "ample" else (key,))}
                for s in (a, b)]
         assert ids[0].isdisjoint(ids[1])
 
