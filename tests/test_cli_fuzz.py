@@ -235,20 +235,16 @@ def _mutated(draw, toks, inner=None):
     `inner`, one flag per token, only flagged tokens are edited (a
     duplicate is flagged too)."""
     toks = list(toks)
-    flags = None if inner is None else list(inner)
+    flags = [True] * len(toks) if inner is None else list(inner)
     for _ in range(draw(st.integers(1, 3))):
-        where = range(len(toks)) if flags is None else \
-            [k for k, flag in enumerate(flags) if flag]
+        where = [k for k, flag in enumerate(flags) if flag]
         i = where[draw(st.integers(0, len(where) - 1))]
         edit = draw(st.sampled_from(["delete", "duplicate", "swap"]))
         if edit == "delete":
-            del toks[i]
-            if flags is not None:
-                del flags[i]
+            del toks[i], flags[i]
         elif edit == "duplicate":
             toks.insert(i, toks[i])
-            if flags is not None:
-                flags.insert(i, True)
+            flags.insert(i, True)
         else:
             j = where[draw(st.integers(0, len(where) - 1))]
             toks[i], toks[j] = toks[j], toks[i]
@@ -284,7 +280,7 @@ def mutated_generated_files(draw):
 @st.composite
 def mutated_generated_bodies(draw):
     """The same edits, only inside thread bodies and clauses: the header
-    stays whole, so most examples get past the parser to the engine."""
+    stays whole, so no example stops on its first lines."""
     toks = spaced_tokens(draw(litmus_files()))
     return _mutated(draw, toks, body_tokens(toks))
 
