@@ -43,13 +43,22 @@ def _int_at_least(least: int):
     return parse
 
 
+# `explore` and `hoare` explore reduced (`explore.explore`)
+_REDUCED_BOUND_HELP = (
+    "scheduler-step bound (default 64).  The run is reduced: one thread's "
+    "silent steps go first, so an input error in another thread's step may "
+    "lie beyond a bound that `outline` meets it within (exit 2 where "
+    "`outline` exits 3)")
+
+
 def _build_parser():
     p = _Argparser(prog="rarcheck", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     ex = sub.add_parser("explore", help="enumerate terminal outcomes")
     ex.add_argument("file")
-    ex.add_argument("--max-steps", type=_int_at_least(1), default=64)
+    ex.add_argument("--max-steps", type=_int_at_least(1), default=64,
+                    help=_REDUCED_BOUND_HELP)
     ex.add_argument("--json", action="store_true")
 
     ol = sub.add_parser("outline", help="check a proof outline")
@@ -59,7 +68,8 @@ def _build_parser():
 
     ho = sub.add_parser("hoare", help="check {pre} program {final}")
     ho.add_argument("file")
-    ho.add_argument("--max-steps", type=_int_at_least(1), default=64)
+    ho.add_argument("--max-steps", type=_int_at_least(1), default=64,
+                    help=_REDUCED_BOUND_HELP)
     ho.add_argument("--json", action="store_true")
 
     rf = sub.add_parser("refine", help="check forward simulation")

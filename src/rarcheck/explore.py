@@ -22,13 +22,14 @@ instead of stepping states again.
 
 Checks that read only terminal states, and the reachable components, explore
 reduced: the `explore` command, `check_hoare` and the FIFO oracle.  At a
-configuration where some thread's only move is silent and its run of silent
-moves ends, only the first such thread steps (an ample set: Peled, CAV 1993;
-Godefroid, LNCS 1032, 1996).  A reduced run keeps the terminal states, so the
-outcomes and hoare verdicts, the truncation flag (as the tests compare it
-with full runs), and, when it is not truncated, every reachable (gamma, beta)
-pair; it does not keep every configuration or edge.  `check_outline` and
-refinement read every state, and explore in full.
+configuration where some thread's only move is silent and no loop lies on
+its command's spine, only the first such thread steps (an ample set: Peled,
+CAV 1993; Godefroid, LNCS 1032, 1996).  A reduced run keeps the terminal
+states, so the outcomes and hoare verdicts, the truncation flag (as the
+tests compare it with full runs), and, when it is not truncated, every
+reachable (gamma, beta) pair; it does not keep every configuration or
+edge.  `check_outline` and refinement read every state, and explore in
+full.
 """
 
 from __future__ import annotations
@@ -262,60 +263,56 @@ def _label_text(succ) -> str:
     return succ[0].text
 
 
-def _silent(ts: ThreadState, ctx: SystemContext):
-    """ts's only local move, if it is silent; else None.  A thread state
-    whose step is an input error has no such move here: the error is
-    raised when exploration steps it."""
-    try:
-        moves = _moves(ts, ctx)
-    except program.ProgramError:
-        return None
-    if len(moves) == 1 and moves[0].step.kind == "eps":
-        return moves[0]
-    return None
+def _may_recur(cmd) -> bool:
+    """Whether a loop lies on cmd's spine: the parts that run next, down
+    sequences, labels, holes and bodies, but not the branches of an
+    unevaluated `if` or a loop's body.  Only a loop's unfolding makes a
+    command larger, and a thread state can come back only by unfolding a
+    loop on its spine; so a thread state whose command has none never
+    recurs, and its run of silent moves is no longer than its command."""
+    stack = [cmd]
+    while stack:
+        c = stack.pop()
+        if isinstance(c, program.While):
+            return True
+        if isinstance(c, program.Seq):
+            stack += (c.a, c.b)
+        elif isinstance(c, (program.Labeled, program.Body)):
+            stack.append(c.cmd)
+        elif isinstance(c, program.Hole) and c.content is not None:
+            stack.append(c.content)
+        elif isinstance(c, program.Assign) and \
+                isinstance(c.src, program.Hole):
+            stack.append(c.src)
+    return False
 
 
 def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
-    """Whether ts's only local move is silent and its run of silent moves
-    ends, at a thread state with another move or none.  A silent step
-    depends on nothing but its thread state, so the run is one chain,
-    followed once and recorded for every thread state on it.
+    """Whether ts's only local move is silent and ts never recurs
+    (`_may_recur`).  A thread state whose step is an input error is not:
+    the error is raised when exploration steps it.
 
-    A thread in a silent loop, whose run never ends, is never an ample set
-    alone.  That is the cycle proviso, made static.  A cycle of ample steps
-    alone would bring every thread that moved on it back to its state by
-    silent steps only, that is, round a silent loop; so every cycle of a
-    reduced run holds a fully expanded configuration (condition C3 of
-    Clarke, Grumberg and Peled), and no thread is put off for ever.  It
-    also keeps the step bound's meaning: taking a silent loop's steps first
-    would put off every other thread by a whole iteration, so a reduced run
-    would reach their states only at deeper levels, and stop at the bound
-    where a full run does not."""
-    table = ctx.silent_only
-    found = table.get(ts)
+    That ts never recurs is the cycle proviso, made static: a cycle of
+    ample steps alone would bring each thread that moved on it back to its
+    state, so every cycle of a reduced run holds a fully expanded
+    configuration (condition C3 of Clarke, Grumberg and Peled), and no
+    thread is put off for ever.  It also keeps the step bound's meaning.
+    An ample step can be moved to the front of any path that takes it
+    later, at no cost in length.  Every path to a configuration in which
+    no thread is silent-only takes each ample step it passes, so such a
+    configuration lies at the same level in a reduced and in a full run.
+    Were a thread at a loop's head ample, as it comes back there, a
+    reduced run could reach a configuration one loop iteration later than
+    a full run, and stop at the bound where a full run does not."""
+    found = ctx.silent_only.get(ts)
     if found is None:
-        run, on_run, cur = [], set(), ts
-        while True:
-            found = table.get(cur)
-            if found is not None:
-                # decided before: the run ends where cur's run ends, or at
-                # cur itself when cur's move is not silent
-                ends = found or _silent(cur, ctx) is None
-                break
-            move = _silent(cur, ctx)
-            if move is None:
-                table[cur] = False
-                ends = True
-                break
-            if cur in on_run:
-                ends = False
-                break
-            run.append(cur)
-            on_run.add(cur)
-            cur = move.next_state(ctx, cur.t, None)
-        for x in run:
-            table[x] = ends
-        found = table[ts]
+        try:
+            moves = _moves(ts, ctx)
+        except program.ProgramError:
+            moves = ()
+        found = ctx.silent_only[ts] = (
+            len(moves) == 1 and moves[0].step.kind == "eps"
+            and not _may_recur(ts.cmd))
     return found
 
 

@@ -334,6 +334,24 @@ class TestErrors:
         assert out == ""
         assert err.count("\n") == 1 and "--max-steps" in err
 
+    @pytest.mark.parametrize("max_steps,reduced,full", [
+        (1, 2, 2), (2, 2, 3), (4, 2, 3), (5, 3, 3)])
+    def test_input_error_beyond_a_reduced_bound(self, tmp_path, capsys,
+                                                max_steps, reduced, full):
+        # explore and hoare run thread 1's silent steps first, so at bounds
+        # 2 to 4 they stop on the bound before thread 2's faulty second
+        # step, which the full run of outline reaches at level 2
+        path = tmp_path / "error-behind.lit"
+        path.write_text("name error-behind\ninit x := 0\n"
+                        "thread 1 { a1 := 0; b1 := 0; }\n"
+                        "thread 2 { x := 1; c2 := - (true); }\n")
+        for command, code in (("explore", reduced), ("hoare", reduced),
+                              ("outline", full)):
+            got, _, err = run(capsys, command, str(path), "--max-steps",
+                              str(max_steps))
+            assert got == code, command
+            assert err.count("error:") == (code == 3)
+
     def test_negative_enqueue_count(self, capsys):
         code, out, err = run(capsys, "oracle", "fifo", "--enqs", "-1")
         assert code == 3
