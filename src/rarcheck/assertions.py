@@ -1,9 +1,15 @@
 """Observability assertions over (local-states, client, library) triples.
 
-Atoms describe what a thread may or must observe: possible observation,
-definite observation, conditional observation (same-component and the
-library-to-client form used for synchronising method calls), covered
-operations and hidden values, plus program-counter and local predicates.
+Three view atoms describe what a thread may or must observe of a subject:
+possible observation (`pobs`), definite observation (`dobs`) and
+conditional observation (`cond`, whose recorded views pin a client
+variable).  A subject is a variable test `x = e`, read in the client
+component, or a method instance `o.m_i`, read in the library component;
+each atom has one evaluator over (component, column, action test) for
+both kinds.  A lift (`@C`/`@L`) is checked when the system is built
+(`litmus.build_system`) and never chooses a component.  Covered operations
+and hidden values of the object (`cvd`, `cvv`), program-counter and
+register predicates complete the language.
 """
 
 from __future__ import annotations
@@ -11,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import program
-from .state import (ComponentState, StateError, is_modifying,
-                    is_releasing_write, wrval, LOCK_ACQUIRE, LOCK_RELEASE)
+from .state import ComponentState, StateError, is_releasing_write, wrval
 
 
 @dataclass(frozen=True)
@@ -87,51 +92,38 @@ class ExistsA:
 
 
 @dataclass(frozen=True)
-class PossVar:
-    t: object
+class VarEq:
+    """The variable subject `x = e`: operations on x that wrote e's value."""
     var: str
     val: object  # expression
+
+
+# A view atom's subject is a VarEq or a MethodInstance.  The subject picks
+# the component: a variable is the client's, the object the library's.  The
+# lift (`@C`/`@L`, or None) is kept for printing and for `build_system`'s
+# check that it names the subject's component; it never chooses one.
+
+@dataclass(frozen=True)
+class Poss:
+    t: object
+    subject: object
     comp: object = None
 
 
 @dataclass(frozen=True)
-class PossMeth:
+class Def:
     t: object
-    m: MethodInstance
+    subject: object
     comp: object = None
 
 
 @dataclass(frozen=True)
-class DefVar:
+class Cond:
     t: object
-    var: str
-    val: object
+    subject: object
+    y: str
+    v: object  # expression
     comp: object = None
-
-
-@dataclass(frozen=True)
-class DefMeth:
-    t: object
-    m: MethodInstance
-    comp: object = None
-
-
-@dataclass(frozen=True)
-class CondVar:
-    t: object
-    var: str
-    val: object
-    tgt: str
-    tgtval: object
-    comp: object = None
-
-
-@dataclass(frozen=True)
-class CondCross:
-    t: object
-    m: MethodInstance
-    tgt: str
-    tgtval: object
 
 
 @dataclass(frozen=True)
@@ -169,63 +161,40 @@ class ProofOutline:
 
 
 # --- state-level primitives -------------------------------------------------
+#
+# The view atoms read one column x of one component sigma, and an action
+# test picks the operations on x that the atom's subject names.  Every
+# operation on a variable's column is a write or an update, so a variable's
+# top operation is its last write.
 
-def last_write(state: ComponentState, x: str):
-    for op in reversed(state.ops_on(x)):
-        if is_modifying(op.action):
-            return op
-    return None
-
-
-def dview(view: dict, state: ComponentState, x: str, n) -> bool:
-    """view (variable -> position) pins x to the last write in state and that
-    write wrote n."""
-    lw = last_write(state, x)
-    return lw is not None and view.get(x) == lw.ts and wrval(lw.action) == n
+def wrote(u):
+    """The action test of a variable subject: the operation wrote u."""
+    return lambda a: wrval(a) == u
 
 
-def eval_possible(state: ComponentState, t, x: str, u) -> bool:
-    return any(wrval(w.action) == u for w in state.obs(t, x))
+def pobs(sigma: ComponentState, t, x: str, test) -> bool:
+    """Thread t can observe an operation on x that passes test."""
+    return any(test(op.action) for op in sigma.obs(t, x))
 
 
-def eval_possible_meth(state: ComponentState, t, m: MethodInstance) -> bool:
-    lo = state.front(t, m.obj)
-    return lo is not None and any(m.matches(op.action)
-                                  for op in state.ops_on(m.obj) if op.ts >= lo)
+def dobs(sigma: ComponentState, t, x: str, test) -> bool:
+    """Thread t views x's top operation, and that operation passes test."""
+    top = sigma.max_op(x)
+    return sigma.front(t, x) == top.ts and test(top.action)
 
 
-def eval_definite(state: ComponentState, t, x: str, u) -> bool:
-    lw = last_write(state, x)
-    return (lw is not None and state.front(t, x) == lw.ts
-            and wrval(lw.action) == u)
+def cond(sigma: ComponentState, t, x: str, test, releases,
+         client: ComponentState, y: str, v) -> bool:
+    """Every operation on x that thread t can observe and that passes test
+    releases, and its recorded view pins client variable y to its last
+    write in client, which wrote v."""
+    return all(releases(op.action) and _pins(sigma.recorded(op), client, y, v)
+               for op in sigma.obs(t, x) if test(op.action))
 
 
-def eval_definite_meth(state: ComponentState, t, m: MethodInstance) -> bool:
-    top = state.max_op(m.obj)
-    return state.front(t, m.obj) == top.ts and m.matches(top.action)
-
-
-def eval_conditional(state: ComponentState, t, x: str, u, y: str, v) -> bool:
-    for w in state.obs(t, x):
-        if wrval(w.action) != u:
-            continue
-        if not is_releasing_write(w.action):
-            return False
-        if not dview(state.recorded(w), state, y, v):
-            return False
-    return True
-
-
-def eval_cond_cross(lib: ComponentState, cli: ComponentState, t,
-                    m: MethodInstance, y: str, v, spec) -> bool:
-    if spec is None or not spec.is_sync(m):
-        return False
-    lo = lib.front(t, m.obj)
-    if lo is None:
-        return False
-    return all(dview(lib.recorded(op), cli, y, v)
-               for op in lib.ops_on(m.obj)
-               if op.ts >= lo and m.matches(op.action))
+def _pins(view: dict, client: ComponentState, y: str, v) -> bool:
+    top = client.max_op(y)
+    return view[y] == top.ts and wrval(top.action) == v
 
 
 def eval_covered(state: ComponentState, m: MethodInstance) -> bool:
@@ -245,21 +214,12 @@ def eval_hidden(state: ComponentState, m: MethodInstance) -> bool:
 # --- configuration-level evaluation -----------------------------------------
 
 class EvalCtx:
-    """What assertion evaluation needs besides the configuration itself."""
+    """What assertion evaluation needs besides the configuration itself: the
+    library object's spec (None: no object) and each thread's label count."""
 
-    def __init__(self, side_of, objects=None, n_labels=None):
-        self.side_of = side_of  # var -> 'C' | 'L'
-        self.objects = objects or {}
+    def __init__(self, spec=None, n_labels=None):
+        self.spec = spec
         self.n_labels = n_labels or {}
-
-    def component(self, cfg, atom_comp, var=None, default="C"):
-        if atom_comp:
-            side = atom_comp
-        elif var is not None:
-            side = self.side_of(var)
-        else:
-            side = default
-        return cfg.gamma if side == "C" else cfg.beta
 
 
 def _merged_locals(cfg) -> dict:
@@ -273,6 +233,14 @@ def _resolve(valexpr, env):
     if isinstance(valexpr, (program.Lit, program.Var, program.Un, program.Bin)):
         return program.eval_expr(valexpr, env)
     return valexpr
+
+
+def _column(subject, cfg, env):
+    """The component, column and action test that a view atom's subject
+    names: a variable is read in the client, the object in the library."""
+    if isinstance(subject, MethodInstance):
+        return cfg.beta, subject.obj, subject.matches
+    return cfg.gamma, subject.var, wrote(_resolve(subject.val, env))
 
 
 def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
@@ -297,26 +265,22 @@ def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
     if isinstance(a, ExistsA):
         return any(eval_assertion(a.body, cfg, ctx, {**env, a.name: v})
                    for v in a.values)
-    if isinstance(a, PossVar):
-        sigma = ctx.component(cfg, a.comp, a.var)
-        return eval_possible(sigma, a.t, a.var, _resolve(a.val, env))
-    if isinstance(a, PossMeth):
-        sigma = ctx.component(cfg, a.comp, default="L")
-        return eval_possible_meth(sigma, a.t, a.m)
-    if isinstance(a, DefVar):
-        sigma = ctx.component(cfg, a.comp, a.var)
-        return eval_definite(sigma, a.t, a.var, _resolve(a.val, env))
-    if isinstance(a, DefMeth):
-        sigma = ctx.component(cfg, a.comp, default="L")
-        return eval_definite_meth(sigma, a.t, a.m)
-    if isinstance(a, CondVar):
-        sigma = ctx.component(cfg, a.comp, a.var)
-        return eval_conditional(sigma, a.t, a.var, _resolve(a.val, env),
-                                a.tgt, _resolve(a.tgtval, env))
-    if isinstance(a, CondCross):
-        spec = ctx.objects.get(a.m.obj)
-        return eval_cond_cross(cfg.beta, cfg.gamma, a.t, a.m, a.tgt,
-                               _resolve(a.tgtval, env), spec)
+    if isinstance(a, (Poss, Def, Cond)):
+        sigma, x, test = _column(a.subject, cfg, env)
+        if isinstance(a, Poss):
+            return pobs(sigma, a.t, x, test)
+        if isinstance(a, Def):
+            return dobs(sigma, a.t, x, test)
+        if isinstance(a.subject, VarEq):
+            releases = is_releasing_write
+        elif ctx.spec is not None and ctx.spec.is_sync(a.subject):
+            # a method instance synchronises as a whole, not operation by
+            # operation: `q.deq` also matches empty dequeues
+            releases = lambda _: True
+        else:
+            return False
+        return cond(sigma, a.t, x, test, releases, cfg.gamma, a.y,
+                    _resolve(a.v, env))
     if isinstance(a, CoveredA):
         return eval_covered(cfg.beta, a.m)
     if isinstance(a, HiddenA):
@@ -330,89 +294,3 @@ def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
     if isinstance(a, LocalPred):
         return bool(program.eval_expr(a.expr, env))
     raise TypeError(f"not an assertion: {a!r}")
-
-
-# --- executable lock-step reasoning rules ------------------------------------
-#
-# Hoare-style laws about abstract lock steps, checked over every reachable
-# configuration of a lock client and every enabled acquire/release step.
-# Each rule is (rule-id, instance, applies, pre, post) instantiated over
-# finite parameter ranges.
-
-def lock_rules(lock: str, versions, client_vars, values, threads, spec):
-    """Instantiate the six acquire/release rules over parameter ranges.
-
-    Yields (rule-id, instance-description, applies, pre, post) where
-    applies takes (t, action), pre takes cfg, post takes (cfg2, action).
-    """
-    def rel(u):
-        return MethodInstance(lock, LOCK_RELEASE, index=u)
-
-    def acq(u):
-        return MethodInstance(lock, LOCK_ACQUIRE, index=u)
-
-    # release versions are even and start at 2; acquire versions are odd
-    for u in [u for u in versions if u >= 2 and u % 2 == 0]:
-        yield (1, f"u={u}",
-               lambda t, a: a.kind == LOCK_ACQUIRE,
-               lambda cfg, u=u: eval_hidden(cfg.beta, rel(u)),
-               lambda cfg2, a, u=u: a.index > u + 1)
-        yield (2, f"u={u}",
-               lambda t, a: a.kind in (LOCK_ACQUIRE, LOCK_RELEASE),
-               lambda cfg, u=u: eval_hidden(cfg.beta, rel(u)),
-               lambda cfg2, a, u=u: eval_hidden(cfg2.beta, rel(u)))
-        for t0 in threads:
-            yield (3, f"u={u},t={t0}",
-                   lambda t, a, t0=t0: a.kind == LOCK_ACQUIRE and t == t0,
-                   lambda cfg, u=u, t0=t0:
-                       eval_definite_meth(cfg.beta, t0, rel(u)),
-                   lambda cfg2, a, u=u, t0=t0:
-                       eval_definite_meth(cfg2.beta, t0, acq(u + 1)))
-        for x in client_vars:
-            for v in values:
-                for t0 in threads:
-                    yield (4, f"u={u},x={x},v={v},t={t0}",
-                           lambda t, a, t0=t0:
-                               a.kind in (LOCK_ACQUIRE, LOCK_RELEASE)
-                               and t != t0,
-                           lambda cfg, x=x, v=v, t0=t0:
-                               eval_definite(cfg.gamma, t0, x, v),
-                           lambda cfg2, a, x=x, v=v, t0=t0:
-                               eval_definite(cfg2.gamma, t0, x, v))
-                    yield (5, f"u={u},x={x},v={v},t={t0}",
-                           lambda t, a, t0=t0:
-                               a.kind == LOCK_ACQUIRE and t == t0,
-                           lambda cfg, u=u, x=x, v=v, t0=t0:
-                               eval_cond_cross(cfg.beta, cfg.gamma, t0,
-                                               rel(u), x, v, spec),
-                           lambda cfg2, a, u=u, x=x, v=v, t0=t0:
-                               a.index != u + 1
-                               or eval_definite(cfg2.gamma, t0, x, v))
-                    for t1 in threads:
-                        if t1 == t0:
-                            continue
-                        yield (6, f"u={u},x={x},v={v},t={t0},t'={t1}",
-                               lambda t, a, u=u, t0=t0:
-                                   a.kind == LOCK_RELEASE and t == t0
-                                   and a.index == u,
-                               lambda cfg, u=u, x=x, v=v, t0=t0, t1=t1:
-                                   not eval_possible_meth(cfg.beta, t1, rel(u))
-                                   and eval_definite(cfg.gamma, t0, x, v),
-                               lambda cfg2, a, u=u, x=x, v=v, t1=t1:
-                                   eval_cond_cross(cfg2.beta, cfg2.gamma, t1,
-                                                   rel(u), x, v, spec))
-
-
-def check_lock_rules(steps, rules):
-    """steps: iterable of (cfg, t, action, cfg2) for abstract lock steps.
-    Returns violations as (rule-id, instance, cfg, action)."""
-    violations = []
-    for rule_id, inst, applies, pre, post in rules:
-        for cfg, t, action, cfg2 in steps:
-            if not applies(t, action):
-                continue
-            if not pre(cfg):
-                continue
-            if not post(cfg2, action):
-                violations.append((rule_id, inst, cfg, action))
-    return violations

@@ -93,12 +93,6 @@ class Configuration(tuple):
                 return ts
         raise KeyError(t)
 
-    def key(self):
-        return canonical_key(self)
-
-    def terminated(self) -> bool:
-        return all(program.is_done(ts.cmd) for ts in self.locs)
-
 
 def canonical_key(cfg: Configuration) -> Configuration:
     """The key a configuration is memoized under: the configuration
@@ -107,18 +101,17 @@ def canonical_key(cfg: Configuration) -> Configuration:
 
 
 class SystemContext:
-    """Static facts about one litmus system: threads, the library object (if
-    any), variable components and labelling; and the tables that hash-cons
-    the system's thread states, components and step labels, so that equal
-    parts are one object, and memoize their transitions.  The tables belong
-    to one system: a component's key leaves out its layout, so components
-    of two systems must never meet in one table."""
+    """Static facts about one litmus system: threads, the library object's
+    spec (if any), labelling and the registers the final clause reads; and
+    the tables that hash-cons the system's thread states, components and
+    step labels, so that equal parts are one object, and memoize their
+    transitions.  The tables belong to one system: a component's key leaves
+    out its layout, so components of two systems must never meet in one
+    table."""
 
-    def __init__(self, threads, client_vars, library_vars, object_spec=None,
-                 n_labels=None, observed=None):
+    def __init__(self, threads, object_spec=None, n_labels=None,
+                 observed=None):
         self.threads = tuple(sorted(threads))
-        self.client_vars = frozenset(client_vars)
-        self.library_vars = frozenset(library_vars)
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
         self.observed = tuple(observed or ())
@@ -146,13 +139,8 @@ class SystemContext:
         self.silent_only = {}
         self.ample = {}
 
-    def side_of(self, x):
-        return "C" if x in self.client_vars else "L"
-
     def eval_ctx(self) -> EvalCtx:
-        specs = {self.object_spec.name: self.object_spec} \
-            if self.object_spec else {}
-        return EvalCtx(self.side_of, specs, self.n_labels)
+        return EvalCtx(self.object_spec, self.n_labels)
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
         return self.thread_states.setdefault((t, cmd, frozenset(ls.items())),

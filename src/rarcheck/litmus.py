@@ -482,13 +482,8 @@ class Parser:
             self.expect("punct", ",")
             subject = self.parse_subject()
             self.expect("punct", ")")
-            comp = self.parse_lift()
-            if isinstance(subject, A.MethodInstance):
-                cls = A.PossMeth if t.text == "pobs" else A.DefMeth
-                return cls(tid, subject, comp)
-            x, v = subject
-            cls = A.PossVar if t.text == "pobs" else A.DefVar
-            return cls(tid, x, v, comp)
+            cls = A.Poss if t.text == "pobs" else A.Def
+            return cls(tid, subject, self.parse_lift())
         if t.kind == "name" and t.text == "cond":
             self.next()
             self.expect("punct", "(")
@@ -496,13 +491,9 @@ class Parser:
             self.expect("punct", ",")
             subject = self.parse_subject()
             self.expect("punct", ",")
-            tgt, tv = self.parse_vareq()
+            pin = self.parse_vareq()
             self.expect("punct", ")")
-            comp = self.parse_lift()
-            if isinstance(subject, A.MethodInstance):
-                return A.CondCross(tid, subject, tgt, tv)
-            x, v = subject
-            return A.CondVar(tid, x, v, tgt, tv, comp)
+            return A.Cond(tid, subject, pin.var, pin.val, self.parse_lift())
         if t.kind == "name" and t.text in ("cvd", "cvv"):
             self.next()
             self.expect("punct", "(")
@@ -547,7 +538,7 @@ class Parser:
     def parse_vareq(self):
         x = self.expect("name").text
         self.expect("op", "=")
-        return x, self.parse_factor()
+        return A.VarEq(x, self.parse_factor())
 
     def parse_minst(self) -> A.MethodInstance:
         obj = self.expect("name").text
@@ -692,7 +683,6 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     # library side
     spec = None
     library = None
-    library_vars = set()
     if impl is not None and (obj is None or obj[0] != "lock"):
         raise LitmusError("an implementation needs a lock object")
     if obj is not None:
@@ -702,10 +692,8 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     if impl is not None:
         spec = None  # the implementation's variables replace the object
         library = ("impl", impl.init)
-        library_vars = {x for x, _ in impl.init}
     elif obj is not None:
         library = (obj[0], obj_name)
-        library_vars = {obj_name}
 
     resolve = partial(_resolve, client_vars, impl)
     progs = {t: P.map_stmts(resolve, progs[t]) for t in tids}
@@ -715,8 +703,7 @@ def build_system(lf: LitmusFile, impl=None) -> System:
 
     observed = _observed_registers(lf, local_evidence)
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
-    ctx = SystemContext(tids, client_vars, library_vars, spec, n_labels,
-                        observed)
+    ctx = SystemContext(tids, spec, n_labels, observed)
     cfg0 = ctx.configuration(progs, rho, gamma, beta)
     annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
                        if ann is not None} for t, stmts in lf.threads}
@@ -762,10 +749,6 @@ def _check_calls(progs, spec):
                     f"{spec.name}.{call.meth} takes {n}")
 
 
-_VIEW_ATOMS = (A.PossVar, A.PossMeth, A.DefVar, A.DefMeth, A.CondVar,
-               A.CondCross, A.CoveredA, A.HiddenA)
-
-
 def _check_view_atoms(clauses, tids, variables, obj_name):
     """Every pobs, dobs, cond, cvd and cvv atom of the clauses and
     annotations names a declared thread, declared variables and, in its
@@ -773,27 +756,32 @@ def _check_view_atoms(clauses, tids, variables, obj_name):
     exist: reading it as false or true would give a verdict for a typo.
     The declared variables are the client's and the object is the
     library's, so a variable atom lifted to the library component (`@L`)
-    or a method atom lifted to the client's (`@C`) reads a column that
+    or a method atom lifted to the client's (`@C`) names a column that
     component does not have, and is rejected too."""
     for a in clauses:
         for atom in _atoms(a):
-            if not isinstance(atom, _VIEW_ATOMS):
+            if isinstance(atom, (A.Poss, A.Def, A.Cond)):
+                if atom.t not in tids:
+                    raise LitmusError(f"{_pa(atom)}: no thread {atom.t}")
+                s, comp = atom.subject, atom.comp
+                pins = (atom.y,) if isinstance(atom, A.Cond) else ()
+            elif isinstance(atom, (A.CoveredA, A.HiddenA)):
+                s, comp, pins = atom.m, None, ()
+            else:
                 continue
-            if hasattr(atom, "t") and atom.t not in tids:
-                raise LitmusError(f"{_pa(atom)}: no thread {atom.t}")
-            for x in (getattr(atom, "var", None), getattr(atom, "tgt", None)):
-                if x is not None and x not in variables:
+            for x in ((s.var,) if isinstance(s, A.VarEq) else ()) + pins:
+                if x not in variables:
                     raise LitmusError(
                         f"{_pa(atom)}: undeclared variable {x!r}")
-            m = getattr(atom, "m", None)
-            if m is not None and m.obj != obj_name:
-                raise LitmusError(f"{_pa(atom)}: no object named {m.obj!r}")
-            comp = getattr(atom, "comp", None)
-            if comp == "L" and hasattr(atom, "var"):
-                raise LitmusError(f"{_pa(atom)}: {atom.var!r} is a client "
-                                  f"variable, not in the library component")
-            if comp == "C" and m is not None:
-                raise LitmusError(f"{_pa(atom)}: {m.obj!r} is the library "
+            if isinstance(s, A.VarEq):
+                if comp == "L":
+                    raise LitmusError(f"{_pa(atom)}: {s.var!r} is a client "
+                                      f"variable, not in the library "
+                                      f"component")
+            elif s.obj != obj_name:
+                raise LitmusError(f"{_pa(atom)}: no object named {s.obj!r}")
+            elif comp == "C":
+                raise LitmusError(f"{_pa(atom)}: {s.obj!r} is the library "
                                   f"object, not in the client component")
 
 
@@ -929,6 +917,12 @@ def _pminst(m: A.MethodInstance) -> str:
     return base
 
 
+def _psubject(s) -> str:
+    if isinstance(s, A.MethodInstance):
+        return _pminst(s)
+    return f"{s.var}={_pe(s.val)}"
+
+
 def _pa(a) -> str:
     lift = lambda c: f"@{c}" if c else ""
     if isinstance(a, A.BoolA):
@@ -947,19 +941,13 @@ def _pa(a) -> str:
     if isinstance(a, A.ExistsA):
         vals = ",".join(map(str, a.values))
         return f"(exists {a.name} in {{{vals}}}: {_pa(a.body)})"
-    if isinstance(a, A.PossVar):
-        return f"pobs({a.t}, {a.var}={_pe(a.val)}){lift(a.comp)}"
-    if isinstance(a, A.PossMeth):
-        return f"pobs({a.t}, {_pminst(a.m)}){lift(a.comp)}"
-    if isinstance(a, A.DefVar):
-        return f"dobs({a.t}, {a.var}={_pe(a.val)}){lift(a.comp)}"
-    if isinstance(a, A.DefMeth):
-        return f"dobs({a.t}, {_pminst(a.m)}){lift(a.comp)}"
-    if isinstance(a, A.CondVar):
-        return (f"cond({a.t}, {a.var}={_pe(a.val)}, "
-                f"{a.tgt}={_pe(a.tgtval)}){lift(a.comp)}")
-    if isinstance(a, A.CondCross):
-        return f"cond({a.t}, {_pminst(a.m)}, {a.tgt}={_pe(a.tgtval)})"
+    if isinstance(a, A.Poss):
+        return f"pobs({a.t}, {_psubject(a.subject)}){lift(a.comp)}"
+    if isinstance(a, A.Def):
+        return f"dobs({a.t}, {_psubject(a.subject)}){lift(a.comp)}"
+    if isinstance(a, A.Cond):
+        return (f"cond({a.t}, {_psubject(a.subject)}, "
+                f"{a.y}={_pe(a.v)}){lift(a.comp)}")
     if isinstance(a, A.CoveredA):
         return f"cvd({_pminst(a.m)})"
     if isinstance(a, A.HiddenA):

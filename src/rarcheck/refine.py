@@ -317,14 +317,14 @@ def _game(abs_sys, conc, project):
             out = areplies[a] = {}
             for t, lab, nxt in successors(acfgs[a], abs_sys.ctx):
                 out.setdefault((t, _reply_core(lab)), []).append(
-                    anumber(nxt.key()))
+                    anumber(nxt))
         return out
 
     def related(a, c):
         (arv, ap), (crv, cp) = aviews[a], cviews[c]
         return arv == crv and refines(ap, cp)
 
-    init_pair = (anumber(abs_sys.cfg0.key()), cnum[conc.initial_key])
+    init_pair = (anumber(abs_sys.cfg0), cnum[conc.initial_key])
     if not related(*init_pair):
         return []
 

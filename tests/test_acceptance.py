@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from rarcheck.assertions import check_lock_rules, eval_assertion
+from lock_rules import check_lock_rules
+from rarcheck.assertions import dobs, eval_assertion, pobs, wrote
 from rarcheck.explore import check_outline, explore, successors
 from rarcheck.litmus import build_system, load_corpus
 from rarcheck.oracle import fifo_check, matched_order_ok
@@ -113,7 +114,7 @@ class TestCriterion6:
             ok_parts.append(check_lock_rules(steps, rules_for(system)) == [])
         system, steps = _lock_steps("lock-two-rounds")
         mutants = mutated_rules(system, range(0, 9),
-                                sorted(system.ctx.client_vars),
+                                sorted(system.cfg0.gamma.variables()),
                                 occurring_ints(system),
                                 system.ctx.threads)
         falsified = {rid for rid, *_ in check_lock_rules(steps, mutants)}
@@ -195,13 +196,12 @@ class TestCriterion9:
                            for x, op in before.tview[t].items())
 
         # definite implies possible
-        from rarcheck.assertions import eval_definite, eval_possible
         for system, cfg in state_corpus:
             for t in system.ctx.threads:
-                for x in system.ctx.client_vars:
+                for x in cfg.gamma.variables():
                     for v in (0, 1, 2, 5):
-                        if eval_definite(cfg.gamma, t, x, v):
-                            assert eval_possible(cfg.gamma, t, x, v)
+                        if dobs(cfg.gamma, t, x, wrote(v)):
+                            assert pobs(cfg.gamma, t, x, wrote(v))
 
         # pointwise-max view merge on real views: each thread's view with
         # each recorded view of its component

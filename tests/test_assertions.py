@@ -1,20 +1,17 @@
 import pytest
 
-from rarcheck.assertions import (AndA, BoolA, CondCross,
-                                 DefMeth, DefVar,
-                                 LocalPred, MethodInstance, NotA, PcIn,
-                                 PossMeth, PossVar, eval_assertion,
-                                 eval_conditional, eval_cond_cross,
-                                 eval_covered, eval_definite,
-                                 eval_definite_meth, eval_hidden,
-                                 eval_possible, eval_possible_meth)
-from rarcheck.explore import explore, successors
+from rarcheck.assertions import (AndA, BoolA, Cond, Def, EvalCtx, LocalPred,
+                                 MethodInstance, NotA, PcIn, Poss, VarEq,
+                                 cond, dobs, eval_assertion, eval_covered,
+                                 eval_hidden, pobs, wrote)
+from rarcheck.explore import Configuration, explore, successors
 from rarcheck.litmus import build_system, load_corpus
 from rarcheck.memory import mem_write
 from rarcheck.objects import lock_acquire, lock_release, lock_spec
 from rarcheck.program import Bin, Lit, Var
 from rarcheck.state import (LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
-                            StateError, make_init_states, write)
+                            StateError, is_releasing_write, make_init_states,
+                            write)
 
 
 def lock_system():
@@ -26,57 +23,64 @@ def minst(kind, index):
     return MethodInstance("l", kind, index=index)
 
 
+def holds(atom, g, b, spec=None):
+    """atom at the configuration of components g and b and no thread."""
+    return eval_assertion(atom, Configuration(((), g, b)), EvalCtx(spec))
+
+
 class TestPossible:
     def test_init_value(self):
         _, g, _ = lock_system()
-        assert eval_possible(g, 1, "d1", 0)
+        assert pobs(g, 1, "d1", wrote(0))
 
     def test_absent_value(self):
         _, g, _ = lock_system()
-        assert not eval_possible(g, 1, "d1", 5)
+        assert not pobs(g, 1, "d1", wrote(5))
 
     def test_unknown_variable_is_a_state_error(self):
         # no view of it exists; `build_system` rejects every atom that
         # would read one, so reaching this is a fault, not false
         _, g, _ = lock_system()
         with pytest.raises(StateError):
-            eval_possible(g, 1, "zz", 0)
+            pobs(g, 1, "zz", wrote(0))
 
     def test_release_possible_for_waiting_thread(self):
         _, g, b = lock_system()
         (b, g, _), = lock_acquire(b, g, 1, "l")
         (b, g, _), = lock_release(b, g, 1, "l")
-        assert eval_possible_meth(b, 2, minst(LOCK_RELEASE, 2))
-        assert not eval_possible_meth(b, 2, minst(LOCK_RELEASE, 4))
+        assert pobs(b, 2, "l", minst(LOCK_RELEASE, 2).matches)
+        assert not pobs(b, 2, "l", minst(LOCK_RELEASE, 4).matches)
 
 
 class TestDefinite:
     def test_init_definite(self):
         _, g, _ = lock_system()
-        assert eval_definite(g, 1, "d1", 0)
-        assert not eval_definite(g, 1, "d1", 5)
+        assert dobs(g, 1, "d1", wrote(0))
+        assert not dobs(g, 1, "d1", wrote(5))
 
     def test_write_splits_views(self):
         _, g, b = lock_system()
         (g, b, _), = mem_write(g, b, 1, write("d1", 5))
-        assert eval_definite(g, 1, "d1", 5)
-        assert not eval_definite(g, 2, "d1", 5)
-        assert not eval_definite(g, 2, "d1", 0)  # stale view, newer write
+        assert dobs(g, 1, "d1", wrote(5))
+        assert not dobs(g, 2, "d1", wrote(5))
+        assert not dobs(g, 2, "d1", wrote(0))  # stale view, newer write
 
     def test_init_lock_definite(self):
         _, _, b = lock_system()
-        assert eval_definite_meth(b, 1, minst(LOCK_INIT, 0))
-        assert eval_definite_meth(b, 1, MethodInstance("l", "init"))
+        assert dobs(b, 1, "l", minst(LOCK_INIT, 0).matches)
+        assert dobs(b, 1, "l", MethodInstance("l", "init").matches)
 
-    def test_no_write_false(self):
+    def test_unknown_variable_is_a_state_error(self):
+        # as for pobs: x has no column, so it has no top operation
         _, g, _ = lock_system()
-        assert not eval_definite(g, 1, "zz", 0)
+        with pytest.raises(StateError):
+            dobs(g, 1, "zz", wrote(0))
 
 
 class TestConditional:
     def test_vacuous_when_value_unobservable(self):
         _, g, _ = lock_system()
-        assert eval_conditional(g, 1, "d1", 7, "d2", 5)
+        assert cond(g, 1, "d1", wrote(7), is_releasing_write, g, "d2", 5)
 
     def test_release_write_pins_payload(self):
         # message-passing prefix: d1 := 5 then a releasing flag write
@@ -84,15 +88,15 @@ class TestConditional:
                                      None, {1, 2})
         (g, b, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
-        assert eval_conditional(g, 2, "f", 1, "d", 5)
-        assert not eval_conditional(g, 2, "f", 1, "d", 0)
+        assert cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)
+        assert not cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 0)
 
     def test_relaxed_write_fails_conditional(self):
         rho, g, b = make_init_states([("d", 0), ("f", 0)], {"d", "f"},
                                      None, {1, 2})
         (g, b, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _), = mem_write(g, b, 1, write("f", 1))
-        assert not eval_conditional(g, 2, "f", 1, "d", 5)
+        assert not cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)
 
     def test_cross_component_release_pins_client_writes(self):
         _, g, b = lock_system()
@@ -100,12 +104,13 @@ class TestConditional:
         (b, g, _), = lock_acquire(b, g, 1, "l")
         (g, b, _), = mem_write(g, b, 1, write("d1", 5))
         (b, g, _), = lock_release(b, g, 1, "l")
-        assert eval_cond_cross(b, g, 2, minst(LOCK_RELEASE, 2), "d1", 5, spec)
-        assert not eval_cond_cross(b, g, 2, minst(LOCK_RELEASE, 2), "d1", 0,
-                                   spec)
+        assert holds(Cond(2, minst(LOCK_RELEASE, 2), "d1", Lit(5)), g, b,
+                     spec)
+        assert not holds(Cond(2, minst(LOCK_RELEASE, 2), "d1", Lit(0)), g, b,
+                         spec)
         # init operations are not synchronising
-        assert not eval_cond_cross(b, g, 2, MethodInstance("l", "init", 0),
-                                   "d1", 5, spec)
+        assert not holds(Cond(2, MethodInstance("l", "init", 0), "d1", Lit(5)),
+                         g, b, spec)
 
 
 class TestCoveredHidden:
@@ -145,7 +150,7 @@ class TestEvalAssertion:
         assert eval_assertion(inv, self.cfg0, self.ectx)
 
     def test_conjunction_with_false_conjunct(self):
-        a = AndA((BoolA(True), DefVar(1, "d1", Lit(5))))
+        a = AndA((BoolA(True), Def(1, VarEq("d1", Lit(5)))))
         assert not eval_assertion(a, self.cfg0, self.ectx)
 
     def test_pc_and_locals(self):
@@ -157,9 +162,10 @@ class TestEvalAssertion:
 
     def test_stability_under_silent_steps(self):
         # observability atoms are untouched by silent steps of any thread
-        probe = AndA((DefVar(1, "d1", Lit(0)), PossVar(2, "d2", Lit(0)),
-                      DefMeth(2, MethodInstance("l", "init", 0)),
-                      NotA(PossMeth(1, minst(LOCK_RELEASE, 2)))))
+        probe = AndA((Def(1, VarEq("d1", Lit(0))),
+                      Poss(2, VarEq("d2", Lit(0))),
+                      Def(2, MethodInstance("l", "init", 0)),
+                      NotA(Poss(1, minst(LOCK_RELEASE, 2)))))
         res = explore(self.cfg0, self.system.ctx, 64)
         checked = 0
         for cfg in res.configs.values():
@@ -176,15 +182,15 @@ class TestEvalAssertion:
             for t in self.system.ctx.threads:
                 for x in ("d1", "d2"):
                     for v in (0, 5):
-                        if eval_definite(cfg.gamma, t, x, v):
-                            assert eval_possible(cfg.gamma, t, x, v)
+                        if dobs(cfg.gamma, t, x, wrote(v)):
+                            assert pobs(cfg.gamma, t, x, wrote(v))
 
     def test_definite_uniqueness(self):
         res = explore(self.cfg0, self.system.ctx, 64)
         for cfg in res.configs.values():
             for t in self.system.ctx.threads:
                 held = [v for v in (0, 5)
-                        if eval_definite(cfg.gamma, t, "d1", v)]
+                        if dobs(cfg.gamma, t, "d1", wrote(v))]
                 assert len(held) <= 1
 
     def test_handover_conditional_after_first_thread_finishes(self):
@@ -192,11 +198,11 @@ class TestEvalAssertion:
         # release pins both data values for thread 2's future acquire
         from rarcheck.program import pc_of
         res = explore(self.cfg0, self.system.ctx, 64)
-        cond = AndA((CondCross(2, minst(LOCK_RELEASE, 2), "d1", Lit(5)),
-                     CondCross(2, minst(LOCK_RELEASE, 2), "d2", Lit(5))))
+        pinned = AndA((Cond(2, minst(LOCK_RELEASE, 2), "d1", Lit(5)),
+                       Cond(2, minst(LOCK_RELEASE, 2), "d2", Lit(5))))
         hits = 0
         for cfg in res.configs.values():
             if pc_of(cfg.prog[1], 4) == 5 and pc_of(cfg.prog[2], 4) == 1:
-                assert eval_assertion(cond, cfg, self.ectx)
+                assert eval_assertion(pinned, cfg, self.ectx)
                 hits += 1
         assert hits > 0

@@ -549,6 +549,7 @@ class TestErrors:
     @pytest.mark.parametrize("clause,atom", [
         ("pobs(1, l.acquire_1)@C", "pobs(1, l.acquire_1)@C"),
         ("not dobs(1, l.init_0)@C", "dobs(1, l.init_0)@C"),
+        ("cond(1, l.release_2, x=1)@C", "cond(1, l.release_2, x=1)@C"),
     ])
     @pytest.mark.parametrize("command", ["explore", "outline", "hoare"])
     def test_method_lifted_to_the_client_is_an_input_error(

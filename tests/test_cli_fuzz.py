@@ -1,5 +1,5 @@
-"""Fuzz the command line over generated expressions, whole files and
-mutated corpus files.
+"""Fuzz the command line over generated expressions, whole files, mutated
+corpus files and grammar-preserving edits of generated files.
 
 One-thread programs evaluate a generated expression once in a thread
 statement and once in the final clause.  Whatever the operators make of
@@ -12,6 +12,7 @@ itself, so a wrong value put into a register by the engine stays visible.
 import contextlib
 import functools
 import io
+import re
 from importlib import resources
 
 from hypothesis import given, settings, strategies as st
@@ -330,4 +331,99 @@ def test_mutated_generated_files_exit_0_to_3(tmp_path_factory, text):
 @settings(max_examples=100, deadline=None)
 @given(mutated_generated_bodies())
 def test_mutated_generated_bodies_exit_0_to_3(tmp_path_factory, text):
+    _exit_0_to_3(tmp_path_factory, text, "12")
+
+
+# --- grammar-preserving edits -------------------------------------------------
+#
+# A generated file after one to three edits that keep the grammar: a top-level
+# statement (with its annotation) deleted, duplicated or swapped with another
+# one, or a view atom of a clause or an annotation given another thread id,
+# its subject swapped between a variable and a method instance, or a lift
+# added or dropped.  Most such files parse and many build, so the edits reach
+# the checks that token edits mostly stop short of.
+
+VIEW_ATOM = re.compile(r"(pobs|dobs|cond)\((\d+), (\w+\.\w+|\w+=-?\w+)"
+                       r"((?:, \w+=-?\w+)?)\)(@[CL])?")
+METHOD_SUBJECTS = {"lock": ("l.acquire_1", "l.release_2", "l.init_0",
+                            "l.release"),
+                   "queue": ("q.enq_1", "q.deq_empty", "q.deq"),
+                   None: ("l.release_2", "q.enq_1")}
+
+
+def statement_chunks(text):
+    """The file's lines, each annotation joined to the statement it labels:
+    a chunk that starts with two spaces is one top-level statement."""
+    out = []
+    for line in text.splitlines():
+        if out and out[-1].startswith("  {") and "\n" not in out[-1]:
+            out[-1] += "\n" + line
+        else:
+            out.append(line)
+    return out
+
+
+def _edit_statements(draw, text, edit):
+    chunks = statement_chunks(text)
+    where = [k for k, chunk in enumerate(chunks) if chunk.startswith("  ")]
+    if not where:
+        return text
+    i = where[draw(st.integers(0, len(where) - 1))]
+    if edit == "delete":
+        del chunks[i]
+    elif edit == "duplicate":
+        chunks.insert(i, chunks[i])
+    else:
+        j = where[draw(st.integers(0, len(where) - 1))]
+        chunks[i], chunks[j] = chunks[j], chunks[i]
+    return "\n".join(chunks) + "\n"
+
+
+def _edit_atom(draw, text, edit, obj):
+    found = list(VIEW_ATOM.finditer(text))
+    if not found:
+        return text
+    m = found[draw(st.integers(0, len(found) - 1))]
+    name, t, subject, pin, lift = m.groups()
+    if edit == "thread":
+        t = str(draw(st.integers(1, 3)))
+    elif edit == "subject":
+        subject = (f"{draw(st.sampled_from(GLOBALS))}="
+                   f"{draw(st.integers(-3, 9))}" if "." in subject
+                   else draw(st.sampled_from(METHOD_SUBJECTS[obj])))
+    else:
+        lift = None if lift else draw(st.sampled_from(["@C", "@L"]))
+    atom = f"{name}({t}, {subject}{pin}){lift or ''}"
+    return text[:m.start()] + atom + text[m.end():]
+
+
+@st.composite
+def edited_generated_files(draw):
+    text = draw(litmus_files())
+    obj = next((kind for kind in ("lock", "queue")
+                if f"object {kind} " in text), None)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["delete", "duplicate", "swap", "thread",
+                                     "subject", "lift"]))
+        if edit in ("delete", "duplicate", "swap"):
+            text = _edit_statements(draw, text, edit)
+        else:
+            text = _edit_atom(draw, text, edit, obj)
+    return text
+
+
+def test_statement_chunks_and_view_atoms_of_a_file():
+    text = ("name fuzz\ninit x := 0; y := 0\nthread 1 {\n  a1 := 0;\n"
+            "  { pobs(1, x=0) }\n  x := 1;\n}\nfinal { dobs(1, x=1)@C }\n")
+    chunks = statement_chunks(text)
+    assert [c for c in chunks if c.startswith("  ")] == [
+        "  a1 := 0;", "  { pobs(1, x=0) }\n  x := 1;"]
+    assert "\n".join(chunks) + "\n" == text
+    assert [m.group(0) for m in VIEW_ATOM.finditer(text)] == [
+        "pobs(1, x=0)", "dobs(1, x=1)@C"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(edited_generated_files())
+def test_edited_generated_files_exit_0_to_3(tmp_path_factory, text):
     _exit_0_to_3(tmp_path_factory, text, "12")

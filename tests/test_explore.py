@@ -3,7 +3,8 @@ import weakref
 
 import pytest
 
-from rarcheck.assertions import (AndA, BoolA, DefVar, LocalPred, ProofOutline)
+from rarcheck.assertions import (AndA, BoolA, Def, LocalPred, ProofOutline,
+                                 VarEq)
 from rarcheck.explore import (SystemContext, canonical_key, check_hoare,
                               check_outline, explore, successors)
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
@@ -19,7 +20,7 @@ def mp_system(name="mp-relacq"):
 class TestSuccessors:
     def test_terminal_has_none(self):
         rho, g, b = make_init_states([("d", 0)], {"d"}, None, {1})
-        ctx = SystemContext([1], {"d"}, set())
+        ctx = SystemContext([1])
         cfg = ctx.configuration({1: Bot()}, rho, g, b)
         assert successors(cfg, ctx) == []
 
@@ -91,7 +92,7 @@ class TestExplore:
                        and lab.render() == step["label"]]
             assert len(matches) == 1
             cfg = matches[0]
-        assert cfg.key() == key
+        assert cfg == key
 
 
 def outcomes_of(text):
@@ -211,7 +212,7 @@ class TestCanonicalKey:
 class TestCheckHoare:
     def test_trivial(self):
         rho, g, b = make_init_states([], set(), None, {1})
-        ctx = SystemContext([1], set(), set())
+        ctx = SystemContext([1])
         cfg = ctx.configuration({1: Labeled(1, Bot())}, rho, g, b)
         rep = check_hoare(cfg, ctx, BoolA(True), BoolA(True), 8)
         assert rep.verdict == "valid"
@@ -262,7 +263,7 @@ class TestCheckOutline:
     def test_false_at_init_invalid(self):
         system = build_system(load_corpus("lockmp"))
         anns = {t: dict(d) for t, d in system.outline.annotations.items()}
-        anns[2][1] = DefVar(2, "d1", Lit(5))
+        anns[2][1] = Def(2, VarEq("d1", Lit(5)))
         broken = ProofOutline(anns, system.outline.invariant,
                               system.outline.final)
         rep = check_outline(system.cfg0, system.ctx, broken, 64)

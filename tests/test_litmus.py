@@ -33,6 +33,8 @@ def _atoms():
     tid = st.integers(1, 2)
     var = st.sampled_from(["d1", "d2"])
     val = st.builds(P.Lit, st.integers(0, 9))
+    subject = st.one_of(st.builds(A.VarEq, var, val), _minst())
+    lift = st.sampled_from([None, "C", "L"])
     cmp_pred = st.builds(
         lambda r, op, v: A.LocalPred(P.Bin(op, P.Var(r), P.Lit(v))),
         st.sampled_from(["r1", "r2", "rl"]),
@@ -43,12 +45,9 @@ def _atoms():
         cmp_pred,
         st.builds(A.PcIn, tid, st.sets(st.integers(1, 5), min_size=1,
                                        max_size=3).map(frozenset)),
-        st.builds(A.PossVar, tid, var, val),
-        st.builds(A.DefVar, tid, var, val),
-        st.builds(A.PossMeth, tid, _minst()),
-        st.builds(A.DefMeth, tid, _minst()),
-        st.builds(A.CondVar, tid, var, val, var, val),
-        st.builds(A.CondCross, tid, _minst(), var, val),
+        st.builds(A.Poss, tid, subject, lift),
+        st.builds(A.Def, tid, subject, lift),
+        st.builds(A.Cond, tid, subject, var, val, lift),
         st.builds(A.CoveredA, _minst()),
         st.builds(A.HiddenA, _minst()),
     )
@@ -181,6 +180,8 @@ class TestLockmpStructure:
 
         def walk(a):
             found.add(type(a).__name__)
+            if isinstance(a, A.Cond):
+                found.add(f"Cond {type(a.subject).__name__}")
             for attr in ("items",):
                 for x in getattr(a, attr, ()):
                     walk(x)
@@ -189,14 +190,14 @@ class TestLockmpStructure:
                     walk(getattr(a, attr))
 
         walk(q1)
-        assert "CondCross" in found
-        assert "DefMeth" in found or "DefVar" in found
+        assert "Cond MethodInstance" in found
+        assert "Def" in found
         assert "HiddenA" in found
 
     def test_client_vars_and_domain(self):
         system = build_system(load_corpus("lockmp"))
-        assert system.ctx.client_vars == {"d1", "d2"}
-        assert system.ctx.library_vars == {"l"}
+        assert system.cfg0.gamma.variables() == {"d1", "d2"}
+        assert system.cfg0.beta.variables() == {"l"}
         from test_lock_rules import occurring_ints
         assert set(occurring_ints(system)) >= {0, 5}
 
@@ -211,7 +212,7 @@ class TestImplFill:
         from rarcheck.refine import builtin_impls
         lf = load_corpus("seqlock-refine")
         system = build_system(lf, builtin_impls()["seqlock"])
-        assert system.ctx.library_vars == {"glb"}
+        assert system.cfg0.beta.variables() == {"glb"}
         (op,) = system.cfg0.beta.ops
         assert op.action.var == "glb" and op.action.val == 0
 
@@ -254,16 +255,16 @@ class TestOddButGrammatical:
                 "final { r = 5 }\n")
         from rarcheck.explore import explore
         system = build_system(parse_litmus(text))
-        assert system.ctx.client_vars == frozenset()
+        assert system.cfg0.gamma.variables() == set()
         assert system.cfg0.rho[1]["r"] == 0
         res = explore(system.cfg0, system.ctx, 8)
         assert res.outcomes == [{"r": 5}]
         # an annotation counts too, and a thread's global read wins
         ann = ("name t\ninit r := 0\nthread 1 { { r = 0 } r := 5; }\n")
-        assert build_system(parse_litmus(ann)).ctx.client_vars == frozenset()
+        assert build_system(parse_litmus(ann)).cfg0.gamma.variables() == set()
         glob = ("name t\ninit r := 0\nthread 1 { r := 5; }\n"
                 "thread 2 { s <- r; }\nfinal { s = 5 }\n")
-        assert build_system(parse_litmus(glob)).ctx.client_vars == {"r"}
+        assert build_system(parse_litmus(glob)).cfg0.gamma.variables() == {"r"}
 
     def test_unknown_method_rejected(self):
         # rejected when the system is built, before any thread reaches it

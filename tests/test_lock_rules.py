@@ -3,10 +3,9 @@ states, plus hand-mutated variants that the harness must falsify."""
 
 import pytest
 
-from rarcheck.assertions import (MethodInstance, check_lock_rules,
-                                 eval_cond_cross, eval_definite,
-                                 eval_definite_meth, eval_hidden,
-                                 eval_possible_meth, lock_rules)
+from lock_rules import (check_lock_rules, cond_meth, definite,
+                        definite_meth, lock_rules, possible_meth)
+from rarcheck.assertions import MethodInstance, eval_hidden
 from rarcheck.explore import explore, successors
 from rarcheck.litmus import build_system, load_corpus
 from rarcheck.state import LOCK_ACQUIRE, LOCK_RELEASE
@@ -44,7 +43,7 @@ def occurring_ints(system):
 
 
 def rules_for(system):
-    return list(lock_rules("l", VERSIONS, sorted(system.ctx.client_vars),
+    return list(lock_rules("l", VERSIONS, sorted(system.cfg0.gamma.variables()),
                            occurring_ints(system), system.ctx.threads,
                            system.ctx.object_spec))
 
@@ -106,10 +105,10 @@ def mutated_rules(system, us, xs, vs, threads):
                         lambda t, a, t0=t0: a.kind == LOCK_ACQUIRE
                         and t == t0,
                         lambda cfg, u=u, t0=t0:
-                            eval_definite_meth(cfg.beta, t0, rel(u)),
+                            definite_meth(cfg, t0, rel(u)),
                         # was: acquire u + 1
                         lambda cfg2, a, u=u, t0=t0:
-                            eval_definite_meth(cfg2.beta, t0, acq(u + 2))))
+                            definite_meth(cfg2, t0, acq(u + 2))))
         for x in xs:
             for v in vs:
                 for t0 in threads:
@@ -118,21 +117,19 @@ def mutated_rules(system, us, xs, vs, threads):
                                     a.kind in (LOCK_ACQUIRE, LOCK_RELEASE)
                                     and t != t0,
                                 lambda cfg, x=x, v=v, t0=t0:
-                                    eval_definite(cfg.gamma, t0, x, v),
+                                    definite(cfg, t0, x, v),
                                 # was: the same value stays definite
                                 lambda cfg2, a, x=x, v=v, t0=t0:
-                                    eval_definite(cfg2.gamma, t0, x, v + 1)))
+                                    definite(cfg2, t0, x, v + 1)))
                     out.append((5, f"{u},{x},{v},{t0}",
                                 lambda t, a, t0=t0:
                                     a.kind == LOCK_ACQUIRE and t == t0,
                                 lambda cfg, u=u, x=x, v=v, t0=t0:
-                                    eval_cond_cross(cfg.beta, cfg.gamma, t0,
-                                                    rel(u), x, v, spec),
+                                    cond_meth(cfg, t0, rel(u), x, v, spec),
                                 # was: v, not v + 1
                                 lambda cfg2, a, u=u, x=x, v=v, t0=t0:
                                     a.index != u + 1
-                                    or eval_definite(cfg2.gamma, t0, x,
-                                                     v + 1)))
+                                    or definite(cfg2, t0, x, v + 1)))
                     for t1 in threads:
                         if t1 == t0:
                             continue
@@ -141,15 +138,12 @@ def mutated_rules(system, us, xs, vs, threads):
                                         a.kind == LOCK_RELEASE and t == t0
                                         and a.index == u,
                                     lambda cfg, u=u, x=x, v=v, t0=t0, t1=t1:
-                                        not eval_possible_meth(cfg.beta, t1,
-                                                               rel(u))
-                                        and eval_definite(cfg.gamma, t0, x,
-                                                          v),
+                                        not possible_meth(cfg, t1, rel(u))
+                                        and definite(cfg, t0, x, v),
                                     # was: value v, not v + 1
                                     lambda cfg2, a, u=u, x=x, v=v, t1=t1:
-                                        eval_cond_cross(cfg2.beta, cfg2.gamma,
-                                                        t1, rel(u), x, v + 1,
-                                                        spec)))
+                                        cond_meth(cfg2, t1, rel(u), x, v + 1,
+                                                  spec)))
     return out
 
 
@@ -157,7 +151,7 @@ class TestMutantsFalsified:
     def test_each_mutated_rule_fails(self, rounds_steps):
         system, steps = rounds_steps
         mutants = mutated_rules(system, VERSIONS,
-                                sorted(system.ctx.client_vars),
+                                sorted(system.cfg0.gamma.variables()),
                                 occurring_ints(system),
                                 system.ctx.threads)
         violations = check_lock_rules(steps, mutants)

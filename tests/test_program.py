@@ -27,7 +27,7 @@ def steps_after_writes(cmd, values=WRITTEN):
     rho, g, b = make_init_states([("x", 0)], {"x"}, None, {1, 2})
     for v in values:
         (g, b, _), = mem_write(g, b, 2, write("x", v))
-    ctx = SystemContext([1, 2], {"x"}, set())
+    ctx = SystemContext([1, 2])
     return successors(ctx.configuration({1: cmd, 2: Bot()}, rho, g, b), ctx)
 
 

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from rarcheck.assertions import eval_definite, eval_possible
+from rarcheck.assertions import dobs, pobs, wrote
 from rarcheck.oracle import matched_order_ok
 from rarcheck.state import wrval, UPDATE
 from reference_key import (describe, inserted_op, moved, ref_key,
@@ -97,10 +97,10 @@ class TestObservationLogic:
         for system, cfg in state_corpus:
             ints = [v for _, v in occurring[id(system)] if isinstance(v, int)]
             for t in system.ctx.threads:
-                for x in system.ctx.client_vars:
+                for x in cfg.gamma.variables():
                     for v in ints:
-                        if eval_definite(cfg.gamma, t, x, v):
-                            assert eval_possible(cfg.gamma, t, x, v)
+                        if dobs(cfg.gamma, t, x, wrote(v)):
+                            assert pobs(cfg.gamma, t, x, wrote(v))
                             checked += 1
         assert checked > 1000
 
@@ -234,7 +234,7 @@ class TestRefinementOrder:
         from rarcheck.memory import mem_write
         from rarcheck.state import write
         system, cfg = next((s, c) for s, c in state_corpus
-                           if "d1" in s.ctx.client_vars)
+                           if "d1" in s.cfg0.gamma.variables())
         ls = {t: {} for t in system.ctx.threads}
         g0 = cfg.gamma
         assert state_refines((ls, g0), (ls, g0), system.ctx.threads)
