@@ -14,14 +14,13 @@ register predicates complete the language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import program
-from .state import ComponentState, StateError, is_releasing_write, wrval
+from .state import (ComponentState, Hashed, Record, StateError, hashed,
+                    is_releasing_write, record, wrval)
 
 
-@dataclass(frozen=True)
-class MethodInstance:
+@hashed
+class MethodInstance(Hashed):
     obj: str
     kind: str
     index: object = None  # lock operation counter
@@ -51,48 +50,48 @@ class MethodInstance:
 
 # --- assertion AST ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoolA:
+@hashed
+class BoolA(Hashed):
     val: bool
 
 
-@dataclass(frozen=True)
-class NotA:
+@hashed
+class NotA(Hashed):
     a: object
 
 
-@dataclass(frozen=True)
-class AndA:
+@hashed
+class AndA(Hashed):
     items: tuple
 
 
-@dataclass(frozen=True)
-class OrA:
+@hashed
+class OrA(Hashed):
     items: tuple
 
 
-@dataclass(frozen=True)
-class ImpliesA:
+@hashed
+class ImpliesA(Hashed):
     a: object
     b: object
 
 
-@dataclass(frozen=True)
-class ForallA:
+@hashed
+class ForallA(Hashed):
     name: str
     values: tuple
     body: object
 
 
-@dataclass(frozen=True)
-class ExistsA:
+@hashed
+class ExistsA(Hashed):
     name: str
     values: tuple
     body: object
 
 
-@dataclass(frozen=True)
-class VarEq:
+@hashed
+class VarEq(Hashed):
     """The variable subject `x = e`: operations on x that wrote e's value."""
     var: str
     val: object  # expression
@@ -103,22 +102,22 @@ class VarEq:
 # lift (`@C`/`@L`, or None) is kept for printing and for `build_system`'s
 # check that it names the subject's component; it never chooses one.
 
-@dataclass(frozen=True)
-class Poss:
+@hashed
+class Poss(Hashed):
     t: object
     subject: object
     comp: object = None
 
 
-@dataclass(frozen=True)
-class Def:
+@hashed
+class Def(Hashed):
     t: object
     subject: object
     comp: object = None
 
 
-@dataclass(frozen=True)
-class Cond:
+@hashed
+class Cond(Hashed):
     t: object
     subject: object
     y: str
@@ -126,29 +125,29 @@ class Cond:
     comp: object = None
 
 
-@dataclass(frozen=True)
-class CoveredA:
+@hashed
+class CoveredA(Hashed):
     m: MethodInstance
 
 
-@dataclass(frozen=True)
-class HiddenA:
+@hashed
+class HiddenA(Hashed):
     m: MethodInstance
 
 
-@dataclass(frozen=True)
-class PcIn:
+@hashed
+class PcIn(Hashed):
     t: object
     labels: frozenset
 
 
-@dataclass(frozen=True)
-class LocalPred:
+@hashed
+class LocalPred(Hashed):
     expr: object
 
 
-@dataclass(frozen=True)
-class ProofOutline:
+@record
+class ProofOutline(Record):
     """Per-thread pc-indexed annotations plus the global parts."""
 
     annotations: dict  # t -> {label: Assertion}

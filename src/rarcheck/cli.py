@@ -210,7 +210,7 @@ def _cmd_refine(args) -> int:
               "pairs_explored": sim.pairs_explored,
               "witness": sim.counterexample or [], "detail": sim.detail}
     if sim.ok and not args.skip_trace_check:
-        tr = check_trace_refinement(impl, lf, args.max_steps, sim=sim)
+        tr = check_trace_refinement(sim, args.max_steps)
         report["trace_check"] = tr.verdict
         if not tr.ok:
             report["verdict"] = "trace-check-failed"

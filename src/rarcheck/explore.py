@@ -35,12 +35,12 @@ full.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from . import memory, objects, program
 from .assertions import EvalCtx, eval_assertion
-from .state import BOT, READ, TRUE, Action, ComponentState, wrval
+from .state import (BOT, READ, TRUE, Action, ComponentState, Record, record,
+                    wrval)
 
 
 class ThreadState:
@@ -169,24 +169,26 @@ class SystemContext:
             self.component(gamma), self.component(beta)))
 
 
-@dataclass(frozen=True, slots=True)
-class StepLabel:
-    component: str  # 'client' | 'library'
-    action: object  # Action or None for silent steps
-    rank: object = None  # position on its variable, disambiguating the choice
-    at_hole: bool = False
-    # the label's text, which also orders a thread's successors: rendered
-    # once, when the label is made
-    text: str = field(init=False, repr=False, compare=False)
+class StepLabel(Record):
+    """A step's label: its component ('client' or 'library'), its action
+    (None for a silent step), the position on its variable that
+    disambiguates the choice, and whether it dissolves a hole.  Made once
+    per system by `SystemContext.label`.  Its text, which also orders a
+    thread's successors, is rendered once, when the label is made."""
 
-    def __post_init__(self):
-        if self.action is None:
-            text = "eps[L]" if self.component == "library" else "eps"
+    __slots__ = ("component", "action", "rank", "at_hole", "text")
+    _fields = _seen = ("component", "action", "rank", "at_hole")
+
+    def __init__(self, component, action, rank=None, at_hole=False):
+        if action is None:
+            text = "eps[L]" if component == "library" else "eps"
         else:
-            text = repr(self.action)
-            if self.rank is not None:
-                text += f"@{self.rank}"
-        object.__setattr__(self, "text", text)
+            text = repr(action)
+            if rank is not None:
+                text += f"@{rank}"
+        for name, value in zip(self.__slots__,
+                               (component, action, rank, at_hole, text)):
+            object.__setattr__(self, name, value)
 
     def render(self) -> str:
         return self.text
@@ -428,8 +430,8 @@ def _object_steps(ctx, t, key, gamma, beta):
     return found
 
 
-@dataclass
-class ExploreResult:
+@record
+class ExploreResult(Record):
     states_explored: int
     outcomes: list  # sorted list of dicts register -> value
     truncated: bool
@@ -525,8 +527,8 @@ def _outcome_of(cfg: Configuration, ctx: SystemContext):
 
 # --- Hoare triples and proof outlines ----------------------------------------
 
-@dataclass
-class CheckReport:
+@record
+class CheckReport(Record):
     verdict: str  # 'valid' | 'invalid' | 'unknown-beyond-bound'
     witness: list = None
     states_explored: int = 0
@@ -556,8 +558,8 @@ def check_hoare(cfg0, ctx, pre, post, max_steps: int = 64,
     return CheckReport("valid", None, res.states_explored, False)
 
 
-@dataclass
-class OutlineReport:
+@record
+class OutlineReport(Record):
     verdicts: dict  # name -> CheckReport
     states_explored: int = 0
     truncated: bool = False

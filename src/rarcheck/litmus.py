@@ -20,16 +20,15 @@ refinement inputs name the implementation to check.  The parser builds the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
-from importlib import resources
 
 from . import assertions as A
 from . import program as P
 from .explore import Configuration, SystemContext
 from .objects import lock_spec, queue_spec
-from .state import (BOT, EMPTY, FALSE, TRUE, make_init_states, DEQUEUE,
-                    ENQUEUE, LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
+from .state import (BOT, EMPTY, FALSE, TRUE, Record, make_init_states, record,
+                    DEQUEUE, ENQUEUE, LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
+                    QUEUE_INIT)
 
 
 class LitmusError(Exception):
@@ -57,8 +56,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Tok:
+@record
+class Tok(Record):
     kind: str
     text: str
     line: int
@@ -87,8 +86,8 @@ def tokenize(text: str):
 
 # --- surface syntax ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class LitmusFile:
+@record
+class LitmusFile(Record):
     name: str
     init: tuple  # ordered (name, value) pairs
     object_decl: object  # None or (kind, name, impl-or-None)
@@ -576,6 +575,7 @@ def parse_litmus(text: str) -> LitmusFile:
 
 
 def corpus_text(name: str) -> str:
+    from importlib import resources  # on use: slow to import
     return resources.files("rarcheck").joinpath(
         "corpus", f"{name}.lit").read_text()
 
@@ -597,8 +597,8 @@ def _validate(lf: LitmusFile):
 
 # --- building executable systems ---------------------------------------------
 
-@dataclass
-class System:
+@record
+class System(Record):
     """A litmus file elaborated into an executable initial configuration."""
 
     lf: LitmusFile

@@ -8,15 +8,13 @@ inserted mid-timeline, subject to FIFO guards over the matched pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .state import (Action, ComponentState, EMPTY, OBJ,
-                    insert_fresh_timestamp, DEQUEUE, ENQUEUE, LOCK_ACQUIRE,
-                    LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
+from .state import (Action, ComponentState, EMPTY, OBJ, Record,
+                    insert_fresh_timestamp, record, DEQUEUE, ENQUEUE,
+                    LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
 
 
-@dataclass(frozen=True)
-class ObjectSpec:
+@record
+class ObjectSpec(Record):
     name: str
     kind: str  # 'lock' | 'queue'
     sync: tuple  # synchronising abstract action kinds

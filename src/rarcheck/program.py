@@ -18,9 +18,8 @@ registers runs only its redex's rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .state import FALSE, TRUE, Hashed, fai, hashed, open_read, update, write
+from .state import (FALSE, TRUE, Hashed, Record, fai, hashed, open_read,
+                    record, update, write)
 
 
 class ProgramError(Exception):
@@ -341,8 +340,8 @@ def _leading_label(cmd):
 
 # --- thread-local steps -----------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Step:
+@record
+class Step(Record):
     """One candidate step of a single thread.
 
     kind: 'eps' (silent), 'act' (candidate action for the memory semantics)

@@ -18,17 +18,15 @@ changes the client's projection more often.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import program as P
 from .explore import ExploreResult, explore, successors
 from .litmus import LitmusError, System, build_system
 from .objects import lock_release
-from .state import BOT, TRUE
+from .state import BOT, TRUE, Record, record
 
 
-@dataclass(frozen=True)
-class LockImpl:
+@record
+class LockImpl(Record):
     """A concrete lock over plain shared variables."""
 
     name: str
@@ -127,17 +125,6 @@ def _projector(client_regs, threads):
     return project
 
 
-def project_and_destutter(execution, client_regs, threads):
-    """Pointwise projection with consecutive duplicates collapsed."""
-    project = _projector(client_regs, threads)
-    trace = []
-    for cfg in execution:
-        p = project(cfg)
-        if not trace or trace[-1] != p:
-            trace.append(p)
-    return trace
-
-
 def _refines(aproj, cproj) -> bool:
     """State refinement on projections: equal client locals and covered
     sets, and every concrete observation set inside the abstract one."""
@@ -161,13 +148,6 @@ def _refines_memo():
             r = memo[id(aproj), id(cproj)] = _refines(aproj, cproj)
         return r
     return refines
-
-
-def state_refines(abs_pair, conc_pair, threads) -> bool:
-    """State refinement of (locals, client component) pairs."""
-    (als, agamma), (cls, cgamma) = abs_pair, conc_pair
-    return _refines((als,) + _client_sig(agamma, threads),
-                    (cls,) + _client_sig(cgamma, threads))
 
 
 def _rvals(cfg):
@@ -234,19 +214,20 @@ def _explore_concrete(conc_sys, abs_sys, max_steps):
         raise
 
 
-@dataclass
-class SimulationResult:
+@record
+class SimulationResult(Record):
     verdict: str  # 'simulation-found' | 'no-simulation' | 'unknown-beyond-bound'
     relation_size: int = 0
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
     # the concrete exploration the game was played over, the projector it
-    # used and the abstract system it stepped, for
-    # check_trace_refinement(..., sim=...)
-    explored: ExploreResult = field(default=None, repr=False, compare=False)
-    projector: object = field(default=None, repr=False, compare=False)
-    abstract: System = field(default=None, repr=False, compare=False)
+    # used and the abstract system it stepped, which check_trace_refinement
+    # reuses; left out of equality and the repr
+    explored: ExploreResult = None
+    projector: object = None
+    abstract: System = None
+    _unseen = ("explored", "projector", "abstract")
 
     @property
     def ok(self):
@@ -256,7 +237,10 @@ class SimulationResult:
 def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
                      require_sync_free: bool = True) -> SimulationResult:
     """Play the forward-simulation game over the explored concrete state
-    graph, expanding abstract states on demand."""
+    graph, expanding abstract states on demand.  A client without a lock
+    object is refused first, before anything is built."""
+    if client_lf.object_decl is None or client_lf.object_decl[0] != "lock":
+        raise LitmusError("an implementation needs a lock object")
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     _check_no_version_binder(abs_sys)
@@ -421,8 +405,8 @@ def _extract_counterexample(pair, moves, losing):
 
 # --- independent trace-inclusion cross-check ----------------------------------
 
-@dataclass
-class TraceCheckResult:
+@record
+class TraceCheckResult(Record):
     verdict: str  # 'trace-refinement' | 'violation' | 'unknown-beyond-bound'
     counterexample: list = None
     traces_checked: int = 0
@@ -433,12 +417,12 @@ class TraceCheckResult:
         return self.verdict == "trace-refinement"
 
 
-def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
-                           sim: SimulationResult = None) -> TraceCheckResult:
+def check_trace_refinement(sim: SimulationResult,
+                           max_steps: int = 64) -> TraceCheckResult:
     """Determinized matching of every stutter-free concrete client trace
-    against the abstract trace graph under pointwise refinement.  `sim`,
-    if given, is `check_simulation`'s result for the same implementation,
-    client and bound; its concrete exploration, its projector with the
+    against the abstract trace graph under pointwise refinement.  `sim` is
+    `check_simulation`'s result for the implementation and client under
+    the same bound: its concrete exploration, its projector with the
     projections it has made, and its abstract system, whose tables hold the
     abstract states and steps the game has reached, are reused, so no
     system is built again.
@@ -456,13 +440,7 @@ def check_trace_refinement(impl: LockImpl, client_lf, max_steps: int = 64,
     changes it once; the simulation game's stay-put reply to an
     implementation step is the same freedom, so a simulation implies trace
     inclusion here as the paper's theorem says it must."""
-    if sim is None:
-        abs_sys = build_system(client_lf)
-        conc = _explore_concrete(build_system(client_lf, impl), abs_sys,
-                                 max_steps)
-        project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)
-    else:
-        abs_sys, conc, project = sim.abstract, sim.explored, sim.projector
+    abs_sys, conc, project = sim.abstract, sim.explored, sim.projector
     ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
     if conc.truncated or ab.truncated:
         return TraceCheckResult("unknown-beyond-bound",

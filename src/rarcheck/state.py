@@ -34,8 +34,8 @@ of the unmerged state space.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, fields
-from typing import NamedTuple
+from collections import namedtuple
+from types import FunctionType
 
 
 class Sym:
@@ -83,37 +83,130 @@ ENQUEUE = "enqueue"
 DEQUEUE = "dequeue"
 
 
-class Hashed:
-    """Base of the immutable values used as dictionary keys: actions,
-    commands and expressions.  Subclasses are declared with `hashed`.
+class Record:
+    """Base of immutable records: value objects declared with `record`, with
+    slots (no per-instance `__dict__`), equal when they are of one class
+    with equal fields, and printed as `Name(field=value, ...)`.  Fields
+    named in a class's `_unseen` are kept out of equality, hash and repr.
+    """
+
+    __slots__ = ()
+    _fields = ()  # every field, in constructor order
+    _seen = ()  # the fields that equality, hash and repr read
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._seen))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash((type(self), *self._key()))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._seen) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+
+class Hashed(Record):
+    """Base of the records used as dictionary keys: actions, commands,
+    expressions and assertions.  Subclasses are declared with `hashed`.
 
     The hash is computed once, at construction, from the fields' own
     (already stored) hashes and kept in a slot, so hashing a tree costs the
-    same at any depth.  Equality stays plain field equality.
+    same at any depth, and equality compares it before the fields.
     """
 
     __slots__ = ("_hash",)
-    _fields = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(
-            (type(self), *map(self.__getattribute__, self._fields))))
 
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        # copies and pickles are rebuilt by the constructor, which hashes
-        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+def _build(cls, keyed):
+    """cls rebuilt with its annotated fields as slots, and an `__init__`
+    that takes them, with their defaults.  Keyed (`Hashed`), `__init__`
+    also stores the hash, and an `__eq__` compares it before the fields."""
+    ns = dict(cls.__dict__)
+    fields = tuple(ns.get("__annotations__", ()))
+    given = [f in ns for f in fields]
+    if given != sorted(given):
+        raise TypeError(f"{cls.__name__}: a field without a default follows "
+                        "one with a default")
+    defaults = tuple(ns.pop(f) for f in fields if f in ns)
+    ns.pop("__dict__", None)
+    ns.pop("__weakref__", None)
+    unseen = ns.get("_unseen", ())
+    ns.update(__slots__=fields, _fields=fields,
+              _seen=tuple(f for f in fields if f not in unseen))
+    cls = type(cls)(cls.__name__, cls.__bases__, ns)
+
+    env = {"_cls": cls, "_set_hash": Hashed._hash.__set__}
+    env.update((f"_set{i}", cls.__dict__[f].__set__)
+               for i, f in enumerate(fields))
+    init = _code("hashed" if keyed else "record", len(fields))
+    cls.__init__ = FunctionType(init.replace(co_varnames=("self", *fields)),
+                                env, "__init__", defaults or None)
+    if keyed:
+        eq = _code("eq", len(fields))
+        named = {f"f{i}": f for i, f in enumerate(fields)}
+        cls.__eq__ = FunctionType(eq.replace(co_names=tuple(
+            named.get(n, n) for n in eq.co_names)), env, "__eq__")
+    return cls
+
+
+_CODES = {}
+
+
+def _code(kind, n):
+    """The code of a record's `__init__` or a hashed record's `__eq__`
+    (kind 'record', 'hashed' or 'eq') over n fields named f0, f1, ...,
+    compiled once per kind and n.  `_build` renames the fields in a copy:
+    compiling costs ten times what making the class does."""
+    code = _CODES.get((kind, n))
+    if code is None:
+        fs = [f"f{i}" for i in range(n)]
+        if kind == "eq":
+            src = ("def __eq__(self, other):\n"
+                   "    if other.__class__ is not _cls:\n"
+                   "        return NotImplemented\n"
+                   "    return self._hash == other._hash and ("
+                   + "".join(f"self.{f}, " for f in fs) + ") == ("
+                   + "".join(f"other.{f}, " for f in fs) + ")\n")
+        else:
+            body = [f"_set{i}(self, {f})" for i, f in enumerate(fs)]
+            if kind == "hashed":
+                body.append("_set_hash(self, hash((_cls, "
+                            + "".join(f + ", " for f in fs) + ")))")
+            src = (f"def __init__(self, {', '.join(fs)}):\n    "
+                   + ("; ".join(body) or "pass") + "\n")
+        env = {}
+        exec(src, env)
+        name = "__eq__" if kind == "eq" else "__init__"
+        code = _CODES[kind, n] = env[name].__code__
+    return code
+
+
+def record(cls):
+    """Declare a subclass of Record from its annotated fields."""
+    return _build(cls, False)
 
 
 def hashed(cls):
-    """Declare a subclass of Hashed: a frozen dataclass with slots (no
-    per-instance `__dict__`) whose hash is the one stored at construction."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._fields = tuple(f.name for f in fields(cls))
-    cls.__hash__ = Hashed.__hash__
-    return cls
+    """Declare a subclass of Hashed from its annotated fields."""
+    return _build(cls, True)
 
 
 @hashed
@@ -192,11 +285,10 @@ def is_modifying(a: Action) -> bool:
     return a.kind in (WRITE, UPDATE)
 
 
-class TOp(NamedTuple):
+class TOp(namedtuple("TOp", "action ts")):
     """An operation: its action and its position on its variable (ts)."""
 
-    action: Action
-    ts: int
+    __slots__ = ()
 
     def __repr__(self):
         return f"({self.action}@{self.ts})"
@@ -354,21 +446,6 @@ class ComponentState:
     @property
     def ops(self) -> frozenset:
         return frozenset(op for x in self.lay.own for op in self.ops_on(x))
-
-    @property
-    def cvd(self) -> frozenset:
-        return frozenset(op for op in self.ops if self.covers(op))
-
-    @property
-    def tview(self) -> dict:
-        """thread -> variable -> the operation the thread views."""
-        return {t: {x: self.ops_on(x)[r] for x, r in zip(self.lay.own, view)}
-                for t, view in zip(self.lay.threads, self.views)}
-
-    @property
-    def mview(self) -> dict:
-        """operation -> its recorded view (see recorded)."""
-        return {op: self.recorded(op) for op in self.ops}
 
 
 def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,

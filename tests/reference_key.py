@@ -9,6 +9,7 @@ dense positions, and two configurations get the same key exactly when they
 are equal up to an order-preserving renaming of each variable's timestamps.
 """
 
+from component_views import cvd, mview, tview
 from rarcheck.state import Sym
 
 SIDES = ("C", "L")
@@ -32,10 +33,10 @@ def describe(cfg) -> dict:
             "vars": comp.variables(),
             "ops": {(op.action.var, op.ts): op.action for op in comp.ops},
             "tview": {t: {x: op.ts for x, op in v.items()}
-                      for t, v in comp.tview.items()},
+                      for t, v in tview(comp).items()},
             "mview": {(op.action.var, op.ts): dict(v)
-                      for op, v in comp.mview.items()},
-            "cvd": {(op.action.var, op.ts) for op in comp.cvd},
+                      for op, v in mview(comp).items()},
+            "cvd": {(op.action.var, op.ts) for op in cvd(comp)},
             "matched": _matched(comp),
         }
     return out

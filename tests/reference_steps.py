@@ -3,17 +3,20 @@ tables of `rarcheck.program.local_step`.
 
 It is the recursive rule set taken literally: each step searches the
 command for its redex again and rebuilds every node on the way back up,
-with `dataclasses.replace` for each enclosing label, sequence, hole,
-assignment and body.
+with `replace` for each enclosing label, sequence, hole, assignment and
+body.
 """
-
-from dataclasses import replace
 
 from rarcheck.program import (Assign, Body, Bot, Cas, DoUntil, Fai, GRead,
                               GWrite, Hole, If, Labeled, MethodCall,
                               ProgramError, Seq, Step, While, eval_expr,
                               is_done)
 from rarcheck.state import FALSE, TRUE, fai, open_read, update, write
+
+
+def replace(step, **changes):
+    """step with the given fields changed."""
+    return Step(**{f: changes.get(f, getattr(step, f)) for f in step._fields})
 
 
 def _ls_set(ls, r, v):

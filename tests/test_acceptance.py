@@ -8,17 +8,18 @@ import time
 
 import pytest
 
+from component_views import cvd, tview
 from lock_rules import check_lock_rules
 from rarcheck.assertions import dobs, eval_assertion, pobs, wrote
 from rarcheck.explore import check_outline, explore, successors
 from rarcheck.litmus import build_system, load_corpus
 from rarcheck.oracle import fifo_check, matched_order_ok
-from rarcheck.refine import (builtin_impls, check_simulation,
-                             check_trace_refinement)
+from rarcheck.refine import builtin_impls, check_simulation
 from rarcheck.state import (LOCK_ACQUIRE, LOCK_RELEASE, UPDATE, WRITE,
                             merge_views, wrval)
 from reference_key import (describe, inserted_op, ref_key, reference_key,
                            remap)
+from refine_helpers import trace_check_alone
 
 PASSED = []
 
@@ -132,7 +133,7 @@ class TestCriterion7:
         lf = load_corpus(client)
         t0 = time.monotonic()
         sim = check_simulation(builtin_impls()[impl], lf, 64)
-        tr = check_trace_refinement(builtin_impls()[impl], lf, 64)
+        tr = trace_check_alone(builtin_impls()[impl], lf, 64)
         dt = time.monotonic() - t0
         ok = sim.ok and tr.ok and dt < 60.0
         report(7, ok, f"{impl}: {sim.verdict} (relation {sim.relation_size} "
@@ -185,15 +186,15 @@ class TestCriterion9:
                     same = sorted(comp.ops_on(op.action.var),
                                   key=lambda o: o.ts)
                     pred = same[same.index(op) - 1]
-                    assert pred in comp.cvd
+                    assert pred in cvd(comp)
                     assert wrval(pred.action) == op.action.aux
 
         # view monotonicity along every sampled step
         for system, cfg, t, lab, nxt in step_corpus:
             for before, after in ((cfg.gamma, nxt.gamma),
                                   (cfg.beta, nxt.beta)):
-                assert all(after.tview[t][x].ts >= op.ts
-                           for x, op in before.tview[t].items())
+                assert all(tview(after)[t][x].ts >= op.ts
+                           for x, op in tview(before)[t].items())
 
         # definite implies possible
         for system, cfg in state_corpus:
@@ -208,7 +209,7 @@ class TestCriterion9:
         merges = 0
         for (_, cfg) in state_corpus[:500]:
             for comp in (cfg.gamma, cfg.beta):
-                for t in comp.tview:
+                for t in tview(comp):
                     tv = comp.view(t)
                     for op in comp.ops:
                         mv = comp.mview_of(op)

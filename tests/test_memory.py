@@ -1,3 +1,4 @@
+from component_views import cvd, mview, tview
 from rarcheck.memory import mem_read, mem_update, mem_write
 from rarcheck.state import (fai, make_init_states, open_read, update, write,
                             wrval)
@@ -90,7 +91,7 @@ class TestWrite:
     def test_mview_spans_context(self):
         rho, g, b = make_init_states([("d", 0)], {"d"}, ("lock", "l"), {1, 2})
         (g2, _, new), = mem_write(g, b, 1, write("d", 5))
-        assert "l" in g2.mview[new]  # records the library viewfront too
+        assert "l" in mview(g2)[new]  # records the library viewfront too
 
     def test_fresh_timestamps_along_runs(self):
         _, g, b = mp_init()
@@ -107,7 +108,7 @@ class TestUpdate:
         assert len(out) == 1
         b2, g2, new = out[0]
         (init_glb,) = b.ops_on("glb")
-        assert init_glb in b2.cvd
+        assert init_glb in cvd(b2)
         assert new.action.aux == 0 and new.action.val == 1
 
     def test_value_mismatch_everywhere(self):
@@ -123,7 +124,7 @@ class TestUpdate:
         b2, g2, op2 = out[0]
         times = sorted(o.ts for o in b2.ops_on("nt"))
         assert times.index(op2.ts) == times.index(op1.ts) + 1
-        assert op1 in b2.cvd
+        assert op1 in cvd(b2)
         # second FAI of the same expected value is now impossible
         assert mem_update(b2, g2, 1, update("nt", 1, 2)) == []
 
@@ -144,19 +145,19 @@ class TestUpdate:
             [(0, 1), (4, 5), (9, 10)]
         for b2, _, op in out:
             pred = b2.ops_on("nt")[op.ts - 1]
-            assert pred in b2.cvd and wrval(pred.action) == op.action.aux
+            assert pred in cvd(b2) and wrval(pred.action) == op.action.aux
 
 
 class TestViewMonotonicity:
     def test_writer_view_never_decreases(self):
         _, g, b = mp_init()
-        before = {x: op.ts for x, op in g.tview[1].items()}
+        before = {x: op.ts for x, op in tview(g)[1].items()}
         (g2, _, _), = mem_write(g, b, 1, write("d", 5))
-        after = {x: op.ts for x, op in g2.tview[1].items()}
+        after = {x: op.ts for x, op in tview(g2)[1].items()}
         assert all(after[x] >= before[x] for x in before)
 
     def test_other_thread_views_unchanged(self):
         _, g, b = mp_init()
         (g2, b2, _), = mem_write(g, b, 1, write("d", 5))
-        assert g2.tview[2] == g.tview[2]
-        assert b2.tview == b.tview
+        assert tview(g2)[2] == tview(g)[2]
+        assert tview(b2) == tview(b)

@@ -4,6 +4,7 @@ exploration results."""
 
 import pytest
 
+from component_views import mview, tview
 from rarcheck.explore import canonical_key, explore, successors
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.oracle import fifo_litmus
@@ -94,10 +95,10 @@ def _dense(comp, other) -> bool:
             and names == {(x, r) for x in comp.variables()
                           for r in range(len(comp.ops_on(x)))}
             and all((x, op.ts) in names and op.action.var == x
-                    for view in comp.tview.values()
+                    for view in tview(comp).values()
                     for x, op in view.items())
             and all((x, r) in names or (x, r) in other_names
-                    for mv in comp.mview.values() for x, r in mv.items()))
+                    for mv in mview(comp).values() for x, r in mv.items()))
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -1,5 +1,6 @@
 import pytest
 
+from component_views import cvd, mview, tview
 from rarcheck.explore import explore
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.objects import (lock_acquire, lock_release, lock_spec,
@@ -35,7 +36,7 @@ class TestLockAcquire:
         assert len(out) == 1
         b2, g2, new = out[0]
         assert new.action.index == 1 and new.action.owner == 1
-        assert init_op in b2.cvd
+        assert init_op in cvd(b2)
         assert b2.max_op("l") == new
 
     def test_held_lock_blocks(self):
@@ -53,7 +54,7 @@ class TestLockAcquire:
         (b, g, new), = lock_acquire(b, g, 2, "l")
         assert new.action.index == 3
         for x in ("d1", "d2"):
-            viewed = g.tview[2][x]
+            viewed = tview(g)[2][x]
             assert wrval(viewed.action) == 5
             assert viewed == g.max_op(x)
 
@@ -79,7 +80,7 @@ class TestLockRelease:
         (b, g, _), = lock_acquire(b, g, 1, "l")
         (g, b, w1), = mem_write(g, b, 1, write("d1", 5))
         (b2, _, rel), = lock_release(b, g, 1, "l")
-        assert b2.mview[rel]["d1"] == w1.ts
+        assert mview(b2)[rel]["d1"] == w1.ts
 
 
 class TestQueueEnq:
@@ -132,7 +133,7 @@ class TestQueueDeq:
         hits = [s for s in queue_deq(b, g, 2, "q") if s[3] == 1]
         assert hits
         for b2, g2, _, _ in hits:
-            assert g2.tview[2]["d"] == wd
+            assert tview(g2)[2]["d"] == wd
 
     def test_sequential_deqs_are_fifo(self):
         # brute force: all ways to run two deqs after enq(1), enq(2)

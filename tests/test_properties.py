@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from component_views import cvd, mview, tview
 from rarcheck.assertions import dobs, pobs, wrote
 from rarcheck.oracle import matched_order_ok
 from rarcheck.state import wrval, UPDATE
@@ -33,7 +34,7 @@ class TestTimestampDiscipline:
     def test_views_point_into_ops(self, state_corpus):
         for _, cfg in state_corpus:
             for comp in _components(cfg):
-                for t, view in comp.tview.items():
+                for t, view in tview(comp).items():
                     for x, op in view.items():
                         assert op in comp.ops
                         assert op.action.var == x
@@ -42,7 +43,7 @@ class TestTimestampDiscipline:
         for _, cfg in state_corpus:
             for comp in _components(cfg):
                 for op in comp.ops:
-                    assert op in comp.mview
+                    assert op in mview(comp)
 
 
 class TestUpdateAtomicity:
@@ -58,7 +59,7 @@ class TestUpdateAtomicity:
                                       key=lambda o: o.ts)
                     i = same_var.index(op)
                     pred = same_var[i - 1]
-                    assert pred in comp.cvd
+                    assert pred in cvd(comp)
                     assert wrval(pred.action) == op.action.aux
         assert hits > 100  # the suite actually exercises updates
 
@@ -71,13 +72,13 @@ class TestViewMonotonicity:
             for before, after in ((cfg.gamma, nxt.gamma),
                                   (cfg.beta, nxt.beta)):
                 new = inserted_op(before, after)
-                for x, op in before.tview[t].items():
-                    assert after.tview[t][x].ts >= moved(op, new).ts
-                for t2 in before.tview:
+                for x, op in tview(before)[t].items():
+                    assert tview(after)[t][x].ts >= moved(op, new).ts
+                for t2 in tview(before):
                     if t2 != t:
-                        assert after.tview[t2] == {
+                        assert tview(after)[t2] == {
                             x: moved(op, new)
-                            for x, op in before.tview[t2].items()}
+                            for x, op in tview(before)[t2].items()}
 
 
 class TestObservationLogic:
@@ -230,7 +231,7 @@ class TestSilentSteps:
 
 class TestRefinementOrder:
     def test_state_refines_reflexive_and_transitive(self, state_corpus):
-        from rarcheck.refine import state_refines
+        from refine_helpers import state_refines
         from rarcheck.memory import mem_write
         from rarcheck.state import write
         system, cfg = next((s, c) for s, c in state_corpus
@@ -264,7 +265,7 @@ class TestSynchronisationPayload:
                 continue
             if a.kind == DEQUEUE and a.val is EMPTY:
                 continue
-            for x, op in cfg.gamma.tview[t].items():
-                assert nxt.gamma.tview[t][x].ts >= op.ts
+            for x, op in tview(cfg.gamma)[t].items():
+                assert tview(nxt.gamma)[t][x].ts >= op.ts
             hits += 1
         assert hits > 50

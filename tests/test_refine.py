@@ -11,11 +11,11 @@ from rarcheck.explore import explore, successors
 from rarcheck.litmus import (LitmusError, build_system, corpus_text,
                              load_corpus, parse_litmus)
 from rarcheck.refine import (builtin_impls, check_simulation,
-                             check_trace_refinement,
-                             project_and_destutter, state_refines,
-                             _client_regs)
+                             check_trace_refinement, _client_regs)
 from rarcheck.state import TRUE
 from reference_game import rounds
+from refine_helpers import (project_and_destutter, state_refines,
+                            trace_check_alone)
 
 
 def client():
@@ -186,15 +186,14 @@ class TestSimulation:
 
 class TestTraceRefinement:
     def test_both_locks_pass(self):
-        assert check_trace_refinement(builtin_impls()["seqlock"], client(),
-                                      64).ok
-        assert check_trace_refinement(builtin_impls()["ticketlock"],
-                                      load_corpus("ticketlock-refine"),
-                                      64).ok
+        assert trace_check_alone(builtin_impls()["seqlock"], client(),
+                                 64).ok
+        assert trace_check_alone(builtin_impls()["ticketlock"],
+                                 load_corpus("ticketlock-refine"), 64).ok
 
     def test_mutants_fail_with_counterexample(self):
-        res = check_trace_refinement(builtin_impls()["seqlock-relaxed"],
-                                     client(), 64)
+        res = trace_check_alone(builtin_impls()["seqlock-relaxed"],
+                                client(), 64)
         assert res.verdict == "violation"
         labels = [s["label"] for s in res.counterexample]
         assert any(lab.startswith("rd(d") for lab in labels[-1:])
@@ -203,8 +202,8 @@ class TestTraceRefinement:
     def test_reuses_the_simulation_exploration(self, impl):
         impl = builtin_impls()[impl]
         sim = check_simulation(impl, client(), 64)
-        shared = check_trace_refinement(impl, client(), 64, sim=sim)
-        assert shared == check_trace_refinement(impl, client(), 64)
+        shared = check_trace_refinement(sim, 64)
+        assert shared == trace_check_alone(impl, client(), 64)
 
     @pytest.mark.parametrize("client_name", ["seqlock-refine",
                                              "lock-two-rounds"])
@@ -220,14 +219,14 @@ class TestTraceRefinement:
         built = []
         monkeypatch.setattr(rf, "build_system",
                             lambda *a: built.append(a) or build_system(*a))
-        shared = check_trace_refinement(impl, lf, 64, sim=sim)
+        shared = check_trace_refinement(sim, 64)
         assert built == []
         assert stepped and stepped <= set(ctx.thread_steps)
         ab = explore(sim.abstract.cfg0, ctx, 64)
         assert len(ctx.thread_states) == len({ts for cfg in ab.configs
                                               for ts in cfg.locs})
-        assert shared == check_trace_refinement(impl, lf, 64)
-        assert len(built) == 2  # without sim: both systems, again
+        assert shared == trace_check_alone(impl, lf, 64)
+        assert len(built) == 2  # on its own: both systems, again
 
 
 class TestCounterexampleReplay:
@@ -341,8 +340,7 @@ class TestChecksAgree:
     def test_simulation_implies_trace_refinement(self, impl, client):
         lf = parse_litmus(LOCK_CLIENTS[client])
         sim = check_simulation(builtin_impls()[impl], lf, 64)
-        trace = check_trace_refinement(builtin_impls()[impl], lf, 64,
-                                       sim=sim)
+        trace = check_trace_refinement(sim, 64)
         assert sim.verdict != "unknown-beyond-bound"
         if sim.ok:
             assert trace.ok, trace.counterexample
@@ -371,7 +369,7 @@ class TestProjectionMemo:
         assert signed and len(signed) == len(set(signed))
 
         signed.clear()
-        check_trace_refinement(impl, client(), 64)  # a projector of its own
+        trace_check_alone(impl, client(), 64)  # a projector of its own
         system = build_system(client())
         ab = explore(system.cfg0, system.ctx, 64)
         components = ({c.gamma._parts() for c in ab.configs.values()} |
@@ -397,7 +395,7 @@ class TestProjectionMemo:
         sim = check_simulation(impl, client(), 64)
         in_game = set(signed)
         signed.clear()
-        shared = check_trace_refinement(impl, client(), 64, sim=sim)
+        shared = check_trace_refinement(sim, 64)
         assert in_game.isdisjoint(signed)
         assert len(signed) == len(set(signed))
-        assert shared == check_trace_refinement(impl, client(), 64)
+        assert shared == trace_check_alone(impl, client(), 64)

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from component_views import cvd, mview, tview
 import rarcheck.memory
 import rarcheck.objects
 from rarcheck.explore import explore
@@ -39,23 +40,23 @@ class TestMakeInit:
         assert lock_op.ts == 0 and lock_op.action.index == 0
         (d_op,) = gamma.ops
         assert d_op.action.val == 0 and d_op.ts == 0
-        assert gamma.cvd == frozenset() and beta.cvd == frozenset()
+        assert cvd(gamma) == frozenset() and cvd(beta) == frozenset()
         assert rho[1]["rval"] is BOT
         # init mviews span both components
-        assert beta.mview[lock_op]["d"] == d_op.ts
-        assert gamma.mview[d_op]["l"] == lock_op.ts
+        assert mview(beta)[lock_op]["d"] == d_op.ts
+        assert mview(gamma)[d_op]["l"] == lock_op.ts
 
     def test_empty_init(self):
         rho, gamma, beta = make_init_states([], set(), None, {1})
         assert gamma.ops == frozenset() and beta.ops == frozenset()
-        assert gamma.tview[1] == {} and beta.tview[1] == {}
+        assert tview(gamma)[1] == {} and tview(beta)[1] == {}
 
     def test_two_vars_definite_for_all_threads(self):
         rho, gamma, beta = make_init_states(
             [("d1", 0), ("d2", 0)], {"d1", "d2"}, ("lock", "l"), {1, 2})
         for t in (1, 2):
             for x in ("d1", "d2"):
-                viewed = gamma.tview[t][x]
+                viewed = tview(gamma)[t][x]
                 assert viewed.action.val == 0
                 assert viewed == max(gamma.ops_on(x), key=lambda o: o.ts)
 
@@ -144,8 +145,8 @@ class TestFreshTimestamp:
         assert new.ts == 2
         assert [op.action.val for op in s2.ops_on("d")] == [0, 1, 9, 2]
         # thread 1 viewed the last write; its view moved up with it
-        assert s2.tview[1]["d"].action.val == 2
-        assert s2.tview[2]["d"] == new
+        assert tview(s2)[1]["d"].action.val == 2
+        assert tview(s2)[2]["d"] == new
 
     def test_pred_not_in_ops(self):
         state, other, _ = mk_state(0)
@@ -177,17 +178,17 @@ class TestFreshTimestamp:
             assert new.ts == pred.ts + 1 and positions_dense(c2)
             assert c2.ops == {op._replace(ts=moved(op.ts, op.action.var))
                               for op in c.ops} | {new}
-            for t2, view in c.tview.items():
+            for t2, view in tview(c).items():
                 for y, op in view.items():
                     expect = new if (t2, y) == (t, x) else \
                         op._replace(ts=moved(op.ts, y))
-                    assert c2.tview[t2][y] == expect
+                    assert tview(c2)[t2][y] == expect
             for comp, comp2 in ((c, c2), (other, other2)):
-                for op, mv in comp.mview.items():
+                for op, mv in mview(comp).items():
                     op2 = op._replace(ts=moved(op.ts, op.action.var))
-                    assert comp2.mview[op2] == {y: moved(r, y)
+                    assert mview(comp2)[op2] == {y: moved(r, y)
                                                 for y, r in mv.items()}
-            assert other2.tview == other.tview
+            assert tview(other2) == tview(other)
             g, b = (other2, c2) if x == "g" else (c2, other2)
 
 
