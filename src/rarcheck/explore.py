@@ -177,7 +177,7 @@ class StepLabel(Record):
     thread's successors, is rendered once, when the label is made."""
 
     __slots__ = ("component", "action", "rank", "at_hole", "text")
-    _fields = _seen = ("component", "action", "rank", "at_hole")
+    _fields = ("component", "action", "rank", "at_hole")
 
     def __init__(self, component, action, rank=None, at_hole=False):
         if action is None:

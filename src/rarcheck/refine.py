@@ -223,11 +223,10 @@ class SimulationResult(Record):
     detail: str = ""
     # the concrete exploration the game was played over, the projector it
     # used and the abstract system it stepped, which check_trace_refinement
-    # reuses; left out of equality and the repr
+    # reuses
     explored: ExploreResult = None
     projector: object = None
     abstract: System = None
-    _unseen = ("explored", "projector", "abstract")
 
     @property
     def ok(self):
@@ -237,10 +236,7 @@ class SimulationResult(Record):
 def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
                      require_sync_free: bool = True) -> SimulationResult:
     """Play the forward-simulation game over the explored concrete state
-    graph, expanding abstract states on demand.  A client without a lock
-    object is refused first, before anything is built."""
-    if client_lf.object_decl is None or client_lf.object_decl[0] != "lock":
-        raise LitmusError("an implementation needs a lock object")
+    graph, expanding abstract states on demand."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     _check_no_version_binder(abs_sys)

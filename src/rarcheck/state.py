@@ -86,16 +86,14 @@ DEQUEUE = "dequeue"
 class Record:
     """Base of immutable records: value objects declared with `record`, with
     slots (no per-instance `__dict__`), equal when they are of one class
-    with equal fields, and printed as `Name(field=value, ...)`.  Fields
-    named in a class's `_unseen` are kept out of equality, hash and repr.
+    with equal fields, and printed as `Name(field=value, ...)`.
     """
 
     __slots__ = ()
     _fields = ()  # every field, in constructor order
-    _seen = ()  # the fields that equality, hash and repr read
 
     def _key(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._seen))
+        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -107,7 +105,7 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__qualname__}(" + ", ".join(
-            f"{f}={getattr(self, f)!r}" for f in self._seen) + ")"
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -148,9 +146,7 @@ def _build(cls, keyed):
     defaults = tuple(ns.pop(f) for f in fields if f in ns)
     ns.pop("__dict__", None)
     ns.pop("__weakref__", None)
-    unseen = ns.get("_unseen", ())
-    ns.update(__slots__=fields, _fields=fields,
-              _seen=tuple(f for f in fields if f not in unseen))
+    ns.update(__slots__=fields, _fields=fields)
     cls = type(cls)(cls.__name__, cls.__bases__, ns)
 
     env = {"_cls": cls, "_set_hash": Hashed._hash.__set__}

@@ -16,11 +16,11 @@ import json
 import re
 from importlib import resources
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarcheck.cli import run_cli
-from rarcheck.litmus import (LitmusError, load_corpus, parse_litmus, pretty,
-                             tokenize)
+from rarcheck.litmus import load_corpus, parse_litmus, pretty, tokenize
 from rarcheck.refine import builtin_impls
 
 BINOPS = ("+", "-", "*", "%", "=", "!=", "<", "<=", ">", ">=", "and", "or")
@@ -297,20 +297,14 @@ def test_spaced_tokens_read_back_as_the_corpus_file():
 NO_LOCK = "error: an implementation needs a lock object\n"
 
 
-def _lockless(text) -> bool:
-    """Whether the text parses and declares no lock object: `refine` then
-    refuses it before building anything."""
-    try:
-        lf = parse_litmus(text)
-    except LitmusError:
-        return False
-    return lf.object_decl is None or lf.object_decl[0] != "lock"
+def _declares_lock(text) -> bool:
+    decl = parse_litmus(text).object_decl
+    return decl is not None and decl[0] == "lock"
 
 
 def _exit_0_to_3(tmp_path_factory, text, max_steps):
     path = tmp_path_factory.mktemp("mutant") / "m.lit"
     path.write_text(text)
-    lockless = _lockless(text)
     for argv in (["explore", str(path)], ["outline", str(path)],
                  ["hoare", str(path)],
                  ["refine", "--impl", "seqlock", "--client", str(path)]):
@@ -319,7 +313,10 @@ def _exit_0_to_3(tmp_path_factory, text, max_steps):
                 contextlib.redirect_stderr(err):
             code = run_cli(argv + ["--max-steps", max_steps])
         msg = err.getvalue()
-        if argv[0] == "refine" and lockless:
+        if argv[0] == "explore":
+            built = code in (0, 1, 2)  # the file builds without a lock impl
+        if argv[0] == "refine" and built and not _declares_lock(text):
+            # a file that builds has one input error left for refine
             assert (code, msg) == (3, NO_LOCK), (text, msg)
             continue
         assert code in (0, 1, 2, 3), (argv, text, msg)
@@ -458,14 +455,16 @@ def test_edited_generated_files_exit_0_to_3(tmp_path_factory, text):
 # locks simulate the abstract lock under every one of them.  The trace
 # check that follows a simulation is held to the exit codes only: on some
 # clients with racy accesses outside the rounds it finds no match where
-# the game finds a simulation, a disagreement still open.
+# the game finds a simulation, a disagreement still open; on clients whose
+# accesses all lie inside the rounds the two checks must agree.
 
 @st.composite
 def lock_clients(draw):
     """One or two threads, each running one or two rounds of `l.acquire()`,
     plain accesses of x and y, `l.release()`, with a plain access or none
-    before each round."""
+    before each round.  Also whether some access lies outside the rounds."""
     lines = ["name client", "init x := 0; y := 0", "object lock l"]
+    outside = False
     for t in range(1, draw(st.integers(1, 2)) + 1):
         r = st.sampled_from([f"a{t}", f"b{t}"])
         x = st.sampled_from(GLOBALS)
@@ -474,29 +473,73 @@ def lock_clients(draw):
                           st.builds("{} <- {}".format, r, x))
         body = [f"a{t} := 0;", f"b{t} := 0;"]
         for _ in range(draw(st.integers(1, 2))):
-            body += [s + ";" for s in draw(st.lists(plain, max_size=1))]
+            before = draw(st.lists(plain, max_size=1))
+            outside = outside or bool(before)
+            body += [s + ";" for s in before]
             body.append(draw(st.sampled_from(
                 ["l.acquire();", f"a{t} := l.acquire();"])))
             body += [s + ";" for s in draw(st.lists(plain, min_size=1,
                                                     max_size=2))]
             body.append("l.release();")
         lines.append(f"thread {t} {{\n  " + "\n  ".join(body) + "\n}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", outside
+
+
+def _refine_verdict(tmp_path_factory, text, impl):
+    path = tmp_path_factory.mktemp("client") / "c.lit"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(["refine", "--impl", impl, "--client", str(path),
+                        "--max-steps", "200", "--json"])
+    # the game's or the trace check's verdict, never a bound or an input
+    # error
+    assert code in (0, 1), (impl, text, err.getvalue())
+    return json.loads(out.getvalue())["verdict"]
 
 
 @settings(max_examples=20, deadline=None)
 @given(lock_clients())
-def test_refine_plays_the_game_on_lock_clients(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("client") / "c.lit"
-    path.write_text(text)
+def test_refine_plays_the_game_on_lock_clients(tmp_path_factory, client):
+    text, outside = client
+    found = {"simulation-found"} | ({"trace-check-failed"} if outside
+                                    else set())
     for impl in sorted(builtin_impls()):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli(["refine", "--impl", impl, "--client", str(path),
-                            "--max-steps", "200", "--json"])
-        # the game's or the trace check's verdict, never a bound or an
-        # input error
-        assert code in (0, 1), (impl, text, err.getvalue())
+        verdict = _refine_verdict(tmp_path_factory, text, impl)
         if not impl.endswith("-relaxed"):  # the game finds a simulation
-            assert json.loads(out.getvalue())["verdict"] in (
-                "simulation-found", "trace-check-failed"), (impl, text)
+            assert verdict in found, (impl, text, verdict)
+
+
+# The smallest client known on which the two checks disagree: thread 1
+# writes y between its rounds, and the trace check finds no abstract match
+# for its read of y = 2 after thread 2's y := 1, where the game finds a
+# simulation.
+DISAGREEING_CLIENT = """\
+name client
+init x := 0; y := 0
+object lock l
+thread 1 {
+  a1 := l.acquire();
+  l.release();
+  y := 2;
+  l.acquire();
+  a1 <- y;
+}
+thread 2 {
+  a2 := l.acquire();
+  x := 2;
+  l.release();
+  a2 := l.acquire();
+  y := 1;
+  l.release();
+}
+"""
+
+
+@pytest.mark.xfail(strict=True, reason="the trace check rejects a client "
+                   "the simulation game accepts")
+@pytest.mark.parametrize("impl", ["seqlock", "ticketlock"])
+def test_trace_check_agrees_with_the_game_outside_rounds(tmp_path_factory,
+                                                         impl):
+    assert _refine_verdict(tmp_path_factory, DISAGREEING_CLIENT,
+                           impl) == "simulation-found"

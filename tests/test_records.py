@@ -44,7 +44,7 @@ def test_every_record_class_is_found():
 def test_equal_fields_give_equal_objects_and_hashes(cls):
     a, b = cls(*_values(cls)), cls(*_values(cls))
     assert a == b and not a != b and hash(a) == hash(b)
-    if cls._seen:
+    if cls._fields:
         c = cls(*_values(cls, "other "))
         assert a != c
 
@@ -82,9 +82,7 @@ def test_copies_and_pickles_are_equal(cls):
                                  if c.__repr__ is Record.__repr__],
                          ids=lambda c: c.__name__)
 def test_default_repr_is_a_dataclass_repr(cls):
-    twin = dataclasses.make_dataclass(cls.__name__, [
-        (f, object, dataclasses.field(repr=f in cls._seen))
-        for f in cls._fields])
+    twin = dataclasses.make_dataclass(cls.__name__, cls._fields)
     assert repr(cls(*_values(cls))) == repr(twin(*_values(cls)))
 
 
@@ -98,13 +96,6 @@ def test_records_with_unhashable_fields():
         hash(step)
     with pytest.raises(TypeError):
         program.Seq(program.Bot(), [])  # a node hashes as it is made
-
-
-def test_unseen_fields_leave_equality_and_repr():
-    a = refine.SimulationResult("no-simulation", explored="one")
-    b = refine.SimulationResult("no-simulation", explored="two")
-    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-    assert pickle.loads(pickle.dumps(a)).explored == "one"
 
 
 def test_step_label_renders_once_and_keeps_its_fields():
