@@ -77,7 +77,6 @@ def _build_parser():
     rf.add_argument("--client", required=True)
     rf.add_argument("--max-steps", type=_int_at_least(1), default=64)
     rf.add_argument("--json", action="store_true")
-    rf.add_argument("--skip-trace-check", action="store_true")
 
     orc = sub.add_parser("oracle", help="brute-force cross checks")
     orc.add_argument("what", choices=["fifo"])
@@ -141,17 +140,18 @@ def _print_report(report: dict, as_json: bool):
         print(report["detail"])
 
 
-def _load(path: str):
+def _read(path: str):
+    """The parsed litmus file at `path`."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise LitmusError(str(e))
-    return build_system(parse_litmus(text))
+    return parse_litmus(text)
 
 
 def _cmd_explore(args) -> int:
-    system = _load(args.file)
+    system = build_system(_read(args.file))
     res = explore(system.cfg0, system.ctx, args.max_steps, reduce=True)
     verdict, code, witness = "pass", OK, None
     if system.outline.final is not None:
@@ -170,7 +170,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_outline(args) -> int:
-    system = _load(args.file)
+    system = build_system(_read(args.file))
     rep = check_outline(system.cfg0, system.ctx, system.outline,
                         args.max_steps)
     assertions = {name: r.verdict for name, r in sorted(rep.verdicts.items())}
@@ -187,7 +187,7 @@ def _cmd_outline(args) -> int:
 
 
 def _cmd_hoare(args) -> int:
-    system = _load(args.file)
+    system = build_system(_read(args.file))
     rep = check_hoare(system.cfg0, system.ctx, system.outline.pre,
                       system.outline.final, args.max_steps)
     code = {"valid": OK, "invalid": VIOLATION,
@@ -199,18 +199,13 @@ def _cmd_hoare(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    impl = _IMPLS[args.impl]
-    try:
-        with open(args.client, encoding="utf-8") as fh:
-            lf = parse_litmus(fh.read())
-    except OSError as e:
-        raise LitmusError(str(e))
-    sim = check_simulation(impl, lf, args.max_steps)
+    sim = check_simulation(_IMPLS[args.impl], _read(args.client),
+                           args.max_steps)
     report = {"verdict": sim.verdict, "relation_size": sim.relation_size,
               "pairs_explored": sim.pairs_explored,
               "witness": sim.counterexample or [], "detail": sim.detail}
-    if sim.ok and not args.skip_trace_check:
-        tr = check_trace_refinement(sim, args.max_steps)
+    if sim.ok:
+        tr = check_trace_refinement(sim)
         report["trace_check"] = tr.verdict
         if not tr.ok:
             report["verdict"] = "trace-check-failed"

@@ -10,17 +10,19 @@ the identical client step.  A client whose abstract acquire binds the lock's
 operation counter (`l.acquire(rl)`) is rejected as input: no implementation
 sets that local.
 
-Trace inclusion is checked independently by determinizing the abstract trace
-graph: every stutter-free concrete client trace must be matched pointwise by
-some abstract trace, the abstract side staying put where the concrete one
-changes the client's projection more often.
+Both systems are explored once, under one step bound, and both checks read
+those two explorations: the game plays over the two state graphs, and trace
+inclusion determinizes the abstract one against every stutter-free concrete
+client trace, matched pointwise under refinement.
 """
 
 from __future__ import annotations
 
 from . import program as P
-from .explore import ExploreResult, explore, successors
-from .litmus import LitmusError, System, build_system
+from .explore import ExploreResult, explore
+# unused here, but perfbench/layers.py traces rarcheck.refine.successors
+from .explore import successors  # noqa: F401
+from .litmus import LitmusError, build_system
 from .objects import lock_release
 from .state import BOT, TRUE, Record, record
 
@@ -221,36 +223,40 @@ class SimulationResult(Record):
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
-    # the concrete exploration the game was played over, the projector it
-    # used and the abstract system it stepped, which check_trace_refinement
-    # reuses
+    # the concrete and the abstract exploration the game was played over
+    # (no abstract one when the concrete one is truncated) and the projector
+    # it used, which check_trace_refinement reuses
     explored: ExploreResult = None
     projector: object = None
-    abstract: System = None
+    abstract: ExploreResult = None
 
     @property
     def ok(self):
         return self.verdict == "simulation-found"
 
 
-def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
-                     require_sync_free: bool = True) -> SimulationResult:
-    """Play the forward-simulation game over the explored concrete state
-    graph, expanding abstract states on demand."""
+def check_simulation(impl: LockImpl, client_lf,
+                     max_steps: int = 64) -> SimulationResult:
+    """Play the forward-simulation game over the explored concrete and
+    abstract state graphs, exploring the abstract one second."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     _check_no_version_binder(abs_sys)
-    if require_sync_free:
-        check_sync_free(abs_sys)
+    check_sync_free(abs_sys)
 
     conc = _explore_concrete(conc_sys, abs_sys, max_steps)
     project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)
-    kept = {"explored": conc, "projector": project, "abstract": abs_sys}
+    kept = {"explored": conc, "projector": project}
     if conc.truncated:
         return SimulationResult("unknown-beyond-bound",
                                 detail="concrete exploration truncated",
                                 **kept)
-    moves = _game(abs_sys, conc, project)
+    ab = kept["abstract"] = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
+    if ab.truncated:
+        return SimulationResult("unknown-beyond-bound",
+                                detail="abstract exploration truncated",
+                                **kept)
+    moves = _game(ab, conc, project)
     if not moves:
         return SimulationResult("no-simulation", counterexample=[],
                                 detail="initial states unrelated", **kept)
@@ -265,59 +271,50 @@ def check_simulation(impl: LockImpl, client_lf, max_steps: int = 64,
                             len(moves), **kept)
 
 
-def _game(abs_sys, conc, project):
+def _numbered(res, project):
+    """An exploration's states numbered in exploration order: per state, its
+    view (return values, projection) and its steps as ((thread, label),
+    successor number, reply core)."""
+    num = {k: i for i, k in enumerate(res.configs)}
+    views = [(_rvals(cfg), project(cfg)) for cfg in res.configs.values()]
+    steps = [[((t, lab), num[k2], _reply_core(lab))
+              for t, lab, k2 in res.edges[k]] for k in res.configs]
+    return views, steps
+
+
+def _game(ab, conc, project):
     """The pairs (abstract state, concrete state) reachable from the initial
     pair, numbered in discovery order, as `moves`: per pair number, per
     concrete step, ((thread, label), [candidate pair numbers]).  Empty when
     the initial states are unrelated."""
-    # states are numbered: concrete ones in exploration order, abstract ones
-    # as they are reached; a state's view is (return values, projection),
-    # and a concrete step is ((thread, label), successor, reply core)
-    cnum = {k: i for i, k in enumerate(conc.configs)}
-    cviews = [(_rvals(cfg), project(cfg)) for cfg in conc.configs.values()]
-    csteps = [[((t, lab), cnum[k2], _reply_core(lab))
-               for t, lab, k2 in conc.edges[k]] for k in conc.configs]
-    acfgs, anum, aviews = [], {}, []
-    # per abstract state, once expanded: (thread, reply core) -> successors
+    cviews, csteps = _numbered(conc, project)
+    aviews, asteps = _numbered(ab, project)
+    # per abstract state: (thread, reply core) -> successors
     areplies = []
+    for steps in asteps:
+        out = {}
+        for (t, _), a2, core in steps:
+            out.setdefault((t, core), []).append(a2)
+        areplies.append(out)
     refines = _refines_memo()
-
-    def anumber(cfg):
-        n = anum.get(cfg)
-        if n is None:
-            n = anum[cfg] = len(acfgs)
-            acfgs.append(cfg)
-            aviews.append((_rvals(cfg), project(cfg)))
-            areplies.append(None)
-        return n
-
-    def replies(a):
-        out = areplies[a]
-        if out is None:
-            out = areplies[a] = {}
-            for t, lab, nxt in successors(acfgs[a], abs_sys.ctx):
-                out.setdefault((t, _reply_core(lab)), []).append(
-                    anumber(nxt))
-        return out
 
     def related(a, c):
         (arv, ap), (crv, cp) = aviews[a], cviews[c]
         return arv == crv and refines(ap, cp)
 
-    init_pair = (anumber(abs_sys.cfg0), cnum[conc.initial_key])
-    if not related(*init_pair):
+    # forward reachability over candidate pairs, from the initial pair: each
+    # exploration numbers its initial state 0
+    if not related(0, 0):
         return []
-
-    # forward reachability over candidate pairs
-    order = [init_pair]
-    seen = {init_pair: 0}
+    order = [(0, 0)]
+    seen = {(0, 0): 0}
     moves = []
     for a, c in order:  # grows while it is walked
         step_moves = []
         for step, c2, core in csteps[c]:
             # an implementation step may also be answered by stuttering
             cands = [a] if core is None and related(a, c2) else []
-            cands += [a2 for a2 in replies(a).get((step[0], core), ())
+            cands += [a2 for a2 in areplies[a].get((step[0], core), ())
                       if related(a2, c2)]
             nums = []
             for a2 in cands:
@@ -403,7 +400,7 @@ def _extract_counterexample(pair, moves, losing):
 
 @record
 class TraceCheckResult(Record):
-    verdict: str  # 'trace-refinement' | 'violation' | 'unknown-beyond-bound'
+    verdict: str  # 'trace-refinement' | 'violation'
     counterexample: list = None
     traces_checked: int = 0
     detail: str = ""
@@ -413,35 +410,31 @@ class TraceCheckResult(Record):
         return self.verdict == "trace-refinement"
 
 
-def check_trace_refinement(sim: SimulationResult,
-                           max_steps: int = 64) -> TraceCheckResult:
+def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
     """Determinized matching of every stutter-free concrete client trace
     against the abstract trace graph under pointwise refinement.  `sim` is
-    `check_simulation`'s result for the implementation and client under
-    the same bound: its concrete exploration, its projector with the
-    projections it has made, and its abstract system, whose tables hold the
-    abstract states and steps the game has reached, are reused, so no
-    system is built again.
+    a game `check_simulation` played, with any verdict but
+    `unknown-beyond-bound`: its two explorations and its projector are
+    read, and nothing is built or explored.
 
-    A visible concrete step is matched by a visible abstract step or by the
-    abstract side staying put, when the state it is in already refines the
-    concrete successor.  This is sound for the paper's refinement, which
-    compares stutter-free client traces: the projections p0 .. pn of a
-    concrete trace are refined pointwise by abstract projections q0 .. qn
-    with consecutive repeats, and q0 .. qn with its repeats collapsed is
-    the stutter-free client trace of an abstract execution, since each
-    abstract state we stay at is one the abstract system reached.  A
-    concrete acquire may change the client's projection several times (its
-    spin reads shrink what the thread observes) where the abstract acquire
-    changes it once; the simulation game's stay-put reply to an
-    implementation step is the same freedom, so a simulation implies trace
-    inclusion here as the paper's theorem says it must."""
-    abs_sys, conc, project = sim.abstract, sim.explored, sim.projector
-    ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
-    if conc.truncated or ab.truncated:
-        return TraceCheckResult("unknown-beyond-bound",
-                                detail="exploration truncated")
-
+    A node pairs a concrete state with the abstract states that may answer
+    the concrete trace to it, closed under abstract steps that leave the
+    client's projection unchanged.  Every concrete step is matched alike:
+    the new set is the closure of the abstract successors, by a step that
+    changes the projection, that refine the concrete successor, and of the
+    states of the set that refine it (the abstract side staying put); it is
+    computed once per set and successor projection.  This is sound for the
+    paper's refinement of stutter-free client traces: a concrete trace's
+    projections p0 .. pn are refined pointwise by abstract ones q0 .. qn
+    with consecutive repeats, which collapsed are the stutter-free client
+    trace of an abstract execution.  It is also the game's freedom to answer
+    an implementation step, whether it changes the projection or not, by
+    staying put or by one abstract step (a concrete acquire's spin read can
+    shrink what its thread observes, as the abstract acquire does, and its
+    final update then change nothing visible), so a simulation implies
+    trace inclusion, as the paper's theorem says.  `traces_checked` counts
+    the concrete steps walked that change the client's projection."""
+    conc, ab, project = sim.explored, sim.abstract, sim.projector
     aproj = {k: project(c) for k, c in ab.configs.items()}
     cproj = {k: project(c) for k, c in conc.configs.items()}
     refines = _refines_memo()
@@ -457,6 +450,19 @@ def check_trace_refinement(sim: SimulationResult,
                     work.append(k2)
         return frozenset(out)
 
+    # (abstract set, id of an interned concrete projection) -> the set that
+    # answers a step to it, empty when none does
+    answers = {}
+
+    def answer(aset, cp):
+        out = answers.get((aset, id(cp)))
+        if out is None:
+            step = {k2 for k in aset for _, _, k2 in ab.edges[k]
+                    if aproj[k2] != aproj[k] and refines(aproj[k2], cp)}
+            step |= {k for k in aset if refines(aproj[k], cp)}
+            out = answers[aset, id(cp)] = closure(step)
+        return out
+
     ck0, ak0 = conc.initial_key, ab.initial_key
     if not _refines(aproj[ak0], cproj[ck0]):
         return TraceCheckResult("violation", [],
@@ -470,22 +476,15 @@ def check_trace_refinement(sim: SimulationResult,
         node = work.pop()
         ck, aset = node
         for t, label, ck2 in conc.edges[ck]:
-            if cproj[ck2] == cproj[ck]:
-                aset2 = aset
-            else:
+            if cproj[ck2] != cproj[ck]:
                 visible += 1
-                step = {k2 for k in aset for _, _, k2 in ab.edges[k]
-                        if aproj[k2] != aproj[k]
-                        and refines(aproj[k2], cproj[ck2])}
-                # the abstract side may stutter
-                step |= {k for k in aset if refines(aproj[k], cproj[ck2])}
-                if not step:
-                    path = _trace_path(parents, node)
-                    path.append({"thread": t, "label": label.render()})
-                    return TraceCheckResult(
-                        "violation", path, visible,
-                        "concrete client trace has no abstract match")
-                aset2 = closure(step)
+            aset2 = answer(aset, cproj[ck2])
+            if not aset2:
+                path = _trace_path(parents, node)
+                path.append({"thread": t, "label": label.render()})
+                return TraceCheckResult(
+                    "violation", path, visible,
+                    "concrete client trace has no abstract match")
             node2 = (ck2, aset2)
             if node2 not in seen:
                 seen.add(node2)

@@ -25,12 +25,13 @@ def project_and_destutter(execution, client_regs, threads):
 
 def trace_check_alone(impl, client_lf, max_steps=64):
     """`check_trace_refinement` with what it reuses made anew: both systems
-    built again, the concrete one explored again, and a projector of its
-    own, as if no game had been played."""
+    built and explored again, and a projector of its own, as if no game had
+    been played."""
     abs_sys = rf.build_system(client_lf)
     conc = rf._explore_concrete(rf.build_system(client_lf, impl), abs_sys,
                                 max_steps)
     project = rf._projector(rf._client_regs(abs_sys), abs_sys.ctx.threads)
-    unplayed = rf.SimulationResult("unplayed", explored=conc,
-                                   projector=project, abstract=abs_sys)
-    return rf.check_trace_refinement(unplayed, max_steps)
+    unplayed = rf.SimulationResult(
+        "unplayed", explored=conc, projector=project,
+        abstract=rf.explore(abs_sys.cfg0, abs_sys.ctx, max_steps))
+    return rf.check_trace_refinement(unplayed)

@@ -265,16 +265,6 @@ class TestSharedParser:
             assert capsys.readouterr().out.startswith("usage: rarcheck ")
         assert run(capsys, *argv) == before
 
-    def test_skipped_trace_check_is_not_remembered(self, corpus_dir, capsys):
-        client = str(corpus_dir / "seqlock-refine.lit")
-        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
-                           "--client", client, "--skip-trace-check")
-        assert code == 0 and "trace_check" not in json.loads(out)
-        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
-                           "--client", client)
-        assert code == 0
-        assert json.loads(out)["trace_check"] == "trace-refinement"
-
     def test_step_bound_is_not_remembered(self, corpus_dir, capsys):
         path = str(corpus_dir / "mp-relacq.lit")
         code, out, _ = run(capsys, "explore", "--json", "--max-steps", "1",

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import rarcheck.explore as ex
 import rarcheck.refine as rf
 from rarcheck import program as P
 from rarcheck.cli import run_cli
@@ -170,18 +172,17 @@ class TestSimulation:
             check_simulation(builtin_impls()["seqlock"], parse_litmus(text),
                              64)
 
-    @pytest.mark.parametrize("sync_free", [True, False])
-    def test_version_binder_rejected(self, sync_free):
+    def test_version_binder_rejected(self):
         with pytest.raises(LitmusError, match="binds rl"):
             check_simulation(builtin_impls()["seqlock"], load_corpus("lockmp"),
-                             64, require_sync_free=sync_free)
+                             64)
         text = ("name bound\ninit d := 0; v := 0\nobject lock l\n"
                 "mode refine\n"
                 "thread 1 { r1 := l.acquire(v); d := 1; l.release(); }\n"
                 "thread 2 { l.acquire(); r2 <- d; l.release(); }\n")
         with pytest.raises(LitmusError, match="binds v"):
             check_simulation(builtin_impls()["seqlock"], parse_litmus(text),
-                             64, require_sync_free=sync_free)
+                             64)
 
 
 class TestTraceRefinement:
@@ -202,7 +203,7 @@ class TestTraceRefinement:
     def test_reuses_the_simulation_exploration(self, impl):
         impl = builtin_impls()[impl]
         sim = check_simulation(impl, client(), 64)
-        shared = check_trace_refinement(sim, 64)
+        shared = check_trace_refinement(sim)
         assert shared == trace_check_alone(impl, client(), 64)
 
     @pytest.mark.parametrize("client_name", ["seqlock-refine",
@@ -210,23 +211,20 @@ class TestTraceRefinement:
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     def test_reuses_the_games_abstract_system(self, monkeypatch, impl,
                                               client_name):
-        # the trace check builds no system: it explores the abstract
-        # system the game stepped, whose tables already hold its steps
+        # the trace check builds and explores nothing: it reads the two
+        # explorations the game was played over
         impl, lf = builtin_impls()[impl], load_corpus(client_name)
         sim = check_simulation(impl, lf, 64)
-        ctx = sim.abstract.ctx
-        stepped = set(ctx.thread_steps)
-        built = []
+        assert not sim.abstract.truncated
+        calls = []
         monkeypatch.setattr(rf, "build_system",
-                            lambda *a: built.append(a) or build_system(*a))
-        shared = check_trace_refinement(sim, 64)
-        assert built == []
-        assert stepped and stepped <= set(ctx.thread_steps)
-        ab = explore(sim.abstract.cfg0, ctx, 64)
-        assert len(ctx.thread_states) == len({ts for cfg in ab.configs
-                                              for ts in cfg.locs})
+                            lambda *a: calls.append(a) or build_system(*a))
+        monkeypatch.setattr(rf, "explore",
+                            lambda *a: calls.append(a) or explore(*a))
+        shared = check_trace_refinement(sim)
+        assert calls == []
         assert shared == trace_check_alone(impl, lf, 64)
-        assert len(built) == 2  # on its own: both systems, again
+        assert len(calls) == 4  # on its own: both systems, again
 
 
 class TestCounterexampleReplay:
@@ -340,13 +338,35 @@ class TestChecksAgree:
     def test_simulation_implies_trace_refinement(self, impl, client):
         lf = parse_litmus(LOCK_CLIENTS[client])
         sim = check_simulation(builtin_impls()[impl], lf, 64)
-        trace = check_trace_refinement(sim, 64)
+        trace = check_trace_refinement(sim)
         assert sim.verdict != "unknown-beyond-bound"
         if sim.ok:
             assert trace.ok, trace.counterexample
         if impl.endswith("-relaxed") and len(lf.threads) > 1:
             assert sim.verdict == "no-simulation"
             assert trace.verdict == "violation"
+
+
+class TestExploresOnce:
+    """The game and the trace check read one exploration of each system:
+    no configuration of either is stepped twice, neither by exploration nor
+    by the refinement checks."""
+
+    @pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_no_configuration_is_stepped_twice(self, monkeypatch, impl,
+                                               client):
+        stepped = Counter()
+        for module in (ex, rf):
+            def counting(cfg, ctx, *rest, _successors=module.successors):
+                stepped[ctx, cfg] += 1
+                return _successors(cfg, ctx, *rest)
+            monkeypatch.setattr(module, "successors", counting)
+        lf = parse_litmus(LOCK_CLIENTS[client])
+        sim = check_simulation(builtin_impls()[impl], lf, 64)
+        check_trace_refinement(sim)
+        assert len({ctx for ctx, _ in stepped}) == 2  # both systems
+        assert max(stepped.values()) == 1
 
 
 class TestProjectionMemo:
@@ -395,7 +415,7 @@ class TestProjectionMemo:
         sim = check_simulation(impl, client(), 64)
         in_game = set(signed)
         signed.clear()
-        shared = check_trace_refinement(sim, 64)
+        shared = check_trace_refinement(sim)
         assert in_game.isdisjoint(signed)
         assert len(signed) == len(set(signed))
         assert shared == trace_check_alone(impl, client(), 64)
