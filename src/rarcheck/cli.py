@@ -141,12 +141,15 @@ def _print_report(report: dict, as_json: bool):
 
 
 def _read(path: str):
-    """The parsed litmus file at `path`."""
+    """The parsed litmus file at `path`; a file that cannot be read or is
+    not UTF-8 text is an input error."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as e:
         raise LitmusError(str(e))
+    except UnicodeDecodeError as e:
+        raise LitmusError(f"{path}: not UTF-8 text: {e}")
     return parse_litmus(text)
 
 

@@ -20,7 +20,6 @@ refinement inputs name the implementation to check.  The parser builds the
 from __future__ import annotations
 
 import re
-from functools import partial
 
 from . import assertions as A
 from . import program as P
@@ -38,49 +37,62 @@ class LitmusError(Exception):
         super().__init__(msg + where)
 
 
-# --- tokenizer ---------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<assignr>:=R\b)
-  | (?P<assign>:=)
-  | (?P<reada><-A\b)
-  | (?P<read><-)
-  | (?P<implies>=>)
-  | (?P<op>!=|<=|>=|[<>=+\-*%])
-  | (?P<punct>[{}(),;:.@])
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-""", re.VERBOSE)
+# No tree the parser builds is deeper, nor are more parentheses open at
+# once, so the parser and the engine's recursive walks stay far from
+# Python's recursion limit.  A printed tree (`pretty`) parses back: it opens
+# no more parentheses than it is deep.
+MAX_DEPTH = 150
 
 
-@record
-class Tok(Record):
-    kind: str
-    text: str
-    line: int
-    col: int
+# --- tokens ------------------------------------------------------------------
+# One scan gives every token's text, with the blanks and comments before it
+# in its match, and the empty end (eof) last.  A character that starts no
+# token is matched alone by `.` and rejected.
+
+_TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
+    ( [A-Za-z_][A-Za-z0-9_]* | \d+ | :=R\b | := | <-A\b | <- | => | != | <=
+    | >= | [<>=+\-*%{}(),;:.@] | . | \Z )""", re.VERBOSE)
+_OPS = ("!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "%")
+_KINDS = {":=R": "assignr", ":=": "assign", "<-A": "reada", "<-": "read",
+          "=>": "implies", "": "eof", **dict.fromkeys(_OPS, "op"),
+          **dict.fromkeys("{}(),;:.@", "punct")}
+_BAD_RE = re.compile(r"[^A-Za-z_\d<>=+\-*%{}(),;:.@!]")  # in no token
+
+
+def _scan(text: str) -> list:
+    """The texts of the tokens of text, the last one '' (eof)."""
+    toks = _TOKEN_RE.findall(text)
+    if len(toks) > 1 and not toks[-2]:  # an empty match after the blanks
+        toks.pop()
+    if "!" in toks or _BAD_RE.search("".join(toks)):  # `!` only in `!=`
+        k = next(k for k, s in enumerate(toks) if s == "!" or _BAD_RE.match(s))
+        raise LitmusError(f"unexpected character {toks[k]!r}",
+                          *_line_col(text, _start(text, k)))
+    return toks
+
+
+def _start(text: str, k: int) -> int:
+    """Where token k of text starts (the end of text for eof)."""
+    for i, m in enumerate(_TOKEN_RE.finditer(text)):
+        if i == k:
+            return m.start(1)
+    return len(text)
+
+
+def _line_col(text: str, at: int):
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def tokenize(text: str):
-    toks, line, col, i = [], 1, 1, 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise LitmusError(f"unexpected character {text[i]!r}", line, col)
-        kind = m.lastgroup
-        s = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                toks.append(Tok(kind, s, line, col))
-            col += len(s)
-        i = m.end()
-    toks.append(Tok("eof", "", line, col))
+    """The (kind, text, line, column) tokens of text, the last one eof."""
+    toks, line, start = [], 1, 0  # start: where the line begins
+    for s, m in zip(_scan(text), _TOKEN_RE.finditer(text)):
+        at = m.start(1)
+        if "\n" in text[m.start():at]:
+            line += text.count("\n", m.start(), at)
+            start = text.rfind("\n", 0, at) + 1
+        kind = _KINDS.get(s) or ("int" if s[0].isdecimal() else "name")
+        toks.append((kind, s, line, at - start + 1))
     return toks
 
 
@@ -105,467 +117,428 @@ _KEYWORDS = {"name", "init", "object", "mode", "thread", "invariant", "final",
              "not", "true", "false", "bot", "empty", "in", "forall", "exists",
              "CAS", "FAI", "pobs", "dobs", "cond", "cvd", "cvv", "pc", "impl"}
 _SYMBOLS = {v.name: v for v in (TRUE, FALSE, BOT, EMPTY)}
+_CMPS = ("=", "!=", "<", "<=", ">", ">=")
+_OPERATORS = frozenset(_OPS + ("in",))  # what a predicate's operand meets
+# the binding power of expression operators and of assertion connectives
+_BINARY = {"or": 1, "and": 2, **dict.fromkeys(_CMPS + ("in",), 3),
+           "+": 4, "-": 4, "*": 5, "%": 5}
+_CONNECTIVES = {"=>": 1, "or": 2, "and": 3}
+_JOINED_RE = re.compile(r"[A-Za-z_\d-]+")  # names, numbers and `-`, joined
+_METHODS = {"init": "init", "acquire": LOCK_ACQUIRE, "release": LOCK_RELEASE,
+            "enq": ENQUEUE, "deq": DEQUEUE}
 
 
 class Parser:
+    """Recursive descent over the token texts, read by index from a list
+    with a second eof, so a one-token look-ahead stays inside it.  Binary
+    operators and connectives are parsed by precedence climbing (Pratt,
+    POPL 1973): one loop takes all of one operand's, so a chain costs one
+    frame.  A method that builds a tree is given its root's depth and leaves
+    its deepest node's in `deep`: an operand or a block is one level down,
+    and a growing chain pushes its left operand one further.  A group is no
+    level; `groups` counts the open parentheses."""
+
     def __init__(self, text: str):
-        self.toks = tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks = _scan(text) + [""]
+        self.pos = self.deep = self.groups = 0
 
-    def peek(self, ahead=0) -> Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def fail(self, msg, k=None):
+        at = _start(self.text, self.pos if k is None else k)
+        raise LitmusError(msg, *_line_col(self.text, at))
 
-    def next(self) -> Tok:
-        t = self.peek()
+    def nest(self, depth, k=None):
+        if depth > MAX_DEPTH:
+            self.fail(f"nesting deeper than {MAX_DEPTH} levels", k)
+
+    def accept(self, s) -> bool:
+        ok = self.toks[self.pos] == s
+        self.pos += ok
+        return ok
+
+    def expect(self, s, what=None):
+        if not self.accept(s):
+            self.fail(f"expected {what or s}, found {self.toks[self.pos]!r}")
+
+    def take(self, ok, what) -> str:
+        t = self.toks[self.pos]
+        if not ok(t):
+            self.fail(f"expected {what}, found {t!r}")
         self.pos += 1
         return t
 
-    def fail(self, msg, tok=None):
-        tok = tok or self.peek()
-        raise LitmusError(msg, tok.line, tok.col)
+    def name(self) -> str:
+        return self.take(str.isidentifier, "name")
 
-    def accept(self, kind, text=None):
-        t = self.peek()
-        if t.kind == kind and (text is None or t.text == text):
-            return self.next()
-        return None
-
-    def expect(self, kind, text=None, what=None):
-        t = self.accept(kind, text)
-        if t is None:
-            want = what or text or kind
-            self.fail(f"expected {want}, found {self.peek().text!r}")
-        return t
-
-    def kw(self, word):
-        t = self.peek()
-        if t.kind == "name" and t.text == word:
-            return self.next()
-        return None
+    def number(self) -> int:
+        return int(self.take(str.isdecimal, "int"))
 
     # -- file ------------------------------------------------------------
 
-    def parse_joined_name(self) -> str:
-        last = self.expect("name")
-        parts = [last.text]
-        while True:
-            nxt = self.peek()
-            adjacent = (nxt.line == last.line
-                        and nxt.col == last.col + len(last.text))
-            if adjacent and (nxt.kind in ("name", "int")
-                             or (nxt.kind == "op" and nxt.text == "-")):
-                parts.append(self.next().text)
-                last = nxt
-            else:
-                return "".join(parts)
-
     def parse_file(self) -> LitmusFile:
-        self.expect("name", "name", "'name' header")
-        name = self.parse_joined_name()
-        init = []
-        if self.kw("init"):
-            init = self.parse_init()
-        object_decl = None
-        if self.kw("object"):
-            object_decl = self.parse_object()
-        mode = "explore"
-        if self.kw("mode"):
-            mode = self.expect("name").text
-            if mode not in ("explore", "outline", "hoare", "refine"):
-                self.fail(f"unknown mode {mode!r}")
+        self.expect("name", "'name' header")
+        # the names, numbers and `-` right after the name are part of it
+        joined = self.name()
+        name = _JOINED_RE.match(self.text, _start(self.text, 1)).group()
+        while len(joined) < len(name):
+            joined += self.toks[self.pos]
+            self.pos += 1
+        init = self.parse_init() if self.accept("init") else []
+        object_decl = self.parse_object() if self.accept("object") else None
+        mode = self.name() if self.accept("mode") else "explore"
+        if mode not in ("explore", "outline", "hoare", "refine"):
+            self.fail(f"unknown mode {mode!r}")
         threads = []
-        while self.kw("thread"):
-            tid = int(self.expect("int").text)
-            self.expect("punct", "{")
+        while self.accept("thread"):
+            tid = self.number()
+            self.expect("{")
             stmts = []
-            while not self.accept("punct", "}"):
+            while not self.accept("}"):
                 stmts.append(self.parse_stmt())
             threads.append((tid, tuple(stmts)))
         if not threads:
             self.fail("at least one thread required")
-        invariant = final = pre = None
-        while self.peek().kind != "eof":
-            if self.kw("invariant"):
-                self.expect("punct", "{")
-                invariant = self.parse_assertion()
-                self.expect("punct", "}")
-            elif self.kw("pre"):
-                self.expect("punct", "{")
-                pre = self.parse_assertion()
-                self.expect("punct", "}")
-            elif self.kw("final"):
-                self.expect("punct", "{")
-                final = self.parse_assertion()
-                self.expect("punct", "}")
-            else:
-                self.fail(f"unexpected {self.peek().text!r}")
+        clauses = {"invariant": None, "final": None, "pre": None}
+        while t := self.toks[self.pos]:
+            if t not in clauses:
+                self.fail(f"unexpected {t!r}")
+            self.pos += 1
+            self.expect("{")
+            clauses[t] = self.parse_assertion()
+            self.expect("}")
         return LitmusFile(name, tuple(init), object_decl, mode,
-                          tuple(threads), invariant, final, pre)
+                          tuple(threads), **clauses)
 
     def parse_init(self):
         out = []
         while True:
-            var = self.expect("name").text
-            self.expect("assign", what="':='")
+            var = self.name()
+            self.expect(":=", "':='")
             out.append((var, self.parse_value()))
-            if not self.accept("punct", ";"):
-                break
-            if self.peek().kind != "name" or self.peek().text in (
+            t = self.toks[self.pos + 1]  # after a `;`
+            if not self.accept(";") or not t.isidentifier() or t in (
                     "object", "mode", "thread"):
-                break
-        return out
+                return out
 
     def parse_object(self):
-        kind = self.expect("name").text
+        kind = self.name()
         if kind not in ("lock", "queue"):
             self.fail(f"unknown object kind {kind!r}")
-        name = self.expect("name").text
-        impl = None
-        if self.kw("impl"):
-            impl = self.expect("name").text
-        return (kind, name, impl)
+        return kind, self.name(), self.name() if self.accept("impl") else None
 
     def parse_value(self):
-        t = self.peek()
-        if t.kind == "int":
-            return int(self.next().text)
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            return -int(self.expect("int").text)
-        if t.kind == "name" and t.text in _SYMBOLS:
-            return _SYMBOLS[self.next().text]
+        t = self.toks[self.pos]
+        if t.isdecimal() or t in _SYMBOLS:
+            self.pos += 1
+            return _SYMBOLS[t] if t in _SYMBOLS else int(t)
+        if self.accept("-"):
+            return -self.number()
         self.fail("expected a value")
+
+    def parse_values(self, item):
+        self.expect("{")
+        vals = [item()]
+        while self.accept(","):
+            vals.append(item())
+        self.expect("}")
+        return vals
 
     # -- statements --------------------------------------------------------
 
     def parse_stmt(self):
         """A top-level statement: (its annotation or None, its command)."""
         ann = None
-        if self.accept("punct", "{"):
+        if self.toks[self.pos] == "{":
+            self.pos += 1
             ann = self.parse_assertion()
-            self.expect("punct", "}")
-        return ann, self.parse_cmd()
+            self.expect("}")
+        return ann, self.parse_cmd(0)
 
-    def parse_cmd(self):
-        c = self.parse_simple()
-        self.accept("punct", ";")
+    def parse_cmd(self, depth):
+        c = self.parse_simple(depth)
+        if self.toks[self.pos] == ";":
+            self.pos += 1
         return c
 
-    def parse_simple(self):
-        t = self.peek()
-        if t.kind == "name" and t.text == "if":
-            self.next()
-            cond = self.parse_expr()
-            self.expect("name", "then")
-            then = self.parse_block()
-            other = self.parse_block() if self.kw("else") else P.Bot()
+    def parse_simple(self, depth):
+        toks = self.toks
+        t = toks[self.pos]
+        self.pos += 1
+        if t == "if":
+            cond = self.parse_expr(depth + 1)
+            self.expect("then")
+            then = self.parse_block(depth + 1)
+            other = (self.parse_block(depth + 1) if self.accept("else")
+                     else P.Bot())
             return P.If(cond, then, other)
-        if t.kind == "name" and t.text == "while":
-            self.next()
-            cond = self.parse_expr()
-            self.expect("name", "do")
-            return P.While(cond, self.parse_block())
-        if t.kind == "name" and t.text == "do":
-            self.next()
-            body = self.parse_block()
-            self.expect("name", "until")
-            return P.DoUntil(body, self.parse_expr())
-        if t.kind != "name":
-            self.fail(f"expected a statement, found {t.text!r}")
-        name = self.next().text
-        if self.accept("punct", "."):
-            return self.parse_call(name)
-        if self.accept("assignr"):
-            return P.GWrite(name, self.parse_expr(), True)
-        if self.accept("assign"):
-            if (self.peek().kind == "name"
-                    and self.peek(1).kind == "punct"
-                    and self.peek(1).text == "."):
-                obj = self.next().text
-                self.next()
-                return P.Assign(name, self.parse_call(obj))
-            return P.Assign(name, self.parse_expr())
-        if self.accept("reada"):
-            return P.GRead(name, self.expect("name").text, True)
-        if self.accept("read"):
-            if self.peek().text == "CAS":
-                self.next()
-                self.expect("punct", "(")
-                var = self.expect("name").text
-                self.expect("punct", ",")
-                u = self.parse_expr()
-                self.expect("punct", ",")
-                v = self.parse_expr()
-                self.expect("punct", ")")
-                return P.Cas(name, var, u, v)
-            if self.peek().text == "FAI":
-                self.next()
-                self.expect("punct", "(")
-                var = self.expect("name").text
-                self.expect("punct", ")")
-                return P.Fai(name, var)
-            return P.GRead(name, self.expect("name").text)
-        self.fail(f"expected ':=', '<-' or a call after {name!r}")
+        if t == "while":
+            cond = self.parse_expr(depth + 1)
+            self.expect("do")
+            return P.While(cond, self.parse_block(depth + 1))
+        if t == "do":
+            body = self.parse_block(depth + 1)
+            self.expect("until")
+            return P.DoUntil(body, self.parse_expr(depth + 1))
+        if not t.isidentifier():
+            self.fail(f"expected a statement, found {t!r}", self.pos - 1)
+        op = toks[self.pos]
+        self.pos += 1
+        if op == "<-":
+            fn = toks[self.pos]
+            if fn != "CAS" and fn != "FAI":
+                return P.GRead(t, self.name())
+            self.pos += 1
+            self.expect("(")
+            var = self.name()
+            if fn == "FAI":
+                self.expect(")")
+                return P.Fai(t, var)
+            self.expect(",")
+            u = self.parse_expr(depth + 1)
+            self.expect(",")
+            v = self.parse_expr(depth + 1)
+            self.expect(")")
+            return P.Cas(t, var, u, v)
+        if op == ":=R":
+            return P.GWrite(t, self.parse_expr(depth + 1), True)
+        if op == ":=":
+            obj = toks[self.pos]
+            if obj.isidentifier() and toks[self.pos + 1] == ".":
+                self.pos += 2
+                return P.Assign(t, self.parse_call(obj, depth + 1))
+            return P.Assign(t, self.parse_expr(depth + 1))
+        if op == "<-A":
+            return P.GRead(t, self.name(), True)
+        if op == ".":
+            return self.parse_call(t, depth)
+        self.pos -= 1
+        self.fail(f"expected ':=', '<-' or a call after {t!r}")
 
-    def parse_call(self, obj):
-        meth = self.expect("name").text
-        self.expect("punct", "(")
+    def parse_call(self, obj, depth):
+        meth = self.name()
+        self.expect("(")
         args, binder = [], None
-        if not self.accept("punct", ")"):
+        if not self.accept(")"):
             while True:
-                if (meth == "acquire" and self.peek().kind == "name"
-                        and self.peek().text not in _KEYWORDS):
-                    binder = self.next().text
+                t = self.toks[self.pos]
+                if (meth == "acquire" and t.isidentifier()
+                        and t not in _KEYWORDS):
+                    binder = self.name()
                 else:
-                    args.append(self.parse_expr())
-                if not self.accept("punct", ","):
+                    args.append(self.parse_expr(depth + 2))
+                if not self.accept(","):
                     break
-            self.expect("punct", ")")
+            self.expect(")")
         return P.Hole(P.MethodCall(obj, meth, tuple(args), binder))
 
-    def parse_block(self):
+    def parse_block(self, depth):
         """One statement, or a braced sequence of them, as one command.
         Only top-level statements carry annotations."""
-        if not self.accept("punct", "{"):
-            return self.parse_cmd()
+        self.nest(depth)
+        if not self.accept("{"):
+            return self.parse_cmd(depth)
         out = []
-        while not self.accept("punct", "}"):
-            if self.peek().kind == "punct" and self.peek().text == "{":
+        while not self.accept("}"):
+            if self.toks[self.pos] == "{":
                 self.fail("annotations go on top-level statements only")
-            out.append(self.parse_cmd())
+            out.append(self.parse_cmd(depth))
         return P.seq_all(out)
 
     # -- expressions -------------------------------------------------------
 
-    def parse_expr(self):
-        return self.parse_or()
-
-    def parse_or(self):
-        e = self.parse_and()
-        while self.kw("or"):
-            e = P.Bin("or", e, self.parse_and())
-        return e
-
-    def parse_and(self):
-        e = self.parse_cmp()
-        while self.kw("and"):
-            e = P.Bin("and", e, self.parse_cmp())
-        return e
-
-    def parse_cmp(self):
-        e = self.parse_add()
-        t = self.peek()
-        if t.kind == "op" and t.text in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return P.Bin(t.text, e, self.parse_add())
-        if t.kind == "name" and t.text == "in":
-            self.next()
-            vals = self.parse_value_set()
-            out = P.Bin("=", e, P.Lit(vals[0]))
-            for v in vals[1:]:
-                out = P.Bin("or", out, P.Bin("=", e, P.Lit(v)))
-            return out
-        return e
-
-    def parse_add(self):
-        e = self.parse_term()
+    def parse_expr(self, depth, least=1):
+        """An expression of operators that bind at least `least` tightly
+        (`_BINARY`), its root at `depth`.  Operators of one power associate
+        to the left; a comparison takes no second one, and `e in {v, ...}`
+        is `e = v or ...`."""
+        e = self.parse_operand(depth)
+        deep, most, toks = self.deep, 5, self.toks
         while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in ("+", "-"):
-                self.next()
-                e = P.Bin(t.text, e, self.parse_term())
-            else:
+            op = toks[self.pos]
+            power = _BINARY.get(op)
+            if power is None or not least <= power <= most:
+                self.deep = deep
                 return e
-
-    def parse_term(self):
-        e = self.parse_factor()
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in ("*", "%"):
-                self.next()
-                e = P.Bin(t.text, e, self.parse_factor())
+            at = self.pos
+            self.pos += 1
+            if op == "in":
+                vals = self.parse_values(self.parse_value)
+                first, e = e, P.Bin("=", e, P.Lit(vals[0]))
+                for v in vals[1:]:
+                    e = P.Bin("or", e, P.Bin("=", first, P.Lit(v)))
+                deep += len(vals)
             else:
-                return e
+                b = self.parse_expr(depth + 1, 4 if power == 3 else power + 1)
+                e = P.Bin(op, e, b)
+                deep = max(deep + 1, self.deep)
+            most = 2 if power == 3 else power
+            self.nest(deep, at)
 
-    def parse_factor(self):
-        t = self.peek()
-        if t.kind == "int" or (t.kind == "op" and t.text == "-"
-                               and self.peek(1).kind == "int"):
+    def parse_operand(self, depth):
+        """A literal, a register, a negation or a group."""
+        self.nest(depth)
+        t = self.toks[self.pos]
+        self.deep = depth
+        if t.isdecimal() or t == "-" and self.toks[self.pos + 1].isdecimal():
             return P.Lit(self.parse_value())
-        if t.kind == "op" and t.text == "-":
-            self.next()
-            return P.Un("-", self.parse_factor())
-        if t.kind == "name" and t.text == "not":
-            self.next()
-            return P.Un("not", self.parse_factor())
-        if t.kind == "name" and t.text in _SYMBOLS:
-            return P.Lit(_SYMBOLS[self.next().text])
-        if t.kind == "name" and t.text not in _KEYWORDS:
-            return P.Var(self.next().text)
-        if t.kind == "punct" and t.text == "(":
-            self.next()
-            e = self.parse_expr()
-            self.expect("punct", ")")
-            return e
-        self.fail(f"expected an expression, found {t.text!r}")
-
-    def parse_value_set(self):
-        self.expect("punct", "{")
-        vals = [self.parse_value()]
-        while self.accept("punct", ","):
-            vals.append(self.parse_value())
-        self.expect("punct", "}")
-        return vals
+        self.pos += 1
+        if t == "-" or t == "not":
+            return P.Un(t, self.parse_operand(depth + 1))
+        if t in _SYMBOLS:
+            return P.Lit(_SYMBOLS[t])
+        if t.isidentifier() and t not in _KEYWORDS:
+            return P.Var(t)
+        if t != "(":
+            self.fail(f"expected an expression, found {t!r}", self.pos - 1)
+        self.groups += 1
+        self.nest(self.groups, self.pos - 1)
+        e = self.parse_expr(depth)
+        self.expect(")")
+        self.groups -= 1
+        return e
 
     # -- assertions ----------------------------------------------------------
 
-    def parse_assertion(self):
-        return self.parse_a_implies()
-
-    def parse_a_implies(self):
-        a = self.parse_a_or()
-        if self.accept("implies"):
-            return A.ImpliesA(a, self.parse_a_implies())
-        return a
-
-    def parse_a_or(self):
-        items = [self.parse_a_and()]
-        while self.kw("or"):
-            items.append(self.parse_a_and())
-        return items[0] if len(items) == 1 else A.OrA(tuple(items))
-
-    def parse_a_and(self):
-        items = [self.parse_a_not()]
-        while self.kw("and"):
-            items.append(self.parse_a_not())
-        return items[0] if len(items) == 1 else A.AndA(tuple(items))
-
-    def parse_a_not(self):
-        if self.kw("not"):
-            return A.NotA(self.parse_a_not())
-        return self.parse_a_atom()
-
-    def at_operator(self, ahead=0):
-        t = self.peek(ahead)
-        return t.kind == "op" or (t.kind == "name" and t.text == "in")
-
-    def parse_a_atom(self):
-        # a group or a truth value followed by an operator is the first
-        # operand of a local-state predicate
-        t = self.peek()
-        if t.kind == "punct" and t.text == "(":
-            start = self.pos
-            self.next()
-            a = self.parse_assertion()
-            self.expect("punct", ")")
-            if not self.at_operator():
+    def parse_assertion(self, depth=0, least=1):
+        """An assertion of connectives that bind at least `least` tightly
+        (`_CONNECTIVES`), its root at `depth`.  Conjunctions and
+        disjunctions are flat; implication associates to the right."""
+        a = self.parse_a_operand(depth)
+        deep, most, toks = self.deep, 3, self.toks
+        while True:
+            op = toks[self.pos]
+            power = _CONNECTIVES.get(op)
+            if power is None or not least <= power <= most:
+                self.deep = deep
                 return a
-            self.pos = start
-        if (t.kind == "name" and t.text in ("true", "false")
-                and not self.at_operator(1)):
-            self.next()
-            return A.BoolA(t.text == "true")
-        if t.kind == "name" and t.text in ("forall", "exists"):
-            self.next()
-            name = self.expect("name").text
-            self.expect("name", "in")
-            vals = self.parse_value_set()
-            self.expect("punct", ":")
-            body = self.parse_assertion()
-            cls = A.ForallA if t.text == "forall" else A.ExistsA
+            at = self.pos
+            self.pos += 1
+            deep += 1
+            if op == "=>":
+                a = A.ImpliesA(a, self.parse_assertion(depth + 1))
+                deep = max(deep, self.deep)
+            else:
+                items = [a]
+                while True:
+                    items.append(self.parse_a_operand(depth + 1) if op == "and"
+                                 else self.parse_assertion(depth + 1, 3))
+                    deep = max(deep, self.deep)
+                    if not self.accept(op):
+                        break
+                a = (A.AndA if op == "and" else A.OrA)(tuple(items))
+            most = power - 1
+            self.nest(deep, at)
+
+    def parse_a_operand(self, depth):
+        """A negated operand or an atom.  A group or a truth value followed
+        by an operator is the first operand of a local-state predicate."""
+        self.nest(depth)
+        toks, start = self.toks, self.pos
+        t = toks[start]
+        self.deep = depth + 1  # where an atom's parts are
+        self.pos += 1
+        if t == "not":
+            return A.NotA(self.parse_a_operand(depth + 1))
+        if t == "(":
+            self.groups += 1
+            self.nest(self.groups, start)
+            a = self.parse_assertion(depth)
+            self.expect(")")
+            self.groups -= 1
+            if toks[self.pos] not in _OPERATORS:
+                return a
+        elif t in ("true", "false") and toks[self.pos] not in _OPERATORS:
+            return A.BoolA(t == "true")
+        elif t in ("forall", "exists"):
+            name = self.name()
+            self.expect("in")
+            vals = self.parse_values(self.parse_value)
+            self.expect(":")
+            body = self.parse_assertion(depth + 1)
+            cls = A.ForallA if t == "forall" else A.ExistsA
             return cls(name, tuple(vals), body)
-        if t.kind == "name" and t.text in ("pobs", "dobs"):
-            self.next()
-            self.expect("punct", "(")
-            tid = int(self.expect("int").text)
-            self.expect("punct", ",")
-            subject = self.parse_subject()
-            self.expect("punct", ")")
-            cls = A.Poss if t.text == "pobs" else A.Def
+        elif t in ("pobs", "dobs", "cond"):
+            self.expect("(")
+            tid = self.number()
+            self.expect(",")
+            if toks[self.pos].isidentifier() and toks[self.pos + 1] == ".":
+                subject = self.parse_minst()
+            else:
+                subject = self.parse_vareq(depth)
+            if t == "cond":
+                deep = self.deep
+                self.expect(",")
+                pin = self.parse_vareq(depth)
+                self.deep = max(deep, self.deep)
+                self.expect(")")
+                return A.Cond(tid, subject, pin.var, pin.val,
+                              self.parse_lift())
+            self.expect(")")
+            cls = A.Poss if t == "pobs" else A.Def
             return cls(tid, subject, self.parse_lift())
-        if t.kind == "name" and t.text == "cond":
-            self.next()
-            self.expect("punct", "(")
-            tid = int(self.expect("int").text)
-            self.expect("punct", ",")
-            subject = self.parse_subject()
-            self.expect("punct", ",")
-            pin = self.parse_vareq()
-            self.expect("punct", ")")
-            return A.Cond(tid, subject, pin.var, pin.val, self.parse_lift())
-        if t.kind == "name" and t.text in ("cvd", "cvv"):
-            self.next()
-            self.expect("punct", "(")
+        elif t in ("cvd", "cvv"):
+            self.expect("(")
             m = self.parse_minst()
-            self.expect("punct", ")")
-            return A.CoveredA(m) if t.text == "cvd" else A.HiddenA(m)
-        if t.kind == "name" and t.text == "pc":
-            self.next()
-            self.expect("punct", "(")
-            tid = int(self.expect("int").text)
-            self.expect("punct", ")")
-            if self.accept("op", "="):
-                return A.PcIn(tid, frozenset({int(self.expect("int").text)}))
-            if self.kw("in"):
-                self.expect("punct", "{")
-                labels = [int(self.expect("int").text)]
-                while self.accept("punct", ","):
-                    labels.append(int(self.expect("int").text))
-                self.expect("punct", "}")
-                return A.PcIn(tid, frozenset(labels))
+            self.expect(")")
+            return A.CoveredA(m) if t == "cvd" else A.HiddenA(m)
+        elif t == "pc":
+            self.expect("(")
+            tid = self.number()
+            self.expect(")")
+            if self.accept("="):
+                return A.PcIn(tid, frozenset({self.number()}))
+            if self.accept("in"):
+                return A.PcIn(tid, frozenset(self.parse_values(self.number)))
             self.fail("expected '=' or 'in' after pc(t)")
         # fall back to a local-state predicate; 'and'/'or' stay at the
         # assertion level, so only arithmetic and one comparison are eaten
-        e = self.parse_add()
-        t = self.peek()
-        if t.kind == "op" and t.text in ("=", "!=", "<", "<=", ">", ">="):
-            self.next()
-            return A.LocalPred(P.Bin(t.text, e, self.parse_add()))
-        if t.kind == "name" and t.text == "in":
-            self.next()
-            vals = self.parse_value_set()
-            items = tuple(A.LocalPred(P.Bin("=", e, P.Lit(v))) for v in vals)
-            return items[0] if len(items) == 1 else A.OrA(items)
-        return A.LocalPred(e)
+        self.pos = start
+        e = self.parse_expr(depth + 2, 4)
+        deep, t = self.deep, toks[self.pos]
+        if t in _CMPS:
+            self.pos += 1
+            b = self.parse_expr(depth + 2, 4)
+            self.deep = max(deep, self.deep)
+            return A.LocalPred(P.Bin(t, e, b))
+        if not self.accept("in"):
+            return A.LocalPred(e)
+        items = tuple(A.LocalPred(P.Bin("=", e, P.Lit(v)))
+                      for v in self.parse_values(self.parse_value))
+        if len(items) == 1:
+            return items[0]
+        self.deep = deep + 1
+        self.nest(self.deep)
+        return A.OrA(items)
 
-    def parse_subject(self):
-        if (self.peek().kind == "name" and self.peek(1).kind == "punct"
-                and self.peek(1).text == "."):
-            return self.parse_minst()
-        return self.parse_vareq()
-
-    def parse_vareq(self):
-        x = self.expect("name").text
-        self.expect("op", "=")
-        return A.VarEq(x, self.parse_factor())
+    def parse_vareq(self, depth):
+        x = self.name()
+        self.expect("=")
+        return A.VarEq(x, self.parse_operand(depth + 2))
 
     def parse_minst(self) -> A.MethodInstance:
-        obj = self.expect("name").text
-        self.expect("punct", ".")
-        raw = self.expect("name").text
+        obj = self.name()
+        self.expect(".")
+        raw = self.name()
         m = re.fullmatch(r"([a-z]+)(?:_([0-9]+|empty))?", raw)
         if not m:
             self.fail(f"bad method instance {raw!r}")
         meth, suffix = m.group(1), m.group(2)
-        kinds = {"init": "init", "acquire": LOCK_ACQUIRE,
-                 "release": LOCK_RELEASE, "enq": ENQUEUE, "deq": DEQUEUE}
-        if meth not in kinds:
+        if meth not in _METHODS:
             self.fail(f"unknown method {meth!r}")
-        kind = kinds[meth]
         index = val = None
         if meth in ("init", "acquire", "release"):
             index = int(suffix) if suffix is not None else None
         elif suffix is not None:
             val = EMPTY if suffix == "empty" else int(suffix)
-        return A.MethodInstance(obj, kind, index, val)
+        return A.MethodInstance(obj, _METHODS[meth], index, val)
 
     def parse_lift(self):
-        if self.accept("punct", "@"):
-            side = self.expect("name").text
-            if side not in ("C", "L"):
-                self.fail("lift must be @C or @L")
-            return side
-        return None
+        if not self.accept("@"):
+            return None
+        side = self.name()
+        if side not in ("C", "L"):
+            self.fail("lift must be @C or @L")
+        return side
 
 
 def parse_litmus(text: str) -> LitmusFile:
@@ -608,45 +581,37 @@ class System(Record):
     client_locals: dict  # tid -> frozenset of client-side registers
 
 
-def _names(cmd):
-    """(registers, globals, plain assignment targets) a command uses.  A
-    register is read into, bound or named in an expression; a global is
-    read, updated or written releasing; a plain `x := e` writes a register
-    unless x is declared as a global."""
-    regs, globs, plain = set(), set(), set()
-    for n in P.nodes(cmd):
-        if isinstance(n, P.Var):
-            regs.add(n.name)
-        elif isinstance(n, (P.GRead, P.Cas, P.Fai)):
-            regs.add(n.reg)
-            globs.add(n.var)
-        elif isinstance(n, P.GWrite):
-            globs.add(n.var)
-        elif isinstance(n, P.MethodCall) and n.binder:
-            regs.add(n.binder)
-        elif isinstance(n, P.Assign) and isinstance(n.src, P.Hole):
-            regs.add(n.reg)  # r := o.m()
-        elif isinstance(n, P.Assign):
-            plain.add(n.reg)
-    return regs, globs, plain
-
-
 def build_system(lf: LitmusFile, impl=None) -> System:
-    """Elaborate a parsed litmus file; impl (a LockImpl) fills the holes."""
+    """Elaborate a parsed litmus file; impl (a LockImpl) fills the holes.
+
+    Each clause is walked once, and so is each thread (`_Elaboration`).
+    Whether a plain `x := e` writes the global x depends on every thread:
+    the walk takes each initialised name no predicate reads for a global,
+    and a thread that assigns a name so mistaken is walked again."""
     tids = [t for t, _ in lf.threads]
-    progs = {t: P.seq_all([P.Labeled(i, cmd) for i, (_, cmd)
-                           in enumerate(stmts, start=1)])
-             for t, stmts in lf.threads}
-    names = {t: _names(progs[t]) for t in tids}
-    local_evidence = set().union(*(regs for regs, _, _ in names.values()))
-    global_evidence = set().union(*(globs for _, globs, _ in names.values()))
+    clauses = [lf.invariant, lf.final, lf.pre] + [
+        ann for _, stmts in lf.threads for ann, _ in stmts if ann is not None]
+    pred_regs, atoms = [], []  # the predicates' registers by clause; the rest
+    for a in clauses:
+        pred_regs.append([])
+        _atoms(a, pred_regs[-1], atoms)
+    read_by_preds = set().union(*pred_regs)
+
+    obj = lf.object_decl
+    obj_name = obj[1] if obj else None
+    spec = fill = None
+    if obj is not None:
+        spec = lock_spec(obj_name) if obj[0] == "lock" else queue_spec(obj_name)
+        fill = impl if obj[0] == "lock" else None
+    guess = {x for x, _ in lf.init} - read_by_preds
+    walks = {t: _Elaboration(t, guess, spec, fill) for t in tids}
+    progs = {t: walks[t].thread(stmts) for t, stmts in lf.threads}
+    local_evidence = set().union(*(w.regs for w in walks.values()))
+    global_evidence = set().union(*(w.globs for w in walks.values()))
     # an initialised name that a thread assigns plainly and a register
     # predicate of a clause or an annotation reads is a register, unless a
     # thread reads, updates or writes it releasing as a global
-    clauses = [lf.invariant, lf.final, lf.pre] + [
-        ann for _, stmts in lf.threads for ann, _ in stmts]
-    read_by_preds = {r for a in clauses for r in _pred_registers(a)}
-    assigned = set().union(*(plain for _, _, plain in names.values()))
+    assigned = set().union(*(w.plain for w in walks.values()))
     local_evidence |= {x for x, _ in lf.init if x in assigned
                        and x in read_by_preds and x not in global_evidence}
     clash = local_evidence & global_evidence
@@ -654,16 +619,14 @@ def build_system(lf: LitmusFile, impl=None) -> System:
         raise LitmusError(
             f"{sorted(clash)[0]!r} used both as a register and a global")
 
-    obj = lf.object_decl
-    obj_name = obj[1] if obj else None
     init_globals = [(x, v) for x, v in lf.init if x not in local_evidence]
     client_vars = {x for x, _ in init_globals}
     undeclared = global_evidence - client_vars - ({obj_name} if obj else set())
     if undeclared:
         raise LitmusError(f"undeclared variable {sorted(undeclared)[0]!r}")
 
-    thread_locals = {t: (regs | plain) - client_vars
-                     for t, (regs, _, plain) in names.items()}
+    thread_locals = {t: (w.regs | w.plain) - client_vars
+                     for t, w in walks.items()}
     for i, t in enumerate(tids):
         for t2 in tids[i + 1:]:
             shared = thread_locals[t] & thread_locals[t2]
@@ -680,28 +643,24 @@ def build_system(lf: LitmusFile, impl=None) -> System:
                 raise LitmusError(f"initialised local {x!r} is never used")
             local_inits[owner][x] = v
 
-    # library side
-    spec = None
-    library = None
-    if impl is not None and (obj is None or obj[0] != "lock"):
+    if impl is not None and fill is None:
         raise LitmusError("an implementation needs a lock object")
-    if obj is not None:
-        spec = lock_spec(obj_name) if obj[0] == "lock" else queue_spec(obj_name)
-    _check_calls(progs, spec)
-    _check_view_atoms(clauses, tids, client_vars, obj_name)
-    if impl is not None:
-        spec = None  # the implementation's variables replace the object
-        library = ("impl", impl.init)
-    elif obj is not None:
-        library = (obj[0], obj_name)
-
-    resolve = partial(_resolve, client_vars, impl)
-    progs = {t: P.map_stmts(resolve, progs[t]) for t in tids}
+    for w in walks.values():
+        if w.error:
+            raise LitmusError(w.error)
+    _check_view_atoms(atoms, tids, client_vars, obj_name)
+    for t, stmts in lf.threads:
+        if walks[t].plain & (guess ^ client_vars):
+            progs[t] = _Elaboration(t, client_vars, spec, fill).thread(stmts)
+    library = obj and (obj[0], obj_name)
+    if impl is not None:  # its variables replace the object
+        spec, library = None, ("impl", impl.init)
 
     rho, gamma, beta = make_init_states(init_globals, client_vars, library,
                                         set(tids), local_inits)
-
-    observed = _observed_registers(lf, local_evidence)
+    # the registers the final clause reads, in order of first reading
+    observed = tuple(dict.fromkeys(r for r in pred_regs[1]
+                                   if r in local_evidence))
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
     ctx = SystemContext(tids, spec, n_labels, observed)
     cfg0 = ctx.configuration(progs, rho, gamma, beta)
@@ -712,108 +671,157 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     return System(lf, cfg0, ctx, outline, client_locals)
 
 
-def _resolve(client_vars, impl, c):
-    """Plain writes to globals become global writes, do-until loops are
-    desugared, and impl's bodies fill the method-call holes, also those
-    whose result is assigned.  Not a closure, which would hold itself."""
-    if isinstance(c, P.Assign) and isinstance(c.src, P.Hole):
-        return P.Assign(c.reg, _resolve(client_vars, impl, c.src))
-    if isinstance(c, P.Assign) and c.reg in client_vars:
-        return P.GWrite(c.reg, c.src)
-    if impl is not None and isinstance(c, P.Hole):
-        body, retval = impl.method(c.content.meth)
-        return P.Hole(P.Body(c.content.meth, retval, body))
-    return P.desugar_stmt(c)
+# the expressions of each statement kind
+_EXPRESSIONS = {P.Assign: ("src",), P.GWrite: ("expr",), P.If: ("cond",),
+                P.While: ("cond",), P.DoUntil: ("cond",),
+                P.Cas: ("expect", "new")}
 
 
-def _check_calls(progs, spec):
-    """Every method call, reachable or not, names the declared object and
-    one of its methods, and passes as many arguments as the method takes;
-    spec is None when no object is declared."""
-    for t, prog in progs.items():
-        for call in P.nodes(prog):
-            if not isinstance(call, P.MethodCall):
-                continue
-            if spec is None or call.obj != spec.name:
-                raise LitmusError(
-                    f"thread {t}: {call!r}: no object named {call.obj!r}")
-            n = spec.arity(call.meth)
-            if n is None:
-                raise LitmusError(
-                    f"thread {t}: {call!r}: object {spec.name!r} has no "
-                    f"method {call.meth!r}")
-            if len(call.args) != n:
-                raise LitmusError(
-                    f"thread {t}: {call!r} passes {len(call.args)} "
-                    f"argument{'s' * (len(call.args) != 1)}; "
-                    f"{spec.name}.{call.meth} takes {n}")
+class _Elaboration:
+    """One walk over thread t's statements, blocks first, resolves them (a
+    plain write to one of `client_vars` becomes a global write, a do-until
+    loop is desugared, `impl`'s bodies fill the method-call holes) and
+    collects what `build_system` checks: registers read into, bound or
+    named in an expression (`regs`), globals read, updated or written
+    releasing (`globs`), plain assignments' targets (`plain`), and the first
+    call of a method that is not the declared object's (`error`)."""
+
+    __slots__ = ("t", "client_vars", "spec", "impl", "bodies", "regs",
+                 "globs", "plain", "error")
+
+    def __init__(self, t, client_vars, spec, impl):
+        self.t, self.client_vars, self.spec, self.impl = (t, client_vars,
+                                                          spec, impl)
+        self.regs, self.globs, self.plain = set(), set(), set()
+        self.bodies = {}  # method -> its filled hole
+        self.error = None
+
+    def thread(self, stmts):
+        return P.seq_all([P.Labeled(i, self.block(cmd))
+                          for i, (_, cmd) in enumerate(stmts, start=1)])
+
+    def block(self, c):
+        """c resolved; a Seq chain is walked along its spine by a loop."""
+        firsts = []
+        while type(c) is P.Seq:
+            firsts.append(self.block(c.a))
+            c = c.b
+        c = self.stmt(c)
+        for a in reversed(firsts):
+            c = P.Seq(a, c)
+        return c
+
+    def stmt(self, c):
+        cls = type(c)
+        if cls is P.Hole:
+            return self.call(c)
+        if cls is P.Assign and type(c.src) is P.Hole:  # r := o.m()
+            self.regs.add(c.reg)
+            return P.Assign(c.reg, self.call(c.src))
+        for f in _EXPRESSIONS.get(cls, ()):
+            _registers(getattr(c, f), self.regs)
+        if cls is P.Assign:
+            self.plain.add(c.reg)
+            return P.GWrite(c.reg, c.src) if c.reg in self.client_vars else c
+        if cls in (P.GRead, P.Cas, P.Fai, P.GWrite):
+            self.globs.add(c.var)
+            if cls is not P.GWrite:
+                self.regs.add(c.reg)
+        elif cls is P.If:
+            return P.If(c.cond, self.block(c.then), self.block(c.other))
+        elif cls is P.While:
+            return P.While(c.cond, self.block(c.body))
+        elif cls is P.DoUntil:
+            return P.desugar_stmt(P.DoUntil(self.block(c.body), c.cond))
+        return c
+
+    def call(self, hole):
+        call, spec = hole.content, self.spec
+        if call.binder:
+            self.regs.add(call.binder)
+        for a in call.args:
+            _registers(a, self.regs)
+        if spec is None or call.obj != spec.name:
+            error = f"{call!r}: no object named {call.obj!r}"
+        elif spec.arity(call.meth) is None:
+            error = (f"{call!r}: object {spec.name!r} has no method "
+                     f"{call.meth!r}")
+        elif len(call.args) != spec.arity(call.meth):
+            error = (f"{call!r} passes {len(call.args)} "
+                     f"argument{'s' * (len(call.args) != 1)}; "
+                     f"{spec.name}.{call.meth} takes {spec.arity(call.meth)}")
+        elif self.impl is None:
+            return hole
+        else:
+            if call.meth not in self.bodies:
+                body, retval = self.impl.method(call.meth)
+                self.bodies[call.meth] = P.Hole(P.Body(call.meth, retval, body))
+            return self.bodies[call.meth]
+        self.error = self.error or f"thread {self.t}: {error}"
+        return hole
 
 
-def _check_view_atoms(clauses, tids, variables, obj_name):
-    """Every pobs, dobs, cond, cvd and cvv atom of the clauses and
-    annotations names a declared thread, declared variables and, in its
-    method form, the declared object.  A view of anything else does not
-    exist: reading it as false or true would give a verdict for a typo.
-    The declared variables are the client's and the object is the
-    library's, so a variable atom lifted to the library component (`@L`)
-    or a method atom lifted to the client's (`@C`) names a column that
-    component does not have, and is rejected too."""
-    for a in clauses:
-        for atom in _atoms(a):
-            if isinstance(atom, (A.Poss, A.Def, A.Cond)):
-                if atom.t not in tids:
-                    raise LitmusError(f"{_pa(atom)}: no thread {atom.t}")
-                s, comp = atom.subject, atom.comp
-                pins = (atom.y,) if isinstance(atom, A.Cond) else ()
-            elif isinstance(atom, (A.CoveredA, A.HiddenA)):
-                s, comp, pins = atom.m, None, ()
-            else:
-                continue
-            for x in ((s.var,) if isinstance(s, A.VarEq) else ()) + pins:
-                if x not in variables:
-                    raise LitmusError(
-                        f"{_pa(atom)}: undeclared variable {x!r}")
-            if isinstance(s, A.VarEq):
-                if comp == "L":
-                    raise LitmusError(f"{_pa(atom)}: {s.var!r} is a client "
-                                      f"variable, not in the library "
-                                      f"component")
-            elif s.obj != obj_name:
-                raise LitmusError(f"{_pa(atom)}: no object named {s.obj!r}")
-            elif comp == "C":
-                raise LitmusError(f"{_pa(atom)}: {s.obj!r} is the library "
-                                  f"object, not in the client component")
+def _registers(e, out: set) -> set:
+    """out, with the registers expression e reads added."""
+    if type(e) is P.Bin:
+        _registers(e.a, out)
+        _registers(e.b, out)
+    elif type(e) is P.Un:
+        _registers(e.e, out)
+    elif type(e) is P.Var:
+        out.add(e.name)
+    return out
 
 
-def _atoms(a):
-    """The atoms of assertion a (None: no assertion), left to right."""
+def _check_view_atoms(atoms, tids, variables, obj_name):
+    """Every pobs, dobs, cond, cvd and cvv atom names a declared thread,
+    declared variables and, in its method form, the declared object: a view
+    of anything else does not exist, and reading it as false or true would
+    give a verdict for a typo.  The variables are the client's and the
+    object the library's, so a variable atom lifted to the library (`@L`)
+    or a method atom lifted to the client (`@C`) is rejected too."""
+    for atom in atoms:
+        if isinstance(atom, (A.Poss, A.Def, A.Cond)):
+            if atom.t not in tids:
+                raise LitmusError(f"{_pa(atom)}: no thread {atom.t}")
+            s, comp = atom.subject, atom.comp
+            pins = (atom.y,) if isinstance(atom, A.Cond) else ()
+        elif isinstance(atom, (A.CoveredA, A.HiddenA)):
+            s, comp, pins = atom.m, None, ()
+        else:
+            continue
+        for x in ((s.var,) if isinstance(s, A.VarEq) else ()) + pins:
+            if x not in variables:
+                raise LitmusError(f"{_pa(atom)}: undeclared variable {x!r}")
+        if isinstance(s, A.VarEq):
+            if comp == "L":
+                raise LitmusError(f"{_pa(atom)}: {s.var!r} is a client "
+                                  f"variable, not in the library component")
+        elif s.obj != obj_name:
+            raise LitmusError(f"{_pa(atom)}: no object named {s.obj!r}")
+        elif comp == "C":
+            raise LitmusError(f"{_pa(atom)}: {s.obj!r} is the library "
+                              f"object, not in the client component")
+
+
+def _atoms(a, regs: list, others: list):
+    """Walk the atoms of assertion a (None: no assertion) left to right:
+    the registers each register predicate reads go to regs, sorted, and
+    every other atom to others."""
     if isinstance(a, (A.AndA, A.OrA)):
         for x in a.items:
-            yield from _atoms(x)
+            _atoms(x, regs, others)
     elif isinstance(a, A.NotA):
-        yield from _atoms(a.a)
+        _atoms(a.a, regs, others)
     elif isinstance(a, A.ImpliesA):
-        yield from _atoms(a.a)
-        yield from _atoms(a.b)
+        _atoms(a.a, regs, others)
+        _atoms(a.b, regs, others)
     elif isinstance(a, (A.ForallA, A.ExistsA)):
-        yield from _atoms(a.body)
+        _atoms(a.body, regs, others)
+    elif isinstance(a, A.LocalPred):
+        regs += sorted(_registers(a.expr, set()))
     elif a is not None:
-        yield a
-
-
-def _pred_registers(a):
-    """The names that the register predicates (LocalPred) of assertion a
-    read, each predicate's in sorted order, predicates left to right."""
-    for atom in _atoms(a):
-        if isinstance(atom, A.LocalPred):
-            yield from sorted({n.name for n in P.nodes(atom.expr)
-                               if isinstance(n, P.Var)})
-
-
-def _observed_registers(lf: LitmusFile, local_evidence):
-    """The registers the final clause reads, in order of first reading."""
-    regs = (r for r in _pred_registers(lf.final) if r in local_evidence)
-    return tuple(dict.fromkeys(regs))
+        others.append(a)
 
 
 # --- pretty printing ----------------------------------------------------------
@@ -906,15 +914,11 @@ def _pcall(hole) -> str:
 
 
 def _pminst(m: A.MethodInstance) -> str:
-    names = {LOCK_INIT: "init", QUEUE_INIT: "init", LOCK_ACQUIRE: "acquire",
-             LOCK_RELEASE: "release", ENQUEUE: "enq", DEQUEUE: "deq",
-             "init": "init"}
+    names = {LOCK_INIT: "init", QUEUE_INIT: "init",
+             **{kind: meth for meth, kind in _METHODS.items()}}
+    suffix = m.index if m.index is not None else m.val
     base = f"{m.obj}.{names[m.kind]}"
-    if m.index is not None:
-        return f"{base}_{m.index}"
-    if m.val is not None:
-        return f"{base}_{m.val}"
-    return base
+    return base if suffix is None else f"{base}_{suffix}"
 
 
 def _psubject(s) -> str:
@@ -935,23 +939,19 @@ def _pa(a) -> str:
         return "(" + " or ".join(_pa(x) for x in a.items) + ")"
     if isinstance(a, A.ImpliesA):
         return f"({_pa(a.a)} => {_pa(a.b)})"
-    if isinstance(a, A.ForallA):
+    if isinstance(a, (A.ForallA, A.ExistsA)):
+        q = "forall" if isinstance(a, A.ForallA) else "exists"
         vals = ",".join(map(str, a.values))
-        return f"(forall {a.name} in {{{vals}}}: {_pa(a.body)})"
-    if isinstance(a, A.ExistsA):
-        vals = ",".join(map(str, a.values))
-        return f"(exists {a.name} in {{{vals}}}: {_pa(a.body)})"
-    if isinstance(a, A.Poss):
-        return f"pobs({a.t}, {_psubject(a.subject)}){lift(a.comp)}"
-    if isinstance(a, A.Def):
-        return f"dobs({a.t}, {_psubject(a.subject)}){lift(a.comp)}"
+        return f"({q} {a.name} in {{{vals}}}: {_pa(a.body)})"
+    if isinstance(a, (A.Poss, A.Def)):
+        name = "pobs" if isinstance(a, A.Poss) else "dobs"
+        return f"{name}({a.t}, {_psubject(a.subject)}){lift(a.comp)}"
     if isinstance(a, A.Cond):
         return (f"cond({a.t}, {_psubject(a.subject)}, "
                 f"{a.y}={_pe(a.v)}){lift(a.comp)}")
-    if isinstance(a, A.CoveredA):
-        return f"cvd({_pminst(a.m)})"
-    if isinstance(a, A.HiddenA):
-        return f"cvv({_pminst(a.m)})"
+    if isinstance(a, (A.CoveredA, A.HiddenA)):
+        name = "cvd" if isinstance(a, A.CoveredA) else "cvv"
+        return f"{name}({_pminst(a.m)})"
     if isinstance(a, A.PcIn):
         labels = sorted(a.labels)
         if len(labels) == 1:

@@ -13,6 +13,7 @@ import rarcheck
 from rarcheck.cli import run_cli
 from rarcheck.litmus import build_system, corpus_text, load_corpus
 from rarcheck.refine import builtin_impls
+from test_litmus import TOO_DEEP, deep_inputs
 
 
 @pytest.fixture()
@@ -346,6 +347,40 @@ class TestErrors:
         code, out, err = run(capsys, "oracle", "fifo", "--enqs", "-1")
         assert code == 3
         assert err.count("\n") == 1 and "--enqs" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["explore"], ["outline"], ["hoare"],
+        ["refine", "--impl", "seqlock", "--client"]])
+    def test_undecodable_file_is_an_input_error(self, tmp_path, capsys,
+                                                argv):
+        bad = tmp_path / "bad.lit"
+        bad.write_bytes(b"name x\n\xff\n")
+        code, out, err = run(capsys, *argv, str(bad))
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+    def test_too_deep_is_an_input_error(self, tmp_path, capsys, shape):
+        n, (line, col) = TOO_DEEP[shape]
+        path = tmp_path / f"{shape}.lit"
+        path.write_text(deep_inputs(n)[shape])
+        for command in ("explore", "outline", "hoare"):
+            code, out, err = run(capsys, command, str(path))
+            assert (code, out) == (3, "")
+            assert err == (f"error: nesting deeper than 150 levels at "
+                           f"{line}:{col}\n")
+
+    @pytest.mark.parametrize("shape,code,outcome", [
+        ("parens", 0, "r=1"), ("nots", 0, "r=1"), ("ifs", 2, None),
+        ("terms", 0, "r=100")])
+    def test_depth_100_runs(self, tmp_path, capsys, shape, code, outcome):
+        path = tmp_path / f"{shape}.lit"
+        path.write_text(deep_inputs(100)[shape])
+        got, out, err = run(capsys, "explore", str(path))
+        assert (got, err) == (code, "")
+        if outcome:
+            assert f"outcome: {outcome}\n" in out
 
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.lit"

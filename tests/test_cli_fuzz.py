@@ -215,15 +215,15 @@ def spaced_tokens(text):
     """The file's tokens, each with what separated it from the one before:
     nothing, a space or a line break.  Joined, they read as the file."""
     out, prev = [], None
-    for tok in tokenize(text)[:-1]:  # no eof
+    for _, tok, line, col in tokenize(text)[:-1]:  # no eof
         if prev is None:
             gap = ""
-        elif tok.line != prev.line:
+        elif line != prev[1]:
             gap = "\n"
         else:
-            gap = "" if tok.col == prev.col + len(prev.text) else " "
-        out.append(gap + tok.text)
-        prev = tok
+            gap = "" if col == prev[2] + len(prev[0]) else " "
+        out.append(gap + tok)
+        prev = tok, line, col
     return out
 
 
@@ -354,13 +354,19 @@ def test_mutated_generated_bodies_exit_0_to_3(tmp_path_factory, text):
 #
 # A generated file after one to three edits that keep the grammar: a top-level
 # statement (with its annotation) deleted, duplicated or swapped with another
-# one, or a view atom of a clause or an annotation given another thread id,
-# its subject swapped between a variable and a method instance, or a lift
-# added or dropped.  Most such files parse and many build, so the edits reach
-# the checks that token edits mostly stop short of.
+# one; a view atom of a clause or an annotation given another thread id, its
+# subject swapped between a variable and a method instance, or a lift added
+# or dropped; or an expression of a statement replaced by another one over
+# the same thread's registers.  Most such files parse and many build, so the
+# edits reach the checks that token edits mostly stop short of.
 
 VIEW_ATOM = re.compile(r"(pobs|dobs|cond)\((\d+), (\w+\.\w+|\w+=-?\w+)"
                        r"((?:, \w+=-?\w+)?)\)(@[CL])?")
+# the right-hand side of an assignment, a loop's exit test and an if's or a
+# while's condition, when it holds no value set
+EXPRESSION_SITE = re.compile(
+    r"(?:(?<=:= )|(?<=:=R )|(?<=until ))(?:(?! until | else )[^;{}\n])+"
+    r"(?=;| until | else )|(?:(?<=if )|(?<=while ))[^;{}\n]+?(?= then| do)")
 METHOD_SUBJECTS = {"lock": ("l.acquire_1", "l.release_2", "l.init_0",
                             "l.release"),
                    "queue": ("q.enq_1", "q.deq_empty", "q.deq"),
@@ -413,6 +419,17 @@ def _edit_atom(draw, text, edit, obj):
     return text[:m.start()] + atom + text[m.end():]
 
 
+def _edit_expression(draw, text):
+    # the statements of the threads, not the initial values
+    found = list(EXPRESSION_SITE.finditer(text, text.index("\nthread ")))
+    if not found:
+        return text
+    m = found[draw(st.integers(0, len(found) - 1))]
+    t = re.findall(r"thread (\d+)", text[:m.start()])[-1]
+    e = draw(file_exprs((f"a{t}", f"b{t}")))
+    return text[:m.start()] + e + text[m.end():]
+
+
 @st.composite
 def edited_generated_files(draw):
     text = draw(litmus_files())
@@ -420,9 +437,11 @@ def edited_generated_files(draw):
                 if f"object {kind} " in text), None)
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(["delete", "duplicate", "swap", "thread",
-                                     "subject", "lift"]))
+                                     "subject", "lift", "expression"]))
         if edit in ("delete", "duplicate", "swap"):
             text = _edit_statements(draw, text, edit)
+        elif edit == "expression":
+            text = _edit_expression(draw, text)
         else:
             text = _edit_atom(draw, text, edit, obj)
     return text
@@ -437,6 +456,13 @@ def test_statement_chunks_and_view_atoms_of_a_file():
     assert "\n".join(chunks) + "\n" == text
     assert [m.group(0) for m in VIEW_ATOM.finditer(text)] == [
         "pobs(1, x=0)", "dobs(1, x=1)@C"]
+    body = ("thread 2 {\n  a2 := (b2 + 1);\n  x :=R -1;\n"
+            "  if (a2 in {1, 2}) then y := 2 else y := 3;\n"
+            "  while not (a2) do a2 := 0;\n  do a2 := 1 until (b2 = 1);\n"
+            "  a2 := l.acquire();\n}\n")
+    assert [m.group(0) for m in EXPRESSION_SITE.finditer(body)] == [
+        "(b2 + 1)", "-1", "2", "3", "not (a2)", "0", "1", "(b2 = 1)",
+        "l.acquire()"]
 
 
 @settings(max_examples=100, deadline=None)

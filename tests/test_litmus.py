@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from rarcheck import assertions as A
 from rarcheck import program as P
-from rarcheck.litmus import (LitmusError, Parser, build_system, load_corpus,
-                             parse_litmus, pretty, _pa)
+from rarcheck.litmus import (MAX_DEPTH, LitmusError, Parser, build_system,
+                             load_corpus, parse_litmus, pretty, _pa)
 from rarcheck.state import LOCK_ACQUIRE, LOCK_RELEASE, TRUE
 
 CORPUS = ["mp-relaxed", "mp-relacq", "lockmp", "lockmp-mutant", "queue-mp",
@@ -271,3 +271,54 @@ class TestOddButGrammatical:
         text = ("name t\nobject lock l\nthread 1 { l.steal(); }\n")
         with pytest.raises(LitmusError, match="no method"):
             build_system(parse_litmus(text))
+
+
+def deep_inputs(n):
+    """Four ways to nest n levels deep, by name: parentheses around a value,
+    negations in a final clause, if statements, and a chain of sums."""
+    return {
+        "parens": f"name parens\nthread 1 {{ r := {'(' * n}1{')' * n}; }}\n",
+        "nots": (f"name nots\nthread 1 {{ r := 1; }}\n"
+                 f"final {{ {'not ' * n}r = 1 }}\n"),
+        "ifs": ("name ifs\nthread 1 { " + "if 1 then { " * n + "r := 1;"
+                + " }" * n + " }\n"),
+        "terms": "name terms\nthread 1 { r := 1" + " + 1" * (n - 1) + "; }\n",
+    }
+
+
+# the inputs that once blew the recursion limit, and where each is rejected
+TOO_DEEP = {"parens": (3000, (2, 167)), "nots": (3000, (3, 613)),
+            "ifs": (600, (2, 1815)), "terms": (3000, (2, 615))}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+    def test_too_deep_is_an_input_error(self, shape):
+        n, where = TOO_DEEP[shape]
+        with pytest.raises(LitmusError, match="nesting deeper than 150") as e:
+            parse_litmus(deep_inputs(n)[shape])
+        assert (e.value.line, e.value.col) == where
+
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+    def test_depth_100_builds_and_prints_back(self, shape):
+        lf = parse_litmus(deep_inputs(100)[shape])
+        assert parse_litmus(pretty(lf)) == lf
+        assert build_system(lf).cfg0.prog
+
+    @pytest.mark.parametrize("text,levels", [
+        # a chain pushes its left operand one level down per operator
+        ("r := 1" + " + 1" * 149, 150),
+        ("r := " + "(" * 150 + "1" + ")" * 150, 150),  # groups are no level
+        ("r := " + "- " * 149 + "r", 150),
+        ("r := 1" + " - (1" * 149 + ")" * 149, 150),
+        ("if r in {" + ",".join(map(str, range(149))) + "} then r := 1", 150)])
+    def test_limit_is_exact(self, text, levels):
+        # the statement is level 0; one level more is one too many
+        assert MAX_DEPTH == levels
+        lf = parse_litmus(f"name t\nthread 1 {{ {text}; }}\n")
+        assert parse_litmus(pretty(lf)) == lf
+        grown = (text.replace("1 + 1", "1 + 1 + 1", 1).replace("((", "(((", 1)
+                 .replace("- r", "- - r").replace("(1)", "(1 - (1))")
+                 .replace("{0,", "{-1,0,"))
+        with pytest.raises(LitmusError, match="nesting deeper"):
+            parse_litmus(f"name t\nthread 1 {{ {grown}; }}\n")

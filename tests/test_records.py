@@ -3,7 +3,10 @@
 fields give equal objects with equal hashes, a record never equals one of
 another class, fields cannot be assigned, copies and pickles are equal to
 the original, and the default repr is a dataclass's.  And importing the
-command line loads none of the modules that made start-up slow."""
+command line loads none of the modules that made start-up slow.
+
+`rarcheck.litmus` gives tokens as plain tuples; the record `Tok` checked
+here is the reference front end's (`reference_parser.py`)."""
 
 import copy
 import dataclasses
@@ -14,12 +17,14 @@ from pathlib import Path
 
 import pytest
 
+import reference_parser
 from rarcheck import (assertions, cli, explore, litmus, objects, program,
                       refine, state)
 from rarcheck.state import Hashed, Record
 
 RECORDS = sorted(
-    {v for m in (assertions, explore, litmus, objects, program, refine, state)
+    {v for m in (assertions, explore, litmus, objects, program, refine, state,
+                 reference_parser)
      for v in vars(m).values()
      if isinstance(v, type) and issubclass(v, Record)
      and v not in (Record, Hashed)}, key=lambda c: c.__name__)
