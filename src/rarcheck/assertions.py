@@ -212,16 +212,8 @@ def eval_hidden(state: ComponentState, m: MethodInstance) -> bool:
 
 # --- configuration-level evaluation -----------------------------------------
 
-class EvalCtx:
-    """What assertion evaluation needs besides the configuration itself: the
-    library object's spec (None: no object) and each thread's label count."""
-
-    def __init__(self, spec=None, n_labels=None):
-        self.spec = spec
-        self.n_labels = n_labels or {}
-
-
-def _merged_locals(cfg) -> dict:
+def merged_locals(cfg) -> dict:
+    """Every thread's registers in one map."""
     out = {}
     for ts in cfg.locs:
         out.update(ts.ls)
@@ -242,11 +234,13 @@ def _column(subject, cfg, env):
     return cfg.gamma, subject.var, wrote(_resolve(subject.val, env))
 
 
-def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
-    """Assertion a at cfg, with cfg's registers or env.  It recurses as a
-    module-level function: a recursive closure would hold itself, and so
-    keep every checked system in a reference cycle."""
-    env = _merged_locals(cfg) if env is None else env
+def eval_assertion(a, cfg, ctx, env=None) -> bool:
+    """Assertion a at cfg, with cfg's registers or env.  `ctx` is the
+    system's `explore.SystemContext`, of which this reads the library
+    object's spec (None: no object) and each thread's label count.  It
+    recurses as a module-level function: a recursive closure would hold
+    itself, and so keep every checked system in a reference cycle."""
+    env = merged_locals(cfg) if env is None else env
     if isinstance(a, BoolA):
         return a.val
     if isinstance(a, NotA):
@@ -272,7 +266,7 @@ def eval_assertion(a, cfg, ctx: EvalCtx, env=None) -> bool:
             return dobs(sigma, a.t, x, test)
         if isinstance(a.subject, VarEq):
             releases = is_releasing_write
-        elif ctx.spec is not None and ctx.spec.is_sync(a.subject):
+        elif ctx.object_spec and ctx.object_spec.is_sync(a.subject):
             # a method instance synchronises as a whole, not operation by
             # operation: `q.deq` also matches empty dequeues
             releases = lambda _: True

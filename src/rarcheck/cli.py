@@ -250,16 +250,9 @@ def _run(argv) -> int:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     try:
-        if args.command == "explore":
-            return _cmd_explore(args)
-        if args.command == "outline":
-            return _cmd_outline(args)
-        if args.command == "hoare":
-            return _cmd_hoare(args)
-        if args.command == "refine":
-            return _cmd_refine(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        # the command's function is read when called, so a wrapper in its
+        # place sees the call
+        return globals()[f"_cmd_{args.command}"](args)
     except (LitmusError, ProgramError, StateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
@@ -267,7 +260,6 @@ def _run(argv) -> int:
         print(f"error: internal: {type(e).__name__}: "
               f"{' '.join(str(e).split())}", file=sys.stderr)
         return INTERNAL_ERROR
-    return INPUT_ERROR
 
 
 def main():

@@ -37,9 +37,9 @@ from __future__ import annotations
 from collections import deque
 from operator import itemgetter
 
-from . import memory, objects, program
-from .assertions import EvalCtx, eval_assertion
-from .state import (BOT, READ, TRUE, Action, ComponentState, Record, record,
+from . import memory, program
+from .assertions import eval_assertion, merged_locals
+from .state import (READ, RVAL, Action, ComponentState, Record, record,
                     wrval)
 
 
@@ -102,7 +102,8 @@ def canonical_key(cfg: Configuration) -> Configuration:
 
 class SystemContext:
     """Static facts about one litmus system: threads, the library object's
-    spec (if any), labelling and the registers the final clause reads; and
+    spec (if any) and labelling, which assertion evaluation reads too, and
+    the registers the final clause reads; and
     the tables that hash-cons the system's thread states, components and
     step labels, so that equal parts are one object, and memoize their
     transitions.  The tables belong to one system: a component's key leaves
@@ -134,13 +135,12 @@ class SystemContext:
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
         # for reduced exploration: thread state -> whether it is silent-only
-        # (`_silent_only`), and tuple of thread states -> its ample set
+        # (`_silent_only`), command -> whether a loop lies on its spine
+        # (`_may_recur`), and tuple of thread states -> its ample set
         # (`_ample`)
         self.silent_only = {}
+        self.may_recur = {}
         self.ample = {}
-
-    def eval_ctx(self) -> EvalCtx:
-        return EvalCtx(self.object_spec, self.n_labels)
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
         return self.thread_states.setdefault((t, cmd, frozenset(ls.items())),
@@ -228,7 +228,7 @@ class _Move:
             ls = step.ls
             if step.kind == "call":
                 ls = dict(ls)
-                ls["rval"], index = bound
+                ls[RVAL], index = bound
                 if step.action.binder:  # an acquire binds the counter
                     ls[step.action.binder] = index
             elif step.reg is not None:
@@ -253,28 +253,45 @@ def _label_text(succ) -> str:
     return succ[0].text
 
 
-def _may_recur(cmd) -> bool:
-    """Whether a loop lies on cmd's spine: the parts that run next, down
-    sequences, labels, holes and bodies, but not the branches of an
-    unevaluated `if` or a loop's body.  Only a loop's unfolding makes a
-    command larger, and a thread state can come back only by unfolding a
-    loop on its spine; so a thread state whose command has none never
-    recurs, and its run of silent moves is no longer than its command."""
-    stack = [cmd]
-    while stack:
-        c = stack.pop()
-        if isinstance(c, program.While):
-            return True
-        if isinstance(c, program.Seq):
-            stack += (c.a, c.b)
-        elif isinstance(c, (program.Labeled, program.Body)):
-            stack.append(c.cmd)
-        elif isinstance(c, program.Hole) and c.content is not None:
-            stack.append(c.content)
-        elif isinstance(c, program.Assign) and \
-                isinstance(c.src, program.Hole):
-            stack.append(c.src)
-    return False
+def _spine(c):
+    """What runs next inside c, unless c is a sequence: a label's or a
+    method body's command, a hole's content or an `r := [.]`'s hole."""
+    if isinstance(c, (program.Labeled, program.Body)):
+        return c.cmd
+    if isinstance(c, program.Hole):
+        return c.content
+    if isinstance(c, program.Assign) and isinstance(c.src, program.Hole):
+        return c.src
+    return None
+
+
+def _may_recur(cmd, ctx: SystemContext) -> bool:
+    """Whether a loop lies on cmd's spine: down sequences and `_spine`, not
+    into the branches of an unevaluated `if` or a loop's body.  Only a
+    loop's unfolding makes a command larger, and a thread state can come
+    back only by unfolding a loop on its spine; so a thread state whose
+    command has none never recurs, and its run of silent moves is no longer
+    than its command.  A sequence's answer is kept in `ctx.may_recur`, and
+    residuals share their tails, so a thread's states walk its spine once
+    in all; a chain of sequences is walked by a loop, and recursion goes
+    only as deep as sequences nest."""
+    memo = ctx.may_recur
+    seqs, found = [], None
+    while found is None:
+        if type(cmd) is program.Seq:
+            found = memo.get(cmd)
+            if found is None:
+                seqs.append(cmd)
+                cmd = cmd.b
+        elif type(cmd) is program.While:
+            found = True
+        else:
+            cmd = _spine(cmd)
+            if cmd is None:
+                found = False
+    for seq in reversed(seqs):
+        found = memo[seq] = found or _may_recur(seq.a, ctx)
+    return found
 
 
 def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
@@ -302,7 +319,7 @@ def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
             moves = ()
         found = ctx.silent_only[ts] = (
             len(moves) == 1 and moves[0].step.kind == "eps"
-            and not _may_recur(ts.cmd))
+            and not _may_recur(ts.cmd, ctx))
     return found
 
 
@@ -379,7 +396,9 @@ def _mem_steps(ctx, t, a, lib, gamma, beta):
     if found is None:
         found = ctx.component_steps[key] = []
         comp = "library" if lib else "client"
-        for own2, other2, op in _mem_dispatch(own, other, t, a):
+        # the rule is read from `memory` when called (mem_read, ...)
+        rule = getattr(memory, "mem_" + a.kind)
+        for own2, other2, op in rule(own, other, t, a):
             if a.kind == READ:  # op is the write read from
                 v = wrval(op.action)
                 done = Action(READ, a.var, v, sync=a.sync)
@@ -391,16 +410,6 @@ def _mem_steps(ctx, t, a, lib, gamma, beta):
     return found
 
 
-def _mem_dispatch(executing, context, t, a):
-    if a.kind == "read":
-        return memory.mem_read(executing, context, t, a)
-    if a.kind == "write":
-        return memory.mem_write(executing, context, t, a)
-    if a.kind == "update":
-        return memory.mem_update(executing, context, t, a)
-    raise program.ProgramError(f"not a memory action: {a!r}")
-
-
 def _object_steps(ctx, t, key, gamma, beta):
     """The object rule's successors of thread t's call from the components,
     as (gamma', beta', return value, label), each component interned.
@@ -408,25 +417,11 @@ def _object_steps(ctx, t, key, gamma, beta):
     checked the call's object, method and number of arguments."""
     memo_key = (t, *key, beta, gamma)
     found = ctx.component_steps.get(memo_key)
-    if found is not None:
-        return found
-    meth, args = key
-    obj = ctx.object_spec.name
-    # (beta', gamma', new operation, the call's return value) per step
-    if meth == "acquire":
-        steps = [s + (TRUE,)
-                 for s in objects.lock_acquire(beta, gamma, t, obj)]
-    elif meth == "release":
-        steps = [s + (BOT,) for s in objects.lock_release(beta, gamma, t, obj)]
-    elif meth == "enq":
-        steps = [s + (BOT,)
-                 for s in objects.queue_enq(beta, gamma, t, obj, *args)]
-    else:  # deq
-        steps = objects.queue_deq(beta, gamma, t, obj)
-    found = ctx.component_steps[memo_key] = [
-        (ctx.component(g2), ctx.component(b2), rv,
-         ctx.label("library", op.action, op.ts))
-        for b2, g2, op, rv in steps]
+    if found is None:
+        found = ctx.component_steps[memo_key] = [
+            (ctx.component(g2), ctx.component(b2), rv,
+             ctx.label("library", op.action, op.ts))
+            for b2, g2, op, rv in ctx.object_spec.steps(t, *key, beta, gamma)]
     return found
 
 
@@ -518,10 +513,8 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
 
 
 def _outcome_of(cfg: Configuration, ctx: SystemContext):
-    merged = {}
-    for ts in cfg.locs:
-        merged.update(ts.ls)
-    regs = ctx.observed or tuple(sorted(r for r in merged if r != "rval"))
+    merged = merged_locals(cfg)
+    regs = ctx.observed or tuple(sorted(r for r in merged if r != RVAL))
     return tuple((r, merged.get(r)) for r in sorted(regs))
 
 
@@ -540,15 +533,14 @@ def check_hoare(cfg0, ctx, pre, post, max_steps: int = 64,
                 explored: ExploreResult = None) -> CheckReport:
     """Partial-correctness check of {pre} program {post}.  `explored`, if
     given, is the exploration of cfg0 under the same bound, reused."""
-    ectx = ctx.eval_ctx()
-    if pre is not None and not eval_assertion(pre, cfg0, ectx):
+    if pre is not None and not eval_assertion(pre, cfg0, ctx):
         return CheckReport("valid", detail="precondition unsatisfied")
     res = explore(cfg0, ctx, max_steps, reduce=True) if explored is None \
         else explored
     if post is not None:
         for k in res.terminal_keys:
             cfg = res.configs[k]
-            if not eval_assertion(post, cfg, ectx):
+            if not eval_assertion(post, cfg, ctx):
                 return CheckReport("invalid", res.witness_path(k),
                                    res.states_explored, res.truncated,
                                    "postcondition fails at a terminal state")
@@ -572,7 +564,6 @@ class OutlineReport(Record):
 def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
     """Reachability check of every annotation plus interference freedom
     over reachable states."""
-    ectx = ctx.eval_ctx()
     res = explore(cfg0, ctx, max_steps)
     verdicts = {}
 
@@ -595,16 +586,16 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
 
     for key, cfg in res.configs.items():
         if outline.invariant is not None and not eval_assertion(
-                outline.invariant, cfg, ectx):
+                outline.invariant, cfg, ctx):
             fail("Inv", key, "invariant fails at a reachable state")
         for t, anns in outline.annotations.items():
             pc = program.pc_of(cfg.thread(t).cmd, ctx.n_labels[t])
             ann = anns.get(pc)
-            if ann is not None and not eval_assertion(ann, cfg, ectx):
+            if ann is not None and not eval_assertion(ann, cfg, ctx):
                 fail(name_of(t, pc), key, "annotation fails while active")
     if outline.final is not None:
         for key in res.terminal_keys:
-            if not eval_assertion(outline.final, res.configs[key], ectx):
+            if not eval_assertion(outline.final, res.configs[key], ctx):
                 fail("final", key, "final assertion fails at a terminal state")
 
     # Interference freedom restricted to reachable states: a step of one
@@ -625,11 +616,11 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
         active = {}
         for t in ctx.threads:
             ann = outline.annotations.get(t, {}).get(pcs[t])
-            if ann is not None and eval_assertion(ann, cfg, ectx):
+            if ann is not None and eval_assertion(ann, cfg, ctx):
                 active[t] = ann
         for t2, label, nxt in beyond:
             for t, ann in active.items():
-                if t != t2 and not eval_assertion(ann, nxt, ectx):
+                if t != t2 and not eval_assertion(ann, nxt, ctx):
                     fail(name_of(t, pcs[t]), key,
                          f"interference by thread {t2} step {label.render()}")
 

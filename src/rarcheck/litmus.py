@@ -24,7 +24,7 @@ import re
 from . import assertions as A
 from . import program as P
 from .explore import Configuration, SystemContext
-from .objects import lock_spec, queue_spec
+from .objects import KINDS, spec_of
 from .state import (BOT, EMPTY, FALSE, TRUE, Record, make_init_states, record,
                     DEQUEUE, ENQUEUE, LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
                     QUEUE_INIT)
@@ -222,7 +222,7 @@ class Parser:
 
     def parse_object(self):
         kind = self.name()
-        if kind not in ("lock", "queue"):
+        if kind not in KINDS:
             self.fail(f"unknown object kind {kind!r}")
         return kind, self.name(), self.name() if self.accept("impl") else None
 
@@ -582,7 +582,8 @@ class System(Record):
 
 
 def build_system(lf: LitmusFile, impl=None) -> System:
-    """Elaborate a parsed litmus file; impl (a LockImpl) fills the holes.
+    """Elaborate a parsed litmus file; impl (a `refine.Impl`) fills the
+    holes of an object of its kind, and its variables replace the object.
 
     Each clause is walked once, and so is each thread (`_Elaboration`).
     Whether a plain `x := e` writes the global x depends on every thread:
@@ -601,8 +602,8 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     obj_name = obj[1] if obj else None
     spec = fill = None
     if obj is not None:
-        spec = lock_spec(obj_name) if obj[0] == "lock" else queue_spec(obj_name)
-        fill = impl if obj[0] == "lock" else None
+        spec = spec_of(obj[0], obj_name)
+        fill = impl if impl is not None and impl.kind == spec.kind else None
     guess = {x for x, _ in lf.init} - read_by_preds
     walks = {t: _Elaboration(t, guess, spec, fill) for t in tids}
     progs = {t: walks[t].thread(stmts) for t, stmts in lf.threads}
@@ -644,7 +645,7 @@ def build_system(lf: LitmusFile, impl=None) -> System:
             local_inits[owner][x] = v
 
     if impl is not None and fill is None:
-        raise LitmusError("an implementation needs a lock object")
+        raise LitmusError(f"an implementation needs a {impl.kind} object")
     for w in walks.values():
         if w.error:
             raise LitmusError(w.error)
@@ -652,17 +653,15 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     for t, stmts in lf.threads:
         if walks[t].plain & (guess ^ client_vars):
             progs[t] = _Elaboration(t, client_vars, spec, fill).thread(stmts)
-    library = obj and (obj[0], obj_name)
-    if impl is not None:  # its variables replace the object
-        spec, library = None, ("impl", impl.init)
-
-    rho, gamma, beta = make_init_states(init_globals, client_vars, library,
-                                        set(tids), local_inits)
+    library = fill or spec  # an implementation's variables replace the object
+    rho, gamma, beta = make_init_states(
+        init_globals, client_vars, library.init_actions() if library else (),
+        set(tids), local_inits)
     # the registers the final clause reads, in order of first reading
     observed = tuple(dict.fromkeys(r for r in pred_regs[1]
                                    if r in local_evidence))
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
-    ctx = SystemContext(tids, spec, n_labels, observed)
+    ctx = SystemContext(tids, None if fill else spec, n_labels, observed)
     cfg0 = ctx.configuration(progs, rho, gamma, beta)
     annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
                        if ann is not None} for t, stmts in lf.threads}

@@ -1,29 +1,55 @@
-"""Abstract object transitions: lock acquire/release and queue enq/deq.
+"""Abstract objects: what each kind of object is, and its transitions.
 
-The object always lives in the library component; every rule takes the
-library state first and the client (context) state second.  Lock operations
-are appended at the end of the object's timeline; queue operations may be
-inserted mid-timeline, subject to FIFO guards over the matched pairs.
+`KINDS` gives per kind its initial operation, its synchronising action
+kinds and its methods: each method's arity, the rule that steps a call and
+the result a call returns when every step returns the same one; parsing,
+building and stepping read kinds from it.  The object lives in the library
+component; every rule takes the library state first and the client
+(context) state second, and returns (beta', gamma', new operation, result)
+per step.  Lock operations are appended at the end of the object's
+timeline; queue operations may be inserted mid-timeline, subject to FIFO
+guards over the matched pairs.
 """
 
 from __future__ import annotations
 
-from .state import (Action, ComponentState, EMPTY, OBJ, Record,
+from collections import namedtuple
+
+from .state import (Action, ComponentState, BOT, EMPTY, OBJ, TRUE, Record,
                     insert_fresh_timestamp, record, DEQUEUE, ENQUEUE,
                     LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
+
+# rule: the rule's name in this module; result: None when steps differ
+Method = namedtuple("Method", "name arity rule result")
+
+# kind -> (initial operation's kind, synchronising action kinds, methods)
+KINDS = {
+    "lock": (LOCK_INIT, (LOCK_ACQUIRE, LOCK_RELEASE),
+             (Method("acquire", 0, "lock_acquire", TRUE),
+              Method("release", 0, "lock_release", BOT))),
+    "queue": (QUEUE_INIT, (ENQUEUE, DEQUEUE),
+              (Method("enq", 1, "queue_enq", BOT),
+               Method("deq", 0, "queue_deq", None))),
+}
 
 
 @record
 class ObjectSpec(Record):
     name: str
-    kind: str  # 'lock' | 'queue'
+    kind: str  # a key of KINDS
+    init: str  # the initial operation's action kind
     sync: tuple  # synchronising abstract action kinds
-    arities: tuple  # ((method, number of arguments), ...)
+    methods: tuple  # Method tuples
+
+    def method(self, meth: str):
+        """The Method named `meth`; None if there is no such method."""
+        return next((m for m in self.methods if m.name == meth), None)
 
     def arity(self, meth: str):
         """How many arguments `meth` takes; None if there is no such
         method."""
-        return dict(self.arities).get(meth)
+        m = self.method(meth)
+        return None if m is None else m.arity
 
     def is_sync(self, action) -> bool:
         """Whether an action, or a method instance naming one, synchronises:
@@ -32,15 +58,19 @@ class ObjectSpec(Record):
             return False
         return action.kind in self.sync
 
+    def init_actions(self) -> tuple:
+        return (Action(self.init, self.name, sync=OBJ, index=0),)
 
-def lock_spec(name: str) -> ObjectSpec:
-    return ObjectSpec(name, "lock", (LOCK_ACQUIRE, LOCK_RELEASE),
-                      (("acquire", 0), ("release", 0)))
+    def steps(self, t, meth: str, args, beta, gamma):
+        """The rule's steps of thread t's call of `meth` with evaluated
+        `args`.  The rule is read from this module when called, so a
+        wrapper in its place sees the call."""
+        rule = globals()[self.method(meth).rule]
+        return rule(beta, gamma, t, self.name, *args)
 
 
-def queue_spec(name: str) -> ObjectSpec:
-    return ObjectSpec(name, "queue", (ENQUEUE, DEQUEUE),
-                      (("enq", 1), ("deq", 0)))
+def spec_of(kind: str, name: str) -> ObjectSpec:
+    return ObjectSpec(name, kind, *KINDS[kind])
 
 
 def lock_acquire(beta: ComponentState, gamma: ComponentState, t, lock: str):
@@ -49,8 +79,8 @@ def lock_acquire(beta: ComponentState, gamma: ComponentState, t, lock: str):
     if w.action.kind not in (LOCK_INIT, LOCK_RELEASE) or beta.covers(w):
         return []
     b = Action(LOCK_ACQUIRE, lock, sync=OBJ, owner=t, index=w.action.index + 1)
-    return [insert_fresh_timestamp(beta, gamma, t, w.ts, b, sync_from=w.ts,
-                                   cover=True)]
+    return [(*insert_fresh_timestamp(beta, gamma, t, w.ts, b, sync_from=w.ts,
+                                     cover=True), TRUE)]
 
 
 def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
@@ -59,7 +89,7 @@ def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
     if w.action.kind != LOCK_ACQUIRE or w.action.owner != t:
         return []
     a = Action(LOCK_RELEASE, lock, sync=OBJ, index=w.action.index + 1)
-    return [insert_fresh_timestamp(beta, gamma, t, w.ts, a)]
+    return [(*insert_fresh_timestamp(beta, gamma, t, w.ts, a), BOT)]
 
 
 # The queue rules read the queue's column of actions, where an action's
@@ -75,23 +105,20 @@ def _column(beta: ComponentState, q: str) -> tuple:
 
 def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
     """Enqueue steps, one per admissible insertion gap: none below the
-    thread's view, the last matched enqueue or the last empty dequeue.
-    Returns (beta', gamma', new operation) tuples."""
+    thread's view, the last matched enqueue or the last empty dequeue."""
     matched_enqs = {e for e, _ in beta.matched}
     acts = _column(beta, q)
     lo = beta.front(t, q)
     lo = next((r for r in range(len(acts) - 1, lo, -1)
                if r in matched_enqs or _is_deq_empty(acts[r])), lo)
     a = Action(ENQUEUE, q, val=u, sync=OBJ)
-    return [insert_fresh_timestamp(beta, gamma, t, pred, a)
+    return [(*insert_fresh_timestamp(beta, gamma, t, pred, a), BOT)
             for pred in range(lo, len(acts))]
 
 
 def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
     """Dequeue steps: non-empty (synchronising, FIFO) and empty branches.
-
-    Returns (beta', gamma', new operation, rval) tuples.
-    """
+    A step's result is the value dequeued, or empty."""
     matched_enqs = {e for e, _ in beta.matched}
     matched_deqs = {d for _, d in beta.matched}
     lo = beta.front(t, q)
@@ -105,9 +132,8 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
         val = acts[head].val
         a = Action(DEQUEUE, q, val=val, sync=OBJ)
         for pred in range(max(head, lo, *matched_deqs), len(acts)):
-            b2, g2, new = insert_fresh_timestamp(
-                beta, gamma, t, pred, a, sync_from=head, match=True)
-            out.append((b2, g2, new, val))
+            out.append((*insert_fresh_timestamp(
+                beta, gamma, t, pred, a, sync_from=head, match=True), val))
 
     # Empty branch: everything earlier is matched (either side) or empty,
     # so the gaps lie below the first operation that is neither.
@@ -117,8 +143,7 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
                len(acts))
     a = Action(DEQUEUE, q, val=EMPTY, sync=OBJ)
     for pred in range(lo, end):
-        b2, g2, new = insert_fresh_timestamp(beta, gamma, t, pred, a)
-        out.append((b2, g2, new, EMPTY))
+        out.append((*insert_fresh_timestamp(beta, gamma, t, pred, a), EMPTY))
     return out
 
 

@@ -7,8 +7,8 @@ that the memory/object semantics must validate.  A read, the failure branch
 of a CAS and a fetch-and-increment are proposed once, with the value read
 left open: the memory rules bind it from each write the thread can observe,
 and the step's `reg` names the register that receives it.  An object call
-leaves bottom in its hole and its result in the register `rval`, which
-`r := o.m()` then binds.
+leaves bottom in its hole and its result in the register `state.RVAL`,
+which `r := o.m()` then binds.
 
 `local_step` splits a command once into an evaluation context and the
 redex that steps, and plugs each residual back into that context once,
@@ -18,8 +18,8 @@ registers runs only its redex's rule.
 
 from __future__ import annotations
 
-from .state import (FALSE, TRUE, Hashed, Record, fai, hashed, open_read,
-                    record, update, write)
+from .state import (FALSE, RVAL, TRUE, Hashed, Record, fai, hashed,
+                    open_read, record, update, write)
 
 
 class ProgramError(Exception):
@@ -183,7 +183,7 @@ class Body(Hashed):
     """A concrete method body running inside a hole.
 
     Reduces to bottom when the wrapped command terminates; that same step
-    records the method's return value in the distinguished local rval.
+    records the method's return value in the register RVAL.
     """
 
     meth: str
@@ -410,8 +410,8 @@ def _fire(c, ls):
     if isinstance(c, Seq):  # its first part is done
         return [("eps", None, c.b, ls, _ends_in_hole(c.a), None)]
     if isinstance(c, Assign):
-        if isinstance(c.src, Hole):  # the method's result is in rval
-            return [("eps", None, _BOT, _ls_set(ls, c.reg, ls["rval"]), True,
+        if isinstance(c.src, Hole):  # the method's result is in RVAL
+            return [("eps", None, _BOT, _ls_set(ls, c.reg, ls[RVAL]), True,
                      None)]
         return [("eps", None, _BOT, _ls_set(ls, c.reg, eval_expr(c.src, ls)),
                  False, None)]
@@ -432,7 +432,7 @@ def _fire(c, ls):
         return [("act", fai(c.var), _BOT, ls, False, c.reg)]
     if isinstance(c, MethodCall):
         # the object rules give the successors; the call leaves bottom
-        # behind, and its result only in rval
+        # behind, and its result only in RVAL
         return [("call", c, _BOT, ls, False, None)]
     if isinstance(c, If):
         return [("eps", None, c.then if eval_expr(c.cond, ls) else c.other,
@@ -451,7 +451,7 @@ def _fire(c, ls):
 def _plug(frames, c):
     """Residual c put back into frames, innermost first, and the `Body`
     frame that finished, or None.  A finished body collapses to bottom,
-    and its return value goes to rval."""
+    and its return value goes to RVAL."""
     finished = None
     for f in reversed(frames):
         if isinstance(f, Labeled):
@@ -493,6 +493,6 @@ def local_step(cmd, ls: dict, redexes: dict, plugs: dict):
             plugged = plugs[key] = _plug(split.frames, residual)
         cmd2, finished = plugged
         if finished is not None:
-            ls2 = _ls_set(ls2, "rval", finished.retval)
+            ls2 = _ls_set(ls2, RVAL, finished.retval)
         out.append(Step(kind, action, cmd2, ls2, split.lib, at_hole, reg))
     return out

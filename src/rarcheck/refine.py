@@ -23,47 +23,55 @@ from .explore import ExploreResult, explore
 # unused here, but perfbench/layers.py traces rarcheck.refine.successors
 from .explore import successors  # noqa: F401
 from .litmus import LitmusError, build_system
-from .objects import lock_release
-from .state import BOT, TRUE, Record, record
+from .objects import lock_release, spec_of
+from .state import RVAL, Record, record, write
 
 
 @record
-class LockImpl(Record):
-    """A concrete lock over plain shared variables."""
+class Impl(Record):
+    """A concrete implementation of an object kind over plain shared
+    variables.  Its methods share their locals within a thread, named with
+    a '$', as no client register can be."""
 
     name: str
+    kind: str  # a key of objects.KINDS
     init: tuple  # ((variable, value), ...)
-    acquire_listing: object  # verbatim body, do-until form
-    release_listing: object
+    methods: tuple  # ((method, verbatim body in do-until form), ...)
 
     def method(self, meth: str):
-        if meth == "acquire":
-            return P.desugar(self.acquire_listing), TRUE
-        if meth == "release":
-            return P.desugar(self.release_listing), BOT
-        raise LitmusError(f"lock has no method {meth!r}")
+        """The body of `meth`, desugared, and the kind's result for it."""
+        body = dict(self.methods).get(meth)
+        if body is None:
+            raise LitmusError(f"{self.kind} has no method {meth!r}")
+        return P.desugar(body), spec_of(self.kind, self.name).method(
+            meth).result
+
+    def init_actions(self) -> tuple:
+        return tuple(write(x, v) for x, v in self.init)
 
 
 def _seqlock(releasing=True):
-    r, loc = P.Var("r"), P.Var("loc")
+    r, loc = P.Var("$r"), P.Var("$loc")
     acquire = P.DoUntil(
-        P.Seq(P.DoUntil(P.GRead("r", "glb", acquiring=True),
+        P.Seq(P.DoUntil(P.GRead("$r", "glb", acquiring=True),
                         P.Bin("=", P.Bin("%", r, P.Lit(2)), P.Lit(0))),
-              P.Cas("loc", "glb", r, P.Bin("+", r, P.Lit(1)))),
+              P.Cas("$loc", "glb", r, P.Bin("+", r, P.Lit(1)))),
         loc)
     release = P.GWrite("glb", P.Bin("+", r, P.Lit(2)), releasing)
     name = "seqlock" if releasing else "seqlock-relaxed"
-    return LockImpl(name, (("glb", 0),), acquire, release)
+    return Impl(name, "lock", (("glb", 0),),
+                (("acquire", acquire), ("release", release)))
 
 
 def _ticketlock(releasing=True):
-    m_t, s_n = P.Var("m_t"), P.Var("s_n")
-    acquire = P.Seq(P.Fai("m_t", "nt"),
-                    P.DoUntil(P.GRead("s_n", "sn", acquiring=True),
+    m_t, s_n = P.Var("$m_t"), P.Var("$s_n")
+    acquire = P.Seq(P.Fai("$m_t", "nt"),
+                    P.DoUntil(P.GRead("$s_n", "sn", acquiring=True),
                               P.Bin("=", m_t, s_n)))
     release = P.GWrite("sn", P.Bin("+", s_n, P.Lit(1)), releasing)
     name = "ticketlock" if releasing else "ticketlock-relaxed"
-    return LockImpl(name, (("nt", 0), ("sn", 0)), acquire, release)
+    return Impl(name, "lock", (("nt", 0), ("sn", 0)),
+                (("acquire", acquire), ("release", release)))
 
 
 def builtin_impls() -> dict:
@@ -76,7 +84,7 @@ def builtin_impls() -> dict:
 # --- client-state projection and refinement ----------------------------------
 
 def _client_regs(system):
-    return {t: frozenset(r for r in regs if r != "rval")
+    return {t: frozenset(r for r in regs if r != RVAL)
             for t, regs in system.client_locals.items()}
 
 
@@ -153,7 +161,7 @@ def _refines_memo():
 
 
 def _rvals(cfg):
-    return tuple((ts.t, ts.ls.get("rval")) for ts in cfg.locs)
+    return tuple((ts.t, ts.ls.get(RVAL)) for ts in cfg.locs)
 
 
 # --- the simulation game ------------------------------------------------------
@@ -168,31 +176,29 @@ def _reply_core(label):
             else ("eps",))
 
 
-def check_sync_free(system):
-    """Synchronisation-free clients: no release/acquire annotations and no
-    read-modify-writes outside the library (in the abstract system a hole
-    holds only its method call)."""
+def _check_client(system):
+    """One walk over the abstract client's threads.  An acquire may not bind
+    the lock's operation counter (`l.acquire(rl)`): no implementation sets
+    that local.  And the client must be synchronisation-free (a hole holds
+    only its call here); a binder anywhere is reported first."""
+    unsync = None
     for t, prog in system.cfg0.prog.items():
         for cmd in P.nodes(prog):
-            if isinstance(cmd, P.GWrite) and cmd.releasing:
-                raise LitmusError(f"client thread {t} uses a releasing write")
-            if isinstance(cmd, P.GRead) and cmd.acquiring:
-                raise LitmusError(f"client thread {t} uses an acquiring read")
-            if isinstance(cmd, (P.Cas, P.Fai)):
-                raise LitmusError(f"client thread {t} uses an update")
-
-
-def _check_no_version_binder(system):
-    """An abstract acquire may bind the lock's operation counter to a client
-    local (`l.acquire(rl)`).  No implementation sets that local, so it would
-    differ between the abstract and the concrete client after the acquire."""
-    for t, prog in system.cfg0.prog.items():
-        for call in P.nodes(prog):
-            if isinstance(call, P.MethodCall) and call.binder:
+            if isinstance(cmd, P.MethodCall) and cmd.binder:
                 raise LitmusError(
-                    f"client thread {t} binds {call.binder} to the lock's "
-                    f"operation counter in {call!r}; no lock implementation "
+                    f"client thread {t} binds {cmd.binder} to the lock's "
+                    f"operation counter in {cmd!r}; no lock implementation "
                     "sets it")
+            if unsync is not None:
+                continue
+            if isinstance(cmd, P.GWrite) and cmd.releasing:
+                unsync = f"client thread {t} uses a releasing write"
+            elif isinstance(cmd, P.GRead) and cmd.acquiring:
+                unsync = f"client thread {t} uses an acquiring read"
+            elif isinstance(cmd, (P.Cas, P.Fai)):
+                unsync = f"client thread {t} uses an update"
+    if unsync is not None:
+        raise LitmusError(unsync)
 
 
 def _explore_concrete(conc_sys, abs_sys, max_steps):
@@ -235,14 +241,13 @@ class SimulationResult(Record):
         return self.verdict == "simulation-found"
 
 
-def check_simulation(impl: LockImpl, client_lf,
+def check_simulation(impl: Impl, client_lf,
                      max_steps: int = 64) -> SimulationResult:
     """Play the forward-simulation game over the explored concrete and
     abstract state graphs, exploring the abstract one second."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
-    _check_no_version_binder(abs_sys)
-    check_sync_free(abs_sys)
+    _check_client(abs_sys)
 
     conc = _explore_concrete(conc_sys, abs_sys, max_steps)
     project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)

@@ -64,6 +64,10 @@ EMPTY = Sym("empty")
 TRUE = Sym("true")
 FALSE = Sym("false")
 
+# The register that receives every method call's result.  No input names
+# it: the lexer's names never hold a '$', and neither do the client's.
+RVAL = "$rval"
+
 # Sync modes
 RLX = "rlx"
 REL = "rel"
@@ -521,24 +525,13 @@ def make_init_states(init_assigns, client_vars, library, threads,
     """Initial local states and component states.
 
     init_assigns: ordered (variable, value) pairs for the client globals.
-    library: None, ('lock', name), ('queue', name), or
-             ('impl', [(variable, value), ...]) for a concrete implementation.
+    library: the library component's initial actions (an object's or an
+             implementation's `init_actions()`; none without either)
     """
     threads = sorted(threads)
     gacts = _init_writes(init_assigns)
     if set(client_vars) != {a.var for a in gacts}:
         raise StateError("every client variable must be initialised exactly once")
-
-    if library is None:
-        bacts = []
-    elif library[0] == "lock":
-        bacts = [Action(LOCK_INIT, library[1], sync=OBJ, index=0)]
-    elif library[0] == "queue":
-        bacts = [Action(QUEUE_INIT, library[1], sync=OBJ, index=0)]
-    elif library[0] == "impl":
-        bacts = _init_writes(library[1])
-    else:
-        raise StateError(f"unknown library spec {library!r}")
 
     def component(acts, other_acts):
         lay = Layout((a.var for a in acts), (a.var for a in other_acts),
@@ -549,9 +542,9 @@ def make_init_states(init_assigns, client_vars, library, threads,
                               (zeros,) * len(threads),
                               (everything,) * len(acts))
 
-    gamma = component(gacts, bacts)
-    beta = component(bacts, gacts)
-    rho = {t: {"rval": BOT} for t in threads}
+    gamma = component(gacts, library)
+    beta = component(library, gacts)
+    rho = {t: {RVAL: BOT} for t in threads}
     if local_inits:
         for t, assigns in local_inits.items():
             rho[t].update(assigns)

@@ -17,7 +17,7 @@ from rarcheck import assertions as A
 from rarcheck import program as P
 from rarcheck.explore import SystemContext
 from rarcheck.litmus import LitmusError, LitmusFile, System, _pa
-from rarcheck.objects import lock_spec, queue_spec
+from rarcheck.objects import spec_of
 from rarcheck.state import (BOT, EMPTY, FALSE, TRUE, Record, make_init_states,
                             record, DEQUEUE, ENQUEUE, LOCK_ACQUIRE,
                             LOCK_RELEASE)
@@ -626,18 +626,18 @@ def build_system(lf, impl=None):
 
     # library side
     spec = None
-    library = None
+    library = ()
     if impl is not None and (obj is None or obj[0] != "lock"):
         raise LitmusError("an implementation needs a lock object")
     if obj is not None:
-        spec = lock_spec(obj_name) if obj[0] == "lock" else queue_spec(obj_name)
+        spec = spec_of(obj[0], obj_name)
     _check_calls(progs, spec)
     _check_view_atoms(clauses, tids, client_vars, obj_name)
     if impl is not None:
         spec = None  # the implementation's variables replace the object
-        library = ("impl", impl.init)
+        library = impl.init_actions()
     elif obj is not None:
-        library = (obj[0], obj_name)
+        library = spec.init_actions()
 
     resolve = partial(_resolve, client_vars, impl)
     progs = {t: P.map_stmts(resolve, progs[t]) for t in tids}

@@ -11,7 +11,7 @@ from rarcheck.program import (Assign, Body, Bot, Cas, DoUntil, Fai, GRead,
                               GWrite, Hole, If, Labeled, MethodCall,
                               ProgramError, Seq, Step, While, eval_expr,
                               is_done)
-from rarcheck.state import FALSE, TRUE, fai, open_read, update, write
+from rarcheck.state import FALSE, RVAL, TRUE, fai, open_read, update, write
 
 
 def replace(step, **changes):
@@ -36,9 +36,9 @@ def steps(cmd, ls, lib=False):
 
     if isinstance(cmd, Assign):
         if isinstance(cmd.src, Hole):
-            if is_done(cmd.src):  # the method's result is in rval
+            if is_done(cmd.src):  # the method's result is in RVAL
                 return [Step("eps", None, Bot(),
-                             _ls_set(ls, cmd.reg, ls["rval"]), lib,
+                             _ls_set(ls, cmd.reg, ls[RVAL]), lib,
                              at_hole=True)]
             return [replace(s, cmd=Assign(cmd.reg, s.cmd))
                     for s in steps(cmd.src, ls, lib)]
@@ -72,7 +72,7 @@ def steps(cmd, ls, lib=False):
         for s in steps(cmd.cmd, ls, lib=True):
             if is_done(s.cmd):
                 out.append(replace(s, cmd=Bot(),
-                                   ls=_ls_set(s.ls, "rval", cmd.retval)))
+                                   ls=_ls_set(s.ls, RVAL, cmd.retval)))
             else:
                 out.append(replace(s, cmd=Body(cmd.meth, cmd.retval, s.cmd)))
         return out

@@ -66,7 +66,7 @@ class TestCriterion4:
     def test_lock_client_outcomes_and_invariant(self):
         system, res, dt = outcomes_of("lockmp")
         pairs = {(oc["r1"], oc["r2"]) for oc in res.outcomes}
-        ectx = system.ctx.eval_ctx()
+        ectx = system.ctx
         inv_ok = all(eval_assertion(system.outline.invariant, cfg, ectx)
                      for cfg in res.configs.values())
         ok = pairs == {(0, 0), (5, 5)} and inv_ok and dt < 10.0

@@ -1,13 +1,14 @@
 import pytest
 
-from rarcheck.assertions import (AndA, BoolA, Cond, Def, EvalCtx, LocalPred,
+from rarcheck.assertions import (AndA, BoolA, Cond, Def, LocalPred,
                                  MethodInstance, NotA, PcIn, Poss, VarEq,
                                  cond, dobs, eval_assertion, eval_covered,
                                  eval_hidden, pobs, wrote)
-from rarcheck.explore import Configuration, explore, successors
+from rarcheck.explore import (Configuration, SystemContext, explore,
+                              successors)
 from rarcheck.litmus import build_system, load_corpus
 from rarcheck.memory import mem_write
-from rarcheck.objects import lock_acquire, lock_release, lock_spec
+from rarcheck.objects import lock_acquire, lock_release, spec_of
 from rarcheck.program import Bin, Lit, Var
 from rarcheck.state import (LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
                             StateError, is_releasing_write, make_init_states,
@@ -16,7 +17,7 @@ from rarcheck.state import (LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
 
 def lock_system():
     return make_init_states([("d1", 0), ("d2", 0)], {"d1", "d2"},
-                            ("lock", "l"), {1, 2})
+                            spec_of("lock", "l").init_actions(), {1, 2})
 
 
 def minst(kind, index):
@@ -25,7 +26,8 @@ def minst(kind, index):
 
 def holds(atom, g, b, spec=None):
     """atom at the configuration of components g and b and no thread."""
-    return eval_assertion(atom, Configuration(((), g, b)), EvalCtx(spec))
+    return eval_assertion(atom, Configuration(((), g, b)),
+                          SystemContext((), spec))
 
 
 class TestPossible:
@@ -46,8 +48,8 @@ class TestPossible:
 
     def test_release_possible_for_waiting_thread(self):
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
-        (b, g, _), = lock_release(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_release(b, g, 1, "l")
         assert pobs(b, 2, "l", minst(LOCK_RELEASE, 2).matches)
         assert not pobs(b, 2, "l", minst(LOCK_RELEASE, 4).matches)
 
@@ -85,7 +87,7 @@ class TestConditional:
     def test_release_write_pins_payload(self):
         # message-passing prefix: d1 := 5 then a releasing flag write
         rho, g, b = make_init_states([("d", 0), ("f", 0)], {"d", "f"},
-                                     None, {1, 2})
+                                     (), {1, 2})
         (g, b, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
         assert cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)
@@ -93,17 +95,17 @@ class TestConditional:
 
     def test_relaxed_write_fails_conditional(self):
         rho, g, b = make_init_states([("d", 0), ("f", 0)], {"d", "f"},
-                                     None, {1, 2})
+                                     (), {1, 2})
         (g, b, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _), = mem_write(g, b, 1, write("f", 1))
         assert not cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)
 
     def test_cross_component_release_pins_client_writes(self):
         _, g, b = lock_system()
-        spec = lock_spec("l")
-        (b, g, _), = lock_acquire(b, g, 1, "l")
+        spec = spec_of("lock", "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
         (g, b, _), = mem_write(g, b, 1, write("d1", 5))
-        (b, g, _), = lock_release(b, g, 1, "l")
+        (b, g, _, _), = lock_release(b, g, 1, "l")
         assert holds(Cond(2, minst(LOCK_RELEASE, 2), "d1", Lit(5)), g, b,
                      spec)
         assert not holds(Cond(2, minst(LOCK_RELEASE, 2), "d1", Lit(0)), g, b,
@@ -120,14 +122,14 @@ class TestCoveredHidden:
 
     def test_acquire_covers_init(self):
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
         assert eval_covered(b, minst(LOCK_ACQUIRE, 1))
         assert eval_hidden(b, minst(LOCK_INIT, 0))
 
     def test_two_uncovered_ops_not_covered(self):
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
-        (b, g, _), = lock_release(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_release(b, g, 1, "l")
         assert not eval_covered(b, minst(LOCK_RELEASE, 2))
 
     def test_hidden_needs_existence(self):
@@ -139,7 +141,7 @@ class TestCoveredHidden:
 class TestEvalAssertion:
     def setup_method(self):
         self.system = build_system(load_corpus("lockmp"))
-        self.ectx = self.system.ctx.eval_ctx()
+        self.ectx = self.system.ctx
         self.cfg0 = self.system.cfg0
 
     def test_true(self):

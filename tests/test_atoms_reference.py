@@ -80,7 +80,7 @@ def outcome(f, *args):
 def mismatches(system, configs):
     """The (atom, configuration) pairs on which the atom and its reference
     disagree, and the number of pairs compared."""
-    ectx = system.ctx.eval_ctx()
+    ectx = system.ctx
     pairs = instances(system)
     bad, n = [], 0
     for cfg in configs:

@@ -481,23 +481,33 @@ def test_edited_generated_files_exit_0_to_3(tmp_path_factory, text):
 # locks simulate the abstract lock under every one of them, and so pass the
 # trace check that follows.
 
+# the names of the built-in locks' locals and of the register a call's
+# result goes to, less the tool's '$': a client register so named is the
+# client's alone
+TOOL_NAMES = ("r", "loc", "m_t", "s_n", "rval")
+
+
 @st.composite
 def lock_clients(draw):
     """One or two threads, each running one or two rounds of `l.acquire()`,
     plain accesses of x and y, `l.release()`, with a plain access or none
-    before each round."""
+    before each round.  The threads share out the names of TOOL_NAMES as
+    registers of their own."""
     lines = ["name client", "init x := 0; y := 0", "object lock l"]
-    for t in range(1, draw(st.integers(1, 2)) + 1):
-        r = st.sampled_from([f"a{t}", f"b{t}"])
+    n = draw(st.integers(1, 2))
+    names = draw(st.permutations(TOOL_NAMES))
+    for t in range(1, n + 1):
+        regs = [f"a{t}", f"b{t}", *names[t - 1::n]]
+        r = st.sampled_from(regs)
         x = st.sampled_from(GLOBALS)
         plain = st.one_of(st.builds("{} := {}".format, x, st.integers(1, 3)),
                           st.builds("{} := {}".format, x, r),
                           st.builds("{} <- {}".format, r, x))
-        body = [f"a{t} := 0;", f"b{t} := 0;"]
+        body = [f"{reg} := 0;" for reg in regs]
         for _ in range(draw(st.integers(1, 2))):
             body += [s + ";" for s in draw(st.lists(plain, max_size=1))]
             body.append(draw(st.sampled_from(
-                ["l.acquire();", f"a{t} := l.acquire();"])))
+                ["l.acquire();", f"{draw(r)} := l.acquire();"])))
             body += [s + ";" for s in draw(st.lists(plain, min_size=1,
                                                     max_size=2))]
             body.append("l.release();")

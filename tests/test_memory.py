@@ -1,12 +1,13 @@
 from component_views import cvd, mview, tview
 from rarcheck.memory import mem_read, mem_update, mem_write
+from rarcheck.objects import spec_of
 from rarcheck.state import (fai, make_init_states, open_read, update, write,
                             wrval)
 
 
 def mp_init():
     """d and f, two threads, no library."""
-    return make_init_states([("d", 0), ("f", 0)], {"d", "f"}, None, {1, 2})
+    return make_init_states([("d", 0), ("f", 0)], {"d", "f"}, (), {1, 2})
 
 
 def values_read(g, b, t, x, **kw):
@@ -89,7 +90,8 @@ class TestWrite:
         assert len(set(positions)) == 2
 
     def test_mview_spans_context(self):
-        rho, g, b = make_init_states([("d", 0)], {"d"}, ("lock", "l"), {1, 2})
+        rho, g, b = make_init_states(
+            [("d", 0)], {"d"}, spec_of("lock", "l").init_actions(), {1, 2})
         (g2, _, new), = mem_write(g, b, 1, write("d", 5))
         assert "l" in mview(g2)[new]  # records the library viewfront too
 
@@ -103,7 +105,7 @@ class TestWrite:
 
 class TestUpdate:
     def test_update_covers_predecessor(self):
-        rho, g, b = make_init_states([], set(), ("impl", [("glb", 0)]), {1, 2})
+        rho, g, b = make_init_states([], set(), [write("glb", 0)], {1, 2})
         out = mem_update(b, g, 1, update("glb", 0, 1))
         assert len(out) == 1
         b2, g2, new = out[0]
@@ -112,12 +114,12 @@ class TestUpdate:
         assert new.action.aux == 0 and new.action.val == 1
 
     def test_value_mismatch_everywhere(self):
-        rho, g, b = make_init_states([], set(), ("impl", [("glb", 0)]), {1})
+        rho, g, b = make_init_states([], set(), [write("glb", 0)], {1})
         assert mem_update(b, g, 1, update("glb", 7, 8)) == []
 
     def test_two_fai_adjacent_and_covered(self):
         # ticket-lock prelude: two threads fetch-and-increment nt
-        rho, g, b = make_init_states([], set(), ("impl", [("nt", 0)]), {1, 2})
+        rho, g, b = make_init_states([], set(), [write("nt", 0)], {1, 2})
         (b, g, op1), = mem_update(b, g, 1, update("nt", 0, 1))
         out = mem_update(b, g, 2, update("nt", 1, 2))
         assert len(out) == 1
@@ -136,7 +138,7 @@ class TestUpdate:
         assert values_read(g2, b2, 2, "d") == [5]
 
     def test_fai_reads_each_integer_and_writes_its_successor(self):
-        rho, g, b = make_init_states([], set(), ("impl", [("nt", 0)]), {1, 2})
+        rho, g, b = make_init_states([], set(), [write("nt", 0)], {1, 2})
         for v in (4, True, 9):
             (b, g, _), = mem_write(b, g, 2, write("nt", v))
         out = mem_update(b, g, 1, fai("nt"))

@@ -1,23 +1,27 @@
 import pytest
 
 from component_views import cvd, mview, tview
+from rarcheck import objects
 from rarcheck.explore import explore
-from rarcheck.litmus import build_system, load_corpus, parse_litmus
-from rarcheck.objects import (lock_acquire, lock_release, lock_spec,
-                              queue_deq, queue_enq, queue_spec)
+from rarcheck.litmus import (LitmusError, build_system, load_corpus,
+                             parse_litmus)
+from rarcheck.objects import (KINDS, lock_acquire, lock_release, queue_deq,
+                              queue_enq, spec_of)
 from rarcheck.oracle import fifo_litmus
-from rarcheck.state import (DEQUEUE, ENQUEUE, EMPTY, QUEUE_INIT,
+from rarcheck.refine import builtin_impls
+from rarcheck.state import (DEQUEUE, ENQUEUE, EMPTY, LOCK_INIT, QUEUE_INIT,
                             make_init_states, wrval, write)
 from rarcheck.memory import mem_write
 
 
 def lock_system():
     return make_init_states([("d1", 0), ("d2", 0)], {"d1", "d2"},
-                            ("lock", "l"), {1, 2})
+                            spec_of("lock", "l").init_actions(), {1, 2})
 
 
 def queue_system():
-    return make_init_states([("d", 0)], {"d"}, ("queue", "q"), {1, 2})
+    return make_init_states([("d", 0)], {"d"},
+                            spec_of("queue", "q").init_actions(), {1, 2})
 
 
 def enq_rank(b, u):
@@ -34,24 +38,24 @@ class TestLockAcquire:
         (init_op,) = b.ops
         out = lock_acquire(b, g, 1, "l")
         assert len(out) == 1
-        b2, g2, new = out[0]
+        b2, g2, new, _ = out[0]
         assert new.action.index == 1 and new.action.owner == 1
         assert init_op in cvd(b2)
         assert b2.max_op("l") == new
 
     def test_held_lock_blocks(self):
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
         assert lock_acquire(b, g, 2, "l") == []
 
     def test_acquire_after_release_syncs_client_views(self):
         # t1 acquires, writes d1 d2, releases; t2's acquire sees both writes
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
         (g, b, _), = mem_write(g, b, 1, write("d1", 5))
         (g, b, _), = mem_write(g, b, 1, write("d2", 5))
-        (b, g, _), = lock_release(b, g, 1, "l")
-        (b, g, new), = lock_acquire(b, g, 2, "l")
+        (b, g, _, _), = lock_release(b, g, 1, "l")
+        (b, g, new, _), = lock_acquire(b, g, 2, "l")
         assert new.action.index == 3
         for x in ("d1", "d2"):
             viewed = tview(g)[2][x]
@@ -62,24 +66,24 @@ class TestLockAcquire:
 class TestLockRelease:
     def test_holder_releases(self):
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
         out = lock_release(b, g, 1, "l")
         assert len(out) == 1
-        b2, g2, new = out[0]
+        b2, g2, new, _ = out[0]
         assert new.action.index == 2
         assert b2.max_op("l") == new
         assert g2 is g  # release leaves the client state untouched
 
     def test_non_holder_blocked(self):
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
         assert lock_release(b, g, 2, "l") == []
 
     def test_release_mview_carries_client_view(self):
         _, g, b = lock_system()
-        (b, g, _), = lock_acquire(b, g, 1, "l")
+        (b, g, _, _), = lock_acquire(b, g, 1, "l")
         (g, b, w1), = mem_write(g, b, 1, write("d1", 5))
-        (b2, _, rel), = lock_release(b, g, 1, "l")
+        (b2, _, rel, _), = lock_release(b, g, 1, "l")
         assert mview(b2)[rel]["d1"] == w1.ts
 
 
@@ -88,35 +92,35 @@ class TestQueueEnq:
         _, g, b = queue_system()
         out = queue_enq(b, g, 1, "q", 1)
         assert len(out) == 1
-        b2, _, new = out[0]
+        b2, _, new, _ = out[0]
         assert new.action.val == 1 and new.ts > 0
 
     def test_stale_view_allows_earlier_timestamp(self):
         _, g, b = queue_system()
-        (b, g, e2), = queue_enq(b, g, 2, "q", 2)
+        (b, g, e2, _), = queue_enq(b, g, 2, "q", 2)
         out = queue_enq(b, g, 1, "q", 1)
         # two gaps: before and after t2's enqueue
         assert len(out) == 2
         assert sorted(new.ts < enq_rank(b2, 2)
-                      for b2, _, new in out) == [False, True]
+                      for b2, _, new, _ in out) == [False, True]
 
     def test_no_gap_behind_matched_enqueue(self):
         _, g, b = queue_system()
-        (b, g, e1), = queue_enq(b, g, 2, "q", 2)
+        (b, g, e1, _), = queue_enq(b, g, 2, "q", 2)
         deqs = [s for s in queue_deq(b, g, 2, "q") if s[3] == 2]
         b, g, d1, _ = deqs[0]
         out = queue_enq(b, g, 1, "q", 1)
-        assert all(new.ts > e1.ts for _, _, new in out)
+        assert all(new.ts > e1.ts for _, _, new, _ in out)
 
 
 class TestQueueDeq:
     def test_fifo_head_despite_later_view(self):
         # timeline: init, enq(1) by t1 (stale), enq(2) by t2; t2 dequeues 1
         _, g, b = queue_system()
-        (b, g, e2), = queue_enq(b, g, 2, "q", 2)
+        (b, g, e2, _), = queue_enq(b, g, 2, "q", 2)
         early = [s for s in queue_enq(b, g, 1, "q", 1)
                  if s[2].ts < enq_rank(s[0], 2)]
-        b, g, e1 = early[0]
+        b, g, e1, _ = early[0]
         values = {s[3] for s in queue_deq(b, g, 2, "q")}
         assert values == {1}
 
@@ -129,7 +133,7 @@ class TestQueueDeq:
     def test_deq_synchronises_with_enqueuer(self):
         _, g, b = queue_system()
         (g, b, wd), = mem_write(g, b, 1, write("d", 5))
-        (b, g, _), = queue_enq(b, g, 1, "q", 1)
+        (b, g, _, _), = queue_enq(b, g, 1, "q", 1)
         hits = [s for s in queue_deq(b, g, 2, "q") if s[3] == 1]
         assert hits
         for b2, g2, _, _ in hits:
@@ -138,9 +142,9 @@ class TestQueueDeq:
     def test_sequential_deqs_are_fifo(self):
         # brute force: all ways to run two deqs after enq(1), enq(2)
         _, g0, b0 = queue_system()
-        (b1, g1, _), = queue_enq(b0, g0, 1, "q", 1)
+        (b1, g1, _, _), = queue_enq(b0, g0, 1, "q", 1)
         results = set()
-        for b2, g2, _ in queue_enq(b1, g1, 1, "q", 2):
+        for b2, g2, _, _ in queue_enq(b1, g1, 1, "q", 2):
             for s1 in queue_deq(b2, g2, 2, "q"):
                 if s1[3] is EMPTY:
                     continue
@@ -152,9 +156,9 @@ class TestQueueDeq:
 
     def test_matched_pairs_order_preserving(self):
         _, g, b = queue_system()
-        (b, g, _), = queue_enq(b, g, 1, "q", 1)
+        (b, g, _, _), = queue_enq(b, g, 1, "q", 1)
         # t1's view sits at its own enqueue, so a single end gap remains
-        (b, g, _), = queue_enq(b, g, 1, "q", 2)
+        (b, g, _, _), = queue_enq(b, g, 1, "q", 2)
         for s1 in queue_deq(b, g, 2, "q"):
             if s1[3] is EMPTY:
                 continue
@@ -167,7 +171,7 @@ class TestQueueDeq:
 
     def test_deq_empty_blocked_by_unmatched_enqueue_behind(self):
         _, g, b = queue_system()
-        (b, g, enq), = queue_enq(b, g, 1, "q", 1)
+        (b, g, enq, _), = queue_enq(b, g, 1, "q", 1)
         # t1 saw its own enqueue: only the non-empty branch remains for it
         out = queue_deq(b, g, 1, "q")
         assert {s[3] for s in out} == {1}
@@ -179,12 +183,65 @@ class TestQueueDeq:
 
 class TestSpecs:
     def test_sync_sets(self):
-        ls = lock_spec("l")
+        ls = spec_of("lock", "l")
         assert set(ls.sync) == {"lock_acquire", "lock_release"}
-        qs = queue_spec("q")
+        qs = spec_of("queue", "q")
         from rarcheck.state import Action, DEQUEUE
         assert qs.is_sync(Action(DEQUEUE, "q", val=1))
         assert not qs.is_sync(Action(DEQUEUE, "q", val=EMPTY))
+
+    def test_method_tables(self):
+        ls, qs = spec_of("lock", "l"), spec_of("queue", "q")
+        assert [(m.name, m.arity) for m in ls.methods] == [("acquire", 0),
+                                                           ("release", 0)]
+        assert [(m.name, m.arity) for m in qs.methods] == [("enq", 1),
+                                                           ("deq", 0)]
+        assert ls.arity("acquire") == 0 and qs.arity("enq") == 1
+        assert ls.method("enq") is None and ls.arity("enq") is None
+        assert ls.kind == "lock" and set(KINDS) == {"lock", "queue"}
+        (init,) = ls.init_actions()
+        assert (init.kind, init.var, init.index) == (LOCK_INIT, "l", 0)
+        (init,) = qs.init_actions()
+        assert (init.kind, init.var, init.index) == (QUEUE_INIT, "q", 0)
+
+    def test_fixed_results_are_the_rules_results(self):
+        # a method whose table entry fixes its result returns it from every
+        # step of its rule, and a concrete body returns that value too
+        _, g, b = lock_system()
+        ls = spec_of("lock", "l")
+        steps = ls.steps(1, "acquire", (), b, g)
+        assert [s[3] for s in steps] == [ls.method("acquire").result]
+        b, g = steps[0][:2]
+        assert [s[3] for s in ls.steps(1, "release", (), b, g)] == \
+            [ls.method("release").result]
+        _, g, b = queue_system()
+        qs = spec_of("queue", "q")
+        results = {s[3] for s in qs.steps(1, "enq", (7,), b, g)}
+        assert results == {qs.method("enq").result}
+        assert qs.method("deq").result is None  # the value dequeued
+
+    def test_rules_are_looked_up_when_called(self, monkeypatch):
+        # a wrapper put in a rule's place in this module sees every call
+        calls = []
+        rule = objects.lock_acquire
+
+        def wrapped(*args):
+            calls.append(args[2])
+            return rule(*args)
+
+        monkeypatch.setattr(objects, "lock_acquire", wrapped)
+        system = build_system(load_corpus("seqlock-refine"))
+        explore(system.cfg0, system.ctx, 64)
+        assert sorted(set(calls)) == [1, 2]
+
+    def test_an_implementation_needs_an_object_of_its_kind(self):
+        seqlock = builtin_impls()["seqlock"]
+        for name in ("queue-mp", "mp-relaxed"):
+            with pytest.raises(LitmusError, match="^an implementation needs "
+                               "a lock object$"):
+                build_system(load_corpus(name), seqlock)
+        with pytest.raises(LitmusError, match="unknown object kind 'stack'"):
+            parse_litmus("name s\nobject stack s\nthread 1 { }\n")
 
 
 # The queue guards as first written: each gap re-runs its condition over the
@@ -231,8 +288,8 @@ def test_guards_admit_the_reference_gaps(name):
     seen = set()
     for beta, gamma in pairs:
         for t in system.ctx.threads:
-            enq = [new.ts - 1 for _, _, new in queue_enq(beta, gamma, t, "q",
-                                                         1)]
+            enq = [new.ts - 1
+                   for _, _, new, _ in queue_enq(beta, gamma, t, "q", 1)]
             assert enq == reference_enq_gaps(beta, t, "q")
             empty = [new.ts - 1 for _, _, new, rv in queue_deq(beta, gamma,
                                                                 t, "q")

@@ -34,7 +34,7 @@ PROGRAMS = Path(__file__).resolve().parent.parent / "perfbench" / "programs.py"
 
 def _reference_outline(cfg0, ctx, outline, max_steps):
     """check_outline with its interference loop over every step."""
-    ectx = ctx.eval_ctx()
+    ectx = ctx
     res = explore(cfg0, ctx, max_steps)
     verdicts = {}
 

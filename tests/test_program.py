@@ -11,7 +11,8 @@ from rarcheck.program import (Assign, Bin, Bot, Cas, DoUntil, Fai, GRead,
                               ProgramError, Seq, Un, Var, While,
                               desugar, eval_expr, is_done, local_step,
                               map_stmts, nodes, pc_of, seq_all)
-from rarcheck.state import FALSE, TRUE, Action, make_init_states, write
+from rarcheck.state import (FALSE, RVAL, TRUE, Action, make_init_states,
+                            write)
 
 WRITTEN = (1, 5, TRUE, FALSE)
 
@@ -24,7 +25,7 @@ def steps_of(prog, rho, t):
 def steps_after_writes(cmd, values=WRITTEN):
     """Successors of thread 1 running cmd once thread 2 has written each of
     values to x (initially 0), in turn: thread 1 observes every write."""
-    rho, g, b = make_init_states([("x", 0)], {"x"}, None, {1, 2})
+    rho, g, b = make_init_states([("x", 0)], {"x"}, (), {1, 2})
     for v in values:
         (g, b, _), = mem_write(g, b, 2, write("x", v))
     ctx = SystemContext([1, 2])
@@ -158,9 +159,9 @@ class TestHoles:
         assert s.cmd == GWrite("x", Lit(1))
 
     def test_value_in_assign_hole(self):
-        # a returned call leaves bottom in its hole and its result in rval
+        # a returned call leaves bottom in its hole and its result in RVAL
         prog = {1: Assign("r", Hole(Bot()))}
-        (s,) = steps_of(prog, {1: {"rval": 7}}, 1)
+        (s,) = steps_of(prog, {1: {RVAL: 7}}, 1)
         assert s.kind == "eps" and s.ls["r"] == 7 and s.at_hole
 
     def test_hole_body_steps_carry_library_tag(self):

@@ -40,7 +40,7 @@ def test_every_record_class_is_found():
     assert len(RECORDS) == 48
     assert {"Action", "Seq", "Step", "Poss", "ProofOutline", "StepLabel",
             "ExploreResult", "Tok", "LitmusFile", "System", "ObjectSpec",
-            "LockImpl", "SimulationResult", "TraceCheckResult"} <= names
+            "Impl", "SimulationResult", "TraceCheckResult"} <= names
     hashed = {cls.__name__ for cls in RECORDS if issubclass(cls, Hashed)}
     assert len(hashed) == 35  # actions, commands, expressions, assertions
 

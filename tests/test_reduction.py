@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import rarcheck.explore as ex
 from rarcheck.explore import check_hoare, check_outline, explore
 from rarcheck.litmus import LitmusError, build_system, parse_litmus
 from rarcheck.oracle import fifo_litmus
@@ -206,6 +207,33 @@ def test_silent_run_longer_than_the_bound():
         full, reduced = assert_same_answers(STRAIGHT, max_steps)
         assert full.truncated == (max_steps < 62), max_steps
         assert reduced.states_explored < full.states_explored
+
+
+def test_spine_walks_are_linear_in_the_thread(monkeypatch):
+    # the spine test remembers its answer per sequence node, and a residual
+    # shares its tail with the command it came from: a reduced run over one
+    # thread of n plain writes visits a number of spine nodes linear in n,
+    # where walking each new thread state's whole spine visits ~n^2 / 2
+    counted = [0]
+    spine = ex._spine
+
+    def visit(c):
+        counted[0] += 1
+        return spine(c)
+
+    monkeypatch.setattr(ex, "_spine", visit)
+
+    def visits(n):
+        counted[0] = 0
+        text = "name long\ninit x := 0\nthread 1 {\n%s}\n" % ("x := 1;\n" * n)
+        system = build_system(parse_litmus(text))
+        res = explore(system.cfg0, system.ctx, 4 * n, reduce=True)
+        assert (res.states_explored, res.truncated) == (2 * n, False)
+        return counted[0]
+
+    small, large = visits(100), visits(400)
+    assert 0 < small <= 10 * 100 and large <= 10 * 400
+    assert large < 5 * small
 
 
 def _loop_statement(rnd, t, depth):

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -24,6 +27,11 @@ def client():
     return load_corpus("seqlock-refine")
 
 
+def listing(impl, meth):
+    """The verbatim body of an implementation's method."""
+    return dict(impl.methods)[meth]
+
+
 class TestBuiltinImpls:
     def test_names(self):
         impls = builtin_impls()
@@ -31,7 +39,7 @@ class TestBuiltinImpls:
                 "ticketlock-relaxed"} <= set(impls)
 
     def test_seqlock_acquire_shape(self):
-        body = builtin_impls()["seqlock"].acquire_listing
+        body = listing(builtin_impls()["seqlock"], "acquire")
         reads, cases, writes = _count_accesses(body)
         assert reads == [("glb", True)]  # one acquiring read
         assert cases == ["glb"]  # one CAS
@@ -39,23 +47,24 @@ class TestBuiltinImpls:
 
     def test_ticketlock_acquire_shape(self):
         impl = builtin_impls()["ticketlock"]
-        fais = _collect(impl.acquire_listing, P.Fai)
-        reads = _collect(impl.acquire_listing, P.GRead)
+        fais = _collect(listing(impl, "acquire"), P.Fai)
+        reads = _collect(listing(impl, "acquire"), P.GRead)
         assert [f.var for f in fais] == ["nt"]
         assert [(r.var, r.acquiring) for r in reads] == [("sn", True)]
 
     def test_release_bodies_single_releasing_write(self):
         for name in ("seqlock", "ticketlock"):
-            rel = builtin_impls()[name].release_listing
+            rel = listing(builtin_impls()[name], "release")
             assert isinstance(rel, P.GWrite) and rel.releasing
 
     def test_mutants_differ_only_in_release_mode(self):
         impls = builtin_impls()
         for name in ("seqlock", "ticketlock"):
             good, bad = impls[name], impls[f"{name}-relaxed"]
-            assert good.acquire_listing == bad.acquire_listing
-            assert bad.release_listing == P.GWrite(
-                good.release_listing.var, good.release_listing.expr, False)
+            assert listing(good, "acquire") == listing(bad, "acquire")
+            rel = listing(good, "release")
+            assert listing(bad, "release") == P.GWrite(rel.var, rel.expr,
+                                                       False)
 
     def test_method_resolution(self):
         impl = builtin_impls()["seqlock"]
@@ -183,6 +192,122 @@ class TestSimulation:
         with pytest.raises(LitmusError, match="binds v"):
             check_simulation(builtin_impls()["seqlock"], parse_litmus(text),
                              64)
+
+    def test_client_errors_keep_their_order(self):
+        # a binder in any thread is reported before the first
+        # synchronisation, which is the first in thread and program order
+        text = ("name both\ninit d := 0; v := 0\nobject lock l\n"
+                "thread 1 { l.acquire(); r1 <-A d; d :=R 1; l.release(); }\n"
+                "thread 2 { l.acquire(%s); r2 <- d; l.release(); }\n")
+        seqlock = builtin_impls()["seqlock"]
+        with pytest.raises(LitmusError, match="^client thread 2 binds v "):
+            check_simulation(seqlock, parse_litmus(text % "v"), 64)
+        with pytest.raises(LitmusError,
+                           match="^client thread 1 uses an acquiring read$"):
+            check_simulation(seqlock, parse_litmus(text % ""), 64)
+
+
+# Clients whose registers have the names of the built-in locks' locals
+# (`r` and `loc` in seqlock, `m_t` and `s_n` in ticketlock) or of the
+# register a call's result goes to (`rval`).  The tool names its own
+# registers with a '$', which no input name holds, so these registers are
+# the client's alone.  Each once gave a wrong answer: no simulation for the
+# lock whose local it overwrote, and no outcome s=7 for RVAL_PROGRAM.
+SEQLOCK_CLASH_CLIENT = """\
+name seqlock-clash
+init x := 0
+object lock l
+thread 1 {
+  l.acquire();
+  r := 1 - 1 - 1;
+  x := r;
+  l.release();
+}
+thread 2 {
+  l.acquire();
+  a2 <- x;
+  l.release();
+}
+"""
+
+TICKETLOCK_CLASH_CLIENT = """\
+name ticketlock-clash
+init x := 0
+object lock l
+thread 1 {
+  l.acquire();
+  s_n := 7;
+  x := s_n;
+  l.release();
+}
+thread 2 {
+  l.acquire();
+  a2 <- x;
+  l.release();
+}
+"""
+
+RVAL_PROGRAM = """\
+name rval
+init x := 0
+object lock l
+thread 1 {
+  rval := 7;
+  l.acquire();
+  x := rval;
+  l.release();
+}
+thread 2 {
+  l.acquire();
+  s <- x;
+  l.release();
+}
+"""
+
+
+def _cli(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run_cli(args)
+    return code, out.getvalue()
+
+
+class TestToolRegisters:
+    @pytest.mark.parametrize("impl", ["seqlock", "ticketlock"])
+    @pytest.mark.parametrize("text", [SEQLOCK_CLASH_CLIENT,
+                                      TICKETLOCK_CLASH_CLIENT])
+    def test_clash_clients_find_a_simulation(self, impl, text):
+        sim = check_simulation(builtin_impls()[impl], parse_litmus(text), 64)
+        assert sim.verdict == "simulation-found"
+        assert check_trace_refinement(sim).ok
+
+    def test_the_result_register_is_the_clients(self):
+        system = build_system(parse_litmus(RVAL_PROGRAM))
+        res = explore(system.cfg0, system.ctx, 64)
+        assert res.outcomes == [{"rval": 7, "s": 0}, {"rval": 7, "s": 7}]
+
+    @pytest.mark.parametrize("text,reg", [(SEQLOCK_CLASH_CLIENT, "r"),
+                                          (TICKETLOCK_CLASH_CLIENT, "s_n"),
+                                          (RVAL_PROGRAM, "rval")])
+    def test_renaming_a_client_register_changes_no_output(self, tmp_path,
+                                                          text, reg):
+        renamed = re.sub(rf"\b{reg}\b", "a1", text)
+        assert renamed != text
+        outputs = []
+        for i, t in enumerate((text, renamed)):
+            path = tmp_path / f"c{i}.lit"
+            path.write_text(t)
+            out = [_cli(["refine", "--impl", impl, "--client", str(path),
+                         "--json"]) for impl in sorted(builtin_impls())]
+            code, explored = _cli(["explore", str(path), "--json"])
+            report = json.loads(explored)
+            # the outcomes with the register renamed, in a fixed order
+            report["outcomes"] = sorted(
+                json.dumps({"a1" if k == reg else k: v for k, v in o.items()},
+                           sort_keys=True) for o in report["outcomes"])
+            out.append((code, report))
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 class TestTraceRefinement:

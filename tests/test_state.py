@@ -4,11 +4,12 @@ from hypothesis import given, strategies as st
 from component_views import cvd, mview, tview
 import rarcheck.memory
 import rarcheck.objects
+from rarcheck.objects import spec_of
 from rarcheck.explore import explore
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.oracle import fifo_litmus
 from rarcheck.refine import builtin_impls
-from rarcheck.state import (BOT, ComponentState, StateError, TOp,
+from rarcheck.state import (BOT, RVAL, ComponentState, StateError, TOp,
                             insert_fresh_timestamp, make_init_states,
                             merge_views, write)
 
@@ -16,14 +17,15 @@ from rarcheck.state import (BOT, ComponentState, StateError, TOp,
 def mk_state(n_writes, var="d", threads=(1, 2)):
     """A client with n_writes writes on var after its initial write, each
     appended by thread 1, so positions 0..n_writes; thread 2 views the init."""
-    _, g, b = make_init_states([(var, 0)], {var}, None, set(threads))
+    _, g, b = make_init_states([(var, 0)], {var}, (), set(threads))
     for i in range(1, n_writes + 1):
         g, b, _ = insert_fresh_timestamp(g, b, 1, i - 1, write(var, i))
     return g, b, g.ops_on(var)
 
 
 def init_lock_system():
-    return make_init_states([("d", 0)], {"d"}, ("lock", "l"), {1, 2})
+    return make_init_states([("d", 0)], {"d"},
+                            spec_of("lock", "l").init_actions(), {1, 2})
 
 
 def positions_dense(comp) -> bool:
@@ -41,19 +43,20 @@ class TestMakeInit:
         (d_op,) = gamma.ops
         assert d_op.action.val == 0 and d_op.ts == 0
         assert cvd(gamma) == frozenset() and cvd(beta) == frozenset()
-        assert rho[1]["rval"] is BOT
+        assert rho[1][RVAL] is BOT
         # init mviews span both components
         assert mview(beta)[lock_op]["d"] == d_op.ts
         assert mview(gamma)[d_op]["l"] == lock_op.ts
 
     def test_empty_init(self):
-        rho, gamma, beta = make_init_states([], set(), None, {1})
+        rho, gamma, beta = make_init_states([], set(), (), {1})
         assert gamma.ops == frozenset() and beta.ops == frozenset()
         assert tview(gamma)[1] == {} and tview(beta)[1] == {}
 
     def test_two_vars_definite_for_all_threads(self):
         rho, gamma, beta = make_init_states(
-            [("d1", 0), ("d2", 0)], {"d1", "d2"}, ("lock", "l"), {1, 2})
+            [("d1", 0), ("d2", 0)], {"d1", "d2"},
+            spec_of("lock", "l").init_actions(), {1, 2})
         for t in (1, 2):
             for x in ("d1", "d2"):
                 viewed = tview(gamma)[t][x]
@@ -62,7 +65,7 @@ class TestMakeInit:
 
     def test_duplicate_init_rejected(self):
         with pytest.raises(StateError):
-            make_init_states([("d", 0), ("d", 1)], {"d"}, None, {1})
+            make_init_states([("d", 0), ("d", 1)], {"d"}, (), {1})
 
 
 class TestObservable:
@@ -165,7 +168,7 @@ class TestFreshTimestamp:
         # one, every reference to that variable follows, and no position on
         # any other variable changes
         _, g, b = make_init_states([("d", 0), ("e", 0)], {"d", "e"},
-                                   ("impl", [("g", 0)]), {1, 2})
+                                   [write("g", 0)], {1, 2})
         for i, (x, k, t) in enumerate(inserts, start=1):
             (c, other) = (b, g) if x == "g" else (g, b)
             pred = c.ops_on(x)[k % len(c.ops_on(x))]
