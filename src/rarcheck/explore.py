@@ -14,22 +14,24 @@ variable are equal.
 Each part's transitions are computed once per system: a thread state's local
 steps and the thread states they lead to, a command's split into context and
 redex and each residual plugged into it (shared by the thread states that
-run the command), and a memory or object rule's successors from a (thread,
-action, components) key.  Exploration is a breadth-first search memoized on
-configurations, bounded by a scheduler-step budget with explicit truncation
-reporting.  It returns the reachable state graph, which every checker reads
-instead of stepping states again.
+run the command), and a component rule's successors from a (thread, move,
+components) key.  A memory rule and an object method's rule keep one
+contract (`memory`): each step gives the components after it, the
+operation its label names and the value it binds, so one path steps both.
+Exploration is a breadth-first search memoized on configurations, bounded
+by a scheduler-step budget with explicit truncation reporting.  It returns
+the reachable state graph, which every checker reads instead of stepping
+states again.
 
 Checks that read only terminal states, and the reachable components, explore
 reduced: the `explore` command, `check_hoare` and the FIFO oracle.  At a
-configuration where some thread's only move is silent and no loop lies on
-its command's spine, only the first such thread steps (an ample set: Peled,
-CAV 1993; Godefroid, LNCS 1032, 1996).  A reduced run keeps the terminal
-states, so the outcomes and hoare verdicts, the truncation flag (as the
-tests compare it with full runs), and, when it is not truncated, every
-reachable (gamma, beta) pair; it does not keep every configuration or
-edge.  `check_outline` and refinement read every state, and explore in
-full.
+configuration where some thread's only move is silent and is not a loop's
+test, only the first such thread steps (an ample set: Peled, CAV 1993;
+Godefroid, LNCS 1032, 1996).  A reduced run keeps the terminal states, so
+the outcomes and hoare verdicts, the truncation flag (as the tests compare
+it with full runs), and, when it is not truncated, every reachable (gamma,
+beta) pair; it does not keep every configuration or edge.  `check_outline`
+and refinement read every state, and explore in full.
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ from operator import itemgetter
 
 from . import memory, program
 from .assertions import eval_assertion, merged_locals
-from .state import (READ, RVAL, Action, ComponentState, Record, record,
-                    wrval)
+from .state import RVAL, ComponentState, Record, record
 
 
 class ThreadState:
@@ -130,16 +131,12 @@ class SystemContext:
         # its split, and a new register map runs only the redex's rule
         self.redexes = {}
         self.plugs = {}
-        # (t, action, executing, context) -> the memory rule's successors,
-        # and (t, method, arguments, beta, gamma) -> the object rule's
+        # (t, move key, executing, context) -> the component rule's
+        # successors (`_component_steps`)
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
-        # for reduced exploration: thread state -> whether it is silent-only
-        # (`_silent_only`), command -> whether a loop lies on its spine
-        # (`_may_recur`), and tuple of thread states -> its ample set
+        # for reduced exploration: tuple of thread states -> its ample set
         # (`_ample`)
-        self.silent_only = {}
-        self.may_recur = {}
         self.ample = {}
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
@@ -198,8 +195,8 @@ class _Move:
     """One local step of an interned thread state, with what follows from
     the thread state alone: the component-transition key part (the action,
     or the method and its evaluated arguments), the label of a silent step,
-    and the thread states it leads to, by the value bound (None when it
-    binds none)."""
+    and the thread states it leads to, by what it binds (None when it binds
+    nothing)."""
 
     __slots__ = ("step", "key", "label", "nexts")
 
@@ -218,18 +215,24 @@ class _Move:
                         tuple(program.eval_expr(a, ls) for a in call.args))
         self.nexts = {}
 
-    def next_state(self, ctx, t, bound):
-        """The thread state after this step, binding `bound`: the value
-        read (a step with `reg`) or (return value, operation counter) for
-        a call."""
+    def next_state(self, ctx, t, result=None, label=None):
+        """The thread state after this step, whose component rule gave
+        `result` and `label`: a step with `reg` binds the result there, and
+        a call binds it to RVAL and, for an acquire with a binder, the
+        operation counter of its label's action to the binder."""
+        step = self.step
+        if step.kind == "call":
+            bound = (result,
+                     label.action.index if step.action.binder else None)
+        else:
+            bound = None if step.reg is None else result
         ts = self.nexts.get(bound)
         if ts is None:
-            step = self.step
             ls = step.ls
             if step.kind == "call":
                 ls = dict(ls)
                 ls[RVAL], index = bound
-                if step.action.binder:  # an acquire binds the counter
+                if step.action.binder:
                     ls[step.action.binder] = index
             elif step.reg is not None:
                 ls = dict(ls)
@@ -253,74 +256,29 @@ def _label_text(succ) -> str:
     return succ[0].text
 
 
-def _spine(c):
-    """What runs next inside c, unless c is a sequence: a label's or a
-    method body's command, a hole's content or an `r := [.]`'s hole."""
-    if isinstance(c, (program.Labeled, program.Body)):
-        return c.cmd
-    if isinstance(c, program.Hole):
-        return c.content
-    if isinstance(c, program.Assign) and isinstance(c.src, program.Hole):
-        return c.src
-    return None
-
-
-def _may_recur(cmd, ctx: SystemContext) -> bool:
-    """Whether a loop lies on cmd's spine: down sequences and `_spine`, not
-    into the branches of an unevaluated `if` or a loop's body.  Only a
-    loop's unfolding makes a command larger, and a thread state can come
-    back only by unfolding a loop on its spine; so a thread state whose
-    command has none never recurs, and its run of silent moves is no longer
-    than its command.  A sequence's answer is kept in `ctx.may_recur`, and
-    residuals share their tails, so a thread's states walk its spine once
-    in all; a chain of sequences is walked by a loop, and recursion goes
-    only as deep as sequences nest."""
-    memo = ctx.may_recur
-    seqs, found = [], None
-    while found is None:
-        if type(cmd) is program.Seq:
-            found = memo.get(cmd)
-            if found is None:
-                seqs.append(cmd)
-                cmd = cmd.b
-        elif type(cmd) is program.While:
-            found = True
-        else:
-            cmd = _spine(cmd)
-            if cmd is None:
-                found = False
-    for seq in reversed(seqs):
-        found = memo[seq] = found or _may_recur(seq.a, ctx)
-    return found
-
-
 def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
-    """Whether ts's only local move is silent and ts never recurs
-    (`_may_recur`).  A thread state whose step is an input error is not:
-    the error is raised when exploration steps it.
+    """Whether ts's only local move is silent and not a loop's test.  A
+    thread state whose step is an input error is not: the error is raised
+    when exploration steps it.
 
-    That ts never recurs is the cycle proviso, made static: a cycle of
-    ample steps alone would bring each thread that moved on it back to its
-    state, so every cycle of a reduced run holds a fully expanded
-    configuration (condition C3 of Clarke, Grumberg and Peled), and no
+    This is the cycle proviso, made static (condition C3 of Clarke,
+    Grumberg and Peled): only a loop's test brings a thread back to a
+    command it has run, so every cycle of a reduced run passes a loop test,
+    which is taken only where the configuration is fully expanded, and no
     thread is put off for ever.  It also keeps the step bound's meaning.
     An ample step can be moved to the front of any path that takes it
     later, at no cost in length.  Every path to a configuration in which
     no thread is silent-only takes each ample step it passes, so such a
     configuration lies at the same level in a reduced and in a full run.
-    Were a thread at a loop's head ample, as it comes back there, a
-    reduced run could reach a configuration one loop iteration later than
-    a full run, and stop at the bound where a full run does not."""
-    found = ctx.silent_only.get(ts)
-    if found is None:
-        try:
-            moves = _moves(ts, ctx)
-        except program.ProgramError:
-            moves = ()
-        found = ctx.silent_only[ts] = (
-            len(moves) == 1 and moves[0].step.kind == "eps"
-            and not _may_recur(ts.cmd, ctx))
-    return found
+    Were a loop's test ample, as its thread comes back to it, a reduced
+    run could reach a configuration one loop iteration later than a full
+    run, and stop at the bound where a full run does not."""
+    try:
+        moves = _moves(ts, ctx)
+    except program.ProgramError:
+        return False
+    return (len(moves) == 1 and moves[0].step.kind == "eps"
+            and type(ctx.redexes[ts.cmd].redex) is not program.While)
 
 
 def _ample(locs: tuple, ctx: SystemContext):
@@ -337,7 +295,7 @@ def _ample(locs: tuple, ctx: SystemContext):
             if _silent_only(ts, ctx):
                 move = _moves(ts, ctx)[0]
                 ample = [(ts.t, move.label,
-                          locs[:i] + (move.next_state(ctx, ts.t, None),)
+                          locs[:i] + (move.next_state(ctx, ts.t),)
                           + locs[i + 1:])]
                 break
         ctx.ample[locs] = ample
@@ -359,22 +317,14 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False):
         t = ts.t
         found = []  # (label, thread state, gamma, beta)
         for move in _moves(ts, ctx):
-            step = move.step
-            if step.kind == "eps":
-                found.append((move.label, move.next_state(ctx, t, None),
-                              gamma, beta))
-            elif step.kind == "act":
-                for g2, b2, v, label in _mem_steps(ctx, t, move.key,
-                                                   step.lib, gamma, beta):
-                    bound = v if step.reg is not None else None
-                    found.append((label, move.next_state(ctx, t, bound),
-                                  g2, b2))
+            if move.step.kind == "eps":
+                found.append((move.label, move.next_state(ctx, t), gamma,
+                              beta))
             else:
-                binds = bool(step.action.binder)
-                for g2, b2, rv, label in _object_steps(ctx, t, move.key,
-                                                       gamma, beta):
-                    bound = (rv, label.action.index if binds else None)
-                    found.append((label, move.next_state(ctx, t, bound),
+                for g2, b2, result, label in _component_steps(
+                        ctx, t, move, gamma, beta):
+                    found.append((label,
+                                  move.next_state(ctx, t, result, label),
                                   g2, b2))
         if len(found) > 1:
             found.sort(key=_label_text)
@@ -385,43 +335,29 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False):
     return out
 
 
-def _mem_steps(ctx, t, a, lib, gamma, beta):
-    """The memory rule's successors of thread t's action `a` from the
-    components, as (gamma', beta', value read or written, label), each
-    component interned.  An action's variable fixes its side, so `lib`
-    follows from the key."""
+def _component_steps(ctx, t, move, gamma, beta):
+    """The component rule's successors of thread t's `move` from the
+    components, as (gamma', beta', result, label), each component interned.
+    A memory action's variable fixes its side, and a call steps the library
+    object; `build_system` has checked the call's object, method and number
+    of arguments.  Rules are read from their module when called (mem_read,
+    ..., lock_acquire, ...)."""
+    lib = move.step.lib
     own, other = (beta, gamma) if lib else (gamma, beta)
-    key = (t, a, own, other)
+    key = (t, move.key, own, other)
     found = ctx.component_steps.get(key)
     if found is None:
-        found = ctx.component_steps[key] = []
+        if move.step.kind == "act":
+            a = move.key
+            steps = getattr(memory, "mem_" + a.kind)(own, other, t, a)
+        else:
+            steps = ctx.object_spec.steps(t, *move.key, own, other)
         comp = "library" if lib else "client"
-        # the rule is read from `memory` when called (mem_read, ...)
-        rule = getattr(memory, "mem_" + a.kind)
-        for own2, other2, op in rule(own, other, t, a):
-            if a.kind == READ:  # op is the write read from
-                v = wrval(op.action)
-                done = Action(READ, a.var, v, sync=a.sync)
-            else:  # op is the inserted write or update
-                v, done = op.action.aux, op.action
+        found = ctx.component_steps[key] = []
+        for own2, other2, op, result in steps:
             own2, other2 = ctx.component(own2), ctx.component(other2)
-            g2, b2 = (other2, own2) if lib else (own2, other2)
-            found.append((g2, b2, v, ctx.label(comp, done, op.ts)))
-    return found
-
-
-def _object_steps(ctx, t, key, gamma, beta):
-    """The object rule's successors of thread t's call from the components,
-    as (gamma', beta', return value, label), each component interned.
-    `key` is the method and its evaluated arguments; `build_system` has
-    checked the call's object, method and number of arguments."""
-    memo_key = (t, *key, beta, gamma)
-    found = ctx.component_steps.get(memo_key)
-    if found is None:
-        found = ctx.component_steps[memo_key] = [
-            (ctx.component(g2), ctx.component(b2), rv,
-             ctx.label("library", op.action, op.ts))
-            for b2, g2, op, rv in ctx.object_spec.steps(t, *key, beta, gamma)]
+            found.append(((other2, own2) if lib else (own2, other2))
+                         + (result, ctx.label(comp, op.action, op.ts)))
     return found
 
 

@@ -2,8 +2,8 @@
 
 One format serves every mode: plain litmus tests need no annotations, proof
 outlines attach an assertion in braces before each top-level statement,
-refinement inputs name the implementation to check.  The parser builds the
-`program` command trees the engine steps.  Example::
+refinement inputs declare the object that `refine --impl` replaces.  The
+parser builds the `program` command trees the engine steps.  Example::
 
     name mp-relacq
     init d := 0; f := 0
@@ -102,7 +102,7 @@ def tokenize(text: str):
 class LitmusFile(Record):
     name: str
     init: tuple  # ordered (name, value) pairs
-    object_decl: object  # None or (kind, name, impl-or-None)
+    object_decl: object  # None or (kind, name)
     mode: str
     # ordered (tid, ((annotation or None, command), ...)); a plain `x := e`
     # is an Assign until build_system knows whether x is a global
@@ -115,7 +115,7 @@ class LitmusFile(Record):
 _KEYWORDS = {"name", "init", "object", "mode", "thread", "invariant", "final",
              "pre", "if", "then", "else", "while", "do", "until", "and", "or",
              "not", "true", "false", "bot", "empty", "in", "forall", "exists",
-             "CAS", "FAI", "pobs", "dobs", "cond", "cvd", "cvv", "pc", "impl"}
+             "CAS", "FAI", "pobs", "dobs", "cond", "cvd", "cvv", "pc"}
 _SYMBOLS = {v.name: v for v in (TRUE, FALSE, BOT, EMPTY)}
 _CMPS = ("=", "!=", "<", "<=", ">", ">=")
 _OPERATORS = frozenset(_OPS + ("in",))  # what a predicate's operand meets
@@ -224,7 +224,7 @@ class Parser:
         kind = self.name()
         if kind not in KINDS:
             self.fail(f"unknown object kind {kind!r}")
-        return kind, self.name(), self.name() if self.accept("impl") else None
+        return kind, self.name()
 
     def parse_value(self):
         t = self.toks[self.pos]
@@ -700,17 +700,11 @@ class _Elaboration:
                           for i, (_, cmd) in enumerate(stmts, start=1)])
 
     def block(self, c):
-        """c resolved; a Seq chain is walked along its spine by a loop."""
-        firsts = []
-        while type(c) is P.Seq:
-            firsts.append(self.block(c.a))
-            c = c.b
-        c = self.stmt(c)
-        for a in reversed(firsts):
-            c = P.Seq(a, c)
-        return c
+        """c resolved, statement by statement (`program.map_stmts`)."""
+        return P.map_stmts(self.stmt, c)
 
     def stmt(self, c):
+        """One statement resolved, its blocks already resolved."""
         cls = type(c)
         if cls is P.Hole:
             return self.call(c)
@@ -718,7 +712,7 @@ class _Elaboration:
             self.regs.add(c.reg)
             return P.Assign(c.reg, self.call(c.src))
         for f in _EXPRESSIONS.get(cls, ()):
-            _registers(getattr(c, f), self.regs)
+            self.regs |= _registers(getattr(c, f))
         if cls is P.Assign:
             self.plain.add(c.reg)
             return P.GWrite(c.reg, c.src) if c.reg in self.client_vars else c
@@ -726,20 +720,14 @@ class _Elaboration:
             self.globs.add(c.var)
             if cls is not P.GWrite:
                 self.regs.add(c.reg)
-        elif cls is P.If:
-            return P.If(c.cond, self.block(c.then), self.block(c.other))
-        elif cls is P.While:
-            return P.While(c.cond, self.block(c.body))
-        elif cls is P.DoUntil:
-            return P.desugar_stmt(P.DoUntil(self.block(c.body), c.cond))
-        return c
+        return P.desugar_stmt(c)
 
     def call(self, hole):
         call, spec = hole.content, self.spec
         if call.binder:
             self.regs.add(call.binder)
         for a in call.args:
-            _registers(a, self.regs)
+            self.regs |= _registers(a)
         if spec is None or call.obj != spec.name:
             error = f"{call!r}: no object named {call.obj!r}"
         elif spec.arity(call.meth) is None:
@@ -760,16 +748,9 @@ class _Elaboration:
         return hole
 
 
-def _registers(e, out: set) -> set:
-    """out, with the registers expression e reads added."""
-    if type(e) is P.Bin:
-        _registers(e.a, out)
-        _registers(e.b, out)
-    elif type(e) is P.Un:
-        _registers(e.e, out)
-    elif type(e) is P.Var:
-        out.add(e.name)
-    return out
+def _registers(e) -> set:
+    """The registers expression e reads."""
+    return {n.name for n in P.nodes(e) if type(n) is P.Var}
 
 
 def _check_view_atoms(atoms, tids, variables, obj_name):
@@ -818,7 +799,7 @@ def _atoms(a, regs: list, others: list):
     elif isinstance(a, (A.ForallA, A.ExistsA)):
         _atoms(a.body, regs, others)
     elif isinstance(a, A.LocalPred):
-        regs += sorted(_registers(a.expr, set()))
+        regs += sorted(_registers(a.expr))
     elif a is not None:
         others.append(a)
 
@@ -830,11 +811,8 @@ def pretty(lf: LitmusFile) -> str:
     if lf.init:
         out.append("init " + "; ".join(f"{x} := {v}" for x, v in lf.init))
     if lf.object_decl:
-        kind, name, impl = lf.object_decl
-        line = f"object {kind} {name}"
-        if impl:
-            line += f" impl {impl}"
-        out.append(line)
+        kind, name = lf.object_decl
+        out.append(f"object {kind} {name}")
     if lf.mode != "explore":
         out.append(f"mode {lf.mode}")
     for t, stmts in lf.threads:

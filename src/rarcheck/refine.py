@@ -23,7 +23,7 @@ from .explore import ExploreResult, explore
 # unused here, but perfbench/layers.py traces rarcheck.refine.successors
 from .explore import successors  # noqa: F401
 from .litmus import LitmusError, build_system
-from .objects import lock_release, spec_of
+from .objects import spec_of
 from .state import RVAL, Record, record, write
 
 
@@ -204,18 +204,20 @@ def _check_client(system):
 def _explore_concrete(conc_sys, abs_sys, max_steps):
     """The concrete system's exploration.  A client release by a thread not
     holding the lock (an abstract release that blocks) reads an unset
-    implementation register; that failure is reported as the client's."""
+    implementation register; that failure is reported as the client's,
+    found in the abstract exploration: a thread whose move is a release
+    call and that has no step out of its configuration."""
     try:
         return explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     except P.ProgramError:
-        for cfg in explore(abs_sys.cfg0, abs_sys.ctx, max_steps).configs:
+        ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
+        for cfg in ab.configs:
+            stepping = {t for t, _, _ in ab.edges[cfg]}
             for ts in cfg.locs:
-                for step in P.local_step(ts.cmd, ts.ls, abs_sys.ctx.redexes,
-                                         abs_sys.ctx.plugs):
-                    call = step.action
-                    if step.kind == "call" and call.meth == "release" and \
-                            not lock_release(cfg.beta, cfg.gamma, ts.t,
-                                             call.obj):
+                for move in abs_sys.ctx.thread_steps[ts]:
+                    call = move.step.action
+                    if move.step.kind == "call" and call.meth == "release" \
+                            and ts.t not in stepping:
                         raise LitmusError(
                             f"thread {ts.t}: {call!r} can run while thread "
                             f"{ts.t} does not hold the lock {call.obj!r}")

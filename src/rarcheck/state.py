@@ -326,6 +326,13 @@ def merge_views(v1: tuple, v2: tuple) -> tuple:
     return tuple(map(max, v1, v2))
 
 
+def acquire_views(tv: tuple, ctv: tuple, src: tuple):
+    """A thread's views of its own component (tv) and of the other (ctv)
+    after it synchronises with an operation whose recorded view is src:
+    positions on the own component's variables, then on the other's."""
+    return merge_views(tv, src), merge_views(ctv, src[len(tv):])
+
+
 def _up(view: tuple, i: int, nr: int) -> tuple:
     """view with its column i moved up by one if at or above nr."""
     r = view[i]
@@ -459,14 +466,13 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
     views, and no other position changes.  Thread t's view of the variable
     moves to the new operation.  With sync_from (a position on the same
     variable), t's views in both components first take in that operation's
-    recorded view.  cover marks the predecessor covered; match pairs
-    sync_from (an enqueue) with the new operation.  The new operation
-    records t's resulting views.
+    recorded view (`acquire_views`).  cover marks the predecessor covered;
+    match pairs sync_from (an enqueue) with the new operation.  The new
+    operation records t's resulting views.
 
     Returns (state', other', new operation).
     """
     lay = state.lay
-    m = len(lay.own)
     x = action.var
     xi = lay.vix.get(x)
     first, end = (0, 0) if xi is None else state._span(xi)
@@ -479,9 +485,7 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
 
     tv, ctv = state.views[ti], other.views[ti]
     if sync_from is not None:
-        src = state.mviews[first + sync_from]
-        tv = merge_views(tv, src)
-        ctv = merge_views(ctv, src[m:])
+        tv, ctv = acquire_views(tv, ctv, state.mviews[first + sync_from])
     tv = tv[:xi] + (nr,) + tv[xi + 1:]
 
     views, mviews = list(state.views), list(state.mviews)

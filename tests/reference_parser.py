@@ -70,7 +70,7 @@ def tokenize(text: str):
 _KEYWORDS = {"name", "init", "object", "mode", "thread", "invariant", "final",
              "pre", "if", "then", "else", "while", "do", "until", "and", "or",
              "not", "true", "false", "bot", "empty", "in", "forall", "exists",
-             "CAS", "FAI", "pobs", "dobs", "cond", "cvd", "cvv", "pc", "impl"}
+             "CAS", "FAI", "pobs", "dobs", "cond", "cvd", "cvv", "pc"}
 _SYMBOLS = {v.name: v for v in (TRUE, FALSE, BOT, EMPTY)}
 
 
@@ -187,10 +187,7 @@ class Parser:
         if kind not in ("lock", "queue"):
             self.fail(f"unknown object kind {kind!r}")
         name = self.expect("name").text
-        impl = None
-        if self.kw("impl"):
-            impl = self.expect("name").text
-        return (kind, name, impl)
+        return (kind, name)
 
     def parse_value(self):
         t = self.peek()

@@ -62,7 +62,7 @@ class TestDefinite:
 
     def test_write_splits_views(self):
         _, g, b = lock_system()
-        (g, b, _), = mem_write(g, b, 1, write("d1", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("d1", 5))
         assert dobs(g, 1, "d1", wrote(5))
         assert not dobs(g, 2, "d1", wrote(5))
         assert not dobs(g, 2, "d1", wrote(0))  # stale view, newer write
@@ -88,23 +88,23 @@ class TestConditional:
         # message-passing prefix: d1 := 5 then a releasing flag write
         rho, g, b = make_init_states([("d", 0), ("f", 0)], {"d", "f"},
                                      (), {1, 2})
-        (g, b, _), = mem_write(g, b, 1, write("d", 5))
-        (g, b, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
+        (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
         assert cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)
         assert not cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 0)
 
     def test_relaxed_write_fails_conditional(self):
         rho, g, b = make_init_states([("d", 0), ("f", 0)], {"d", "f"},
                                      (), {1, 2})
-        (g, b, _), = mem_write(g, b, 1, write("d", 5))
-        (g, b, _), = mem_write(g, b, 1, write("f", 1))
+        (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("f", 1))
         assert not cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)
 
     def test_cross_component_release_pins_client_writes(self):
         _, g, b = lock_system()
         spec = spec_of("lock", "l")
         (b, g, _, _), = lock_acquire(b, g, 1, "l")
-        (g, b, _), = mem_write(g, b, 1, write("d1", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("d1", 5))
         (b, g, _, _), = lock_release(b, g, 1, "l")
         assert holds(Cond(2, minst(LOCK_RELEASE, 2), "d1", Lit(5)), g, b,
                      spec)

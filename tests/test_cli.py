@@ -446,6 +446,19 @@ class TestErrors:
             assert (code, out) == (3, "")
             assert err == f"error: thread 1: {call[:-1]}: {message}\n"
 
+    def test_impl_note_is_an_input_error(self, tmp_path, capsys):
+        # an object declaration names no implementation (`refine --impl`
+        # does), so a leftover `impl NAME` note is rejected where it stands
+        bad = tmp_path / "impl-note.lit"
+        bad.write_text("name t\ninit d := 0\nobject lock l impl seqlock\n"
+                       "thread 1 { l.acquire(); d := 1; l.release(); }\n")
+        for argv in (["explore"], ["outline"], ["hoare"],
+                     ["refine", "--impl", "seqlock", "--client"]):
+            code, out, err = run(capsys, *argv, str(bad))
+            assert (code, out) == (3, "")
+            assert err.startswith("error: ") and err.endswith(" at 3:15\n")
+            assert err.count("\n") == 1
+
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     @pytest.mark.parametrize("threads,t", [
         ("thread 1 { l.release(); l.acquire(); d := 1; l.release(); }", 1),

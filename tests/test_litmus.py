@@ -204,8 +204,10 @@ class TestLockmpStructure:
 
 class TestImplFill:
     def test_refine_file_declares_impl(self):
+        # a refine client declares the object; `refine --impl` names the
+        # implementation that replaces it
         lf = load_corpus("seqlock-refine")
-        assert lf.object_decl == ("lock", "l", "seqlock")
+        assert lf.object_decl == ("lock", "l")
         assert lf.mode == "refine"
 
     def test_concrete_build_has_library_vars(self):

@@ -12,13 +12,12 @@ def mp_init():
 
 def values_read(g, b, t, x, **kw):
     """The value each successor of t's open read of x reads."""
-    return [wrval(w.action) for _, _, w in mem_read(g, b, t, open_read(x, **kw))]
+    return [v for _, _, _, v in mem_read(g, b, t, open_read(x, **kw))]
 
 
 def reading(g, b, t, x, v, **kw):
     """The one successor of t's open read of x that reads v."""
-    (succ,) = [s for s in mem_read(g, b, t, open_read(x, **kw))
-               if wrval(s[2].action) == v]
+    (succ,) = [s for s in mem_read(g, b, t, open_read(x, **kw)) if s[3] == v]
     return succ
 
 
@@ -27,8 +26,8 @@ class TestRead:
         _, g, b = mp_init()
         out = mem_read(g, b, 1, open_read("d"))
         assert len(out) == 1
-        g2, b2, w = out[0]
-        assert b2 is b and wrval(w.action) == 0
+        g2, b2, r, v = out[0]
+        assert b2 is b and (r.ts, v) == (0, 0)
 
     def test_init_read_absent_value(self):
         # only the initial 0 can be read, so no successor reads 5
@@ -38,25 +37,25 @@ class TestRead:
     def test_message_passing_sync_blocks_stale_read(self):
         # t1: d := 5; f :=R 1.  t2: rA f reading 1, then rd(d, 0) must fail.
         _, g, b = mp_init()
-        (g, b, _), = mem_write(g, b, 1, write("d", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
         # choose the insertion after the later write on f's timeline
-        (g, b, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
+        (g, b, _, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
         assert values_read(g, b, 2, "f", acquiring=True) == [0, 1]
-        g, b, _ = reading(g, b, 2, "f", 1, acquiring=True)
+        g, b, _, _ = reading(g, b, 2, "f", 1, acquiring=True)
         assert values_read(g, b, 2, "d") == [5]
 
     def test_relaxed_write_gives_no_sync(self):
         _, g, b = mp_init()
-        (g, b, _), = mem_write(g, b, 1, write("d", 5))
-        (g, b, _), = mem_write(g, b, 1, write("f", 1))  # relaxed flag
-        g, b, _ = reading(g, b, 2, "f", 1, acquiring=True)
+        (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("f", 1))  # relaxed flag
+        g, b, _, _ = reading(g, b, 2, "f", 1, acquiring=True)
         # stale read of d is still possible
         assert values_read(g, b, 2, "d") == [0, 5]
 
     def test_failed_cas_read_skips_expected_value(self):
         _, g, b = mp_init()
         for v in (5, 0, 7):
-            (g, b, _), = mem_write(g, b, 1, write("d", v))
+            (g, b, _, _), = mem_write(g, b, 1, write("d", v))
         assert values_read(g, b, 2, "d") == [0, 5, 0, 7]
         assert values_read(g, b, 2, "d", skip=0) == [5, 7]
         assert values_read(g, b, 2, "d", skip=7) == [0, 5, 0]
@@ -67,7 +66,7 @@ class TestWrite:
         _, g, b = mp_init()
         out = mem_write(g, b, 1, write("d", 5))
         assert len(out) == 1
-        g2, _, new = out[0]
+        g2, _, new, _ = out[0]
         assert g2.obs(1, "d") == [new]
         # the other thread still sees both writes
         assert len(g2.obs(2, "d")) == 2
@@ -81,24 +80,24 @@ class TestWrite:
 
     def test_two_observable_predecessors_two_successors(self):
         _, g, b = mp_init()
-        (g, b, _), = mem_write(g, b, 1, write("d", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
         # thread 2 still observes init and the new write: two insertion points
         out = mem_write(g, b, 2, write("d", 7))
         assert len(out) == 2
-        positions = sorted(new.ts for _, _, new in out)
+        positions = sorted(new.ts for _, _, new, _ in out)
         all_ts = sorted(op.ts for op in out[0][0].ops_on("d"))
         assert len(set(positions)) == 2
 
     def test_mview_spans_context(self):
         rho, g, b = make_init_states(
             [("d", 0)], {"d"}, spec_of("lock", "l").init_actions(), {1, 2})
-        (g2, _, new), = mem_write(g, b, 1, write("d", 5))
+        (g2, _, new, _), = mem_write(g, b, 1, write("d", 5))
         assert "l" in mview(g2)[new]  # records the library viewfront too
 
     def test_fresh_timestamps_along_runs(self):
         _, g, b = mp_init()
         for i, v in enumerate((5, 7, 9)):
-            (g, b, _), = mem_write(g, b, 1, write("d", v))
+            (g, b, _, _), = mem_write(g, b, 1, write("d", v))
         times = [op.ts for op in g.ops_on("d")]
         assert len(set(times)) == 4
 
@@ -108,7 +107,7 @@ class TestUpdate:
         rho, g, b = make_init_states([], set(), [write("glb", 0)], {1, 2})
         out = mem_update(b, g, 1, update("glb", 0, 1))
         assert len(out) == 1
-        b2, g2, new = out[0]
+        b2, g2, new, _ = out[0]
         (init_glb,) = b.ops_on("glb")
         assert init_glb in cvd(b2)
         assert new.action.aux == 0 and new.action.val == 1
@@ -120,10 +119,10 @@ class TestUpdate:
     def test_two_fai_adjacent_and_covered(self):
         # ticket-lock prelude: two threads fetch-and-increment nt
         rho, g, b = make_init_states([], set(), [write("nt", 0)], {1, 2})
-        (b, g, op1), = mem_update(b, g, 1, update("nt", 0, 1))
+        (b, g, op1, _), = mem_update(b, g, 1, update("nt", 0, 1))
         out = mem_update(b, g, 2, update("nt", 1, 2))
         assert len(out) == 1
-        b2, g2, op2 = out[0]
+        b2, g2, op2, _ = out[0]
         times = sorted(o.ts for o in b2.ops_on("nt"))
         assert times.index(op2.ts) == times.index(op1.ts) + 1
         assert op1 in cvd(b2)
@@ -132,20 +131,20 @@ class TestUpdate:
 
     def test_update_synchronises_when_reading_release(self):
         _, g, b = mp_init()
-        (g, b, _), = mem_write(g, b, 1, write("d", 5))
-        (g, b, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
-        (g2, b2, _), = mem_update(g, b, 2, update("f", 1, 2))
+        (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
+        (g2, b2, _, _), = mem_update(g, b, 2, update("f", 1, 2))
         assert values_read(g2, b2, 2, "d") == [5]
 
     def test_fai_reads_each_integer_and_writes_its_successor(self):
         rho, g, b = make_init_states([], set(), [write("nt", 0)], {1, 2})
         for v in (4, True, 9):
-            (b, g, _), = mem_write(b, g, 2, write("nt", v))
+            (b, g, _, _), = mem_write(b, g, 2, write("nt", v))
         out = mem_update(b, g, 1, fai("nt"))
         # booleans are not fetch-and-increment bases
-        assert [(op.action.aux, op.action.val) for _, _, op in out] == \
+        assert [(op.action.aux, op.action.val) for _, _, op, _ in out] == \
             [(0, 1), (4, 5), (9, 10)]
-        for b2, _, op in out:
+        for b2, _, op, _ in out:
             pred = b2.ops_on("nt")[op.ts - 1]
             assert pred in cvd(b2) and wrval(pred.action) == op.action.aux
 
@@ -154,12 +153,12 @@ class TestViewMonotonicity:
     def test_writer_view_never_decreases(self):
         _, g, b = mp_init()
         before = {x: op.ts for x, op in tview(g)[1].items()}
-        (g2, _, _), = mem_write(g, b, 1, write("d", 5))
+        (g2, _, _, _), = mem_write(g, b, 1, write("d", 5))
         after = {x: op.ts for x, op in tview(g2)[1].items()}
         assert all(after[x] >= before[x] for x in before)
 
     def test_other_thread_views_unchanged(self):
         _, g, b = mp_init()
-        (g2, b2, _), = mem_write(g, b, 1, write("d", 5))
+        (g2, b2, _, _), = mem_write(g, b, 1, write("d", 5))
         assert tview(g2)[2] == tview(g)[2]
         assert tview(b2) == tview(b)

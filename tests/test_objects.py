@@ -1,7 +1,7 @@
 import pytest
 
 from component_views import cvd, mview, tview
-from rarcheck import objects
+from rarcheck import memory, objects
 from rarcheck.explore import explore
 from rarcheck.litmus import (LitmusError, build_system, load_corpus,
                              parse_litmus)
@@ -52,8 +52,8 @@ class TestLockAcquire:
         # t1 acquires, writes d1 d2, releases; t2's acquire sees both writes
         _, g, b = lock_system()
         (b, g, _, _), = lock_acquire(b, g, 1, "l")
-        (g, b, _), = mem_write(g, b, 1, write("d1", 5))
-        (g, b, _), = mem_write(g, b, 1, write("d2", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("d1", 5))
+        (g, b, _, _), = mem_write(g, b, 1, write("d2", 5))
         (b, g, _, _), = lock_release(b, g, 1, "l")
         (b, g, new, _), = lock_acquire(b, g, 2, "l")
         assert new.action.index == 3
@@ -82,7 +82,7 @@ class TestLockRelease:
     def test_release_mview_carries_client_view(self):
         _, g, b = lock_system()
         (b, g, _, _), = lock_acquire(b, g, 1, "l")
-        (g, b, w1), = mem_write(g, b, 1, write("d1", 5))
+        (g, b, w1, _), = mem_write(g, b, 1, write("d1", 5))
         (b2, _, rel, _), = lock_release(b, g, 1, "l")
         assert mview(b2)[rel]["d1"] == w1.ts
 
@@ -132,7 +132,7 @@ class TestQueueDeq:
 
     def test_deq_synchronises_with_enqueuer(self):
         _, g, b = queue_system()
-        (g, b, wd), = mem_write(g, b, 1, write("d", 5))
+        (g, b, wd, _), = mem_write(g, b, 1, write("d", 5))
         (b, g, _, _), = queue_enq(b, g, 1, "q", 1)
         hits = [s for s in queue_deq(b, g, 2, "q") if s[3] == 1]
         assert hits
@@ -233,6 +233,50 @@ class TestSpecs:
         system = build_system(load_corpus("seqlock-refine"))
         explore(system.cfg0, system.ctx, 64)
         assert sorted(set(calls)) == [1, 2]
+
+    def test_every_rule_result_is_the_value_its_step_binds(self,
+                                                          monkeypatch):
+        # every memory and object rule gives (own', other', op, result) per
+        # step: op is the operation the step's label names, and result the
+        # value the step binds: the value read, the value an update read,
+        # none for a write, a method's fixed result or the value dequeued
+        methods = {m.rule: m for _, _, ms in KINDS.values() for m in ms}
+        seen = []
+        for module, names in ((memory, ("mem_read", "mem_write",
+                                        "mem_update")),
+                              (objects, tuple(methods))):
+            for name in names:
+                def wrapped(*args, rule=getattr(module, name), name=name):
+                    out = rule(*args)
+                    seen.extend((name, step) for step in out)
+                    return out
+
+                monkeypatch.setattr(module, name, wrapped)
+        impls = builtin_impls()
+        systems = [build_system(load_corpus(name)) for name in
+                   ("mp-relacq", "lockmp", "queue-mp")]
+        systems += [build_system(load_corpus(f"{name}-refine"), impls[name])
+                    for name in ("seqlock", "ticketlock")]
+        systems.append(build_system(parse_litmus(fifo_litmus(2))))
+        for system in systems:
+            explore(system.cfg0, system.ctx, 64)
+        for name, (own, _, op, result) in seen:
+            on_var = own.ops_on(op.action.var)
+            if name == "mem_read":  # op.ts is the position of the write read
+                assert result == op.action.val == wrval(on_var[op.ts].action)
+                continue
+            assert on_var[op.ts] == op  # the inserted operation
+            if name == "mem_write":
+                assert result is None
+            elif name == "mem_update":
+                assert result == op.action.aux == \
+                    wrval(on_var[op.ts - 1].action)
+            elif methods[name].result is None:
+                assert result == op.action.val  # the value dequeued
+            else:
+                assert result is methods[name].result
+        assert {name for name, _ in seen} == \
+            {"mem_read", "mem_write", "mem_update", *methods}
 
     def test_an_implementation_needs_an_object_of_its_kind(self):
         seqlock = builtin_impls()["seqlock"]

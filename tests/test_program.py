@@ -27,7 +27,7 @@ def steps_after_writes(cmd, values=WRITTEN):
     values to x (initially 0), in turn: thread 1 observes every write."""
     rho, g, b = make_init_states([("x", 0)], {"x"}, (), {1, 2})
     for v in values:
-        (g, b, _), = mem_write(g, b, 2, write("x", v))
+        (g, b, _, _), = mem_write(g, b, 2, write("x", v))
     ctx = SystemContext([1, 2])
     return successors(ctx.configuration({1: cmd, 2: Bot()}, rho, g, b), ctx)
 

@@ -240,7 +240,7 @@ class TestRefinementOrder:
         g0 = cfg.gamma
         assert state_refines((ls, g0), (ls, g0), system.ctx.threads)
         # chain: advance one thread's viewfront twice
-        (g1, _, w1), = mem_write(g0, cfg.beta, 1, write("d1", 5))
+        (g1, _, w1, _), = mem_write(g0, cfg.beta, 1, write("d1", 5))
         view = list(g1.view(2))
         view[g1.lay.vix["d1"]] = w1.ts
         g2 = g1.with_view(2, tuple(view))

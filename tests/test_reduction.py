@@ -2,9 +2,9 @@
 
 `explore(..., reduce=True)` takes, at a configuration where some thread's
 only move is silent, only that thread's step.  The cycle proviso is static:
-a thread state with a loop on its command's spine, which could come back,
-is never ample.  Full exploration stays the reference: on the corpus at many
-bounds, on the benchmark's generated racy and lock clients, on the FIFO
+a loop's test, the one step that brings a thread back to a command it has
+run, is never ample.  Full exploration stays the reference: on the corpus
+at many bounds, on the benchmark's generated racy and lock clients, on the FIFO
 oracle's programs and on Hypothesis programs, a reduced run must give the
 same outcomes, truncation flag and hoare verdict, and, when it is not
 truncated, reach the same (gamma, beta) component pairs.
@@ -22,7 +22,7 @@ import rarcheck.explore as ex
 from rarcheck.explore import check_hoare, check_outline, explore
 from rarcheck.litmus import LitmusError, build_system, parse_litmus
 from rarcheck.oracle import fifo_litmus
-from rarcheck.program import ProgramError
+from rarcheck.program import ProgramError, Seq
 from rarcheck.state import StateError
 from test_cli_fuzz import litmus_files
 
@@ -209,31 +209,46 @@ def test_silent_run_longer_than_the_bound():
         assert reduced.states_explored < full.states_explored
 
 
-def test_spine_walks_are_linear_in_the_thread(monkeypatch):
-    # the spine test remembers its answer per sequence node, and a residual
-    # shares its tail with the command it came from: a reduced run over one
-    # thread of n plain writes visits a number of spine nodes linear in n,
-    # where walking each new thread state's whole spine visits ~n^2 / 2
-    counted = [0]
-    spine = ex._spine
+BEFORE_AND_INSIDE = """
+name before-and-inside
+init x := 0
+thread 1 { a := 0; while a < 2 do { b := a; a := a + 1; } x := a; }
+"""
 
-    def visit(c):
-        counted[0] += 1
-        return spine(c)
 
-    monkeypatch.setattr(ex, "_spine", visit)
+def test_only_a_loops_test_is_not_ample():
+    # a thread state before a loop or inside its body comes back only
+    # through the loop's test, so its silent step is ample, and so is the
+    # step past a finished statement (a sequence's redex); the test is
+    # not, and neither is a step on memory
+    system = build_system(parse_litmus(BEFORE_AND_INSIDE))
+    ctx = system.ctx
+    res = explore(system.cfg0, ctx, 64)
+    ample = {}
+    for cfg in res.configs:
+        (ts,) = cfg.locs
+        if res.edges[cfg]:
+            redex = ctx.redexes[ts.cmd].redex
+            name = "seq" if isinstance(redex, Seq) else \
+                repr(redex).split(" do ")[0]
+            ample.setdefault(name, set()).add(
+                ex._ample(cfg.locs, ctx) is not None)
+    assert ample == {"a := 0": {True}, "b := a": {True},
+                     "a := (a + 1)": {True}, "seq": {True},
+                     "while (a < 2)": {False}, "x := a": {False}}
 
-    def visits(n):
-        counted[0] = 0
-        text = "name long\ninit x := 0\nthread 1 {\n%s}\n" % ("x := 1;\n" * n)
-        system = build_system(parse_litmus(text))
-        res = explore(system.cfg0, system.ctx, 4 * n, reduce=True)
-        assert (res.states_explored, res.truncated) == (2 * n, False)
-        return counted[0]
 
-    small, large = visits(100), visits(400)
-    assert 0 < small <= 10 * 100 and large <= 10 * 400
-    assert large < 5 * small
+@pytest.mark.parametrize("name,full,reduced,truncated", [
+    ("mp-relacq", 21, 20, False), ("queue-mp", 344, 312, True)])
+def test_states_before_a_loop_are_reduced(name, full, reduced, truncated):
+    # in both, a thread's silent steps before its loop are ample
+    counts = []
+    for reduce in (False, True):
+        system = build_system(parse_litmus(CORPUS[name]))
+        res = explore(system.cfg0, system.ctx, 64, reduce=reduce)
+        assert res.truncated == truncated
+        counts.append(res.states_explored)
+    assert counts == [full, reduced]
 
 
 def _loop_statement(rnd, t, depth):

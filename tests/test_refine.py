@@ -140,7 +140,7 @@ class TestStateRefines:
         from rarcheck.state import write
         system = build_system(client())
         g, b = system.cfg0.gamma, system.cfg0.beta
-        (g2, _, new), = mem_write(g, b, 1, write("d1", 5))
+        (g2, _, new, _), = mem_write(g, b, 1, write("d1", 5))
         # advance thread 2's view past the init write: strictly fewer obs
         view = list(g2.view(2))
         view[g2.lay.vix["d1"]] = new.ts

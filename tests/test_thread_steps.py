@@ -150,7 +150,7 @@ def test_systems_share_no_table():
     # two systems built from the same text intern and memoize apart
     a, b = (_build("lockmp") for _ in "ab")
     tables = ("thread_states", "components", "labels", "thread_steps",
-              "component_steps", "redexes", "plugs", "silent_only", "ample")
+              "component_steps", "redexes", "plugs", "ample")
     for system in (a, b):
         explore(system.cfg0, system.ctx, 64)
         explore(system.cfg0, system.ctx, 64, reduce=True)
@@ -162,12 +162,9 @@ def test_systems_share_no_table():
         ids = [{id(x) for x in getattr(s.ctx, name).values()}
                for s in (a, b)]
         assert ids[0].isdisjoint(ids[1])
-    # the reduction's tables are keyed by one system's thread states
-    for name in ("silent_only", "ample"):
-        ids = [{id(ts) for key in getattr(s.ctx, name)
-                for ts in (key if name == "ample" else (key,))}
-               for s in (a, b)]
-        assert ids[0].isdisjoint(ids[1])
+    # the reduction's table is keyed by one system's thread states
+    ids = [{id(ts) for key in s.ctx.ample for ts in key} for s in (a, b)]
+    assert ids[0].isdisjoint(ids[1])
 
 
 def test_enq_of_one_and_of_true_are_two_steps():
