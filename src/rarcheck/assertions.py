@@ -16,7 +16,15 @@ from __future__ import annotations
 
 from . import program
 from .state import (ComponentState, Hashed, Record, StateError, hashed,
-                    is_releasing_write, record, wrval)
+                    is_releasing_write, record, wrval, DEQUEUE, ENQUEUE,
+                    LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
+
+# method -> the kind of operation its instances name; `init` names either
+# object's initial operation
+METHODS = {"init": "init", "acquire": LOCK_ACQUIRE, "release": LOCK_RELEASE,
+           "enq": ENQUEUE, "deq": DEQUEUE}
+_METHOD_OF = {LOCK_INIT: "init", QUEUE_INIT: "init",
+              **{kind: meth for meth, kind in METHODS.items()}}
 
 
 @hashed
@@ -41,11 +49,9 @@ class MethodInstance(Hashed):
         return True
 
     def __repr__(self):
-        if self.index is not None:
-            return f"{self.obj}.{self.kind}_{self.index}"
-        if self.val is not None:
-            return f"{self.obj}.{self.kind}_{self.val}"
-        return f"{self.obj}.{self.kind}"
+        suffix = self.index if self.index is not None else self.val
+        base = f"{self.obj}.{_METHOD_OF[self.kind]}"
+        return base if suffix is None else f"{base}_{suffix}"
 
 
 # --- assertion AST ----------------------------------------------------------

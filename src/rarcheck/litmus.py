@@ -25,9 +25,8 @@ from . import assertions as A
 from . import program as P
 from .explore import Configuration, SystemContext
 from .objects import KINDS, spec_of
-from .state import (BOT, EMPTY, FALSE, TRUE, Record, make_init_states, record,
-                    DEQUEUE, ENQUEUE, LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
-                    QUEUE_INIT)
+from .state import (BOT, EMPTY, FALSE, TRUE, Record, make_init_states,
+                    record)
 
 
 class LitmusError(Exception):
@@ -124,8 +123,6 @@ _BINARY = {"or": 1, "and": 2, **dict.fromkeys(_CMPS + ("in",), 3),
            "+": 4, "-": 4, "*": 5, "%": 5}
 _CONNECTIVES = {"=>": 1, "or": 2, "and": 3}
 _JOINED_RE = re.compile(r"[A-Za-z_\d-]+")  # names, numbers and `-`, joined
-_METHODS = {"init": "init", "acquire": LOCK_ACQUIRE, "release": LOCK_RELEASE,
-            "enq": ENQUEUE, "deq": DEQUEUE}
 
 
 class Parser:
@@ -197,6 +194,8 @@ class Parser:
                 stmts.append(self.parse_stmt())
             threads.append((tid, tuple(stmts)))
         if not threads:
+            if self.toks[self.pos]:  # a stray token, not the end
+                self.expect("thread", "'thread'")
             self.fail("at least one thread required")
         clauses = {"invariant": None, "final": None, "pre": None}
         while t := self.toks[self.pos]:
@@ -523,14 +522,14 @@ class Parser:
         if not m:
             self.fail(f"bad method instance {raw!r}")
         meth, suffix = m.group(1), m.group(2)
-        if meth not in _METHODS:
+        if meth not in A.METHODS:
             self.fail(f"unknown method {meth!r}")
         index = val = None
         if meth in ("init", "acquire", "release"):
             index = int(suffix) if suffix is not None else None
         elif suffix is not None:
             val = EMPTY if suffix == "empty" else int(suffix)
-        return A.MethodInstance(obj, _METHODS[meth], index, val)
+        return A.MethodInstance(obj, A.METHODS[meth], index, val)
 
     def parse_lift(self):
         if not self.accept("@"):
@@ -820,7 +819,7 @@ def pretty(lf: LitmusFile) -> str:
         for ann, cmd in stmts:
             if ann is not None:
                 out.append(f"  {{ {_pa(ann)} }}")
-            out.append(f"  {_pcmd(cmd)};")
+            out.append(f"  {cmd!r};")
         out.append("}")
     if lf.invariant is not None:
         out.append(f"invariant {{ {_pa(lf.invariant)} }}")
@@ -831,77 +830,10 @@ def pretty(lf: LitmusFile) -> str:
     return "\n".join(out) + "\n"
 
 
-def _pe(e) -> str:
-    if isinstance(e, P.Lit):
-        return str(e.val)
-    if isinstance(e, P.Var):
-        return e.name
-    if isinstance(e, P.Un):
-        if e.op == "not":  # parenthesised whole: `not` is also an assertion
-            return f"(not {_pe(e.e)})"
-        # -(5) is not the literal -5
-        return f"-({_pe(e.e)})" if isinstance(e.e, P.Lit) else f"-{_pe(e.e)}"
-    if isinstance(e, P.Bin):
-        return f"({_pe(e.a)} {e.op} {_pe(e.b)})"
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def _pcmd(c) -> str:
-    if isinstance(c, P.Assign):
-        src = _pcall(c.src) if isinstance(c.src, P.Hole) else _pe(c.src)
-        return f"{c.reg} := {src}"
-    if isinstance(c, P.GWrite):
-        return f"{c.var} :={'R' if c.releasing else ''} {_pe(c.expr)}"
-    if isinstance(c, P.GRead):
-        return f"{c.reg} <-{'A' if c.acquiring else ''} {c.var}"
-    if isinstance(c, P.Cas):
-        return f"{c.reg} <- CAS({c.var},{_pe(c.expect)},{_pe(c.new)})"
-    if isinstance(c, P.Fai):
-        return f"{c.reg} <- FAI({c.var})"
-    if isinstance(c, P.Hole):
-        return _pcall(c)
-    if isinstance(c, P.If):
-        alt = ("" if isinstance(c.other, P.Bot)
-               else f" else {{ {_pblock(c.other)} }}")
-        return f"if {_pe(c.cond)} then {{ {_pblock(c.then)} }}{alt}"
-    if isinstance(c, P.While):
-        return f"while {_pe(c.cond)} do {{ {_pblock(c.body)} }}"
-    if isinstance(c, P.DoUntil):
-        return f"do {{ {_pblock(c.body)} }} until {_pe(c.cond)}"
-    raise TypeError(f"not a statement: {c!r}")
-
-
-def _pblock(c) -> str:
-    """A block's statements: the commands of a Seq chain, none for Bot."""
-    out = []
-    while isinstance(c, P.Seq):
-        out.append(_pcmd(c.a) + ";")
-        c = c.b
-    if not isinstance(c, P.Bot):
-        out.append(_pcmd(c) + ";")
-    return " ".join(out)
-
-
-def _pcall(hole) -> str:
-    m = hole.content
-    inner = ",".join(_pe(a) for a in m.args)
-    if m.binder:
-        inner = m.binder if not inner else f"{inner},{m.binder}"
-    return f"{m.obj}.{m.meth}({inner})"
-
-
-def _pminst(m: A.MethodInstance) -> str:
-    names = {LOCK_INIT: "init", QUEUE_INIT: "init",
-             **{kind: meth for meth, kind in _METHODS.items()}}
-    suffix = m.index if m.index is not None else m.val
-    base = f"{m.obj}.{names[m.kind]}"
-    return base if suffix is None else f"{base}_{suffix}"
-
-
 def _psubject(s) -> str:
     if isinstance(s, A.MethodInstance):
-        return _pminst(s)
-    return f"{s.var}={_pe(s.val)}"
+        return repr(s)
+    return f"{s.var}={s.val!r}"
 
 
 def _pa(a) -> str:
@@ -925,15 +857,15 @@ def _pa(a) -> str:
         return f"{name}({a.t}, {_psubject(a.subject)}){lift(a.comp)}"
     if isinstance(a, A.Cond):
         return (f"cond({a.t}, {_psubject(a.subject)}, "
-                f"{a.y}={_pe(a.v)}){lift(a.comp)}")
+                f"{a.y}={a.v!r}){lift(a.comp)}")
     if isinstance(a, (A.CoveredA, A.HiddenA)):
         name = "cvd" if isinstance(a, A.CoveredA) else "cvv"
-        return f"{name}({_pminst(a.m)})"
+        return f"{name}({a.m!r})"
     if isinstance(a, A.PcIn):
         labels = sorted(a.labels)
         if len(labels) == 1:
             return f"pc({a.t}) = {labels[0]}"
         return f"pc({a.t}) in {{{','.join(map(str, labels))}}}"
     if isinstance(a, A.LocalPred):
-        return _pe(a.expr)
+        return repr(a.expr)
     raise TypeError(f"not an assertion: {a!r}")

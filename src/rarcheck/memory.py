@@ -71,6 +71,6 @@ def mem_update(gamma: ComponentState, beta: ComponentState, t, a):
         else:
             continue
         out.append((*insert_fresh_timestamp(
-            gamma, beta, t, w.ts, u, cover=True,
+            gamma, beta, t, w.ts, u,
             sync_from=w.ts if is_releasing_write(w.action) else None), v))
     return out

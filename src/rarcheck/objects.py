@@ -79,8 +79,8 @@ def lock_acquire(beta: ComponentState, gamma: ComponentState, t, lock: str):
     if w.action.kind not in (LOCK_INIT, LOCK_RELEASE) or beta.covers(w):
         return []
     b = Action(LOCK_ACQUIRE, lock, sync=OBJ, owner=t, index=w.action.index + 1)
-    return [(*insert_fresh_timestamp(beta, gamma, t, w.ts, b, sync_from=w.ts,
-                                     cover=True), TRUE)]
+    return [(*insert_fresh_timestamp(beta, gamma, t, w.ts, b, sync_from=w.ts),
+             TRUE)]
 
 
 def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
@@ -97,17 +97,11 @@ def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
 # fills the gap above it, so range(lo, len(acts)) lists the gaps whose upper
 # end lies strictly above lo, the end gap included.
 
-def _column(beta: ComponentState, q: str) -> tuple:
-    """The actions on q in position order: position r is index r."""
-    first, end = beta._span(beta.lay.vix[q])
-    return beta.acts[first:end]
-
-
 def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
     """Enqueue steps, one per admissible insertion gap: none below the
     thread's view, the last matched enqueue or the last empty dequeue."""
     matched_enqs = {e for e, _ in beta.matched}
-    acts = _column(beta, q)
+    acts = beta.column(q)
     lo = beta.front(t, q)
     lo = next((r for r in range(len(acts) - 1, lo, -1)
                if r in matched_enqs or _is_deq_empty(acts[r])), lo)
@@ -122,7 +116,7 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
     matched_enqs = {e for e, _ in beta.matched}
     matched_deqs = {d for _, d in beta.matched}
     lo = beta.front(t, q)
-    acts = _column(beta, q)
+    acts = beta.column(q)
     out = []
 
     # Non-empty branch: take the earliest unmatched enqueue.

@@ -10,6 +10,10 @@ and the step's `reg` names the register that receives it.  An object call
 leaves bottom in its hole and its result in the register `state.RVAL`,
 which `r := o.m()` then binds.
 
+A node prints as the input language writes it, so an error quotes what
+the user wrote; only runtime forms (bottom, labels, bodies and holes
+holding them, sequences) have reprs of their own.
+
 `local_step` splits a command once into an evaluation context and the
 redex that steps, and plugs each residual back into that context once,
 in tables that the caller keeps per system: a command reached with new
@@ -50,7 +54,10 @@ class Un(Hashed):
     e: object
 
     def __repr__(self):
-        return f"{self.op}({self.e!r})"
+        if self.op == "not":  # parenthesised whole: `not` is also an assertion
+            return f"(not {self.e!r})"
+        # -(5) is not the literal -5
+        return f"-({self.e!r})" if isinstance(self.e, Lit) else f"-{self.e!r}"
 
 
 @hashed
@@ -199,6 +206,8 @@ class Hole(Hashed):
     content: object = None  # None (pristine), MethodCall, command or Bot
 
     def __repr__(self):
+        if isinstance(self.content, MethodCall):  # as written
+            return repr(self.content)
         return f"[{self.content!r}]" if self.content is not None else "[.]"
 
 
@@ -218,7 +227,9 @@ class If(Hashed):
     other: object
 
     def __repr__(self):
-        return f"if {self.cond!r} then {{{self.then!r}}} else {{{self.other!r}}}"
+        alt = ("" if isinstance(self.other, Bot)
+               else f" else {_block(self.other)}")
+        return f"if {self.cond!r} then {_block(self.then)}{alt}"
 
 
 @hashed
@@ -227,7 +238,7 @@ class While(Hashed):
     body: object
 
     def __repr__(self):
-        return f"while {self.cond!r} do {{{self.body!r}}}"
+        return f"while {self.cond!r} do {_block(self.body)}"
 
 
 @hashed
@@ -236,7 +247,7 @@ class DoUntil(Hashed):
     cond: object
 
     def __repr__(self):
-        return f"do {{{self.body!r}}} until {self.cond!r}"
+        return f"do {_block(self.body)} until {self.cond!r}"
 
 
 @hashed
@@ -246,6 +257,18 @@ class Labeled(Hashed):
 
     def __repr__(self):
         return f"{self.label}: {self.cmd!r}"
+
+
+def _block(c) -> str:
+    """A braced block: each command of a Seq chain followed by `;`, none
+    for bottom."""
+    out = []
+    while isinstance(c, Seq):
+        out.append(f"{c.a!r};")
+        c = c.b
+    if not isinstance(c, Bot):
+        out.append(f"{c!r};")
+    return f"{{ {' '.join(out)} }}"
 
 
 def seq_all(cmds):

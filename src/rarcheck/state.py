@@ -4,20 +4,23 @@ position on their own variable.
 A component (client or library) keeps its operations, a per-thread view
 naming for each variable the earliest operation the thread may still
 observe, a per-operation view recording the writer's viewfront over both
-components, the set of covered operations, and (for queues) the matched
-enqueue/dequeue pairs.
+components, and (for queues) the matched enqueue/dequeue pairs.  The
+covered operations are read off positions: an update or a lock acquire
+covers the operation it is inserted right after, and no rule inserts
+after a covered operation, so an operation is covered exactly when the
+next one on its variable is an update or an acquire.
 
 The semantics only ever compares timestamps by their order, and only of
 operations on the same variable, so an operation's timestamp is its dense
 position on its variable: 0 for the initial operation, 1..n-1 for the
-others.  That one name is used by views, recorded views, the covered set,
-matched pairs and step labels.  Inserting an operation right after a
-predecessor gives it the predecessor's position plus one and moves every
-later position on that variable up by one, also where the other
-component's recorded views refer to it; no other position changes.  A state
-is held in tuples of ints and interned actions and is its own canonical
-form: equal states have equal tuples, which is what a system hash-conses
-them on, so within one system equality of states is identity.
+others.  That one name is used by views, recorded views, matched pairs and
+step labels.  Inserting an operation right after a predecessor gives it
+the predecessor's position plus one and moves every later position on that
+variable up by one, also where the other component's recorded views refer
+to it; no other position changes.  A state is held in tuples of ints and
+interned actions and is its own canonical form: equal states have equal
+tuples, which is what a system hash-conses them on, so within one system
+equality of states is identity.
 
 So states that differ only in how operations on different variables
 interleaved in time are one state.  No rule tells them apart, because none
@@ -285,6 +288,10 @@ def is_modifying(a: Action) -> bool:
     return a.kind in (WRITE, UPDATE)
 
 
+# the kinds of operation that cover the one they are inserted right after
+_COVERING = frozenset((UPDATE, LOCK_ACQUIRE))
+
+
 class TOp(namedtuple("TOp", "action ts")):
     """An operation: its action and its position on its variable (ts)."""
 
@@ -350,30 +357,28 @@ class ComponentState:
                variable;
       mviews   per slot, the recorded view: positions on the own variables,
                then on the other component's;
-      covered  bit mask over slots;
       matched  sorted (enqueue, dequeue) pairs of queue positions.
     """
 
-    __slots__ = ("lay", "acts", "views", "mviews", "covered", "matched")
+    __slots__ = ("lay", "acts", "views", "mviews", "matched")
 
-    def __init__(self, lay, acts, views, mviews, covered=0, matched=()):
+    def __init__(self, lay, acts, views, mviews, matched=()):
         self.lay = lay
         self.acts = acts
         self.views = views
         self.mviews = mviews
-        self.covered = covered
         self.matched = matched
 
     def _parts(self):
         """The content: what two equal states share (the layout aside)."""
-        return (self.acts, self.views, self.mviews, self.covered,
-                self.matched)
+        return self.acts, self.views, self.mviews, self.matched
 
     def __repr__(self):
-        return f"ComponentState({sorted(self.ops, key=self._slot)})"
+        ops = [op for x in self.lay.own for op in self.ops_on(x)]
+        return f"ComponentState({ops})"
 
     def updated(self, **fields) -> "ComponentState":
-        parts = dict(zip(("acts", "views", "mviews", "covered", "matched"),
+        parts = dict(zip(("acts", "views", "mviews", "matched"),
                          self._parts()))
         parts.update(fields)
         return ComponentState(self.lay, **parts)
@@ -404,6 +409,11 @@ class ComponentState:
         first, end = self._span(xi)
         acts = self.acts
         return [TOp(acts[s], s - first) for s in range(first + lo, end)]
+
+    def column(self, x: str) -> tuple:
+        """The actions on x in position order: position r is index r."""
+        first, end = self._span(self.lay.vix[x])
+        return self.acts[first:end]
 
     def max_op(self, x: str) -> TOp:
         ops = self.ops_on(x)
@@ -443,21 +453,16 @@ class ComponentState:
         return dict(zip(self.lay.own + self.lay.other, self.mview_of(op)))
 
     def covers(self, op: TOp) -> bool:
-        return bool(self.covered >> self._slot(op) & 1)
-
-    # --- whole-state forms, for inspection and tests -----------------------
-
-    def variables(self):
-        return set(self.lay.own)
-
-    @property
-    def ops(self) -> frozenset:
-        return frozenset(op for x in self.lay.own for op in self.ops_on(x))
+        """Whether an update or an acquire follows op on its variable.  The
+        slot after a variable's last one is the next variable's initial
+        operation, or none."""
+        nxt = self._slot(op) + 1
+        return nxt < len(self.acts) and self.acts[nxt].kind in _COVERING
 
 
 def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
                            pred: int, action: Action, sync_from=None,
-                           cover=False, match=False):
+                           match=False):
     """Thread t adds `action` right after the operation at position `pred`
     on the action's variable.
 
@@ -466,9 +471,9 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
     views, and no other position changes.  Thread t's view of the variable
     moves to the new operation.  With sync_from (a position on the same
     variable), t's views in both components first take in that operation's
-    recorded view (`acquire_views`).  cover marks the predecessor covered;
-    match pairs sync_from (an enqueue) with the new operation.  The new
-    operation records t's resulting views.
+    recorded view (`acquire_views`).  match pairs sync_from (an enqueue)
+    with the new operation.  The new operation records t's resulting
+    views; an update or an acquire covers the predecessor (`covers`).
 
     Returns (state', other', new operation).
     """
@@ -500,14 +505,10 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
             other2 = other.updated(mviews=omviews)
     views[ti] = tv
     mviews.insert(ns, tv + ctv)
-    covered = state.covered
-    covered = covered & ((1 << ns) - 1) | (covered >> ns) << (ns + 1)
-    if cover:
-        covered |= 1 << (first + pred)
     if match:
         matched = tuple(sorted(matched + ((sync_from, nr),)))
     state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
-                            tuple(views), tuple(mviews), covered, matched)
+                            tuple(views), tuple(mviews), matched)
     if ctv != other.views[ti]:
         other2 = other2.with_view(t, ctv)
     return state2, other2, TOp(action, nr)

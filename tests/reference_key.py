@@ -9,7 +9,7 @@ dense positions, and two configurations get the same key exactly when they
 are equal up to an order-preserving renaming of each variable's timestamps.
 """
 
-from component_views import cvd, mview, tview
+from component_views import cvd, mview, ops, tview, variables
 from rarcheck.state import Sym
 
 SIDES = ("C", "L")
@@ -20,7 +20,7 @@ def _matched(comp) -> set:
     the only variable of a queue component."""
     if not comp.matched:
         return set()
-    (q,) = comp.variables()
+    (q,) = variables(comp)
     return {((q, e), (q, d)) for e, d in comp.matched}
 
 
@@ -30,8 +30,8 @@ def describe(cfg) -> dict:
            "rho": {t: dict(ls) for t, ls in cfg.rho.items()}}
     for side, comp in zip(SIDES, (cfg.gamma, cfg.beta)):
         out[side] = {
-            "vars": comp.variables(),
-            "ops": {(op.action.var, op.ts): op.action for op in comp.ops},
+            "vars": variables(comp),
+            "ops": {(op.action.var, op.ts): op.action for op in ops(comp)},
             "tview": {t: {x: op.ts for x, op in v.items()}
                       for t, v in tview(comp).items()},
             "mview": {(op.action.var, op.ts): dict(v)
@@ -124,11 +124,11 @@ def inserted_op(before, after):
     `after` is `before` with one operation inserted and every later
     position on its variable moved up by one; None when both hold the same
     operations."""
-    if after.ops == before.ops:
+    if ops(after) == ops(before):
         return None
-    for new in after.ops:
-        rest = {moved(op, new, -1) for op in after.ops if op != new}
-        if new.ts > 0 and rest == before.ops:
+    for new in ops(after):
+        rest = {moved(op, new, -1) for op in ops(after) if op != new}
+        if new.ts > 0 and rest == ops(before):
             return new
     raise AssertionError(f"{after} is not {before} plus one operation")
 

@@ -149,6 +149,8 @@ class Parser:
                 stmts.append(self.parse_stmt())
             threads.append((tid, tuple(stmts)))
         if not threads:
+            if self.peek().kind != "eof":
+                self.expect("name", "thread", "'thread'")
             self.fail("at least one thread required")
         invariant = final = pre = None
         while self.peek().kind != "eof":

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from component_views import cvd, tview
+from component_views import cvd, ops, tview, variables
 from lock_rules import check_lock_rules
 from rarcheck.assertions import dobs, eval_assertion, pobs, wrote
 from rarcheck.explore import check_outline, explore, successors
@@ -115,7 +115,7 @@ class TestCriterion6:
             ok_parts.append(check_lock_rules(steps, rules_for(system)) == [])
         system, steps = _lock_steps("lock-two-rounds")
         mutants = mutated_rules(system, range(0, 9),
-                                sorted(system.cfg0.gamma.variables()),
+                                sorted(variables(system.cfg0.gamma)),
                                 occurring_ints(system),
                                 system.ctx.threads)
         falsified = {rid for rid, *_ in check_lock_rules(steps, mutants)}
@@ -174,13 +174,13 @@ class TestCriterion9:
                 same = after.ops_on(op.action.var)
                 pred = same[same.index(op) - 1]
                 assert pred.ts == op.ts - 1
-                assert pred in before.ops
+                assert pred in ops(before)
                 fresh_checked += 1
 
         # update atomicity everywhere
         for _, cfg in state_corpus:
             for comp in (cfg.gamma, cfg.beta):
-                for op in comp.ops:
+                for op in ops(comp):
                     if op.action.kind != UPDATE:
                         continue
                     same = sorted(comp.ops_on(op.action.var),
@@ -199,7 +199,7 @@ class TestCriterion9:
         # definite implies possible
         for system, cfg in state_corpus:
             for t in system.ctx.threads:
-                for x in cfg.gamma.variables():
+                for x in variables(cfg.gamma):
                     for v in (0, 1, 2, 5):
                         if dobs(cfg.gamma, t, x, wrote(v)):
                             assert pobs(cfg.gamma, t, x, wrote(v))
@@ -211,7 +211,7 @@ class TestCriterion9:
             for comp in (cfg.gamma, cfg.beta):
                 for t in tview(comp):
                     tv = comp.view(t)
-                    for op in comp.ops:
+                    for op in ops(comp):
                         mv = comp.mview_of(op)
                         got = merge_views(tv, mv)
                         assert got == tuple(max(a, b) for a, b

@@ -13,6 +13,7 @@ answers with a StateError must raise one too.
 from hypothesis import HealthCheck, given, settings
 
 import reference_assertions as R
+from component_views import variables
 from rarcheck.assertions import (Cond, Def, MethodInstance, Poss, VarEq,
                                  eval_assertion)
 from rarcheck.explore import explore
@@ -44,7 +45,7 @@ def method_instances(spec):
 def instances(system):
     """(atom, reference) pairs: the reference takes a configuration."""
     spec = system.ctx.object_spec
-    xs = sorted(system.cfg0.gamma.variables())
+    xs = sorted(variables(system.cfg0.gamma))
     targets = [(y, v) for y in xs for v in VALUES]
     out = []
     for t in system.ctx.threads:

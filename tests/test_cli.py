@@ -407,6 +407,15 @@ class TestErrors:
         assert err.startswith("error: cannot evaluate (")
         assert err.count("\n") == 1
 
+    def test_expression_fault_quotes_the_expression_as_written(
+            self, tmp_path, capsys):
+        bad = tmp_path / "bad.lit"
+        bad.write_text("name t\nthread 1 { r := bot; s := -r; }\n")
+        code, out, err = run(capsys, "explore", str(bad))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot evaluate -r: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("decl,body,call", [
         ("queue q", "q.enq();", "q.enq()"),
         ("lock l", "l.acquire(); l.release(5);", "l.release(5)"),

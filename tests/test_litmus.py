@@ -1,11 +1,14 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from component_views import ops, variables
 from rarcheck import assertions as A
 from rarcheck import program as P
 from rarcheck.litmus import (MAX_DEPTH, LitmusError, Parser, build_system,
                              load_corpus, parse_litmus, pretty, _pa)
-from rarcheck.state import LOCK_ACQUIRE, LOCK_RELEASE, TRUE
+from rarcheck.state import (DEQUEUE, EMPTY, LOCK_ACQUIRE, LOCK_RELEASE, TRUE,
+                            Hashed)
+from test_cli_fuzz import litmus_files
 
 CORPUS = ["mp-relaxed", "mp-relacq", "lockmp", "lockmp-mutant", "queue-mp",
           "seqlock-refine", "ticketlock-refine", "lock-two-rounds"]
@@ -21,6 +24,85 @@ class TestRoundTrip:
     def test_builds(self, name):
         system = build_system(load_corpus(name))
         assert system.cfg0.prog
+
+
+_EXPRESSIONS = (P.Lit, P.Var, P.Un, P.Bin)
+_STATEMENTS = (P.Assign, P.GWrite, P.GRead, P.Cas, P.Fai, P.Hole, P.If,
+               P.While, P.DoUntil)
+
+
+def _syntax(*trees):
+    """The statements, expressions and method instances of trees: a parsed
+    file's threads and clauses, or built programs."""
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack += node
+        elif isinstance(node, (A.MethodInstance,) + _EXPRESSIONS
+                        + _STATEMENTS):
+            yield node
+        if isinstance(node, Hashed):
+            stack += [getattr(node, f) for f in node._fields]
+
+
+def _reparse(node):
+    """node's repr parsed back as what node is, the whole text read."""
+    parser = Parser(repr(node))
+    if isinstance(node, A.MethodInstance):
+        got = parser.parse_minst()
+    elif isinstance(node, _EXPRESSIONS):
+        got = parser.parse_expr(0)
+    else:
+        got = parser.parse_cmd(0)
+    assert parser.toks[parser.pos] == "", repr(node)
+    return got
+
+
+REPRS = [
+    (P.Un("not", P.Var("r")), "(not r)"),
+    (P.Un("-", P.Var("r")), "-r"),
+    (P.Un("-", P.Lit(5)), "-(5)"),
+    (P.If(P.Var("c"), P.Assign("r", P.Lit(1)), P.Bot()),
+     "if c then { r := 1; }"),
+    (P.While(P.Var("c"), P.Bot()), "while c do {  }"),
+    (P.Hole(P.MethodCall("l", "acquire", (), "v")), "l.acquire(v)"),
+    (A.MethodInstance("l", LOCK_ACQUIRE, 1), "l.acquire_1"),
+    (A.MethodInstance("q", DEQUEUE, None, EMPTY), "q.deq_empty"),
+    (A.MethodInstance("l", "init", 0), "l.init_0"),
+]
+
+
+class TestNodesPrintAsWritten:
+    """A node's repr is the input language's text for it, so an error that
+    quotes a node quotes something the user could have written."""
+
+    def test_corpus_nodes_reparse(self):
+        kinds = set()
+        for name in CORPUS:
+            lf = load_corpus(name)
+            for node in _syntax(lf.threads, lf.invariant, lf.final, lf.pre):
+                assert _reparse(node) == node
+                kinds.add(type(node))
+            # the built programs' expressions: desugared loops negate tests
+            progs = tuple(build_system(lf).cfg0.prog.values())
+            for node in _syntax(progs):
+                if isinstance(node, _EXPRESSIONS):
+                    assert _reparse(node) == node
+                    kinds.add(type(node))
+        assert {P.Un, P.Hole, P.DoUntil, A.MethodInstance} <= kinds
+
+    @settings(max_examples=150, deadline=None)
+    @given(litmus_files())
+    def test_generated_nodes_reparse(self, text):
+        lf = parse_litmus(text)
+        for node in _syntax(lf.threads, lf.invariant, lf.final, lf.pre):
+            assert _reparse(node) == node
+
+    @pytest.mark.parametrize("node,text", REPRS,
+                             ids=[text for _, text in REPRS])
+    def test_reprs(self, node, text):
+        assert repr(node) == text
 
 
 def _minst():
@@ -129,6 +211,24 @@ class TestErrors:
         assert exc.value.line == 5  # error reported at the dangling brace
         assert exc.value.col is not None
 
+    @pytest.mark.parametrize("header,token,col", [
+        ("object lock l impl seqlock", "impl", 15),
+        ("object lock l foo", "foo", 15),
+        ("final { true }", "final", 1),
+    ])
+    def test_stray_token_after_the_header_is_named(self, header, token, col):
+        text = (f"name t\ninit d := 0\n{header}\n"
+                "thread 1 { l.acquire(); d := 1; l.release(); }\n")
+        with pytest.raises(LitmusError) as exc:
+            parse_litmus(text)
+        assert str(exc.value) == \
+            f"expected 'thread', found {token!r} at 3:{col}"
+
+    def test_no_thread_at_the_end(self):
+        with pytest.raises(LitmusError,
+                           match="^at least one thread required at 3:1$"):
+            parse_litmus("name t\ninit d := 0\n")
+
     def test_unknown_mode(self):
         with pytest.raises(LitmusError):
             parse_litmus("name t\nmode nonsense\nthread 1 { r <- d }\n")
@@ -196,8 +296,8 @@ class TestLockmpStructure:
 
     def test_client_vars_and_domain(self):
         system = build_system(load_corpus("lockmp"))
-        assert system.cfg0.gamma.variables() == {"d1", "d2"}
-        assert system.cfg0.beta.variables() == {"l"}
+        assert variables(system.cfg0.gamma) == {"d1", "d2"}
+        assert variables(system.cfg0.beta) == {"l"}
         from test_lock_rules import occurring_ints
         assert set(occurring_ints(system)) >= {0, 5}
 
@@ -214,8 +314,8 @@ class TestImplFill:
         from rarcheck.refine import builtin_impls
         lf = load_corpus("seqlock-refine")
         system = build_system(lf, builtin_impls()["seqlock"])
-        assert system.cfg0.beta.variables() == {"glb"}
-        (op,) = system.cfg0.beta.ops
+        assert variables(system.cfg0.beta) == {"glb"}
+        (op,) = ops(system.cfg0.beta)
         assert op.action.var == "glb" and op.action.val == 0
 
     def test_plain_litmus_needs_no_annotations(self):
@@ -257,16 +357,16 @@ class TestOddButGrammatical:
                 "final { r = 5 }\n")
         from rarcheck.explore import explore
         system = build_system(parse_litmus(text))
-        assert system.cfg0.gamma.variables() == set()
+        assert variables(system.cfg0.gamma) == set()
         assert system.cfg0.rho[1]["r"] == 0
         res = explore(system.cfg0, system.ctx, 8)
         assert res.outcomes == [{"r": 5}]
         # an annotation counts too, and a thread's global read wins
         ann = ("name t\ninit r := 0\nthread 1 { { r = 0 } r := 5; }\n")
-        assert build_system(parse_litmus(ann)).cfg0.gamma.variables() == set()
+        assert variables(build_system(parse_litmus(ann)).cfg0.gamma) == set()
         glob = ("name t\ninit r := 0\nthread 1 { r := 5; }\n"
                 "thread 2 { s <- r; }\nfinal { s = 5 }\n")
-        assert build_system(parse_litmus(glob)).cfg0.gamma.variables() == {"r"}
+        assert variables(build_system(parse_litmus(glob)).cfg0.gamma) == {"r"}
 
     def test_unknown_method_rejected(self):
         # rejected when the system is built, before any thread reaches it

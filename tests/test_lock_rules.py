@@ -3,6 +3,7 @@ states, plus hand-mutated variants that the harness must falsify."""
 
 import pytest
 
+from component_views import ops, variables
 from lock_rules import (check_lock_rules, cond_meth, definite,
                         definite_meth, lock_rules, possible_meth)
 from rarcheck.assertions import MethodInstance, eval_hidden
@@ -36,14 +37,14 @@ def occurring_ints(system):
     out = set()
     for cfg in res.configs.values():
         for comp in (cfg.gamma, cfg.beta):
-            out |= ints(op.action.val for op in comp.ops)
+            out |= ints(op.action.val for op in ops(comp))
         for ls in cfg.rho.values():
             out |= ints(ls.values())
     return sorted(out)
 
 
 def rules_for(system):
-    return list(lock_rules("l", VERSIONS, sorted(system.cfg0.gamma.variables()),
+    return list(lock_rules("l", VERSIONS, sorted(variables(system.cfg0.gamma)),
                            occurring_ints(system), system.ctx.threads,
                            system.ctx.object_spec))
 
@@ -151,7 +152,7 @@ class TestMutantsFalsified:
     def test_each_mutated_rule_fails(self, rounds_steps):
         system, steps = rounds_steps
         mutants = mutated_rules(system, VERSIONS,
-                                sorted(system.cfg0.gamma.variables()),
+                                sorted(variables(system.cfg0.gamma)),
                                 occurring_ints(system),
                                 system.ctx.threads)
         violations = check_lock_rules(steps, mutants)

@@ -74,9 +74,13 @@ class TestWrite:
     def test_covered_predecessor_is_skipped(self):
         _, g, b = mp_init()
         (init_d,) = g.ops_on("d")
-        g = g.updated(covered=1 << g.lay.vix["d"])
+        (g, b, _, _), = mem_update(g, b, 2, update("d", 0, 5))
         assert g.covers(init_d)
-        assert mem_write(g, b, 1, write("d", 5)) == []
+        # thread 1 observes the covered initial write and the update, and
+        # writes only after the update
+        assert [w.ts for w in g.obs(1, "d")] == [0, 1]
+        assert [new.ts for _, _, new, _ in mem_write(
+            g, b, 1, write("d", 7))] == [2]
 
     def test_two_observable_predecessors_two_successors(self):
         _, g, b = mp_init()

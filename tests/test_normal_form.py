@@ -4,7 +4,7 @@ exploration results."""
 
 import pytest
 
-from component_views import mview, tview
+from component_views import mview, ops, tview, variables
 from rarcheck.explore import canonical_key, explore, successors
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.oracle import fifo_litmus
@@ -89,10 +89,10 @@ def test_pinned_counts_and_outcomes(explored, name, states, truncated,
 def _dense(comp, other) -> bool:
     """The n operations on each variable sit at positions 0..n-1, one each,
     and every view and recorded view names an existing operation."""
-    names = {(op.action.var, op.ts) for op in comp.ops}
-    other_names = {(op.action.var, op.ts) for op in other.ops}
-    return (len(names) == len(comp.ops)
-            and names == {(x, r) for x in comp.variables()
+    names = {(op.action.var, op.ts) for op in ops(comp)}
+    other_names = {(op.action.var, op.ts) for op in ops(other)}
+    return (len(names) == len(ops(comp))
+            and names == {(x, r) for x in variables(comp)
                           for r in range(len(comp.ops_on(x)))}
             and all((x, op.ts) in names and op.action.var == x
                     for view in tview(comp).values()

@@ -1,6 +1,6 @@
 import pytest
 
-from component_views import cvd, mview, tview
+from component_views import cvd, mview, ops, tview
 from rarcheck import memory, objects
 from rarcheck.explore import explore
 from rarcheck.litmus import (LitmusError, build_system, load_corpus,
@@ -35,7 +35,7 @@ def enq_rank(b, u):
 class TestLockAcquire:
     def test_first_acquire_covers_init(self):
         _, g, b = lock_system()
-        (init_op,) = b.ops
+        (init_op,) = ops(b)
         out = lock_acquire(b, g, 1, "l")
         assert len(out) == 1
         b2, g2, new, _ = out[0]

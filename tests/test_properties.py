@@ -3,10 +3,10 @@
 import random
 from fractions import Fraction
 
-from component_views import cvd, mview, tview
+from component_views import cvd, mview, ops, tview, variables
 from rarcheck.assertions import dobs, pobs, wrote
 from rarcheck.oracle import matched_order_ok
-from rarcheck.state import wrval, UPDATE
+from rarcheck.state import wrval, LOCK_ACQUIRE, UPDATE
 from reference_key import (describe, inserted_op, moved, ref_key,
                            reference_key, remap)
 
@@ -24,10 +24,10 @@ class TestTimestampDiscipline:
         for _, cfg in state_corpus:
             for comp in _components(cfg):
                 seen = {}
-                for op in comp.ops:
+                for op in ops(comp):
                     assert op.ts not in seen.setdefault(op.action.var, set())
                     seen[op.action.var].add(op.ts)
-                assert seen.keys() == comp.variables()
+                assert seen.keys() == variables(comp)
                 for times in seen.values():
                     assert times == set(range(len(times)))
 
@@ -36,13 +36,13 @@ class TestTimestampDiscipline:
             for comp in _components(cfg):
                 for t, view in tview(comp).items():
                     for x, op in view.items():
-                        assert op in comp.ops
+                        assert op in ops(comp)
                         assert op.action.var == x
 
     def test_mview_defined_for_every_op(self, state_corpus):
         for _, cfg in state_corpus:
             for comp in _components(cfg):
-                for op in comp.ops:
+                for op in ops(comp):
                     assert op in mview(comp)
 
 
@@ -51,7 +51,7 @@ class TestUpdateAtomicity:
         hits = 0
         for _, cfg in state_corpus:
             for comp in _components(cfg):
-                for op in comp.ops:
+                for op in ops(comp):
                     if op.action.kind != UPDATE:
                         continue
                     hits += 1
@@ -62,6 +62,22 @@ class TestUpdateAtomicity:
                     assert pred in cvd(comp)
                     assert wrval(pred.action) == op.action.aux
         assert hits > 100  # the suite actually exercises updates
+
+    def test_covered_exactly_when_an_update_or_acquire_follows(
+            self, state_corpus):
+        # only an update or a lock acquire covers, each right after the
+        # operation it covers, and no step inserts after a covered one
+        hits = 0
+        for _, cfg in state_corpus:
+            for comp in _components(cfg):
+                for x in comp.lay.own:
+                    column = comp.ops_on(x)
+                    for op, nxt in zip(column, column[1:] + [None]):
+                        covering = nxt is not None and nxt.action.kind in (
+                            UPDATE, LOCK_ACQUIRE)
+                        assert comp.covers(op) == covering
+                        hits += covering
+        assert hits > 100
 
 
 class TestViewMonotonicity:
@@ -91,14 +107,14 @@ class TestObservationLogic:
             vals = occurring.setdefault(id(system), set())
             for comp in (cfg.gamma, cfg.beta):
                 vals |= {(type(op.action.val), op.action.val)
-                         for op in comp.ops}
+                         for op in ops(comp)}
             for ls in cfg.rho.values():
                 vals |= {(type(v), v) for v in ls.values()}
         checked = 0
         for system, cfg in state_corpus:
             ints = [v for _, v in occurring[id(system)] if isinstance(v, int)]
             for t in system.ctx.threads:
-                for x in cfg.gamma.variables():
+                for x in variables(cfg.gamma):
                     for v in ints:
                         if dobs(cfg.gamma, t, x, wrote(v)):
                             assert pobs(cfg.gamma, t, x, wrote(v))
@@ -150,7 +166,7 @@ class TestQueueInvariants:
         for _, cfg in state_corpus:
             by_deq = {d: e for e, d in cfg.beta.matched}
             for e, d in cfg.beta.matched:
-                for op in cfg.beta.ops:
+                for op in ops(cfg.beta):
                     if op.action.kind == DEQUEUE and e < op.ts < d:
                         assert op.action.val is not EMPTY
                         assert op.ts in by_deq
@@ -159,7 +175,7 @@ class TestQueueInvariants:
     def test_every_nonempty_dequeue_is_matched(self, state_corpus):
         from rarcheck.state import DEQUEUE, EMPTY
         for _, cfg in state_corpus:
-            deqs = {op.ts for op in cfg.beta.ops
+            deqs = {op.ts for op in ops(cfg.beta)
                     if op.action.kind == DEQUEUE and op.action.val is not EMPTY}
             assert deqs == {d for _, d in cfg.beta.matched}
 
@@ -235,7 +251,7 @@ class TestRefinementOrder:
         from rarcheck.memory import mem_write
         from rarcheck.state import write
         system, cfg = next((s, c) for s, c in state_corpus
-                           if "d1" in s.cfg0.gamma.variables())
+                           if "d1" in variables(s.cfg0.gamma))
         ls = {t: {} for t in system.ctx.threads}
         g0 = cfg.gamma
         assert state_refines((ls, g0), (ls, g0), system.ctx.threads)

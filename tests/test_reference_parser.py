@@ -116,7 +116,9 @@ def test_benchmark_programs(index):
     "name t\nthread 1 { r := ((1 + 2) * -3 % 4 - -(5)); }\n"
     "final { (r in {1, 2}) = true and not (r < 0) => r != 7 }\n",
     "name t\nthread 1 { r := 1 = 2 = 3; }\n",
-    "name t\nthread 1 { r := 1 and 2 = 3 = 4; }\n"])
+    "name t\nthread 1 { r := 1 and 2 = 3 = 4; }\n",
+    "name t\nobject lock l impl seqlock\nthread 1 { l.acquire(); }\n",
+    "name t\ninit d := 0\nfinal { true }\n", "name t\ninit d := 0\n"])
 def test_edge_cases(text):
     assert_same(text)
 

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from component_views import cvd, mview, tview
+from component_views import cvd, mview, ops, tview, variables
 import rarcheck.memory
 import rarcheck.objects
 from rarcheck.objects import spec_of
@@ -11,7 +11,7 @@ from rarcheck.oracle import fifo_litmus
 from rarcheck.refine import builtin_impls
 from rarcheck.state import (BOT, RVAL, ComponentState, StateError, TOp,
                             insert_fresh_timestamp, make_init_states,
-                            merge_views, write)
+                            merge_views, write, LOCK_ACQUIRE, UPDATE)
 
 
 def mk_state(n_writes, var="d", threads=(1, 2)):
@@ -30,17 +30,17 @@ def init_lock_system():
 
 def positions_dense(comp) -> bool:
     """Each variable's n operations at positions 0..n-1, one each."""
-    return sorted((op.action.var, op.ts) for op in comp.ops) == sorted(
-        (x, r) for x in comp.variables() for r in range(len(comp.ops_on(x))))
+    return sorted((op.action.var, op.ts) for op in ops(comp)) == sorted(
+        (x, r) for x in variables(comp) for r in range(len(comp.ops_on(x))))
 
 
 class TestMakeInit:
     def test_lock_init(self):
         rho, gamma, beta = init_lock_system()
-        assert {op.action.kind for op in beta.ops} == {"lock_init"}
-        (lock_op,) = beta.ops
+        assert {op.action.kind for op in ops(beta)} == {"lock_init"}
+        (lock_op,) = ops(beta)
         assert lock_op.ts == 0 and lock_op.action.index == 0
-        (d_op,) = gamma.ops
+        (d_op,) = ops(gamma)
         assert d_op.action.val == 0 and d_op.ts == 0
         assert cvd(gamma) == frozenset() and cvd(beta) == frozenset()
         assert rho[1][RVAL] is BOT
@@ -50,7 +50,7 @@ class TestMakeInit:
 
     def test_empty_init(self):
         rho, gamma, beta = make_init_states([], set(), (), {1})
-        assert gamma.ops == frozenset() and beta.ops == frozenset()
+        assert ops(gamma) == frozenset() and ops(beta) == frozenset()
         assert tview(gamma)[1] == {} and tview(beta)[1] == {}
 
     def test_two_vars_definite_for_all_threads(self):
@@ -71,7 +71,7 @@ class TestMakeInit:
 class TestObservable:
     def test_init_only(self):
         _, gamma, _ = init_lock_system()
-        (d_op,) = gamma.ops
+        (d_op,) = ops(gamma)
         assert gamma.obs(1, "d") == [d_op]
 
     def test_filter_by_view(self):
@@ -179,8 +179,8 @@ class TestFreshTimestamp:
                 return r + 1 if y == x and r >= new.ts else r
 
             assert new.ts == pred.ts + 1 and positions_dense(c2)
-            assert c2.ops == {op._replace(ts=moved(op.ts, op.action.var))
-                              for op in c.ops} | {new}
+            assert ops(c2) == {op._replace(ts=moved(op.ts, op.action.var))
+                               for op in ops(c)} | {new}
             for t2, view in tview(c).items():
                 for y, op in view.items():
                     expect = new if (t2, y) == (t, x) else \
@@ -201,10 +201,12 @@ def _up(view, i, nr):
 
 
 def reference_insert(state, other, t, pred, action, sync_from=None,
-                     cover=False, match=False):
+                     match=False):
     """insert_fresh_timestamp as first written: every insertion renumbers
     the variable's later positions in both components, also where there
-    are none, as when the new operation tops its variable."""
+    are none, as when the new operation tops its variable; and the covered
+    operations are a bit mask over slots, renumbered the same way, where an
+    update or an acquire covers its predecessor.  Also returns that mask."""
     lay = state.lay
     m = len(lay.own)
     xi = lay.vix[action.var]
@@ -223,22 +225,23 @@ def reference_insert(state, other, t, pred, action, sync_from=None,
     views[ti] = tv
     mviews = [_up(v, xi, nr) for v in state.mviews]
     mviews.insert(ns, tv + ctv)
-    covered = state.covered
+    covered = sum(1 << state._slot(op) for op in ops(state)
+                  if state.covers(op))
     covered = covered & ((1 << ns) - 1) | (covered >> ns) << (ns + 1)
-    if cover:
+    if action.kind in (UPDATE, LOCK_ACQUIRE):
         covered |= 1 << (first + pred)
     matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in state.matched)
     if match:
         matched = tuple(sorted(matched + ((sync_from, nr),)))
     state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
-                            tuple(views), tuple(mviews), covered, matched)
+                            tuple(views), tuple(mviews), matched)
     oxi = len(other.lay.own) + xi
     omviews = tuple(_up(v, oxi, nr) for v in other.mviews)
     other_views = list(other.views)
     other_views[ti] = ctv
     other2 = ComponentState(other.lay, other.acts, tuple(other_views),
-                            omviews, other.covered, other.matched)
-    return state2, other2, TOp(action, nr)
+                            omviews, other.matched)
+    return state2, other2, TOp(action, nr), covered
 
 
 def _corpus_systems():
@@ -270,8 +273,10 @@ def test_insertions_match_the_general_renumbering(monkeypatch):
         explore(system.cfg0, system.ctx, 64)
     tops = 0
     for args, kwargs, (s2, o2, new) in calls:
-        r2, ro2, rnew = reference_insert(*args, **kwargs)
+        r2, ro2, rnew, covered = reference_insert(*args, **kwargs)
         assert (s2._parts(), o2._parts(), new) == \
             (r2._parts(), ro2._parts(), rnew)
+        assert all(s2.covers(op) == bool(covered >> s2._slot(op) & 1)
+                   for op in ops(s2))
         tops += new == s2.max_op(new.action.var)
     assert 0 < tops < len(calls)
