@@ -45,10 +45,10 @@ def _int_at_least(least: int):
 
 # `explore` and `hoare` explore reduced (`explore.explore`)
 _REDUCED_BOUND_HELP = (
-    "scheduler-step bound (default 64).  The run is reduced: one thread's "
-    "silent steps go first, so an input error in another thread's step may "
-    "lie beyond a bound that `outline` meets it within (exit 2 where "
-    "`outline` exits 3)")
+    "scheduler-step bound (default 64), which counts every step, silent "
+    "ones included.  The run is reduced: one thread's silent steps go "
+    "first, so an input error in another thread's step may lie beyond a "
+    "bound that `outline` meets it within (exit 2 where `outline` exits 3)")
 
 
 def _build_parser():

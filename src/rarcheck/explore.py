@@ -27,16 +27,22 @@ Checks that read only terminal states, and the reachable components, explore
 reduced: the `explore` command, `check_hoare` and the FIFO oracle.  At a
 configuration where some thread's only move is silent and is not a loop's
 test, only the first such thread steps (an ample set: Peled, CAV 1993;
-Godefroid, LNCS 1032, 1996).  A reduced run keeps the terminal states, so
-the outcomes and hoare verdicts, the truncation flag (as the tests compare
-it with full runs), and, when it is not truncated, every reachable (gamma,
+Godefroid, LNCS 1032, 1996).  After any other step only the thread that
+stepped can be silent-only, so a reduced step takes that thread's whole
+silent run with it, memoized per thread state (SPIN's statement merging,
+Holzmann 2003): no configuration inside a run is made.  A folded edge
+weighs the scheduler steps it takes, and levels count scheduler steps, so
+the step bound, the terminal states' order and the witnesses are those of
+a run of single steps.  A reduced run keeps the terminal states, so the
+outcomes and hoare verdicts, the truncation flag (as the tests compare it
+with full runs), and, when it is not truncated, every reachable (gamma,
 beta) pair; it does not keep every configuration or edge.  `check_outline`
 and refinement read every state, and explore in full.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import sys
 from operator import itemgetter
 
 from . import memory, program
@@ -135,9 +141,9 @@ class SystemContext:
         # successors (`_component_steps`)
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
-        # for reduced exploration: tuple of thread states -> its ample set
-        # (`_ample`)
-        self.ample = {}
+        # for reduced exploration: thread state -> its whole silent run
+        # (`_run`)
+        self.runs = {}
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
         return self.thread_states.setdefault((t, cmd, frozenset(ls.items())),
@@ -269,10 +275,11 @@ def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
     An ample step can be moved to the front of any path that takes it
     later, at no cost in length.  Every path to a configuration in which
     no thread is silent-only takes each ample step it passes, so such a
-    configuration lies at the same level in a reduced and in a full run.
-    Were a loop's test ample, as its thread comes back to it, a reduced
-    run could reach a configuration one loop iteration later than a full
-    run, and stop at the bound where a full run does not."""
+    configuration lies at the same level, counted in scheduler steps, in a
+    reduced and in a full run.  Were a loop's test ample, as its thread
+    comes back to it, a reduced run could reach a configuration one loop
+    iteration later than a full run, and stop at the bound where a full run
+    does not."""
     try:
         moves = _moves(ts, ctx)
     except program.ProgramError:
@@ -281,37 +288,91 @@ def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
             and type(ctx.redexes[ts.cmd].redex) is not program.While)
 
 
-def _ample(locs: tuple, ctx: SystemContext):
-    """The ample set of the thread states `locs`: the move of the first
-    thread (in thread order) that is silent-only (`_silent_only`), as
-    [(thread, label, thread states after)], or None when there is no such
-    thread.  A silent step changes only its own thread's command and
+class _Run:
+    """A silent-only thread state's silent run: the thread states its
+    silent-only steps (`_silent_only`) reach, in order, so the last one is
+    not silent-only, and their labels.  `fold` gives a step's label
+    followed by the run's, one tuple per step label, so the edges that fold
+    the run share it.  Its memo is keyed by the label's identity, which
+    stands for its content: the system's context makes each label once and
+    keeps it as long as the run."""
+
+    __slots__ = ("states", "labels", "folds")
+
+    def __init__(self, states: tuple, labels: tuple):
+        self.states = states
+        self.labels = labels
+        self.folds = {}
+
+    def fold(self, label: StepLabel) -> tuple:
+        labels = self.folds.get(id(label))
+        if labels is None:
+            labels = self.folds[id(label)] = (label,) + self.labels
+        return labels
+
+
+def _run(ts: ThreadState, ctx: SystemContext, limit: int):
+    """ts's silent run cut to its first `limit` steps, or None when that
+    leaves no step.  A whole run is memoized (None when ts is not
+    silent-only); a walk that the limit stops is not, so a run cut at the
+    step bound makes no thread state beyond it."""
+    run = ctx.runs.get(ts, False)
+    if run is False:
+        states, labels = [], []
+        cur = ts
+        while len(states) < limit and _silent_only(cur, ctx):
+            move = _moves(cur, ctx)[0]
+            cur = move.next_state(ctx, cur.t)
+            states.append(cur)
+            labels.append(move.label)
+        run = _Run(tuple(states), tuple(labels)) if states else None
+        if len(states) < limit:
+            ctx.runs[ts] = run
+    if run is not None and len(run.states) > limit:
+        run = _Run(run.states[:limit], run.labels[:limit]) if limit else None
+    return run
+
+
+def _ample(locs: tuple, ctx: SystemContext, budget: int = sys.maxsize):
+    """The ample set of the thread states `locs`: the silent run of the
+    first thread (in thread order) that is silent-only, cut to `budget`
+    steps, as [(thread, label, thread states after)], or None when no
+    thread is.  A silent step changes only its own thread's command and
     registers, so it commutes with every other thread's step, stays enabled
-    until taken, and no component or other thread can see it."""
-    ample = ctx.ample.get(locs, False)
-    if ample is False:
-        ample = None
-        for i, ts in enumerate(locs):
-            if _silent_only(ts, ctx):
-                move = _moves(ts, ctx)[0]
-                ample = [(ts.t, move.label,
-                          locs[:i] + (move.next_state(ctx, ts.t),)
-                          + locs[i + 1:])]
-                break
-        ctx.ample[locs] = ample
-    return ample
+    until taken, and no component or other thread can see it.  Only a
+    configuration on the initial configuration's ample chain, or one that
+    the step bound cut in a run, has a silent-only thread: every other one
+    is reached by a step that folds its thread's run (`successors`)."""
+    runs = ctx.runs
+    for i, ts in enumerate(locs):
+        if runs.get(ts, False) is not None:
+            run = _run(ts, ctx, budget)
+            if run is not None:
+                labels = run.labels
+                return [(ts.t, labels if len(labels) > 1 else labels[0],
+                         locs[:i] + (run.states[-1],) + locs[i + 1:])]
+    return None
 
 
-def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False):
+def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
+               budget: int = sys.maxsize):
     """All (thread, label, configuration) successors, deterministically
-    ordered; with `reduce`, only the ample set's when the configuration has
-    one (`_ample`)."""
+    ordered.
+
+    With `reduce`, a configuration that has an ample set (`_ample`) takes
+    only its run, and every other step takes the silent run of the thread
+    state it reaches with it (SPIN's statement merging, Holzmann 2003), so
+    no configuration in which a thread is silent-only is made on the way.
+    A reduced edge takes at most `budget` scheduler steps: a run that would
+    take more stops there.  An edge of more than one step has for label the
+    tuple of their labels."""
     locs, gamma, beta = cfg
     if reduce:
-        ample = _ample(locs, ctx)
+        ample = _ample(locs, ctx, budget)
         if ample is not None:
             return [(t, label, Configuration((locs2, gamma, beta)))
                     for t, label, locs2 in ample]
+        runs = ctx.runs
     out = []
     for i, ts in enumerate(locs):
         t = ts.t
@@ -330,6 +391,13 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False):
             found.sort(key=_label_text)
         head, tail = locs[:i], locs[i + 1:]
         for label, ts2, g2, b2 in found:
+            if reduce:
+                run = runs.get(ts2, False)
+                if run is not None:
+                    if run is False or len(run.states) >= budget:
+                        run = _run(ts2, ctx, budget - 1)
+                    if run is not None:
+                        label, ts2 = run.fold(label), run.states[-1]
             out.append((t, label, Configuration((head + (ts2,) + tail, g2,
                                                  b2))))
     return out
@@ -355,7 +423,9 @@ def _component_steps(ctx, t, move, gamma, beta):
         comp = "library" if lib else "client"
         found = ctx.component_steps[key] = []
         for own2, other2, op, result in steps:
-            own2, other2 = ctx.component(own2), ctx.component(other2)
+            own2 = ctx.component(own2)
+            if other2 is not other:  # else unchanged, so interned already
+                other2 = ctx.component(other2)
             found.append(((other2, own2) if lib else (own2, other2))
                          + (result, ctx.label(comp, op.action, op.ts)))
     return found
@@ -367,31 +437,47 @@ class ExploreResult(Record):
     outcomes: list  # sorted list of dicts register -> value
     truncated: bool
     configs: dict  # key (the configuration itself) -> Configuration
-    # key -> ((thread, StepLabel, successor), ...) in successors() order, for
+    # key -> ((thread, label, successor), ...) in successors() order, for
     # every explored state: () when terminal, and the computed successors of
     # states stopped at the step bound too.  A successor that was explored is
-    # the stored configuration itself.
+    # the stored configuration itself.  The label is a StepLabel, or the
+    # tuple of the labels of the steps a reduced edge of more than one step
+    # takes.
     edges: dict
     terminal_keys: list
     initial_key: object
 
     def witness_path(self, key):
         """The steps from the initial state to the reachable `key` along the
-        path that exploration discovered it by: a breadth-first search over
-        `edges` in stored order retraces exploration's own first-discovery
+        path that exploration discovered it by, one per scheduler step:
+        a search over `edges` in stored order, level by level in scheduler
+        steps as `explore` goes, retraces exploration's own first-discovery
         order, so this is a shortest path."""
         parent = {self.initial_key: None}
-        queue = deque([self.initial_key])
+        frontier = [self.initial_key]
         while key not in parent:
-            k = queue.popleft()
-            for t, label, nxt in self.edges[k]:
-                if nxt not in parent:
-                    parent[nxt] = (k, t, label)
-                    queue.append(nxt)
+            later = []
+            for k in frontier:
+                if type(k) is tuple:  # an edge still on its way
+                    rest, via = k
+                    if rest > 1:
+                        later.append((rest - 1, via))
+                    elif via[3] not in parent:
+                        parent[via[3]] = via
+                        later.append(via[3])
+                    continue
+                for t, label, nxt in self.edges[k]:
+                    if type(label) is tuple:
+                        later.append((len(label) - 1, (k, t, label, nxt)))
+                    elif nxt not in parent:
+                        parent[nxt] = (k, t, label, nxt)
+                        later.append(nxt)
+            frontier = later
         path = []
         while parent[key] is not None:
-            key, t, label = parent[key]
-            path.append({"thread": t, "label": label.render()})
+            key, t, label, _ = parent[key]
+            for lab in reversed(label if type(label) is tuple else (label,)):
+                path.append({"thread": t, "label": lab.render()})
         path.reverse()
         return path
 
@@ -400,28 +486,49 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
             reduce: bool = False) -> ExploreResult:
     """Bounded exhaustive exploration memoized on configurations.
 
-    With `reduce`, a configuration that has an ample set (`_ample`) takes
-    only its step.  The reduced run reaches the same terminal states, so it
-    gives the same outcomes, and, when it is not truncated, the same
-    (gamma, beta) pairs; it does not keep every configuration or edge.  So
-    only checks that read no more than that reduce: the `explore` command,
-    `check_hoare` and the FIFO oracle.  `check_outline` and refinement read
-    every state, and explore in full."""
+    With `reduce`, successors are reduced (`successors`): a configuration
+    that has an ample set takes only its run, and every other step folds
+    the silent run it reaches.  Levels stay counted in scheduler steps: an
+    edge that folds n steps lands n levels on, as a full run would reach
+    its target, and configurations at one level are stepped in the order a
+    run of single steps would step them, so the bound, the terminal states'
+    order and the witnesses are those of that run.  The reduced run reaches
+    the same terminal states, so it gives the same outcomes, and, when it
+    is not truncated, the same (gamma, beta) pairs; it does not keep every
+    configuration or edge.  So only checks that read no more than that
+    reduce: the `explore` command, `check_hoare` and the FIFO oracle.
+    `check_outline` and refinement read every state, and explore in
+    full."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     k0 = canonical_key(cfg0)
     visited = {k0: cfg0}
     edges = {}
+    # the configurations at `level`, in the order they are stepped, and
+    # (steps still to go, key) for each folded edge passing the level
     frontier = [cfg0]
-    level = 0  # of every configuration in the frontier
+    # key -> the configuration of a folded edge still on its way to it
+    pending = {}
+    level = 0
     truncated = False
     terminal_keys = []
     outcomes = set()
     while frontier:
-        nxt_frontier = []
-        expand = level < max_steps
+        later = []
+        budget = max_steps - level
+        expand = budget > 0
         for cfg in frontier:
-            succs = successors(cfg, ctx, reduce)
+            if type(cfg) is tuple:
+                rest, nk = cfg
+                if rest > 1:
+                    later.append((rest - 1, nk))
+                    continue
+                nxt = pending.pop(nk, None)
+                if nxt is not None:  # the first edge to land here
+                    visited[nk] = nxt
+                    later.append(nxt)
+                continue
+            succs = successors(cfg, ctx, reduce, budget if expand else 1)
             if not succs:
                 edges[cfg] = ()
                 terminal_keys.append(cfg)
@@ -435,11 +542,16 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                 if known is None:
                     known = nxt
                     if expand:
-                        visited[nk] = nxt
-                        nxt_frontier.append(nxt)
+                        if type(label) is tuple:
+                            known = pending.setdefault(nk, nxt)
+                            later.append((len(label) - 1, nk))
+                        else:
+                            known = pending.pop(nk, nxt) if pending else nxt
+                            visited[nk] = known
+                            later.append(known)
                 out.append((t, label, known))
             edges[cfg] = tuple(out)
-        frontier = nxt_frontier
+        frontier = later
         level += 1
     out_list = sorted(
         ({r: v for r, v in oc} for oc in outcomes),

@@ -74,9 +74,13 @@ def spec_of(kind: str, name: str) -> ObjectSpec:
 
 
 def lock_acquire(beta: ComponentState, gamma: ComponentState, t, lock: str):
-    """Acquire steps; empty when the lock is held (models blocking)."""
+    """Acquire steps; empty when the lock is held (models blocking).  The
+    paper's rule also asks that the top operation w be uncovered, which it
+    always is: an operation is covered only by an update or an acquire
+    inserted right after it on its variable, and nothing lies after the
+    top (`ComponentState.covers`)."""
     w = beta.max_op(lock)
-    if w.action.kind not in (LOCK_INIT, LOCK_RELEASE) or beta.covers(w):
+    if w.action.kind not in (LOCK_INIT, LOCK_RELEASE):
         return []
     b = Action(LOCK_ACQUIRE, lock, sync=OBJ, owner=t, index=w.action.index + 1)
     return [(*insert_fresh_timestamp(beta, gamma, t, w.ts, b, sync_from=w.ts),

@@ -377,12 +377,6 @@ class ComponentState:
         ops = [op for x in self.lay.own for op in self.ops_on(x)]
         return f"ComponentState({ops})"
 
-    def updated(self, **fields) -> "ComponentState":
-        parts = dict(zip(("acts", "views", "mviews", "matched"),
-                         self._parts()))
-        parts.update(fields)
-        return ComponentState(self.lay, **parts)
-
     # --- operations --------------------------------------------------------
 
     def _first(self, xi: int) -> int:
@@ -427,9 +421,10 @@ class ComponentState:
         return self.views[self.lay.tix[t]]
 
     def with_view(self, t, view: tuple) -> "ComponentState":
-        views = list(self.views)
-        views[self.lay.tix[t]] = view
-        return self.updated(views=tuple(views))
+        ti = self.lay.tix[t]
+        return ComponentState(self.lay, self.acts,
+                              self.views[:ti] + (view,) + self.views[ti + 1:],
+                              self.mviews, self.matched)
 
     def front(self, t, x: str):
         """Position of thread t's view of x, or None if either is unknown."""
@@ -494,23 +489,26 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
     tv = tv[:xi] + (nr,) + tv[xi + 1:]
 
     views, mviews = list(state.views), list(state.mviews)
-    matched, other2 = state.matched, other
+    matched, omviews = state.matched, other.mviews
     if ns < end:  # later positions on x move up; a new top moves none
         views = [_up(v, xi, nr) for v in views]
         mviews = [_up(v, xi, nr) for v in mviews]
         matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in matched)
         oxi = len(other.lay.own) + xi  # x's column in other's recorded views
-        omviews = tuple(_up(v, oxi, nr) for v in other.mviews)
-        if omviews != other.mviews:
-            other2 = other.updated(mviews=omviews)
+        omviews = tuple(_up(v, oxi, nr) for v in omviews)
     views[ti] = tv
     mviews.insert(ns, tv + ctv)
     if match:
         matched = tuple(sorted(matched + ((sync_from, nr),)))
     state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
                             tuple(views), tuple(mviews), matched)
-    if ctv != other.views[ti]:
-        other2 = other2.with_view(t, ctv)
+    oviews = other.views
+    if ctv != oviews[ti]:
+        oviews = oviews[:ti] + (ctv,) + oviews[ti + 1:]
+    other2 = other  # the very object when nothing in it moved
+    if oviews is not other.views or omviews != other.mviews:
+        other2 = ComponentState(other.lay, other.acts, oviews, omviews,
+                                other.matched)
     return state2, other2, TOp(action, nr)
 
 

@@ -294,7 +294,7 @@ class TestOracle:
         # 54 states in full; the oracle reads only terminal states and
         # reachable components, so it explores reduced
         # (test_reduction.test_fifo_state_counts pins both)
-        assert json.loads(done.stdout)["states_explored"] == 44
+        assert json.loads(done.stdout)["states_explored"] == 19
         bad = subprocess.run([sys.executable, "-m", "rarcheck", "oracle",
                               "fifo", "--enqs", "-1"], env=env,
                              capture_output=True, text=True, timeout=120)
@@ -498,7 +498,9 @@ class TestErrors:
         code, out, err = run(capsys, "explore", str(deep), "--max-steps",
                              "2000")
         assert code == 0 and err == ""
-        assert "verdict: pass" in out and "states_explored: 1200" in out
+        # the initial state and one per write; 1,200 in full, where the
+        # step past each finished write is a state too
+        assert "verdict: pass" in out and "states_explored: 601" in out
 
     def test_deep_thread_builds_without_recursion(self, tmp_path, capsys):
         # building walks a Seq chain along its right spine by a loop, and
@@ -509,7 +511,7 @@ class TestErrors:
         code, out, err = run(capsys, "explore", str(deep), "--max-steps",
                              "5000")
         assert code == 0 and err == ""
-        assert "verdict: pass" in out and "states_explored: 3000" in out
+        assert "verdict: pass" in out and "states_explored: 1501" in out
 
     def test_internal_error_is_not_a_verdict(self, corpus_dir, capsys,
                                              monkeypatch):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from component_views import cvd, mview, ops, tview
 from rarcheck import memory, objects
@@ -12,6 +13,7 @@ from rarcheck.refine import builtin_impls
 from rarcheck.state import (DEQUEUE, ENQUEUE, EMPTY, LOCK_INIT, QUEUE_INIT,
                             make_init_states, wrval, write)
 from rarcheck.memory import mem_write
+from test_cli_fuzz import lock_clients
 
 
 def lock_system():
@@ -61,6 +63,31 @@ class TestLockAcquire:
             viewed = tview(g)[2][x]
             assert wrval(viewed.action) == 5
             assert viewed == g.max_op(x)
+
+
+LOCK_CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "seqlock-refine",
+               "ticketlock-refine")
+
+
+def assert_lock_tops_uncovered(system):
+    """No reachable library state covers its lock's top operation: the
+    invariant that lets `lock_acquire` leave out the paper's test."""
+    lock = system.ctx.object_spec.name
+    res = explore(system.cfg0, system.ctx, 200)
+    assert not res.truncated
+    for beta in {cfg.beta for cfg in res.configs}:
+        assert not beta.covers(beta.max_op(lock)), beta
+
+
+class TestLockTop:
+    @pytest.mark.parametrize("name", LOCK_CORPUS)
+    def test_corpus(self, name):
+        assert_lock_tops_uncovered(build_system(load_corpus(name)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(lock_clients())
+    def test_lock_clients(self, text):
+        assert_lock_tops_uncovered(build_system(parse_litmus(text)))
 
 
 class TestLockRelease:

@@ -1,13 +1,20 @@
-"""Ample-set reduction of silent steps against full exploration.
+"""Ample-set reduction of silent steps, with each silent run folded into
+the step that reaches it, against full exploration.
 
 `explore(..., reduce=True)` takes, at a configuration where some thread's
-only move is silent, only that thread's step.  The cycle proviso is static:
-a loop's test, the one step that brings a thread back to a command it has
-run, is never ample.  Full exploration stays the reference: on the corpus
-at many bounds, on the benchmark's generated racy and lock clients, on the FIFO
-oracle's programs and on Hypothesis programs, a reduced run must give the
-same outcomes, truncation flag and hoare verdict, and, when it is not
-truncated, reach the same (gamma, beta) component pairs.
+only move is silent, only that thread's silent run, and after every other
+step the silent run of the thread that stepped, as one edge weighing its
+scheduler steps.  The cycle proviso is static: a loop's test, the one step
+that brings a thread back to a command it has run, is never ample.  Full
+exploration stays the reference: on the corpus at many bounds, on the
+benchmark's generated racy and lock clients, on the FIFO oracle's programs
+and on Hypothesis programs, a reduced run must give the same outcomes,
+truncation flag and hoare verdict, and, when it is not truncated, reach the
+same (gamma, beta) component pairs and store exactly the full run's
+configurations in which no thread is silent-only, and the initial
+configuration's chain of runs.  Every witness of a reduced run replays step
+by step through full-semantics successors to its state, and is as long as
+a full run's.
 """
 
 import random
@@ -16,14 +23,16 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 
 import rarcheck.explore as ex
-from rarcheck.explore import check_hoare, check_outline, explore
+from rarcheck.assertions import NotA, eval_assertion
+from rarcheck.explore import check_hoare, check_outline, explore, successors
 from rarcheck.litmus import LitmusError, build_system, parse_litmus
 from rarcheck.oracle import fifo_litmus
 from rarcheck.program import ProgramError, Seq
 from rarcheck.state import StateError
+from reference_key import ref_key
 from test_cli_fuzz import litmus_files
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,7 +125,7 @@ def test_fifo_programs(n):
         assert_same_answers(fifo_litmus(n), max_steps)
 
 
-@pytest.mark.parametrize("n,full,reduced", [(2, 54, 44), (6, 12886, 9785)])
+@pytest.mark.parametrize("n,full,reduced", [(2, 54, 19), (6, 12886, 3431)])
 def test_fifo_state_counts(n, full, reduced):
     # the reduction's one pinned state count per size, against the full
     # exploration's, which `oracle fifo` reported before it reduced
@@ -239,7 +248,7 @@ def test_only_a_loops_test_is_not_ample():
 
 
 @pytest.mark.parametrize("name,full,reduced,truncated", [
-    ("mp-relacq", 21, 20, False), ("queue-mp", 344, 312, True)])
+    ("mp-relacq", 21, 12, False), ("queue-mp", 344, 143, True)])
 def test_states_before_a_loop_are_reduced(name, full, reduced, truncated):
     # in both, a thread's silent steps before its loop are ample
     counts = []
@@ -326,3 +335,137 @@ def test_hypothesis_programs(text):
     # reduced
     for max_steps in (4, 12):
         assert_same_answers(text, max_steps)
+
+
+def _initial_chain(system):
+    """The initial configuration and, while some thread is silent-only,
+    the configuration after the first such thread's silent run, taken by
+    full-semantics steps."""
+    cfg, ctx = system.cfg0, system.ctx
+    chain = [cfg]
+    while True:
+        silent = [ts.t for ts in cfg.locs if ex._silent_only(ts, ctx)]
+        if not silent:
+            return chain
+        while ex._silent_only(cfg.thread(silent[0]), ctx):
+            (cfg,) = [nxt for t, _, nxt in successors(cfg, ctx)
+                      if t == silent[0]]
+        chain.append(cfg)
+
+
+def assert_folded_states(text, max_steps=64):
+    """An untruncated reduced run stores exactly the full run's
+    configurations in which no thread is silent-only, and the initial
+    configuration's ample chain: no configuration inside a silent run."""
+    try:
+        system = build_system(parse_litmus(text))
+        full = explore(system.cfg0, system.ctx, max_steps)
+    except (LitmusError, ProgramError, StateError):
+        return False
+    if full.truncated:
+        return False
+    visible = {ref_key(cfg) for cfg in full.configs
+               if not any(ex._silent_only(ts, system.ctx) for ts in cfg.locs)}
+    chain = {ref_key(cfg) for cfg in _initial_chain(system)}
+    reduced = explore(system.cfg0, system.ctx, max_steps, reduce=True)
+    stored = {ref_key(cfg) for cfg in reduced.configs}
+    assert len(stored) == reduced.states_explored
+    assert stored == visible | chain
+    return True
+
+
+@pytest.mark.parametrize("name", sorted(set(CORPUS) - {"queue-mp"}))
+def test_folded_run_stores_no_silent_configuration(name):
+    assert assert_folded_states(CORPUS[name])
+
+
+def test_folded_runs_of_generated_programs():
+    # the benchmark's clients, the FIFO programs and the programs above all
+    # end within the bound; of the loop programs, 13 do
+    texts = [text for _, text in GENERATED]
+    texts += [fifo_litmus(n) for n in range(5)]
+    texts += [STRAIGHT, BEFORE_AND_INSIDE, SPIN]
+    texts += [_loop_program(seed) for seed in range(7000, 7100)]
+    compared = sum(assert_folded_states(text) for text in texts)
+    assert compared == len(GENERATED) + 8 + 13
+
+
+def _replay(system, witness):
+    """The configuration a witness reaches from the initial one by
+    full-semantics steps, each the one successor of its thread whose label
+    it names."""
+    cfg = system.cfg0
+    for step in witness:
+        (cfg,) = [nxt for t, label, nxt in successors(cfg, system.ctx)
+                  if t == step["thread"] and label.render() == step["label"]]
+    return cfg
+
+
+def assert_witnesses_replay(text, max_steps=64, negate=False):
+    """Every terminal state's witness in a reduced run replays through
+    full-semantics steps to that state, as long as the full run's; and the
+    hoare check of the final clause (negated with `negate`) fails with a
+    witness that replays to the first terminal state the clause fails
+    at."""
+    system = build_system(parse_litmus(text))
+    final = system.outline.final
+    if negate:
+        final = NotA(final)
+    cfg0, ctx = system.cfg0, system.ctx
+    full = explore(cfg0, ctx, max_steps)
+    res = explore(cfg0, ctx, max_steps, reduce=True)
+    for key in res.terminal_keys:
+        path = res.witness_path(key)
+        assert _replay(system, path) == key
+        assert len(path) == len(full.witness_path(key))
+    report = check_hoare(cfg0, ctx, system.outline.pre, final, max_steps, res)
+    assert report.verdict == "invalid"
+    failing = next(key for key in res.terminal_keys
+                   if not eval_assertion(final, key, ctx))
+    assert _replay(system, report.witness) == failing
+    return report.witness
+
+
+FINALS = sorted(name for name, text in CORPUS.items() if "\nfinal " in text)
+
+
+@pytest.mark.parametrize("name", FINALS)
+def test_negated_final_witness_replays(name):
+    assert len(FINALS) == 8
+    assert_witnesses_replay(CORPUS[name], negate=True)
+
+
+def test_stale_read_witness_replays():
+    # mp-relaxed's reader may see the flag unset and the stale data: the
+    # witness lists each step, the silent steps past each thread's first
+    # statement included
+    text = CORPUS["mp-relaxed"].replace("final { r2 = 0 or r2 = 5 }",
+                                        "final { r2 = 5 }")
+    assert [(s["thread"], s["label"])
+            for s in assert_witnesses_replay(text)] == [
+        (1, "wr(d,5)@1"), (1, "eps"), (1, "wr(f,1)@1"), (2, "rdA(f,0)@0"),
+        (2, "eps"), (2, "rd(d,0)@0")]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(litmus_files())
+def test_violating_witnesses_replay(text):
+    # a file without a final clause gets `final { true }`, and one whose
+    # final clause holds at every terminal state is checked with the clause
+    # negated, so that every file with a terminal state within the bound
+    # violates
+    if "\nfinal " not in text:
+        text += "final { true }\n"
+    try:
+        system = build_system(parse_litmus(text))
+        outline, ctx = system.outline, system.ctx
+        assume(outline.pre is None
+               or eval_assertion(outline.pre, system.cfg0, ctx))
+        res = explore(system.cfg0, ctx, 12)
+        assume(res.terminal_keys)
+        holds = all(eval_assertion(outline.final, key, ctx)
+                    for key in res.terminal_keys)
+    except (LitmusError, ProgramError, StateError):
+        assume(False)
+    assert_witnesses_replay(text, 12, negate=holds)

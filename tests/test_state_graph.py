@@ -104,7 +104,7 @@ def test_outline_steps_each_state_once(monkeypatch, name):
     calls = []
     original = ex.successors
 
-    def counting(cfg, ctx, reduce=False):
+    def counting(cfg, ctx, reduce=False, budget=None):
         assert not reduce  # an outline reads every state
         calls.append(cfg)
         return original(cfg, ctx)

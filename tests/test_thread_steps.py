@@ -150,7 +150,7 @@ def test_systems_share_no_table():
     # two systems built from the same text intern and memoize apart
     a, b = (_build("lockmp") for _ in "ab")
     tables = ("thread_states", "components", "labels", "thread_steps",
-              "component_steps", "redexes", "plugs", "ample")
+              "component_steps", "redexes", "plugs", "runs")
     for system in (a, b):
         explore(system.cfg0, system.ctx, 64)
         explore(system.cfg0, system.ctx, 64, reduce=True)
@@ -163,7 +163,7 @@ def test_systems_share_no_table():
                for s in (a, b)]
         assert ids[0].isdisjoint(ids[1])
     # the reduction's table is keyed by one system's thread states
-    ids = [{id(ts) for key in s.ctx.ample for ts in key} for s in (a, b)]
+    ids = [{id(ts) for ts in s.ctx.runs} for s in (a, b)]
     assert ids[0].isdisjoint(ids[1])
 
 
