@@ -19,9 +19,12 @@ components) key.  A memory rule and an object method's rule keep one
 contract (`memory`): each step gives the components after it, the
 operation its label names and the value it binds, so one path steps both.
 Exploration is a breadth-first search memoized on configurations, bounded
-by a scheduler-step budget with explicit truncation reporting.  It returns
-the reachable state graph, which every checker reads instead of stepping
-states again.
+by a scheduler-step budget with explicit truncation reporting.  It numbers
+each configuration when it first stores it, and returns the reachable
+state graph by those numbers (`ExploreResult`): the states, their edges,
+the edge that first reached each state (`via`, which a witness follows
+back) and the terminal states.  Every checker reads that graph instead of
+stepping states again, and refinement plays its game over the numbers.
 
 Checks that read only terminal states, and the reachable components, explore
 reduced: the `explore` command, `check_hoare` and the FIFO oracle.  At a
@@ -36,8 +39,9 @@ the step bound, the terminal states' order and the witnesses are those of
 a run of single steps.  A reduced run keeps the terminal states, so the
 outcomes and hoare verdicts, the truncation flag (as the tests compare it
 with full runs), and, when it is not truncated, every reachable (gamma,
-beta) pair; it does not keep every configuration or edge.  `check_outline`
-and refinement read every state, and explore in full.
+beta) pair; it does not keep every configuration, and keeps no edges.
+`check_outline` and refinement read every state and edge, and explore in
+full.
 """
 
 from __future__ import annotations
@@ -192,9 +196,6 @@ class StepLabel(Record):
         for name, value in zip(self.__slots__,
                                (component, action, rank, at_hole, text)):
             object.__setattr__(self, name, value)
-
-    def render(self) -> str:
-        return self.text
 
 
 class _Move:
@@ -433,58 +434,45 @@ def _component_steps(ctx, t, move, gamma, beta):
 
 @record
 class ExploreResult(Record):
+    """The state graph of one exploration.  States are numbered when they
+    are first stored, the initial one 0, in the order `explore` reaches
+    them; in a full run, the successors of the states stopped at the step
+    bound are numbered after every explored state, so `states[:
+    states_explored]` are the explored ones."""
+
     states_explored: int
     outcomes: list  # sorted list of dicts register -> value
     truncated: bool
-    configs: dict  # key (the configuration itself) -> Configuration
-    # key -> ((thread, label, successor), ...) in successors() order, for
-    # every explored state: () when terminal, and the computed successors of
-    # states stopped at the step bound too.  A successor that was explored is
-    # the stored configuration itself.  The label is a StepLabel, or the
-    # tuple of the labels of the steps a reduced edge of more than one step
-    # takes.
-    edges: dict
-    terminal_keys: list
-    initial_key: object
+    states: list  # number -> Configuration
+    # number -> ((thread, label, successor number), ...) in successors()
+    # order, for every explored state: () when terminal, and the computed
+    # successors of states stopped at the step bound too.  The label is a
+    # StepLabel.  None for a reduced run, which keeps no edges.
+    edges: list
+    # number -> (state number, thread, label) of the edge that first
+    # reached it, None for the initial state.  A reduced edge of more than
+    # one step has for label the tuple of the labels of the steps it takes.
+    via: list
+    terminals: list  # the terminal states' numbers, in exploration order
 
-    def witness_path(self, key):
-        """The steps from the initial state to the reachable `key` along the
-        path that exploration discovered it by, one per scheduler step:
-        a search over `edges` in stored order, level by level in scheduler
-        steps as `explore` goes, retraces exploration's own first-discovery
-        order, so this is a shortest path."""
-        parent = {self.initial_key: None}
-        frontier = [self.initial_key]
-        while key not in parent:
-            later = []
-            for k in frontier:
-                if type(k) is tuple:  # an edge still on its way
-                    rest, via = k
-                    if rest > 1:
-                        later.append((rest - 1, via))
-                    elif via[3] not in parent:
-                        parent[via[3]] = via
-                        later.append(via[3])
-                    continue
-                for t, label, nxt in self.edges[k]:
-                    if type(label) is tuple:
-                        later.append((len(label) - 1, (k, t, label, nxt)))
-                    elif nxt not in parent:
-                        parent[nxt] = (k, t, label, nxt)
-                        later.append(nxt)
-            frontier = later
+    def witness_path(self, n: int) -> list:
+        """The steps from the initial state to state n along the edges that
+        first reached each state on the way, one per scheduler step.
+        Exploration goes level by level in scheduler steps, so this is a
+        shortest path."""
         path = []
-        while parent[key] is not None:
-            key, t, label, _ = parent[key]
+        while self.via[n] is not None:
+            n, t, label = self.via[n]
             for lab in reversed(label if type(label) is tuple else (label,)):
-                path.append({"thread": t, "label": lab.render()})
+                path.append({"thread": t, "label": lab.text})
         path.reverse()
         return path
 
 
 def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
             reduce: bool = False) -> ExploreResult:
-    """Bounded exhaustive exploration memoized on configurations.
+    """Bounded exhaustive exploration memoized on configurations, which
+    numbers each configuration when it first stores it.
 
     With `reduce`, successors are reduced (`successors`): a configuration
     that has an ample set takes only its run, and every other step folds
@@ -495,69 +483,74 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     order and the witnesses are those of that run.  The reduced run reaches
     the same terminal states, so it gives the same outcomes, and, when it
     is not truncated, the same (gamma, beta) pairs; it does not keep every
-    configuration or edge.  So only checks that read no more than that
-    reduce: the `explore` command, `check_hoare` and the FIFO oracle.
-    `check_outline` and refinement read every state, and explore in
-    full."""
+    configuration, and keeps no edges, so a folded edge's target is
+    numbered only when it lands.  So only checks that read no more than
+    that reduce: the `explore` command, `check_hoare` and the FIFO oracle.
+    `check_outline` and refinement read every state and edge, and explore
+    in full."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    k0 = canonical_key(cfg0)
-    visited = {k0: cfg0}
-    edges = {}
-    # the configurations at `level`, in the order they are stepped, and
-    # (steps still to go, key) for each folded edge passing the level
-    frontier = [cfg0]
-    # key -> the configuration of a folded edge still on its way to it
-    pending = {}
-    level = 0
-    truncated = False
-    terminal_keys = []
+    number = {canonical_key(cfg0): 0}
+    states, via = [cfg0], [None]
+    edges = None if reduce else []
+    terminals = []
     outcomes = set()
+    truncated = False
+    # the numbers of the configurations at `level`, in the order they are
+    # stepped, and (steps still to go, target, via) for each folded edge
+    # passing the level
+    frontier = [0]
+    level = 0
+    beyond = 0  # states numbered past the step bound
     while frontier:
         later = []
         budget = max_steps - level
         expand = budget > 0
-        for cfg in frontier:
-            if type(cfg) is tuple:
-                rest, nk = cfg
+        for n in frontier:
+            if type(n) is tuple:
+                rest, nk, step = n
                 if rest > 1:
-                    later.append((rest - 1, nk))
-                    continue
-                nxt = pending.pop(nk, None)
-                if nxt is not None:  # the first edge to land here
-                    visited[nk] = nxt
-                    later.append(nxt)
+                    later.append((rest - 1, nk, step))
+                elif nk not in number:  # the first edge to land here
+                    number[nk] = len(states)
+                    later.append(len(states))
+                    states.append(nk)
+                    via.append(step)
                 continue
+            cfg = states[n]
             succs = successors(cfg, ctx, reduce, budget if expand else 1)
             if not succs:
-                edges[cfg] = ()
-                terminal_keys.append(cfg)
+                terminals.append(n)
                 outcomes.add(_outcome_of(cfg, ctx))
-                continue
-            truncated |= not expand
+            elif not expand:
+                truncated = True
+                if reduce:
+                    continue
             out = []
             for t, label, nxt in succs:
                 nk = canonical_key(nxt)
-                known = visited.get(nk)
-                if known is None:
-                    known = nxt
+                m = number.get(nk)
+                if m is None:
+                    if type(label) is tuple:  # numbered when it lands
+                        later.append((len(label) - 1, nk, (n, t, label)))
+                        continue
+                    m = number[nk] = len(states)
+                    states.append(nk)
+                    via.append((n, t, label))
                     if expand:
-                        if type(label) is tuple:
-                            known = pending.setdefault(nk, nxt)
-                            later.append((len(label) - 1, nk))
-                        else:
-                            known = pending.pop(nk, nxt) if pending else nxt
-                            visited[nk] = known
-                            later.append(known)
-                out.append((t, label, known))
-            edges[cfg] = tuple(out)
+                        later.append(m)
+                    else:
+                        beyond += 1
+                out.append((t, label, m))
+            if edges is not None:
+                edges.append(tuple(out))
         frontier = later
         level += 1
     out_list = sorted(
         ({r: v for r, v in oc} for oc in outcomes),
         key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
-    return ExploreResult(len(visited), out_list, truncated, visited, edges,
-                         terminal_keys, k0)
+    return ExploreResult(len(states) - beyond, out_list, truncated, states,
+                         edges, via, terminals)
 
 
 def _outcome_of(cfg: Configuration, ctx: SystemContext):
@@ -586,10 +579,9 @@ def check_hoare(cfg0, ctx, pre, post, max_steps: int = 64,
     res = explore(cfg0, ctx, max_steps, reduce=True) if explored is None \
         else explored
     if post is not None:
-        for k in res.terminal_keys:
-            cfg = res.configs[k]
-            if not eval_assertion(post, cfg, ctx):
-                return CheckReport("invalid", res.witness_path(k),
+        for n in res.terminals:
+            if not eval_assertion(post, res.states[n], ctx):
+                return CheckReport("invalid", res.witness_path(n),
                                    res.states_explored, res.truncated,
                                    "postcondition fails at a terminal state")
     if res.truncated:
@@ -618,9 +610,9 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
     def name_of(t, label):
         return f"T{t}@{label}"
 
-    def fail(name, key, detail):
+    def fail(name, n, detail):
         if name not in verdicts or verdicts[name].verdict == "valid":
-            verdicts[name] = CheckReport("invalid", res.witness_path(key),
+            verdicts[name] = CheckReport("invalid", res.witness_path(n),
                                          res.states_explored, res.truncated,
                                          detail)
 
@@ -632,19 +624,20 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
     if outline.final is not None:
         verdicts["final"] = CheckReport("valid")
 
-    for key, cfg in res.configs.items():
+    explored = res.states[:res.states_explored]
+    for n, cfg in enumerate(explored):
         if outline.invariant is not None and not eval_assertion(
                 outline.invariant, cfg, ctx):
-            fail("Inv", key, "invariant fails at a reachable state")
+            fail("Inv", n, "invariant fails at a reachable state")
         for t, anns in outline.annotations.items():
             pc = program.pc_of(cfg.thread(t).cmd, ctx.n_labels[t])
             ann = anns.get(pc)
             if ann is not None and not eval_assertion(ann, cfg, ctx):
-                fail(name_of(t, pc), key, "annotation fails while active")
+                fail(name_of(t, pc), n, "annotation fails while active")
     if outline.final is not None:
-        for key in res.terminal_keys:
-            if not eval_assertion(outline.final, res.configs[key], ctx):
-                fail("final", key, "final assertion fails at a terminal state")
+        for n in res.terminals:
+            if not eval_assertion(outline.final, res.states[n], ctx):
+                fail("final", n, "final assertion fails at a terminal state")
 
     # Interference freedom restricted to reachable states: a step of one
     # thread must preserve the annotation currently active in every other.
@@ -652,11 +645,12 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
     # step of thread t2, every other thread t has the command, and so the
     # pc and the annotation, it had before; if the successor was explored,
     # the loop above has evaluated that annotation there and recorded its
-    # failure under the same name.  So only edges that leave `res.configs`
-    # are checked, and there are none when the run is not truncated.
-    for key, cfg in res.configs.items():
-        beyond = [edge for edge in res.edges[key]
-                  if edge[2] not in res.configs]
+    # failure under the same name.  So only edges to states numbered past
+    # the explored ones are checked, and there are none when the run is not
+    # truncated.
+    for n, cfg in enumerate(explored):
+        beyond = [edge for edge in res.edges[n]
+                  if edge[2] >= res.states_explored]
         if not beyond:
             continue
         pcs = {ts.t: program.pc_of(ts.cmd, ctx.n_labels[ts.t])
@@ -666,10 +660,10 @@ def check_outline(cfg0, ctx, outline, max_steps: int = 64) -> OutlineReport:
             ann = outline.annotations.get(t, {}).get(pcs[t])
             if ann is not None and eval_assertion(ann, cfg, ctx):
                 active[t] = ann
-        for t2, label, nxt in beyond:
+        for t2, label, m in beyond:
             for t, ann in active.items():
-                if t != t2 and not eval_assertion(ann, nxt, ctx):
-                    fail(name_of(t, pcs[t]), key,
-                         f"interference by thread {t2} step {label.render()}")
+                if t != t2 and not eval_assertion(ann, res.states[m], ctx):
+                    fail(name_of(t, pcs[t]), n,
+                         f"interference by thread {t2} step {label.text}")
 
     return OutlineReport(verdicts, res.states_explored, res.truncated)

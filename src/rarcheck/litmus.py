@@ -591,10 +591,12 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     tids = [t for t, _ in lf.threads]
     clauses = [lf.invariant, lf.final, lf.pre] + [
         ann for _, stmts in lf.threads for ann, _ in stmts if ann is not None]
-    pred_regs, atoms = [], []  # the predicates' registers by clause; the rest
+    # the predicates' registers by clause; the other atoms; and each register
+    # read that no quantifier binds, with the atom reading it
+    pred_regs, atoms, free = [], [], []
     for a in clauses:
         pred_regs.append([])
-        _atoms(a, pred_regs[-1], atoms)
+        _atoms(a, pred_regs[-1], atoms, free)
     read_by_preds = set().union(*pred_regs)
 
     obj = lf.object_decl
@@ -649,6 +651,13 @@ def build_system(lf: LitmusFile, impl=None) -> System:
         if w.error:
             raise LitmusError(w.error)
     _check_view_atoms(atoms, tids, client_vars, obj_name)
+    # a name a clause reads as a register is a thread's register or an
+    # initialised name: a name declared nowhere is a typo, whether or not
+    # evaluation reaches it
+    names = set().union(*thread_locals.values(), (x for x, _ in lf.init))
+    for atom, r in free:
+        if r not in names:
+            raise LitmusError(f"{_pa(atom)}: no register {r!r}")
     for t, stmts in lf.threads:
         if walks[t].plain & (guess ^ client_vars):
             progs[t] = _Elaboration(t, client_vars, spec, fill).thread(stmts)
@@ -758,8 +767,13 @@ def _check_view_atoms(atoms, tids, variables, obj_name):
     of anything else does not exist, and reading it as false or true would
     give a verdict for a typo.  The variables are the client's and the
     object the library's, so a variable atom lifted to the library (`@L`)
-    or a method atom lifted to the client (`@C`) is rejected too."""
+    or a method atom lifted to the client (`@C`) is rejected too.  A pc
+    atom names a declared thread, for the same reason."""
     for atom in atoms:
+        if isinstance(atom, A.PcIn):
+            if atom.t not in tids:
+                raise LitmusError(f"pc({atom.t}): no thread {atom.t}")
+            continue
         if isinstance(atom, (A.Poss, A.Def, A.Cond)):
             if atom.t not in tids:
                 raise LitmusError(f"{_pa(atom)}: no thread {atom.t}")
@@ -783,24 +797,43 @@ def _check_view_atoms(atoms, tids, variables, obj_name):
                               f"object, not in the client component")
 
 
-def _atoms(a, regs: list, others: list):
+def _atoms(a, regs: list, others: list, free: list, bound=frozenset()):
     """Walk the atoms of assertion a (None: no assertion) left to right:
     the registers each register predicate reads go to regs, sorted, and
-    every other atom to others."""
+    every other atom to others; and (atom, register) to free for each
+    register that a register predicate or a view atom's value reads and no
+    enclosing forall or exists binds.  Evaluation may skip an atom, so
+    `build_system` checks these, not evaluation."""
     if isinstance(a, (A.AndA, A.OrA)):
         for x in a.items:
-            _atoms(x, regs, others)
+            _atoms(x, regs, others, free, bound)
     elif isinstance(a, A.NotA):
-        _atoms(a.a, regs, others)
+        _atoms(a.a, regs, others, free, bound)
     elif isinstance(a, A.ImpliesA):
-        _atoms(a.a, regs, others)
-        _atoms(a.b, regs, others)
+        _atoms(a.a, regs, others, free, bound)
+        _atoms(a.b, regs, others, free, bound)
     elif isinstance(a, (A.ForallA, A.ExistsA)):
-        _atoms(a.body, regs, others)
-    elif isinstance(a, A.LocalPred):
-        regs += sorted(_registers(a.expr))
+        _atoms(a.body, regs, others, free, bound | {a.name})
     elif a is not None:
-        others.append(a)
+        if isinstance(a, A.LocalPred):
+            read = sorted(_registers(a.expr))
+            regs += read
+        else:
+            others.append(a)
+            read = sorted(_value_registers(a))
+        free += [(a, r) for r in read if r not in bound]
+
+
+def _value_registers(atom) -> set:
+    """The registers a view atom's values read: its subject's `x = e` and
+    a cond atom's pin."""
+    exprs = []
+    if isinstance(atom, (A.Poss, A.Def, A.Cond)):
+        if isinstance(atom.subject, A.VarEq):
+            exprs.append(atom.subject.val)
+        if isinstance(atom, A.Cond):
+            exprs.append(atom.v)
+    return set().union(*map(_registers, exprs))
 
 
 # --- pretty printing ----------------------------------------------------------

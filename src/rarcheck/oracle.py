@@ -56,7 +56,7 @@ def fifo_check(n_enqs: int = 3, max_steps: int = 96) -> dict:
     model = {tuple(oc[r] for r in regs) for oc in res.outcomes}
     oracle = sequential_fifo_outcomes(list(range(1, n_enqs + 1)), n_enqs)
     order_ok = all(map(matched_order_ok,
-                       {cfg.beta for cfg in res.configs.values()}))
+                       {cfg.beta for cfg in res.states}))
     ok = model == oracle and order_ok and not res.truncated
     return {
         "verdict": "pass" if ok else "fail",

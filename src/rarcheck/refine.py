@@ -211,9 +211,9 @@ def _explore_concrete(conc_sys, abs_sys, max_steps):
         return explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     except P.ProgramError:
         ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
-        for cfg in ab.configs:
-            stepping = {t for t, _, _ in ab.edges[cfg]}
-            for ts in cfg.locs:
+        for n, steps in enumerate(ab.edges):
+            stepping = {t for t, _, _ in steps}
+            for ts in ab.states[n].locs:
                 for move in abs_sys.ctx.thread_steps[ts]:
                     call = move.step.action
                     if move.step.kind == "call" and call.meth == "release" \
@@ -278,30 +278,21 @@ def check_simulation(impl: Impl, client_lf,
                             len(moves), **kept)
 
 
-def _numbered(res, project):
-    """An exploration's states numbered in exploration order: per state, its
-    view (return values, projection) and its steps as ((thread, label),
-    successor number, reply core)."""
-    num = {k: i for i, k in enumerate(res.configs)}
-    views = [(_rvals(cfg), project(cfg)) for cfg in res.configs.values()]
-    steps = [[((t, lab), num[k2], _reply_core(lab))
-              for t, lab, k2 in res.edges[k]] for k in res.configs]
-    return views, steps
-
-
 def _game(ab, conc, project):
     """The pairs (abstract state, concrete state) reachable from the initial
     pair, numbered in discovery order, as `moves`: per pair number, per
     concrete step, ((thread, label), [candidate pair numbers]).  Empty when
-    the initial states are unrelated."""
-    cviews, csteps = _numbered(conc, project)
-    aviews, asteps = _numbered(ab, project)
+    the initial states are unrelated.  States are the explorations' own
+    numbers; neither exploration is truncated, so each stores only explored
+    states."""
+    cviews = [(_rvals(cfg), project(cfg)) for cfg in conc.states]
+    aviews = [(_rvals(cfg), project(cfg)) for cfg in ab.states]
     # per abstract state: (thread, reply core) -> successors
     areplies = []
-    for steps in asteps:
+    for steps in ab.edges:
         out = {}
-        for (t, _), a2, core in steps:
-            out.setdefault((t, core), []).append(a2)
+        for t, lab, a2 in steps:
+            out.setdefault((t, _reply_core(lab)), []).append(a2)
         areplies.append(out)
     refines = _refines_memo()
 
@@ -318,10 +309,11 @@ def _game(ab, conc, project):
     moves = []
     for a, c in order:  # grows while it is walked
         step_moves = []
-        for step, c2, core in csteps[c]:
+        for t, lab, c2 in conc.edges[c]:
+            core = _reply_core(lab)
             # an implementation step may also be answered by stuttering
             cands = [a] if core is None and related(a, c2) else []
-            cands += [a2 for a2 in areplies[a].get((step[0], core), ())
+            cands += [a2 for a2 in areplies[a].get((t, core), ())
                       if related(a2, c2)]
             nums = []
             for a2 in cands:
@@ -331,7 +323,7 @@ def _game(ab, conc, project):
                     n = seen[p] = len(order)
                     order.append(p)
                 nums.append(n)
-            step_moves.append((step, nums))
+            step_moves.append(((t, lab), nums))
         moves.append(step_moves)
     return moves
 
@@ -396,7 +388,7 @@ def _extract_counterexample(pair, moves, losing):
         if best is None:
             break
         (t, label), cands, rank = best
-        path.append({"thread": t, "label": label.render()})
+        path.append({"thread": t, "label": label.text})
         if not cands:
             break
         pair = max(cands, key=lambda p: losing[p])
@@ -442,13 +434,13 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
     trace inclusion, as the paper's theorem says.  `traces_checked` counts
     the concrete steps walked that change the client's projection."""
     conc, ab, project = sim.explored, sim.abstract, sim.projector
-    aproj = {k: project(c) for k, c in ab.configs.items()}
-    cproj = {k: project(c) for k, c in conc.configs.items()}
+    aproj = [project(c) for c in ab.states]
+    cproj = [project(c) for c in conc.states]
     refines = _refines_memo()
 
-    def closure(akeys):
-        out = set(akeys)
-        work = list(akeys)
+    def closure(astates):
+        out = set(astates)
+        work = list(astates)
         while work:
             k = work.pop()
             for _, _, k2 in ab.edges[k]:
@@ -470,11 +462,11 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
             out = answers[aset, id(cp)] = closure(step)
         return out
 
-    ck0, ak0 = conc.initial_key, ab.initial_key
-    if not _refines(aproj[ak0], cproj[ck0]):
+    # each exploration numbers its initial state 0
+    if not _refines(aproj[0], cproj[0]):
         return TraceCheckResult("violation", [],
                                 detail="initial client states unrelated")
-    start = (ck0, closure({ak0}))
+    start = (0, closure({0}))
     seen = {start}
     parents = {start: None}
     work = [start]
@@ -488,7 +480,7 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
             aset2 = answer(aset, cproj[ck2])
             if not aset2:
                 path = _trace_path(parents, node)
-                path.append({"thread": t, "label": label.render()})
+                path.append({"thread": t, "label": label.text})
                 return TraceCheckResult(
                     "violation", path, visible,
                     "concrete client trace has no abstract match")
@@ -504,6 +496,6 @@ def _trace_path(parents, node):
     path = []
     while parents.get(node) is not None:
         node, t, label = parents[node]
-        path.append({"thread": t, "label": label.render()})
+        path.append({"thread": t, "label": label.text})
     path.reverse()
     return path

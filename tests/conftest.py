@@ -30,7 +30,7 @@ def state_corpus():
     pairs = []
     for system in _systems():
         res = explore(system.cfg0, system.ctx, 64)
-        for cfg in res.configs.values():
+        for cfg in res.states[:res.states_explored]:
             pairs.append((system, cfg))
     assert len(pairs) >= 1000
     return pairs

@@ -632,6 +632,11 @@ def build_system(lf, impl=None):
         spec = spec_of(obj[0], obj_name)
     _check_calls(progs, spec)
     _check_view_atoms(clauses, tids, client_vars, obj_name)
+    declared = {x for x, _ in lf.init}.union(*thread_locals.values())
+    for a in clauses:
+        for atom, r in _free_registers(a, ()):
+            if r not in declared:
+                raise LitmusError(f"{_pa(atom)}: no register {r!r}")
     if impl is not None:
         spec = None  # the implementation's variables replace the object
         library = impl.init_actions()
@@ -700,9 +705,12 @@ def _check_view_atoms(clauses, tids, variables, obj_name):
     The declared variables are the client's and the object is the
     library's, so a variable atom lifted to the library component (`@L`)
     or a method atom lifted to the client's (`@C`) names a column that
-    component does not have, and is rejected too."""
+    component does not have, and is rejected too.  So is a pc atom of an
+    undeclared thread."""
     for a in clauses:
         for atom in _atoms(a):
+            if isinstance(atom, A.PcIn) and atom.t not in tids:
+                raise LitmusError(f"pc({atom.t}): no thread {atom.t}")
             if isinstance(atom, (A.Poss, A.Def, A.Cond)):
                 if atom.t not in tids:
                     raise LitmusError(f"{_pa(atom)}: no thread {atom.t}")
@@ -742,6 +750,35 @@ def _atoms(a):
         yield from _atoms(a.body)
     elif a is not None:
         yield a
+
+
+def _free_registers(a, bound):
+    """(atom, name) for each name that a register predicate or a view
+    atom's value expression of assertion a reads, and that no forall or
+    exists around it binds; each atom's names sorted, atoms left to
+    right."""
+    if isinstance(a, (A.AndA, A.OrA)):
+        for x in a.items:
+            yield from _free_registers(x, bound)
+    elif isinstance(a, A.NotA):
+        yield from _free_registers(a.a, bound)
+    elif isinstance(a, A.ImpliesA):
+        yield from _free_registers(a.a, bound)
+        yield from _free_registers(a.b, bound)
+    elif isinstance(a, (A.ForallA, A.ExistsA)):
+        yield from _free_registers(a.body, bound + (a.name,))
+    elif a is not None:
+        if isinstance(a, A.LocalPred):
+            exprs = [a.expr]
+        else:
+            exprs = [getattr(a, "v", None)]
+            if isinstance(getattr(a, "subject", None), A.VarEq):
+                exprs.append(a.subject.val)
+        names = {n.name for e in exprs if e is not None
+                 for n in P.nodes(e) if isinstance(n, P.Var)}
+        for r in sorted(names):
+            if r not in bound:
+                yield a, r
 
 
 def _pred_registers(a):

@@ -68,7 +68,7 @@ class TestCriterion4:
         pairs = {(oc["r1"], oc["r2"]) for oc in res.outcomes}
         ectx = system.ctx
         inv_ok = all(eval_assertion(system.outline.invariant, cfg, ectx)
-                     for cfg in res.configs.values())
+                     for cfg in res.states)
         ok = pairs == {(0, 0), (5, 5)} and inv_ok and dt < 10.0
         report(4, ok, f"lock client outcomes {sorted(pairs)}, "
                       f"mutual exclusion holds at all {res.states_explored} "
@@ -98,7 +98,7 @@ def _lock_steps(name):
     system = build_system(load_corpus(name))
     res = explore(system.cfg0, system.ctx, 64)
     steps = []
-    for cfg in res.configs.values():
+    for cfg in res.states[:res.states_explored]:
         for t, lab, nxt in successors(cfg, system.ctx):
             if lab.action is not None and lab.action.kind in (
                     LOCK_ACQUIRE, LOCK_RELEASE):

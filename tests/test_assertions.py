@@ -170,7 +170,7 @@ class TestEvalAssertion:
                       NotA(Poss(1, minst(LOCK_RELEASE, 2)))))
         res = explore(self.cfg0, self.system.ctx, 64)
         checked = 0
-        for cfg in res.configs.values():
+        for cfg in res.states:
             before = eval_assertion(probe, cfg, self.ectx)
             for t, lab, nxt in successors(cfg, self.system.ctx):
                 if lab.action is None:
@@ -180,7 +180,7 @@ class TestEvalAssertion:
 
     def test_definite_implies_possible_everywhere(self):
         res = explore(self.cfg0, self.system.ctx, 64)
-        for cfg in res.configs.values():
+        for cfg in res.states:
             for t in self.system.ctx.threads:
                 for x in ("d1", "d2"):
                     for v in (0, 5):
@@ -189,7 +189,7 @@ class TestEvalAssertion:
 
     def test_definite_uniqueness(self):
         res = explore(self.cfg0, self.system.ctx, 64)
-        for cfg in res.configs.values():
+        for cfg in res.states:
             for t in self.system.ctx.threads:
                 held = [v for v in (0, 5)
                         if dobs(cfg.gamma, t, "d1", wrote(v))]
@@ -203,7 +203,7 @@ class TestEvalAssertion:
         pinned = AndA((Cond(2, minst(LOCK_RELEASE, 2), "d1", Lit(5)),
                        Cond(2, minst(LOCK_RELEASE, 2), "d2", Lit(5))))
         hits = 0
-        for cfg in res.configs.values():
+        for cfg in res.states:
             if pc_of(cfg.prog[1], 4) == 5 and pc_of(cfg.prog[2], 4) == 1:
                 assert eval_assertion(pinned, cfg, self.ectx)
                 hits += 1

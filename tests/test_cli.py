@@ -542,6 +542,34 @@ class TestErrors:
             assert (code, out) == (3, "")
             assert err == "error: pc(22): no thread 22\n"
 
+    # an atom that evaluation skips was never checked: `true or pc(5) = 1`
+    # and `true or q = 1` gave a verdict, where the other operand order
+    # stopped with an error; both orders are rejected when the file is built
+    @pytest.mark.parametrize("clause, error", [
+        ("true or pc(5) = 1", "pc(5): no thread 5"),
+        ("pc(5) = 1 or true", "pc(5): no thread 5"),
+        ("true or q = 1", "(q = 1): no register 'q'"),
+        ("q = 1 or true", "(q = 1): no register 'q'"),
+        ("true or pobs(1, x=q)", "pobs(1, x=q): no register 'q'"),
+        ("(forall q in {1}: q = 1) and p = 1", "(p = 1): no register 'p'"),
+    ])
+    @pytest.mark.parametrize("command", ["explore", "outline", "hoare"])
+    def test_skipped_atom_of_an_undeclared_name_is_an_input_error(
+            self, tmp_path, capsys, clause, error, command):
+        bad = tmp_path / "skipped.lit"
+        bad.write_text(f"name t\ninit x := 0\nthread 1 {{ x := 1; }}\n"
+                       f"final {{ {clause} }}\n")
+        assert run(capsys, command, str(bad)) == (3, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("clause", ["forall q in {1}: q = 1",
+                                        "exists q in {0, 1}: pobs(1, x=q)"])
+    def test_quantified_register_builds(self, tmp_path, capsys, clause):
+        good = tmp_path / "bound.lit"
+        good.write_text(f"name t\ninit x := 0\nthread 1 {{ x := 1; }}\n"
+                        f"final {{ {clause} }}\n")
+        for command in ("explore", "outline", "hoare"):
+            assert run(capsys, command, str(good))[0] == 0, command
+
     # a view atom that names an undeclared thread, variable or object read
     # a missing view as false (pobs, dobs) or true (cond) and gave a verdict
     @pytest.mark.parametrize("clause, error", [

@@ -29,7 +29,7 @@ class TestSuccessors:
         succ = successors(system.cfg0, system.ctx)
         assert len(succ) == 2
         assert {t for t, _, _ in succ} == {1, 2}
-        assert all("acquire" in lab.render() for _, lab, _ in succ)
+        assert all("acquire" in lab.text for _, lab, _ in succ)
 
     def test_unreadable_value_filtered(self):
         system = mp_system("mp-relaxed")
@@ -37,13 +37,13 @@ class TestSuccessors:
         # thread 2's first read can only return the initial flag value
         reads = [(t, lab) for t, lab, _ in succ if t == 2]
         assert len(reads) == 1
-        assert "rdA(f,0)" in reads[0][1].render()
+        assert "rdA(f,0)" in reads[0][1].text
 
     def test_deterministic_order(self):
         system = mp_system()
-        a = [(t, lab.render()) for t, lab, _ in
+        a = [(t, lab.text) for t, lab, _ in
              successors(system.cfg0, system.ctx)]
-        b = [(t, lab.render()) for t, lab, _ in
+        b = [(t, lab.text) for t, lab, _ in
              successors(system.cfg0, system.ctx)]
         assert a == b
 
@@ -83,16 +83,16 @@ class TestExplore:
     def test_witness_replay_determinacy(self):
         system = build_system(load_corpus("lockmp"))
         res = explore(system.cfg0, system.ctx, 64)
-        key = res.terminal_keys[0]
-        path = res.witness_path(key)
+        n = res.terminals[0]
+        path = res.witness_path(n)
         cfg = system.cfg0
         for step in path:
             matches = [nxt for t, lab, nxt in successors(cfg, system.ctx)
                        if t == step["thread"]
-                       and lab.render() == step["label"]]
+                       and lab.text == step["label"]]
             assert len(matches) == 1
             cfg = matches[0]
-        assert cfg == key
+        assert cfg == res.states[n]
 
 
 def outcomes_of(text):
@@ -193,7 +193,7 @@ class TestCanonicalKey:
         # the reference key reads timestamps as opaque ordered values
         system = build_system(load_corpus("lockmp"))
         res = explore(system.cfg0, system.ctx, 64)
-        cfg = res.configs[res.terminal_keys[0]]
+        cfg = res.states[res.terminals[0]]
         scaled = remap(describe(cfg), lambda q: 3 * q + 7)
         assert reference_key(scaled) == ref_key(cfg)
 
@@ -201,7 +201,7 @@ class TestCanonicalKey:
         system = build_system(load_corpus("lockmp"))
         res = explore(system.cfg0, system.ctx, 64)
         # the last two positions on one client variable trade places
-        cfg, x = next((c, x) for c in res.configs.values()
+        cfg, x = next((c, x) for c in res.states
                       for x in c.gamma.lay.own if len(c.gamma.ops_on(x)) >= 2)
         n = len(cfg.gamma.ops_on(x))
         swap = {n - 2: n - 1, n - 1: n - 2}

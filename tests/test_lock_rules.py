@@ -18,7 +18,7 @@ def lock_steps(name):
     system = build_system(load_corpus(name))
     res = explore(system.cfg0, system.ctx, 64)
     steps = []
-    for cfg in res.configs.values():
+    for cfg in res.states[:res.states_explored]:
         for t, lab, nxt in successors(cfg, system.ctx):
             if lab.action is not None and lab.action.kind in (
                     LOCK_ACQUIRE, LOCK_RELEASE):
@@ -35,7 +35,7 @@ def occurring_ints(system):
 
     res = explore(system.cfg0, system.ctx, 64)
     out = set()
-    for cfg in res.configs.values():
+    for cfg in res.states[:res.states_explored]:
         for comp in (cfg.gamma, cfg.beta):
             out |= ints(op.action.val for op in ops(comp))
         for ls in cfg.rho.values():

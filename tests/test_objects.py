@@ -75,7 +75,7 @@ def assert_lock_tops_uncovered(system):
     lock = system.ctx.object_spec.name
     res = explore(system.cfg0, system.ctx, 200)
     assert not res.truncated
-    for beta in {cfg.beta for cfg in res.configs}:
+    for beta in {cfg.beta for cfg in res.states}:
         assert not beta.covers(beta.max_op(lock)), beta
 
 
@@ -355,7 +355,8 @@ def test_guards_admit_the_reference_gaps(name):
     text, bound = QUEUE_SYSTEMS[name]
     system = build_system(parse_litmus(text) if text else load_corpus(name))
     res = explore(system.cfg0, system.ctx, bound)
-    pairs = {(cfg.beta, cfg.gamma) for cfg in res.configs}
+    pairs = {(cfg.beta, cfg.gamma)
+             for cfg in res.states[:res.states_explored]}
     seen = set()
     for beta, gamma in pairs:
         for t in system.ctx.threads:

@@ -55,7 +55,8 @@ def _reference_outline(cfg0, ctx, outline, max_steps):
     if outline.final is not None:
         verdicts["final"] = CheckReport("valid")
 
-    for key, cfg in res.configs.items():
+    explored = res.states[:res.states_explored]
+    for key, cfg in enumerate(explored):
         if outline.invariant is not None and not eval_assertion(
                 outline.invariant, cfg, ectx):
             fail("Inv", key, "invariant fails at a reachable state")
@@ -65,11 +66,11 @@ def _reference_outline(cfg0, ctx, outline, max_steps):
             if ann is not None and not eval_assertion(ann, cfg, ectx):
                 fail(name_of(t, pc), key, "annotation fails while active")
     if outline.final is not None:
-        for key in res.terminal_keys:
-            if not eval_assertion(outline.final, res.configs[key], ectx):
+        for key in res.terminals:
+            if not eval_assertion(outline.final, res.states[key], ectx):
                 fail("final", key, "final assertion fails at a terminal state")
 
-    for key, cfg in res.configs.items():
+    for key, cfg in enumerate(explored):
         pcs = {ts.t: program.pc_of(ts.cmd, ctx.n_labels[ts.t])
                for ts in cfg.locs}
         active = {}
@@ -83,10 +84,10 @@ def _reference_outline(cfg0, ctx, outline, max_steps):
             for t, ann in active.items():
                 if t == t2:
                     continue
-                if not eval_assertion(ann, nxt, ectx):
-                    wkey = nxt if nxt in res.configs else key
+                if not eval_assertion(ann, res.states[nxt], ectx):
+                    wkey = nxt if nxt < res.states_explored else key
                     fail(name_of(t, pcs[t]), wkey,
-                         f"interference by thread {t2} step {label.render()}")
+                         f"interference by thread {t2} step {label.text}")
 
     return OutlineReport(verdicts, res.states_explored, res.truncated)
 

@@ -276,9 +276,9 @@ class TestHashedValues:
     def test_no_instance_dict(self, name):
         system = build_system(load_corpus(name))
         res = explore(system.cfg0, system.ctx, 64)
-        found = [n for cfg in res.configs.values()
+        found = [n for cfg in res.states[:res.states_explored]
                  for p in cfg.prog.values() for n in nodes(p)]
-        actions = [a for cfg in res.configs.values()
+        actions = [a for cfg in res.states[:res.states_explored]
                    for comp in (cfg.gamma, cfg.beta) for a in comp.acts]
         assert found and actions
         assert {type(n).__name__ for n in found} >= {"Seq", "Lit"}

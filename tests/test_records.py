@@ -106,12 +106,12 @@ def test_records_with_unhashable_fields():
 def test_step_label_renders_once_and_keeps_its_fields():
     act = state.write("x", 1)
     label = explore.StepLabel("client", act, 2)
-    assert label.render() == "wr(x,1)@2"
+    assert label.text == "wr(x,1)@2"
     assert label == explore.StepLabel("client", state.write("x", 1), 2)
     assert label != explore.StepLabel("library", act, 2)
     assert repr(label) == ("StepLabel(component='client', action=wr(x,1), "
                            "rank=2, at_hole=False)")
-    assert explore.StepLabel("library", None).render() == "eps[L]"
+    assert explore.StepLabel("library", None).text == "eps[L]"
 
 
 def test_importing_the_cli_loads_no_slow_module():

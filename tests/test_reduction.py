@@ -59,7 +59,7 @@ GENERATED = _generated_clients()
 
 def _component_pairs(res):
     return {(cfg.gamma._parts(), cfg.beta._parts())
-            for cfg in res.configs.values()}
+            for cfg in res.states[:res.states_explored]}
 
 
 def _answers(text, max_steps, reduce):
@@ -234,9 +234,9 @@ def test_only_a_loops_test_is_not_ample():
     ctx = system.ctx
     res = explore(system.cfg0, ctx, 64)
     ample = {}
-    for cfg in res.configs:
+    for cfg, edges in zip(res.states, res.edges):
         (ts,) = cfg.locs
-        if res.edges[cfg]:
+        if edges:
             redex = ctx.redexes[ts.cmd].redex
             name = "seq" if isinstance(redex, Seq) else \
                 repr(redex).split(" do ")[0]
@@ -364,11 +364,11 @@ def assert_folded_states(text, max_steps=64):
         return False
     if full.truncated:
         return False
-    visible = {ref_key(cfg) for cfg in full.configs
+    visible = {ref_key(cfg) for cfg in full.states
                if not any(ex._silent_only(ts, system.ctx) for ts in cfg.locs)}
     chain = {ref_key(cfg) for cfg in _initial_chain(system)}
     reduced = explore(system.cfg0, system.ctx, max_steps, reduce=True)
-    stored = {ref_key(cfg) for cfg in reduced.configs}
+    stored = {ref_key(cfg) for cfg in reduced.states}
     assert len(stored) == reduced.states_explored
     assert stored == visible | chain
     return True
@@ -397,7 +397,7 @@ def _replay(system, witness):
     cfg = system.cfg0
     for step in witness:
         (cfg,) = [nxt for t, label, nxt in successors(cfg, system.ctx)
-                  if t == step["thread"] and label.render() == step["label"]]
+                  if t == step["thread"] and label.text == step["label"]]
     return cfg
 
 
@@ -414,14 +414,16 @@ def assert_witnesses_replay(text, max_steps=64, negate=False):
     cfg0, ctx = system.cfg0, system.ctx
     full = explore(cfg0, ctx, max_steps)
     res = explore(cfg0, ctx, max_steps, reduce=True)
-    for key in res.terminal_keys:
-        path = res.witness_path(key)
-        assert _replay(system, path) == key
-        assert len(path) == len(full.witness_path(key))
+    full_number = {cfg: n for n, cfg in enumerate(full.states)}
+    for n in res.terminals:
+        path = res.witness_path(n)
+        assert _replay(system, path) == res.states[n]
+        assert len(path) == len(
+            full.witness_path(full_number[res.states[n]]))
     report = check_hoare(cfg0, ctx, system.outline.pre, final, max_steps, res)
     assert report.verdict == "invalid"
-    failing = next(key for key in res.terminal_keys
-                   if not eval_assertion(final, key, ctx))
+    failing = next(res.states[n] for n in res.terminals
+                   if not eval_assertion(final, res.states[n], ctx))
     assert _replay(system, report.witness) == failing
     return report.witness
 
@@ -463,9 +465,9 @@ def test_violating_witnesses_replay(text):
         assume(outline.pre is None
                or eval_assertion(outline.pre, system.cfg0, ctx))
         res = explore(system.cfg0, ctx, 12)
-        assume(res.terminal_keys)
-        holds = all(eval_assertion(outline.final, key, ctx)
-                    for key in res.terminal_keys)
+        assume(res.terminals)
+        holds = all(eval_assertion(outline.final, res.states[n], ctx)
+                    for n in res.terminals)
     except (LitmusError, ProgramError, StateError):
         assume(False)
     assert_witnesses_replay(text, 12, negate=holds)

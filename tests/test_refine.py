@@ -101,14 +101,14 @@ class TestProjection:
         regs = _client_regs(system)
         threads = system.ctx.threads
         res = explore(system.cfg0, system.ctx, 64)
-        key = res.terminal_keys[0]
+        n = res.terminals[0]
         # replay the witness path to obtain an execution
         execution = [system.cfg0]
         cfg = system.cfg0
-        for step in res.witness_path(key):
+        for step in res.witness_path(n):
             cfg = next(nxt for t, lab, nxt in successors(cfg, system.ctx)
                        if t == step["thread"]
-                       and lab.render() == step["label"])
+                       and lab.text == step["label"])
             execution.append(cfg)
         trace = project_and_destutter(execution, regs, threads)
         assert 1 < len(trace) < len(execution)
@@ -122,7 +122,7 @@ class TestProjection:
         execution = [cfg]
         # abstract lock acquire changes only views already at the front
         step = next(nxt for t, lab, nxt in successors(cfg, system.ctx)
-                    if "acquire" in lab.render())
+                    if "acquire" in lab.text)
         execution.append(step)
         trace = project_and_destutter(execution, regs, threads)
         assert len(trace) == 1
@@ -362,7 +362,7 @@ class TestCounterexampleReplay:
         for step in res.counterexample:
             matches = [nxt for t, lab, nxt in successors(cfg, system.ctx)
                        if t == step["thread"]
-                       and lab.render() == step["label"]]
+                       and lab.text == step["label"]]
             assert len(matches) == 1, step
             cfg = matches[0]
 
@@ -517,9 +517,8 @@ class TestProjectionMemo:
         trace_check_alone(impl, client(), 64)  # a projector of its own
         system = build_system(client())
         ab = explore(system.cfg0, system.ctx, 64)
-        components = ({c.gamma._parts() for c in ab.configs.values()} |
-                      {c.gamma._parts()
-                       for c in sim.explored.configs.values()})
+        components = ({c.gamma._parts() for c in ab.states} |
+                      {c.gamma._parts() for c in sim.explored.states})
         assert len(signed) == len(set(signed)) == len(components)
 
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))

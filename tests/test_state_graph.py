@@ -3,16 +3,25 @@
 Every consumer (outline, Hoare, simulation and trace checks, witnesses)
 reads `ExploreResult.edges` instead of stepping states again, so the graph
 must be exactly the successor relation over the explored states, and a
-witness must be a path in it."""
+witness must be a path in it: the one a replay of exploration's order finds
+(`reference_witness`)."""
 
 import random
 from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import rarcheck.explore as ex
 from rarcheck.explore import check_outline, explore, successors
-from rarcheck.litmus import build_system, load_corpus
+from rarcheck.litmus import (LitmusError, build_system, load_corpus,
+                             parse_litmus)
+from rarcheck.oracle import fifo_litmus
+from rarcheck.program import ProgramError
+from rarcheck.refine import builtin_impls
+from rarcheck.state import StateError
+from reference_witness import reference_paths
+from test_cli_fuzz import litmus_files
 
 CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
           "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
@@ -30,12 +39,12 @@ def explorations():
 
 def _levels(res):
     """Shortest distance from the initial state, by a BFS of our own."""
-    level = {res.initial_key: 0}
-    queue = deque([res.initial_key])
+    level = {0: 0}
+    queue = deque([0])
     while queue:
         k = queue.popleft()
         for _, _, nxt in res.edges[k]:
-            if nxt in res.configs and nxt not in level:
+            if nxt < res.states_explored and nxt not in level:
                 level[nxt] = level[k] + 1
                 queue.append(nxt)
     return level
@@ -44,18 +53,18 @@ def _levels(res):
 @pytest.mark.parametrize("name", CORPUS)
 def test_edges_are_the_successor_relation(explorations, name):
     system, res = explorations[name]
-    assert set(res.edges) == set(res.configs)
-    for key, cfg in res.configs.items():
+    assert len(res.edges) == res.states_explored
+    assert len(set(res.states)) == len(res.states)
+    for key, cfg in enumerate(res.states[:res.states_explored]):
         stored = res.edges[key]
-        assert list(stored) == successors(cfg, system.ctx)
-        assert (stored == ()) == (key in res.terminal_keys)
+        assert [(t, lab, res.states[nxt]) for t, lab, nxt in stored] == \
+            successors(cfg, system.ctx)
+        assert (stored == ()) == (key in res.terminals)
         for _, _, nxt in stored:
-            if nxt in res.configs:
-                assert nxt is res.configs[nxt]
-            else:
+            if nxt >= res.states_explored:
                 assert res.truncated
     labels = {}
-    for stored in res.edges.values():
+    for stored in res.edges:
         for _, lab, _ in stored:
             assert labels.setdefault(lab, lab) is lab
 
@@ -64,19 +73,19 @@ def test_edges_are_the_successor_relation(explorations, name):
 def test_witness_replays_along_edges(explorations, name):
     _, res = explorations[name]
     level = _levels(res)
-    assert set(level) == set(res.configs)
-    keys = list(res.configs)
+    assert set(level) == set(range(res.states_explored))
+    keys = list(range(res.states_explored))
     sample = random.Random(name).sample(keys, min(40, len(keys)))
-    for key in sample + res.terminal_keys:
+    for key in sample + res.terminals:
         path = res.witness_path(key)
         assert len(path) == level[key]
-        cur = res.initial_key
+        cur = 0
         for step in path:
             matches = [nxt for t, lab, nxt in res.edges[cur]
-                       if t == step["thread"] and lab.render() == step["label"]]
+                       if t == step["thread"] and lab.text == step["label"]]
             assert len(matches) == 1, step
             cur = matches[0]
-        assert cur is key
+        assert cur == key
 
 
 def _pairs(path):
@@ -91,7 +100,7 @@ def test_outline_mutant_witness_is_pinned():
 
 def test_terminal_witness_is_pinned(explorations):
     _, res = explorations["lockmp"]
-    assert _pairs(res.witness_path(res.terminal_keys[-1])) == [
+    assert _pairs(res.witness_path(res.terminals[-1])) == [
         (2, "l.acquire_1(2)@1"), (2, "eps"), (2, "rd(d1,0)@0"), (2, "eps"),
         (2, "rd(d2,0)@0"), (2, "eps"), (2, "l.release_2@2"),
         (1, "l.acquire_3(1)@3"), (1, "eps"), (1, "wr(d1,5)@1"), (1, "eps"),
@@ -112,3 +121,51 @@ def test_outline_steps_each_state_once(monkeypatch, name):
     monkeypatch.setattr(ex, "successors", counting)
     rep = check_outline(system.cfg0, system.ctx, system.outline, 64)
     assert len(calls) == len(set(calls)) == rep.states_explored
+
+
+def _assert_witnesses_match_reference(system, max_steps, reduce):
+    """Every stored state's witness is the one the reference replay finds;
+    returns the number of states compared."""
+    res = explore(system.cfg0, system.ctx, max_steps, reduce=reduce)
+    paths = reference_paths(res, system.ctx, max_steps, reduce)
+    assert set(paths) == set(range(len(res.states)))
+    for n, path in paths.items():
+        assert res.witness_path(n) == path, n
+    return len(paths)
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+@pytest.mark.parametrize("bound", [7, 12, 25, 64])
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_witnesses_match_the_reference(name, bound, reduce):
+    system = build_system(load_corpus(name))
+    assert _assert_witnesses_match_reference(system, bound, reduce)
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_fifo_witnesses_match_the_reference(n, reduce):
+    system = build_system(parse_litmus(fifo_litmus(n)))
+    assert _assert_witnesses_match_reference(system, 96, reduce)
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+@pytest.mark.parametrize("impl", sorted(builtin_impls()))
+@pytest.mark.parametrize("client", ["seqlock-refine", "ticketlock-refine",
+                                    "lock-two-rounds"])
+def test_refine_witnesses_match_the_reference(client, impl, reduce):
+    system = build_system(load_corpus(client), builtin_impls()[impl])
+    assert _assert_witnesses_match_reference(system, 64, reduce)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(litmus_files())
+def test_generated_witnesses_match_the_reference(text):
+    try:
+        system = build_system(parse_litmus(text))
+        for bound in (6, 12, 40):
+            for reduce in (False, True):
+                _assert_witnesses_match_reference(system, bound, reduce)
+    except (LitmusError, ProgramError, StateError):
+        return  # an input error, at build time or at a step

@@ -65,7 +65,7 @@ def _typed(v):
 
 def _view(succs):
     """What a successor list shows, with the type of every value."""
-    return [(t, label.render(), nxt.prog[t], repr(nxt.prog[t]),
+    return [(t, label.text, nxt.prog[t], repr(nxt.prog[t]),
              {u: {r: _typed(v) for r, v in ls.items()}
               for u, ls in nxt.rho.items()})
             for t, label, nxt in succs]
@@ -85,7 +85,7 @@ def test_memo_is_transparent(name):
     ctx = _fresh(system.ctx)
     res = explore(system.cfg0, ctx, 64)
     assert ctx.thread_steps
-    for cfg in res.configs.values():
+    for cfg in res.states:
         assert _view(successors(cfg, ctx)) == \
             _view(successors(cfg, _fresh(ctx)))
 
@@ -103,7 +103,7 @@ def test_each_thread_state_is_stepped_once(monkeypatch):
     system = build_system(load_corpus("lockmp"))
     res = explore(system.cfg0, system.ctx, 64)
     assert len(calls) == len(system.ctx.thread_steps)
-    assert len(calls) < len(res.configs) * len(system.ctx.threads)
+    assert len(calls) < len(res.states) * len(system.ctx.threads)
 
 
 def _content(part):
@@ -119,7 +119,7 @@ def _content(part):
 
 
 def _parts(res):
-    for cfg, edges in res.edges.items():
+    for cfg, edges in zip(res.states, res.edges):
         yield from cfg.locs
         yield cfg.gamma
         yield cfg.beta
@@ -139,7 +139,7 @@ def test_equal_parts_are_one_object(name):
         assert seen.setdefault((type(part), _content(part)), part) is part
     assert {type(part) for part in seen.values()} == \
         {ThreadState, ComponentState, StepLabel}
-    for cfg in res.configs:
+    for cfg in res.states:
         for _, label, nxt in successors(cfg, system.ctx):
             for part in nxt.locs + (nxt.gamma, nxt.beta, label):
                 key = (type(part), _content(part))
@@ -177,11 +177,11 @@ def test_enq_of_one_and_of_true_are_two_steps():
         "else { q.enq(1 = 1); } }\n"))
     res = explore(system.cfg0, system.ctx, 64)
     enqueued = {}  # library state -> {value enqueued: library state after}
-    for cfg, edges in res.edges.items():
-        for _, label, nxt in edges:
+    for cfg, edges in zip(res.states, res.edges):
+        for _, label, m in edges:
             if label.action is not None and label.action.kind == "enqueue":
                 enqueued.setdefault(cfg.beta, {})[label.action.val] = \
-                    nxt.beta
+                    res.states[m].beta
     (after,) = enqueued.values()
     assert set(after) == {1, TRUE}
     assert after[1] != after[TRUE]
