@@ -15,7 +15,7 @@ register predicates complete the language.
 from __future__ import annotations
 
 from . import program
-from .state import (ComponentState, Hashed, Record, StateError, hashed,
+from .state import (ComponentState, Hashed, Record, hashed,
                     is_releasing_write, record, wrval, DEQUEUE, ENQUEUE,
                     LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE, QUEUE_INIT)
 
@@ -285,11 +285,8 @@ def eval_assertion(a, cfg, ctx, env=None) -> bool:
     if isinstance(a, HiddenA):
         return eval_hidden(cfg.beta, a.m)
     if isinstance(a, PcIn):
-        try:
-            ts = cfg.thread(a.t)
-        except KeyError:
-            raise StateError(f"pc({a.t}): no thread {a.t}") from None
-        return program.pc_of(ts.cmd, ctx.n_labels.get(a.t, 0)) in a.labels
+        return program.pc_of(cfg.thread(a.t).cmd,
+                             ctx.n_labels.get(a.t, 0)) in a.labels
     if isinstance(a, LocalPred):
         return bool(program.eval_expr(a.expr, env))
     raise TypeError(f"not an assertion: {a!r}")

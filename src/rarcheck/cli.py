@@ -20,7 +20,7 @@ from .litmus import LitmusError, build_system, parse_litmus
 from .oracle import fifo_check
 from .program import ProgramError
 from .refine import builtin_impls, check_simulation, check_trace_refinement
-from .state import FALSE, TRUE, StateError, Sym
+from .state import FALSE, TRUE, Sym
 
 OK, VIOLATION, BOUND, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
 
@@ -253,7 +253,7 @@ def _run(argv) -> int:
         # the command's function is read when called, so a wrapper in its
         # place sees the call
         return globals()[f"_cmd_{args.command}"](args)
-    except (LitmusError, ProgramError, StateError) as e:
+    except (LitmusError, ProgramError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except Exception as e:  # a fault of rarcheck, never a verdict

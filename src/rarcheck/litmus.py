@@ -52,9 +52,6 @@ _TOKEN_RE = re.compile(r"""[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*
     ( [A-Za-z_][A-Za-z0-9_]* | \d+ | :=R\b | := | <-A\b | <- | => | != | <=
     | >= | [<>=+\-*%{}(),;:.@] | . | \Z )""", re.VERBOSE)
 _OPS = ("!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "%")
-_KINDS = {":=R": "assignr", ":=": "assign", "<-A": "reada", "<-": "read",
-          "=>": "implies", "": "eof", **dict.fromkeys(_OPS, "op"),
-          **dict.fromkeys("{}(),;:.@", "punct")}
 _BAD_RE = re.compile(r"[^A-Za-z_\d<>=+\-*%{}(),;:.@!]")  # in no token
 
 
@@ -80,19 +77,6 @@ def _start(text: str, k: int) -> int:
 
 def _line_col(text: str, at: int):
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
-
-
-def tokenize(text: str):
-    """The (kind, text, line, column) tokens of text, the last one eof."""
-    toks, line, start = [], 1, 0  # start: where the line begins
-    for s, m in zip(_scan(text), _TOKEN_RE.finditer(text)):
-        at = m.start(1)
-        if "\n" in text[m.start():at]:
-            line += text.count("\n", m.start(), at)
-            start = text.rfind("\n", 0, at) + 1
-        kind = _KINDS.get(s) or ("int" if s[0].isdecimal() else "name")
-        toks.append((kind, s, line, at - start + 1))
-    return toks
 
 
 # --- surface syntax ----------------------------------------------------------
@@ -651,10 +635,10 @@ def build_system(lf: LitmusFile, impl=None) -> System:
         if w.error:
             raise LitmusError(w.error)
     _check_view_atoms(atoms, tids, client_vars, obj_name)
-    # a name a clause reads as a register is a thread's register or an
-    # initialised name: a name declared nowhere is a typo, whether or not
+    # a name a clause reads as a register is a thread's register: any other
+    # name, an initialised global included, is unbound, whether or not
     # evaluation reaches it
-    names = set().union(*thread_locals.values(), (x for x, _ in lf.init))
+    names = set().union(*thread_locals.values())
     for atom, r in free:
         if r not in names:
             raise LitmusError(f"{_pa(atom)}: no register {r!r}")

@@ -1,14 +1,15 @@
 """Weak-memory component state in normal form: operations named by their
 position on their own variable.
 
-A component (client or library) keeps its operations, a per-thread view
-naming for each variable the earliest operation the thread may still
-observe, a per-operation view recording the writer's viewfront over both
-components, and (for queues) the matched enqueue/dequeue pairs.  The
-covered operations are read off positions: an update or a lock acquire
-covers the operation it is inserted right after, and no rule inserts
-after a covered operation, so an operation is covered exactly when the
-next one on its variable is an update or an acquire.
+A component (client or library) keeps one column per variable: the
+variable's operations by position, and the view each one recorded (the
+writer's viewfront over both components).  Beside them are a per-thread
+view naming for each variable the earliest operation the thread may still
+observe, and (for queues) the matched enqueue/dequeue pairs.  The covered
+operations are read off positions: an update or a lock acquire covers the
+operation it is inserted right after, and no rule inserts after a covered
+operation, so an operation is covered exactly when the next one on its
+variable is an update or an acquire.
 
 The semantics only ever compares timestamps by their order, and only of
 operations on the same variable, so an operation's timestamp is its dense
@@ -17,10 +18,11 @@ others.  That one name is used by views, recorded views, matched pairs and
 step labels.  Inserting an operation right after a predecessor gives it
 the predecessor's position plus one and moves every later position on that
 variable up by one, also where the other component's recorded views refer
-to it; no other position changes.  A state is held in tuples of ints and
-interned actions and is its own canonical form: equal states have equal
-tuples, which is what a system hash-conses them on, so within one system
-equality of states is identity.
+to it; no other position changes.  So a step rebuilds the columns it
+changes and shares every other one with the state it came from.  A state
+is held in tuples of ints and interned actions and is its own canonical
+form: equal states have equal tuples, which is what a system hash-conses
+them on, so within one system equality of states is identity.
 
 So states that differ only in how operations on different variables
 interleaved in time are one state.  No rule tells them apart, because none
@@ -36,7 +38,6 @@ of the unmerged state space.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from types import FunctionType
 
@@ -306,9 +307,9 @@ class StateError(Exception):
 
 
 class Layout:
-    """What every state of one component shares: its own variables (whose
-    initial operations come first, in this order), the other component's
-    variables, and the threads."""
+    """What every state of one component shares: its own variables (one
+    column each, in this order), the other component's variables, and the
+    threads."""
 
     def __init__(self, own, other, threads):
         self.own = tuple(own)
@@ -317,10 +318,6 @@ class Layout:
         self.vix = {x: i for i, x in enumerate(self.own)}
         self.tix = {t: i for i, t in enumerate(self.threads)}
         self._actions = {}
-
-    def var_index(self, a: Action) -> int:
-        """Layout index of a's variable: a state's actions ascend by it."""
-        return self.vix[a.var]
 
     def intern(self, a: Action) -> Action:
         """One shared object per action."""
@@ -340,24 +337,29 @@ def acquire_views(tv: tuple, ctv: tuple, src: tuple):
     return merge_views(tv, src), merge_views(ctv, src[len(tv):])
 
 
+def _put(items: tuple, i: int, item) -> tuple:
+    """items with its i-th entry replaced by item."""
+    return items[:i] + (item,) + items[i + 1:]
+
+
 def _up(view: tuple, i: int, nr: int) -> tuple:
-    """view with its column i moved up by one if at or above nr."""
+    """view with its entry i moved up by one if at or above nr."""
     r = view[i]
-    return view if r < nr else view[:i] + (r + 1,) + view[i + 1:]
+    return view if r < nr else _put(view, i, r + 1)
 
 
 class ComponentState:
     """One side's weak-memory state (client or library), in normal form.
 
-    Operations sit in slots, variable by variable in layout order, each
-    variable's in position order: position r on x is slot r after x's
-    first slot.
-      acts     the action in each slot;
+    Each own variable has a column of its own, in layout order: position r
+    on the xi-th variable is index r of its column.
+      acts     per variable, its actions by position;
       views    per thread (layout order), the position viewed on each own
                variable;
-      mviews   per slot, the recorded view: positions on the own variables,
-               then on the other component's;
+      mviews   per variable, the recorded view of each position: positions
+               on the own variables, then on the other component's;
       matched  sorted (enqueue, dequeue) pairs of queue positions.
+    A step rebuilds the columns it changes and shares the others.
     """
 
     __slots__ = ("lay", "acts", "views", "mviews", "matched")
@@ -379,41 +381,24 @@ class ComponentState:
 
     # --- operations --------------------------------------------------------
 
-    def _first(self, xi: int) -> int:
-        """First slot of the xi-th own variable's operations (the end of
-        acts when xi is one past the last variable)."""
-        if not xi:
-            return 0
-        if xi == len(self.lay.own):
-            return len(self.acts)
-        return bisect_left(self.acts, xi, key=self.lay.var_index)
-
-    def _span(self, xi: int):
-        """First and end slot of the xi-th own variable's operations."""
-        return self._first(xi), self._first(xi + 1)
-
-    def _slot(self, op: TOp) -> int:
-        return self._first(self.lay.vix[op.action.var]) + op.ts
-
     def ops_on(self, x: str, lo: int = 0) -> list:
         """Operations on x in timestamp order, from position lo on."""
         xi = self.lay.vix.get(x)
         if xi is None:
             return []
-        first, end = self._span(xi)
-        acts = self.acts
-        return [TOp(acts[s], s - first) for s in range(first + lo, end)]
+        col = self.acts[xi]
+        return [TOp(col[r], r) for r in range(lo, len(col))]
 
     def column(self, x: str) -> tuple:
         """The actions on x in position order: position r is index r."""
-        first, end = self._span(self.lay.vix[x])
-        return self.acts[first:end]
+        return self.acts[self.lay.vix[x]]
 
     def max_op(self, x: str) -> TOp:
-        ops = self.ops_on(x)
-        if not ops:
+        xi = self.lay.vix.get(x)
+        if xi is None:
             raise StateError(f"no operation on {x!r}")
-        return ops[-1]
+        col = self.acts[xi]
+        return TOp(col[-1], len(col) - 1)
 
     # --- views -------------------------------------------------------------
 
@@ -421,9 +406,8 @@ class ComponentState:
         return self.views[self.lay.tix[t]]
 
     def with_view(self, t, view: tuple) -> "ComponentState":
-        ti = self.lay.tix[t]
         return ComponentState(self.lay, self.acts,
-                              self.views[:ti] + (view,) + self.views[ti + 1:],
+                              _put(self.views, self.lay.tix[t], view),
                               self.mviews, self.matched)
 
     def front(self, t, x: str):
@@ -440,7 +424,7 @@ class ComponentState:
 
     def mview_of(self, op: TOp) -> tuple:
         """op's recorded view: own variables, then the other component's."""
-        return self.mviews[self._slot(op)]
+        return self.mviews[self.lay.vix[op.action.var]][op.ts]
 
     def recorded(self, op: TOp) -> dict:
         """op's recorded view as variable (of either component) ->
@@ -448,11 +432,10 @@ class ComponentState:
         return dict(zip(self.lay.own + self.lay.other, self.mview_of(op)))
 
     def covers(self, op: TOp) -> bool:
-        """Whether an update or an acquire follows op on its variable.  The
-        slot after a variable's last one is the next variable's initial
-        operation, or none."""
-        nxt = self._slot(op) + 1
-        return nxt < len(self.acts) and self.acts[nxt].kind in _COVERING
+        """Whether an update or an acquire follows op on its variable."""
+        col = self.acts[self.lay.vix[op.action.var]]
+        nxt = op.ts + 1
+        return nxt < len(col) and col[nxt].kind in _COVERING
 
 
 def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
@@ -469,42 +452,47 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
     recorded view (`acquire_views`).  match pairs sync_from (an enqueue)
     with the new operation.  The new operation records t's resulting
     views; an update or an acquire covers the predecessor (`covers`).
+    The variable's two columns are rebuilt, and when later positions move,
+    so are the recorded-view columns of both components; every other
+    column is shared.
 
     Returns (state', other', new operation).
     """
     lay = state.lay
     x = action.var
     xi = lay.vix.get(x)
-    first, end = (0, 0) if xi is None else state._span(xi)
-    if not 0 <= pred < end - first:
+    col = () if xi is None else state.acts[xi]
+    if not 0 <= pred < len(col):
         raise StateError(f"no operation at position {pred} on {x!r}")
     ti = lay.tix[t]
     nr = pred + 1
-    ns = first + nr  # slot of the new operation
     action = lay.intern(action)
 
-    tv, ctv = state.views[ti], other.views[ti]
+    views, mviews = state.views, state.mviews
+    tv, ctv = views[ti], other.views[ti]
     if sync_from is not None:
-        tv, ctv = acquire_views(tv, ctv, state.mviews[first + sync_from])
-    tv = tv[:xi] + (nr,) + tv[xi + 1:]
+        tv, ctv = acquire_views(tv, ctv, mviews[xi][sync_from])
+    tv = _put(tv, xi, nr)
 
-    views, mviews = list(state.views), list(state.mviews)
     matched, omviews = state.matched, other.mviews
-    if ns < end:  # later positions on x move up; a new top moves none
-        views = [_up(v, xi, nr) for v in views]
-        mviews = [_up(v, xi, nr) for v in mviews]
+    if nr < len(col):  # later positions on x move up; a new top moves none
+        views = tuple(_up(v, xi, nr) for v in views)
+        mviews = tuple(tuple(_up(v, xi, nr) for v in c) for c in mviews)
         matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in matched)
-        oxi = len(other.lay.own) + xi  # x's column in other's recorded views
-        omviews = tuple(_up(v, oxi, nr) for v in omviews)
-    views[ti] = tv
-    mviews.insert(ns, tv + ctv)
+        oxi = len(other.lay.own) + xi  # x's entry in other's recorded views
+        omviews = tuple(tuple(_up(v, oxi, nr) for v in c) for c in omviews)
+    mcol = mviews[xi]
     if match:
         matched = tuple(sorted(matched + ((sync_from, nr),)))
-    state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
-                            tuple(views), tuple(mviews), matched)
+    state2 = ComponentState(lay, _put(state.acts, xi,
+                                      col[:nr] + (action,) + col[nr:]),
+                            _put(views, ti, tv),
+                            _put(mviews, xi,
+                                 mcol[:nr] + (tv + ctv,) + mcol[nr:]),
+                            matched)
     oviews = other.views
     if ctv != oviews[ti]:
-        oviews = oviews[:ti] + (ctv,) + oviews[ti + 1:]
+        oviews = _put(oviews, ti, ctv)
     other2 = other  # the very object when nothing in it moved
     if oviews is not other.views or omviews != other.mviews:
         other2 = ComponentState(other.lay, other.acts, oviews, omviews,
@@ -540,8 +528,8 @@ def make_init_states(init_assigns, client_vars, library, threads,
         lay = Layout((a.var for a in acts), (a.var for a in other_acts),
                      threads)
         zeros = (0,) * len(acts)
-        everything = (0,) * (len(acts) + len(other_acts))
-        return ComponentState(lay, tuple(map(lay.intern, acts)),
+        everything = ((0,) * (len(acts) + len(other_acts)),)
+        return ComponentState(lay, tuple((lay.intern(a),) for a in acts),
                               (zeros,) * len(threads),
                               (everything,) * len(acts))
 

@@ -632,7 +632,9 @@ def build_system(lf, impl=None):
         spec = spec_of(obj[0], obj_name)
     _check_calls(progs, spec)
     _check_view_atoms(clauses, tids, client_vars, obj_name)
-    declared = {x for x, _ in lf.init}.union(*thread_locals.values())
+    # a register predicate reads a thread's register; an initialised
+    # global is no register
+    declared = set().union(*thread_locals.values())
     for a in clauses:
         for atom, r in _free_registers(a, ()):
             if r not in declared:

@@ -1,8 +1,22 @@
 """Refinement checks in forms only the tests use: state refinement of
 (locals, client component) pairs, a projected and destuttered execution,
-and the trace check run on its own, without a simulation game before it."""
+and the trace check run on its own, without a simulation game before it;
+and corpus clients as refine checks them."""
 
+from rarcheck.litmus import LitmusFile, corpus_text, parse_litmus, pretty
 import rarcheck.refine as rf
+
+
+def unbound_client(name: str) -> str:
+    """Corpus client `name` as refine checks it: without its acquires'
+    version binder `rl`, which no implementation sets, and without its
+    clauses, which read `rl` as a register (refine reads no clause)."""
+    lf = parse_litmus(corpus_text(name).replace("l.acquire(rl)",
+                                                "l.acquire()"))
+    threads = tuple((t, tuple((None, cmd) for _, cmd in stmts))
+                    for t, stmts in lf.threads)
+    return pretty(LitmusFile(lf.name, lf.init, lf.object_decl, lf.mode,
+                             threads))
 
 
 def state_refines(abs_pair, conc_pair, threads) -> bool:

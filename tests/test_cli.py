@@ -13,6 +13,8 @@ import rarcheck
 from rarcheck.cli import run_cli
 from rarcheck.litmus import build_system, corpus_text, load_corpus
 from rarcheck.refine import builtin_impls
+from rarcheck.state import StateError
+from refine_helpers import unbound_client
 from test_litmus import TOO_DEEP, deep_inputs
 
 
@@ -186,10 +188,9 @@ class TestRefine:
     ])
     def test_lockmp_without_binder(self, tmp_path, capsys, impl, verdict,
                                    code):
-        text = corpus_text("lockmp")
-        assert "l.acquire(rl)" in text
+        assert "l.acquire(rl)" in corpus_text("lockmp")
         client = tmp_path / "lockmp-unbound.lit"
-        client.write_text(text.replace("l.acquire(rl)", "l.acquire()"))
+        client.write_text(unbound_client("lockmp"))
         got, out, err = run(capsys, "refine", "--json", "--impl", impl,
                             "--client", str(client))
         assert (got, err) == (code, "")
@@ -530,6 +531,21 @@ class TestErrors:
         assert err.startswith("error: internal: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_broken_engine_invariant_is_internal(self, corpus_dir, capsys,
+                                                 monkeypatch):
+        # a StateError is an invariant of the engine broken, not an input
+        # error: build_system rejects every input that once reached one
+        import rarcheck.memory as memory
+
+        def broken(*args):
+            raise StateError("injected")
+
+        monkeypatch.setattr(memory, "mem_write", broken)
+        code, out, err = run(capsys, "explore",
+                             str(corpus_dir / "mp-relacq.lit"))
+        assert (code, out) == (4, "")
+        assert err == "error: internal: StateError: injected\n"
+
     def test_pc_of_an_undeclared_thread_is_an_input_error(self, tmp_path,
                                                           capsys):
         # found by the mutated-corpus fuzz: `pc(22)` in an invariant exited
@@ -544,7 +560,8 @@ class TestErrors:
 
     # an atom that evaluation skips was never checked: `true or pc(5) = 1`
     # and `true or q = 1` gave a verdict, where the other operand order
-    # stopped with an error; both orders are rejected when the file is built
+    # stopped with an error; both orders are rejected when the file is built.
+    # The initialised global g is no register either.
     @pytest.mark.parametrize("clause, error", [
         ("true or pc(5) = 1", "pc(5): no thread 5"),
         ("pc(5) = 1 or true", "pc(5): no thread 5"),
@@ -552,12 +569,15 @@ class TestErrors:
         ("q = 1 or true", "(q = 1): no register 'q'"),
         ("true or pobs(1, x=q)", "pobs(1, x=q): no register 'q'"),
         ("(forall q in {1}: q = 1) and p = 1", "(p = 1): no register 'p'"),
+        ("true or g = 1", "(g = 1): no register 'g'"),
+        ("g = 1 or true", "(g = 1): no register 'g'"),
     ])
     @pytest.mark.parametrize("command", ["explore", "outline", "hoare"])
     def test_skipped_atom_of_an_undeclared_name_is_an_input_error(
             self, tmp_path, capsys, clause, error, command):
         bad = tmp_path / "skipped.lit"
-        bad.write_text(f"name t\ninit x := 0\nthread 1 {{ x := 1; }}\n"
+        bad.write_text("name t\ninit x := 0; g := 0\n"
+                       "thread 1 { r <- g; x := 1; }\n"
                        f"final {{ {clause} }}\n")
         assert run(capsys, command, str(bad)) == (3, "", f"error: {error}\n")
 

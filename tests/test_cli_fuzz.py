@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rarcheck.cli import run_cli
-from rarcheck.litmus import load_corpus, parse_litmus, pretty, tokenize
+from rarcheck.litmus import load_corpus, parse_litmus, pretty
 from rarcheck.refine import builtin_impls
+from reference_parser import tokenize
 
 BINOPS = ("+", "-", "*", "%", "=", "!=", "<", "<=", ">", ">=", "and", "or")
 UNOPS = ("-", "not")
@@ -215,15 +216,15 @@ def spaced_tokens(text):
     """The file's tokens, each with what separated it from the one before:
     nothing, a space or a line break.  Joined, they read as the file."""
     out, prev = [], None
-    for _, tok, line, col in tokenize(text)[:-1]:  # no eof
+    for tok in tokenize(text)[:-1]:  # no eof
         if prev is None:
             gap = ""
-        elif line != prev[1]:
+        elif tok.line != prev.line:
             gap = "\n"
         else:
-            gap = "" if col == prev[2] + len(prev[0]) else " "
-        out.append(gap + tok)
-        prev = tok, line, col
+            gap = "" if tok.col == prev.col + len(prev.text) else " "
+        out.append(gap + tok.text)
+        prev = tok
     return out
 
 

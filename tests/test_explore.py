@@ -174,8 +174,8 @@ class TestExactValues:
         for _, cfg in state_corpus:
             for ls in cfg.rho.values():
                 assert not any(type(v) is bool for v in ls.values()), ls
-            for comp in (cfg.gamma, cfg.beta):
-                for a in comp.acts:
+            for col in (*cfg.gamma.acts, *cfg.beta.acts):
+                for a in col:
                     assert type(a.val) is not bool, a
                     assert type(a.aux) is not bool, a
             for p in cfg.prog.values():

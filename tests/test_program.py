@@ -279,7 +279,8 @@ class TestHashedValues:
         found = [n for cfg in res.states[:res.states_explored]
                  for p in cfg.prog.values() for n in nodes(p)]
         actions = [a for cfg in res.states[:res.states_explored]
-                   for comp in (cfg.gamma, cfg.beta) for a in comp.acts]
+                   for comp in (cfg.gamma, cfg.beta)
+                   for col in comp.acts for a in col]
         assert found and actions
         assert {type(n).__name__ for n in found} >= {"Seq", "Lit"}
         assert all(isinstance(a, Action) for a in actions)

@@ -1,8 +1,8 @@
 """The litmus front end against its reference (`reference_parser.py`: the
 earlier tokenizer, cascade parser and builder).  On every input both give
-the same tokens, the same `LitmusFile` and the same built system, with and
-without each lock implementation, or fail with the same message at the
-same line and column.  The inputs are the corpus, the benchmark's program
+the same `LitmusFile` and the same built system, with and without each lock
+implementation, or fail with the same message at the same line and
+column.  The inputs are the corpus, the benchmark's program
 generators and the fuzz strategies of `test_cli_fuzz.py`, edited and
 mutated files included; none nests near the front end's depth limit, which
 the reference does not have."""
@@ -42,16 +42,14 @@ def _failure(e):
         getattr(e, "col", None)
 
 
-def _front_end(tokenize, parse, build, text):
-    """The tokens of text, then its file and the system built with each
-    implementation, or the first failure."""
-    out = []
+def _front_end(parse, build, text):
+    """The file of text and the system built with each implementation, or
+    the first failure."""
     try:
-        out.append([tuple(tok) for tok in tokenize(text)])
         lf = parse(text)
     except Exception as e:
-        return out + [_failure(e)]
-    out.append(lf)
+        return [_failure(e)]
+    out = [lf]
     for impl in IMPLS:
         try:
             out.append(_facts(build(lf, impl)))
@@ -61,10 +59,8 @@ def _front_end(tokenize, parse, build, text):
 
 
 def assert_same(text):
-    new = _front_end(L.tokenize, L.parse_litmus, L.build_system, text)
-    old = _front_end(lambda t: [(tok.kind, tok.text, tok.line, tok.col)
-                                for tok in R.tokenize(t)],
-                     R.parse_litmus, R.build_system, text)
+    new = _front_end(L.parse_litmus, L.build_system, text)
+    old = _front_end(R.parse_litmus, R.build_system, text)
     assert new == old, text
 
 

@@ -20,7 +20,7 @@ from rarcheck.refine import (builtin_impls, check_simulation,
 from rarcheck.state import TRUE
 from reference_game import rounds
 from refine_helpers import (project_and_destutter, state_refines,
-                            trace_check_alone)
+                            trace_check_alone, unbound_client)
 
 
 def client():
@@ -368,7 +368,8 @@ class TestCounterexampleReplay:
 
 
 # lockmp and lockmp-mutant play the game once their acquires' version binder
-# is dropped (refine rejects it)
+# is dropped (refine rejects it), and with it the clauses that read it
+# (`unbound_client`)
 GAME_CLIENTS = ("seqlock-refine", "ticketlock-refine", "lock-two-rounds",
                 "lockmp", "lockmp-mutant")
 
@@ -386,8 +387,7 @@ class TestAttractor:
             return attractor(moves)
 
         monkeypatch.setattr(rf, "_attractor", recording)
-        lf = parse_litmus(corpus_text(client).replace("l.acquire(rl)",
-                                                      "l.acquire()"))
+        lf = parse_litmus(unbound_client(client))
         for bound in (25, 64):
             check_simulation(builtin_impls()[impl], lf, bound)
         assert games  # every client is explored in full at 64 steps
@@ -444,8 +444,7 @@ def _lock_client(n, k):
         threads)
 
 
-LOCK_CLIENTS = {**{c: corpus_text(c).replace("l.acquire(rl)", "l.acquire()")
-                   for c in GAME_CLIENTS},
+LOCK_CLIENTS = {**{c: unbound_client(c) for c in GAME_CLIENTS},
                 **{f"gen-{n}x{k}": _lock_client(n, k)
                    for n, k in ((1, 1), (1, 2), (2, 1), (2, 2))}}
 

@@ -203,40 +203,42 @@ def _up(view, i, nr):
 def reference_insert(state, other, t, pred, action, sync_from=None,
                      match=False):
     """insert_fresh_timestamp as first written: every insertion renumbers
-    the variable's later positions in both components, also where there
-    are none, as when the new operation tops its variable; and the covered
-    operations are a bit mask over slots, renumbered the same way, where an
-    update or an acquire covers its predecessor.  Also returns that mask."""
+    every position in every column of both components, also where none
+    moves, as when the new operation tops its variable; and the covered
+    operations are a mask over (variable, position) pairs, renumbered the
+    same way, where an update or an acquire covers its predecessor.  Also
+    returns that mask."""
     lay = state.lay
     m = len(lay.own)
-    xi = lay.vix[action.var]
-    first, _ = state._span(xi)
+    x = action.var
+    xi = lay.vix[x]
     ti = lay.tix[t]
     nr = pred + 1
-    ns = first + nr
     action = lay.intern(action)
     tv, ctv = state.views[ti], other.views[ti]
     if sync_from is not None:
-        src = state.mviews[first + sync_from]
+        src = state.mviews[xi][sync_from]
         tv = merge_views(tv, src)
         ctv = merge_views(ctv, src[m:])
     tv = tv[:xi] + (nr,) + tv[xi + 1:]
     views = [_up(v, xi, nr) for v in state.views]
     views[ti] = tv
-    mviews = [_up(v, xi, nr) for v in state.mviews]
-    mviews.insert(ns, tv + ctv)
-    covered = sum(1 << state._slot(op) for op in ops(state)
-                  if state.covers(op))
-    covered = covered & ((1 << ns) - 1) | (covered >> ns) << (ns + 1)
+    acts = [list(col) for col in state.acts]
+    acts[xi].insert(nr, action)
+    mviews = [[_up(v, xi, nr) for v in col] for col in state.mviews]
+    mviews[xi].insert(nr, tv + ctv)
+    covered = {(y, r + (y == x and r >= nr)) for y in lay.own
+               for r, op in enumerate(state.ops_on(y)) if state.covers(op)}
     if action.kind in (UPDATE, LOCK_ACQUIRE):
-        covered |= 1 << (first + pred)
+        covered.add((x, pred))
     matched = tuple((e + (e >= nr), d + (d >= nr)) for e, d in state.matched)
     if match:
         matched = tuple(sorted(matched + ((sync_from, nr),)))
-    state2 = ComponentState(lay, state.acts[:ns] + (action,) + state.acts[ns:],
-                            tuple(views), tuple(mviews), matched)
+    state2 = ComponentState(lay, tuple(map(tuple, acts)), tuple(views),
+                            tuple(map(tuple, mviews)), matched)
     oxi = len(other.lay.own) + xi
-    omviews = tuple(_up(v, oxi, nr) for v in other.mviews)
+    omviews = tuple(tuple(_up(v, oxi, nr) for v in col)
+                    for col in other.mviews)
     other_views = list(other.views)
     other_views[ti] = ctv
     other2 = ComponentState(other.lay, other.acts, tuple(other_views),
@@ -257,9 +259,10 @@ def _corpus_systems():
     return systems
 
 
-def test_insertions_match_the_general_renumbering(monkeypatch):
-    # every insertion the corpus explorations make, top appends and
-    # insertions below the top alike, equals the general renumbering
+@pytest.fixture(scope="module")
+def corpus_insertions():
+    """Every insertion the corpus explorations make, top appends and
+    insertions below the top alike: (args, kwargs, result) each."""
     calls = []
 
     def recording(*args, **kwargs):
@@ -267,16 +270,47 @@ def test_insertions_match_the_general_renumbering(monkeypatch):
         calls.append((args, kwargs, result))
         return result
 
-    for module in (rarcheck.memory, rarcheck.objects):
-        monkeypatch.setattr(module, "insert_fresh_timestamp", recording)
-    for system in _corpus_systems():
-        explore(system.cfg0, system.ctx, 64)
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (rarcheck.memory, rarcheck.objects):
+            mp.setattr(module, "insert_fresh_timestamp", recording)
+        for system in _corpus_systems():
+            explore(system.cfg0, system.ctx, 64)
+    return calls
+
+
+def test_insertions_match_the_general_renumbering(corpus_insertions):
     tops = 0
-    for args, kwargs, (s2, o2, new) in calls:
+    for args, kwargs, (s2, o2, new) in corpus_insertions:
         r2, ro2, rnew, covered = reference_insert(*args, **kwargs)
         assert (s2._parts(), o2._parts(), new) == \
             (r2._parts(), ro2._parts(), rnew)
-        assert all(s2.covers(op) == bool(covered >> s2._slot(op) & 1)
+        assert all(s2.covers(op) == ((op.action.var, op.ts) in covered)
                    for op in ops(s2))
         tops += new == s2.max_op(new.action.var)
-    assert 0 < tops < len(calls)
+    assert 0 < tops < len(corpus_insertions)
+
+
+def test_insertions_share_the_columns_they_leave_alone(corpus_insertions):
+    # every own column but x's is the very object of the state inserted
+    # into; a top append moves no recorded view, so it shares those too,
+    # and it leaves the other component's columns alone
+    tops = 0
+    for (state, other, *_), _, (s2, o2, new) in corpus_insertions:
+        xi = state.lay.vix[new.action.var]
+        top = new == s2.max_op(new.action.var)
+        tops += top
+        assert o2.acts is other.acts
+        for yi, col in enumerate(state.acts):
+            assert (s2.acts[yi] is col) == (yi != xi)
+            if top and yi != xi:
+                assert s2.mviews[yi] is state.mviews[yi]
+        if top:
+            assert o2.mviews is other.mviews
+    assert 0 < tops < len(corpus_insertions)
+
+
+def test_with_view_shares_every_column():
+    state, _, _ = mk_state(2)
+    s2 = state.with_view(2, (2,))
+    assert s2.view(2) == (2,) and s2.view(1) == state.view(1)
+    assert s2.acts is state.acts and s2.mviews is state.mviews
