@@ -203,8 +203,13 @@ def _pins(view: dict, client: ComponentState, y: str, v) -> bool:
 
 
 def eval_covered(state: ComponentState, m: MethodInstance) -> bool:
+    """Every operation on m's object but the top is covered, and the top
+    is an instance of m.  A column whose first operation is not the
+    object's initial one has had a prefix forgotten (a reduced run's
+    queue, `explore._forget`), which holds the uncovered initial
+    operation."""
     ops_o = state.ops_on(m.obj)
-    if not ops_o:
+    if not ops_o or not ops_o[0].action.kind.endswith("_init"):
         return False
     top_ts = ops_o[-1].ts
     return all(state.covers(op) or (m.matches(op.action) and op.ts == top_ts)

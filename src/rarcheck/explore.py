@@ -36,12 +36,17 @@ silent run with it, memoized per thread state (SPIN's statement merging,
 Holzmann 2003): no configuration inside a run is made.  A folded edge
 weighs the scheduler steps it takes, and levels count scheduler steps, so
 the step bound, the terminal states' order and the witnesses are those of
-a run of single steps.  A reduced run keeps the terminal states, so the
-outcomes and hoare verdicts, the truncation flag (as the tests compare it
-with full runs), and, when it is not truncated, every reachable (gamma,
-beta) pair; it does not keep every configuration, and keeps no edges.
+a run of single steps.  On a queue, a reduced step that changes the
+library component also forgets the queue's dead prefix (`_forget`), the
+operations no rule can touch again, so states that differ only in that
+history are one state, reached at the lowest level of any of them; a
+witness counts the forgotten operations back into its queue positions.  A
+reduced run keeps the terminal states, so the outcomes and hoare verdicts,
+the truncation flag (as the tests compare it with full runs), and, when it
+is not truncated, every reachable (gamma, beta) pair up to forgotten queue
+prefixes; it does not keep every configuration, and keeps no edges.
 `check_outline` and refinement read every state and edge, and explore in
-full.
+full, never forgetting.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ from __future__ import annotations
 import sys
 from operator import itemgetter
 
-from . import memory, program
+from . import memory, objects, program
 from .assertions import eval_assertion, merged_locals
-from .state import RVAL, ComponentState, Record, record
+from .state import RVAL, ComponentState, Record, forget_prefix, record
 
 
 class ThreadState:
@@ -146,8 +151,14 @@ class SystemContext:
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
         # for reduced exploration: thread state -> its whole silent run
-        # (`_run`)
+        # (`_run`); and, on a queue, the queue's name and (gamma, beta) ->
+        # the pair with the queue's dead prefix forgotten and its length
+        # (`_forget`)
         self.runs = {}
+        self.queue = None
+        if object_spec is not None and object_spec.kind == "queue":
+            self.queue = object_spec.name
+        self.forgotten = {}
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
         return self.thread_states.setdefault((t, cmd, frozenset(ls.items())),
@@ -366,14 +377,20 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
     no configuration in which a thread is silent-only is made on the way.
     A reduced edge takes at most `budget` scheduler steps: a run that would
     take more stops there.  An edge of more than one step has for label the
-    tuple of their labels."""
+    tuple of their labels.  A reduced step that changes the library
+    component also forgets the queue's dead prefix (`_forget`), and each
+    reduced successor is (thread, label, configuration, forgot), forgot
+    being the number of queue operations its step forgot: the label's
+    position on the queue counts them in."""
     locs, gamma, beta = cfg
+    forget = None
     if reduce:
         ample = _ample(locs, ctx, budget)
         if ample is not None:
-            return [(t, label, Configuration((locs2, gamma, beta)))
+            return [(t, label, Configuration((locs2, gamma, beta)), 0)
                     for t, label, locs2 in ample]
         runs = ctx.runs
+        forget = ctx.queue
     out = []
     for i, ts in enumerate(locs):
         t = ts.t
@@ -392,16 +409,48 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
             found.sort(key=_label_text)
         head, tail = locs[:i], locs[i + 1:]
         for label, ts2, g2, b2 in found:
-            if reduce:
-                run = runs.get(ts2, False)
+            if not reduce:
+                out.append((t, label, Configuration((head + (ts2,) + tail,
+                                                     g2, b2))))
+                continue
+            forgot = 0
+            if forget is not None and b2 is not beta:
+                g2, b2, forgot = _forget(ctx, forget, g2, b2)
+            run = runs.get(ts2, False)
+            if run is not None:
+                if run is False or len(run.states) >= budget:
+                    run = _run(ts2, ctx, budget - 1)
                 if run is not None:
-                    if run is False or len(run.states) >= budget:
-                        run = _run(ts2, ctx, budget - 1)
-                    if run is not None:
-                        label, ts2 = run.fold(label), run.states[-1]
+                    label, ts2 = run.fold(label), run.states[-1]
             out.append((t, label, Configuration((head + (ts2,) + tail, g2,
-                                                 b2))))
+                                                 b2)), forgot))
     return out
+
+
+def _forget(ctx, q, gamma, beta):
+    """(gamma', beta', n): the components after a reduced step with the
+    first n operations on queue q forgotten, those that no rule can touch
+    again (`objects.queue_dead_prefix`, `state.forget_prefix`), each
+    component interned; memoized per (gamma, beta) pair.  A forgotten
+    state's dead prefix is empty, so a step that leaves beta as it is
+    forgets nothing.  Positions on q move down by n, so the forgotten and
+    the full state have the same future up to that renaming, and the same
+    values of every assertion atom (`assertions.eval_covered` reads the
+    missing initial operation).  Client steps count too: an acquire can
+    raise a thread's view of q."""
+    key = (gamma, beta)
+    found = ctx.forgotten.get(key)
+    if found is None:
+        n = objects.queue_dead_prefix(beta, q)
+        if n:
+            beta2, gamma2 = forget_prefix(beta, gamma, q, n)
+            if gamma2 is not gamma:
+                gamma2 = ctx.component(gamma2)
+            found = (gamma2, ctx.component(beta2), n)
+        else:
+            found = (gamma, beta, 0)
+        ctx.forgotten[key] = found
+    return found
 
 
 def _component_steps(ctx, t, move, gamma, beta):
@@ -451,7 +500,8 @@ class ExploreResult(Record):
     edges: list
     # number -> (state number, thread, label) of the edge that first
     # reached it, None for the initial state.  A reduced edge of more than
-    # one step has for label the tuple of the labels of the steps it takes.
+    # one step has for label the tuple of the labels of the steps it takes,
+    # and a reduced edge adds the number of queue operations it forgot.
     via: list
     terminals: list  # the terminal states' numbers, in exploration order
 
@@ -459,13 +509,23 @@ class ExploreResult(Record):
         """The steps from the initial state to state n along the edges that
         first reached each state on the way, one per scheduler step.
         Exploration goes level by level in scheduler steps, so this is a
-        shortest path."""
-        path = []
+        shortest path.  A queue position in a reduced run's label counts
+        every operation forgotten before its step back in, so the path
+        names the positions of a full run, and replays through full
+        steps."""
+        steps = []
         while self.via[n] is not None:
-            n, t, label = self.via[n]
-            for lab in reversed(label if type(label) is tuple else (label,)):
+            n, t, label, *forgot = self.via[n]
+            steps.append((t, label, forgot))
+        path, offset = [], 0
+        for t, label, forgot in reversed(steps):
+            for lab in label if type(label) is tuple else (label,):
+                if (offset and lab.component == "library"
+                        and lab.rank is not None):
+                    lab = StepLabel(lab.component, lab.action,
+                                    lab.rank + offset, lab.at_hole)
                 path.append({"thread": t, "label": lab.text})
-        path.reverse()
+            offset += sum(forgot)
         return path
 
 
@@ -482,12 +542,12 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     run of single steps would step them, so the bound, the terminal states'
     order and the witnesses are those of that run.  The reduced run reaches
     the same terminal states, so it gives the same outcomes, and, when it
-    is not truncated, the same (gamma, beta) pairs; it does not keep every
-    configuration, and keeps no edges, so a folded edge's target is
-    numbered only when it lands.  So only checks that read no more than
-    that reduce: the `explore` command, `check_hoare` and the FIFO oracle.
-    `check_outline` and refinement read every state and edge, and explore
-    in full."""
+    is not truncated, the same (gamma, beta) pairs up to forgotten queue
+    prefixes; it does not keep every configuration, and keeps no edges,
+    so a folded edge's target is numbered only when it lands.  So only
+    checks that read no more than that reduce: the `explore` command,
+    `check_hoare` and the FIFO oracle.  `check_outline` and refinement
+    read every state and edge, and explore in full."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     number = {canonical_key(cfg0): 0}
@@ -527,16 +587,19 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                 if reduce:
                     continue
             out = []
-            for t, label, nxt in succs:
+            for succ in succs:
+                t, label, nxt = succ[0], succ[1], succ[2]
                 nk = canonical_key(nxt)
                 m = number.get(nk)
                 if m is None:
+                    # a reduced edge's via adds how many it forgot
+                    step = (n, t, label) + succ[3:]
                     if type(label) is tuple:  # numbered when it lands
-                        later.append((len(label) - 1, nk, (n, t, label)))
+                        later.append((len(label) - 1, nk, step))
                         continue
                     m = number[nk] = len(states)
                     states.append(nk)
-                    via.append((n, t, label))
+                    via.append(step)
                     if expand:
                         later.append(m)
                     else:

@@ -8,7 +8,9 @@ component; every rule takes the library state first and the client
 (context) state second, and returns (beta', gamma', new operation, result)
 per step.  Lock operations are appended at the end of the object's
 timeline; queue operations may be inserted mid-timeline, subject to FIFO
-guards over the matched pairs.
+guards over the matched pairs.  Those guards bound what a queue rule can
+ever touch again, so a reduced run may forget the queue's dead prefix
+(`queue_dead_prefix`).
 """
 
 from __future__ import annotations
@@ -143,6 +145,28 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
     for pred in range(lo, end):
         out.append((*insert_fresh_timestamp(beta, gamma, t, pred, a), EMPTY))
     return out
+
+
+def queue_dead_prefix(beta: ComponentState, q: str) -> int:
+    """How many of q's first operations no queue rule can read, insert
+    after or sync from again: those below L = min(every thread's view of q,
+    the position of the head, the first unmatched enqueue).
+
+    `queue_enq` and both `queue_deq` branches insert only at or above the
+    stepping thread's view, and views only grow.  The non-empty branch
+    reads only the head and syncs only from the head's recorded view.  The
+    empty branch's `end` scan skips what can lie below L: the initial
+    operation, matched operations (every enqueue below the head is
+    matched, and every non-empty dequeue is) and empty dequeues.  The
+    enqueue rule's scan for its lower bound starts at the thread's view.
+    Insertions land above L, so the operations below it stay as they are;
+    and `pobs`, `dobs` and `cond` read at or above a view or the top."""
+    qi = beta.lay.vix[q]
+    acts = beta.acts[qi]
+    lo = min((v[qi] for v in beta.views), default=0)
+    matched_enqs = {e for e, _ in beta.matched}
+    return next((r for r in range(lo) if acts[r].kind == ENQUEUE
+                 and r not in matched_enqs), lo)
 
 
 def _is_deq_empty(a: Action) -> bool:

@@ -33,10 +33,15 @@ def sequential_fifo_outcomes(enq_values, n_deqs: int):
 
 def matched_order_ok(state) -> bool:
     """Matched pairs must be order-preserving: earlier enqueues are taken
-    by earlier dequeues."""
+    by earlier dequeues.  A pair whose enqueue a reduced run forgot, (-1,
+    d), had its enqueue below every kept one, so its dequeue must come
+    before every kept pair's."""
     pairs = sorted(state.matched)
-    return all(e1 < e2 and d1 < d2
-               for (e1, d1), (e2, d2) in zip(pairs, pairs[1:]))
+    kept = [(e, d) for e, d in pairs if e >= 0]
+    forgot = [d for e, d in pairs if e < 0]
+    return (all(e1 < e2 and d1 < d2
+                for (e1, d1), (e2, d2) in zip(kept, kept[1:]))
+            and (not kept or all(d < kept[0][1] for d in forgot)))
 
 
 def fifo_litmus(n_enqs: int) -> str:

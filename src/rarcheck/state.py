@@ -34,6 +34,12 @@ view of x with operations on x; refinement projects the client variable by
 variable.  Every transition, assertion and projection of one such state has
 an equal counterpart in the other, so the outcomes and verdicts are those
 of the unmerged state space.
+
+A reduced run drops a queue's dead prefix, the operations that no rule can
+touch again (`forget_prefix`, `objects.queue_dead_prefix`), and renumbers
+the rest from 0.  There a reference below the kept operations, in a
+recorded view or a matched pair, is -1, and the first kept operation need
+not be the initial one.
 """
 
 from __future__ import annotations
@@ -498,6 +504,45 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
         other2 = ComponentState(other.lay, other.acts, oviews, omviews,
                                 other.matched)
     return state2, other2, TOp(action, nr)
+
+
+def _down(view: tuple, i: int, n: int) -> tuple:
+    """view with its entry i moved down by n, or to -1 if below n."""
+    r = view[i]
+    return _put(view, i, r - n if r >= n else -1)
+
+
+def forget_prefix(state: ComponentState, other: ComponentState, x: str,
+                  n: int):
+    """state and other with the first n operations on state's variable x
+    dropped, when no rule can read, insert after or sync from them again
+    (`objects.queue_dead_prefix`).
+
+    Every position on x moves down by n: in x's two columns, in every
+    thread's view, in the recorded views of both components, and in the
+    matched pairs.  A reference below n becomes -1, not 0: it only ever
+    meets a max with a view of at least n, so it has no effect, where 0
+    would name the first kept operation.  A pair whose enqueue is dropped
+    keeps its dequeue marked as matched, as (-1, d); a pair wholly dropped
+    goes.  The other variables' columns of actions are shared.
+
+    Returns (state', other'); other' is `other` itself when it records no
+    view of x."""
+    xi = state.lay.vix[x]
+    mviews = tuple(tuple(_down(v, xi, n) for v in c) for c in state.mviews)
+    matched = tuple(sorted((e - n if e >= n else -1, d - n)
+                           for e, d in state.matched if d >= n))
+    state2 = ComponentState(
+        state.lay, _put(state.acts, xi, state.acts[xi][n:]),
+        tuple(_down(v, xi, n) for v in state.views),
+        _put(mviews, xi, mviews[xi][n:]), matched)
+    if not other.mviews:
+        return state2, other
+    oxi = len(other.lay.own) + xi  # x's entry in other's recorded views
+    return state2, ComponentState(
+        other.lay, other.acts, other.views,
+        tuple(tuple(_down(v, oxi, n) for v in c) for c in other.mviews),
+        other.matched)
 
 
 def _init_writes(assigns) -> list:

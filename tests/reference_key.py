@@ -91,6 +91,10 @@ def reference_key(desc: dict):
              for x, qs in times.items()}
 
     def ref(x, q):
+        # a reference below every operation on x (-1: one a reduced run
+        # forgot, `reference_forget`) ranks below them all
+        if q not in ranks[x] and q < min(ranks[x]):
+            return (x, -1)
         return (x, ranks[x][q])
 
     def view(v):
