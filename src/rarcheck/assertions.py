@@ -35,8 +35,9 @@ class MethodInstance(Hashed):
     val: object = None  # enqueue/dequeue value
 
     def matches(self, a) -> bool:
-        if a.var != self.obj:
-            return False
+        """Whether action a, an operation on the object's own column, is
+        an instance of this method: every reader of a method instance reads
+        that column alone (`_column`, `eval_covered`, `eval_hidden`)."""
         if self.kind == "init":
             if not a.kind.endswith("_init"):
                 return False
@@ -161,9 +162,6 @@ class ProofOutline(Record):
     final: object = None
     pre: object = None
 
-    def labels(self, t):
-        return sorted(self.annotations.get(t, {}))
-
 
 # --- state-level primitives -------------------------------------------------
 #
@@ -231,18 +229,12 @@ def merged_locals(cfg) -> dict:
     return out
 
 
-def _resolve(valexpr, env):
-    if isinstance(valexpr, (program.Lit, program.Var, program.Un, program.Bin)):
-        return program.eval_expr(valexpr, env)
-    return valexpr
-
-
 def _column(subject, cfg, env):
     """The component, column and action test that a view atom's subject
     names: a variable is read in the client, the object in the library."""
     if isinstance(subject, MethodInstance):
         return cfg.beta, subject.obj, subject.matches
-    return cfg.gamma, subject.var, wrote(_resolve(subject.val, env))
+    return cfg.gamma, subject.var, wrote(program.eval_expr(subject.val, env))
 
 
 def eval_assertion(a, cfg, ctx, env=None) -> bool:
@@ -284,7 +276,7 @@ def eval_assertion(a, cfg, ctx, env=None) -> bool:
         else:
             return False
         return cond(sigma, a.t, x, test, releases, cfg.gamma, a.y,
-                    _resolve(a.v, env))
+                    program.eval_expr(a.v, env))
     if isinstance(a, CoveredA):
         return eval_covered(cfg.beta, a.m)
     if isinstance(a, HiddenA):

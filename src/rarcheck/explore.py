@@ -42,9 +42,11 @@ operations no rule can touch again, so states that differ only in that
 history are one state, reached at the lowest level of any of them; a
 witness counts the forgotten operations back into its queue positions.  A
 reduced run keeps the terminal states, so the outcomes and hoare verdicts,
-the truncation flag (as the tests compare it with full runs), and, when it
-is not truncated, every reachable (gamma, beta) pair up to forgotten queue
-prefixes; it does not keep every configuration, and keeps no edges.
+and, when it is not truncated, every reachable (gamma, beta) pair up to
+forgotten queue prefixes; it does not keep every configuration, and keeps
+no edges.  Its truncation flag is not always a full run's: where the bound
+cuts a folded edge at a thread state that only a folded run passed
+through, the reduced run may stop at the bound where a full run ends.
 `check_outline` and refinement read every state and edge, and explore in
 full, never forgetting.
 """
@@ -303,24 +305,13 @@ def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
 class _Run:
     """A silent-only thread state's silent run: the thread states its
     silent-only steps (`_silent_only`) reach, in order, so the last one is
-    not silent-only, and their labels.  `fold` gives a step's label
-    followed by the run's, one tuple per step label, so the edges that fold
-    the run share it.  Its memo is keyed by the label's identity, which
-    stands for its content: the system's context makes each label once and
-    keeps it as long as the run."""
+    not silent-only, and their labels."""
 
-    __slots__ = ("states", "labels", "folds")
+    __slots__ = ("states", "labels")
 
     def __init__(self, states: tuple, labels: tuple):
         self.states = states
         self.labels = labels
-        self.folds = {}
-
-    def fold(self, label: StepLabel) -> tuple:
-        labels = self.folds.get(id(label))
-        if labels is None:
-            labels = self.folds[id(label)] = (label,) + self.labels
-        return labels
 
 
 def _run(ts: ThreadState, ctx: SystemContext, limit: int):
@@ -421,7 +412,7 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
                 if run is False or len(run.states) >= budget:
                     run = _run(ts2, ctx, budget - 1)
                 if run is not None:
-                    label, ts2 = run.fold(label), run.states[-1]
+                    label, ts2 = (label,) + run.labels, run.states[-1]
             out.append((t, label, Configuration((head + (ts2,) + tail, g2,
                                                  b2)), forgot))
     return out
@@ -543,7 +534,8 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     order and the witnesses are those of that run.  The reduced run reaches
     the same terminal states, so it gives the same outcomes, and, when it
     is not truncated, the same (gamma, beta) pairs up to forgotten queue
-    prefixes; it does not keep every configuration, and keeps no edges,
+    prefixes (it may be truncated where a full run is not; see the module
+    docstring); it does not keep every configuration, and keeps no edges,
     so a folded edge's target is numbered only when it lands.  So only
     checks that read no more than that reduce: the `explore` command,
     `check_hoare` and the FIFO oracle.  `check_outline` and refinement

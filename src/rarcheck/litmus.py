@@ -561,7 +561,8 @@ class System(Record):
     cfg0: Configuration
     ctx: SystemContext
     outline: A.ProofOutline
-    client_locals: dict  # tid -> frozenset of client-side registers
+    # tid -> frozenset of client-side registers, never a '$' name
+    client_locals: dict
 
 
 def build_system(lf: LitmusFile, impl=None) -> System:
@@ -620,14 +621,10 @@ def build_system(lf: LitmusFile, impl=None) -> System:
                 raise LitmusError(
                     f"local {sorted(shared)[0]!r} used by threads {t} and {t2}")
 
-    # local inits go to the thread that owns the register
-    local_inits = {t: {} for t in tids}
-    for x, v in lf.init:
-        if x in local_evidence:
-            owner = next((t for t in tids if x in thread_locals[t]), None)
-            if owner is None:
-                raise LitmusError(f"initialised local {x!r} is never used")
-            local_inits[owner][x] = v
+    # local inits go to the thread that owns the register: every local is
+    # some thread's, as each piece of local evidence comes from a walk
+    local_inits = {t: {x: v for x, v in lf.init if x in thread_locals[t]}
+                   for t in tids}
 
     if impl is not None and fill is None:
         raise LitmusError(f"an implementation needs a {impl.kind} object")
@@ -647,8 +644,8 @@ def build_system(lf: LitmusFile, impl=None) -> System:
             progs[t] = _Elaboration(t, client_vars, spec, fill).thread(stmts)
     library = fill or spec  # an implementation's variables replace the object
     rho, gamma, beta = make_init_states(
-        init_globals, client_vars, library.init_actions() if library else (),
-        set(tids), local_inits)
+        init_globals, library.init_actions() if library else (), set(tids),
+        local_inits)
     # the registers the final clause reads, in order of first reading
     observed = tuple(dict.fromkeys(r for r in pred_regs[1]
                                    if r in local_evidence))
@@ -741,7 +738,9 @@ class _Elaboration:
 
 
 def _registers(e) -> set:
-    """The registers expression e reads."""
+    """The registers expression e reads; of an atom, the registers its
+    values read (a subject's `x = e`, a cond atom's pin): no other field of
+    an atom holds an expression."""
     return {n.name for n in P.nodes(e) if type(n) is P.Var}
 
 
@@ -804,20 +803,8 @@ def _atoms(a, regs: list, others: list, free: list, bound=frozenset()):
             regs += read
         else:
             others.append(a)
-            read = sorted(_value_registers(a))
+            read = sorted(_registers(a))
         free += [(a, r) for r in read if r not in bound]
-
-
-def _value_registers(atom) -> set:
-    """The registers a view atom's values read: its subject's `x = e` and
-    a cond atom's pin."""
-    exprs = []
-    if isinstance(atom, (A.Poss, A.Def, A.Cond)):
-        if isinstance(atom.subject, A.VarEq):
-            exprs.append(atom.subject.val)
-        if isinstance(atom, A.Cond):
-            exprs.append(atom.v)
-    return set().union(*map(_registers, exprs))
 
 
 # --- pretty printing ----------------------------------------------------------

@@ -3,6 +3,8 @@
 Each transition takes the state of the component being executed first and the
 context second; a library step calls these with the arguments swapped.  An
 empty successor list means the action is impossible in the current state.
+Each rule is called for its own kind of action only:
+`explore._component_steps` picks it by the action's kind (`mem_` + kind).
 
 Every rule, here and in `objects`, returns one (own', other', op, result)
 per step: `op` is the operation the step's label names, and `result` the
@@ -18,14 +20,12 @@ from __future__ import annotations
 
 from .state import (Action, ComponentState, acquire_views,
                     insert_fresh_timestamp, is_acquiring_read,
-                    is_releasing_write, update, wrval, TOp, READ, UPDATE,
-                    WRITE)
+                    is_releasing_write, update, wrval, TOp, READ)
 
 
 def mem_read(gamma: ComponentState, beta: ComponentState, t, a):
     """Successors of a relaxed or acquiring open read: one per observable
     write it reads from, skipping writes of `a.aux` if set (a failed CAS)."""
-    assert a.kind == READ
     out = []
     for w in gamma.obs(t, a.var):
         v = wrval(w.action)
@@ -47,7 +47,6 @@ def mem_read(gamma: ComponentState, beta: ComponentState, t, a):
 
 def mem_write(gamma: ComponentState, beta: ComponentState, t, a):
     """Successors of a write: one per observable, non-covered predecessor."""
-    assert a.kind == WRITE
     return [(*insert_fresh_timestamp(gamma, beta, t, w.ts, a), None)
             for w in gamma.obs(t, a.var) if not gamma.covers(w)]
 
@@ -56,7 +55,6 @@ def mem_update(gamma: ComponentState, beta: ComponentState, t, a):
     """Successors of an atomic update: read-modify-write with covering.  A
     CAS reads exactly its expected value `a.aux`; a fetch-and-increment
     (`a.aux` open) reads any integer v and writes v + 1."""
-    assert a.kind == UPDATE
     out = []
     for w in gamma.obs(t, a.var):
         if gamma.covers(w):

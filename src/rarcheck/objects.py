@@ -56,9 +56,7 @@ class ObjectSpec(Record):
     def is_sync(self, action) -> bool:
         """Whether an action, or a method instance naming one, synchronises:
         an empty dequeue does not."""
-        if action.kind == DEQUEUE and action.val is EMPTY:
-            return False
-        return action.kind in self.sync
+        return action.kind in self.sync and not _is_deq_empty(action)
 
     def init_actions(self) -> tuple:
         return (Action(self.init, self.name, sync=OBJ, index=0),)
@@ -169,5 +167,7 @@ def queue_dead_prefix(beta: ComponentState, q: str) -> int:
                  and r not in matched_enqs), lo)
 
 
-def _is_deq_empty(a: Action) -> bool:
+def _is_deq_empty(a) -> bool:
+    """Whether an action, or a method instance naming one, is an empty
+    dequeue."""
     return a.kind == DEQUEUE and a.val is EMPTY

@@ -92,6 +92,9 @@ _UNOPS = {
 
 
 def eval_expr(e, ls: dict):
+    """Expression e's value under registers ls.  e is a Lit, Var, Un or
+    Bin: neither the parser nor a built-in implementation builds any other
+    expression."""
     if isinstance(e, Lit):
         return e.val
     if isinstance(e, Var):
@@ -101,10 +104,8 @@ def eval_expr(e, ls: dict):
     try:
         if isinstance(e, Un):
             v = _UNOPS[e.op](eval_expr(e.e, ls))
-        elif isinstance(e, Bin):
-            v = _BINOPS[e.op](eval_expr(e.a, ls), eval_expr(e.b, ls))
         else:
-            raise ProgramError(f"not an expression: {e!r}")
+            v = _BINOPS[e.op](eval_expr(e.a, ls), eval_expr(e.b, ls))
     except (TypeError, ArithmeticError) as exc:
         # the input's fault (5 % 0, bot + 1, true < 1), named by its
         # innermost Un/Bin
@@ -203,12 +204,12 @@ class Body(Hashed):
 
 @hashed
 class Hole(Hashed):
-    content: object = None  # None (pristine), MethodCall, command or Bot
+    content: object  # MethodCall, command or Bot
 
     def __repr__(self):
         if isinstance(self.content, MethodCall):  # as written
             return repr(self.content)
-        return f"[{self.content!r}]" if self.content is not None else "[.]"
+        return f"[{self.content!r}]"
 
 
 @hashed
@@ -342,23 +343,16 @@ def is_done(cmd) -> bool:
 
 
 def pc_of(prog_t, n_labels: int) -> int:
-    """Label of the first statement whose effect is still pending."""
+    """Label of the first statement whose effect is still pending.  A
+    thread's command is its top-level statements in sequence, each one
+    `Labeled` (`litmus._Elaboration.thread`), and a step keeps a
+    statement's label until the statement is done."""
     c = prog_t
     while isinstance(c, Seq):
         if not is_done(c.a):
-            lbl = _leading_label(c.a)
-            return lbl if lbl is not None else 0
+            return c.a.label
         c = c.b
-    if is_done(c):
-        return n_labels + 1
-    lbl = _leading_label(c)
-    return lbl if lbl is not None else 0
-
-
-def _leading_label(cmd):
-    if isinstance(cmd, Labeled):
-        return cmd.label
-    return None
+    return n_labels + 1 if is_done(c) else c.label
 
 
 # --- thread-local steps -----------------------------------------------------
@@ -411,8 +405,6 @@ class _Split:
                     and not is_done(cmd.src):
                 inner = cmd.src
             elif isinstance(cmd, Hole):
-                if cmd.content is None:
-                    raise ProgramError("cannot execute a pristine hole")
                 # a hole holding bottom has no step: the enclosing sequence
                 # or assignment consumes it
                 inner, lib = cmd.content, True
@@ -429,7 +421,11 @@ class _Split:
 
 def _fire(c, ls):
     """The rule of redex c under registers ls: per step, in order,
-    (kind, action, residual, registers, at_hole, reg)."""
+    (kind, action, residual, registers, at_hole, reg).  Every redex has a
+    rule here: `litmus.build_system` desugars each do-until, every hole
+    holds a call, a body or bottom, and an implementation's bodies are
+    desugared when they fill a hole (`refine.Impl.method`).  Any other
+    node gets None, which `local_step` cannot iterate: an engine fault."""
     if isinstance(c, Seq):  # its first part is done
         return [("eps", None, c.b, ls, _ends_in_hole(c.a), None)]
     if isinstance(c, Assign):
@@ -466,9 +462,6 @@ def _fire(c, ls):
         return [("eps", None, _BOT, ls, False, None)]
     if isinstance(c, Bot):
         return []
-    if isinstance(c, DoUntil):
-        raise ProgramError("do-until must be desugared before execution")
-    raise ProgramError(f"cannot step {c!r}")
 
 
 def _plug(frames, c):

@@ -83,11 +83,6 @@ def builtin_impls() -> dict:
 
 # --- client-state projection and refinement ----------------------------------
 
-def _client_regs(system):
-    return {t: frozenset(r for r in regs if r != RVAL)
-            for t, regs in system.client_locals.items()}
-
-
 def _client_sig(gamma, threads):
     """What the client can observe of its component: its operations, the
     covered ones and, per (thread, variable), the observable ones.  An
@@ -105,13 +100,15 @@ def _client_sig(gamma, threads):
 
 def _projector(client_regs, threads):
     """The client-visible part of a configuration, as a function: client
-    locals, then the client signature.  Equal projections are one object,
-    and each configuration is projected once: its register part is
-    computed once per thread state, and its signature once per client
-    component content.  Both depend only on the client's registers and
-    variables, so one projector serves the abstract and the concrete system
-    of one client, and a component of one equal to a component of the other
-    is signed once (each system hash-conses its own components)."""
+    locals (`client_regs`, a system's `client_locals`: no client register
+    has a '$' name, so `$rval` is not among them), then the client
+    signature.  Equal projections are one object, and each configuration
+    is projected once: its register part is computed once per thread
+    state, and its signature once per client component content.  Both
+    depend only on the client's registers and variables, so one projector
+    serves the abstract and the concrete system of one client, and a
+    component of one equal to a component of the other is signed once
+    (each system hash-conses its own components)."""
     regs = {t: sorted(rs) for t, rs in client_regs.items()}
     parts, sigs, shared, done = {}, {}, {}, {}
 
@@ -252,7 +249,7 @@ def check_simulation(impl: Impl, client_lf,
     _check_client(abs_sys)
 
     conc = _explore_concrete(conc_sys, abs_sys, max_steps)
-    project = _projector(_client_regs(abs_sys), abs_sys.ctx.threads)
+    project = _projector(abs_sys.client_locals, abs_sys.ctx.threads)
     kept = {"explored": conc, "projector": project}
     if conc.truncated:
         return SimulationResult("unknown-beyond-bound",
@@ -264,10 +261,6 @@ def check_simulation(impl: Impl, client_lf,
                                 detail="abstract exploration truncated",
                                 **kept)
     moves = _game(ab, conc, project)
-    if not moves:
-        return SimulationResult("no-simulation", counterexample=[],
-                                detail="initial states unrelated", **kept)
-
     losing = _attractor(moves)
     if 0 in losing:  # the initial pair
         path = _extract_counterexample(0, moves, losing)
@@ -281,10 +274,12 @@ def check_simulation(impl: Impl, client_lf,
 def _game(ab, conc, project):
     """The pairs (abstract state, concrete state) reachable from the initial
     pair, numbered in discovery order, as `moves`: per pair number, per
-    concrete step, ((thread, label), [candidate pair numbers]).  Empty when
-    the initial states are unrelated.  States are the explorations' own
-    numbers; neither exploration is truncated, so each stores only explored
-    states."""
+    concrete step, ((thread, label), [candidate pair numbers]).  States are
+    the explorations' own numbers; neither exploration is truncated, so
+    each stores only explored states.  The initial pair is related: both
+    systems are built from one client (`litmus.build_system`), so their
+    initial states have the same client registers and client component,
+    and `$rval` is bot in every thread."""
     cviews = [(_rvals(cfg), project(cfg)) for cfg in conc.states]
     aviews = [(_rvals(cfg), project(cfg)) for cfg in ab.states]
     # per abstract state: (thread, reply core) -> successors
@@ -302,8 +297,6 @@ def _game(ab, conc, project):
 
     # forward reachability over candidate pairs, from the initial pair: each
     # exploration numbers its initial state 0
-    if not related(0, 0):
-        return []
     order = [(0, 0)]
     seen = {(0, 0): 0}
     moves = []
@@ -373,7 +366,9 @@ def _attractor(moves):
 def _extract_counterexample(pair, moves, losing):
     """Concrete steps that defeat every abstract reply, following the
     longest-resisting replies so the path ends at a genuine mismatch.
-    Pairs are numbers, indexing `moves`."""
+    Pairs are numbers, indexing `moves`.  A pair in attractor layer L has a
+    step whose candidates all lie below L (`_attractor`; in layer 0, a step
+    with none), so every pair on the path has a step to take."""
     path = []
     while pair in losing:
         best = None
@@ -385,8 +380,6 @@ def _extract_counterexample(pair, moves, losing):
                 continue  # not the move that pruned this pair
             if best is None or rank > best[2]:
                 best = ((t, label), cands, rank)
-        if best is None:
-            break
         (t, label), cands, rank = best
         path.append({"thread": t, "label": label.text})
         if not cands:
@@ -432,7 +425,8 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
     shrink what its thread observes, as the abstract acquire does, and its
     final update then change nothing visible), so a simulation implies
     trace inclusion, as the paper's theorem says.  `traces_checked` counts
-    the concrete steps walked that change the client's projection."""
+    the concrete steps walked that change the client's projection.  The
+    initial states refine each other, as in the game (`_game`)."""
     conc, ab, project = sim.explored, sim.abstract, sim.projector
     aproj = [project(c) for c in ab.states]
     cproj = [project(c) for c in conc.states]
@@ -463,9 +457,6 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
         return out
 
     # each exploration numbers its initial state 0
-    if not _refines(aproj[0], cproj[0]):
-        return TraceCheckResult("violation", [],
-                                detail="initial client states unrelated")
     start = (0, closure({0}))
     seen = {start}
     parents = {start: None}

@@ -276,10 +276,10 @@ def fai(x):
 
 
 def wrval(a: Action):
-    """Value contributed to the variable's timeline; None for reads."""
-    if a.kind in (WRITE, UPDATE, ENQUEUE):
-        return a.val
-    return None
+    """The value that a write, an update or an enqueue puts on its
+    variable's timeline.  The engine passes only operations of a variable's
+    column, which are all writes and updates."""
+    return a.val
 
 
 def is_releasing_write(a: Action) -> bool:
@@ -288,11 +288,6 @@ def is_releasing_write(a: Action) -> bool:
 
 def is_acquiring_read(a: Action) -> bool:
     return (a.kind == READ and a.sync == ACQ) or a.kind == UPDATE
-
-
-def is_modifying(a: Action) -> bool:
-    """Writes in the broad sense: actions carrying a written value."""
-    return a.kind in (WRITE, UPDATE)
 
 
 # the kinds of operation that cover the one they are inserted right after
@@ -388,11 +383,9 @@ class ComponentState:
     # --- operations --------------------------------------------------------
 
     def ops_on(self, x: str, lo: int = 0) -> list:
-        """Operations on x in timestamp order, from position lo on."""
-        xi = self.lay.vix.get(x)
-        if xi is None:
-            return []
-        col = self.acts[xi]
+        """Operations on x, one of this component's variables, in timestamp
+        order, from position lo on."""
+        col = self.acts[self.lay.vix[x]]
         return [TOp(col[r], r) for r in range(lo, len(col))]
 
     def column(self, x: str) -> tuple:
@@ -556,18 +549,16 @@ def _init_writes(assigns) -> list:
     return [write(x, v) for x, v in assigns]
 
 
-def make_init_states(init_assigns, client_vars, library, threads,
-                     local_inits=None):
+def make_init_states(init_assigns, library, threads, local_inits=None):
     """Initial local states and component states.
 
-    init_assigns: ordered (variable, value) pairs for the client globals.
+    init_assigns: ordered (variable, value) pairs for the client globals,
+                  which are exactly the client's variables
     library: the library component's initial actions (an object's or an
              implementation's `init_actions()`; none without either)
     """
     threads = sorted(threads)
     gacts = _init_writes(init_assigns)
-    if set(client_vars) != {a.var for a in gacts}:
-        raise StateError("every client variable must be initialised exactly once")
 
     def component(acts, other_acts):
         lay = Layout((a.var for a in acts), (a.var for a in other_acts),

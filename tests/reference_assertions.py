@@ -9,12 +9,12 @@ which a synchronising method instance pins a client variable.  A variable's
 last write is searched for among its operations.
 """
 
-from rarcheck.state import is_modifying, is_releasing_write, wrval
+from rarcheck.state import UPDATE, WRITE, is_releasing_write, wrval
 
 
 def last_write(state, x):
     for op in reversed(state.ops_on(x)):
-        if is_modifying(op.action):
+        if op.action.kind in (WRITE, UPDATE):
             return op
     return None
 

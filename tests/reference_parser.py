@@ -648,7 +648,7 @@ def build_system(lf, impl=None):
     resolve = partial(_resolve, client_vars, impl)
     progs = {t: P.map_stmts(resolve, progs[t]) for t in tids}
 
-    rho, gamma, beta = make_init_states(init_globals, client_vars, library,
+    rho, gamma, beta = make_init_states(init_globals, library,
                                         set(tids), local_inits)
 
     observed = _observed_registers(lf, local_evidence)

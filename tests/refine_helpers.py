@@ -44,7 +44,7 @@ def trace_check_alone(impl, client_lf, max_steps=64):
     abs_sys = rf.build_system(client_lf)
     conc = rf._explore_concrete(rf.build_system(client_lf, impl), abs_sys,
                                 max_steps)
-    project = rf._projector(rf._client_regs(abs_sys), abs_sys.ctx.threads)
+    project = rf._projector(abs_sys.client_locals, abs_sys.ctx.threads)
     unplayed = rf.SimulationResult(
         "unplayed", explored=conc, projector=project,
         abstract=rf.explore(abs_sys.cfg0, abs_sys.ctx, max_steps))

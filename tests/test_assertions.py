@@ -16,7 +16,7 @@ from rarcheck.state import (LOCK_ACQUIRE, LOCK_INIT, LOCK_RELEASE,
 
 
 def lock_system():
-    return make_init_states([("d1", 0), ("d2", 0)], {"d1", "d2"},
+    return make_init_states([("d1", 0), ("d2", 0)],
                             spec_of("lock", "l").init_actions(), {1, 2})
 
 
@@ -86,16 +86,14 @@ class TestConditional:
 
     def test_release_write_pins_payload(self):
         # message-passing prefix: d1 := 5 then a releasing flag write
-        rho, g, b = make_init_states([("d", 0), ("f", 0)], {"d", "f"},
-                                     (), {1, 2})
+        rho, g, b = make_init_states([("d", 0), ("f", 0)], (), {1, 2})
         (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _, _), = mem_write(g, b, 1, write("f", 1, releasing=True))
         assert cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)
         assert not cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 0)
 
     def test_relaxed_write_fails_conditional(self):
-        rho, g, b = make_init_states([("d", 0), ("f", 0)], {"d", "f"},
-                                     (), {1, 2})
+        rho, g, b = make_init_states([("d", 0), ("f", 0)], (), {1, 2})
         (g, b, _, _), = mem_write(g, b, 1, write("d", 5))
         (g, b, _, _), = mem_write(g, b, 1, write("f", 1))
         assert not cond(g, 2, "f", wrote(1), is_releasing_write, g, "d", 5)

@@ -84,6 +84,17 @@ class TestExplore:
         assert doc["truncated"] is True
         assert doc["outcomes"] == [{"r1": 1, "r2": 5}]
 
+    def test_initialised_register_assigned_plainly(self, tmp_path, capsys):
+        # the first walk takes r, initialised and read by no clause, for a
+        # global, so `r := 1` becomes a global write; `r <- x` shows r is a
+        # register, and the thread is walked again with r a register
+        good = tmp_path / "init-register.lit"
+        good.write_text("name t\ninit r := 0; x := 0\n"
+                        "thread 1 { r := 1; r <- x; }\n")
+        code, out, err = run(capsys, "explore", str(good))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "outcome: r=0"
+
     def test_boolean_outcome_pastes_into_a_final_clause(self, tmp_path,
                                                         capsys):
         # text output spells a boolean as the input language does, so the
@@ -455,6 +466,36 @@ class TestErrors:
             code, out, err = run(capsys, *argv, str(bad))
             assert (code, out) == (3, "")
             assert err == f"error: thread 1: {call[:-1]}: {message}\n"
+
+    @pytest.mark.parametrize("text,error", [
+        ("thread 1 { r := 1; }\nthread 1 { s := 1; }\n",
+         "duplicate thread id"),
+        ("object lock l\nthread 1 { l.acquire(); }\n"
+         "final { cvd(l.acquire_x) }\n",
+         "bad method instance 'acquire_x' at 4:24"),
+        ("init x := 0\nthread 1 { x := 1; }\nfinal { pobs(1, x=1)@Q }\n",
+         "lift must be @C or @L at 4:24"),
+        ("thread 1 { r := 1; }\nfinal { pc(1) > 2 }\n",
+         "expected '=' or 'in' after pc(t) at 3:15"),
+        ("object lock l\nthread 1 { l.acquire(); }\nfinal { cvd(l.steal) }\n",
+         "unknown method 'steal' at 4:20"),
+    ], ids=["thread-id", "method-instance", "lift", "pc", "method"])
+    def test_rejected_by_the_parser(self, tmp_path, capsys, text, error):
+        bad = tmp_path / "bad.lit"
+        bad.write_text("name t\n" + text)
+        for argv in (["explore"], ["outline"], ["hoare"],
+                     ["refine", "--impl", "seqlock", "--client"]):
+            assert run(capsys, *argv, str(bad)) == (3, "", f"error: {error}\n")
+
+    def test_expression_fault_in_a_refine_client(self, tmp_path, capsys):
+        # the concrete exploration meets the fault; the abstract one, which
+        # looks for a release by a thread not holding the lock, meets it too
+        bad = tmp_path / "fault.lit"
+        bad.write_text("name t\ninit d := 0\nobject lock l\nthread 1 { "
+                       "l.acquire(); a := 1 % 0; d := 1; l.release(); }\n")
+        assert run(capsys, "refine", "--impl", "seqlock", "--client",
+                   str(bad)) == (3, "", "error: cannot evaluate (1 % 0): "
+                                 "integer modulo by zero\n")
 
     def test_impl_note_is_an_input_error(self, tmp_path, capsys):
         # an object declaration names no implementation (`refine --impl`

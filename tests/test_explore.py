@@ -19,7 +19,7 @@ def mp_system(name="mp-relacq"):
 
 class TestSuccessors:
     def test_terminal_has_none(self):
-        rho, g, b = make_init_states([("d", 0)], {"d"}, (), {1})
+        rho, g, b = make_init_states([("d", 0)], (), {1})
         ctx = SystemContext([1])
         cfg = ctx.configuration({1: Bot()}, rho, g, b)
         assert successors(cfg, ctx) == []
@@ -211,7 +211,7 @@ class TestCanonicalKey:
 
 class TestCheckHoare:
     def test_trivial(self):
-        rho, g, b = make_init_states([], set(), (), {1})
+        rho, g, b = make_init_states([], (), {1})
         ctx = SystemContext([1])
         cfg = ctx.configuration({1: Labeled(1, Bot())}, rho, g, b)
         rep = check_hoare(cfg, ctx, BoolA(True), BoolA(True), 8)

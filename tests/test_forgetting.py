@@ -23,6 +23,7 @@ from rarcheck.explore import Configuration, explore
 from rarcheck.litmus import build_system, parse_litmus
 from rarcheck.objects import queue_dead_prefix
 from rarcheck.oracle import fifo_litmus
+from rarcheck.program import Lit
 from rarcheck.state import DEQUEUE, EMPTY, ENQUEUE, forget_prefix
 from reference_forget import forgotten_key
 from reference_key import ref_key
@@ -109,7 +110,7 @@ def _atoms(threads, ys):
     for t in threads:
         for m in subjects:
             out += [Poss(t, m), Def(t, m)]
-            out += [Cond(t, m, y, c) for y in ys for c in range(3)]
+            out += [Cond(t, m, y, Lit(c)) for y in ys for c in range(3)]
     return out
 
 

@@ -263,7 +263,7 @@ class TestLockmpStructure:
         system = build_system(load_corpus("lockmp"))
         outline = system.outline
         for t in (1, 2):
-            assert outline.labels(t) == [1, 2, 3, 4]
+            assert sorted(outline.annotations[t]) == [1, 2, 3, 4]
             assert system.ctx.n_labels[t] == 4  # terminal pc is 5
         assert outline.invariant is not None
         assert outline.final is not None

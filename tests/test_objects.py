@@ -17,12 +17,12 @@ from test_cli_fuzz import lock_clients
 
 
 def lock_system():
-    return make_init_states([("d1", 0), ("d2", 0)], {"d1", "d2"},
+    return make_init_states([("d1", 0), ("d2", 0)],
                             spec_of("lock", "l").init_actions(), {1, 2})
 
 
 def queue_system():
-    return make_init_states([("d", 0)], {"d"},
+    return make_init_states([("d", 0)],
                             spec_of("queue", "q").init_actions(), {1, 2})
 
 

@@ -25,7 +25,7 @@ def steps_of(prog, rho, t):
 def steps_after_writes(cmd, values=WRITTEN):
     """Successors of thread 1 running cmd once thread 2 has written each of
     values to x (initially 0), in turn: thread 1 observes every write."""
-    rho, g, b = make_init_states([("x", 0)], {"x"}, (), {1, 2})
+    rho, g, b = make_init_states([("x", 0)], (), {1, 2})
     for v in values:
         (g, b, _, _), = mem_write(g, b, 2, write("x", v))
     ctx = SystemContext([1, 2])

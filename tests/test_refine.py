@@ -16,7 +16,7 @@ from rarcheck.explore import explore, successors
 from rarcheck.litmus import (LitmusError, build_system, corpus_text,
                              load_corpus, parse_litmus)
 from rarcheck.refine import (builtin_impls, check_simulation,
-                             check_trace_refinement, _client_regs)
+                             check_trace_refinement)
 from rarcheck.state import TRUE
 from reference_game import rounds
 from refine_helpers import (project_and_destutter, state_refines,
@@ -98,7 +98,7 @@ def _count_accesses(cmd):
 class TestProjection:
     def test_destutter_collapses_runs(self):
         system = build_system(client())
-        regs = _client_regs(system)
+        regs = system.client_locals
         threads = system.ctx.threads
         res = explore(system.cfg0, system.ctx, 64)
         n = res.terminals[0]
@@ -116,7 +116,7 @@ class TestProjection:
 
     def test_library_only_execution_is_singleton(self):
         system = build_system(client())
-        regs = _client_regs(system)
+        regs = system.client_locals
         threads = system.ctx.threads
         cfg = system.cfg0
         execution = [cfg]
@@ -430,6 +430,35 @@ class TestPinnedOutputs:
         out = capsys.readouterr()
         assert (code, out.out, out.err) == (PINNED[case]["exit"],
                                             PINNED[case]["stdout"], "")
+
+
+CORPUS_CLI = json.loads((Path(__file__).parent / "golden" /
+                         "corpus_cli.json").read_text(encoding="utf-8"))
+
+
+class TestCorpusOutputs:
+    """Exit code, stdout and stderr of `explore`, `outline` and `hoare` on
+    the 8 corpus files, as text and `--json`, at bounds 7 and 64, and of
+    `oracle fifo --enqs 0..5 --json`, recorded before the engine stopped
+    re-checking what the built system guarantees: no answer, count,
+    witness or message may move."""
+
+    @pytest.mark.parametrize("case", sorted(CORPUS_CLI))
+    def test_cli_output(self, case, tmp_path, capsys):
+        command, name, bound, form = case.split()
+        if command == "oracle":
+            argv = [command, name, "--enqs", bound]
+        else:
+            path = tmp_path / f"{name}.lit"
+            path.write_text(corpus_text(name), encoding="utf-8")
+            argv = [command, str(path), "--max-steps", bound]
+        if form == "json":
+            argv.append("--json")
+        code = run_cli(argv)
+        out = capsys.readouterr()
+        pinned = CORPUS_CLI[case]
+        assert (code, out.out, out.err) == (
+            pinned["exit"], pinned["stdout"], pinned["stderr"])
 
 
 def _lock_client(n, k):

@@ -17,14 +17,14 @@ from rarcheck.state import (BOT, RVAL, ComponentState, StateError, TOp,
 def mk_state(n_writes, var="d", threads=(1, 2)):
     """A client with n_writes writes on var after its initial write, each
     appended by thread 1, so positions 0..n_writes; thread 2 views the init."""
-    _, g, b = make_init_states([(var, 0)], {var}, (), set(threads))
+    _, g, b = make_init_states([(var, 0)], (), set(threads))
     for i in range(1, n_writes + 1):
         g, b, _ = insert_fresh_timestamp(g, b, 1, i - 1, write(var, i))
     return g, b, g.ops_on(var)
 
 
 def init_lock_system():
-    return make_init_states([("d", 0)], {"d"},
+    return make_init_states([("d", 0)],
                             spec_of("lock", "l").init_actions(), {1, 2})
 
 
@@ -49,13 +49,13 @@ class TestMakeInit:
         assert mview(gamma)[d_op]["l"] == lock_op.ts
 
     def test_empty_init(self):
-        rho, gamma, beta = make_init_states([], set(), (), {1})
+        rho, gamma, beta = make_init_states([], (), {1})
         assert ops(gamma) == frozenset() and ops(beta) == frozenset()
         assert tview(gamma)[1] == {} and tview(beta)[1] == {}
 
     def test_two_vars_definite_for_all_threads(self):
         rho, gamma, beta = make_init_states(
-            [("d1", 0), ("d2", 0)], {"d1", "d2"},
+            [("d1", 0), ("d2", 0)],
             spec_of("lock", "l").init_actions(), {1, 2})
         for t in (1, 2):
             for x in ("d1", "d2"):
@@ -65,7 +65,7 @@ class TestMakeInit:
 
     def test_duplicate_init_rejected(self):
         with pytest.raises(StateError):
-            make_init_states([("d", 0), ("d", 1)], {"d"}, (), {1})
+            make_init_states([("d", 0), ("d", 1)], (), {1})
 
 
 class TestObservable:
@@ -167,7 +167,7 @@ class TestFreshTimestamp:
         # its predecessor, every later position on its variable moves up by
         # one, every reference to that variable follows, and no position on
         # any other variable changes
-        _, g, b = make_init_states([("d", 0), ("e", 0)], {"d", "e"},
+        _, g, b = make_init_states([("d", 0), ("e", 0)],
                                    [write("g", 0)], {1, 2})
         for i, (x, k, t) in enumerate(inserts, start=1):
             (c, other) = (b, g) if x == "g" else (g, b)
