@@ -47,8 +47,19 @@ forgotten queue prefixes; it does not keep every configuration, and keeps
 no edges.  Its truncation flag is not always a full run's: where the bound
 cuts a folded edge at a thread state that only a folded run passed
 through, the reduced run may stop at the bound where a full run ends.
+
 `check_outline` and refinement read every state and edge, and explore in
-full, never forgetting.
+full, never forgetting.  A full run folds only implementation-silent runs
+(`_impl_silent`): silent steps inside a filled hole's body that are not a
+hole's return or a loop's test and leave RVAL as it is, through the same
+run memo, cutting and level weighting.  They change no client register,
+no component and no call's result, so they commute with every other
+thread's step and refinement's projections cannot see them; a full run
+stores every other configuration and every edge, and a folded edge's
+target is numbered when it lands.  A system without an implementation has
+no such step, so its full run is the search of single steps.  As in a
+reduced run, a cut folded edge can make the truncation flag differ from
+that search's.
 """
 
 from __future__ import annotations
@@ -120,8 +131,9 @@ def canonical_key(cfg: Configuration) -> Configuration:
 
 class SystemContext:
     """Static facts about one litmus system: threads, the library object's
-    spec (if any) and labelling, which assertion evaluation reads too, and
-    the registers the final clause reads; and
+    spec (if any) and labelling, which assertion evaluation reads too, the
+    registers the final clause reads, and whether an implementation's
+    bodies fill its holes; and
     the tables that hash-cons the system's thread states, components and
     step labels, so that equal parts are one object, and memoize their
     transitions.  The tables belong to one system: a component's key leaves
@@ -129,7 +141,7 @@ class SystemContext:
     table."""
 
     def __init__(self, threads, object_spec=None, n_labels=None,
-                 observed=None):
+                 observed=None, implemented=False):
         self.threads = tuple(sorted(threads))
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
@@ -152,11 +164,14 @@ class SystemContext:
         # successors (`_component_steps`)
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
-        # for reduced exploration: thread state -> its whole silent run
-        # (`_run`); and, on a queue, the queue's name and (gamma, beta) ->
-        # the pair with the queue's dead prefix forgotten and its length
-        # (`_forget`)
+        # thread state -> its whole silent run (`_run`): in reduced
+        # exploration, `runs`; in full exploration, where only an
+        # implementation's silent runs are folded, `impl_runs`, None when
+        # no implementation fills the system's holes (then it has none);
+        # and, on a queue, the queue's name and (gamma, beta) -> the pair
+        # with the queue's dead prefix forgotten and its length (`_forget`)
         self.runs = {}
+        self.impl_runs = {} if implemented else None
         self.queue = None
         if object_spec is not None and object_spec.kind == "queue":
             self.queue = object_spec.name
@@ -302,10 +317,26 @@ def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
             and type(ctx.redexes[ts.cmd].redex) is not program.While)
 
 
+def _impl_silent(ts: ThreadState, ctx: SystemContext) -> bool:
+    """Whether ts is implementation-silent: its only local move is a silent
+    step inside a filled hole's body that is not a hole's return, not a
+    loop's test (`_silent_only`) and leaves RVAL as it is.  Such a step
+    changes only the thread's command and its '$' registers: no client
+    register (a hole's return writes those), no component and no call's
+    result.  So it commutes with every other thread's step, and no
+    projection a refinement check reads tells the states before and after
+    it apart."""
+    if not _silent_only(ts, ctx):
+        return False
+    step = ctx.thread_steps[ts][0].step
+    return (step.lib and not step.at_hole
+            and step.ls.get(RVAL) == ts.ls.get(RVAL))
+
+
 class _Run:
-    """A silent-only thread state's silent run: the thread states its
-    silent-only steps (`_silent_only`) reach, in order, so the last one is
-    not silent-only, and their labels."""
+    """A thread state's silent run: the thread states its silent-only steps
+    (`_silent_only`, or `_impl_silent` in a full run) reach, in order, so
+    the last one is not silent-only, and their labels."""
 
     __slots__ = ("states", "labels")
 
@@ -314,23 +345,27 @@ class _Run:
         self.labels = labels
 
 
-def _run(ts: ThreadState, ctx: SystemContext, limit: int):
+def _run(ts: ThreadState, ctx: SystemContext, limit: int,
+         reduce: bool = True):
     """ts's silent run cut to its first `limit` steps, or None when that
-    leaves no step.  A whole run is memoized (None when ts is not
-    silent-only); a walk that the limit stops is not, so a run cut at the
+    leaves no step: with `reduce`, its silent-only steps, else its
+    implementation-silent ones.  A whole run is memoized (None when ts has
+    no such step); a walk that the limit stops is not, so a run cut at the
     step bound makes no thread state beyond it."""
-    run = ctx.runs.get(ts, False)
+    runs, silent = ((ctx.runs, _silent_only) if reduce
+                    else (ctx.impl_runs, _impl_silent))
+    run = runs.get(ts, False)
     if run is False:
         states, labels = [], []
         cur = ts
-        while len(states) < limit and _silent_only(cur, ctx):
+        while len(states) < limit and silent(cur, ctx):
             move = _moves(cur, ctx)[0]
             cur = move.next_state(ctx, cur.t)
             states.append(cur)
             labels.append(move.label)
         run = _Run(tuple(states), tuple(labels)) if states else None
         if len(states) < limit:
-            ctx.runs[ts] = run
+            runs[ts] = run
     if run is not None and len(run.states) > limit:
         run = _Run(run.states[:limit], run.labels[:limit]) if limit else None
     return run
@@ -362,12 +397,14 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
     """All (thread, label, configuration) successors, deterministically
     ordered.
 
-    With `reduce`, a configuration that has an ample set (`_ample`) takes
-    only its run, and every other step takes the silent run of the thread
-    state it reaches with it (SPIN's statement merging, Holzmann 2003), so
-    no configuration in which a thread is silent-only is made on the way.
-    A reduced edge takes at most `budget` scheduler steps: a run that would
-    take more stops there.  An edge of more than one step has for label the
+    Every step takes the silent run of the thread state it reaches with it
+    (SPIN's statement merging, Holzmann 2003), so no configuration inside a
+    run is made on the way.  In a full run, that is the thread's
+    implementation-silent run (`_impl_silent`), which only a filled hole's
+    body has.  With `reduce`, it is its silent-only run, and a
+    configuration that has an ample set (`_ample`) takes only that run.
+    An edge takes at most `budget` scheduler steps: a run that would take
+    more stops there.  An edge of more than one step has for label the
     tuple of their labels.  A reduced step that changes the library
     component also forgets the queue's dead prefix (`_forget`), and each
     reduced successor is (thread, label, configuration, forgot), forgot
@@ -382,6 +419,8 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
                     for t, label, locs2 in ample]
         runs = ctx.runs
         forget = ctx.queue
+    else:
+        runs = ctx.impl_runs
     out = []
     for i, ts in enumerate(locs):
         t = ts.t
@@ -400,21 +439,17 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
             found.sort(key=_label_text)
         head, tail = locs[:i], locs[i + 1:]
         for label, ts2, g2, b2 in found:
-            if not reduce:
-                out.append((t, label, Configuration((head + (ts2,) + tail,
-                                                     g2, b2))))
-                continue
             forgot = 0
             if forget is not None and b2 is not beta:
                 g2, b2, forgot = _forget(ctx, forget, g2, b2)
-            run = runs.get(ts2, False)
+            run = None if runs is None else runs.get(ts2, False)
             if run is not None:
                 if run is False or len(run.states) >= budget:
-                    run = _run(ts2, ctx, budget - 1)
+                    run = _run(ts2, ctx, budget - 1, reduce)
                 if run is not None:
                     label, ts2 = (label,) + run.labels, run.states[-1]
-            out.append((t, label, Configuration((head + (ts2,) + tail, g2,
-                                                 b2)), forgot))
+            nxt = Configuration((head + (ts2,) + tail, g2, b2))
+            out.append((t, label, nxt, forgot) if reduce else (t, label, nxt))
     return out
 
 
@@ -487,7 +522,9 @@ class ExploreResult(Record):
     # number -> ((thread, label, successor number), ...) in successors()
     # order, for every explored state: () when terminal, and the computed
     # successors of states stopped at the step bound too.  The label is a
-    # StepLabel.  None for a reduced run, which keeps no edges.
+    # StepLabel, or the tuple of the StepLabels of the steps an edge folds
+    # (an implementation-silent run, `_impl_silent`).  None for a reduced
+    # run, which keeps no edges.
     edges: list
     # number -> (state number, thread, label) of the edge that first
     # reached it, None for the initial state.  A reduced edge of more than
@@ -520,6 +557,13 @@ class ExploreResult(Record):
         return path
 
 
+def step_path(t, label) -> list:
+    """An edge of thread t as witness steps, one per scheduler step: a
+    folded edge's label is the tuple of its steps' labels."""
+    return [{"thread": t, "label": lab.text}
+            for lab in (label if type(label) is tuple else (label,))]
+
+
 def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
             reduce: bool = False) -> ExploreResult:
     """Bounded exhaustive exploration memoized on configurations, which
@@ -535,11 +579,13 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     the same terminal states, so it gives the same outcomes, and, when it
     is not truncated, the same (gamma, beta) pairs up to forgotten queue
     prefixes (it may be truncated where a full run is not; see the module
-    docstring); it does not keep every configuration, and keeps no edges,
-    so a folded edge's target is numbered only when it lands.  So only
-    checks that read no more than that reduce: the `explore` command,
-    `check_hoare` and the FIFO oracle.  `check_outline` and refinement
-    read every state and edge, and explore in full."""
+    docstring); it does not keep every configuration, and keeps no edges.
+    So only checks that read no more than that reduce: the `explore`
+    command, `check_hoare` and the FIFO oracle.  `check_outline` and
+    refinement read every state and edge, and explore in full, where only
+    implementation-silent runs are folded.  A folded edge's target is
+    numbered when the edge lands; in a full run, the edge names its
+    target's key until then."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     number = {canonical_key(cfg0): 0}
@@ -554,6 +600,9 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     frontier = [0]
     level = 0
     beyond = 0  # states numbered past the step bound
+    # the states with an edge to a folded target not numbered when the edge
+    # was found; `pending` when the state being stepped has one
+    landing, pending = [], False
     while frontier:
         later = []
         budget = max_steps - level
@@ -588,6 +637,9 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                     step = (n, t, label) + succ[3:]
                     if type(label) is tuple:  # numbered when it lands
                         later.append((len(label) - 1, nk, step))
+                        if edges is not None:  # by its key until then
+                            out.append((t, label, nk))
+                            pending = True
                         continue
                     m = number[nk] = len(states)
                     states.append(nk)
@@ -598,9 +650,15 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                         beyond += 1
                 out.append((t, label, m))
             if edges is not None:
+                if pending:
+                    landing.append(n)
+                    pending = False
                 edges.append(tuple(out))
         frontier = later
         level += 1
+    for n in landing:  # every folded edge has landed
+        edges[n] = tuple((t, label, m if type(m) is int else number[m])
+                         for t, label, m in edges[n])
     out_list = sorted(
         ({r: v for r, v in oc} for oc in outcomes),
         key=lambda d: sorted((k, repr(v)) for k, v in d.items()))

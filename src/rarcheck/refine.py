@@ -13,13 +13,17 @@ sets that local.
 Both systems are explored once, under one step bound, and both checks read
 those two explorations: the game plays over the two state graphs, and trace
 inclusion determinizes the abstract one against every stutter-free concrete
-client trace, matched pointwise under refinement.
+client trace, matched pointwise under refinement.  The concrete graph folds
+each implementation-silent run into the step that reaches it
+(`explore._impl_silent`): the game answers such an edge as it would answer
+its steps in turn, each silent one by stuttering or by one implementation
+step of the same thread, and counterexamples list every step.
 """
 
 from __future__ import annotations
 
 from . import program as P
-from .explore import ExploreResult, explore
+from .explore import ExploreResult, explore, step_path
 # unused here, but perfbench/layers.py traces rarcheck.refine.successors
 from .explore import successors  # noqa: F401
 from .litmus import LitmusError, build_system
@@ -108,26 +112,42 @@ def _projector(client_regs, threads):
     depend only on the client's registers and variables, so one projector
     serves the abstract and the concrete system of one client, and a
     component of one equal to a component of the other is signed once
-    (each system hash-conses its own components)."""
+    (each system hash-conses its own components).  Equal register parts
+    and equal signatures are one object too, so a projection is found by
+    the identities of its parts."""
     regs = {t: sorted(rs) for t, rs in client_regs.items()}
-    parts, sigs, shared, done = {}, {}, {}, {}
+    # thread state -> its register part; component -> its signature, and
+    # component content -> its signature; a register part's or a
+    # signature's content -> the one object with that content; identities
+    # of a projection's parts -> the projection; configuration -> its
+    # projection
+    parts, sig_of, sigs, interned, shared, done = {}, {}, {}, {}, {}, {}
 
     def project(cfg):
         p = done.get(cfg)
         if p is None:
-            key = cfg.gamma._parts()
-            sig = sigs.get(key)
+            gamma = cfg.gamma
+            sig = sig_of.get(gamma)
             if sig is None:
-                sig = sigs[key] = _client_sig(cfg.gamma, threads)
+                key = gamma._parts()
+                sig = sigs.get(key)
+                if sig is None:
+                    sig = _client_sig(gamma, threads)
+                    sig = sigs[key] = interned.setdefault(sig, sig)
+                sig_of[gamma] = sig
             own = []
             for ts in cfg.locs:
                 part = parts.get(ts)
                 if part is None:
-                    part = parts[ts] = (ts.t, tuple([(r, ts.ls.get(r))
-                                                     for r in regs[ts.t]]))
+                    part = (ts.t, tuple([(r, ts.ls.get(r))
+                                         for r in regs[ts.t]]))
+                    part = parts[ts] = interned.setdefault(part, part)
                 own.append(part)
-            p = (tuple(own),) + sig
-            p = done[cfg] = shared.setdefault(p, p)
+            key = tuple(map(id, own)) + (id(sig),)
+            p = shared.get(key)
+            if p is None:
+                p = shared[key] = (tuple(own),) + sig
+            done[cfg] = p
         return p
     return project
 
@@ -276,12 +296,21 @@ def _game(ab, conc, project):
     pair, numbered in discovery order, as `moves`: per pair number, per
     concrete step, ((thread, label), [candidate pair numbers]).  States are
     the explorations' own numbers; neither exploration is truncated, so
-    each stores only explored states.  The initial pair is related: both
-    systems are built from one client (`litmus.build_system`), so their
-    initial states have the same client registers and client component,
-    and `$rval` is bot in every thread."""
-    cviews = [(_rvals(cfg), project(cfg)) for cfg in conc.states]
-    aviews = [(_rvals(cfg), project(cfg)) for cfg in ab.states]
+    each stores only explored states, and a state is projected when the
+    game first pairs it.  The initial pair is related: both systems are
+    built from one client (`litmus.build_system`), so their initial states
+    have the same client registers and client component, and `$rval` is
+    bot in every thread.
+
+    A concrete edge that folds an implementation-silent run (its label a
+    tuple: `explore._impl_silent`) is answered as the game would answer
+    its steps in turn: the first by its reply core, then each silent step
+    by stuttering or by one abstract step of the same thread whose core is
+    None.  The silent steps change neither the client's projection nor
+    `$rval`, so every state inside the run relates to the same abstract
+    states as the edge's target."""
+    cviews = [None] * len(conc.states)
+    aviews = [None] * len(ab.states)
     # per abstract state: (thread, reply core) -> successors
     areplies = []
     for steps in ab.edges:
@@ -289,11 +318,30 @@ def _game(ab, conc, project):
         for t, lab, a2 in steps:
             out.setdefault((t, _reply_core(lab)), []).append(a2)
         areplies.append(out)
-    refines = _refines_memo()
+    # a state's view: its `$rval`s and its projection, equal views one
+    # object (equal projections are one object); and (id of an abstract
+    # view, id of a concrete one) -> whether they relate
+    views, memo = {}, {}
+
+    def view(cfg):
+        rvals, p = _rvals(cfg), project(cfg)
+        key = (rvals, id(p))
+        v = views.get(key)
+        if v is None:
+            v = views[key] = (rvals, p)
+        return v
 
     def related(a, c):
-        (arv, ap), (crv, cp) = aviews[a], cviews[c]
-        return arv == crv and refines(ap, cp)
+        av, cv = aviews[a], cviews[c]
+        if av is None:
+            av = aviews[a] = view(ab.states[a])
+        if cv is None:
+            cv = cviews[c] = view(conc.states[c])
+        key = (id(av), id(cv))
+        r = memo.get(key)
+        if r is None:
+            r = memo[key] = av[0] == cv[0] and _refines(av[1], cv[1])
+        return r
 
     # forward reachability over candidate pairs, from the initial pair: each
     # exploration numbers its initial state 0
@@ -303,11 +351,18 @@ def _game(ab, conc, project):
     for a, c in order:  # grows while it is walked
         step_moves = []
         for t, lab, c2 in conc.edges[c]:
-            core = _reply_core(lab)
+            silent = 0
+            first = lab
+            if type(lab) is tuple:
+                first, silent = lab[0], len(lab) - 1
+            core = _reply_core(first)
             # an implementation step may also be answered by stuttering
             cands = [a] if core is None and related(a, c2) else []
             cands += [a2 for a2 in areplies[a].get((t, core), ())
                       if related(a2, c2)]
+            if silent:
+                cands = _silent_replies(cands, silent, areplies, t,
+                                        lambda a2: related(a2, c2))
             nums = []
             for a2 in cands:
                 p = (a2, c2)
@@ -319,6 +374,27 @@ def _game(ab, conc, project):
             step_moves.append(((t, lab), nums))
         moves.append(step_moves)
     return moves
+
+
+def _silent_replies(cands, silent, areplies, t, related):
+    """The abstract states that answer `silent` implementation-silent steps
+    of thread t after the replies `cands`: each step is answered by
+    stuttering, which keeps every state, or by one step of thread t whose
+    reply core is None to a state that relates to the concrete one.  In
+    the order they are first reached, each once."""
+    found = dict.fromkeys(cands)
+    fresh = list(found)
+    for _ in range(silent):
+        nxt = []
+        for a in fresh:
+            for a2 in areplies[a].get((t, None), ()):
+                if a2 not in found and related(a2):
+                    found[a2] = None
+                    nxt.append(a2)
+        if not nxt:
+            break
+        fresh = nxt
+    return list(found)
 
 
 def _attractor(moves):
@@ -381,7 +457,7 @@ def _extract_counterexample(pair, moves, losing):
             if best is None or rank > best[2]:
                 best = ((t, label), cands, rank)
         (t, label), cands, rank = best
-        path.append({"thread": t, "label": label.text})
+        path += step_path(t, label)
         if not cands:
             break
         pair = max(cands, key=lambda p: losing[p])
@@ -424,9 +500,12 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
     staying put or by one abstract step (a concrete acquire's spin read can
     shrink what its thread observes, as the abstract acquire does, and its
     final update then change nothing visible), so a simulation implies
-    trace inclusion, as the paper's theorem says.  `traces_checked` counts
-    the concrete steps walked that change the client's projection.  The
-    initial states refine each other, as in the game (`_game`)."""
+    trace inclusion, as the paper's theorem says.  A folded concrete edge
+    is matched as one step: the implementation-silent steps after its
+    first leave the projection as it is, so the traces are those of its
+    steps one by one.  `traces_checked` counts the concrete edges walked
+    that change the client's projection.  The initial states refine each
+    other, as in the game (`_game`)."""
     conc, ab, project = sim.explored, sim.abstract, sim.projector
     aproj = [project(c) for c in ab.states]
     cproj = [project(c) for c in conc.states]
@@ -471,7 +550,7 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
             aset2 = answer(aset, cproj[ck2])
             if not aset2:
                 path = _trace_path(parents, node)
-                path.append({"thread": t, "label": label.text})
+                path += step_path(t, label)
                 return TraceCheckResult(
                     "violation", path, visible,
                     "concrete client trace has no abstract match")
@@ -484,9 +563,9 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
 
 
 def _trace_path(parents, node):
-    path = []
+    steps = []
     while parents.get(node) is not None:
         node, t, label = parents[node]
-        path.append({"thread": t, "label": label.text})
-    path.reverse()
-    return path
+        steps.append((t, label))
+    return [step for t, label in reversed(steps)
+            for step in step_path(t, label)]

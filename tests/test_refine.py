@@ -19,6 +19,7 @@ from rarcheck.refine import (builtin_impls, check_simulation,
                              check_trace_refinement)
 from rarcheck.state import TRUE
 from reference_game import rounds
+from reference_unfolded import single_steps
 from refine_helpers import (project_and_destutter, state_refines,
                             trace_check_alone, unbound_client)
 
@@ -354,13 +355,15 @@ class TestTraceRefinement:
 
 class TestCounterexampleReplay:
     def test_game_counterexample_replays_on_concrete_system(self):
+        # step by step, through single steps of the unfolded reference:
+        # a folded edge of the game's path is one entry per step
         impl = builtin_impls()["seqlock-relaxed"]
         res = check_simulation(impl, client(), 64)
         assert res.verdict == "no-simulation"
         system = build_system(client(), impl)
         cfg = system.cfg0
         for step in res.counterexample:
-            matches = [nxt for t, lab, nxt in successors(cfg, system.ctx)
+            matches = [nxt for t, lab, nxt in single_steps(cfg, system.ctx)
                        if t == step["thread"]
                        and lab.text == step["label"]]
             assert len(matches) == 1, step
@@ -418,7 +421,10 @@ class TestPinnedOutputs:
     verdicts, relation and pair counts and witnesses must not move.  The
     two `lock-two-rounds` entries of seqlock and ticketlock at 64 steps
     were recorded again when the trace check let the abstract side stutter
-    (trace-check-failed, exit 1, before)."""
+    (trace-check-failed, exit 1, before).  The pair and relation counts
+    were recorded again when the concrete graph folded implementation-
+    silent runs; the unfolded reference game still gives the old ones
+    (`test_folded_game`)."""
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_refine_json(self, case, tmp_path, capsys):

@@ -63,9 +63,15 @@ def _typed(v):
     return (type(v), v)
 
 
+def _labels(label):
+    """The step labels of an edge: a folded edge's label is their tuple."""
+    return label if type(label) is tuple else (label,)
+
+
 def _view(succs):
     """What a successor list shows, with the type of every value."""
-    return [(t, label.text, nxt.prog[t], repr(nxt.prog[t]),
+    return [(t, [lab.text for lab in _labels(label)], nxt.prog[t],
+             repr(nxt.prog[t]),
              {u: {r: _typed(v) for r, v in ls.items()}
               for u, ls in nxt.rho.items()})
             for t, label, nxt in succs]
@@ -76,6 +82,9 @@ def _fresh(ctx):
     out.thread_states, out.components, out.labels = {}, {}, {}
     out.thread_steps, out.component_steps = {}, {}
     out.redexes, out.plugs = {}, {}
+    out.runs = {}
+    if ctx.impl_runs is not None:
+        out.impl_runs = {}
     return out
 
 
@@ -124,7 +133,7 @@ def _parts(res):
         yield cfg.gamma
         yield cfg.beta
         for _, label, _ in edges:
-            yield label
+            yield from _labels(label)
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -141,7 +150,7 @@ def test_equal_parts_are_one_object(name):
         {ThreadState, ComponentState, StepLabel}
     for cfg in res.states:
         for _, label, nxt in successors(cfg, system.ctx):
-            for part in nxt.locs + (nxt.gamma, nxt.beta, label):
+            for part in nxt.locs + (nxt.gamma, nxt.beta) + _labels(label):
                 key = (type(part), _content(part))
                 assert seen.get(key, part) is part
 
