@@ -26,40 +26,41 @@ the edge that first reached each state (`via`, which a witness follows
 back) and the terminal states.  Every checker reads that graph instead of
 stepping states again, and refinement plays its game over the numbers.
 
-Checks that read only terminal states, and the reachable components, explore
-reduced: the `explore` command, `check_hoare` and the FIFO oracle.  At a
-configuration where some thread's only move is silent and is not a loop's
-test, only the first such thread steps (an ample set: Peled, CAV 1993;
-Godefroid, LNCS 1032, 1996).  After any other step only the thread that
-stepped can be silent-only, so a reduced step takes that thread's whole
-silent run with it, memoized per thread state (SPIN's statement merging,
-Holzmann 2003): no configuration inside a run is made.  A folded edge
-weighs the scheduler steps it takes, and levels count scheduler steps, so
-the step bound, the terminal states' order and the witnesses are those of
-a run of single steps.  On a queue, a reduced step that changes the
-library component also forgets the queue's dead prefix (`_forget`), the
-operations no rule can touch again, so states that differ only in that
-history are one state, reached at the lowest level of any of them; a
-witness counts the forgotten operations back into its queue positions.  A
-reduced run keeps the terminal states, so the outcomes and hoare verdicts,
-and, when it is not truncated, every reachable (gamma, beta) pair up to
-forgotten queue prefixes; it does not keep every configuration, and keeps
-no edges.  Its truncation flag is not always a full run's: where the bound
-cuts a folded edge at a thread state that only a folded run passed
-through, the reduced run may stop at the bound where a full run ends.
+Every exploration folds silent runs (SPIN's statement merging, Holzmann
+2003): a step takes with it the run of folding steps its thread then takes
+alone, memoized per thread state (`_run`), so no configuration inside a run
+is made.  A folded edge weighs the scheduler steps it takes, and levels
+count scheduler steps, so the step bound, the terminal states' order and
+the witnesses are those of a run of single steps.  `successors` turns its
+`reduce` argument into one of two fold policies:
 
-`check_outline` and refinement read every state and edge, and explore in
-full, never forgetting.  A full run folds only implementation-silent runs
-(`_impl_silent`): silent steps inside a filled hole's body that are not a
-hole's return or a loop's test and leave RVAL as it is, through the same
-run memo, cutting and level weighting.  They change no client register,
-no component and no call's result, so they commute with every other
-thread's step and refinement's projections cannot see them; a full run
-stores every other configuration and every edge, and a folded edge's
-target is numbered when it lands.  A system without an implementation has
-no such step, so its full run is the search of single steps.  As in a
-reduced run, a cut folded edge can make the truncation flag differ from
-that search's.
+- Reduced, for checks that read only terminal states and the reachable
+  components: the `explore` command, `check_hoare` and the FIFO oracle.  A
+  step folds when it is its thread's only move, silent and not a loop's
+  test (`_silent_only`).  A configuration where some thread's move is such
+  a step takes only the first such thread's run (an ample set: Peled, CAV
+  1993; Godefroid, LNCS 1032, 1996).  On a queue, a step that changes the
+  library component also forgets the queue's dead prefix (`_forget`), the
+  operations no rule can touch again, so states that differ only in that
+  history are one state, reached at the lowest level of any of them; a
+  witness counts the forgotten operations back into its queue positions.
+  The run keeps no edges.  It keeps the terminal states, so the outcomes
+  and hoare verdicts, and, when it is not truncated, every reachable
+  (gamma, beta) pair up to forgotten queue prefixes.
+- Full, for `check_outline` and refinement, which read every state and
+  edge: no ample sets and no forgetting.  A step folds when it is
+  implementation-silent (`_impl_silent`): a silent step inside a filled
+  hole's body that is not a hole's return or a loop's test and leaves
+  RVAL as it is.  It changes no client register, no component and no
+  call's result, so it commutes with every other thread's step and
+  refinement's projections cannot see it.  The run stores every other
+  configuration and every edge.  A system without an implementation has
+  no such step, so its full run is the search of single steps.
+
+Under either policy the truncation flag is not always the single-step
+search's: where the bound cuts a folded edge at a thread state that only a
+folded run passed through, the folded run may stop at the bound where the
+single-step search ends.
 """
 
 from __future__ import annotations
@@ -131,17 +132,15 @@ def canonical_key(cfg: Configuration) -> Configuration:
 
 class SystemContext:
     """Static facts about one litmus system: threads, the library object's
-    spec (if any) and labelling, which assertion evaluation reads too, the
-    registers the final clause reads, and whether an implementation's
-    bodies fill its holes; and
-    the tables that hash-cons the system's thread states, components and
-    step labels, so that equal parts are one object, and memoize their
-    transitions.  The tables belong to one system: a component's key leaves
-    out its layout, so components of two systems must never meet in one
-    table."""
+    spec (if any) and labelling, which assertion evaluation reads too, and
+    the registers the final clause reads; and the tables that hash-cons the
+    system's thread states, components and step labels, so that equal parts
+    are one object, and memoize their transitions.  The tables belong to
+    one system: a component's key leaves out its layout, so components of
+    two systems must never meet in one table."""
 
     def __init__(self, threads, object_spec=None, n_labels=None,
-                 observed=None, implemented=False):
+                 observed=None):
         self.threads = tuple(sorted(threads))
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
@@ -164,14 +163,10 @@ class SystemContext:
         # successors (`_component_steps`)
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
-        # thread state -> its whole silent run (`_run`): in reduced
-        # exploration, `runs`; in full exploration, where only an
-        # implementation's silent runs are folded, `impl_runs`, None when
-        # no implementation fills the system's holes (then it has none);
-        # and, on a queue, the queue's name and (gamma, beta) -> the pair
-        # with the queue's dead prefix forgotten and its length (`_forget`)
-        self.runs = {}
-        self.impl_runs = {} if implemented else None
+        # fold predicate -> thread state -> its whole run (`_run`); and, on
+        # a queue, the queue's name and (gamma, beta) -> the pair with the
+        # queue's dead prefix forgotten and its length (`_forget`)
+        self.runs = {_silent_only: {}, _impl_silent: {}}
         self.queue = None
         if object_spec is not None and object_spec.kind == "queue":
             self.queue = object_spec.name
@@ -334,9 +329,9 @@ def _impl_silent(ts: ThreadState, ctx: SystemContext) -> bool:
 
 
 class _Run:
-    """A thread state's silent run: the thread states its silent-only steps
-    (`_silent_only`, or `_impl_silent` in a full run) reach, in order, so
-    the last one is not silent-only, and their labels."""
+    """A thread state's run under a fold predicate: the thread states its
+    folding steps reach, in order, so the last one does not fold, and their
+    labels."""
 
     __slots__ = ("states", "labels")
 
@@ -345,15 +340,13 @@ class _Run:
         self.labels = labels
 
 
-def _run(ts: ThreadState, ctx: SystemContext, limit: int,
-         reduce: bool = True):
-    """ts's silent run cut to its first `limit` steps, or None when that
-    leaves no step: with `reduce`, its silent-only steps, else its
-    implementation-silent ones.  A whole run is memoized (None when ts has
-    no such step); a walk that the limit stops is not, so a run cut at the
-    step bound makes no thread state beyond it."""
-    runs, silent = ((ctx.runs, _silent_only) if reduce
-                    else (ctx.impl_runs, _impl_silent))
+def _run(ts: ThreadState, ctx: SystemContext, silent, limit: int):
+    """ts's run of steps that fold under the predicate `silent`, cut to its
+    first `limit` steps, or None when that leaves no step.  A whole run is
+    memoized (None when ts has no such step); a walk that the limit stops
+    is not, so a run cut at the step bound makes no thread state beyond
+    it."""
+    runs = ctx.runs[silent]
     run = runs.get(ts, False)
     if run is False:
         states, labels = [], []
@@ -371,57 +364,48 @@ def _run(ts: ThreadState, ctx: SystemContext, limit: int,
     return run
 
 
-def _ample(locs: tuple, ctx: SystemContext, budget: int = sys.maxsize):
-    """The ample set of the thread states `locs`: the silent run of the
-    first thread (in thread order) that is silent-only, cut to `budget`
-    steps, as [(thread, label, thread states after)], or None when no
-    thread is.  A silent step changes only its own thread's command and
-    registers, so it commutes with every other thread's step, stays enabled
-    until taken, and no component or other thread can see it.  Only a
-    configuration on the initial configuration's ample chain, or one that
-    the step bound cut in a run, has a silent-only thread: every other one
-    is reached by a step that folds its thread's run (`successors`)."""
-    runs = ctx.runs
+def _ample(cfg: Configuration, ctx: SystemContext, silent,
+           budget: int = sys.maxsize) -> list:
+    """The ample set of cfg, as a reduced successor list: the run of the
+    first thread (in thread order) whose step folds under `silent`, cut to
+    `budget` steps; [] when no thread's step folds.  A silent step changes
+    only its own thread's command and registers, so it commutes with every
+    other thread's step, stays enabled until taken, and no component or
+    other thread can see it.  Only a configuration on the initial
+    configuration's ample chain, or one that the step bound cut in a run,
+    has a silent-only thread: every other one is reached by a step that
+    folds its thread's run (`successors`)."""
+    locs, gamma, beta = cfg
+    runs = ctx.runs[silent]
     for i, ts in enumerate(locs):
         if runs.get(ts, False) is not None:
-            run = _run(ts, ctx, budget)
+            run = _run(ts, ctx, silent, budget)
             if run is not None:
                 labels = run.labels
+                locs = locs[:i] + (run.states[-1],) + locs[i + 1:]
                 return [(ts.t, labels if len(labels) > 1 else labels[0],
-                         locs[:i] + (run.states[-1],) + locs[i + 1:])]
-    return None
+                         Configuration((locs, gamma, beta)), 0)]
+    return []
 
 
 def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
                budget: int = sys.maxsize):
     """All (thread, label, configuration) successors, deterministically
-    ordered.
-
-    Every step takes the silent run of the thread state it reaches with it
-    (SPIN's statement merging, Holzmann 2003), so no configuration inside a
-    run is made on the way.  In a full run, that is the thread's
-    implementation-silent run (`_impl_silent`), which only a filled hole's
-    body has.  With `reduce`, it is its silent-only run, and a
-    configuration that has an ample set (`_ample`) takes only that run.
-    An edge takes at most `budget` scheduler steps: a run that would take
-    more stops there.  An edge of more than one step has for label the
-    tuple of their labels.  A reduced step that changes the library
-    component also forgets the queue's dead prefix (`_forget`), and each
-    reduced successor is (thread, label, configuration, forgot), forgot
-    being the number of queue operations its step forgot: the label's
-    position on the queue counts them in."""
+    ordered, under the reduced or the full fold policy (`reduce`, module
+    docstring).  Every step takes with it the run of folding steps of the
+    thread state it reaches.  An edge takes at most `budget` scheduler
+    steps: a run that would take more stops there.  An edge of more than
+    one step has for label the tuple of their labels.  A reduced successor
+    is (thread, label, configuration, forgot), forgot being the number of
+    queue operations its step forgot: the label's position on the queue
+    counts them in."""
     locs, gamma, beta = cfg
-    forget = None
-    if reduce:
-        ample = _ample(locs, ctx, budget)
-        if ample is not None:
-            return [(t, label, Configuration((locs2, gamma, beta)), 0)
-                    for t, label, locs2 in ample]
-        runs = ctx.runs
-        forget = ctx.queue
-    else:
-        runs = ctx.impl_runs
-    out = []
+    silent, ample, forget = ((_silent_only, True, ctx.queue) if reduce
+                             else (_impl_silent, False, None))
+    out = _ample(cfg, ctx, silent, budget) if ample else []
+    if out:
+        return out
+    runs = ctx.runs[silent]
     for i, ts in enumerate(locs):
         t = ts.t
         found = []  # (label, thread state, gamma, beta)
@@ -442,10 +426,10 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
             forgot = 0
             if forget is not None and b2 is not beta:
                 g2, b2, forgot = _forget(ctx, forget, g2, b2)
-            run = None if runs is None else runs.get(ts2, False)
+            run = runs.get(ts2, False)
             if run is not None:
                 if run is False or len(run.states) >= budget:
-                    run = _run(ts2, ctx, budget - 1, reduce)
+                    run = _run(ts2, ctx, silent, budget - 1)
                 if run is not None:
                     label, ts2 = (label,) + run.labels, run.states[-1]
             nxt = Configuration((head + (ts2,) + tail, g2, b2))
@@ -567,25 +551,13 @@ def step_path(t, label) -> list:
 def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
             reduce: bool = False) -> ExploreResult:
     """Bounded exhaustive exploration memoized on configurations, which
-    numbers each configuration when it first stores it.
-
-    With `reduce`, successors are reduced (`successors`): a configuration
-    that has an ample set takes only its run, and every other step folds
-    the silent run it reaches.  Levels stay counted in scheduler steps: an
-    edge that folds n steps lands n levels on, as a full run would reach
-    its target, and configurations at one level are stepped in the order a
-    run of single steps would step them, so the bound, the terminal states'
-    order and the witnesses are those of that run.  The reduced run reaches
-    the same terminal states, so it gives the same outcomes, and, when it
-    is not truncated, the same (gamma, beta) pairs up to forgotten queue
-    prefixes (it may be truncated where a full run is not; see the module
-    docstring); it does not keep every configuration, and keeps no edges.
-    So only checks that read no more than that reduce: the `explore`
-    command, `check_hoare` and the FIFO oracle.  `check_outline` and
-    refinement read every state and edge, and explore in full, where only
-    implementation-silent runs are folded.  A folded edge's target is
-    numbered when the edge lands; in a full run, the edge names its
-    target's key until then."""
+    numbers each configuration when it first stores it, under the reduced
+    or the full fold policy (`reduce`, module docstring).  An edge that
+    folds n steps lands n levels on, as a run of single steps would reach
+    its target, and configurations at one level are stepped in the order
+    such a run would step them.  A folded edge's target is numbered when
+    the edge lands; in a full run, the edge names its target's key until
+    then."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     number = {canonical_key(cfg0): 0}

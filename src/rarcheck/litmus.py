@@ -650,8 +650,7 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     observed = tuple(dict.fromkeys(r for r in pred_regs[1]
                                    if r in local_evidence))
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
-    ctx = SystemContext(tids, None if fill else spec, n_labels, observed,
-                        fill is not None)
+    ctx = SystemContext(tids, None if fill else spec, n_labels, observed)
     cfg0 = ctx.configuration(progs, rho, gamma, beta)
     annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
                        if ann is not None} for t, stmts in lf.threads}

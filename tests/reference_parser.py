@@ -653,7 +653,7 @@ def build_system(lf, impl=None):
 
     observed = _observed_registers(lf, local_evidence)
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
-    ctx = SystemContext(tids, spec, n_labels, observed, impl is not None)
+    ctx = SystemContext(tids, spec, n_labels, observed)
     cfg0 = ctx.configuration(progs, rho, gamma, beta)
     annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
                        if ann is not None} for t, stmts in lf.threads}

@@ -311,6 +311,54 @@ class TestToolRegisters:
         assert outputs[0] == outputs[1]
 
 
+STALE_READ_CLIENT = """
+name stale-read
+init x := 0; y := 0
+object lock l
+thread 1 { l.acquire(); x := 1; y := 1; l.release(); }
+thread 2 { l.acquire(); r1 <- y; r2 <- x;
+           if r1 = 1 then a := 1 % r2; else a := 0; l.release(); }
+"""
+
+
+class TestConcreteOnlyInputError:
+    """Thread 2 divides by x once it has read y = 1.  Under a correct lock
+    it then reads x = 1 too; only a relaxed mutant lets it read the stale
+    x = 0.  So only the concrete exploration meets the error: the abstract
+    one that `refine._explore_concrete` runs to look for a release without
+    the lock ends, and the concrete error is raised again."""
+
+    @pytest.mark.parametrize("impl,code,err", [
+        ("seqlock", 0, ""),
+        ("seqlock-relaxed", 3,
+         "error: cannot evaluate (1 % r2): integer modulo by zero\n"),
+        ("ticketlock-relaxed", 3,
+         "error: cannot evaluate (1 % r2): integer modulo by zero\n"),
+    ])
+    def test_only_a_mutant_reads_stale(self, tmp_path, impl, code, err):
+        path = tmp_path / "stale-read.lit"
+        path.write_text(STALE_READ_CLIENT)
+        out, errs = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(errs):
+            assert run_cli(["refine", "--impl", impl, "--client",
+                            str(path)]) == code
+        assert errs.getvalue() == err
+        assert out.getvalue() == ("verdict: simulation-found\n" if code == 0
+                                  else "")
+
+    @pytest.mark.parametrize("impl", ["seqlock-relaxed",
+                                      "ticketlock-relaxed"])
+    def test_the_concrete_error_is_raised_again(self, impl):
+        lf = parse_litmus(STALE_READ_CLIENT)
+        abs_sys = build_system(lf)
+        assert not explore(abs_sys.cfg0, abs_sys.ctx, 64).truncated
+        with pytest.raises(P.ProgramError,
+                           match=r"^cannot evaluate \(1 % r2\)"):
+            rf._explore_concrete(build_system(lf, builtin_impls()[impl]),
+                                 abs_sys, 64)
+
+
 class TestTraceRefinement:
     def test_both_locks_pass(self):
         assert trace_check_alone(builtin_impls()["seqlock"], client(),

@@ -82,9 +82,7 @@ def _fresh(ctx):
     out.thread_states, out.components, out.labels = {}, {}, {}
     out.thread_steps, out.component_steps = {}, {}
     out.redexes, out.plugs = {}, {}
-    out.runs = {}
-    if ctx.impl_runs is not None:
-        out.impl_runs = {}
+    out.runs = {silent: {} for silent in ctx.runs}
     return out
 
 
@@ -171,8 +169,9 @@ def test_systems_share_no_table():
         ids = [{id(x) for x in getattr(s.ctx, name).values()}
                for s in (a, b)]
         assert ids[0].isdisjoint(ids[1])
-    # the reduction's table is keyed by one system's thread states
-    ids = [{id(ts) for ts in s.ctx.runs} for s in (a, b)]
+    # the fold's tables are keyed by one system's thread states
+    ids = [{id(ts) for runs in s.ctx.runs.values() for ts in runs}
+           for s in (a, b)]
     assert ids[0].isdisjoint(ids[1])
 
 
