@@ -497,7 +497,7 @@ class ExploreResult(Record):
     are first stored, the initial one 0, in the order `explore` reaches
     them; in a full run, the successors of the states stopped at the step
     bound are numbered after every explored state, so `states[:
-    states_explored]` are the explored ones."""
+    states_explored]` are the explored ones, those with an edge list."""
 
     states_explored: int
     outcomes: list  # sorted list of dicts register -> value
@@ -519,33 +519,34 @@ class ExploreResult(Record):
 
     def witness_path(self, n: int) -> list:
         """The steps from the initial state to state n along the edges that
-        first reached each state on the way, one per scheduler step.
-        Exploration goes level by level in scheduler steps, so this is a
-        shortest path.  A queue position in a reduced run's label counts
-        every operation forgotten before its step back in, so the path
-        names the positions of a full run, and replays through full
-        steps."""
+        first reached each state on the way, one per scheduler step: each
+        edge's `step_path`, given the number of queue operations that the
+        edges before it forgot.  Exploration goes level by level in
+        scheduler steps, so this is a shortest path.  It names the queue
+        positions of a full run, and replays through full steps."""
         steps = []
         while self.via[n] is not None:
             n, t, label, *forgot = self.via[n]
-            steps.append((t, label, forgot))
+            steps.append((t, label, sum(forgot)))
         path, offset = [], 0
         for t, label, forgot in reversed(steps):
-            for lab in label if type(label) is tuple else (label,):
-                if (offset and lab.component == "library"
-                        and lab.rank is not None):
-                    lab = StepLabel(lab.component, lab.action,
-                                    lab.rank + offset, lab.at_hole)
-                path.append({"thread": t, "label": lab.text})
-            offset += sum(forgot)
+            path += step_path(t, label, offset)
+            offset += forgot
         return path
 
 
-def step_path(t, label) -> list:
+def step_path(t, label, offset: int = 0) -> list:
     """An edge of thread t as witness steps, one per scheduler step: a
-    folded edge's label is the tuple of its steps' labels."""
-    return [{"thread": t, "label": lab.text}
-            for lab in (label if type(label) is tuple else (label,))]
+    folded edge's label is the tuple of its steps' labels.  A reduced run
+    that has forgotten `offset` queue operations before the edge counts
+    them back into each library step's position on the queue."""
+    path = []
+    for lab in label if type(label) is tuple else (label,):
+        if offset and lab.component == "library" and lab.rank is not None:
+            lab = StepLabel(lab.component, lab.action, lab.rank + offset,
+                            lab.at_hole)
+        path.append({"thread": t, "label": lab.text})
+    return path
 
 
 def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
@@ -571,7 +572,6 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     # passing the level
     frontier = [0]
     level = 0
-    beyond = 0  # states numbered past the step bound
     # the states with an edge to a folded target not numbered when the edge
     # was found; `pending` when the state being stepped has one
     landing, pending = [], False
@@ -618,8 +618,6 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                     via.append(step)
                     if expand:
                         later.append(m)
-                    else:
-                        beyond += 1
                 out.append((t, label, m))
             if edges is not None:
                 if pending:
@@ -634,8 +632,10 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     out_list = sorted(
         ({r: v for r, v in oc} for oc in outcomes),
         key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
-    return ExploreResult(len(states) - beyond, out_list, truncated, states,
-                         edges, via, terminals)
+    # a full run stores edges for exactly the explored states
+    explored = len(states) if edges is None else len(edges)
+    return ExploreResult(explored, out_list, truncated, states, edges, via,
+                         terminals)
 
 
 def _outcome_of(cfg: Configuration, ctx: SystemContext):

@@ -296,8 +296,11 @@ def _game(ab, conc, project):
     pair, numbered in discovery order, as `moves`: per pair number, per
     concrete step, ((thread, label), [candidate pair numbers]).  States are
     the explorations' own numbers; neither exploration is truncated, so
-    each stores only explored states, and a state is projected when the
-    game first pairs it.  The initial pair is related: both systems are
+    each stores only explored states, and a state's `$rval`s and projection
+    are made when the game first pairs it.  Two states relate when their
+    `$rval`s are equal and their projections refine (`_refines_memo`, as
+    in the trace check), which is computed once per pair of distinct
+    projections.  The initial pair is related: both systems are
     built from one client (`litmus.build_system`), so their initial states
     have the same client registers and client component, and `$rval` is
     bot in every thread.
@@ -309,6 +312,7 @@ def _game(ab, conc, project):
     None.  The silent steps change neither the client's projection nor
     `$rval`, so every state inside the run relates to the same abstract
     states as the edge's target."""
+    # per state number: its `$rval`s and its projection
     cviews = [None] * len(conc.states)
     aviews = [None] * len(ab.states)
     # per abstract state: (thread, reply core) -> successors
@@ -318,30 +322,17 @@ def _game(ab, conc, project):
         for t, lab, a2 in steps:
             out.setdefault((t, _reply_core(lab)), []).append(a2)
         areplies.append(out)
-    # a state's view: its `$rval`s and its projection, equal views one
-    # object (equal projections are one object); and (id of an abstract
-    # view, id of a concrete one) -> whether they relate
-    views, memo = {}, {}
-
-    def view(cfg):
-        rvals, p = _rvals(cfg), project(cfg)
-        key = (rvals, id(p))
-        v = views.get(key)
-        if v is None:
-            v = views[key] = (rvals, p)
-        return v
+    refines = _refines_memo()
 
     def related(a, c):
         av, cv = aviews[a], cviews[c]
         if av is None:
-            av = aviews[a] = view(ab.states[a])
+            cfg = ab.states[a]
+            av = aviews[a] = (_rvals(cfg), project(cfg))
         if cv is None:
-            cv = cviews[c] = view(conc.states[c])
-        key = (id(av), id(cv))
-        r = memo.get(key)
-        if r is None:
-            r = memo[key] = av[0] == cv[0] and _refines(av[1], cv[1])
-        return r
+            cfg = conc.states[c]
+            cv = cviews[c] = (_rvals(cfg), project(cfg))
+        return av[0] == cv[0] and refines(av[1], cv[1])
 
     # forward reachability over candidate pairs, from the initial pair: each
     # exploration numbers its initial state 0

@@ -11,8 +11,9 @@ import pytest
 
 import rarcheck
 from rarcheck.cli import run_cli
+from rarcheck.explore import ExploreResult
 from rarcheck.litmus import build_system, corpus_text, load_corpus
-from rarcheck.refine import builtin_impls
+from rarcheck.refine import TraceCheckResult, builtin_impls
 from rarcheck.state import StateError
 from refine_helpers import unbound_client
 from test_litmus import TOO_DEEP, deep_inputs
@@ -223,6 +224,61 @@ class TestRefine:
                             "--client", str(client))
         assert (got, err) == (code, "")
         assert json.loads(out)["verdict"] == verdict
+
+    def test_failed_trace_check_is_a_violation(self, corpus_dir, capsys,
+                                               monkeypatch):
+        # a simulation implies trace inclusion, so only a fault makes the
+        # trace check fail after the game passed: the report then says so,
+        # with the trace check's witness in place of the game's
+        witness = [{"thread": 1, "label": "wr(d,5)@1"}]
+        monkeypatch.setattr(
+            "rarcheck.cli.check_trace_refinement",
+            lambda sim: TraceCheckResult("violation", witness, 1, "made up"))
+        client = str(corpus_dir / "seqlock-refine.lit")
+        code, out, _ = run(capsys, "refine", "--impl", "seqlock", "--client",
+                           client)
+        assert code == 1
+        assert out.splitlines()[:3] == [
+            "verdict: trace-check-failed", "witness:",
+            "  thread 1: wr(d,5)@1"]
+        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
+                           "--client", client)
+        doc = json.loads(out)
+        assert code == 1
+        assert (doc["verdict"], doc["trace_check"], doc["witness"]) == (
+            "trace-check-failed", "violation", witness)
+
+    def test_truncated_abstract_exploration(self, corpus_dir, capsys,
+                                            monkeypatch):
+        # the concrete system is explored first, so the second exploration
+        # is the abstract one
+        import rarcheck.refine as rf
+        original = rf.explore
+        calls = []
+
+        def abstract_truncated(*args, **kwargs):
+            res = original(*args, **kwargs)
+            calls.append(res)
+            if len(calls) % 2:
+                return res
+            return ExploreResult(*(True if f == "truncated"
+                                   else getattr(res, f)
+                                   for f in ExploreResult._fields))
+
+        monkeypatch.setattr(rf, "explore", abstract_truncated)
+        lf = load_corpus("seqlock-refine")
+        sim = rf.check_simulation(builtin_impls()["seqlock"], lf, 64)
+        assert (sim.verdict, sim.detail) == (
+            "unknown-beyond-bound", "abstract exploration truncated")
+        assert not sim.explored.truncated and sim.abstract.truncated
+        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
+                           "--client", str(corpus_dir / "seqlock-refine.lit"))
+        doc = json.loads(out)
+        assert code == 2
+        assert (doc["verdict"], doc["detail"]) == (
+            "unknown-beyond-bound", "abstract exploration truncated")
+        assert "trace_check" not in doc
+        assert len(calls) == 4
 
 
 ACQUIRE_RESULT_CLIENT = """name acq-result

@@ -258,3 +258,38 @@ def test_refine_json_counts_are_the_folded_games():
         sim = rf.check_simulation(rf.builtin_impls()["seqlock"],
                                   load_corpus("lock-two-rounds"), 64)
     assert (sim.pairs_explored, sim.relation_size) == (1205, 1068)
+
+
+# per abstract state: (thread, reply core) -> successors, made by hand: only
+# thread 1's steps with core None answer a silent step, and state 4 does
+# not relate to the concrete state
+AREPLIES = [
+    {(1, None): [2, 1], (2, None): [5]},
+    {(1, None): [3]},
+    {(1, None): [1, 4], (1, ("eps",)): [6]},
+    {(1, None): [7]},
+    {}, {}, {}, {},
+]
+
+
+@pytest.mark.parametrize("cands, silent, replies", [
+    ([0], 1, [0, 2, 1]),
+    ([0], 2, [0, 2, 1, 3]),
+    ([0], 3, [0, 2, 1, 3, 7]),
+    ([0], 10, [0, 2, 1, 3, 7]),
+    ([1, 0, 1], 2, [1, 0, 3, 2, 7]),
+    ([4], 5, [4]),
+    ([], 3, []),
+])
+def test_silent_replies_by_rounds(cands, silent, replies):
+    # the replies after the first, then every state that `silent` rounds of
+    # thread 1's core-None steps reach through related states: in the
+    # order they are first reached, each once
+    asked = []
+
+    def related(a):
+        asked.append(a)
+        return a != 4
+
+    assert rf._silent_replies(cands, silent, AREPLIES, 1, related) == replies
+    assert set(asked) <= set(range(1, 5)) | {7}

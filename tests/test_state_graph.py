@@ -22,6 +22,7 @@ from rarcheck.refine import builtin_impls
 from rarcheck.state import StateError
 from reference_witness import reference_paths
 from test_cli_fuzz import litmus_files
+from test_folded_game import LOCK_FILES
 
 CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
           "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
@@ -50,23 +51,49 @@ def _levels(res):
     return level
 
 
+def _assert_graph_shape(res):
+    """What holds of a graph at any bound: a full run stores an edge list
+    for exactly its explored states, every edge names a stored state, and
+    every state past the explored ones is a successor of an explored one
+    at the bound; a reduced run numbers no state past the explored ones."""
+    if res.edges is None:
+        assert res.states_explored == len(res.states)
+        return
+    assert len(res.edges) == res.states_explored
+    targets = {m for stored in res.edges for _, _, m in stored}
+    assert all(0 <= m < len(res.states) for m in targets)
+    beyond = set(range(res.states_explored, len(res.states)))
+    assert beyond <= targets
+    assert res.truncated or not beyond
+
+
 @pytest.mark.parametrize("name", CORPUS)
 def test_edges_are_the_successor_relation(explorations, name):
     system, res = explorations[name]
-    assert len(res.edges) == res.states_explored
+    _assert_graph_shape(res)
     assert len(set(res.states)) == len(res.states)
     for key, cfg in enumerate(res.states[:res.states_explored]):
         stored = res.edges[key]
         assert [(t, lab, res.states[nxt]) for t, lab, nxt in stored] == \
             successors(cfg, system.ctx)
         assert (stored == ()) == (key in res.terminals)
-        for _, _, nxt in stored:
-            if nxt >= res.states_explored:
-                assert res.truncated
     labels = {}
     for stored in res.edges:
         for _, lab, _ in stored:
             assert labels.setdefault(lab, lab) is lab
+
+
+# every corpus file, and refinement's concrete systems, whose full runs fold
+# implementation-silent runs
+@pytest.mark.parametrize("name, impl", [(name, None) for name in CORPUS] + [
+    (name, impl) for name in LOCK_FILES for impl in sorted(builtin_impls())])
+def test_graph_shape_at_every_bound(name, impl):
+    impls = () if impl is None else (builtin_impls()[impl],)
+    system = build_system(load_corpus(name), *impls)
+    for bound in list(range(1, 41)) + [64]:
+        for reduce in (False, True):
+            _assert_graph_shape(explore(system.cfg0, system.ctx, bound,
+                                        reduce=reduce))
 
 
 @pytest.mark.parametrize("name", CORPUS)
