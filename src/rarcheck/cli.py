@@ -22,7 +22,11 @@ from .program import ProgramError
 from .refine import builtin_impls, check_simulation, check_trace_refinement
 from .state import FALSE, TRUE, Sym
 
-OK, VIOLATION, BOUND, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3, 4
+INPUT_ERROR, INTERNAL_ERROR = 3, 4
+# every verdict a command reports, and its exit code
+_EXIT = {"pass": 0, "valid": 0, "simulation-found": 0, "violation": 1,
+         "invalid": 1, "fail": 1, "no-simulation": 1,
+         "trace-check-failed": 1, "unknown-beyond-bound": 2}
 
 
 class _Argparser(argparse.ArgumentParser):
@@ -153,26 +157,25 @@ def _read(path: str):
     return parse_litmus(text)
 
 
-def _cmd_explore(args) -> int:
+def _cmd_explore(args) -> dict:
     system = build_system(_read(args.file))
     res = explore(system.cfg0, system.ctx, args.max_steps, reduce=True)
-    verdict, code, witness = "pass", OK, None
+    verdict, witness = "pass", None
     if system.outline.final is not None:
         rep = check_hoare(system.cfg0, system.ctx, system.outline.pre,
                           system.outline.final, args.max_steps, res)
         if rep.verdict == "invalid":
-            verdict, code, witness = "violation", VIOLATION, rep.witness
+            verdict, witness = "violation", rep.witness
         elif rep.verdict == "unknown-beyond-bound":
-            verdict, code = "unknown-beyond-bound", BOUND
+            verdict = "unknown-beyond-bound"
     elif res.truncated:
-        verdict, code = "unknown-beyond-bound", BOUND
-    _emit({"verdict": verdict, "states_explored": res.states_explored,
-           "outcomes": res.outcomes, "witness": witness or [],
-           "truncated": res.truncated}, args.json)
-    return code
+        verdict = "unknown-beyond-bound"
+    return {"verdict": verdict, "states_explored": res.states_explored,
+            "outcomes": res.outcomes, "witness": witness or [],
+            "truncated": res.truncated}
 
 
-def _cmd_outline(args) -> int:
+def _cmd_outline(args) -> dict:
     system = build_system(_read(args.file))
     rep = check_outline(system.cfg0, system.ctx, system.outline,
                         args.max_steps)
@@ -180,28 +183,23 @@ def _cmd_outline(args) -> int:
     witness = next((r.witness for r in rep.verdicts.values()
                     if r.verdict == "invalid"), None)
     verdict = "valid" if rep.valid else "invalid"
-    code = OK if rep.valid else VIOLATION
     if rep.valid and rep.truncated:
-        verdict, code = "unknown-beyond-bound", BOUND
-    _emit({"verdict": verdict, "states_explored": rep.states_explored,
-           "assertions": assertions, "witness": witness or [],
-           "truncated": rep.truncated}, args.json)
-    return code
+        verdict = "unknown-beyond-bound"
+    return {"verdict": verdict, "states_explored": rep.states_explored,
+            "assertions": assertions, "witness": witness or [],
+            "truncated": rep.truncated}
 
 
-def _cmd_hoare(args) -> int:
+def _cmd_hoare(args) -> dict:
     system = build_system(_read(args.file))
     rep = check_hoare(system.cfg0, system.ctx, system.outline.pre,
                       system.outline.final, args.max_steps)
-    code = {"valid": OK, "invalid": VIOLATION,
-            "unknown-beyond-bound": BOUND}[rep.verdict]
-    _emit({"verdict": rep.verdict, "states_explored": rep.states_explored,
-           "witness": rep.witness or [], "truncated": rep.truncated,
-           "detail": rep.detail}, args.json)
-    return code
+    return {"verdict": rep.verdict, "states_explored": rep.states_explored,
+            "witness": rep.witness or [], "truncated": rep.truncated,
+            "detail": rep.detail}
 
 
-def _cmd_refine(args) -> int:
+def _cmd_refine(args) -> dict:
     sim = check_simulation(_IMPLS[args.impl], _read(args.client),
                            args.max_steps)
     report = {"verdict": sim.verdict, "relation_size": sim.relation_size,
@@ -213,18 +211,11 @@ def _cmd_refine(args) -> int:
         if not tr.ok:
             report["verdict"] = "trace-check-failed"
             report["witness"] = tr.counterexample or []
-    _emit(report, args.json)
-    if report["verdict"] == "simulation-found":
-        return OK
-    if report["verdict"] == "unknown-beyond-bound":
-        return BOUND
-    return VIOLATION
+    return report
 
 
-def _cmd_oracle(args) -> int:
-    res = fifo_check(args.enqs)
-    _emit(res, args.json)
-    return OK if res["verdict"] == "pass" else VIOLATION
+def _cmd_oracle(args) -> dict:
+    return fifo_check(args.enqs)
 
 
 def run_cli(argv) -> int:
@@ -252,7 +243,10 @@ def _run(argv) -> int:
     try:
         # the command's function is read when called, so a wrapper in its
         # place sees the call
-        return globals()[f"_cmd_{args.command}"](args)
+        report = globals()[f"_cmd_{args.command}"](args)
+        code = _EXIT[report["verdict"]]
+        _emit(report, args.json)
+        return code
     except (LitmusError, ProgramError) as e:
         print(f"error: {e}", file=sys.stderr)
         return INPUT_ERROR

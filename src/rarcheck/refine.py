@@ -13,11 +13,12 @@ sets that local.
 Both systems are explored once, under one step bound, and both checks read
 those two explorations: the game plays over the two state graphs, and trace
 inclusion determinizes the abstract one against every stutter-free concrete
-client trace, matched pointwise under refinement.  The concrete graph folds
-each implementation-silent run into the step that reaches it
-(`explore._impl_silent`): the game answers such an edge as it would answer
-its steps in turn, each silent one by stuttering or by one implementation
-step of the same thread, and counterexamples list every step.
+client trace, matched pointwise under refinement.  The abstract client is
+explored first, and a release that can run while its thread does not hold
+the lock is rejected as input from that exploration.  The concrete graph
+folds each implementation-silent run into the step that reaches it
+(`explore._impl_silent`): the game answers such an edge as it answers its
+first step, and counterexamples list every step.
 """
 
 from __future__ import annotations
@@ -218,27 +219,20 @@ def _check_client(system):
         raise LitmusError(unsync)
 
 
-def _explore_concrete(conc_sys, abs_sys, max_steps):
-    """The concrete system's exploration.  A client release by a thread not
-    holding the lock (an abstract release that blocks) reads an unset
-    implementation register; that failure is reported as the client's,
-    found in the abstract exploration: a thread whose move is a release
-    call and that has no step out of its configuration."""
-    try:
-        return explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
-    except P.ProgramError:
-        ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
-        for n, steps in enumerate(ab.edges):
-            stepping = {t for t, _, _ in steps}
-            for ts in ab.states[n].locs:
-                for move in abs_sys.ctx.thread_steps[ts]:
-                    call = move.step.action
-                    if move.step.kind == "call" and call.meth == "release" \
-                            and ts.t not in stepping:
-                        raise LitmusError(
-                            f"thread {ts.t}: {call!r} can run while thread "
-                            f"{ts.t} does not hold the lock {call.obj!r}")
-        raise
+def _check_releases(ab, ctx):
+    """The release rule, on the abstract client's exploration: no thread may
+    reach a release call while it does not hold the lock.  Such a thread's
+    move is a release call and it has no step out of its configuration."""
+    for n, steps in enumerate(ab.edges):
+        stepping = {t for t, _, _ in steps}
+        for ts in ab.states[n].locs:
+            for move in ctx.thread_steps[ts]:
+                call = move.step.action
+                if move.step.kind == "call" and call.meth == "release" \
+                        and ts.t not in stepping:
+                    raise LitmusError(
+                        f"thread {ts.t}: {call!r} can run while thread "
+                        f"{ts.t} does not hold the lock {call.obj!r}")
 
 
 @record
@@ -248,9 +242,8 @@ class SimulationResult(Record):
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
-    # the concrete and the abstract exploration the game was played over
-    # (no abstract one when the concrete one is truncated) and the projector
-    # it used, which check_trace_refinement reuses
+    # the concrete and the abstract exploration the game was played over,
+    # and the projector it used, which check_trace_refinement reuses
     explored: ExploreResult = None
     projector: object = None
     abstract: ExploreResult = None
@@ -263,23 +256,23 @@ class SimulationResult(Record):
 def check_simulation(impl: Impl, client_lf,
                      max_steps: int = 64) -> SimulationResult:
     """Play the forward-simulation game over the explored concrete and
-    abstract state graphs, exploring the abstract one second."""
+    abstract state graphs.  The abstract client is vetted first: its
+    program (`_check_client`), then its exploration (`_check_releases`);
+    the concrete system is explored last, and an input error that only
+    its run meets is raised as it is."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     _check_client(abs_sys)
-
-    conc = _explore_concrete(conc_sys, abs_sys, max_steps)
+    ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
+    _check_releases(ab, abs_sys.ctx)
+    conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     project = _projector(abs_sys.client_locals, abs_sys.ctx.threads)
-    kept = {"explored": conc, "projector": project}
-    if conc.truncated:
-        return SimulationResult("unknown-beyond-bound",
-                                detail="concrete exploration truncated",
-                                **kept)
-    ab = kept["abstract"] = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
-    if ab.truncated:
-        return SimulationResult("unknown-beyond-bound",
-                                detail="abstract exploration truncated",
-                                **kept)
+    kept = {"explored": conc, "projector": project, "abstract": ab}
+    for side, res in (("concrete", conc), ("abstract", ab)):
+        if res.truncated:
+            return SimulationResult("unknown-beyond-bound",
+                                    detail=f"{side} exploration truncated",
+                                    **kept)
     moves = _game(ab, conc, project)
     losing = _attractor(moves)
     if 0 in losing:  # the initial pair
@@ -306,12 +299,14 @@ def _game(ab, conc, project):
     bot in every thread.
 
     A concrete edge that folds an implementation-silent run (its label a
-    tuple: `explore._impl_silent`) is answered as the game would answer
-    its steps in turn: the first by its reply core, then each silent step
-    by stuttering or by one abstract step of the same thread whose core is
-    None.  The silent steps change neither the client's projection nor
-    `$rval`, so every state inside the run relates to the same abstract
-    states as the edge's target."""
+    tuple: `explore._impl_silent`) is answered as its first step is.  The
+    silent steps change neither the client's projection nor `$rval`, so the
+    edge's target relates to the same abstract states as its first step's
+    target, and no second abstract step could answer one of them: an
+    enabled lock call flips its caller's `$rval`, so it reaches no related
+    state, and a hole's return is never followed by another.  These two
+    facts hold of the abstract lock (`tests/test_folded_game.py` pins
+    them); an object whose call can keep `$rval` breaks the first."""
     # per state number: its `$rval`s and its projection
     cviews = [None] * len(conc.states)
     aviews = [None] * len(ab.states)
@@ -342,18 +337,11 @@ def _game(ab, conc, project):
     for a, c in order:  # grows while it is walked
         step_moves = []
         for t, lab, c2 in conc.edges[c]:
-            silent = 0
-            first = lab
-            if type(lab) is tuple:
-                first, silent = lab[0], len(lab) - 1
-            core = _reply_core(first)
+            core = _reply_core(lab[0] if type(lab) is tuple else lab)
             # an implementation step may also be answered by stuttering
             cands = [a] if core is None and related(a, c2) else []
             cands += [a2 for a2 in areplies[a].get((t, core), ())
                       if related(a2, c2)]
-            if silent:
-                cands = _silent_replies(cands, silent, areplies, t,
-                                        lambda a2: related(a2, c2))
             nums = []
             for a2 in cands:
                 p = (a2, c2)
@@ -365,27 +353,6 @@ def _game(ab, conc, project):
             step_moves.append(((t, lab), nums))
         moves.append(step_moves)
     return moves
-
-
-def _silent_replies(cands, silent, areplies, t, related):
-    """The abstract states that answer `silent` implementation-silent steps
-    of thread t after the replies `cands`: each step is answered by
-    stuttering, which keeps every state, or by one step of thread t whose
-    reply core is None to a state that relates to the concrete one.  In
-    the order they are first reached, each once."""
-    found = dict.fromkeys(cands)
-    fresh = list(found)
-    for _ in range(silent):
-        nxt = []
-        for a in fresh:
-            for a2 in areplies[a].get((t, None), ()):
-                if a2 not in found and related(a2):
-                    found[a2] = None
-                    nxt.append(a2)
-        if not nxt:
-            break
-        fresh = nxt
-    return list(found)
 
 
 def _attractor(moves):
@@ -492,11 +459,11 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
     shrink what its thread observes, as the abstract acquire does, and its
     final update then change nothing visible), so a simulation implies
     trace inclusion, as the paper's theorem says.  A folded concrete edge
-    is matched as one step: the implementation-silent steps after its
-    first leave the projection as it is, so the traces are those of its
-    steps one by one.  `traces_checked` counts the concrete edges walked
-    that change the client's projection.  The initial states refine each
-    other, as in the game (`_game`)."""
+    is matched as one step, as the game answers it by its first: the
+    implementation-silent steps after the first leave the projection as it
+    is, so the traces are those of its steps one by one.  `traces_checked`
+    counts the concrete edges walked that change the client's projection.
+    The initial states refine each other, as in the game (`_game`)."""
     conc, ab, project = sim.explored, sim.abstract, sim.projector
     aproj = [project(c) for c in ab.states]
     cproj = [project(c) for c in conc.states]

@@ -42,8 +42,8 @@ def trace_check_alone(impl, client_lf, max_steps=64):
     built and explored again, and a projector of its own, as if no game had
     been played."""
     abs_sys = rf.build_system(client_lf)
-    conc = rf._explore_concrete(rf.build_system(client_lf, impl), abs_sys,
-                                max_steps)
+    conc_sys = rf.build_system(client_lf, impl)
+    conc = rf.explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     project = rf._projector(abs_sys.client_locals, abs_sys.ctx.threads)
     unplayed = rf.SimulationResult(
         "unplayed", explored=conc, projector=project,

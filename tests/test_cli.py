@@ -250,16 +250,16 @@ class TestRefine:
 
     def test_truncated_abstract_exploration(self, corpus_dir, capsys,
                                             monkeypatch):
-        # the concrete system is explored first, so the second exploration
-        # is the abstract one
+        # the abstract system's context has the lock's specification, the
+        # concrete one's none: only the abstract exploration is truncated
         import rarcheck.refine as rf
         original = rf.explore
         calls = []
 
-        def abstract_truncated(*args, **kwargs):
-            res = original(*args, **kwargs)
+        def abstract_truncated(cfg0, ctx, *args, **kwargs):
+            res = original(cfg0, ctx, *args, **kwargs)
             calls.append(res)
-            if len(calls) % 2:
+            if ctx.object_spec is None:
                 return res
             return ExploreResult(*(True if f == "truncated"
                                    else getattr(res, f)
@@ -544,14 +544,28 @@ class TestErrors:
             assert run(capsys, *argv, str(bad)) == (3, "", f"error: {error}\n")
 
     def test_expression_fault_in_a_refine_client(self, tmp_path, capsys):
-        # the concrete exploration meets the fault; the abstract one, which
-        # looks for a release by a thread not holding the lock, meets it too
+        # both explorations meet the fault; the abstract one, explored
+        # first, raises it
         bad = tmp_path / "fault.lit"
         bad.write_text("name t\ninit d := 0\nobject lock l\nthread 1 { "
                        "l.acquire(); a := 1 % 0; d := 1; l.release(); }\n")
         assert run(capsys, "refine", "--impl", "seqlock", "--client",
                    str(bad)) == (3, "", "error: cannot evaluate (1 % 0): "
                                  "integer modulo by zero\n")
+
+    @pytest.mark.parametrize("bound", [10, 12, 14, 20])
+    def test_abstract_error_is_reported_before_the_concrete_bound(
+            self, tmp_path, capsys, bound):
+        # the abstract exploration meets the fault within each bound, and
+        # runs first: the concrete one, which would stop truncated before
+        # the fault below bound 20, is not explored
+        bad = tmp_path / "late-fault.lit"
+        bad.write_text("name t\ninit d := 0\nobject lock l\nthread 1 { "
+                       "l.acquire(); l.release(); l.acquire(); l.release(); "
+                       "a := 1 % 0; }\n")
+        assert run(capsys, "refine", "--impl", "seqlock", "--client",
+                   str(bad), "--max-steps", str(bound)) == (
+            3, "", "error: cannot evaluate (1 % 0): integer modulo by zero\n")
 
     def test_impl_note_is_an_input_error(self, tmp_path, capsys):
         # an object declaration names no implementation (`refine --impl`
@@ -571,13 +585,19 @@ class TestErrors:
         ("thread 1 { l.release(); l.acquire(); d := 1; l.release(); }", 1),
         ("thread 1 { l.acquire(); d := 1; l.release(); }\n"
          "thread 2 { l.release(); }", 2),
-    ], ids=["before-acquire", "by-another-thread"])
+        ("thread 1 { l.acquire(); l.release(); l.release(); }", 1),
+        ("thread 1 { l.acquire(); l.release(); l.release(); }\n"
+         "thread 2 { l.acquire(); l.release(); }\n"
+         "thread 3 { l.acquire(); l.release(); }", 1),
+    ], ids=["before-acquire", "by-another-thread", "double-release",
+            "double-release-beside-two"])
     def test_release_without_the_lock_names_the_client_call(
             self, tmp_path, capsys, impl, threads, t):
-        # an implementation's release reads what its acquire set, so a
-        # client release that can run while its thread does not hold the
-        # lock is reported as the client's call, not as an unbound
-        # implementation register
+        # a client release that can run while its thread does not hold the
+        # lock is found in the abstract exploration, before the concrete
+        # one, and reported as the client's call under every
+        # implementation, whether or not the implementation's release
+        # reads a register its acquire has not set
         bad = tmp_path / "release-first.lit"
         bad.write_text(f"name release-first\ninit d := 0\nobject lock l\n"
                        f"{threads}\n")

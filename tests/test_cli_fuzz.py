@@ -476,7 +476,9 @@ def test_edited_generated_files_exit_0_to_3(tmp_path_factory, text):
 #
 # Generated files above declare a lock in a third of the examples, and most
 # of those use a releasing write, an acquiring read, an update or an
-# unbalanced release, which refine refuses as input.  These clients are
+# unbalanced release, which refine refuses as input (a release is refused
+# wherever the abstract client can run it without the lock, under every
+# implementation).  These clients are
 # sync-free and call the lock in acquire/release rounds, so refine plays
 # the simulation game on each, and by the paper's theorem the two correct
 # locks simulate the abstract lock under every one of them, and so pass the

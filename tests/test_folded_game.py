@@ -11,7 +11,10 @@ the verdicts, the game's counterexamples, the details and the exit codes of
 the same checks played over the folded graph, on every lock-declaring corpus
 file at three bounds, on the lock clients of `test_refine` and
 `test_cli_fuzz`, and, for the verdict and truncation, at every bound from 1
-to 40.  Only the pair and relation counts may differ.
+to 40.  Only the pair and relation counts may differ.  The game answers a
+folded edge as its first step; the two facts of the abstract lock that
+make this exact are checked on the abstract explorations of the same
+clients and of clients that call the lock inside blocks.
 """
 
 import contextlib
@@ -25,8 +28,9 @@ from hypothesis import given, settings
 
 import rarcheck.refine as rf
 from rarcheck.cli import run_cli
-from rarcheck.explore import _impl_silent, explore
+from rarcheck.explore import _impl_silent, _moves, explore
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
+from rarcheck.state import RVAL
 from reference_unfolded import explore_unfolded, single_steps
 from test_cli_fuzz import lock_clients
 from test_refine import LOCK_CLIENTS, PINNED
@@ -260,36 +264,93 @@ def test_refine_json_counts_are_the_folded_games():
     assert (sim.pairs_explored, sim.relation_size) == (1205, 1068)
 
 
-# per abstract state: (thread, reply core) -> successors, made by hand: only
-# thread 1's steps with core None answer a silent step, and state 4 does
-# not relate to the concrete state
-AREPLIES = [
-    {(1, None): [2, 1], (2, None): [5]},
-    {(1, None): [3]},
-    {(1, None): [1, 4], (1, ("eps",)): [6]},
-    {(1, None): [7]},
-    {}, {}, {}, {},
-]
+# clients that call the lock inside each kind of block, and bind both
+# calls' results
+CONTROL_FLOW_CLIENTS = {
+    "if": """name if-calls
+init x := 0
+object lock l
+thread 1 { a1 := 0; if a1 = 0 then { l.acquire(); x := 1; l.release(); }
+           else x := 2; }
+thread 2 { a2 <- x; if a2 = 1 then { l.acquire(); x := 3; l.release(); }
+           else { l.acquire(); l.release(); } }
+""",
+    "while": """name while-calls
+init x := 0
+object lock l
+thread 1 { a1 := 0;
+           while a1 < 2 do { l.acquire(); x := a1; l.release();
+                             a1 := a1 + 1; } }
+thread 2 { l.acquire(); a2 <- x; l.release(); }
+""",
+    "do-until": """name do-until-calls
+init x := 0
+object lock l
+thread 1 { do { a := l.acquire(); b1 <- x; x := 1; b := l.release(); }
+           until b1 = 1; }
+thread 2 { l.acquire(); x := 1; l.release(); }
+""",
+}
+
+FIRST_STEP_FACT = (
+    "the game answers a folded edge as its first step only because every "
+    "abstract call changes its thread's $rval and no at-hole step follows "
+    "another; an object that breaks this needs the multi-step reply back, "
+    "with a proof (ROADMAP item 9)")
 
 
-@pytest.mark.parametrize("cands, silent, replies", [
-    ([0], 1, [0, 2, 1]),
-    ([0], 2, [0, 2, 1, 3]),
-    ([0], 3, [0, 2, 1, 3, 7]),
-    ([0], 10, [0, 2, 1, 3, 7]),
-    ([1, 0, 1], 2, [1, 0, 3, 2, 7]),
-    ([4], 5, [4]),
-    ([], 3, []),
-])
-def test_silent_replies_by_rounds(cands, silent, replies):
-    # the replies after the first, then every state that `silent` rounds of
-    # thread 1's core-None steps reach through related states: in the
-    # order they are first reached, each once
-    asked = []
+def _assert_first_step_facts(lf, bound):
+    """On the abstract exploration of client `lf`: every edge whose label
+    is a library call changes its thread's `$rval`, and no at-hole step
+    leads to a thread state that has an at-hole move.  Then no abstract
+    call relates to the target of a folded concrete edge, whose `$rval`s
+    are its source's, and a second at-hole reply never follows a first:
+    so a folded edge's replies are its first step's."""
+    system = build_system(lf)
+    res = explore(system.cfg0, system.ctx, bound)
+    calls = returns = 0
+    for n, steps in enumerate(res.edges):
+        for t, label, m in steps:
+            before, after = res.states[n].thread(t), res.states[m].thread(t)
+            if label.component == "library":
+                calls += 1
+                assert before.ls.get(RVAL) != after.ls.get(RVAL), \
+                    FIRST_STEP_FACT
+            if label.at_hole:
+                returns += 1
+                assert not any(move.step.at_hole
+                               for move in _moves(after, system.ctx)), \
+                    FIRST_STEP_FACT
+    assert calls and returns  # every client here calls, then goes on
 
-    def related(a):
-        asked.append(a)
-        return a != 4
 
-    assert rf._silent_replies(cands, silent, AREPLIES, 1, related) == replies
-    assert set(asked) <= set(range(1, 5)) | {7}
+@pytest.mark.parametrize("name", LOCK_FILES)
+def test_first_step_facts_on_the_corpus(name):
+    _assert_first_step_facts(load_corpus(name), 64)
+
+
+@pytest.mark.parametrize("name", sorted(CONTROL_FLOW_CLIENTS))
+def test_first_step_facts_under_control_flow(name):
+    lf = parse_litmus(CONTROL_FLOW_CLIENTS[name])
+    _assert_first_step_facts(lf, 64)
+    # and the game over the folded graph answers as over the unfolded one,
+    # with the same witness once silent steps are moved back to their runs
+    # (as in test_fuzzed_lock_clients_match_unfolded)
+    for impl in IMPLS:
+        sims = []
+        for context in (contextlib.nullcontext, unfolded):
+            with context():
+                sims.append(rf.check_simulation(rf.builtin_impls()[impl],
+                                                lf, 64))
+        sim, ref = sims
+        assert (sim.verdict, sim.detail) == (ref.verdict, ref.detail), impl
+        concrete = build_system(lf, rf.builtin_impls()[impl])
+        witness = sim.counterexample or []
+        assert witness == _commuted(concrete, witness) == \
+            _commuted(concrete, ref.counterexample or []), impl
+
+
+@settings(max_examples=20, deadline=None)
+@given(lock_clients())
+def test_first_step_facts_on_fuzzed_lock_clients(text):
+    _assert_first_step_facts(parse_litmus(text), 200)

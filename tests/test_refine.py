@@ -325,8 +325,8 @@ class TestConcreteOnlyInputError:
     """Thread 2 divides by x once it has read y = 1.  Under a correct lock
     it then reads x = 1 too; only a relaxed mutant lets it read the stale
     x = 0.  So only the concrete exploration meets the error: the abstract
-    one that `refine._explore_concrete` runs to look for a release without
-    the lock ends, and the concrete error is raised again."""
+    one, explored and vetted first, ends without it, and the concrete
+    error propagates from `check_simulation` as it was raised."""
 
     @pytest.mark.parametrize("impl,code,err", [
         ("seqlock", 0, ""),
@@ -355,8 +355,7 @@ class TestConcreteOnlyInputError:
         assert not explore(abs_sys.cfg0, abs_sys.ctx, 64).truncated
         with pytest.raises(P.ProgramError,
                            match=r"^cannot evaluate \(1 % r2\)"):
-            rf._explore_concrete(build_system(lf, builtin_impls()[impl]),
-                                 abs_sys, 64)
+            check_simulation(builtin_impls()[impl], lf, 64)
 
 
 class TestTraceRefinement:
