@@ -10,23 +10,29 @@ the identical client step.  A client whose abstract acquire binds the lock's
 operation counter (`l.acquire(rl)`) is rejected as input: no implementation
 sets that local.
 
-Both systems are explored once, under one step bound, and both checks read
-those two explorations: the game plays over the two state graphs, and trace
-inclusion determinizes the abstract one against every stutter-free concrete
-client trace, matched pointwise under refinement.  The abstract client is
-explored first, and a release that can run while its thread does not hold
-the lock is rejected as input from that exploration.  The concrete graph
-folds each implementation-silent run into the step that reaches it
-(`explore._impl_silent`): the game answers such an edge as it answers its
-first step, and counterexamples list every step.
+A check refutes first.  The abstract client is explored first, under the
+step bound, and a release that can run while its thread does not hold the
+lock is rejected as input from that exploration.  Then one breadth-first
+search over (concrete state, abstract answer set) explores the concrete
+system as it goes (`_search`): it matches every stutter-free concrete
+client trace against the abstract state graph, pointwise under refinement,
+and stops at the first trace that has no abstract match.  A simulation
+implies trace inclusion, so that trace refutes the simulation, and it is
+the shortest violating trace in scheduler steps.  Only when the search
+finds none is the game played, over the concrete graph the search built,
+which is `explore`'s.  The concrete graph folds each implementation-silent
+run into the step that reaches it (`explore._impl_silent`): the game
+answers such an edge as it answers its first step, the search matches it as
+one step, and counterexamples list every step.
 """
 
 from __future__ import annotations
 
+import sys
+
 from . import program as P
-from .explore import ExploreResult, explore, step_path
-# unused here, but perfbench/layers.py traces rarcheck.refine.successors
-from .explore import successors  # noqa: F401
+from .explore import (ExploreResult, _outcome_of, explore, step_path,
+                      successors)
 from .litmus import LitmusError, build_system
 from .objects import spec_of
 from .state import RVAL, Record, record, write
@@ -242,11 +248,13 @@ class SimulationResult(Record):
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
-    # the concrete and the abstract exploration the game was played over,
-    # and the projector it used, which check_trace_refinement reuses
+    # the concrete graph the search built and the game was played over
+    # (None when the search refuted or the abstract run was truncated), the
+    # abstract exploration, and the search's trace check (None when the
+    # answer is unknown-beyond-bound)
     explored: ExploreResult = None
-    projector: object = None
     abstract: ExploreResult = None
+    trace: TraceCheckResult = None
 
     @property
     def ok(self):
@@ -255,24 +263,36 @@ class SimulationResult(Record):
 
 def check_simulation(impl: Impl, client_lf,
                      max_steps: int = 64) -> SimulationResult:
-    """Play the forward-simulation game over the explored concrete and
-    abstract state graphs.  The abstract client is vetted first: its
-    program (`_check_client`), then its exploration (`_check_releases`);
-    the concrete system is explored last, and an input error that only
-    its run meets is raised as it is."""
+    """Refute by a client trace, else play the forward-simulation game.
+    The abstract client is vetted first: its program (`_check_client`),
+    then its exploration (`_check_releases`).  A truncated abstract run
+    answers unknown at once: an abstract answer missing past the bound
+    could make a violation spurious.  Then the trace search (`_search`)
+    explores the concrete system; an input error that only its run meets
+    is raised as it is.  Its first trace with no abstract match answers
+    no-simulation, with that trace as witness and the search nodes stored
+    as `pairs_explored`.  With none, a truncated concrete run answers
+    unknown, and otherwise the game is played over the search's graph."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     _check_client(abs_sys)
     ab = explore(abs_sys.cfg0, abs_sys.ctx, max_steps)
     _check_releases(ab, abs_sys.ctx)
-    conc = explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
+    if ab.truncated:
+        return SimulationResult("unknown-beyond-bound",
+                                detail="abstract exploration truncated",
+                                abstract=ab)
     project = _projector(abs_sys.client_locals, abs_sys.ctx.threads)
-    kept = {"explored": conc, "projector": project, "abstract": ab}
-    for side, res in (("concrete", conc), ("abstract", ab)):
-        if res.truncated:
-            return SimulationResult("unknown-beyond-bound",
-                                    detail=f"{side} exploration truncated",
-                                    **kept)
+    conc, trace, nodes = _search(conc_sys, ab, project, max_steps)
+    if not trace.ok:
+        return SimulationResult("no-simulation", 0, nodes,
+                                trace.counterexample, trace.detail,
+                                abstract=ab, trace=trace)
+    if conc.truncated:
+        return SimulationResult("unknown-beyond-bound",
+                                detail="concrete exploration truncated",
+                                explored=conc, abstract=ab)
+    kept = {"explored": conc, "abstract": ab, "trace": trace}
     moves = _game(ab, conc, project)
     losing = _attractor(moves)
     if 0 in losing:  # the initial pair
@@ -422,7 +442,7 @@ def _extract_counterexample(pair, moves, losing):
     return path
 
 
-# --- independent trace-inclusion cross-check ----------------------------------
+# --- trace inclusion, searched breadth-first ----------------------------------
 
 @record
 class TraceCheckResult(Record):
@@ -437,36 +457,39 @@ class TraceCheckResult(Record):
 
 
 def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
-    """Determinized matching of every stutter-free concrete client trace
-    against the abstract trace graph under pointwise refinement.  `sim` is
-    a game `check_simulation` played, with any verdict but
-    `unknown-beyond-bound`: its two explorations and its projector are
-    read, and nothing is built or explored.
+    """The trace check of `sim`, which `check_simulation`'s search made
+    (`_search`), with any verdict but `unknown-beyond-bound`: nothing is
+    built, explored or walked again.  `traces_checked` counts the concrete
+    edges the search walked that change the client's projection."""
+    return sim.trace
 
-    A node pairs a concrete state with the abstract states that may answer
-    the concrete trace to it, closed under abstract steps that leave the
-    client's projection unchanged.  Every concrete step is matched alike:
-    the new set is the closure of the abstract successors, by a step that
-    changes the projection, that refine the concrete successor, and of the
-    states of the set that refine it (the abstract side staying put); it is
-    computed once per set and successor projection.  This is sound for the
-    paper's refinement of stutter-free client traces: a concrete trace's
-    projections p0 .. pn are refined pointwise by abstract ones q0 .. qn
-    with consecutive repeats, which collapsed are the stutter-free client
-    trace of an abstract execution.  It is also the game's freedom to answer
-    an implementation step, whether it changes the projection or not, by
-    staying put or by one abstract step (a concrete acquire's spin read can
-    shrink what its thread observes, as the abstract acquire does, and its
-    final update then change nothing visible), so a simulation implies
-    trace inclusion, as the paper's theorem says.  A folded concrete edge
-    is matched as one step, as the game answers it by its first: the
-    implementation-silent steps after the first leave the projection as it
-    is, so the traces are those of its steps one by one.  `traces_checked`
-    counts the concrete edges walked that change the client's projection.
-    The initial states refine each other, as in the game (`_game`)."""
-    conc, ab, project = sim.explored, sim.abstract, sim.projector
+
+def _answer_sets(ab, project):
+    """The trace check's abstract side, over the abstract exploration `ab`
+    (not truncated): the set that answers the empty trace, and the function
+    that gives the set answering one more concrete step, from the set that
+    answered the trace before it and the step's target projection.
+
+    A set holds the abstract states that may answer a concrete trace,
+    closed under abstract steps that leave the client's projection
+    unchanged.  Every concrete step is matched alike: the new set is the
+    closure of the abstract successors, by a step that changes the
+    projection, that refine the concrete successor, and of the states of
+    the set that refine it (the abstract side staying put); it is computed
+    once per set and successor projection, and is empty when nothing
+    answers.  This is sound for the paper's refinement of stutter-free
+    client traces: a concrete trace's projections p0 .. pn are refined
+    pointwise by abstract ones q0 .. qn with consecutive repeats, which
+    collapsed are the stutter-free client trace of an abstract execution.
+    It is also the game's freedom to answer an implementation step, whether
+    it changes the projection or not, by staying put or by one abstract
+    step (a concrete acquire's spin read can shrink what its thread
+    observes, as the abstract acquire does, and its final update then
+    change nothing visible), so a simulation implies trace inclusion, as
+    the paper's theorem says.  The initial states refine each other, as in
+    the game (`_game`), and each exploration numbers its initial state 0.
+    """
     aproj = [project(c) for c in ab.states]
-    cproj = [project(c) for c in conc.states]
     refines = _refines_memo()
 
     def closure(astates):
@@ -493,36 +516,157 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
             out = answers[aset, id(cp)] = closure(step)
         return out
 
-    # each exploration numbers its initial state 0
-    start = (0, closure({0}))
-    seen = {start}
-    parents = {start: None}
-    work = [start]
-    visible = 0
-    while work:
-        node = work.pop()
-        ck, aset = node
-        for t, label, ck2 in conc.edges[ck]:
-            if cproj[ck2] != cproj[ck]:
-                visible += 1
-            aset2 = answer(aset, cproj[ck2])
-            if not aset2:
-                path = _trace_path(parents, node)
-                path += step_path(t, label)
-                return TraceCheckResult(
-                    "violation", path, visible,
-                    "concrete client trace has no abstract match")
-            node2 = (ck2, aset2)
-            if node2 not in seen:
-                seen.add(node2)
-                parents[node2] = (node, t, label)
-                work.append(node2)
-    return TraceCheckResult("trace-refinement", None, visible)
+    return closure({0}), answer
+
+
+def _search(system, ab, project, max_steps):
+    """Trace inclusion of the concrete `system` in the abstract exploration
+    `ab`, by one breadth-first search over nodes (concrete state, abstract
+    answer set) that explores the concrete system as it goes.  Returns the
+    concrete graph (None on a violation), the `TraceCheckResult` and the
+    number of nodes stored.
+
+    The search walks level by level in scheduler steps, as `explore` does,
+    and a folded edge lands `len(label)` levels on.  A concrete state is
+    numbered when first reached, and stepped by `successors` (full policy)
+    once, at the first node that holds it, which the search reaches in
+    `explore`'s order: the nodes that first hold a state, and the folded
+    edges that first reach one, stand in each level in `explore`'s order,
+    and the other nodes and edges number nothing.  Its edge list is kept
+    for the nodes that hold it later.  A state at the step bound is stepped
+    once by one step, as `explore` steps it, so its successors are numbered
+    after the explored states; the search walks none of its edges.  So,
+    when the search finds no violation, its graph is `explore`'s, field by
+    field, and it walked every node that the explored graph reaches.  A
+    node past the bound holds a state explored below it: the bound counts
+    the steps to a state, not the length of a trace, as in the game.
+
+    Every concrete edge walked from a node gives the node its target
+    reaches (`_answer_sets`), and the first edge to land with an empty
+    answer set ends the shortest trace that no abstract trace matches.  A
+    folded edge is matched as one step, when it lands: the implementation-
+    silent steps after its first leave the projection as it is, so the
+    traces are those of its steps one by one.  A configuration is its own
+    key (`explore.canonical_key`)."""
+    ctx = system.ctx
+    start, answer = _answer_sets(ab, project)
+    cfg0 = system.cfg0
+    number = {cfg0: 0}
+    states, via, edges, terminals = [cfg0], [None], [], []
+    cproj = [project(cfg0)]
+    outcomes, truncated = set(), False
+    node = (0, start)
+    # node -> (node, thread, label) of the edge that first reached it
+    parents = {node: None}
+    # at each level: nodes to walk, and (steps still to go, target, source
+    # node, thread, label) for each folded edge passing it; a target not
+    # numbered when its edge was found is named by its key
+    frontier = [node]
+    level, visible = 0, 0
+    # the states stopped at the bound are numbered from `bound`; the states
+    # whose edge lists name a folded target by its key
+    bound, landing = sys.maxsize, []
+    while frontier:
+        later = []
+        budget = max_steps - level
+        if budget == 1:  # this level numbers the states at the bound
+            bound = len(states)
+        elif budget <= 0:  # a state first reached here is stepped once
+            budget = 1
+        for item in frontier:
+            if len(item) > 2:  # a folded edge
+                rest, m, node, t, label = item
+                if rest > 1:
+                    later.append((rest - 1, m, node, t, label))
+                    continue
+                src, aset = node
+                if type(m) is not int:
+                    key, m = m, number.get(m)
+                    if m is None:  # the first edge to land here
+                        m = number[key] = len(states)
+                        states.append(key)
+                        via.append((src, t, label))
+                        cproj.append(project(key))
+                cp2 = cproj[m]
+                if cp2 is not cproj[src]:
+                    visible += 1
+                aset2 = answer(aset, cp2)
+                if not aset2:
+                    return _violation(parents, node, t, label, visible)
+                nxt = (m, aset2)
+                if nxt not in parents:
+                    parents[nxt] = (node, t, label)
+                    later.append(nxt)
+                continue
+            c, aset = item
+            if c == len(edges):  # first reached: step it
+                cfg = states[c]
+                succs = successors(cfg, ctx, False, budget)
+                if not succs:
+                    terminals.append(c)
+                    outcomes.add(_outcome_of(cfg, ctx))
+                elif c >= bound:
+                    truncated = True
+                out, pending = [], False
+                for t, label, nxt in succs:
+                    m = number.get(nxt)
+                    if m is None:
+                        if type(label) is tuple:  # numbered when it lands
+                            out.append((t, label, nxt))
+                            pending = True
+                            continue
+                        m = number[nxt] = len(states)
+                        states.append(nxt)
+                        via.append((c, t, label))
+                        cproj.append(project(nxt))
+                    out.append((t, label, m))
+                if pending:
+                    landing.append(c)
+                edges.append(tuple(out))
+            if c >= bound:
+                continue
+            cp = cproj[c]
+            for t, label, m in edges[c]:
+                if type(label) is tuple:  # matched when it lands
+                    later.append((len(label) - 1, m, item, t, label))
+                    continue
+                cp2 = cproj[m]
+                if cp2 is not cp:
+                    visible += 1
+                aset2 = answer(aset, cp2)
+                if not aset2:
+                    return _violation(parents, item, t, label, visible)
+                nxt = (m, aset2)
+                if nxt not in parents:
+                    parents[nxt] = (item, t, label)
+                    later.append(nxt)
+        frontier = later
+        level += 1
+    for n in landing:  # every folded edge has landed
+        edges[n] = tuple((t, label, m if type(m) is int else number[m])
+                         for t, label, m in edges[n])
+    out_list = sorted(
+        ({r: v for r, v in oc} for oc in outcomes),
+        key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
+    conc = ExploreResult(len(edges), out_list, truncated, states, edges, via,
+                         terminals)
+    return (conc, TraceCheckResult("trace-refinement", None, visible),
+            len(parents))
+
+
+def _violation(parents, node, t, label, visible):
+    """The search's answer when the edge (thread t, `label`) from `node`
+    lands with an empty answer set."""
+    path = _trace_path(parents, node) + step_path(t, label)
+    return (None, TraceCheckResult(
+        "violation", path, visible,
+        "concrete client trace has no abstract match"), len(parents))
 
 
 def _trace_path(parents, node):
+    """The steps of the search's path to `node`."""
     steps = []
-    while parents.get(node) is not None:
+    while parents[node] is not None:
         node, t, label = parents[node]
         steps.append((t, label))
     return [step for t, label in reversed(steps)

@@ -7,17 +7,19 @@ successors): every step is one edge, and every configuration it reaches is
 numbered when first reached, inside an implementation's silent runs too.
 States stopped at the step bound have their successors numbered after every
 explored state, as `explore` numbers them.  Its result has the fields the
-refinement checks read, so `refine._game` and `check_trace_refinement` can
-play over it as over `explore`'s graph.
+refinement checks read, so `refine._game` can play over it as over
+`explore`'s graph, and `single_steps` can stand in for the successors that
+refinement's trace search pulls.
 """
 
 from rarcheck import explore as ex
 
 
-def single_steps(cfg, ctx):
+def single_steps(cfg, ctx, *_):
     """All (thread, label, configuration) successors of cfg by one
     scheduler step, in `successors()` order: by thread, then by label
-    text."""
+    text.  It stands in for `successors` under the full fold policy, whose
+    other arguments it ignores: a single step fits every step budget."""
     locs, gamma, beta = cfg
     out = []
     for i, ts in enumerate(locs):

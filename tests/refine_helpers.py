@@ -1,10 +1,11 @@
 """Refinement checks in forms only the tests use: state refinement of
 (locals, client component) pairs, a projected and destuttered execution,
-and the trace check run on its own, without a simulation game before it;
-and corpus clients as refine checks them."""
+and the reference trace check run on its own, over both systems explored
+in full; and corpus clients as refine checks them."""
 
 from rarcheck.litmus import LitmusFile, corpus_text, parse_litmus, pretty
 import rarcheck.refine as rf
+from reference_trace import trace_refinement
 
 
 def unbound_client(name: str) -> str:
@@ -38,14 +39,12 @@ def project_and_destutter(execution, client_regs, threads):
 
 
 def trace_check_alone(impl, client_lf, max_steps=64):
-    """`check_trace_refinement` with what it reuses made anew: both systems
-    built and explored again, and a projector of its own, as if no game had
-    been played."""
+    """The reference trace check (`reference_trace`) with everything made
+    anew: both systems built and explored in full, and a projector of its
+    own, as if no check had run."""
     abs_sys = rf.build_system(client_lf)
     conc_sys = rf.build_system(client_lf, impl)
     conc = rf.explore(conc_sys.cfg0, conc_sys.ctx, max_steps)
     project = rf._projector(abs_sys.client_locals, abs_sys.ctx.threads)
-    unplayed = rf.SimulationResult(
-        "unplayed", explored=conc, projector=project,
-        abstract=rf.explore(abs_sys.cfg0, abs_sys.ctx, max_steps))
-    return rf.check_trace_refinement(unplayed)
+    return trace_refinement(
+        conc, rf.explore(abs_sys.cfg0, abs_sys.ctx, max_steps), project)

@@ -13,7 +13,7 @@ import rarcheck
 from rarcheck.cli import run_cli
 from rarcheck.explore import ExploreResult
 from rarcheck.litmus import build_system, corpus_text, load_corpus
-from rarcheck.refine import TraceCheckResult, builtin_impls
+from rarcheck.refine import builtin_impls
 from rarcheck.state import StateError
 from refine_helpers import unbound_client
 from test_litmus import TOO_DEEP, deep_inputs
@@ -157,28 +157,34 @@ class TestRefine:
 
     def test_concrete_system_explored_once(self, corpus_dir, capsys,
                                            monkeypatch):
+        # `explore` runs on the abstract system only; the trace search
+        # steps the concrete system, each configuration once
         import rarcheck.refine as rf
         client = load_corpus("seqlock-refine")
         concrete = build_system(client, builtin_impls()["seqlock"]).cfg0
         abstract = build_system(client).cfg0
-        starts = []
-        original = rf.explore
+        starts, stepped = [], []
+        original, successors = rf.explore, rf.successors
 
         def counting(cfg0, *args, **kwargs):
             starts.append(cfg0)
             return original(cfg0, *args, **kwargs)
 
+        def stepping(cfg, *args):
+            stepped.append(cfg)
+            return successors(cfg, *args)
+
         monkeypatch.setattr(rf, "explore", counting)
+        monkeypatch.setattr(rf, "successors", stepping)
         code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
                            "--client", str(corpus_dir / "seqlock-refine.lit"))
         assert code == 0
         assert json.loads(out)["trace_check"] == "trace-refinement"
         # configurations of separately built systems share no part, so
         # they are compared by content: commands, registers, components
-        started = [_content(cfg) for cfg in starts]
-        assert started.count(_content(concrete)) == 1
-        assert started.count(_content(abstract)) == 1
-        assert len(starts) == 2
+        assert [_content(cfg) for cfg in starts] == [_content(abstract)]
+        assert _content(stepped[0]) == _content(concrete)
+        assert len(set(stepped)) == len(stepped)
 
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     def test_version_binder_is_an_input_error(self, corpus_dir, capsys,
@@ -225,28 +231,31 @@ class TestRefine:
         assert (got, err) == (code, "")
         assert json.loads(out)["verdict"] == verdict
 
-    def test_failed_trace_check_is_a_violation(self, corpus_dir, capsys,
-                                               monkeypatch):
-        # a simulation implies trace inclusion, so only a fault makes the
-        # trace check fail after the game passed: the report then says so,
-        # with the trace check's witness in place of the game's
-        witness = [{"thread": 1, "label": "wr(d,5)@1"}]
-        monkeypatch.setattr(
-            "rarcheck.cli.check_trace_refinement",
-            lambda sim: TraceCheckResult("violation", witness, 1, "made up"))
+    def test_search_violation_is_no_simulation(self, corpus_dir, capsys):
+        # the trace search refutes a relaxed mutant before any game is
+        # played: exit 1, no-simulation, and the search's shortest
+        # violating trace as witness, in text and in JSON
+        import rarcheck.refine as rf
         client = str(corpus_dir / "seqlock-refine.lit")
-        code, out, _ = run(capsys, "refine", "--impl", "seqlock", "--client",
-                           client)
-        assert code == 1
-        assert out.splitlines()[:3] == [
-            "verdict: trace-check-failed", "witness:",
-            "  thread 1: wr(d,5)@1"]
-        code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
+        sim = rf.check_simulation(builtin_impls()["seqlock-relaxed"],
+                                  load_corpus("seqlock-refine"), 64)
+        assert sim.trace.counterexample == sim.counterexample
+        code, out, _ = run(capsys, "refine", "--impl", "seqlock-relaxed",
                            "--client", client)
+        assert code == 1
+        assert out.splitlines() == (
+            ["verdict: no-simulation", "witness:"]
+            + [f"  thread {s['thread']}: {s['label']}"
+               for s in sim.counterexample]
+            + ["concrete client trace has no abstract match"])
+        code, out, _ = run(capsys, "refine", "--json", "--impl",
+                           "seqlock-relaxed", "--client", client)
         doc = json.loads(out)
         assert code == 1
-        assert (doc["verdict"], doc["trace_check"], doc["witness"]) == (
-            "trace-check-failed", "violation", witness)
+        assert (doc["verdict"], doc["witness"], doc["pairs_explored"],
+                doc["relation_size"]) == (
+            "no-simulation", sim.counterexample, sim.pairs_explored, 0)
+        assert "trace_check" not in doc
 
     def test_truncated_abstract_exploration(self, corpus_dir, capsys,
                                             monkeypatch):
@@ -270,7 +279,8 @@ class TestRefine:
         sim = rf.check_simulation(builtin_impls()["seqlock"], lf, 64)
         assert (sim.verdict, sim.detail) == (
             "unknown-beyond-bound", "abstract exploration truncated")
-        assert not sim.explored.truncated and sim.abstract.truncated
+        # the concrete system is not searched at all
+        assert sim.abstract.truncated and sim.explored is None
         code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
                            "--client", str(corpus_dir / "seqlock-refine.lit"))
         doc = json.loads(out)
@@ -278,7 +288,7 @@ class TestRefine:
         assert (doc["verdict"], doc["detail"]) == (
             "unknown-beyond-bound", "abstract exploration truncated")
         assert "trace_check" not in doc
-        assert len(calls) == 4
+        assert len(calls) == 2  # the abstract exploration, once per check
 
 
 ACQUIRE_RESULT_CLIENT = """name acq-result

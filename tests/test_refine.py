@@ -324,38 +324,75 @@ thread 2 { l.acquire(); r1 <- y; r2 <- x;
 class TestConcreteOnlyInputError:
     """Thread 2 divides by x once it has read y = 1.  Under a correct lock
     it then reads x = 1 too; only a relaxed mutant lets it read the stale
-    x = 0.  So only the concrete exploration meets the error: the abstract
-    one, explored and vetted first, ends without it, and the concrete
-    error propagates from `check_simulation` as it was raised."""
+    x = 0.  So only the concrete system meets the error: the abstract one,
+    explored and vetted first, ends without it.  A full exploration of the
+    concrete system raises it; the trace search refutes the mutant first,
+    by a stale read of y, and steps no configuration that reaches the
+    division.  The error is raised as it is wherever the search meets it,
+    with no handler between."""
 
-    @pytest.mark.parametrize("impl,code,err", [
-        ("seqlock", 0, ""),
-        ("seqlock-relaxed", 3,
-         "error: cannot evaluate (1 % r2): integer modulo by zero\n"),
-        ("ticketlock-relaxed", 3,
-         "error: cannot evaluate (1 % r2): integer modulo by zero\n"),
+    @pytest.mark.parametrize("impl,code,out", [
+        ("seqlock", 0, "verdict: simulation-found\n"),
+        ("seqlock-relaxed", 1, "verdict: no-simulation\n"),
+        ("ticketlock-relaxed", 1, "verdict: no-simulation\n"),
     ])
-    def test_only_a_mutant_reads_stale(self, tmp_path, impl, code, err):
+    def test_only_a_mutant_reads_stale(self, tmp_path, impl, code, out):
         path = tmp_path / "stale-read.lit"
         path.write_text(STALE_READ_CLIENT)
-        out, errs = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), \
+        outs, errs = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(outs), \
                 contextlib.redirect_stderr(errs):
             assert run_cli(["refine", "--impl", impl, "--client",
                             str(path)]) == code
-        assert errs.getvalue() == err
-        assert out.getvalue() == ("verdict: simulation-found\n" if code == 0
-                                  else "")
+        assert errs.getvalue() == ""
+        assert outs.getvalue().startswith(out)
 
     @pytest.mark.parametrize("impl", ["seqlock-relaxed",
                                       "ticketlock-relaxed"])
-    def test_the_concrete_error_is_raised_again(self, impl):
+    def test_the_search_refutes_before_the_error(self, impl):
         lf = parse_litmus(STALE_READ_CLIENT)
         abs_sys = build_system(lf)
         assert not explore(abs_sys.cfg0, abs_sys.ctx, 64).truncated
+        conc_sys = build_system(lf, builtin_impls()[impl])
         with pytest.raises(P.ProgramError,
                            match=r"^cannot evaluate \(1 % r2\)"):
-            check_simulation(builtin_impls()[impl], lf, 64)
+            explore(conc_sys.cfg0, conc_sys.ctx, 64)
+        sim = check_simulation(builtin_impls()[impl], lf, 64)
+        assert sim.verdict == "no-simulation"
+        assert sim.counterexample[-1] == {"thread": 2, "label": "rd(y,0)@0"}
+
+    def test_an_error_the_search_meets_is_raised(self, monkeypatch):
+        def failing(cfg, ctx, *rest):
+            raise P.ProgramError("made up")
+
+        monkeypatch.setattr(rf, "successors", failing)
+        with pytest.raises(P.ProgramError, match="^made up$"):
+            check_simulation(builtin_impls()["seqlock"],
+                             parse_litmus(STALE_READ_CLIENT), 64)
+
+
+# lockmp and lockmp-mutant play the game once their acquires' version binder
+# is dropped (refine rejects it), and with it the clauses that read it
+# (`unbound_client`)
+GAME_CLIENTS = ("seqlock-refine", "ticketlock-refine", "lock-two-rounds",
+                "lockmp", "lockmp-mutant")
+
+
+def _lock_client(n, k):
+    """A sync-free lock client: n threads, each running k rounds of acquire,
+    a write of d, a read of d into its own register and release."""
+    threads = []
+    for t in range(1, n + 1):
+        body = " ".join(f"l.acquire(); d := {10 * t + j}; r{t}{j} <- d; "
+                        "l.release();" for j in range(k))
+        threads.append(f"thread {t} {{ {body} }}\n")
+    return f"name lock-{n}x{k}\ninit d := 0\nobject lock l\n" + "".join(
+        threads)
+
+
+LOCK_CLIENTS = {**{c: unbound_client(c) for c in GAME_CLIENTS},
+                **{f"gen-{n}x{k}": _lock_client(n, k)
+                   for n, k in ((1, 1), (1, 2), (2, 1), (2, 2))}}
 
 
 class TestTraceRefinement:
@@ -372,20 +409,13 @@ class TestTraceRefinement:
         labels = [s["label"] for s in res.counterexample]
         assert any(lab.startswith("rd(d") for lab in labels[-1:])
 
-    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
-    def test_reuses_the_simulation_exploration(self, impl):
-        impl = builtin_impls()[impl]
-        sim = check_simulation(impl, client(), 64)
-        shared = check_trace_refinement(sim)
-        assert shared == trace_check_alone(impl, client(), 64)
-
     @pytest.mark.parametrize("client_name", ["seqlock-refine",
                                              "lock-two-rounds"])
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     def test_reuses_the_games_abstract_system(self, monkeypatch, impl,
                                               client_name):
-        # the trace check builds and explores nothing: it reads the two
-        # explorations the game was played over
+        # the trace check builds and explores nothing: the search made it
+        # while it explored the concrete system
         impl, lf = builtin_impls()[impl], load_corpus(client_name)
         sim = check_simulation(impl, lf, 64)
         assert not sim.abstract.truncated
@@ -396,53 +426,94 @@ class TestTraceRefinement:
                             lambda *a: calls.append(a) or explore(*a))
         shared = check_trace_refinement(sim)
         assert calls == []
-        assert shared == trace_check_alone(impl, lf, 64)
+        assert_agrees(shared, trace_check_alone(impl, lf, 64))
         assert len(calls) == 4  # on its own: both systems, again
+
+    @pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_search_agrees_with_the_reference_walk(self, impl, client):
+        # the breadth-first search against the depth-first walk over both
+        # full explorations (`reference_trace`)
+        lf = parse_litmus(LOCK_CLIENTS[client])
+        sim = check_simulation(builtin_impls()[impl], lf, 64)
+        ref = trace_check_alone(builtin_impls()[impl], lf, 64)
+        assert_agrees(check_trace_refinement(sim), ref)
+        assert sim.ok == ref.ok
+        if impl.endswith("-relaxed") and len(lf.threads) > 1:
+            assert not ref.ok
+
+
+def assert_agrees(trace, ref):
+    """The search's trace check against the reference walk's: equal on a
+    pass, which both walk over the same nodes and edges; on a violation,
+    both violate, and the search's witness, a shortest violating trace, is
+    no longer than the walk's."""
+    if ref.ok:
+        assert trace == ref
+    else:
+        assert (trace.verdict, trace.detail) == (ref.verdict, ref.detail)
+        assert len(trace.counterexample) <= len(ref.counterexample)
+
+
+def replay(system, path):
+    """Replays `path` step by step, through single steps of the unfolded
+    reference: a folded edge of a path is one entry per step."""
+    cfg = system.cfg0
+    for step in path:
+        matches = [nxt for t, lab, nxt in single_steps(cfg, system.ctx)
+                   if t == step["thread"] and lab.text == step["label"]]
+        assert len(matches) == 1, step
+        cfg = matches[0]
+
+
+def played_game(impl, lf, bound):
+    """The game of `impl` against client `lf` at `bound`, played over both
+    explorations whether or not the trace search refutes first, as
+    (concrete system, moves), or None when either run is truncated."""
+    abs_sys, conc_sys = build_system(lf), build_system(lf, impl)
+    ab = explore(abs_sys.cfg0, abs_sys.ctx, bound)
+    conc = explore(conc_sys.cfg0, conc_sys.ctx, bound)
+    if ab.truncated or conc.truncated:
+        return None
+    project = rf._projector(abs_sys.client_locals, abs_sys.ctx.threads)
+    return conc_sys, rf._game(ab, conc, project)
 
 
 class TestCounterexampleReplay:
     def test_game_counterexample_replays_on_concrete_system(self):
-        # step by step, through single steps of the unfolded reference:
-        # a folded edge of the game's path is one entry per step
+        # the game refutes the mutant too, when it is played
         impl = builtin_impls()["seqlock-relaxed"]
-        res = check_simulation(impl, client(), 64)
-        assert res.verdict == "no-simulation"
-        system = build_system(client(), impl)
-        cfg = system.cfg0
-        for step in res.counterexample:
-            matches = [nxt for t, lab, nxt in single_steps(cfg, system.ctx)
-                       if t == step["thread"]
-                       and lab.text == step["label"]]
-            assert len(matches) == 1, step
-            cfg = matches[0]
+        system, moves = played_game(impl, client(), 64)
+        losing = rf._attractor(moves)
+        assert 0 in losing
+        replay(system, rf._extract_counterexample(0, moves, losing))
 
-
-# lockmp and lockmp-mutant play the game once their acquires' version binder
-# is dropped (refine rejects it), and with it the clauses that read it
-# (`unbound_client`)
-GAME_CLIENTS = ("seqlock-refine", "ticketlock-refine", "lock-two-rounds",
-                "lockmp", "lockmp-mutant")
+    @pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+    @pytest.mark.parametrize("impl", ["seqlock-relaxed",
+                                      "ticketlock-relaxed"])
+    def test_search_witness_replays_on_concrete_system(self, impl, client):
+        lf = parse_litmus(LOCK_CLIENTS[client])
+        res = check_simulation(builtin_impls()[impl], lf, 64)
+        if len(lf.threads) == 1:  # nothing to race with
+            assert res.ok
+            return
+        assert (res.verdict, res.detail) == (
+            "no-simulation", "concrete client trace has no abstract match")
+        replay(build_system(lf, builtin_impls()[impl]), res.counterexample)
 
 
 class TestAttractor:
     @pytest.mark.parametrize("client", GAME_CLIENTS)
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
-    def test_layers_match_reference_on_corpus_games(self, monkeypatch, impl,
-                                                    client):
-        games = []
-        attractor = rf._attractor
-
-        def recording(moves):
-            games.append(moves)
-            return attractor(moves)
-
-        monkeypatch.setattr(rf, "_attractor", recording)
+    def test_layers_match_reference_on_corpus_games(self, impl, client):
+        # the games over both explorations, the mutants' included, which
+        # the trace search refutes before any game is played
         lf = parse_litmus(unbound_client(client))
-        for bound in (25, 64):
-            check_simulation(builtin_impls()[impl], lf, bound)
-        assert games  # every client is explored in full at 64 steps
-        for moves in games:
-            assert attractor(moves) == rounds(moves)
+        games = [played_game(builtin_impls()[impl], lf, bound)
+                 for bound in (25, 64)]
+        assert games[-1]  # every client is explored in full at 64 steps
+        for _, moves in filter(None, games):
+            assert rf._attractor(moves) == rounds(moves)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10).flatmap(lambda n: st.lists(
@@ -471,7 +542,11 @@ class TestPinnedOutputs:
     (trace-check-failed, exit 1, before).  The pair and relation counts
     were recorded again when the concrete graph folded implementation-
     silent runs; the unfolded reference game still gives the old ones
-    (`test_folded_game`)."""
+    (`test_folded_game`).  The relaxed mutants' entries were recorded again
+    when the trace search came to refute before the game (its witness and
+    its node count, and a refutation where a truncated run answered
+    unknown), and the entries whose abstract run is truncated when the
+    abstract exploration came to be checked first."""
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_refine_json(self, case, tmp_path, capsys):
@@ -514,42 +589,26 @@ class TestCorpusOutputs:
             pinned["exit"], pinned["stdout"], pinned["stderr"])
 
 
-def _lock_client(n, k):
-    """A sync-free lock client: n threads, each running k rounds of acquire,
-    a write of d, a read of d into its own register and release."""
-    threads = []
-    for t in range(1, n + 1):
-        body = " ".join(f"l.acquire(); d := {10 * t + j}; r{t}{j} <- d; "
-                        "l.release();" for j in range(k))
-        threads.append(f"thread {t} {{ {body} }}\n")
-    return f"name lock-{n}x{k}\ninit d := 0\nobject lock l\n" + "".join(
-        threads)
-
-
-LOCK_CLIENTS = {**{c: unbound_client(c) for c in GAME_CLIENTS},
-                **{f"gen-{n}x{k}": _lock_client(n, k)
-                   for n, k in ((1, 1), (1, 2), (2, 1), (2, 2))}}
-
-
 class TestChecksAgree:
-    """The paper's theorem: a simulation implies trace inclusion.  Both
-    relaxed mutants fail both checks wherever two threads share the lock;
-    the trace check is called on its own, as the CLI runs it only after a
-    simulation is found.  On lock-two-rounds a concrete acquire's spin
-    reads change the client projection more than once, and the abstract
-    side matches them by staying put."""
+    """The paper's theorem: a simulation implies trace inclusion.  The game
+    is played over both full explorations, whether or not the trace search
+    would refute first, and the trace check is the reference walk over
+    them.  Both relaxed mutants fail both checks wherever two threads share
+    the lock.  On lock-two-rounds a concrete acquire's spin reads change
+    the client projection more than once, and the abstract side matches
+    them by staying put."""
 
     @pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     def test_simulation_implies_trace_refinement(self, impl, client):
         lf = parse_litmus(LOCK_CLIENTS[client])
-        sim = check_simulation(builtin_impls()[impl], lf, 64)
-        trace = check_trace_refinement(sim)
-        assert sim.verdict != "unknown-beyond-bound"
-        if sim.ok:
+        _, moves = played_game(builtin_impls()[impl], lf, 64)
+        simulates = 0 not in rf._attractor(moves)
+        trace = trace_check_alone(builtin_impls()[impl], lf, 64)
+        if simulates:
             assert trace.ok, trace.counterexample
         if impl.endswith("-relaxed") and len(lf.threads) > 1:
-            assert sim.verdict == "no-simulation"
+            assert not simulates
             assert trace.verdict == "violation"
 
 
@@ -598,29 +657,29 @@ class TestProjectionMemo:
         trace_check_alone(impl, client(), 64)  # a projector of its own
         system = build_system(client())
         ab = explore(system.cfg0, system.ctx, 64)
+        system = build_system(client(), impl)
+        conc = explore(system.cfg0, system.ctx, 64)
         components = ({c.gamma._parts() for c in ab.states} |
-                      {c.gamma._parts() for c in sim.explored.states})
+                      {c.gamma._parts() for c in conc.states})
         assert len(signed) == len(set(signed)) == len(components)
 
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     def test_trace_check_reuses_the_simulation_projector(self, monkeypatch,
                                                          impl):
-        # the trace check signs only client components the game did not
-        # reach, and answers as with a projector of its own
+        # the trace check is the search's, which projected with the game's
+        # projector: reading it signs nothing, and it answers as the
+        # reference walk does with a projector of its own
         signed = []
         client_sig = rf._client_sig
 
         def counting(gamma, threads):
-            # by content: each system hash-conses its own components
             signed.append(gamma._parts())
             return client_sig(gamma, threads)
 
         monkeypatch.setattr(rf, "_client_sig", counting)
         impl = builtin_impls()[impl]
         sim = check_simulation(impl, client(), 64)
-        in_game = set(signed)
         signed.clear()
         shared = check_trace_refinement(sim)
-        assert in_game.isdisjoint(signed)
-        assert len(signed) == len(set(signed))
-        assert shared == trace_check_alone(impl, client(), 64)
+        assert signed == []
+        assert_agrees(shared, trace_check_alone(impl, client(), 64))
