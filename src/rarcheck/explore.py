@@ -57,10 +57,14 @@ the witnesses are those of a run of single steps.  `successors` turns its
   configuration and every edge.  A system without an implementation has
   no such step, so its full run is the search of single steps.
 
-Under either policy the truncation flag is not always the single-step
-search's: where the bound cuts a folded edge at a thread state that only a
-folded run passed through, the folded run may stop at the bound where the
-single-step search ends.
+The bound may cut a folded edge and land it on a configuration that the
+single-step search passed below the bound, by a path that a folded run
+takes only inside a run.  A reduced run that stops at the bound only in
+such configurations, where a thread is still silent-only, asks the
+single-step search to the bound whether it stops there too
+(`_single_steps_truncated`), so its truncation flag is the single-step
+search's.  A full run's flag is not always: it may stop at the bound where
+the single-step search ends.
 """
 
 from __future__ import annotations
@@ -558,7 +562,9 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     its target, and configurations at one level are stepped in the order
     such a run would step them.  A folded edge's target is numbered when
     the edge lands; in a full run, the edge names its target's key until
-    then."""
+    then.  A reduced run whose every configuration at the bound with a
+    step has a silent-only thread is truncated only if the single-step
+    search is (module docstring)."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     number = {canonical_key(cfg0): 0}
@@ -566,7 +572,7 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     edges = None if reduce else []
     terminals = []
     outcomes = set()
-    truncated = False
+    truncated = cut = False
     # the numbers of the configurations at `level`, in the order they are
     # stepped, and (steps still to go, target, via) for each folded edge
     # passing the level
@@ -596,7 +602,14 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                 terminals.append(n)
                 outcomes.add(_outcome_of(cfg, ctx))
             elif not expand:
-                truncated = True
+                # in a reduced run, a silent-only thread marks an edge the
+                # bound cut, which may land where the single-step search
+                # passed below the bound
+                if reduce and not truncated and any(
+                        _silent_only(ts, ctx) for ts in cfg.locs):
+                    cut = True
+                else:
+                    truncated = True
                 if reduce:
                     continue
             out = []
@@ -626,6 +639,8 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                 edges.append(tuple(out))
         frontier = later
         level += 1
+    if cut and not truncated:
+        truncated = _single_steps_truncated(cfg0, ctx, max_steps)
     for n in landing:  # every folded edge has landed
         edges[n] = tuple((t, label, m if type(m) is int else number[m])
                          for t, label, m in edges[n])
@@ -636,6 +651,30 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     explored = len(states) if edges is None else len(edges)
     return ExploreResult(explored, out_list, truncated, states, edges, via,
                          terminals)
+
+
+def _single_steps_truncated(cfg0: Configuration, ctx: SystemContext,
+                            max_steps: int) -> bool:
+    """Whether the search of single steps from cfg0 stops at the bound:
+    some configuration first reached at level `max_steps` has a step.  A
+    full-policy step given a budget of one folds nothing.  An input error
+    that this search meets, the reduced run that asks has not met within
+    the bound: that run stops on the bound before it."""
+    seen = {cfg0}
+    frontier = [cfg0]
+    try:
+        for _ in range(max_steps):
+            later = []
+            for cfg in frontier:
+                for succ in successors(cfg, ctx, False, 1):
+                    nxt = succ[2]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        later.append(nxt)
+            frontier = later
+        return any(successors(cfg, ctx, False, 1) for cfg in frontier)
+    except program.ProgramError:
+        return True
 
 
 def _outcome_of(cfg: Configuration, ctx: SystemContext):

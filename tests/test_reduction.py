@@ -26,9 +26,9 @@ of their levels, where the full run reaches one of them too: the outcomes
 stay the same at every bound.  Only the truncation flag may differ: a full
 run may be cut off in a configuration whose image the reduced run reached
 earlier, and then the hoare verdict may be `valid` where the full run's is
-`unknown-beyond-bound`.  Without a queue, the flag differs on known
-programs too, which `test_do_until_false_truncates_alike` and
-`test_found_examples_truncate_alike` record as expected failures.
+`unknown-beyond-bound`.  Where the bound cuts only folded edges, the
+reduced run asks the single-step search whether it stops there too
+(`test_do_until_false_truncates_alike`, `test_found_examples_truncate_alike`).
 """
 
 import random
@@ -286,8 +286,6 @@ thread 1 { a1 := 0; do a1 := 0 until 0; }
 """
 
 
-@pytest.mark.xfail(strict=True, reason="a reduced run stops at the bound "
-                   "with 3 states where the full run ends with 5")
 @pytest.mark.parametrize("max_steps", [5, 6])
 def test_do_until_false_truncates_alike(max_steps):
     # the do-until runs as `a1 := 0; while (not 0) do { a1 := 0; }`, so each
@@ -295,7 +293,8 @@ def test_do_until_false_truncates_alike(max_steps):
     # initial silent run passed through.  The full run stores it at level
     # 2; the reduced run does not, as it lies inside the folded initial
     # run, so when the bound cuts the loop test's folded edge right there,
-    # the cut edge lands on a configuration the reduced run takes for new
+    # the cut edge lands on a configuration the reduced run never stored.
+    # It stops at the bound only there, so the single-step search decides
     assert_truncates_alike(UNTIL_FALSE, max_steps)
 
 
@@ -308,8 +307,9 @@ def assert_truncates_alike(text, max_steps):
     assert truncated[0] == truncated[1]
 
 
-# examples that `test_hypothesis_programs` found: at bound 12, the full run
-# ends untruncated and the reduced run stops at the bound
+# examples that `test_hypothesis_programs` found, where a reduced run once
+# stopped at the bound and the full run ended untruncated: at bound 12, and
+# for "do-if-acquire" at bounds 4 and 12
 FOUND_EXAMPLES = {
     # 11 states in full, 4 reduced
     "nested-do-until": "thread 1 { a1 := 0; b1 := 0; x := 0; "
@@ -317,14 +317,21 @@ FOUND_EXAMPLES = {
     # 12 states in full, 8 reduced
     "while-cas": "init x := 0; y := 0\nthread 1 { a1 := 0; b1 := 0; "
                  "while 1 do a1 <- CAS(x, 0, 1); }",
+    # 42 states in full, 6 reduced at bound 12
+    "do-if-acquire": "init x := 0; y := 0\nobject lock l\n"
+                     "thread 1 { a1 := 0; b1 := 0; "
+                     "do if 0 then l.acquire() until 0; }\n"
+                     "thread 2 { a2 := 0; b2 := 0; x := 0; }\n"
+                     "final { true }",
 }
 
 
-@pytest.mark.xfail(strict=True, reason="a reduced run stops at the bound "
-                   "where the full run ends")
 @pytest.mark.parametrize("name", sorted(FOUND_EXAMPLES))
 def test_found_examples_truncate_alike(name):
-    assert_truncates_alike(f"name {name}\n{FOUND_EXAMPLES[name]}\n", 12)
+    text = f"name {name}\n{FOUND_EXAMPLES[name]}\n"
+    assert_truncates_alike(text, 12)
+    for max_steps in (4, 12):
+        assert_same_answers(text, max_steps)
 
 
 BEFORE_AND_INSIDE = """
