@@ -25,6 +25,10 @@ state graph by those numbers (`ExploreResult`): the states, their edges,
 the edge that first reached each state (`via`, which a witness follows
 back) and the terminal states.  Every checker reads that graph instead of
 stepping states again, and refinement plays its game over the numbers.
+Exploration has one loop, `levels`, which yields the graph as it grows,
+one level at a time, and `explore` drains it: refinement's trace search
+reads the concrete graph one level behind it and stops it at the first
+refuting trace.
 
 Every exploration folds silent runs (SPIN's statement merging, Holzmann
 2003): a step takes with it the run of folding steps its thread then takes
@@ -555,16 +559,29 @@ def step_path(t, label, offset: int = 0) -> list:
 
 def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
             reduce: bool = False) -> ExploreResult:
-    """Bounded exhaustive exploration memoized on configurations, which
-    numbers each configuration when it first stores it, under the reduced
-    or the full fold policy (`reduce`, module docstring).  An edge that
-    folds n steps lands n levels on, as a run of single steps would reach
-    its target, and configurations at one level are stepped in the order
-    such a run would step them.  A folded edge's target is numbered when
-    the edge lands; in a full run, the edge names its target's key until
-    then.  A reduced run whose every configuration at the bound with a
-    step has a silent-only thread is truncated only if the single-step
-    search is (module docstring)."""
+    """Bounded exhaustive exploration memoized on configurations, under the
+    reduced or the full fold policy (`reduce`, module docstring): every
+    level of `levels`, then its result."""
+    for res in levels(cfg0, ctx, max_steps, reduce):
+        pass
+    return res
+
+
+def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
+           reduce: bool = False):
+    """`explore`, one level at a time: yields the growing graph (states,
+    edges, number) before each level, and the `ExploreResult` last.  At
+    the yield before level L, every state at a level up to L is numbered,
+    and every state below L has its edge list.
+
+    Each configuration is numbered when first stored.  An edge that folds
+    n steps lands n levels on, as a run of single steps would reach its
+    target, and configurations at one level are stepped in the order such
+    a run would step them.  A folded edge's target is numbered when the
+    edge lands; in a full run, the edge names its target's key until then.
+    A reduced run whose every configuration at the bound with a step has a
+    silent-only thread is truncated only if the single-step search is
+    (module docstring)."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     number = {canonical_key(cfg0): 0}
@@ -582,6 +599,7 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     # was found; `pending` when the state being stepped has one
     landing, pending = [], False
     while frontier:
+        yield states, edges, number
         later = []
         budget = max_steps - level
         expand = budget > 0
@@ -649,8 +667,8 @@ def explore(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
         key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
     # a full run stores edges for exactly the explored states
     explored = len(states) if edges is None else len(edges)
-    return ExploreResult(explored, out_list, truncated, states, edges, via,
-                         terminals)
+    yield ExploreResult(explored, out_list, truncated, states, edges, via,
+                        terminals)
 
 
 def _single_steps_truncated(cfg0: Configuration, ctx: SystemContext,

@@ -13,15 +13,16 @@ sets that local.
 A check refutes first.  The abstract client is explored first, under the
 step bound, and a release that can run while its thread does not hold the
 lock is rejected as input from that exploration.  Then one breadth-first
-search over (concrete state, abstract answer set) explores the concrete
-system as it goes (`_search`): it matches every stutter-free concrete
-client trace against the abstract state graph, pointwise under refinement,
-and stops at the first trace that has no abstract match.  A simulation
-implies trace inclusion, so that trace refutes the simulation, and it is
-the shortest violating trace in scheduler steps.  Only when the search
-finds none is the game played, over the concrete graph the search built,
-which is `explore`'s.  The concrete graph folds each implementation-silent
-run into the step that reaches it (`explore._impl_silent`): the game
+search over (concrete state, abstract answer set) reads the concrete
+system's exploration one level behind `explore.levels` (`_search`): it
+matches every stutter-free concrete client trace against the abstract
+state graph, pointwise under refinement, and stops at the first trace that
+has no abstract match, with the concrete system explored only as deep as
+that trace.  A simulation implies trace inclusion, so that trace refutes
+the simulation, and it is the shortest violating trace in scheduler steps.
+Only when the search finds none is the game played, over the concrete
+graph `explore` returned.  The concrete graph folds each implementation-
+silent run into the step that reaches it (`explore._impl_silent`): the game
 answers such an edge as it answers its first step, the search matches it as
 one step, and counterexamples list every step.
 """
@@ -31,8 +32,9 @@ from __future__ import annotations
 import sys
 
 from . import program as P
-from .explore import (ExploreResult, _outcome_of, explore, step_path,
-                      successors)
+from .explore import ExploreResult, explore, levels, step_path
+# only so that `rarcheck.refine.successors` resolves for perfbench's tracer
+from .explore import successors  # noqa: F401
 from .litmus import LitmusError, build_system
 from .objects import spec_of
 from .state import RVAL, Record, record, write
@@ -248,10 +250,10 @@ class SimulationResult(Record):
     pairs_explored: int = 0
     counterexample: list = None
     detail: str = ""
-    # the concrete graph the search built and the game was played over
-    # (None when the search refuted or the abstract run was truncated), the
-    # abstract exploration, and the search's trace check (None when the
-    # answer is unknown-beyond-bound)
+    # the concrete exploration the search read and the game was played
+    # over (None when the search refuted or the abstract run was
+    # truncated), the abstract exploration, and the search's trace check
+    # (None when the answer is unknown-beyond-bound)
     explored: ExploreResult = None
     abstract: ExploreResult = None
     trace: TraceCheckResult = None
@@ -268,11 +270,12 @@ def check_simulation(impl: Impl, client_lf,
     then its exploration (`_check_releases`).  A truncated abstract run
     answers unknown at once: an abstract answer missing past the bound
     could make a violation spurious.  Then the trace search (`_search`)
-    explores the concrete system; an input error that only its run meets
-    is raised as it is.  Its first trace with no abstract match answers
-    no-simulation, with that trace as witness and the search nodes stored
-    as `pairs_explored`.  With none, a truncated concrete run answers
-    unknown, and otherwise the game is played over the search's graph."""
+    reads the concrete system's exploration level by level; an input
+    error that exploration meets is raised as it is.  Its first trace with
+    no abstract match answers no-simulation, with that trace as witness
+    and the search nodes stored as `pairs_explored`.  With none, a
+    truncated concrete run answers unknown, and otherwise the game is
+    played over the concrete graph."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     _check_client(abs_sys)
@@ -522,71 +525,60 @@ def _answer_sets(ab, project):
 def _search(system, ab, project, max_steps):
     """Trace inclusion of the concrete `system` in the abstract exploration
     `ab`, by one breadth-first search over nodes (concrete state, abstract
-    answer set) that explores the concrete system as it goes.  Returns the
-    concrete graph (None on a violation), the `TraceCheckResult` and the
-    number of nodes stored.
+    answer set) that reads `explore`'s graph of the concrete system while
+    `explore.levels` grows it.  Returns that graph (None on a violation),
+    the `TraceCheckResult` and the number of nodes stored.
 
     The search walks level by level in scheduler steps, as `explore` does,
-    and a folded edge lands `len(label)` levels on.  A concrete state is
-    numbered when first reached, and stepped by `successors` (full policy)
-    once, at the first node that holds it, which the search reaches in
-    `explore`'s order: the nodes that first hold a state, and the folded
-    edges that first reach one, stand in each level in `explore`'s order,
-    and the other nodes and edges number nothing.  Its edge list is kept
-    for the nodes that hold it later.  A state at the step bound is stepped
-    once by one step, as `explore` steps it, so its successors are numbered
-    after the explored states; the search walks none of its edges.  So,
-    when the search finds no violation, its graph is `explore`'s, field by
-    field, and it walked every node that the explored graph reaches.  A
-    node past the bound holds a state explored below it: the bound counts
-    the steps to a state, not the length of a trace, as in the game.
+    and a folded edge lands `len(label)` levels on.  At each level it first
+    lets `explore` step the level, then projects the states just numbered
+    and walks its nodes, whose states have edge lists by then: the search
+    reaches no state at a lower level than `explore` does.  A folded edge
+    whose target was not numbered when the edge was found names the
+    target's key, which `number` resolves when the edge lands.  The search
+    walks no edge of a state at the step bound, as `explore` steps none of
+    them on; a node past the bound holds a state explored below it: the
+    bound counts the steps to a state, not the length of a trace, as in
+    the game.
 
     Every concrete edge walked from a node gives the node its target
     reaches (`_answer_sets`), and the first edge to land with an empty
     answer set ends the shortest trace that no abstract trace matches.  A
     folded edge is matched as one step, when it lands: the implementation-
     silent steps after its first leave the projection as it is, so the
-    traces are those of its steps one by one.  A configuration is its own
-    key (`explore.canonical_key`)."""
-    ctx = system.ctx
+    traces are those of its steps one by one.  On a violation the search
+    stops at once, and the concrete system is explored to the level the
+    refuting edge leaves from, in full, and no deeper.  With none, the
+    search has walked a node at each of `explore`'s levels, so `explore`
+    has returned its graph by the time the search ends."""
     start, answer = _answer_sets(ab, project)
-    cfg0 = system.cfg0
-    number = {cfg0: 0}
-    states, via, edges, terminals = [cfg0], [None], [], []
-    cproj = [project(cfg0)]
-    outcomes, truncated = set(), False
+    graph = levels(system.cfg0, system.ctx, max_steps)
+    conc = next(graph)
+    states, edges, number = conc
+    cproj = []  # number -> projection of the state
     node = (0, start)
     # node -> (node, thread, label) of the edge that first reached it
     parents = {node: None}
     # at each level: nodes to walk, and (steps still to go, target, source
-    # node, thread, label) for each folded edge passing it; a target not
-    # numbered when its edge was found is named by its key
+    # node, thread, label) for each folded edge passing it
     frontier = [node]
     level, visible = 0, 0
-    # the states stopped at the bound are numbered from `bound`; the states
-    # whose edge lists name a folded target by its key
-    bound, landing = sys.maxsize, []
+    bound = sys.maxsize  # the states at the bound are numbered from here
     while frontier:
-        later = []
-        budget = max_steps - level
-        if budget == 1:  # this level numbers the states at the bound
+        if level == max_steps - 1:
             bound = len(states)
-        elif budget <= 0:  # a state first reached here is stepped once
-            budget = 1
+        conc = next(graph, conc)  # the level stepped
+        cproj += map(project, states[len(cproj):])
+        later = []
         for item in frontier:
             if len(item) > 2:  # a folded edge
                 rest, m, node, t, label = item
                 if rest > 1:
                     later.append((rest - 1, m, node, t, label))
                     continue
-                src, aset = node
                 if type(m) is not int:
-                    key, m = m, number.get(m)
-                    if m is None:  # the first edge to land here
-                        m = number[key] = len(states)
-                        states.append(key)
-                        via.append((src, t, label))
-                        cproj.append(project(key))
+                    m = number[m]
+                src, aset = node
                 cp2 = cproj[m]
                 if cp2 is not cproj[src]:
                     visible += 1
@@ -599,30 +591,6 @@ def _search(system, ab, project, max_steps):
                     later.append(nxt)
                 continue
             c, aset = item
-            if c == len(edges):  # first reached: step it
-                cfg = states[c]
-                succs = successors(cfg, ctx, False, budget)
-                if not succs:
-                    terminals.append(c)
-                    outcomes.add(_outcome_of(cfg, ctx))
-                elif c >= bound:
-                    truncated = True
-                out, pending = [], False
-                for t, label, nxt in succs:
-                    m = number.get(nxt)
-                    if m is None:
-                        if type(label) is tuple:  # numbered when it lands
-                            out.append((t, label, nxt))
-                            pending = True
-                            continue
-                        m = number[nxt] = len(states)
-                        states.append(nxt)
-                        via.append((c, t, label))
-                        cproj.append(project(nxt))
-                    out.append((t, label, m))
-                if pending:
-                    landing.append(c)
-                edges.append(tuple(out))
             if c >= bound:
                 continue
             cp = cproj[c]
@@ -642,14 +610,6 @@ def _search(system, ab, project, max_steps):
                     later.append(nxt)
         frontier = later
         level += 1
-    for n in landing:  # every folded edge has landed
-        edges[n] = tuple((t, label, m if type(m) is int else number[m])
-                         for t, label, m in edges[n])
-    out_list = sorted(
-        ({r: v for r, v in oc} for oc in outcomes),
-        key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
-    conc = ExploreResult(len(edges), out_list, truncated, states, edges, via,
-                         terminals)
     return (conc, TraceCheckResult("trace-refinement", None, visible),
             len(parents))
 

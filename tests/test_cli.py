@@ -158,24 +158,26 @@ class TestRefine:
     def test_concrete_system_explored_once(self, corpus_dir, capsys,
                                            monkeypatch):
         # `explore` runs on the abstract system only; the trace search
-        # steps the concrete system, each configuration once
+        # reads the concrete system's levels, each configuration stepped
+        # once
+        import rarcheck.explore as ex
         import rarcheck.refine as rf
         client = load_corpus("seqlock-refine")
         concrete = build_system(client, builtin_impls()["seqlock"]).cfg0
         abstract = build_system(client).cfg0
-        starts, stepped = [], []
-        original, successors = rf.explore, rf.successors
+        starts, stepped = [], {}
+        original, successors = rf.explore, ex.successors
 
         def counting(cfg0, *args, **kwargs):
             starts.append(cfg0)
             return original(cfg0, *args, **kwargs)
 
-        def stepping(cfg, *args):
-            stepped.append(cfg)
-            return successors(cfg, *args)
+        def stepping(cfg, ctx, *args):
+            stepped.setdefault(ctx, []).append(cfg)
+            return successors(cfg, ctx, *args)
 
         monkeypatch.setattr(rf, "explore", counting)
-        monkeypatch.setattr(rf, "successors", stepping)
+        monkeypatch.setattr(ex, "successors", stepping)
         code, out, _ = run(capsys, "refine", "--json", "--impl", "seqlock",
                            "--client", str(corpus_dir / "seqlock-refine.lit"))
         assert code == 0
@@ -183,8 +185,11 @@ class TestRefine:
         # configurations of separately built systems share no part, so
         # they are compared by content: commands, registers, components
         assert [_content(cfg) for cfg in starts] == [_content(abstract)]
-        assert _content(stepped[0]) == _content(concrete)
-        assert len(set(stepped)) == len(stepped)
+        # the abstract system is stepped first, then the concrete one
+        (_, ab_steps), (_, conc_steps) = stepped.items()
+        assert _content(ab_steps[0]) == _content(abstract)
+        assert _content(conc_steps[0]) == _content(concrete)
+        assert len(set(conc_steps)) == len(conc_steps)
 
     @pytest.mark.parametrize("impl", sorted(builtin_impls()))
     def test_version_binder_is_an_input_error(self, corpus_dir, capsys,

@@ -10,11 +10,12 @@ runs too.  The trace search and the simulation game run over it must give
 the verdicts, the counterexamples, the details and the exit codes of the
 same checks run over the folded graph, on every lock-declaring corpus
 file at three bounds, on the lock clients of `test_refine` and
-`test_cli_fuzz`, and, for the verdict and truncation, at every bound from 1
-to 40.  Only the pair and relation counts may differ.  The game answers a
-folded edge as its first step; the two facts of the abstract lock that
-make this exact are checked on the abstract explorations of the same
-clients and of clients that call the lock inside blocks.
+`test_cli_fuzz`, on the former under each lock padded so that a call folds
+three steps or more, and, for the verdict and truncation, at every bound
+from 1 to 40.  Only the pair and relation counts may differ.  The game
+answers a folded edge as its first step; the two facts of the abstract
+lock that make this exact are checked on the abstract explorations of the
+same clients and of clients that call the lock inside blocks.
 """
 
 import contextlib
@@ -26,7 +27,9 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings
 
+import rarcheck.explore as ex
 import rarcheck.refine as rf
+from rarcheck import program as P
 from rarcheck.cli import run_cli
 from rarcheck.explore import _impl_silent, _moves, explore
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
@@ -46,13 +49,14 @@ COUNTS = re.compile(r'"(pairs_explored|relation_size)": \d+,?')
 @contextlib.contextmanager
 def unfolded():
     """Refinement checks explore both systems by single steps: the abstract
-    one by `explore`, the concrete one by the trace search's `successors`."""
-    folded = rf.explore, rf.successors
-    rf.explore, rf.successors = explore_unfolded, single_steps
+    one by `explore_unfolded`, the concrete one by `explore.levels`, which
+    the trace search reads, stepping by `single_steps`."""
+    folded = rf.explore, ex.successors
+    rf.explore, ex.successors = explore_unfolded, single_steps
     try:
         yield
     finally:
-        rf.explore, rf.successors = folded
+        rf.explore, ex.successors = folded
 
 
 def _cli(argv):
@@ -151,6 +155,41 @@ def test_fuzzed_lock_clients_match_unfolded(tmp_path_factory, text):
         concrete = build_system(lf, rf.builtin_impls()[impl])
         assert witness == _commuted(concrete, witness) == \
             _commuted(concrete, ref_witness), (impl, text)
+
+
+def _padded(impl):
+    """`impl` with two `$`-register assignments before each method's body,
+    so that a call's folded edge takes at least three steps."""
+    return rf.Impl(impl.name, impl.kind, impl.init, tuple(
+        (meth, P.Seq(P.Assign("$p", P.Lit(0)),
+                     P.Seq(P.Assign("$q", P.Lit(0)), body)))
+        for meth, body in impl.methods))
+
+
+@pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+@pytest.mark.parametrize("impl", IMPLS)
+def test_padded_locks_match_unfolded(impl, client):
+    # the trace search carries folded edges of three and more steps over
+    # levels before they land; it answers as over single steps, and as
+    # the lock without padding, with the same witness once silent steps
+    # are moved back to their runs (a thread may begin inside a call's
+    # silent run here, so that move can change a folded witness too)
+    lf = parse_litmus(LOCK_CLIENTS[client])
+    padded = _padded(rf.builtin_impls()[impl])
+    concrete = build_system(lf, padded)
+    res = explore(concrete.cfg0, concrete.ctx, 200)
+    assert max(len(label) for steps in res.edges for _, label, _ in steps
+               if type(label) is tuple) >= 3
+    sims = []
+    for context in (contextlib.nullcontext, unfolded):
+        with context():
+            sims.append(rf.check_simulation(padded, lf, 200))
+    sim, ref = sims
+    assert (sim.verdict, sim.detail) == (ref.verdict, ref.detail)
+    plain = rf.check_simulation(rf.builtin_impls()[impl], lf, 200)
+    assert sim.verdict == plain.verdict != "unknown-beyond-bound"
+    assert _commuted(concrete, sim.counterexample or []) == \
+        _commuted(concrete, ref.counterexample or [])
 
 
 # (client, impl, bound) where the folded concrete exploration stops at the

@@ -362,10 +362,23 @@ class TestConcreteOnlyInputError:
         assert sim.counterexample[-1] == {"thread": 2, "label": "rd(y,0)@0"}
 
     def test_an_error_the_search_meets_is_raised(self, monkeypatch):
-        def failing(cfg, ctx, *rest):
-            raise P.ProgramError("made up")
+        # the search reads `explore`'s stepping of the concrete system, the
+        # one built with the implementation
+        concrete = []
 
-        monkeypatch.setattr(rf, "successors", failing)
+        def building(lf, impl=None):
+            system = build_system(lf, impl)
+            if impl is not None:
+                concrete.append(system.ctx)
+            return system
+
+        def failing(cfg, ctx, *rest):
+            if ctx in concrete:
+                raise P.ProgramError("made up")
+            return successors(cfg, ctx, *rest)
+
+        monkeypatch.setattr(rf, "build_system", building)
+        monkeypatch.setattr(ex, "successors", failing)
         with pytest.raises(P.ProgramError, match="^made up$"):
             check_simulation(builtin_impls()["seqlock"],
                              parse_litmus(STALE_READ_CLIENT), 64)

@@ -1,26 +1,29 @@
 """Refinement refutes first: the trace search against the path it replaced.
 
-`check_simulation` explores the concrete system by one breadth-first search
-over (concrete state, abstract answer set) and plays the game only over a
-graph in which the search found no violation.  The path it replaced
-explored both systems in full, answered unknown when either run was
-truncated, and otherwise played the game over the two explorations.  Here,
-on every lock-declaring corpus client (`unbound_client` for `lockmp*`)
-under each built-in lock at bounds 1-40 and 64, and on fuzzed lock
-clients:
+`check_simulation` checks trace inclusion by one breadth-first search over
+(concrete state, abstract answer set), which reads the concrete system's
+exploration one level at a time, and plays the game only over a graph in
+which the search found no violation.  The path it replaced explored both
+systems in full, answered unknown when either run was truncated, and
+otherwise played the game over the two explorations.  Here, on every
+lock-declaring corpus client (`unbound_client` for `lockmp*`) under each
+built-in lock at bounds 1-40 and 64, and on fuzzed lock clients:
 
 - when the search finds no violation, its graph is `explore`'s on the same
   system, field by field;
 - every verdict is the old path's, except where a truncated concrete run
   answered unknown and the search now refutes within the bound
-  (`REFUTES_WITHIN_BOUND`, each listed).
+  (`REFUTES_WITHIN_BOUND`, each listed);
+- on the corpus, a refutation has stepped exactly the configurations that
+  lie fewer scheduler steps from the start than its witness is long.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rarcheck.explore as ex
 import rarcheck.refine as rf
-from rarcheck.explore import ExploreResult, explore
+from rarcheck.explore import ExploreResult, explore, successors
 from rarcheck.litmus import build_system, parse_litmus
 from refine_helpers import unbound_client
 from test_cli_fuzz import lock_clients
@@ -104,3 +107,44 @@ def test_fuzzed_graphs_and_verdicts_match_the_old_path(text, bound):
         if sim.verdict != verdict:
             assert (verdict, side) == ("unknown-beyond-bound", "concrete")
             assert (sim.verdict, sim.detail) == REFUTED, (impl, text)
+
+
+@pytest.mark.parametrize("client", CLIENTS)
+@pytest.mark.parametrize("impl", [i for i in IMPLS if i.endswith("-relaxed")])
+def test_refutations_step_only_below_their_witness(monkeypatch, impl,
+                                                   client):
+    # on a refutation (only the relaxed mutants are refuted in this sweep),
+    # `explore` has stepped each level of the concrete system below the
+    # witness's length, in full, and no deeper: the configurations stepped
+    # are exactly those of its full graph reached in fewer scheduler steps
+    # than the witness takes, each once, so an input error among them is
+    # always raised
+    built, stepped = [], []
+
+    def building(*args):
+        built.append(build_system(*args))
+        return built[-1]
+
+    def stepping(cfg, ctx, *rest):
+        stepped.append((ctx, cfg))
+        return successors(cfg, ctx, *rest)
+
+    monkeypatch.setattr(rf, "build_system", building)
+    monkeypatch.setattr(ex, "successors", stepping)
+    lf = parse_litmus(unbound_client(client))
+    refuted = 0
+    for bound in BOUNDS:
+        del built[:], stepped[:]
+        sim = rf.check_simulation(rf.builtin_impls()[impl], lf, bound)
+        if sim.verdict != "no-simulation":
+            continue
+        refuted += 1
+        _, conc_sys = built
+        mine = [cfg for ctx, cfg in stepped if ctx is conc_sys.ctx]
+        res = explore(conc_sys.cfg0, conc_sys.ctx, bound)
+        depth = len(sim.counterexample)
+        assert len(set(mine)) == len(mine), bound
+        assert set(mine) == {
+            res.states[n] for n in range(res.states_explored)
+            if len(res.witness_path(n)) < depth}, bound
+    assert refuted
