@@ -24,7 +24,9 @@ Only when the search finds none is the game played, over the concrete
 graph `explore` returned.  The concrete graph folds each implementation-
 silent run into the step that reaches it (`explore._impl_silent`): the game
 answers such an edge as it answers its first step, the search matches it as
-one step, and counterexamples list every step.
+one step, and counterexamples list every step.  The search and the game
+read one list of projections per system, each state projected once by its
+number, and one memo decides each pair of projections once.
 """
 
 from __future__ import annotations
@@ -115,48 +117,44 @@ def _projector(client_regs, threads):
     """The client-visible part of a configuration, as a function: client
     locals (`client_regs`, a system's `client_locals`: no client register
     has a '$' name, so `$rval` is not among them), then the client
-    signature.  Equal projections are one object, and each configuration
-    is projected once: its register part is computed once per thread
-    state, and its signature once per client component content.  Both
-    depend only on the client's registers and variables, so one projector
-    serves the abstract and the concrete system of one client, and a
-    component of one equal to a component of the other is signed once
-    (each system hash-conses its own components).  Equal register parts
-    and equal signatures are one object too, so a projection is found by
-    the identities of its parts."""
+    signature.  Equal projections are one object.  A configuration's
+    register part is computed once per thread state, and its signature
+    once per client component content.  Both depend only on the client's
+    registers and variables, so one projector serves the abstract and the
+    concrete system of one client, and a component of one equal to a
+    component of the other is signed once (each system hash-conses its own
+    components).  Equal register parts and equal signatures are one object
+    too, so a projection is found by the identities of its parts.  The
+    projector keeps no projection per configuration: a check projects each
+    state once, into a list by its number (`check_simulation`)."""
     regs = {t: sorted(rs) for t, rs in client_regs.items()}
     # thread state -> its register part; component -> its signature, and
     # component content -> its signature; a register part's or a
     # signature's content -> the one object with that content; identities
-    # of a projection's parts -> the projection; configuration -> its
-    # projection
-    parts, sig_of, sigs, interned, shared, done = {}, {}, {}, {}, {}, {}
+    # of a projection's parts -> the projection
+    parts, sig_of, sigs, interned, shared = {}, {}, {}, {}, {}
 
     def project(cfg):
-        p = done.get(cfg)
-        if p is None:
-            gamma = cfg.gamma
-            sig = sig_of.get(gamma)
+        gamma = cfg.gamma
+        sig = sig_of.get(gamma)
+        if sig is None:
+            key = gamma._parts()
+            sig = sigs.get(key)
             if sig is None:
-                key = gamma._parts()
-                sig = sigs.get(key)
-                if sig is None:
-                    sig = _client_sig(gamma, threads)
-                    sig = sigs[key] = interned.setdefault(sig, sig)
-                sig_of[gamma] = sig
-            own = []
-            for ts in cfg.locs:
-                part = parts.get(ts)
-                if part is None:
-                    part = (ts.t, tuple([(r, ts.ls.get(r))
-                                         for r in regs[ts.t]]))
-                    part = parts[ts] = interned.setdefault(part, part)
-                own.append(part)
-            key = tuple(map(id, own)) + (id(sig),)
-            p = shared.get(key)
-            if p is None:
-                p = shared[key] = (tuple(own),) + sig
-            done[cfg] = p
+                sig = _client_sig(gamma, threads)
+                sig = sigs[key] = interned.setdefault(sig, sig)
+            sig_of[gamma] = sig
+        own = []
+        for ts in cfg.locs:
+            part = parts.get(ts)
+            if part is None:
+                part = (ts.t, tuple([(r, ts.ls.get(r)) for r in regs[ts.t]]))
+                part = parts[ts] = interned.setdefault(part, part)
+            own.append(part)
+        key = tuple(map(id, own)) + (id(sig),)
+        p = shared.get(key)
+        if p is None:
+            p = shared[key] = (tuple(own),) + sig
         return p
     return project
 
@@ -175,7 +173,8 @@ def _refines(aproj, cproj) -> bool:
 def _refines_memo():
     """`_refines` remembered by identity of its arguments: a projector
     interns equal projections, and far fewer pairs of them occur than
-    pairs of states."""
+    pairs of states.  A check makes one, which its answer sets and its
+    game share."""
     memo = {}
 
     def refines(aproj, cproj):
@@ -275,7 +274,12 @@ def check_simulation(impl: Impl, client_lf,
     no abstract match answers no-simulation, with that trace as witness
     and the search nodes stored as `pairs_explored`.  With none, a
     truncated concrete run answers unknown, and otherwise the game is
-    played over the concrete graph."""
+    played over the concrete graph.
+
+    Each state is projected once, into a list by its number: the abstract
+    states here, the concrete ones by the search as their levels are
+    numbered.  One `_refines_memo` decides each pair of projections once,
+    for the answer sets and the game alike."""
     abs_sys = build_system(client_lf)
     conc_sys = build_system(client_lf, impl)
     _check_client(abs_sys)
@@ -286,7 +290,10 @@ def check_simulation(impl: Impl, client_lf,
                                 detail="abstract exploration truncated",
                                 abstract=ab)
     project = _projector(abs_sys.client_locals, abs_sys.ctx.threads)
-    conc, trace, nodes = _search(conc_sys, ab, project, max_steps)
+    aproj = [project(cfg) for cfg in ab.states]
+    refines = _refines_memo()
+    conc, cproj, trace, nodes = _search(
+        conc_sys, _answer_sets(ab, aproj, refines), project, max_steps)
     if not trace.ok:
         return SimulationResult("no-simulation", 0, nodes,
                                 trace.counterexample, trace.detail,
@@ -296,7 +303,7 @@ def check_simulation(impl: Impl, client_lf,
                                 detail="concrete exploration truncated",
                                 explored=conc, abstract=ab)
     kept = {"explored": conc, "abstract": ab, "trace": trace}
-    moves = _game(ab, conc, project)
+    moves = _game(ab, conc, aproj, cproj, refines)
     losing = _attractor(moves)
     if 0 in losing:  # the initial pair
         path = _extract_counterexample(0, moves, losing)
@@ -307,15 +314,15 @@ def check_simulation(impl: Impl, client_lf,
                             len(moves), **kept)
 
 
-def _game(ab, conc, project):
+def _game(ab, conc, aproj, cproj, refines):
     """The pairs (abstract state, concrete state) reachable from the initial
     pair, numbered in discovery order, as `moves`: per pair number, per
     concrete step, ((thread, label), [candidate pair numbers]).  States are
     the explorations' own numbers; neither exploration is truncated, so
-    each stores only explored states, and a state's `$rval`s and projection
-    are made when the game first pairs it.  Two states relate when their
-    `$rval`s are equal and their projections refine (`_refines_memo`, as
-    in the trace check), which is computed once per pair of distinct
+    each stores only explored states.  `aproj` and `cproj` are the states'
+    projections by number.  Two states relate when their `$rval`s are
+    equal and their projections refine (`refines`, the memo the trace
+    check's answer sets use), which is decided once per pair of distinct
     projections.  The initial pair is related: both systems are
     built from one client (`litmus.build_system`), so their initial states
     have the same client registers and client component, and `$rval` is
@@ -330,9 +337,9 @@ def _game(ab, conc, project):
     state, and a hole's return is never followed by another.  These two
     facts hold of the abstract lock (`tests/test_folded_game.py` pins
     them); an object whose call can keep `$rval` breaks the first."""
-    # per state number: its `$rval`s and its projection
-    cviews = [None] * len(conc.states)
-    aviews = [None] * len(ab.states)
+    # per state number: its `$rval`s
+    arvals = [_rvals(cfg) for cfg in ab.states]
+    crvals = [_rvals(cfg) for cfg in conc.states]
     # per abstract state: (thread, reply core) -> successors
     areplies = []
     for steps in ab.edges:
@@ -340,17 +347,9 @@ def _game(ab, conc, project):
         for t, lab, a2 in steps:
             out.setdefault((t, _reply_core(lab)), []).append(a2)
         areplies.append(out)
-    refines = _refines_memo()
 
     def related(a, c):
-        av, cv = aviews[a], cviews[c]
-        if av is None:
-            cfg = ab.states[a]
-            av = aviews[a] = (_rvals(cfg), project(cfg))
-        if cv is None:
-            cfg = conc.states[c]
-            cv = cviews[c] = (_rvals(cfg), project(cfg))
-        return av[0] == cv[0] and refines(av[1], cv[1])
+        return arvals[a] == crvals[c] and refines(aproj[a], cproj[c])
 
     # forward reachability over candidate pairs, from the initial pair: each
     # exploration numbers its initial state 0
@@ -467,11 +466,12 @@ def check_trace_refinement(sim: SimulationResult) -> TraceCheckResult:
     return sim.trace
 
 
-def _answer_sets(ab, project):
+def _answer_sets(ab, aproj, refines):
     """The trace check's abstract side, over the abstract exploration `ab`
-    (not truncated): the set that answers the empty trace, and the function
-    that gives the set answering one more concrete step, from the set that
-    answered the trace before it and the step's target projection.
+    (not truncated), its states' projections `aproj` by number and the
+    check's `_refines_memo`: the set that answers the empty trace, and the
+    function that gives the set answering one more concrete step, from the
+    set that answered the trace before it and the step's target projection.
 
     A set holds the abstract states that may answer a concrete trace,
     closed under abstract steps that leave the client's projection
@@ -492,16 +492,13 @@ def _answer_sets(ab, project):
     the paper's theorem says.  The initial states refine each other, as in
     the game (`_game`), and each exploration numbers its initial state 0.
     """
-    aproj = [project(c) for c in ab.states]
-    refines = _refines_memo()
-
     def closure(astates):
         out = set(astates)
         work = list(astates)
         while work:
             k = work.pop()
             for _, _, k2 in ab.edges[k]:
-                if k2 not in out and aproj[k2] == aproj[k]:
+                if k2 not in out and aproj[k2] is aproj[k]:
                     out.add(k2)
                     work.append(k2)
         return frozenset(out)
@@ -514,7 +511,7 @@ def _answer_sets(ab, project):
         out = answers.get((aset, id(cp)))
         if out is None:
             step = {k2 for k in aset for _, _, k2 in ab.edges[k]
-                    if aproj[k2] != aproj[k] and refines(aproj[k2], cp)}
+                    if aproj[k2] is not aproj[k] and refines(aproj[k2], cp)}
             step |= {k for k in aset if refines(aproj[k], cp)}
             out = answers[aset, id(cp)] = closure(step)
         return out
@@ -522,12 +519,13 @@ def _answer_sets(ab, project):
     return closure({0}), answer
 
 
-def _search(system, ab, project, max_steps):
+def _search(system, answer_sets, project, max_steps):
     """Trace inclusion of the concrete `system` in the abstract exploration
-    `ab`, by one breadth-first search over nodes (concrete state, abstract
-    answer set) that reads `explore`'s graph of the concrete system while
-    `explore.levels` grows it.  Returns that graph (None on a violation),
-    the `TraceCheckResult` and the number of nodes stored.
+    whose `_answer_sets` are `answer_sets`, by one breadth-first search over
+    nodes (concrete state, abstract answer set) that reads `explore`'s
+    graph of the concrete system while `explore.levels` grows it.  Returns
+    that graph and its states' projections by number (both None on a
+    violation), the `TraceCheckResult` and the number of nodes stored.
 
     The search walks level by level in scheduler steps, as `explore` does,
     and a folded edge lands `len(label)` levels on.  At each level it first
@@ -551,7 +549,7 @@ def _search(system, ab, project, max_steps):
     refuting edge leaves from, in full, and no deeper.  With none, the
     search has walked a node at each of `explore`'s levels, so `explore`
     has returned its graph by the time the search ends."""
-    start, answer = _answer_sets(ab, project)
+    start, answer = answer_sets
     graph = levels(system.cfg0, system.ctx, max_steps)
     conc = next(graph)
     states, edges, number = conc
@@ -610,7 +608,7 @@ def _search(system, ab, project, max_steps):
                     later.append(nxt)
         frontier = later
         level += 1
-    return (conc, TraceCheckResult("trace-refinement", None, visible),
+    return (conc, cproj, TraceCheckResult("trace-refinement", None, visible),
             len(parents))
 
 
@@ -618,7 +616,7 @@ def _violation(parents, node, t, label, visible):
     """The search's answer when the edge (thread t, `label`) from `node`
     lands with an empty answer set."""
     path = _trace_path(parents, node) + step_path(t, label)
-    return (None, TraceCheckResult(
+    return (None, None, TraceCheckResult(
         "violation", path, visible,
         "concrete client trace has no abstract match"), len(parents))
 

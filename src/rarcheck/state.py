@@ -538,27 +538,17 @@ def forget_prefix(state: ComponentState, other: ComponentState, x: str,
         other.matched)
 
 
-def _init_writes(assigns) -> list:
-    """The initial write of each (variable, value) pair, in order; each
-    variable is initialised once."""
-    seen = set()
-    for x, _ in assigns:
-        if x in seen:
-            raise StateError(f"duplicate initialisation of {x!r}")
-        seen.add(x)
-    return [write(x, v) for x, v in assigns]
-
-
 def make_init_states(init_assigns, library, threads, local_inits=None):
     """Initial local states and component states.
 
     init_assigns: ordered (variable, value) pairs for the client globals,
-                  which are exactly the client's variables
+                  which are exactly the client's variables, each once
+                  (`litmus._validate` rejects a duplicate)
     library: the library component's initial actions (an object's or an
              implementation's `init_actions()`; none without either)
     """
     threads = sorted(threads)
-    gacts = _init_writes(init_assigns)
+    gacts = [write(x, v) for x, v in init_assigns]
 
     def component(acts, other_acts):
         lay = Layout((a.var for a in acts), (a.var for a in other_acts),

@@ -17,8 +17,10 @@ from rarcheck.explore import step_path
 
 def trace_refinement(conc, ab, project) -> rf.TraceCheckResult:
     """Trace inclusion of the concrete exploration `conc` in the abstract
-    one `ab` (neither truncated), under the projector `project`."""
-    start, answer = rf._answer_sets(ab, project)
+    one `ab` (neither truncated), under the projector `project`: each
+    state projected once, by its number, as in `check_simulation`."""
+    aproj = [project(c) for c in ab.states]
+    start, answer = rf._answer_sets(ab, aproj, rf._refines_memo())
     cproj = [project(c) for c in conc.states]
     node = (0, start)
     parents = {node: None}

@@ -1,7 +1,7 @@
 """Refinement checks in forms only the tests use: state refinement of
 (locals, client component) pairs, a projected and destuttered execution,
-and the reference trace check run on its own, over both systems explored
-in full; and corpus clients as refine checks them."""
+the game and the reference trace check run on their own, over both
+systems explored in full; and corpus clients as refine checks them."""
 
 from rarcheck.litmus import LitmusFile, corpus_text, parse_litmus, pretty
 import rarcheck.refine as rf
@@ -36,6 +36,15 @@ def project_and_destutter(execution, client_regs, threads):
         if not trace or trace[-1] != p:
             trace.append(p)
     return trace
+
+
+def game_moves(abs_sys, ab, conc):
+    """`refine._game` over finished explorations of a client's abstract
+    system `abs_sys` (`ab`) and its concrete system (`conc`), with each
+    state projected once, by its number, as in `check_simulation`."""
+    project = rf._projector(abs_sys.client_locals, abs_sys.ctx.threads)
+    return rf._game(ab, conc, [project(c) for c in ab.states],
+                    [project(c) for c in conc.states], rf._refines_memo())
 
 
 def trace_check_alone(impl, client_lf, max_steps=64):

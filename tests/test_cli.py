@@ -53,6 +53,16 @@ class TestExplore:
         r2s = {oc["r2"] for oc in doc["outcomes"]}
         assert r2s == {0, 5}
 
+    def test_json_spells_symbolic_values(self, tmp_path, capsys):
+        # --json gives booleans as JSON's, and bot and empty by name
+        path = tmp_path / "sym.lit"
+        path.write_text("name t\nthread 1 { a := true; b := false; "
+                        "c := bot; d := empty; }\n")
+        code, out, err = run(capsys, "explore", "--json", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outcomes"] == [
+            {"a": True, "b": False, "c": "bot", "d": "empty"}]
+
     def test_json_stable_across_runs(self, corpus_dir, capsys):
         _, out1, _ = run(capsys, "explore", "--json",
                          str(corpus_dir / "lockmp.lit"))
@@ -541,6 +551,8 @@ class TestErrors:
     @pytest.mark.parametrize("text,error", [
         ("thread 1 { r := 1; }\nthread 1 { s := 1; }\n",
          "duplicate thread id"),
+        ("init x := 0; x := 1\nthread 1 { x := 2; }\n",
+         "duplicate initialisation of 'x'"),
         ("object lock l\nthread 1 { l.acquire(); }\n"
          "final { cvd(l.acquire_x) }\n",
          "bad method instance 'acquire_x' at 4:24"),
@@ -550,7 +562,7 @@ class TestErrors:
          "expected '=' or 'in' after pc(t) at 3:15"),
         ("object lock l\nthread 1 { l.acquire(); }\nfinal { cvd(l.steal) }\n",
          "unknown method 'steal' at 4:20"),
-    ], ids=["thread-id", "method-instance", "lift", "pc", "method"])
+    ], ids=["thread-id", "init", "method-instance", "lift", "pc", "method"])
     def test_rejected_by_the_parser(self, tmp_path, capsys, text, error):
         bad = tmp_path / "bad.lit"
         bad.write_text("name t\n" + text)

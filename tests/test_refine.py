@@ -20,8 +20,8 @@ from rarcheck.refine import (builtin_impls, check_simulation,
 from rarcheck.state import TRUE
 from reference_game import rounds
 from reference_unfolded import single_steps
-from refine_helpers import (project_and_destutter, state_refines,
-                            trace_check_alone, unbound_client)
+from refine_helpers import (game_moves, project_and_destutter,
+                            state_refines, trace_check_alone, unbound_client)
 
 
 def client():
@@ -488,8 +488,7 @@ def played_game(impl, lf, bound):
     conc = explore(conc_sys.cfg0, conc_sys.ctx, bound)
     if ab.truncated or conc.truncated:
         return None
-    project = rf._projector(abs_sys.client_locals, abs_sys.ctx.threads)
-    return conc_sys, rf._game(ab, conc, project)
+    return conc_sys, game_moves(abs_sys, ab, conc)
 
 
 class TestCounterexampleReplay:
@@ -696,3 +695,42 @@ class TestProjectionMemo:
         shared = check_trace_refinement(sim)
         assert signed == []
         assert_agrees(shared, trace_check_alone(impl, client(), 64))
+
+    # a check projects each state once, into a list by its number, which
+    # the trace search, its answer sets and the game all read, and one memo
+    # decides each pair of projections for the answer sets and the game
+    @pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_each_configuration_is_projected_once(self, monkeypatch, impl,
+                                                  client):
+        projected = Counter()
+        projector = rf._projector
+
+        def counting(*args):
+            project = projector(*args)
+
+            def counted(cfg):
+                projected[cfg] += 1
+                return project(cfg)
+            return counted
+
+        monkeypatch.setattr(rf, "_projector", counting)
+        check_simulation(builtin_impls()[impl],
+                         parse_litmus(LOCK_CLIENTS[client]), 64)
+        assert projected and max(projected.values()) == 1
+
+    @pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_each_projection_pair_is_decided_once(self, monkeypatch, impl,
+                                                  client):
+        decided = Counter()
+        refines = rf._refines
+
+        def counting(aproj, cproj):
+            decided[id(aproj), id(cproj)] += 1
+            return refines(aproj, cproj)
+
+        monkeypatch.setattr(rf, "_refines", counting)
+        check_simulation(builtin_impls()[impl],
+                         parse_litmus(LOCK_CLIENTS[client]), 64)
+        assert decided and max(decided.values()) == 1

@@ -25,7 +25,7 @@ import rarcheck.explore as ex
 import rarcheck.refine as rf
 from rarcheck.explore import ExploreResult, explore, successors
 from rarcheck.litmus import build_system, parse_litmus
-from refine_helpers import unbound_client
+from refine_helpers import game_moves, unbound_client
 from test_cli_fuzz import lock_clients
 
 IMPLS = sorted(rf.builtin_impls())
@@ -54,8 +54,7 @@ def _old_answer(abs_sys, conc_sys, bound):
     for side, res in (("concrete", conc), ("abstract", ab)):
         if res.truncated:
             return ("unknown-beyond-bound", side), conc
-    project = rf._projector(abs_sys.client_locals, abs_sys.ctx.threads)
-    losing = rf._attractor(rf._game(ab, conc, project))
+    losing = rf._attractor(game_moves(abs_sys, ab, conc))
     return ("no-simulation" if 0 in losing else "simulation-found",
             None), conc
 

@@ -63,10 +63,6 @@ class TestMakeInit:
                 assert viewed.action.val == 0
                 assert viewed == max(gamma.ops_on(x), key=lambda o: o.ts)
 
-    def test_duplicate_init_rejected(self):
-        with pytest.raises(StateError):
-            make_init_states([("d", 0), ("d", 1)], (), {1})
-
 
 class TestObservable:
     def test_init_only(self):
