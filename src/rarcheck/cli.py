@@ -97,10 +97,12 @@ _PARSER = _build_parser()
 
 def _jval(v):
     """A symbolic value for JSON: a boolean as JSON's true/false, bot and
-    empty by name."""
+    empty by name.  Any other value that JSON cannot encode is a fault of
+    the report, which `json.dumps` is told by a TypeError naming its
+    type."""
     if isinstance(v, Sym):
         return {TRUE: True, FALSE: False}.get(v, v.name)
-    return v
+    raise TypeError(f"{type(v).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, as_json: bool):

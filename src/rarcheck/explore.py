@@ -54,21 +54,31 @@ the witnesses are those of a run of single steps.  `successors` turns its
 - Full, for `check_outline` and refinement, which read every state and
   edge: no ample sets and no forgetting.  A step folds when it is
   implementation-silent (`_impl_silent`): a silent step inside a filled
-  hole's body that is not a hole's return or a loop's test and leaves
-  RVAL as it is.  It changes no client register, no component and no
-  call's result, so it commutes with every other thread's step and
+  hole's body, a loop's test included, that is not a hole's return and
+  leaves RVAL as it is.  It changes no client register, no component and
+  no call's result, so it commutes with every other thread's step and
   refinement's projections cannot see it.  The run stores every other
   configuration and every edge.  A system without an implementation has
   no such step, so its full run is the search of single steps.
 
 The bound may cut a folded edge and land it on a configuration that the
 single-step search passed below the bound, by a path that a folded run
-takes only inside a run.  A reduced run that stops at the bound only in
-such configurations, where a thread is still silent-only, asks the
-single-step search to the bound whether it stops there too
-(`_single_steps_truncated`), so its truncation flag is the single-step
-search's.  A full run's flag is not always: it may stop at the bound where
-the single-step search ends.
+takes only inside a run.  A run that stops at the bound only in such
+configurations, where a thread's move still folds, asks the single-step
+search to the bound whether it stops there too (`_single_steps_truncated`),
+so its truncation flag is the single-step search's under both policies.
+A reduced run keeps such configurations and takes no step from them.  A
+full run numbers none of them before it has asked.  If the single-step
+search stops too, they are numbered past the explored states.  If not,
+each cut edge is given its whole run (`finish_run`), whose landing the
+run has numbered below the bound already: the landing has no
+implementation-silent thread that has moved, so the single-step search,
+which reaches every configuration within the bound when it is not
+truncated, reaches it at the level at which the folded run does.  So an
+untruncated full run stores exactly the single-step search's
+configurations in which no thread that has moved is implementation-silent
+(only a thread that begins with a call whose body begins silently is
+implementation-silent before it moves), at every bound.
 """
 
 from __future__ import annotations
@@ -322,17 +332,26 @@ def _silent_only(ts: ThreadState, ctx: SystemContext) -> bool:
 
 def _impl_silent(ts: ThreadState, ctx: SystemContext) -> bool:
     """Whether ts is implementation-silent: its only local move is a silent
-    step inside a filled hole's body that is not a hole's return, not a
-    loop's test (`_silent_only`) and leaves RVAL as it is.  Such a step
-    changes only the thread's command and its '$' registers: no client
-    register (a hole's return writes those), no component and no call's
-    result.  So it commutes with every other thread's step, and no
-    projection a refinement check reads tells the states before and after
-    it apart."""
-    if not _silent_only(ts, ctx):
+    step inside a filled hole's body that is not a hole's return and leaves
+    RVAL as it is; a loop's test is one too.  Such a step changes only the
+    thread's command and its '$' registers: no client register (a hole's
+    return writes those), no component and no call's result.  So it
+    commutes with every other thread's step, and no projection a
+    refinement check reads tells the states before and after it apart.
+
+    No run of such steps is infinite, on a premise about implementations:
+    every loop of a method body runs a memory step or a call on each
+    iteration (the built-in locks' spins read their variable again), so a
+    loop's test is never reached twice by silent steps alone.  A thread
+    state whose step is an input error is not implementation-silent."""
+    try:
+        moves = _moves(ts, ctx)
+    except program.ProgramError:
         return False
-    step = ctx.thread_steps[ts][0].step
-    return (step.lib and not step.at_hole
+    if len(moves) != 1:
+        return False
+    step = moves[0].step
+    return (step.kind == "eps" and step.lib and not step.at_hole
             and step.ls.get(RVAL) == ts.ls.get(RVAL))
 
 
@@ -504,8 +523,10 @@ class ExploreResult(Record):
     """The state graph of one exploration.  States are numbered when they
     are first stored, the initial one 0, in the order `explore` reaches
     them; in a full run, the successors of the states stopped at the step
-    bound are numbered after every explored state, so `states[:
-    states_explored]` are the explored ones, those with an edge list."""
+    bound are numbered after every explored state, and then, in a
+    truncated run, the configurations that the bound left inside a folded
+    run, so `states[:states_explored]` are the explored ones, those with
+    an edge list."""
 
     states_explored: int
     outcomes: list  # sorted list of dicts register -> value
@@ -572,16 +593,24 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     """`explore`, one level at a time: yields the growing graph (states,
     edges, number) before each level, and the `ExploreResult` last.  At
     the yield before level L, every state at a level up to L is numbered,
-    and every state below L has its edge list.
+    but for a full run's cut landings (below), and every state below L has
+    its edge list.
 
     Each configuration is numbered when first stored.  An edge that folds
     n steps lands n levels on, as a run of single steps would reach its
     target, and configurations at one level are stepped in the order such
     a run would step them.  A folded edge's target is numbered when the
     edge lands; in a full run, the edge names its target's key until then.
-    A reduced run whose every configuration at the bound with a step has a
-    silent-only thread is truncated only if the single-step search is
-    (module docstring)."""
+
+    The bound can cut an edge inside its thread's run, so that it lands on
+    a configuration where that thread's move still folds (a cut landing).
+    A reduced run takes no step from such a configuration at the bound.  A
+    full run does not number one while it runs: the cut edges name its
+    key.  A run that stops at the bound only there is truncated only if the
+    single-step search is (module docstring).  When it is not, a full run
+    gives each cut edge its whole run (`finish_run`), whose landing it has
+    numbered below the bound by then; when it is, it numbers the cut
+    landings after every other state, unexplored."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     number = {canonical_key(cfg0): 0}
@@ -590,6 +619,8 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     terminals = []
     outcomes = set()
     truncated = cut = False
+    # a full run's cut landings: key -> the edge that first reached it
+    cuts = {}
     # the numbers of the configurations at `level`, in the order they are
     # stepped, and (steps still to go, target, via) for each folded edge
     # passing the level
@@ -603,12 +634,17 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
         later = []
         budget = max_steps - level
         expand = budget > 0
+        # in a full run, whether what this level numbers lies at the bound
+        last = budget == 1 and not reduce
         for n in frontier:
             if type(n) is tuple:
                 rest, nk, step = n
                 if rest > 1:
                     later.append((rest - 1, nk, step))
                 elif nk not in number:  # the first edge to land here
+                    if last and _impl_silent(nk.thread(step[1]), ctx):
+                        cuts.setdefault(nk, step)
+                        continue
                     number[nk] = len(states)
                     later.append(len(states))
                     states.append(nk)
@@ -644,6 +680,11 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                             out.append((t, label, nk))
                             pending = True
                         continue
+                    if last and _impl_silent(nxt.thread(t), ctx):
+                        cuts.setdefault(nk, step)
+                        out.append((t, label, nk))
+                        pending = True
+                        continue
                     m = number[nk] = len(states)
                     states.append(nk)
                     via.append(step)
@@ -657,11 +698,26 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                 edges.append(tuple(out))
         frontier = later
         level += 1
-    if cut and not truncated:
+    if (cut or cuts) and not truncated:
         truncated = _single_steps_truncated(cfg0, ctx, max_steps)
-    for n in landing:  # every folded edge has landed
-        edges[n] = tuple((t, label, m if type(m) is int else number[m])
-                         for t, label, m in edges[n])
+    if truncated:  # the cut landings lie past the explored states
+        for nk, step in cuts.items():
+            number[nk] = len(states)
+            states.append(nk)
+            via.append(step)
+    for n in landing:  # every folded edge has landed, or was cut
+        out = []
+        for t, label, m in edges[n]:
+            if type(m) is not int:
+                if m in number:
+                    m = number[m]
+                else:  # a cut edge, given its whole run
+                    rest, fin = finish_run(m, t, ctx, max_steps)
+                    label = (label if type(label) is tuple
+                             else (label,)) + rest
+                    m = number[fin]
+            out.append((t, label, m))
+        edges[n] = tuple(out)
     out_list = sorted(
         ({r: v for r, v in oc} for oc in outcomes),
         key=lambda d: sorted((k, repr(v)) for k, v in d.items()))
@@ -671,13 +727,26 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                         terminals)
 
 
+def finish_run(cfg: Configuration, t, ctx: SystemContext, limit: int):
+    """(labels, landing) for a full run's cut landing cfg, where the bound
+    cut thread t's implementation-silent run: the labels of the steps of
+    that run still to go, and the configuration they reach.  The run is
+    memoized; it is walked for at most `limit` steps, which a run that a
+    search not truncated at that bound finishes never exceeds."""
+    i = ctx.threads.index(t)
+    run = _run(cfg.locs[i], ctx, _impl_silent, limit)
+    locs = cfg.locs[:i] + (run.states[-1],) + cfg.locs[i + 1:]
+    return run.labels, Configuration((locs, cfg.gamma, cfg.beta))
+
+
 def _single_steps_truncated(cfg0: Configuration, ctx: SystemContext,
                             max_steps: int) -> bool:
     """Whether the search of single steps from cfg0 stops at the bound:
     some configuration first reached at level `max_steps` has a step.  A
     full-policy step given a budget of one folds nothing.  An input error
-    that this search meets, the reduced run that asks has not met within
-    the bound: that run stops on the bound before it."""
+    that this search meets, the folded run that asks (reduced or full) has
+    not met within the bound: that run stops on the bound before it, so
+    the answer is truncated."""
     seen = {cfg0}
     frontier = [cfg0]
     try:

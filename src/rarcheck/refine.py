@@ -34,7 +34,7 @@ from __future__ import annotations
 import sys
 
 from . import program as P
-from .explore import ExploreResult, explore, levels, step_path
+from .explore import ExploreResult, explore, finish_run, levels, step_path
 # only so that `rarcheck.refine.successors` resolves for perfbench's tracer
 from .explore import successors  # noqa: F401
 from .litmus import LitmusError, build_system
@@ -533,7 +533,13 @@ def _search(system, answer_sets, project, max_steps):
     and walks its nodes, whose states have edge lists by then: the search
     reaches no state at a lower level than `explore` does.  A folded edge
     whose target was not numbered when the edge was found names the
-    target's key, which `number` resolves when the edge lands.  The search
+    target's key, which `number` resolves when the edge lands.  An edge
+    that the bound cut inside its run names its landing's key until
+    `explore` has ended (`explore.levels`): it is matched where it lands,
+    by that configuration's projection, which is its whole run's too, and
+    once `explore` has ended it goes on to its landing, past the bound,
+    or, when the run is not truncated, along its whole run
+    (`explore.finish_run`), landing where that run lands.  The search
     walks no edge of a state at the step bound, as `explore` steps none of
     them on; a node past the bound holds a state explored below it: the
     bound counts the steps to a state, not the length of a trace, as in
@@ -550,7 +556,8 @@ def _search(system, answer_sets, project, max_steps):
     search has walked a node at each of `explore`'s levels, so `explore`
     has returned its graph by the time the search ends."""
     start, answer = answer_sets
-    graph = levels(system.cfg0, system.ctx, max_steps)
+    ctx = system.ctx
+    graph = levels(system.cfg0, ctx, max_steps)
     conc = next(graph)
     states, edges, number = conc
     cproj = []  # number -> projection of the state
@@ -558,7 +565,7 @@ def _search(system, answer_sets, project, max_steps):
     # node -> (node, thread, label) of the edge that first reached it
     parents = {node: None}
     # at each level: nodes to walk, and (steps still to go, target, source
-    # node, thread, label) for each folded edge passing it
+    # node, thread, label) for each edge landing at it or passing it
     frontier = [node]
     level, visible = 0, 0
     bound = sys.maxsize  # the states at the bound are numbered from here
@@ -569,42 +576,50 @@ def _search(system, answer_sets, project, max_steps):
         cproj += map(project, states[len(cproj):])
         later = []
         for item in frontier:
-            if len(item) > 2:  # a folded edge
+            if len(item) > 2:  # an edge that lands here or later
                 rest, m, node, t, label = item
                 if rest > 1:
                     later.append((rest - 1, m, node, t, label))
                     continue
-                if type(m) is not int:
-                    m = number[m]
-                src, aset = node
-                cp2 = cproj[m]
-                if cp2 is not cproj[src]:
-                    visible += 1
+                if (type(m) is not int and level == max_steps
+                        and m not in number):
+                    # a cut edge that `explore` gave its whole run
+                    tail, fin = finish_run(m, t, ctx, max_steps)
+                    label = (label if type(label) is tuple
+                             else (label,)) + tail
+                    m = number[fin]
+                    if len(tail) > 1:
+                        later.append((len(tail) - 1, m, node, t, label))
+                        continue
+                steps = ((t, label, m),)
+            else:
+                node = item
+                if node[0] >= bound:
+                    continue
+                steps = edges[node[0]]
+            src, aset = node
+            cp = cproj[src]
+            for t, label, m in steps:
+                if type(label) is tuple and node is item:
+                    # matched when it lands
+                    later.append((len(label) - 1, m, node, t, label))
+                    continue
+                if type(m) is not int:  # numbered by now, or a cut landing
+                    m = number.get(m, m)
+                cp2 = cproj[m] if type(m) is int else project(m)
                 aset2 = answer(aset, cp2)
                 if not aset2:
-                    return _violation(parents, node, t, label, visible)
+                    return _violation(parents, node, t, label,
+                                      visible + (cp2 is not cp))
+                if type(m) is not int:
+                    # landed again once `explore` has ended
+                    later.append((1, m, node, t, label))
+                    continue
+                if cp2 is not cp:
+                    visible += 1
                 nxt = (m, aset2)
                 if nxt not in parents:
                     parents[nxt] = (node, t, label)
-                    later.append(nxt)
-                continue
-            c, aset = item
-            if c >= bound:
-                continue
-            cp = cproj[c]
-            for t, label, m in edges[c]:
-                if type(label) is tuple:  # matched when it lands
-                    later.append((len(label) - 1, m, item, t, label))
-                    continue
-                cp2 = cproj[m]
-                if cp2 is not cp:
-                    visible += 1
-                aset2 = answer(aset, cp2)
-                if not aset2:
-                    return _violation(parents, item, t, label, visible)
-                nxt = (m, aset2)
-                if nxt not in parents:
-                    parents[nxt] = (item, t, label)
                     later.append(nxt)
         frontier = later
         level += 1

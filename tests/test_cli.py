@@ -63,6 +63,25 @@ class TestExplore:
         assert json.loads(out)["outcomes"] == [
             {"a": True, "b": False, "c": "bot", "d": "empty"}]
 
+    def test_json_value_it_cannot_encode_is_internal(self, corpus_dir,
+                                                     capsys, monkeypatch):
+        # a report value that is neither JSON's nor a symbolic value is a
+        # fault of the tool: exit 4, naming the value's type
+        import rarcheck.cli as cli
+        original = cli._cmd_explore
+
+        def odd(args):
+            report = original(args)
+            report["odd"] = object()
+            return report
+
+        monkeypatch.setattr(cli, "_cmd_explore", odd)
+        code, out, err = run(capsys, "explore", "--json",
+                             str(corpus_dir / "mp-relacq.lit"))
+        assert (code, out) == (4, "")
+        assert err == ("error: internal: TypeError: object is not JSON "
+                       "serializable\n")
+
     def test_json_stable_across_runs(self, corpus_dir, capsys):
         _, out1, _ = run(capsys, "explore", "--json",
                          str(corpus_dir / "lockmp.lit"))

@@ -2,20 +2,24 @@
 folded, against the unfolded reference.
 
 A full exploration folds each implementation-silent run (`explore.
-_impl_silent`: a silent step inside a filled hole's body, not a hole's
-return, not a loop's test, leaving `$rval` as it is) into the step that
-reaches it.  `reference_unfolded.explore_unfolded` stays the reference: the
-plain search of single steps, which stores every configuration inside such
-runs too.  The trace search and the simulation game run over it must give
-the verdicts, the counterexamples, the details and the exit codes of the
-same checks run over the folded graph, on every lock-declaring corpus
-file at three bounds, on the lock clients of `test_refine` and
-`test_cli_fuzz`, on the former under each lock padded so that a call folds
-three steps or more, and, for the verdict and truncation, at every bound
-from 1 to 40.  Only the pair and relation counts may differ.  The game
-answers a folded edge as its first step; the two facts of the abstract
-lock that make this exact are checked on the abstract explorations of the
-same clients and of clients that call the lock inside blocks.
+_impl_silent`: a silent step inside a filled hole's body, a loop's test
+included, not a hole's return, leaving `$rval` as it is) into the step
+that reaches it.  Such runs are finite because every loop of a method body
+takes a memory step or a call on each iteration, which is checked of the
+built-in locks here.  `reference_unfolded.explore_unfolded` stays the
+reference: the plain search of single steps, which stores every
+configuration inside such runs too.  The trace search and the simulation
+game run over it must give the verdicts, the counterexamples, the details
+and the exit codes of the same checks run over the folded graph, on every
+lock-declaring corpus file at three bounds, on the lock clients of
+`test_refine` and `test_cli_fuzz`, on the former under each lock padded so
+that a call folds three steps or more, and, for the verdict and
+truncation, at every bound from 1 to 40, where an untruncated folded graph
+is also the unfolded one without its silent runs.  Only the pair and
+relation counts may differ.  The game answers a folded edge as its first
+step; the two facts of the abstract lock that make this exact are checked
+on the abstract explorations of the same clients and of clients that call
+the lock inside blocks.
 """
 
 import contextlib
@@ -192,12 +196,6 @@ def test_padded_locks_match_unfolded(impl, client):
         _commuted(concrete, ref.counterexample or [])
 
 
-# (client, impl, bound) where the folded concrete exploration stops at the
-# bound and the unfolded one ends: a folded edge cut by the bound lands on a
-# configuration inside a silent run, which the unfolded run reached at a
-# lower level by another path
-CUT_EDGE_TRUNCATES = {("lock-two-rounds", "seqlock", 35),
-                      ("lock-two-rounds", "seqlock-relaxed", 38)}
 SWEEP_CLIENTS = ("lock-two-rounds", "seqlock-refine", "ticketlock-refine")
 
 
@@ -219,41 +217,28 @@ def _answers(client, impl, bound):
 @pytest.mark.parametrize("client", SWEEP_CLIENTS)
 @pytest.mark.parametrize("impl", IMPLS)
 def test_bound_sweep_matches_unfolded(impl, client):
+    # an edge that the bound cuts inside a silent run lands on a
+    # configuration that the unfolded run may reach at a lower level by
+    # another path; the folded run is truncated only where the unfolded
+    # one is, and otherwise gives such an edge its whole run
     for bound in range(1, 41):
-        if (client, impl, bound) in CUT_EDGE_TRUNCATES:
-            continue
         folded, reference = _answers(client, impl, bound)
         assert folded == reference, bound
 
 
-@pytest.mark.xfail(strict=True, reason="a folded edge cut by the bound "
-                   "reports truncation where the unfolded run ends")
-@pytest.mark.parametrize("client,impl,bound", sorted(CUT_EDGE_TRUNCATES))
-def test_cut_folded_edge_truncates_alike(client, impl, bound):
-    # on the explorations themselves: the relaxed mutant's trace search now
-    # refutes at bound 38 before the cut edge shows in its answer
-    system = build_system(load_corpus(client), rf.builtin_impls()[impl])
-    folded = explore(system.cfg0, system.ctx, bound)
-    reference = explore_unfolded(system.cfg0, system.ctx, bound)
-    assert folded.truncated == reference.truncated
-
-
-@pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
-@pytest.mark.parametrize("impl", IMPLS)
-def test_folded_graph_is_the_unfolded_one_without_silent_runs(impl, client):
-    # untruncated, the folded exploration stores exactly the unfolded
-    # one's configurations in which no thread is implementation-silent, and
-    # each folded edge is a run of single steps, one per label, to its
-    # target
-    system = build_system(parse_litmus(LOCK_CLIENTS[client]),
-                          rf.builtin_impls()[impl])
-    res = explore(system.cfg0, system.ctx, 64)
-    ref = explore_unfolded(system.cfg0, system.ctx, 64)
-    assert not res.truncated and not ref.truncated
+def _assert_folded_is_unfolded(system, res, ref):
+    """An untruncated folded exploration `res` stores exactly the unfolded
+    exploration `ref`'s configurations in which no thread that has moved is
+    implementation-silent (one that has not moved is when it begins with a
+    call whose body begins with silent steps, as a padded lock's does), and
+    each folded edge is a run of single steps, one per label, to its
+    target.  Returns how many edges fold."""
     ctx = system.ctx
+    assert res.truncated == ref.truncated
     assert set(res.states) == {
         cfg for cfg in ref.states
-        if not any(_impl_silent(ts, ctx) for ts in cfg.locs)}
+        if not any(_impl_silent(ts, ctx) and ts is not start
+                   for ts, start in zip(cfg.locs, system.cfg0.locs))}
     folded = 0
     for n, edges in enumerate(res.edges):
         for t, label, m in edges:
@@ -263,7 +248,42 @@ def test_folded_graph_is_the_unfolded_one_without_silent_runs(impl, client):
                           if u == t and step is lab]
             assert cfg == res.states[m]
             folded += type(label) is tuple
-    assert folded
+    return folded
+
+
+@pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+@pytest.mark.parametrize("impl", IMPLS)
+def test_folded_graph_is_the_unfolded_one_without_silent_runs(impl, client):
+    system = build_system(parse_litmus(LOCK_CLIENTS[client]),
+                          rf.builtin_impls()[impl])
+    res = explore(system.cfg0, system.ctx, 64)
+    ref = explore_unfolded(system.cfg0, system.ctx, 64)
+    assert not res.truncated
+    assert _assert_folded_is_unfolded(system, res, ref)
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("client", SWEEP_CLIENTS)
+@pytest.mark.parametrize("impl", IMPLS)
+def test_folded_graph_at_every_bound(impl, client, padded):
+    # at each bound of the sweep, the folded run is truncated exactly when
+    # the unfolded one is, and untruncated it is the unfolded one without
+    # its silent runs: an edge that the bound cut has its whole run, and no
+    # configuration inside a run is stored; also with each lock padded, so
+    # that a thread that begins with a call is silent before it moves
+    impl = rf.builtin_impls()[impl]
+    system = build_system(load_corpus(client),
+                          _padded(impl) if padded else impl)
+    untruncated = 0
+    for bound in range(1, 65 if padded else 41):
+        res = explore(system.cfg0, system.ctx, bound)
+        ref = explore_unfolded(system.cfg0, system.ctx, bound)
+        if res.truncated:
+            assert ref.truncated, bound
+            continue
+        untruncated += 1
+        _assert_folded_is_unfolded(system, res, ref)
+    assert untruncated
 
 
 @pytest.mark.parametrize("name", ["mp-relaxed", "mp-relacq", "lockmp",
@@ -283,11 +303,60 @@ def test_systems_without_an_implementation_are_not_folded(name):
     assert not any(system.ctx.runs[_impl_silent].values())
 
 
+def _acts(cmd) -> bool:
+    """Whether every run of cmd to its end takes a memory step or a call:
+    a loop may run no iteration, and an if runs one branch."""
+    if isinstance(cmd, (P.GRead, P.GWrite, P.Cas, P.Fai, P.MethodCall)):
+        return True
+    if isinstance(cmd, P.Seq):
+        return _acts(cmd.a) or _acts(cmd.b)
+    if isinstance(cmd, P.If):
+        return _acts(cmd.then) and _acts(cmd.other)
+    return False
+
+
+def _idle_loops(body):
+    """The loops of a desugared method body with an iteration that may take
+    no memory step and no call: a run of implementation-silent steps, loop
+    tests included, could go round one for ever."""
+    return [node for node in P.nodes(body)
+            if isinstance(node, P.While) and not _acts(node.body)]
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_every_loop_of_a_builtin_method_acts(impl):
+    # the premise that keeps every implementation-silent run finite now
+    # that a loop's test folds: each iteration of each loop of a method
+    # body reads, writes or updates memory (or calls)
+    impl = rf.builtin_impls()[impl]
+    loops = 0
+    for meth, _ in impl.methods:
+        body, _ = impl.method(meth)
+        loops += sum(isinstance(node, P.While) for node in P.nodes(body))
+        assert _idle_loops(body) == [], meth
+    assert loops  # each acquire spins
+
+
+def test_idle_loops_are_found():
+    # the check rejects a loop that only moves a register, and one whose
+    # iteration may skip its memory step by a branch
+    r = P.Var("$r")
+    idle = P.desugar(P.DoUntil(P.Assign("$r", r), P.Lit(0)))
+    assert len(_idle_loops(idle)) == 1
+    branch = P.desugar(P.DoUntil(
+        P.If(P.Bin("=", r, P.Lit(0)), P.GRead("$r", "glb"),
+             P.Assign("$r", P.Lit(0))), P.Lit(0)))
+    assert len(_idle_loops(branch)) == 1
+    spin = P.desugar(P.DoUntil(P.Seq(P.Assign("$r", P.Lit(1)),
+                                     P.GRead("$r", "glb")), r))
+    assert _idle_loops(spin) == []
+
+
 def test_refine_json_counts_are_the_folded_games():
     # the golden `refine --json` outputs hold the folded game's counts;
     # the unfolded game gives the counts recorded before the folding
     report = json.loads(PINNED["seqlock lock-two-rounds 64"]["stdout"])
-    assert (report["pairs_explored"], report["relation_size"]) == (610, 521)
+    assert (report["pairs_explored"], report["relation_size"]) == (329, 278)
     with unfolded():
         sim = rf.check_simulation(rf.builtin_impls()["seqlock"],
                                   load_corpus("lock-two-rounds"), 64)

@@ -553,7 +553,8 @@ class TestPinnedOutputs:
     were recorded again when the trace check let the abstract side stutter
     (trace-check-failed, exit 1, before).  The pair and relation counts
     were recorded again when the concrete graph folded implementation-
-    silent runs; the unfolded reference game still gives the old ones
+    silent runs, and again when those runs came to take a spin's loop
+    test with them; the unfolded reference game still gives the old ones
     (`test_folded_game`).  The relaxed mutants' entries were recorded again
     when the trace search came to refute before the game (its witness and
     its node count, and a refutation where a truncated run answered

@@ -37,7 +37,7 @@ REFUTED = ("no-simulation", "concrete client trace has no abstract match")
 # (client, impl) -> the bounds at which the old path answered unknown, its
 # concrete run truncated, and the search refutes within the bound
 REFUTES_WITHIN_BOUND = {
-    ("lock-two-rounds", "seqlock-relaxed"): range(20, 39),
+    ("lock-two-rounds", "seqlock-relaxed"): range(20, 38),
     ("lock-two-rounds", "ticketlock-relaxed"): range(16, 28),
     **{(client, "seqlock-relaxed"): range(22, 26)
        for client in CLIENTS[1:]},
