@@ -63,15 +63,16 @@ the witnesses are those of a run of single steps.  `successors` turns its
 
 The bound may cut a folded edge and land it on a configuration that the
 single-step search passed below the bound, by a path that a folded run
-takes only inside a run.  A run that stops at the bound only in such
-configurations, where a thread's move still folds, asks the single-step
-search to the bound whether it stops there too (`_single_steps_truncated`),
-so its truncation flag is the single-step search's under both policies.
-A reduced run keeps such configurations and takes no step from them.  A
-full run numbers none of them before it has asked.  If the single-step
-search stops too, they are numbered past the explored states.  If not,
-each cut edge is given its whole run (`finish_run`), whose landing the
-run has numbered below the bound already: the landing has no
+takes only inside a run.  Both policies set aside a successor that lands
+at the bound while its stepping thread's move still folds (a cut
+landing).  A run that stops at the bound only in cut landings asks the
+single-step search to the bound whether it stops there too
+(`_single_steps_truncated`), so its truncation flag is the single-step
+search's under both policies.  The cut landings are numbered past the
+explored states, and no step is taken from them; but a full run whose
+single-step search is not truncated gives each cut edge its whole run
+(`finish_run`) instead, whose landing the run has numbered below the
+bound already: the landing has no
 implementation-silent thread that has moved, so the single-step search,
 which reaches every configuration within the bound when it is not
 truncated, reaches it at the level at which the folded run does.  So an
@@ -593,8 +594,8 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     """`explore`, one level at a time: yields the growing graph (states,
     edges, number) before each level, and the `ExploreResult` last.  At
     the yield before level L, every state at a level up to L is numbered,
-    but for a full run's cut landings (below), and every state below L has
-    its edge list.
+    but for the cut landings (below), and every state below L has its edge
+    list.
 
     Each configuration is numbered when first stored.  An edge that folds
     n steps lands n levels on, as a run of single steps would reach its
@@ -603,23 +604,25 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
     edge lands; in a full run, the edge names its target's key until then.
 
     The bound can cut an edge inside its thread's run, so that it lands on
-    a configuration where that thread's move still folds (a cut landing).
-    A reduced run takes no step from such a configuration at the bound.  A
-    full run does not number one while it runs: the cut edges name its
-    key.  A run that stops at the bound only there is truncated only if the
-    single-step search is (module docstring).  When it is not, a full run
-    gives each cut edge its whole run (`finish_run`), whose landing it has
-    numbered below the bound by then; when it is, it numbers the cut
-    landings after every other state, unexplored."""
+    a configuration where that thread's move still folds (a cut landing),
+    read off the policy's fold predicate alone.  No cut landing is
+    numbered while the run goes on: a full run's cut edges name its key.
+    A run that stops at the bound only there is truncated only if the
+    single-step search is (module docstring).  Then the cut landings are
+    numbered after every other state, unexplored, but for a full run that
+    is not truncated, which gives each cut edge its whole run
+    (`finish_run`), whose landing it has numbered below the bound by
+    then."""
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    silent = _silent_only if reduce else _impl_silent
     number = {canonical_key(cfg0): 0}
     states, via = [cfg0], [None]
     edges = None if reduce else []
     terminals = []
     outcomes = set()
-    truncated = cut = False
-    # a full run's cut landings: key -> the edge that first reached it
+    truncated = False
+    # the cut landings: key -> the edge that first reached it
     cuts = {}
     # the numbers of the configurations at `level`, in the order they are
     # stepped, and (steps still to go, target, via) for each folded edge
@@ -634,15 +637,15 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
         later = []
         budget = max_steps - level
         expand = budget > 0
-        # in a full run, whether what this level numbers lies at the bound
-        last = budget == 1 and not reduce
+        # whether what this level numbers lies at the bound
+        last = budget == 1
         for n in frontier:
             if type(n) is tuple:
                 rest, nk, step = n
                 if rest > 1:
                     later.append((rest - 1, nk, step))
                 elif nk not in number:  # the first edge to land here
-                    if last and _impl_silent(nk.thread(step[1]), ctx):
+                    if last and silent(nk.thread(step[1]), ctx):
                         cuts.setdefault(nk, step)
                         continue
                     number[nk] = len(states)
@@ -656,14 +659,7 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                 terminals.append(n)
                 outcomes.add(_outcome_of(cfg, ctx))
             elif not expand:
-                # in a reduced run, a silent-only thread marks an edge the
-                # bound cut, which may land where the single-step search
-                # passed below the bound
-                if reduce and not truncated and any(
-                        _silent_only(ts, ctx) for ts in cfg.locs):
-                    cut = True
-                else:
-                    truncated = True
+                truncated = True
                 if reduce:
                     continue
             out = []
@@ -680,10 +676,11 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                             out.append((t, label, nk))
                             pending = True
                         continue
-                    if last and _impl_silent(nxt.thread(t), ctx):
+                    if last and silent(nxt.thread(t), ctx):
                         cuts.setdefault(nk, step)
-                        out.append((t, label, nk))
-                        pending = True
+                        if edges is not None:
+                            out.append((t, label, nk))
+                            pending = True
                         continue
                     m = number[nk] = len(states)
                     states.append(nk)
@@ -698,13 +695,14 @@ def levels(cfg0: Configuration, ctx: SystemContext, max_steps: int = 64,
                 edges.append(tuple(out))
         frontier = later
         level += 1
-    if (cut or cuts) and not truncated:
+    if cuts and not truncated:
         truncated = _single_steps_truncated(cfg0, ctx, max_steps)
-    if truncated:  # the cut landings lie past the explored states
+    if truncated or edges is None:  # past the explored states
         for nk, step in cuts.items():
-            number[nk] = len(states)
-            states.append(nk)
-            via.append(step)
+            if nk not in number:
+                number[nk] = len(states)
+                states.append(nk)
+                via.append(step)
     for n in landing:  # every folded edge has landed, or was cut
         out = []
         for t, label, m in edges[n]:
