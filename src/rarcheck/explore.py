@@ -45,9 +45,14 @@ the witnesses are those of a run of single steps.  `successors` turns its
   a step takes only the first such thread's run (an ample set: Peled, CAV
   1993; Godefroid, LNCS 1032, 1996).  On a queue, a step that changes the
   library component also forgets the queue's dead prefix (`_forget`), the
-  operations no rule can touch again, so states that differ only in that
-  history are one state, reached at the lowest level of any of them; a
-  witness counts the forgotten operations back into its queue positions.
+  operations no rule can touch again: those below the view of every thread
+  that may dequeue, and below the enqueue floor of every thread that
+  never does and that no view atom on the queue names
+  (`objects.queue_dead_prefix`).  So states that differ only in that
+  history are one state, reached at the lowest level of any of them, and
+  a spin on empty dequeues beside a thread that only enqueues comes back
+  to a state it has passed; a witness counts the forgotten operations
+  back into its queue positions.
   The run keeps no edges.  It keeps the terminal states, so the outcomes
   and hoare verdicts, and, when it is not truncated, every reachable
   (gamma, beta) pair up to forgotten queue prefixes.
@@ -63,23 +68,22 @@ the witnesses are those of a run of single steps.  `successors` turns its
 
 The bound may cut a folded edge and land it on a configuration that the
 single-step search passed below the bound, by a path that a folded run
-takes only inside a run.  Both policies set aside a successor that lands
-at the bound while its stepping thread's move still folds (a cut
-landing).  A run that stops at the bound only in cut landings asks the
-single-step search to the bound whether it stops there too
-(`_single_steps_truncated`), so its truncation flag is the single-step
-search's under both policies.  The cut landings are numbered past the
-explored states, and no step is taken from them; but a full run whose
-single-step search is not truncated gives each cut edge its whole run
-(`finish_run`) instead, whose landing the run has numbered below the
-bound already: the landing has no
+takes only inside a run.  Both policies set aside a successor that lands at
+the bound while its stepping thread's move still folds (a cut landing).  A
+run that stops at the bound only in cut landings asks the single-step
+search to the bound whether it stops there too (`_single_steps_truncated`),
+so its truncation flag is the single-step search's under both policies.
+The cut landings are numbered past the explored states, and no step is
+taken from them; but a full run whose single-step search is not truncated
+gives each cut edge its whole run (`finish_run`) instead, whose landing the
+run has numbered below the bound already: the landing has no
 implementation-silent thread that has moved, so the single-step search,
 which reaches every configuration within the bound when it is not
 truncated, reaches it at the level at which the folded run does.  So an
-untruncated full run stores exactly the single-step search's
-configurations in which no thread that has moved is implementation-silent
-(only a thread that begins with a call whose body begins silently is
-implementation-silent before it moves), at every bound.
+untruncated full run stores exactly the single-step search's configurations
+in which no thread that has moved is implementation-silent (only a thread
+that begins with a call whose body begins silently is implementation-silent
+before it moves), at every bound.
 """
 
 from __future__ import annotations
@@ -159,11 +163,14 @@ class SystemContext:
     two systems must never meet in one table."""
 
     def __init__(self, threads, object_spec=None, n_labels=None,
-                 observed=None):
+                 observed=None, enqueue_only=()):
         self.threads = tuple(sorted(threads))
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
         self.observed = tuple(observed or ())
+        # on a queue, the threads whose view of it bounds no dead prefix
+        # (`objects.queue_dead_prefix`)
+        self.enqueue_only = frozenset(enqueue_only)
         # content -> the thread state or component.  A client and a library
         # component share a key only when neither has a variable, and then
         # their layouts agree too.
@@ -469,17 +476,19 @@ def _forget(ctx, q, gamma, beta):
     """(gamma', beta', n): the components after a reduced step with the
     first n operations on queue q forgotten, those that no rule can touch
     again (`objects.queue_dead_prefix`, `state.forget_prefix`), each
-    component interned; memoized per (gamma, beta) pair.  A forgotten
-    state's dead prefix is empty, so a step that leaves beta as it is
-    forgets nothing.  Positions on q move down by n, so the forgotten and
-    the full state have the same future up to that renaming, and the same
-    values of every assertion atom (`assertions.eval_covered` reads the
+    component interned; memoized per (gamma, beta) pair, which decides n
+    as the system's enqueue-only threads are fixed.  A forgotten state's
+    dead prefix is empty, so a step that leaves beta as it is forgets
+    nothing.  Positions on q move down by n, so the forgotten and the full
+    state have the same future up to that renaming, and the same values of
+    every assertion atom that the system's clauses hold: none reads an
+    enqueue-only thread's view of q (`assertions.eval_covered` reads the
     missing initial operation).  Client steps count too: an acquire can
     raise a thread's view of q."""
     key = (gamma, beta)
     found = ctx.forgotten.get(key)
     if found is None:
-        n = objects.queue_dead_prefix(beta, q)
+        n = objects.queue_dead_prefix(beta, q, ctx.enqueue_only)
         if n:
             beta2, gamma2 = forget_prefix(beta, gamma, q, n)
             if gamma2 is not gamma:

@@ -650,7 +650,16 @@ def build_system(lf: LitmusFile, impl=None) -> System:
     observed = tuple(dict.fromkeys(r for r in pred_regs[1]
                                    if r in local_evidence))
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
-    ctx = SystemContext(tids, None if fill else spec, n_labels, observed)
+    # on a queue, the threads that never dequeue and that no view atom on
+    # the queue names: their view of it does not bound its dead prefix
+    enqueue_only = ()
+    if spec is not None and spec.kind == "queue":
+        named = {a.t for a in atoms if isinstance(a, (A.Poss, A.Def, A.Cond))
+                 and isinstance(a.subject, A.MethodInstance)}
+        enqueue_only = [t for t in tids
+                        if "deq" not in walks[t].meths and t not in named]
+    ctx = SystemContext(tids, None if fill else spec, n_labels, observed,
+                        enqueue_only)
     cfg0 = ctx.configuration(progs, rho, gamma, beta)
     annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
                        if ann is not None} for t, stmts in lf.threads}
@@ -671,16 +680,18 @@ class _Elaboration:
     loop is desugared, `impl`'s bodies fill the method-call holes) and
     collects what `build_system` checks: registers read into, bound or
     named in an expression (`regs`), globals read, updated or written
-    releasing (`globs`), plain assignments' targets (`plain`), and the first
-    call of a method that is not the declared object's (`error`)."""
+    releasing (`globs`), plain assignments' targets (`plain`), the methods
+    called (`meths`), and the first call of a method that is not the
+    declared object's (`error`)."""
 
     __slots__ = ("t", "client_vars", "spec", "impl", "bodies", "regs",
-                 "globs", "plain", "error")
+                 "globs", "plain", "meths", "error")
 
     def __init__(self, t, client_vars, spec, impl):
         self.t, self.client_vars, self.spec, self.impl = (t, client_vars,
                                                           spec, impl)
         self.regs, self.globs, self.plain = set(), set(), set()
+        self.meths = set()
         self.bodies = {}  # method -> its filled hole
         self.error = None
 
@@ -713,6 +724,7 @@ class _Elaboration:
 
     def call(self, hole):
         call, spec = hole.content, self.spec
+        self.meths.add(call.meth)
         if call.binder:
             self.regs.add(call.binder)
         for a in call.args:

@@ -103,15 +103,20 @@ def lock_release(beta: ComponentState, gamma: ComponentState, t, lock: str):
 
 def queue_enq(beta: ComponentState, gamma: ComponentState, t, q: str, u):
     """Enqueue steps, one per admissible insertion gap: none below the
-    thread's view, the last matched enqueue or the last empty dequeue."""
-    matched_enqs = {e for e, _ in beta.matched}
+    thread's enqueue floor (`_enq_floor`)."""
     acts = beta.column(q)
-    lo = beta.front(t, q)
-    lo = next((r for r in range(len(acts) - 1, lo, -1)
-               if r in matched_enqs or _is_deq_empty(acts[r])), lo)
+    lo = _enq_floor(acts, beta.front(t, q), {e for e, _ in beta.matched})
     a = Action(ENQUEUE, q, val=u, sync=OBJ)
     return [(*insert_fresh_timestamp(beta, gamma, t, pred, a), BOT)
             for pred in range(lo, len(acts))]
+
+
+def _enq_floor(acts, view: int, matched_enqs) -> int:
+    """The lowest position an enqueue by a thread viewing position `view`
+    of the queue's column `acts` may insert after: the last matched enqueue
+    or empty dequeue above the view, else the view."""
+    return next((r for r in range(len(acts) - 1, view, -1)
+                 if r in matched_enqs or _is_deq_empty(acts[r])), view)
 
 
 def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
@@ -145,24 +150,34 @@ def queue_deq(beta: ComponentState, gamma: ComponentState, t, q: str):
     return out
 
 
-def queue_dead_prefix(beta: ComponentState, q: str) -> int:
+def queue_dead_prefix(beta: ComponentState, q: str, enqueue_only) -> int:
     """How many of q's first operations no queue rule can read, insert
-    after or sync from again: those below L = min(every thread's view of q,
-    the position of the head, the first unmatched enqueue).
+    after or sync from again: those below L = min(the view of q of every
+    thread that may dequeue, the enqueue floor of every thread of
+    `enqueue_only`, the position of the head, the first unmatched
+    enqueue).
 
-    `queue_enq` and both `queue_deq` branches insert only at or above the
-    stepping thread's view, and views only grow.  The non-empty branch
-    reads only the head and syncs only from the head's recorded view.  The
-    empty branch's `end` scan skips what can lie below L: the initial
-    operation, matched operations (every enqueue below the head is
-    matched, and every non-empty dequeue is) and empty dequeues.  The
-    enqueue rule's scan for its lower bound starts at the thread's view.
-    Insertions land above L, so the operations below it stay as they are;
-    and `pobs`, `dobs` and `cond` read at or above a view or the top."""
+    `enqueue_only` holds threads that never dequeue from q and that no
+    `pobs`, `dobs` or `cond` atom on q names (`litmus.build_system`).  Such
+    a thread's view of q is read only as the start of the scan for its
+    enqueue floor (`_enq_floor`), which finds the same floor from any start
+    between the view and the floor, and as a max into another thread's view
+    through a recorded view, where the view of a thread that may dequeue
+    already lies at or above L.  `queue_enq` and both `queue_deq` branches
+    insert only at or above the enqueue floor or the stepping thread's view,
+    and views and floors only grow.  The non-empty branch reads only the
+    head and syncs only from the head's recorded view.  The empty branch's
+    `end` scan skips what can lie below L: the initial operation, matched
+    operations (every enqueue below the head is matched, and every non-empty
+    dequeue is) and empty dequeues.  Insertions land above L, so the
+    operations below it stay as they are; and `pobs`, `dobs` and `cond` read
+    at or above a view of a thread outside `enqueue_only`, or the top."""
     qi = beta.lay.vix[q]
     acts = beta.acts[qi]
-    lo = min((v[qi] for v in beta.views), default=0)
     matched_enqs = {e for e, _ in beta.matched}
+    lo = min((_enq_floor(acts, v[qi], matched_enqs) if t in enqueue_only
+              else v[qi] for t, v in zip(beta.lay.threads, beta.views)),
+             default=0)
     return next((r for r in range(lo) if acts[r].kind == ENQUEUE
                  and r not in matched_enqs), lo)
 

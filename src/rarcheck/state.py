@@ -37,9 +37,9 @@ of the unmerged state space.
 
 A reduced run drops a queue's dead prefix, the operations that no rule can
 touch again (`forget_prefix`, `objects.queue_dead_prefix`), and renumbers
-the rest from 0.  There a reference below the kept operations, in a
-recorded view or a matched pair, is -1, and the first kept operation need
-not be the initial one.
+the rest from 0.  There a view or a recorded view below the kept
+operations names the first kept one, a matched enqueue below them is -1,
+and the first kept operation need not be the initial one.
 """
 
 from __future__ import annotations
@@ -500,9 +500,9 @@ def insert_fresh_timestamp(state: ComponentState, other: ComponentState, t,
 
 
 def _down(view: tuple, i: int, n: int) -> tuple:
-    """view with its entry i moved down by n, or to -1 if below n."""
+    """view with its entry i moved down by n, or to 0 if below n."""
     r = view[i]
-    return _put(view, i, r - n if r >= n else -1)
+    return _put(view, i, r - n if r >= n else 0)
 
 
 def forget_prefix(state: ComponentState, other: ComponentState, x: str,
@@ -513,11 +513,19 @@ def forget_prefix(state: ComponentState, other: ComponentState, x: str,
 
     Every position on x moves down by n: in x's two columns, in every
     thread's view, in the recorded views of both components, and in the
-    matched pairs.  A reference below n becomes -1, not 0: it only ever
-    meets a max with a view of at least n, so it has no effect, where 0
-    would name the first kept operation.  A pair whose enqueue is dropped
-    keeps its dequeue marked as matched, as (-1, d); a pair wholly dropped
-    goes.  The other variables' columns of actions are shared.
+    matched pairs.  A view or a recorded view below n becomes 0, the first
+    kept operation.  Only a thread of `queue_dead_prefix`'s `enqueue_only`
+    views below n.  Its view is read only as the start of its enqueue
+    floor's scan, and the floor lies at or above n: the scan from 0 finds
+    it at its new position, as the scan from the old view found it at the
+    old one.  A recorded view only ever meets a max with a thread's view,
+    which lies at or above n or is such a view, so at 0 it has the effect
+    it had below n.  So forgetting a prefix at once or in parts gives the
+    same state.  An enqueue below n in a matched pair becomes -1, not 0,
+    which would mark the first kept operation matched: a pair whose
+    enqueue is dropped keeps its dequeue marked as matched, as (-1, d); a
+    pair wholly dropped goes.  The other variables' columns of actions are
+    shared.
 
     Returns (state', other'); other' is `other` itself when it records no
     view of x."""

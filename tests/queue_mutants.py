@@ -12,8 +12,9 @@ MUTANTS = {
     # an enqueue may go below the last matched enqueue or empty dequeue
     "enq-below-matched": (
         "objects.py",
-        "               if r in matched_enqs or _is_deq_empty(acts[r])), lo)",
-        "               if False), lo)"),
+        "                 if r in matched_enqs or _is_deq_empty(acts[r]))"
+        ", view)",
+        "                 if False), view)"),
     # a non-empty dequeue may go below an earlier matched dequeue
     "deq-below-matched-deq": (
         "objects.py",

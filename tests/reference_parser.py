@@ -653,7 +653,17 @@ def build_system(lf, impl=None):
 
     observed = _observed_registers(lf, local_evidence)
     n_labels = {t: len(stmts) for t, stmts in lf.threads}
-    ctx = SystemContext(tids, spec, n_labels, observed)
+    # on a queue, the threads that call no dequeue anywhere and that no
+    # view atom on the queue names
+    enqueue_only = set()
+    if spec is not None and spec.kind == "queue":
+        dequeuing = {t for t, prog in progs.items() for n in P.nodes(prog)
+                     if isinstance(n, P.MethodCall) and n.meth == "deq"}
+        named = {atom.t for a in clauses for atom in _atoms(a)
+                 if isinstance(atom, (A.Poss, A.Def, A.Cond))
+                 and isinstance(atom.subject, A.MethodInstance)}
+        enqueue_only = set(tids) - dequeuing - named
+    ctx = SystemContext(tids, spec, n_labels, observed, enqueue_only)
     cfg0 = ctx.configuration(progs, rho, gamma, beta)
     annotations = {t: {i: ann for i, (ann, _) in enumerate(stmts, start=1)
                        if ann is not None} for t, stmts in lf.threads}

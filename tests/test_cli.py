@@ -19,11 +19,17 @@ from refine_helpers import unbound_client
 from test_litmus import TOO_DEEP, deep_inputs
 
 
+# a program no bound ends: its thread writes x for ever, and each write
+# makes a new state (exit 2 after 44 states at bound 64)
+UNBOUNDED = "name unbounded\ninit x := 0\nthread 1 { do x := 1 until 0; }\n"
+
+
 @pytest.fixture()
 def corpus_dir(tmp_path):
     for name in ("mp-relaxed", "mp-relacq", "lockmp", "lockmp-mutant",
                  "queue-mp", "seqlock-refine", "ticketlock-refine"):
         (tmp_path / f"{name}.lit").write_text(corpus_text(name))
+    (tmp_path / "unbounded.lit").write_text(UNBOUNDED)
     return tmp_path
 
 
@@ -106,12 +112,22 @@ class TestExplore:
         assert code == 0 and len(calls) == 1
         assert json.loads(out)["verdict"] == "pass"
 
-    def test_queue_mp_bound_exhausted(self, corpus_dir, capsys):
+    def test_bound_exhausted(self, corpus_dir, capsys):
         code, out, _ = run(capsys, "explore", "--json",
-                           str(corpus_dir / "queue-mp.lit"))
+                           str(corpus_dir / "unbounded.lit"))
         assert code == 2
         doc = json.loads(out)
         assert doc["truncated"] is True
+        assert (doc["states_explored"], doc["outcomes"]) == (44, [])
+
+    def test_queue_mp_ends(self, corpus_dir, capsys):
+        # thread 2's spin on empty dequeues comes back to one state once
+        # the dequeues below thread 1's enqueue floor are forgotten
+        code, out, _ = run(capsys, "explore", "--json",
+                           str(corpus_dir / "queue-mp.lit"))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["verdict"], doc["truncated"]) == ("pass", False)
         assert doc["outcomes"] == [{"r1": 1, "r2": 5}]
 
     def test_initialised_register_assigned_plainly(self, tmp_path, capsys):
@@ -846,20 +862,21 @@ CORPUS = Path(rarcheck.__file__).parent / "corpus"
 
 @pytest.mark.parametrize("argv,code", [
     (["explore", str(CORPUS / "mp-relacq.lit")], 0),
-    (["explore", str(CORPUS / "queue-mp.lit"), "--json"], 2),
+    (["explore", "unbounded.lit", "--json"], 2),
     (["refine", "--impl", "seqlock-relaxed", "--client",
       str(CORPUS / "lock-two-rounds.lit"), "--json"], 1),
 ])
-def test_closed_stdout_keeps_the_exit_code(argv, code):
+def test_closed_stdout_keeps_the_exit_code(argv, code, tmp_path):
     # a reader that has gone (`| head -c 10`) is no fault of rarcheck: the
     # exit code is the check's, and nothing is printed to stderr
+    (tmp_path / "unbounded.lit").write_text(UNBOUNDED)
     env = dict(os.environ, PYTHONPATH=str(Path(rarcheck.__file__).parents[1]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run([sys.executable, "-m", "rarcheck", *argv],
                               stdout=write_end, stderr=subprocess.PIPE,
-                              env=env, text=True, timeout=120)
+                              env=env, text=True, timeout=120, cwd=tmp_path)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (code, "")
@@ -895,13 +912,16 @@ class TestCollector:
     @pytest.mark.parametrize("enabled", [True, False],
                              ids=["enabled", "disabled"])
     def test_previous_state_restored_on_every_exit(self, capsys, monkeypatch,
-                                                   collector, enabled):
+                                                   collector, enabled,
+                                                   tmp_path):
         import rarcheck.cli as cli
         (gc.enable if enabled else gc.disable)()
+        unbounded = tmp_path / "unbounded.lit"
+        unbounded.write_text(UNBOUNDED)
         for argv, code in [
                 (["explore", str(CORPUS / "mp-relacq.lit")], 0),
                 (["outline", str(CORPUS / "lockmp-mutant.lit")], 1),
-                (["explore", str(CORPUS / "queue-mp.lit")], 2),
+                (["explore", str(unbounded)], 2),
                 (["explore", str(CORPUS / "no-such-file.lit")], 3),
                 (["explore"], 3)]:  # an argument error
             assert run(capsys, *argv)[0] == code, argv

@@ -43,7 +43,7 @@ import rarcheck.explore as ex
 from rarcheck.assertions import NotA, eval_assertion
 from rarcheck.explore import check_hoare, check_outline, explore, successors
 from rarcheck.litmus import LitmusError, build_system, parse_litmus
-from rarcheck.oracle import fifo_litmus
+from rarcheck.oracle import fifo_check, fifo_litmus
 from rarcheck.program import ProgramError, Seq
 from rarcheck.state import QUEUE_INIT, StateError
 from reference_forget import forgotten_key
@@ -137,8 +137,9 @@ def assert_same_answers(text, max_steps):
     assert reduced.truncated == full.truncated
     if not full.truncated:
         if _forgets(full):
-            assert _component_pairs(reduced, ref_key) == \
-                _component_pairs(full, forgotten_key)
+            only = build_system(parse_litmus(text)).ctx.enqueue_only
+            assert _component_pairs(reduced, ref_key) == _component_pairs(
+                full, lambda cfg: forgotten_key(cfg, only))
         else:
             assert _component_pairs(reduced) == _component_pairs(full)
     return full, reduced
@@ -168,18 +169,34 @@ def test_fifo_programs(n):
         assert_same_answers(fifo_litmus(n), max_steps)
 
 
-@pytest.mark.parametrize("n,full,reduced", [(2, 54, 19), (6, 12886, 1440)])
+@pytest.mark.parametrize("n,full,reduced", [(2, 54, 19), (6, 12886, 1398)])
 def test_fifo_state_counts(n, full, reduced):
     # the reduction's one pinned state count per size, against the full
     # exploration's, which `oracle fifo` reported before it reduced: at 6
     # enqueues, 3,431 states with silent runs folded, 1,440 with the
-    # queue's dead prefix forgotten too
+    # queue's dead prefix forgotten too, and 1,398 once the enqueuing
+    # thread, which never dequeues, bounds that prefix by its enqueue floor
+    # instead of its view
     counts = []
     for reduce in (False, True):
         system = build_system(parse_litmus(fifo_litmus(n)))
         counts.append(explore(system.cfg0, system.ctx, 96,
                               reduce=reduce).states_explored)
     assert counts == [full, reduced]
+
+
+# `oracle fifo`'s reduced state counts at 1 to 8 enqueues; the enqueuing
+# thread bounds the dead prefix by its enqueue floor (5, 19, 62, 185, 524,
+# 1,440, 3,888 and 10,388 when it bounded it by its view)
+FIFO_REDUCED = {1: 5, 2: 19, 3: 61, 4: 180, 5: 508, 6: 1398, 7: 3789,
+                8: 10169}
+
+
+@pytest.mark.parametrize("n", sorted(FIFO_REDUCED))
+def test_fifo_oracle_counts(n):
+    report = fifo_check(n)
+    assert (report["verdict"], report["states_explored"]) == \
+        ("pass", FIFO_REDUCED[n])
 
 
 FALSE_PRE = """
@@ -364,18 +381,22 @@ def test_only_a_loops_test_is_not_ample():
 
 
 @pytest.mark.parametrize("name,full,reduced,truncated", [
-    ("mp-relacq", 21, 12, False), ("queue-mp", 344, 72, True)])
+    ("mp-relacq", 21, 12, [False, False]),
+    ("queue-mp", 344, 12, [True, False])])
 def test_states_before_a_loop_are_reduced(name, full, reduced, truncated):
     # in both, a thread's silent steps before its loop are ample; queue-mp's
-    # reduced run also forgets the empty dequeues below thread 2's view once
-    # thread 1 has enqueued (143 states without forgetting)
-    counts = []
+    # reduced run also forgets the empty dequeues below thread 2's view and
+    # below thread 1's enqueue floor: thread 1 never dequeues, so its view
+    # does not pin them, and thread 2's spin comes back to one state (143
+    # states without forgetting, and 72, still truncated, while thread 1's
+    # view bounded the prefix); the full run spins on to the bound
+    counts, cut = [], []
     for reduce in (False, True):
         system = build_system(parse_litmus(CORPUS[name]))
         res = explore(system.cfg0, system.ctx, 64, reduce=reduce)
-        assert res.truncated == truncated
+        cut.append(res.truncated)
         counts.append(res.states_explored)
-    assert counts == [full, reduced]
+    assert (counts, cut) == ([full, reduced], truncated)
 
 
 def _loop_statement(rnd, t, depth):
@@ -483,9 +504,10 @@ def assert_folded_states(text, max_steps=64):
         return False
     if full.truncated:
         return False
-    visible = {forgotten_key(cfg) for cfg in full.states
+    only = system.ctx.enqueue_only
+    visible = {forgotten_key(cfg, only) for cfg in full.states
                if not any(ex._silent_only(ts, system.ctx) for ts in cfg.locs)}
-    chain = {forgotten_key(cfg) for cfg in _initial_chain(system)}
+    chain = {forgotten_key(cfg, only) for cfg in _initial_chain(system)}
     reduced = explore(system.cfg0, system.ctx, max_steps, reduce=True)
     stored = {ref_key(cfg) for cfg in reduced.states}
     assert len(stored) == reduced.states_explored
@@ -538,13 +560,14 @@ def assert_witnesses_replay(text, max_steps=64, negate=False):
     for n in res.terminals:
         path = res.witness_path(n)
         cfg = _replay(system, path)
-        assert forgotten_key(cfg) == ref_key(res.states[n])
+        assert forgotten_key(cfg, ctx.enqueue_only) == ref_key(res.states[n])
         assert len(path) == len(full.witness_path(full_number[cfg]))
     report = check_hoare(cfg0, ctx, system.outline.pre, final, max_steps, res)
     assert report.verdict == "invalid"
     failing = next(res.states[n] for n in res.terminals
                    if not eval_assertion(final, res.states[n], ctx))
-    assert forgotten_key(_replay(system, report.witness)) == ref_key(failing)
+    assert forgotten_key(_replay(system, report.witness),
+                         ctx.enqueue_only) == ref_key(failing)
     return report.witness
 
 

@@ -33,8 +33,8 @@ def _facts(system):
     comps = [(c._parts(), c.lay.own, c.lay.other, c.lay.threads)
              for c in (cfg.gamma, cfg.beta)]
     return (system.lf, cfg.prog, cfg.rho, comps, ctx.threads,
-            ctx.object_spec, ctx.n_labels, ctx.observed, system.outline,
-            system.client_locals)
+            ctx.object_spec, ctx.n_labels, ctx.observed, ctx.enqueue_only,
+            system.outline, system.client_locals)
 
 
 def _failure(e):
