@@ -7,9 +7,12 @@ context, keyed by their content, so within one system equal parts are one
 object (SPIN's COLLAPSE mode taken one step further, as in Filliatre and
 Conchon's hash-consing): equality of parts is identity, and a
 configuration's hash and equality are tuple operations over identities.
-Component states are in normal form, so a configuration is its own
-canonical key: states whose operations stand in the same order on every
-variable are equal.
+A key points only at objects the interned part holds: a thread state's is
+the flat tuple (t, cmd, names, *values) of its thread, command, sorted
+register names (one tuple per name set) and their values, a component's
+its own columns.  Component states are in normal form, so a configuration
+is its own canonical key: states whose operations stand in the same order
+on every variable are equal.
 
 Each part's transitions are computed once per system: a thread state's local
 steps and the thread states they lead to, a command's split into context and
@@ -156,24 +159,28 @@ def canonical_key(cfg: Configuration) -> Configuration:
 class SystemContext:
     """Static facts about one litmus system: threads, the library object's
     spec (if any) and labelling, which assertion evaluation reads too, and
-    the registers the final clause reads; and the tables that hash-cons the
-    system's thread states, components and step labels, so that equal parts
-    are one object, and memoize their transitions.  The tables belong to
-    one system: a component's key leaves out its layout, so components of
-    two systems must never meet in one table."""
+    the registers the final clause reads, sorted; and the tables that
+    hash-cons the system's thread states, components and step labels, so
+    that equal parts are one object, and memoize their transitions.  An
+    interning key points only at parts the interned object holds (a thread
+    state's is `(t, cmd, names, *values)`, `thread_state`).  The tables
+    belong to one system: a component's key leaves out its layout, so
+    components of two systems must never meet in one table."""
 
     def __init__(self, threads, object_spec=None, n_labels=None,
                  observed=None, enqueue_only=()):
         self.threads = tuple(sorted(threads))
         self.object_spec = object_spec
         self.n_labels = dict(n_labels or {})
-        self.observed = tuple(observed or ())
+        self.observed = tuple(sorted(observed or ()))
         # on a queue, the threads whose view of it bounds no dead prefix
         # (`objects.queue_dead_prefix`)
         self.enqueue_only = frozenset(enqueue_only)
-        # content -> the thread state or component.  A client and a library
-        # component share a key only when neither has a variable, and then
-        # their layouts agree too.
+        # content -> the thread state or component, and sorted register
+        # names -> one tuple of them, which thread-state keys share.  A
+        # client and a library component share a key only when neither has
+        # a variable, and then their layouts agree too.
+        self.reg_names = {}
         self.thread_states = {}
         self.components = {}
         # thread state -> its local steps (`_Move`s): a thread's local step
@@ -199,8 +206,16 @@ class SystemContext:
         self.forgotten = {}
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
-        return self.thread_states.setdefault((t, cmd, frozenset(ls.items())),
-                                             ThreadState(t, cmd, ls))
+        """The thread state of t running cmd with registers ls, keyed by
+        (t, cmd, names, *values): ls's register names, sorted, and their
+        values in that order."""
+        names = tuple(sorted(ls))
+        names = self.reg_names.setdefault(names, names)
+        key = (t, cmd, names, *map(ls.__getitem__, names))
+        ts = self.thread_states.get(key)
+        if ts is None:
+            ts = self.thread_states[key] = ThreadState(t, cmd, ls)
+        return ts
 
     def component(self, comp: ComponentState) -> ComponentState:
         return self.components.setdefault(comp._parts(), comp)
@@ -773,8 +788,8 @@ def _single_steps_truncated(cfg0: Configuration, ctx: SystemContext,
 
 def _outcome_of(cfg: Configuration, ctx: SystemContext):
     merged = merged_locals(cfg)
-    regs = ctx.observed or tuple(sorted(r for r in merged if r != RVAL))
-    return tuple((r, merged.get(r)) for r in sorted(regs))
+    regs = ctx.observed or sorted(r for r in merged if r != RVAL)
+    return tuple((r, merged.get(r)) for r in regs)
 
 
 # --- Hoare triples and proof outlines ----------------------------------------

@@ -13,11 +13,14 @@ import copy
 
 import pytest
 
-from rarcheck.explore import StepLabel, ThreadState, explore, successors
+from rarcheck.explore import (StepLabel, SystemContext, ThreadState, explore,
+                              successors)
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.oracle import fifo_litmus
 from rarcheck.refine import builtin_impls
-from rarcheck.state import TRUE, ComponentState
+from rarcheck.state import BOT, TRUE, ComponentState
+from refine_helpers import unbound_client
+from test_refine import GAME_CLIENTS
 
 CORPUS = ("lock-two-rounds", "lockmp", "lockmp-mutant", "mp-relacq",
           "mp-relaxed", "queue-mp", "seqlock-refine", "ticketlock-refine")
@@ -79,7 +82,8 @@ def _view(succs):
 
 def _fresh(ctx):
     out = copy.copy(ctx)
-    out.thread_states, out.components, out.labels = {}, {}, {}
+    out.reg_names, out.thread_states, out.components = {}, {}, {}
+    out.labels = {}
     out.thread_steps, out.component_steps = {}, {}
     out.redexes, out.plugs = {}, {}
     out.runs = {silent: {} for silent in ctx.runs}
@@ -156,8 +160,8 @@ def test_equal_parts_are_one_object(name):
 def test_systems_share_no_table():
     # two systems built from the same text intern and memoize apart
     a, b = (_build("lockmp") for _ in "ab")
-    tables = ("thread_states", "components", "labels", "thread_steps",
-              "component_steps", "redexes", "plugs", "runs")
+    tables = ("reg_names", "thread_states", "components", "labels",
+              "thread_steps", "component_steps", "redexes", "plugs", "runs")
     for system in (a, b):
         explore(system.cfg0, system.ctx, 64)
         explore(system.cfg0, system.ctx, 64, reduce=True)
@@ -193,3 +197,66 @@ def test_enq_of_one_and_of_true_are_two_steps():
     (after,) = enqueued.values()
     assert set(after) == {1, TRUE}
     assert after[1] != after[TRUE]
+
+
+# --- the thread-state key --------------------------------------------------
+#
+# `SystemContext.thread_state` keys a thread state by the flat tuple
+# (t, cmd, names, *values).  The key it replaced, (t, cmd, frozenset of the
+# register items, as `_content` gives it), is the oracle: no two thread
+# states interned by the flat key are equal under it, and interning by it
+# instead makes the same thread states.
+
+def _frozenset_thread_state(ctx, t, cmd, ls):
+    return ctx.thread_states.setdefault((t, cmd, frozenset(ls.items())),
+                                        ThreadState(t, cmd, ls))
+
+
+KEYED = ([(f"{name}-{'reduced' if reduce else 'full'}", name, None, reduce)
+          for name in CORPUS for reduce in (False, True)]
+         + [(f"{client}+{impl}", client, impl, False)
+            for client in GAME_CLIENTS for impl in IMPLS])
+
+
+@pytest.mark.parametrize("name, impl, reduce",
+                         [case[1:] for case in KEYED],
+                         ids=[case[0] for case in KEYED])
+def test_flat_key_interns_as_the_frozenset_key(name, impl, reduce,
+                                               monkeypatch):
+    def explored():
+        if impl is None:
+            system = build_system(load_corpus(name))
+        else:  # the concrete system that refine explores
+            system = build_system(parse_litmus(unbound_client(name)),
+                                  builtin_impls()[impl])
+        res = explore(system.cfg0, system.ctx, 64, reduce=reduce)
+        return system.ctx, res
+
+    ctx, res = explored()
+    seen = {}
+    for ts in ctx.thread_states.values():
+        assert seen.setdefault(_content(ts), ts) is ts
+    assert len(seen) == len(ctx.thread_states) > len(ctx.threads)
+    # each key's register names are the one tuple of that name set
+    for key in ctx.thread_states:
+        assert ctx.reg_names[key[2]] is key[2]
+    monkeypatch.setattr(SystemContext, "thread_state",
+                        _frozenset_thread_state)
+    old_ctx, old_res = explored()
+    assert set(old_ctx.thread_states) == set(seen)
+    assert (old_res.states_explored, old_res.truncated) == \
+        (res.states_explored, res.truncated)
+
+
+def test_flat_key_reads_values_by_name_and_type():
+    system = build_system(load_corpus("mp-relaxed"))
+    ctx, ts = system.ctx, system.cfg0.locs[0]
+    one = ctx.thread_state(ts.t, ts.cmd, {"a": 1, "b": 2})
+    assert ctx.thread_state(ts.t, ts.cmd, {"b": 2, "a": 1}) is one
+    assert ctx.thread_state(ts.t, ts.cmd, {"a": 1, "b": TRUE}) is not one
+    a1 = ctx.thread_state(ts.t, ts.cmd, {"a": 1})
+    assert a1 is not one
+    assert ctx.thread_state(ts.t, ts.cmd, {"a": TRUE}) is not a1
+    assert ctx.thread_state(ts.t, ts.cmd, {"b": 1}) is not a1
+    assert ctx.thread_state(ts.t, ts.cmd, {"a": 1, "b": BOT}) is not a1
+    assert ctx.thread_state(ts.t, ts.cmd, {"a": 1}) is a1
