@@ -7,7 +7,9 @@ successors from `SystemContext.component_steps`, keyed by thread, action (or
 method and arguments) and components.  For every explored configuration, the
 successors computed with warm tables must equal those of a fresh context
 whose tables are empty, down to the type of every value: `true` is no
-integer, and prints differently."""
+integer, and prints differently.  Under the reduced policy on a queue, a
+successor also has its queue's dead prefix forgotten, and the number of
+operations forgotten must be the same too."""
 
 import copy
 
@@ -87,6 +89,7 @@ def _fresh(ctx):
     out.thread_steps, out.component_steps = {}, {}
     out.redexes, out.plugs = {}, {}
     out.runs = {silent: {} for silent in ctx.runs}
+    out.forgotten = {}
     return out
 
 
@@ -99,6 +102,36 @@ def test_memo_is_transparent(name):
     for cfg in res.states:
         assert _view(successors(cfg, ctx)) == \
             _view(successors(cfg, _fresh(ctx)))
+
+
+# the systems of SYSTEMS on a queue, where a reduced run forgets
+QUEUE_SYSTEMS = ("fifo-3", "queue-mp") + tuple(MIXED)
+
+
+def _reduced_view(succs):
+    """What a reduced successor list shows: `_view`'s, the components'
+    content and the number of queue operations each step forgot."""
+    return [view + (nxt.gamma._parts(), nxt.beta._parts(), forgot)
+            for view, (_, _, nxt, forgot)
+            in zip(_view([s[:3] for s in succs]), succs)]
+
+
+@pytest.mark.parametrize("name", QUEUE_SYSTEMS)
+def test_reduced_memo_is_transparent(name):
+    # the warm tables hold both policies' entries: neither may be taken
+    # for the other's
+    system = _build(name)
+    ctx = _fresh(system.ctx)
+    explore(system.cfg0, ctx, 64)
+    res = explore(system.cfg0, ctx, 64, reduce=True)
+    forgot = 0
+    for cfg in res.states:
+        warm = _reduced_view(successors(cfg, ctx, True))
+        assert warm == _reduced_view(successors(cfg, _fresh(ctx), True))
+        assert _view(successors(cfg, ctx)) == \
+            _view(successors(cfg, _fresh(ctx)))
+        forgot += sum(view[-1] for view in warm)
+    assert forgot  # some step forgets, so forgetting is compared
 
 
 def test_each_thread_state_is_stepped_once(monkeypatch):
