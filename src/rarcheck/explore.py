@@ -18,7 +18,8 @@ Each part's transitions are computed once per system: a thread state's local
 steps and the thread states they lead to, a command's split into context and
 redex and each residual plugged into it (shared by the thread states that
 run the command), and a component rule's successors from a (thread, move,
-components) key.  A memory rule and an object method's rule keep one
+components, forget) key, with a queue's dead prefix already forgotten when
+the run forgets.  A memory rule and an object method's rule keep one
 contract (`memory`): each step gives the components after it, the
 operation its label names and the value it binds, so one path steps both.
 Exploration is a breadth-first search memoized on configurations, bounded
@@ -192,18 +193,17 @@ class SystemContext:
         # its split, and a new register map runs only the redex's rule
         self.redexes = {}
         self.plugs = {}
-        # (t, move key, executing, context) -> the component rule's
-        # successors (`_component_steps`)
+        # (t, move key, executing, context, forget) -> the component
+        # rule's successors, forgotten when forget names the queue
+        # (`_component_steps`)
         self.component_steps = {}
         self.labels = {}  # (component, action, rank, at_hole) -> step label
         # fold predicate -> thread state -> its whole run (`_run`); and, on
-        # a queue, the queue's name and (gamma, beta) -> the pair with the
-        # queue's dead prefix forgotten and its length (`_forget`)
+        # a queue, the queue's name, whose dead prefix a reduced run forgets
         self.runs = {_silent_only: {}, _impl_silent: {}}
         self.queue = None
         if object_spec is not None and object_spec.kind == "queue":
             self.queue = object_spec.name
-        self.forgotten = {}
 
     def thread_state(self, t, cmd, ls: dict) -> ThreadState:
         """The thread state of t running cmd with registers ls, keyed by
@@ -458,24 +458,21 @@ def successors(cfg: Configuration, ctx: SystemContext, reduce: bool = False,
     runs = ctx.runs[silent]
     for i, ts in enumerate(locs):
         t = ts.t
-        found = []  # (label, thread state, gamma, beta)
+        found = []  # (label, thread state, gamma, beta, forgot)
         for move in _moves(ts, ctx):
             if move.step.kind == "eps":
                 found.append((move.label, move.next_state(ctx, t), gamma,
-                              beta))
+                              beta, 0))
             else:
-                for g2, b2, result, label in _component_steps(
-                        ctx, t, move, gamma, beta):
+                for g2, b2, result, label, forgot in _component_steps(
+                        ctx, t, move, gamma, beta, forget):
                     found.append((label,
                                   move.next_state(ctx, t, result, label),
-                                  g2, b2))
+                                  g2, b2, forgot))
         if len(found) > 1:
             found.sort(key=_label_text)
         head, tail = locs[:i], locs[i + 1:]
-        for label, ts2, g2, b2 in found:
-            forgot = 0
-            if forget is not None and b2 is not beta:
-                g2, b2, forgot = _forget(ctx, forget, g2, b2)
+        for label, ts2, g2, b2, forgot in found:
             run = runs.get(ts2, False)
             if run is not None:
                 if run is False or len(run.states) >= budget:
@@ -491,40 +488,37 @@ def _forget(ctx, q, gamma, beta):
     """(gamma', beta', n): the components after a reduced step with the
     first n operations on queue q forgotten, those that no rule can touch
     again (`objects.queue_dead_prefix`, `state.forget_prefix`), each
-    component interned; memoized per (gamma, beta) pair, which decides n
-    as the system's enqueue-only threads are fixed.  A forgotten state's
-    dead prefix is empty, so a step that leaves beta as it is forgets
-    nothing.  Positions on q move down by n, so the forgotten and the full
-    state have the same future up to that renaming, and the same values of
-    every assertion atom that the system's clauses hold: none reads an
-    enqueue-only thread's view of q (`assertions.eval_covered` reads the
-    missing initial operation).  Client steps count too: an acquire can
-    raise a thread's view of q."""
-    key = (gamma, beta)
-    found = ctx.forgotten.get(key)
-    if found is None:
-        n = objects.queue_dead_prefix(beta, q, ctx.enqueue_only)
-        if n:
-            beta2, gamma2 = forget_prefix(beta, gamma, q, n)
-            if gamma2 is not gamma:
-                gamma2 = ctx.component(gamma2)
-            found = (gamma2, ctx.component(beta2), n)
-        else:
-            found = (gamma, beta, 0)
-        ctx.forgotten[key] = found
-    return found
+    component interned.  The pair decides n, as the system's enqueue-only
+    threads are fixed, so `_component_steps` stores each of its successors
+    forgotten.  A forgotten state's dead prefix is empty, so a step that
+    leaves beta as it is forgets nothing.  Positions on q move down by n,
+    so the forgotten and the full state have the same future up to that
+    renaming, and the same values of every assertion atom that the
+    system's clauses hold: none reads an enqueue-only thread's view of q
+    (`assertions.eval_covered` reads the missing initial operation).
+    Client steps count too: an acquire can raise a thread's view of q."""
+    n = objects.queue_dead_prefix(beta, q, ctx.enqueue_only)
+    if not n:
+        return gamma, beta, 0
+    beta2, gamma2 = forget_prefix(beta, gamma, q, n)
+    if gamma2 is not gamma:
+        gamma2 = ctx.component(gamma2)
+    return gamma2, ctx.component(beta2), n
 
 
-def _component_steps(ctx, t, move, gamma, beta):
+def _component_steps(ctx, t, move, gamma, beta, forget):
     """The component rule's successors of thread t's `move` from the
-    components, as (gamma', beta', result, label), each component interned.
-    A memory action's variable fixes its side, and a call steps the library
-    object; `build_system` has checked the call's object, method and number
-    of arguments.  Rules are read from their module when called (mem_read,
-    ..., lock_acquire, ...)."""
+    components, as (gamma', beta', result, label, forgot), each component
+    interned.  A memory action's variable fixes its side, and a call steps
+    the library object; `build_system` has checked the call's object,
+    method and number of arguments.  Rules are read from their module when
+    called (mem_read, ..., lock_acquire, ...).  `forget` is the queue a
+    reduced run forgets on, or None: a step that changes beta then forgets
+    the queue's dead prefix, forgot operations (`_forget`), and the label
+    keeps the position on the queue from before."""
     lib = move.step.lib
     own, other = (beta, gamma) if lib else (gamma, beta)
-    key = (t, move.key, own, other)
+    key = (t, move.key, own, other, forget)
     found = ctx.component_steps.get(key)
     if found is None:
         if move.step.kind == "act":
@@ -538,8 +532,12 @@ def _component_steps(ctx, t, move, gamma, beta):
             own2 = ctx.component(own2)
             if other2 is not other:  # else unchanged, so interned already
                 other2 = ctx.component(other2)
-            found.append(((other2, own2) if lib else (own2, other2))
-                         + (result, ctx.label(comp, op.action, op.ts)))
+            g2, b2 = (other2, own2) if lib else (own2, other2)
+            forgot = 0
+            if forget is not None and b2 is not beta:
+                g2, b2, forgot = _forget(ctx, forget, g2, b2)
+            found.append((g2, b2, result, ctx.label(comp, op.action, op.ts),
+                          forgot))
     return found
 
 

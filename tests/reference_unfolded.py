@@ -29,8 +29,8 @@ def single_steps(cfg, ctx, *_):
                 found.append((move.label, move.next_state(ctx, ts.t), gamma,
                               beta))
                 continue
-            for g2, b2, result, label in ex._component_steps(
-                    ctx, ts.t, move, gamma, beta):
+            for g2, b2, result, label, _ in ex._component_steps(
+                    ctx, ts.t, move, gamma, beta, None):
                 found.append((label, move.next_state(ctx, ts.t, result,
                                                      label), g2, b2))
         found.sort(key=lambda f: f[0].text)

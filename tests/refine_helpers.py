@@ -1,8 +1,10 @@
 """Refinement checks in forms only the tests use: state refinement of
 (locals, client component) pairs, a projected and destuttered execution,
 the game and the reference trace check run on their own, over both
-systems explored in full; and corpus clients as refine checks them."""
+systems explored in full; the client's outcomes under the abstract object
+and under an implementation; and corpus clients as refine checks them."""
 
+from rarcheck.assertions import merged_locals
 from rarcheck.litmus import LitmusFile, corpus_text, parse_litmus, pretty
 import rarcheck.refine as rf
 from reference_trace import trace_refinement
@@ -18,6 +20,29 @@ def unbound_client(name: str) -> str:
                     for t, stmts in lf.threads)
     return pretty(LitmusFile(lf.name, lf.init, lf.object_decl, lf.mode,
                              threads))
+
+
+def client_outcomes(system, max_steps=200) -> set:
+    """The client's outcomes of `system`, explored reduced: the registers
+    of each terminal state, less every `$` register (an implementation's
+    locals and a call's result), as sorted item tuples."""
+    res = rf.explore(system.cfg0, system.ctx, max_steps, reduce=True)
+    assert not res.truncated
+    return {tuple(sorted((r, v) for r, v in merged_locals(cfg).items()
+                         if not r.startswith("$")))
+            for cfg in map(res.states.__getitem__, res.terminals)}
+
+
+def outcomes_kept(impl, client_lf, max_steps=200):
+    """The refinement theorem read on outcomes: no client can tell impl
+    from the abstract object it refines, so every outcome of the client
+    over impl is one of its outcomes over the abstract object.  Asserts
+    that inclusion, and returns the abstract outcomes that the concrete
+    system misses, which refinement allows."""
+    concrete = client_outcomes(rf.build_system(client_lf, impl), max_steps)
+    abstract = client_outcomes(rf.build_system(client_lf), max_steps)
+    assert concrete <= abstract, (impl.name, sorted(concrete - abstract))
+    return abstract - concrete
 
 
 def state_refines(abs_pair, conc_pair, threads) -> bool:

@@ -23,6 +23,7 @@ from rarcheck.cli import run_cli
 from rarcheck.litmus import load_corpus, parse_litmus, pretty
 from rarcheck.refine import builtin_impls
 from reference_parser import tokenize
+from refine_helpers import outcomes_kept
 
 BINOPS = ("+", "-", "*", "%", "=", "!=", "<", "<=", ">", ">=", "and", "or")
 UNOPS = ("-", "not")
@@ -539,6 +540,7 @@ def test_refine_plays_the_game_on_lock_clients(tmp_path_factory, text):
         if not impl.endswith("-relaxed"):  # the game finds a simulation
             assert (report["verdict"], report["trace_check"]) == (
                 "simulation-found", "trace-refinement"), (impl, text)
+            outcomes_kept(builtin_impls()[impl], parse_litmus(text))
 
 
 # A client on which the trace check once failed where the game found a

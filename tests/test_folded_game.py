@@ -39,6 +39,7 @@ from rarcheck.explore import _impl_silent, _moves, explore
 from rarcheck.litmus import build_system, load_corpus, parse_litmus
 from rarcheck.state import RVAL
 from reference_unfolded import explore_unfolded, single_steps
+from refine_helpers import outcomes_kept
 from test_cli_fuzz import lock_clients
 from test_refine import LOCK_CLIENTS, PINNED, replay
 
@@ -220,10 +221,14 @@ def test_bound_sweep_matches_unfolded(impl, client):
     # an edge that the bound cuts inside a silent run lands on a
     # configuration that the unfolded run may reach at a lower level by
     # another path; the folded run is truncated only where the unfolded
-    # one is, and otherwise gives such an edge its whole run
+    # one is, and otherwise gives such an edge its whole run; a simulation
+    # found at any bound keeps the client's outcomes
     for bound in range(1, 41):
         folded, reference = _answers(client, impl, bound)
         assert folded == reference, bound
+        if folded[0] == "simulation-found":
+            outcomes_kept(rf.builtin_impls()[impl], load_corpus(client),
+                          bound)
 
 
 def _assert_folded_is_unfolded(system, res, ref):

@@ -20,7 +20,7 @@ from rarcheck.refine import (builtin_impls, check_simulation,
 from rarcheck.state import TRUE
 from reference_game import rounds
 from reference_unfolded import single_steps
-from refine_helpers import (game_moves, project_and_destutter,
+from refine_helpers import (game_moves, outcomes_kept, project_and_destutter,
                             state_refines, trace_check_alone, unbound_client)
 
 
@@ -623,6 +623,31 @@ class TestChecksAgree:
         if impl.endswith("-relaxed") and len(lf.threads) > 1:
             assert not simulates
             assert trace.verdict == "violation"
+
+
+class TestOutcomesKept:
+    """The refinement theorem as a test oracle that reads no game: where a
+    simulation is found, the client's outcomes over the implementation are
+    among its outcomes over the abstract lock.  An abstract outcome that the
+    implementation never reaches is allowed, and is reported as the
+    `outcomes_missing` property, not checked."""
+
+    @pytest.mark.parametrize("client", sorted(LOCK_CLIENTS))
+    @pytest.mark.parametrize("impl", sorted(builtin_impls()))
+    def test_a_simulation_keeps_the_clients_outcomes(self, impl, client,
+                                                     record_property):
+        lf, impl = parse_litmus(LOCK_CLIENTS[client]), builtin_impls()[impl]
+        if check_simulation(impl, lf, 200).ok:
+            record_property("outcomes_missing",
+                            len(outcomes_kept(impl, lf)))
+
+    def test_a_mutant_adds_outcomes(self):
+        # the oracle can fail: with two threads on the lock, the relaxed
+        # release lets a read see a write from outside its round
+        lf = parse_litmus(LOCK_CLIENTS["gen-2x1"])
+        for impl in ("seqlock-relaxed", "ticketlock-relaxed"):
+            with pytest.raises(AssertionError):
+                outcomes_kept(builtin_impls()[impl], lf)
 
 
 class TestExploresOnce:

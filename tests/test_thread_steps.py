@@ -89,7 +89,6 @@ def _fresh(ctx):
     out.thread_steps, out.component_steps = {}, {}
     out.redexes, out.plugs = {}, {}
     out.runs = {silent: {} for silent in ctx.runs}
-    out.forgotten = {}
     return out
 
 
